@@ -10,6 +10,14 @@
 //! when the frontier shrinks below `n / beta` (Beamer's heuristic with
 //! the published constants α=14, β=24).
 //!
+//! This is the published rule as the baseline's comparison point, and it
+//! deliberately differs from the optimistic driver's
+//! `obfs_core::HybridPolicy::decide`. That rule adds the growing and
+//! shrinking conditions and an `n / beta` edge-volume floor, because on
+//! deep graphs the bare α test fires in every shrinking tail level (the
+//! unexplored volume collapses toward 0) and each such bottom-up level
+//! pays an O(n) scan for a frontier of a few vertices.
+//!
 //! Like Baseline2 this uses atomic RMW instructions; it is included as
 //! the modern direction-optimizing comparison point and as the stress
 //! case for dense, low-diameter graphs (where the paper's own algorithms
@@ -21,19 +29,12 @@ use obfs_graph::{CsrGraph, VertexId};
 use obfs_runtime::LevelPool;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
+pub use obfs_core::Direction;
+
 /// Beamer's published switching constants.
 pub const ALPHA: u64 = 14;
 /// See [`ALPHA`]; β controls the switch back to top-down.
 pub const BETA: u64 = 24;
-
-/// Which direction each level ran in (exposed for tests/telemetry).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Parent-to-child frontier expansion.
-    TopDown,
-    /// Child-to-parent frontier probing.
-    BottomUp,
-}
 
 /// Result of a direction-optimizing run: the BFS result plus the
 /// per-level direction trace.

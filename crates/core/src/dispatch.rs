@@ -103,10 +103,23 @@ fn time_backend(backend: ScanBackend, bm: &FrontierBitmap, reps: u32) -> std::ti
     best
 }
 
+/// The probe's decision from the two best-of timings: `Scalar` only when
+/// it takes less than 90% of `Wordwise`'s time. Both backends give the
+/// same answers, and a sub-10% difference is within the timing noise of
+/// a shared host, so a near-tie goes to `Wordwise` instead of flipping
+/// from one process to the next.
+fn pick_backend(wordwise: std::time::Duration, scalar: std::time::Duration) -> ScanBackend {
+    if scalar.as_nanos() * 10 < wordwise.as_nanos() * 9 {
+        ScanBackend::Scalar
+    } else {
+        ScanBackend::Wordwise
+    }
+}
+
 /// Probe both backends on a synthetic mixed-density bitmap and return
-/// the faster one. Cached per process, so every run in one process (and
-/// every level of one recording) reports the same identity; ties go to
-/// [`ScanBackend::Wordwise`].
+/// the faster one (see [`pick_backend`] for the margin). Cached per
+/// process, so every run in one process (and every level of one
+/// recording) reports the same identity.
 pub fn probe() -> ScanBackend {
     static CHOSEN: OnceLock<ScanBackend> = OnceLock::new();
     *CHOSEN.get_or_init(|| {
@@ -127,11 +140,7 @@ pub fn probe() -> ScanBackend {
         }
         let ww = time_backend(ScanBackend::Wordwise, &bm, 5);
         let sc = time_backend(ScanBackend::Scalar, &bm, 5);
-        if sc < ww {
-            ScanBackend::Scalar
-        } else {
-            ScanBackend::Wordwise
-        }
+        pick_backend(ww, sc)
     })
 }
 
@@ -147,6 +156,17 @@ mod tests {
         }
         assert_eq!(ScanBackend::from_label("simd9000"), None);
         assert_ne!(ScanBackend::Wordwise.code(), ScanBackend::Scalar.code());
+    }
+
+    #[test]
+    fn scalar_needs_a_ten_percent_margin() {
+        use std::time::Duration;
+        let us = Duration::from_micros;
+        assert_eq!(pick_backend(us(100), us(100)), ScanBackend::Wordwise, "tie");
+        assert_eq!(pick_backend(us(100), us(95)), ScanBackend::Wordwise, "5% is noise");
+        assert_eq!(pick_backend(us(100), us(90)), ScanBackend::Wordwise, "exactly 10%");
+        assert_eq!(pick_backend(us(100), us(89)), ScanBackend::Scalar, "11% wins");
+        assert_eq!(pick_backend(us(89), us(100)), ScanBackend::Wordwise);
     }
 
     #[test]

@@ -403,17 +403,19 @@ fn drive_shared<'g, S: Strategy>(
             let mut dir0 = Direction::TopDown;
             if let (Some(hyb), Some(pol)) = (&st.hyb, st.opts.hybrid) {
                 // Level-0 direction: Beamer's rule with nf = seed count,
-                // mf = seed degree sum, mu = m (nothing explored yet) —
-                // the same inputs the baseline uses for its first level.
+                // mf = seed degree sum, prev_mf = 0, mu = m (nothing
+                // explored yet).
                 // SAFETY: barrier serial section.
                 let ctl = unsafe { hyb.ctl.get_mut() };
                 dir0 = pol.decide(
                     Direction::TopDown,
                     seeded as u64,
                     seed_edges,
+                    ctl.prev_mf,
                     ctl.unexplored_edges,
                     st.graph.num_vertices() as u64,
                 );
+                ctl.prev_mf = seed_edges;
                 ctl.directions.push(dir0);
                 // SAFETY: barrier serial section.
                 unsafe { *hyb.direction.get_mut() = dir0 };
@@ -618,9 +620,11 @@ fn drive_shared<'g, S: Strategy>(
                             dir,
                             produced as u64,
                             mf,
+                            ctl.prev_mf,
                             ctl.unexplored_edges,
                             st.graph.num_vertices() as u64,
                         );
+                        ctl.prev_mf = mf;
                         if next_dir != dir {
                             ctl.switches += 1;
                             let code = |d: Direction| match d {

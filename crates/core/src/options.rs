@@ -183,7 +183,8 @@ pub struct HybridPolicy {
     /// `unexplored_edges / alpha` (Beamer's published α = 14).
     pub alpha: u64,
     /// Switch back to top-down when the frontier shrinks below
-    /// `n / beta` (Beamer's published β = 24).
+    /// `n / beta` vertices (Beamer's published β = 24); `n / beta` is
+    /// also the edge-volume floor below which top-down never leaves.
     pub beta: u64,
     /// Force a fixed direction instead of the heuristic (tests /
     /// ablations); `None` runs the α/β rule.
@@ -210,17 +211,38 @@ impl HybridPolicy {
     /// The α/β switch rule, in one place so the driver and the tests
     /// replaying recorded series agree exactly: given the direction of
     /// the finished level, the next frontier's vertex count `nf` and
-    /// out-edge volume `mf`, the remaining unexplored edge volume `mu`,
-    /// and the vertex count `n`, decide the next level's direction.
-    pub fn decide(&self, was: Direction, nf: u64, mf: u64, mu: u64, n: u64) -> Direction {
+    /// out-edge volume `mf`, the finished level's frontier edge volume
+    /// `prev_mf` (0 before level 0), the remaining unexplored edge volume
+    /// `mu`, and the vertex count `n`, decide the next level's direction.
+    ///
+    /// Beamer's SC'12 rule with its growing/shrinking conditions, plus a
+    /// cost floor:
+    /// - top-down → bottom-up iff `mf > mu/α`, the frontier is growing
+    ///   (`mf > prev_mf`), and `mf ≥ n/β`. A bottom-up level pays an O(n)
+    ///   bitmap fill and candidate scan whatever the frontier, so it
+    ///   cannot beat top-down work smaller than that. The floor also
+    ///   keeps a shrinking tail, where `mu` collapses toward 0 and
+    ///   `mu/α` fires on any frontier, top-down.
+    /// - bottom-up → top-down iff `nf < n/β` and the frontier is
+    ///   shrinking (`mf < prev_mf`); a small but growing frontier stays.
+    pub fn decide(
+        &self,
+        was: Direction,
+        nf: u64,
+        mf: u64,
+        prev_mf: u64,
+        mu: u64,
+        n: u64,
+    ) -> Direction {
         match self.force {
             Some(ForcedDirection::AlwaysTopDown) => Direction::TopDown,
             Some(ForcedDirection::AlwaysBottomUp) => Direction::BottomUp,
             None => {
+                let floor = n / self.beta.max(1);
                 let go_bottom_up = if was == Direction::BottomUp {
-                    nf >= n / self.beta.max(1) // stay until the frontier shrinks
+                    nf >= floor || mf >= prev_mf // leave only small and shrinking
                 } else {
-                    mf > mu / self.alpha.max(1)
+                    mf > mu / self.alpha.max(1) && mf > prev_mf && mf >= floor
                 };
                 if go_bottom_up {
                     Direction::BottomUp
@@ -499,24 +521,36 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_decide_matches_beamer_rule() {
-        let pol = HybridPolicy::default();
-        // Top-down stays top-down while the frontier is edge-sparse.
-        assert_eq!(pol.decide(Direction::TopDown, 10, 10, 1000, 100), Direction::TopDown);
-        // mf > mu/α flips to bottom-up.
-        assert_eq!(pol.decide(Direction::TopDown, 10, 200, 1000, 100), Direction::BottomUp);
-        // Bottom-up holds while nf >= n/β ...
-        assert_eq!(pol.decide(Direction::BottomUp, 50, 0, 0, 240), Direction::BottomUp);
-        // ... and returns top-down once the frontier shrinks below n/β.
-        assert_eq!(pol.decide(Direction::BottomUp, 5, 0, 0, 240), Direction::TopDown);
+    fn hybrid_decide_follows_growing_shrinking_rule_with_floor() {
+        use Direction::{BottomUp as Bu, TopDown as Td};
+        let pol = HybridPolicy::default(); // α = 14, β = 24
+        // (case, was, nf, mf, prev_mf, mu, n, expected)
+        let table = [
+            ("edge-sparse frontier", Td, 10, 10, 5, 1000, 100, Td),
+            ("growing, mf > mu/α", Td, 10, 200, 50, 1000, 100, Bu),
+            ("shrinking, mf > mu/α", Td, 10, 200, 300, 1000, 100, Td),
+            ("star hub from a leaf", Td, 1, 399, 1, 399, 400, Bu),
+            ("star hub as the source", Td, 1, 399, 0, 798, 400, Bu),
+            ("36-edge tail under the n/β floor", Td, 12, 36, 30, 100, 850_000, Td),
+            ("mu saturated at 0, shrinking", Td, 5, 40, 60, 0, 480, Td),
+            ("bottom-up, small but growing", Bu, 5, 50, 40, 0, 480, Bu),
+            ("bottom-up, large but shrinking", Bu, 50, 30, 40, 0, 480, Bu),
+            ("bottom-up, small and shrinking", Bu, 5, 30, 40, 0, 480, Td),
+        ];
+        for (case, was, nf, mf, prev_mf, mu, n, want) in table {
+            assert_eq!(pol.decide(was, nf, mf, prev_mf, mu, n), want, "{case}");
+        }
     }
 
     #[test]
     fn hybrid_forced_overrides_heuristic() {
         let td = HybridPolicy::forced(ForcedDirection::AlwaysTopDown);
         let bu = HybridPolicy::forced(ForcedDirection::AlwaysBottomUp);
-        assert_eq!(td.decide(Direction::TopDown, 10, 1 << 40, 1, 100), Direction::TopDown);
-        assert_eq!(bu.decide(Direction::BottomUp, 0, 0, 1 << 40, 100), Direction::BottomUp);
+        assert_eq!(td.decide(Direction::TopDown, 10, 1 << 40, 0, 1, 100), Direction::TopDown);
+        assert_eq!(
+            bu.decide(Direction::BottomUp, 0, 0, 1 << 40, 1 << 40, 100),
+            Direction::BottomUp
+        );
         assert_eq!(Direction::TopDown.label(), "td");
         assert_eq!(Direction::BottomUp.label(), "bu");
     }

@@ -106,10 +106,20 @@ impl TransposeRef<'_> {
 #[derive(Debug)]
 pub struct HybridCtl {
     /// Edge volume not yet claimed by any discovered frontier (`mu`).
+    /// `frontier_edges` counts every push, duplicates included, so `mu`
+    /// is an under-estimate that can saturate at 0 before the traversal
+    /// ends (RMAT-20 tails do). `mf > mu/α` then fires on any frontier;
+    /// [`crate::HybridPolicy::decide`] still needs a growing frontier of
+    /// at least `n/β` edges to go bottom-up, so a zero `mu` cannot make
+    /// a shrinking tail thrash.
     pub unexplored_edges: u64,
     /// Cumulative cross-thread `frontier_edges` at the previous level
     /// boundary; the per-level `mf` is the difference against this.
     pub prev_frontier_edges: u64,
+    /// Edge volume of the frontier the level just finished consumed
+    /// (`prev_mf` of [`crate::HybridPolicy::decide`]): 0 before level 0,
+    /// the seed degree sum after it.
+    pub prev_mf: u64,
     /// Direction of every executed level, in order.
     pub directions: Vec<Direction>,
     /// Number of adjacent level pairs that ran in different directions.
@@ -311,6 +321,7 @@ impl<'g> RunState<'g> {
                 ctl: SerialCell::new(HybridCtl {
                     unexplored_edges: graph.num_edges(),
                     prev_frontier_edges: 0,
+                    prev_mf: 0,
                     directions: Vec::new(),
                     switches: 0,
                 }),

@@ -29,13 +29,15 @@ fn replay_directions(
 ) -> Vec<Direction> {
     let n = g.num_vertices() as u64;
     let mut mu = g.num_edges();
-    let mut dirs = vec![pol.decide(Direction::TopDown, 1, g.degree(src) as u64, mu, n)];
+    let mut prev_mf = g.degree(src) as u64;
+    let mut dirs = vec![pol.decide(Direction::TopDown, 1, prev_mf, 0, mu, n)];
     for e in &stats.level_stats {
         let mf = e.counters.frontier_edges;
         mu -= mf.min(mu);
         if e.discovered > 0 {
-            dirs.push(pol.decide(e.direction, e.discovered as u64, mf, mu, n));
+            dirs.push(pol.decide(e.direction, e.discovered as u64, mf, prev_mf, mu, n));
         }
+        prev_mf = mf;
     }
     dirs
 }
@@ -93,17 +95,17 @@ fn star_from_hub_starts_bottom_up() {
 
 #[test]
 fn path_stays_top_down_until_exhaustion() {
-    // One-vertex frontiers: mf = O(1) while mu is large, so the early
-    // levels must all be top-down (β only matters once mu/α collapses in
-    // the tail, where Beamer's rule legitimately flips).
+    // One-vertex frontiers: mf never grows and stays far below the n/β
+    // floor, so no level runs bottom-up — not even in the tail, where
+    // mu/α collapses to 0 and the α test alone would fire.
     let g = gen::path(500);
     let r = check_hybrid(&g, 0, &hybrid_opts(1));
-    let early = &r.stats.directions[..r.stats.directions.len() * 9 / 10];
     assert!(
-        early.iter().all(|&d| d == Direction::TopDown),
-        "early path levels must be top-down: {:?}",
+        r.stats.directions.iter().all(|&d| d == Direction::TopDown),
+        "path levels must all be top-down: {:?}",
         &r.stats.directions
     );
+    assert_eq!(r.stats.direction_switches, 0);
     let pol = HybridPolicy::default();
     assert_eq!(replay_directions(&g, 0, &pol, &r.stats), r.stats.directions);
 }
@@ -152,8 +154,9 @@ fn custom_alpha_beta_change_the_switch_points() {
     let first_bu = |r: &obfs::prelude::BfsResult| {
         r.stats.directions.iter().position(|&d| d == Direction::BottomUp)
     };
-    // Large α shrinks the mu/α threshold: flips at the first chance
-    // (any frontier with outgoing edges fires the rule).
+    // Large α shrinks the mu/α threshold and β = u64::MAX drops the n/β
+    // floor to 0: flips at the first chance (any growing frontier with
+    // outgoing edges fires the rule).
     let eager = BfsOptions {
         hybrid: Some(HybridPolicy::with_constants(1_000_000, u64::MAX)),
         ..hybrid_opts(2)
@@ -179,19 +182,55 @@ fn custom_alpha_beta_change_the_switch_points() {
         "α=1 flipped earlier ({:?}) than α=10^6 ({eager_at})",
         first_bu(&rl)
     );
-    // β = 1 demands nf >= n to stay: a bottom-up level is always
-    // followed by top-down.
-    let bounce = BfsOptions {
+    // β = 1 raises the bottom-up floor to n: top-down may only leave on
+    // a frontier of at least n out-edges, however eager α is.
+    let floored = BfsOptions {
         hybrid: Some(HybridPolicy::with_constants(1_000_000, 1)),
         ..hybrid_opts(2)
     };
-    let rb = check_hybrid(&g, 0, &bounce);
-    for w in rb.stats.directions.windows(2) {
-        assert!(
-            !(w[0] == Direction::BottomUp && w[1] == Direction::BottomUp),
-            "β=1 must bounce straight back: {:?}",
-            rb.stats.directions
-        );
+    let rf = check_hybrid(&g, 0, &floored);
+    let n = g.num_vertices() as u64;
+    let dirs = &rf.stats.directions;
+    for (i, &d) in dirs.iter().enumerate() {
+        if d == Direction::BottomUp && (i == 0 || dirs[i - 1] == Direction::TopDown) {
+            let mf = match i {
+                0 => g.degree(0) as u64,
+                _ => rf.stats.level_stats[i - 1].counters.frontier_edges,
+            };
+            assert!(mf >= n, "β=1 went bottom-up at level {i} on mf={mf} < n={n}: {dirs:?}");
+        }
+    }
+    // A dense ER frontier still clears the floor, just later.
+    assert!(
+        first_bu(&rf).is_some_and(|at| at > eager_at),
+        "the n floor must delay the switch past α=10^6's ({eager_at}): {dirs:?}"
+    );
+}
+
+#[test]
+fn circuit_tail_does_not_thrash() {
+    // The Freescale stand-in is deep (hundreds of levels) with frontiers
+    // far below n/β. In its shrinking tail mu collapses until mu/α fires
+    // on every frontier; the growing condition and the n/β floor must
+    // keep those levels top-down instead of bouncing each one through an
+    // O(n) bottom-up level.
+    let g = gen::suite::PaperGraph::Freescale.generate(64, 1);
+    let pol = HybridPolicy::default();
+    let step = g.num_vertices() / 4;
+    for src in (0..4).map(|k| (k * step) as u32) {
+        let reference = serial_bfs(&g, src);
+        for threads in [2usize, 4] {
+            for algo in [Algorithm::Bfswsl, Algorithm::Bfscl] {
+                let r = run_bfs(algo, &g, src, &hybrid_opts(threads));
+                assert_eq!(r.levels, reference.levels, "{algo} p={threads} src={src}");
+                assert!(
+                    r.stats.direction_switches <= 2,
+                    "{algo} p={threads} src={src}: {} switches",
+                    r.stats.direction_switches
+                );
+                assert_eq!(replay_directions(&g, src, &pol, &r.stats), r.stats.directions);
+            }
+        }
     }
 }
 
