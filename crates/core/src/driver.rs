@@ -21,7 +21,7 @@
 use crate::frontier::decode;
 use crate::options::{Algorithm, BfsOptions, Direction};
 use crate::perthread::PerThread;
-use crate::state::RunState;
+use crate::state::{RunBuffers, RunState};
 use crate::stats::{Outcome, RunStats, ThreadStats};
 use crate::{BfsResult, UNVISITED};
 use obfs_graph::{CsrGraph, VertexId, INVALID_VERTEX};
@@ -244,9 +244,12 @@ pub fn try_drive_with_transpose<'g, S: Strategy>(
     pool: &LevelPool,
     transpose: Option<&'g CsrGraph>,
 ) -> Result<BfsResult, PoolError> {
-    let st = RunState::new_with_transpose(graph, opts, transpose);
-    let stats = drive_shared(strategy, &st, src, pool)?;
     let n = graph.num_vertices();
+    let bufs = RunBuffers::take(pool, n, opts, true);
+    let st = RunState::from_buffers(graph, opts, transpose, bufs, None);
+    // A pool failure drops the buffers with `st`: a half-run level loop
+    // leaves the queues in no known state.
+    let stats = drive_shared(strategy, &st, src, pool)?;
     let levels: Vec<u32> = (0..n).map(|v| st.levels.get(v)).collect();
     let parents = st
         .parents
@@ -262,6 +265,7 @@ pub fn try_drive_with_transpose<'g, S: Strategy>(
         "level exceeds executed level count"
     );
     let _ = INVALID_VERTEX;
+    st.into_buffers().park(pool);
     Ok(BfsResult { levels, parents, stats })
 }
 
@@ -278,10 +282,13 @@ pub fn try_drive_batch_with_transpose<'g, S: Strategy>(
     pool: &LevelPool,
     transpose: Option<&'g CsrGraph>,
 ) -> Result<crate::batch::BatchResult, PoolError> {
-    let st = RunState::new_batch(graph, opts, transpose, sources);
+    let n = graph.num_vertices();
+    let bufs = RunBuffers::take(pool, n, opts, false);
+    let st = RunState::from_buffers(graph, opts, transpose, bufs, Some(sources));
     let stats = drive_shared(strategy, &st, 0, pool)?;
-    let b = st.batch.as_ref().expect("batch state armed by new_batch");
-    let queries = crate::batch::extract_results(b, graph.num_vertices());
+    let b = st.batch.as_ref().expect("batch state armed by from_buffers");
+    let queries = crate::batch::extract_results(b, n);
+    st.into_buffers().park(pool);
     for qr in &queries {
         debug_assert_eq!(qr.levels[qr.source as usize], 0);
         debug_assert!(qr

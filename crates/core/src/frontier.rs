@@ -222,6 +222,14 @@ impl QueueSet {
         &self.queues[i]
     }
 
+    /// Reset every queue ([`FrontierQueue::reset`]: only the used slot
+    /// range is cleared).
+    pub fn reset(&self) {
+        for q in &self.queues {
+            q.reset();
+        }
+    }
+
     /// Sum of rears — the frontier size if no duplicates were pushed.
     pub fn total_entries(&self) -> usize {
         self.queues.iter().map(|q| q.rear()).sum()

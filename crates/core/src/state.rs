@@ -13,6 +13,7 @@ use crate::perthread::PerThread;
 use crate::stats::ThreadStats;
 use crate::UNVISITED;
 use obfs_graph::{CsrGraph, VertexId, INVALID_VERTEX};
+use obfs_runtime::LevelPool;
 use obfs_sync::{CachePadded, CancelCause, RacyBuf, RacyUsize, SpinLock};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -86,7 +87,7 @@ pub enum TransposeRef<'g> {
     /// Caller-provided transpose (`graph.transpose()`, or the graph
     /// itself for symmetric graphs).
     Borrowed(&'g CsrGraph),
-    /// Transpose computed by [`RunState::new_with_transpose`].
+    /// Transpose computed for this run (the caller gave none).
     Owned(Box<CsrGraph>),
 }
 
@@ -233,6 +234,9 @@ pub struct RunState<'g> {
     /// / `owner` arrays above are empty and every discovery flows through
     /// the bit-parallel kernel in [`RunState::try_discover_batch`].
     pub batch: Option<BatchState>,
+    /// Batch mode only: the single-source arrays of a recycled
+    /// [`RunBuffers`] set, held unused so the set returns whole.
+    idle: Option<LabelBuffers>,
     /// Cached `opts.hybrid.is_some()` so the `frontier_edges` accounting
     /// in [`RunState::try_discover`] is one predictable branch (and the
     /// paper's top-down hot path pays nothing when hybrid is off).
@@ -266,6 +270,127 @@ pub struct RunState<'g> {
     pub opts: BfsOptions,
 }
 
+/// Every n-sized array one run needs: both queue sets plus the
+/// single-source label arrays (`level[]`, parents, owner, the hybrid
+/// frontier/visited bitmaps and the compaction buffers).
+///
+/// A [`RunState`] is always built from one ([`RunState::from_buffers`])
+/// and hands it back when the run is over ([`RunState::into_buffers`]),
+/// so the driver can recycle the arrays across runs on one pool instead
+/// of allocating and first-touching them on every call
+/// ([`RunBuffers::take`] / [`RunBuffers::park`]).
+///
+/// Parked invariant: every queue slot is [`EMPTY_SLOT`] and every queue
+/// cursor is 0. The label arrays need no invariant: `init_chunk` clears
+/// `level[]`/parents/owner at the start of every run, and the bitmaps and
+/// compaction arrays are rebuilt before each level that reads them.
+pub(crate) struct RunBuffers {
+    n: usize,
+    queues: [QueueSet; 2],
+    /// `None` in a set first built for a batched run, which never reads
+    /// single-source labels.
+    labels: Option<LabelBuffers>,
+}
+
+/// The arrays only single-source runs use.
+struct LabelBuffers {
+    levels: RacyBuf,
+    parents: Option<RacyBuf>,
+    owner: Option<RacyBuf>,
+    /// Hybrid frontier and visited bitmaps.
+    hybrid: Option<[FrontierBitmap; 2]>,
+    compact: Option<CompactBuffers>,
+}
+
+/// The arrays of [`CompactState`].
+struct CompactBuffers {
+    bitmap: FrontierBitmap,
+    chunk_counts: RacyBuf,
+    block_totals: RacyBuf,
+    frontier: RacyBuf,
+}
+
+impl LabelBuffers {
+    fn new(n: usize, opts: &BfsOptions) -> Self {
+        Self {
+            levels: RacyBuf::new(n),
+            parents: opts.record_parents.then(|| RacyBuf::new(n)),
+            owner: (opts.dedup == DedupMode::OwnerArray).then(|| RacyBuf::new(n)),
+            hybrid: opts.hybrid.map(|_| [FrontierBitmap::new(n), FrontierBitmap::new(n)]),
+            compact: opts.compaction.map(|_| {
+                let bitmap = FrontierBitmap::new(n);
+                let chunks =
+                    obfs_util::div_ceil(bitmap.word_count(), crate::scan::COMPACT_CHUNK_WORDS);
+                CompactBuffers {
+                    bitmap,
+                    chunk_counts: RacyBuf::new(chunks),
+                    block_totals: RacyBuf::new(opts.threads),
+                    frontier: RacyBuf::new(n),
+                }
+            }),
+        }
+    }
+
+    /// Whether these are exactly the arrays `opts` needs (same vertex
+    /// count assumed).
+    fn fits(&self, opts: &BfsOptions) -> bool {
+        self.parents.is_some() == opts.record_parents
+            && self.owner.is_some() == (opts.dedup == DedupMode::OwnerArray)
+            && self.hybrid.is_some() == opts.hybrid.is_some()
+            && self.compact.is_some() == opts.compaction.is_some()
+    }
+}
+
+impl RunBuffers {
+    /// Fresh buffers for a run of `opts.threads` workers over `n`
+    /// vertices; `single` adds the single-source label arrays `opts`
+    /// asks for (a batched run keeps its labels in
+    /// [`crate::batch::BatchState`] instead).
+    pub(crate) fn new(n: usize, opts: &BfsOptions, single: bool) -> Self {
+        assert!(n >= 1, "BFS needs at least one vertex");
+        assert!(n < UNVISITED as usize, "graph too large for u32 level encoding");
+        let p = opts.threads;
+        assert!(p >= 1, "need at least one thread");
+        Self {
+            n,
+            queues: [QueueSet::new(p, n), QueueSet::new(p, n)],
+            labels: single.then(|| LabelBuffers::new(n, opts)),
+        }
+    }
+
+    /// Buffers for a run on `pool`: the set its last run parked when the
+    /// shape matches, fresh arrays otherwise. The queues are reused when
+    /// the vertex and thread counts match. A single-source run also
+    /// reuses the label arrays when they are exactly the ones `opts`
+    /// needs and reallocates them otherwise; a batched run leaves them
+    /// in the set untouched, so it goes back to the pool whole.
+    pub(crate) fn take(pool: &LevelPool, n: usize, opts: &BfsOptions, single: bool) -> Self {
+        match pool.take_parked::<Self>() {
+            Some(mut b) if b.n == n && b.queues[0].len() == opts.threads => {
+                if single && !b.labels.as_ref().is_some_and(|l| l.fits(opts)) {
+                    // Free the old arrays before allocating their successors.
+                    b.labels = None;
+                    b.labels = Some(LabelBuffers::new(n, opts));
+                }
+                b
+            }
+            stale => {
+                drop(stale);
+                Self::new(n, opts, single)
+            }
+        }
+    }
+
+    /// Restore the parked invariant — clearing only the used range of
+    /// each queue — and leave the buffers in `pool` for its next run.
+    pub(crate) fn park(self, pool: &LevelPool) {
+        for qs in &self.queues {
+            qs.reset();
+        }
+        pool.park(self);
+    }
+}
+
 impl<'g> RunState<'g> {
     /// Allocate all shared state for one BFS run. When
     /// [`BfsOptions::hybrid`] is set the in-edge graph is computed here
@@ -285,91 +410,8 @@ impl<'g> RunState<'g> {
         opts: &BfsOptions,
         transpose: Option<&'g CsrGraph>,
     ) -> Self {
-        let n = graph.num_vertices();
-        assert!(n >= 1, "BFS needs at least one vertex");
-        assert!(
-            n < UNVISITED as usize,
-            "graph too large for u32 level encoding"
-        );
-        let p = opts.threads;
-        assert!(p >= 1, "need at least one thread");
-        if let Some(t) = &opts.topology {
-            assert_eq!(
-                t.threads(),
-                p,
-                "BfsOptions::topology describes {} workers but threads = {p}",
-                t.threads()
-            );
-        }
-        let pools = opts.pools.clamp(1, p);
-        let hyb = opts.hybrid.map(|_| {
-            if let Some(t) = transpose {
-                assert_eq!(
-                    t.num_vertices(),
-                    n,
-                    "transpose vertex count must match the graph"
-                );
-            }
-            HybridState {
-                transpose: match transpose {
-                    Some(t) => TransposeRef::Borrowed(t),
-                    None => TransposeRef::Owned(Box::new(graph.transpose())),
-                },
-                bitmap: FrontierBitmap::new(n),
-                visited: FrontierBitmap::new(n),
-                direction: SerialCell::new(Direction::TopDown),
-                ctl: SerialCell::new(HybridCtl {
-                    unexplored_edges: graph.num_edges(),
-                    prev_frontier_edges: 0,
-                    prev_mf: 0,
-                    directions: Vec::new(),
-                    switches: 0,
-                }),
-            }
-        });
-        let compact = opts.compaction.map(|_| {
-            let bitmap = FrontierBitmap::new(n);
-            let chunks =
-                obfs_util::div_ceil(bitmap.word_count(), crate::scan::COMPACT_CHUNK_WORDS);
-            CompactState {
-                bitmap,
-                chunk_counts: RacyBuf::new(chunks),
-                block_totals: RacyBuf::new(p),
-                frontier: RacyBuf::new(n),
-                enabled: SerialCell::new(false),
-                levels_compacted: SerialCell::new(0),
-            }
-        });
-        Self {
-            graph,
-            levels: RacyBuf::new(n),
-            parents: opts.record_parents.then(|| RacyBuf::new(n)),
-            owner: (opts.dedup == DedupMode::OwnerArray).then(|| RacyBuf::new(n)),
-            queues: [QueueSet::new(p, n), QueueSet::new(p, n)],
-            descs: (0..p).map(|_| CachePadded::new(SegmentDesc::new())).collect(),
-            desc_locks: (0..p).map(|_| CachePadded::new(SpinLock::new(()))).collect(),
-            central_lock: SpinLock::new(CentralCursor::default()),
-            pool_cursors: (0..pools).map(|_| CachePadded::new(RacyUsize::new(0))).collect(),
-            edge_cursor: CachePadded::new(RacyUsize::new(0)),
-            next_total: RacyUsize::new(0),
-            hubs: PerThread::new(p, |_| Vec::new()),
-            flat_vertices: SerialCell::new(Vec::new()),
-            flat_prefix: SerialCell::new(Vec::new()),
-            trace: opts.collect_level_stats.then(|| SerialCell::new(TraceState::default())),
-            hyb,
-            compact,
-            scan_backend: opts.kernel.resolve(),
-            batch: None,
-            count_frontier_edges: opts.hybrid.is_some(),
-            wd_abort: AtomicBool::new(false),
-            wd_deadline: SerialCell::new(None),
-            wd_degraded: SerialCell::new(0),
-            run_abort: SerialCell::new(None),
-            abort_armed: opts.watchdog.is_some() || opts.cancel.is_some(),
-            threads: p,
-            hub_threshold: opts.resolved_hub_threshold(graph),
-            opts: opts.clone(),
-        }
+        let bufs = RunBuffers::new(graph.num_vertices(), opts, true);
+        Self::from_buffers(graph, opts, transpose, bufs, None)
     }
 
     /// Like [`RunState::new_with_transpose`], but for a batched
@@ -384,23 +426,155 @@ impl<'g> RunState<'g> {
         transpose: Option<&'g CsrGraph>,
         sources: &[obfs_graph::VertexId],
     ) -> Self {
-        assert!(
-            opts.dedup == DedupMode::None,
-            "owner-array dedup is incompatible with batched multi-source BFS"
-        );
-        let mut st = Self::new_with_transpose(graph, opts, transpose);
+        let bufs = RunBuffers::new(graph.num_vertices(), opts, false);
+        Self::from_buffers(graph, opts, transpose, bufs, Some(sources))
+    }
+
+    /// The one construction path: every n-sized array comes from `bufs`
+    /// (fresh or recycled), everything else is built per run. With
+    /// `sources` the state is for a batched run over them; it uses only
+    /// the queues of `bufs`, and any single-source arrays in the set sit
+    /// idle until [`RunState::into_buffers`]. Otherwise `bufs` must carry
+    /// exactly the label arrays `opts` needs.
+    pub(crate) fn from_buffers(
+        graph: &'g CsrGraph,
+        opts: &BfsOptions,
+        transpose: Option<&'g CsrGraph>,
+        bufs: RunBuffers,
+        sources: Option<&[obfs_graph::VertexId]>,
+    ) -> Self {
         let n = graph.num_vertices();
-        st.batch = Some(BatchState::new(n, sources, opts.record_parents, opts.hybrid.is_some()));
-        // Empty out the single-source arrays: batch mode must never touch
-        // them, and a zero-length buffer turns any missed call site into
-        // an immediate bounds panic instead of silent corruption.
-        st.levels = RacyBuf::new(0);
-        st.parents = None;
-        // Compaction reads the single-source `level[]` array, which batch
-        // mode just emptied — batched discovery is already bit-parallel,
-        // so the option is documented as ignored here.
-        st.compact = None;
-        st
+        let p = opts.threads;
+        let RunBuffers { n: buf_n, queues, labels } = bufs;
+        assert_eq!(buf_n, n, "run buffers sized for another graph");
+        assert_eq!(queues[0].len(), p, "run buffers sized for another thread count");
+        if let Some(t) = &opts.topology {
+            assert_eq!(
+                t.threads(),
+                p,
+                "BfsOptions::topology describes {} workers but threads = {p}",
+                t.threads()
+            );
+        }
+        let pools = opts.pools.clamp(1, p);
+        // A batched run never touches the single-source arrays: it gets
+        // zero-length stand-ins (so any missed call site is an immediate
+        // bounds panic rather than silent corruption) and holds the real
+        // ones idle until `into_buffers`.
+        let (batch, labels, idle) = match sources {
+            Some(src) => {
+                assert!(
+                    opts.dedup == DedupMode::None,
+                    "owner-array dedup is incompatible with batched multi-source BFS"
+                );
+                let b = BatchState::new(n, src, opts.record_parents, opts.hybrid.is_some());
+                let stand_in = LabelBuffers {
+                    levels: RacyBuf::new(0),
+                    parents: None,
+                    owner: None,
+                    // Batched bottom-up levels read `front_by` words.
+                    hybrid: opts.hybrid.map(|_| [FrontierBitmap::new(0), FrontierBitmap::new(0)]),
+                    // Compaction reads the single-source `level[]` array;
+                    // batched discovery is already bit-parallel, so the
+                    // option is documented as ignored here.
+                    compact: None,
+                };
+                (Some(b), stand_in, labels)
+            }
+            None => {
+                let l = labels.expect("single-source run needs label buffers");
+                assert!(l.fits(opts), "run buffers do not match these options");
+                (None, l, None)
+            }
+        };
+        let LabelBuffers { levels, parents, owner, hybrid, compact } = labels;
+        let hyb = opts.hybrid.map(|_| {
+            if let Some(t) = transpose {
+                assert_eq!(
+                    t.num_vertices(),
+                    n,
+                    "transpose vertex count must match the graph"
+                );
+            }
+            let [bitmap, visited] = hybrid.expect("hybrid bitmaps for a hybrid run");
+            HybridState {
+                transpose: match transpose {
+                    Some(t) => TransposeRef::Borrowed(t),
+                    None => TransposeRef::Owned(Box::new(graph.transpose())),
+                },
+                bitmap,
+                visited,
+                direction: SerialCell::new(Direction::TopDown),
+                ctl: SerialCell::new(HybridCtl {
+                    unexplored_edges: graph.num_edges(),
+                    prev_frontier_edges: 0,
+                    prev_mf: 0,
+                    directions: Vec::new(),
+                    switches: 0,
+                }),
+            }
+        });
+        let compact = compact.map(|c| CompactState {
+            bitmap: c.bitmap,
+            chunk_counts: c.chunk_counts,
+            block_totals: c.block_totals,
+            frontier: c.frontier,
+            enabled: SerialCell::new(false),
+            levels_compacted: SerialCell::new(0),
+        });
+        Self {
+            graph,
+            levels,
+            parents,
+            owner,
+            queues,
+            descs: (0..p).map(|_| CachePadded::new(SegmentDesc::new())).collect(),
+            desc_locks: (0..p).map(|_| CachePadded::new(SpinLock::new(()))).collect(),
+            central_lock: SpinLock::new(CentralCursor::default()),
+            pool_cursors: (0..pools).map(|_| CachePadded::new(RacyUsize::new(0))).collect(),
+            edge_cursor: CachePadded::new(RacyUsize::new(0)),
+            next_total: RacyUsize::new(0),
+            hubs: PerThread::new(p, |_| Vec::new()),
+            flat_vertices: SerialCell::new(Vec::new()),
+            flat_prefix: SerialCell::new(Vec::new()),
+            trace: opts.collect_level_stats.then(|| SerialCell::new(TraceState::default())),
+            hyb,
+            compact,
+            scan_backend: opts.kernel.resolve(),
+            batch,
+            idle,
+            count_frontier_edges: opts.hybrid.is_some(),
+            wd_abort: AtomicBool::new(false),
+            wd_deadline: SerialCell::new(None),
+            wd_degraded: SerialCell::new(0),
+            run_abort: SerialCell::new(None),
+            abort_armed: opts.watchdog.is_some() || opts.cancel.is_some(),
+            threads: p,
+            hub_threshold: opts.resolved_hub_threshold(graph),
+            opts: opts.clone(),
+        }
+    }
+
+    /// End the run and hand back its n-sized arrays (queues as the run
+    /// left them; [`RunBuffers::park`] restores the parked invariant).
+    pub(crate) fn into_buffers(self) -> RunBuffers {
+        let labels = if self.batch.is_some() {
+            self.idle
+        } else {
+            Some(LabelBuffers {
+                levels: self.levels,
+                parents: self.parents,
+                owner: self.owner,
+                hybrid: self.hyb.map(|h| [h.bitmap, h.visited]),
+                compact: self.compact.map(|c| CompactBuffers {
+                    bitmap: c.bitmap,
+                    chunk_counts: c.chunk_counts,
+                    block_totals: c.block_totals,
+                    frontier: c.frontier,
+                }),
+            })
+        };
+        RunBuffers { n: self.graph.num_vertices(), queues: self.queues, labels }
     }
 
     /// This level's input queue set.
@@ -1237,6 +1411,56 @@ mod tests {
         st.note_pop(1, 2, &mut ts);
         assert_eq!(ts.duplicate_explorations, 1);
         assert_eq!(ts.vertices_explored, 2);
+    }
+
+    /// A finished run parks its buffers clean — every queue slot empty
+    /// and every cursor 0, although compacted levels never clear their
+    /// input slots, so the last level's input queues end the run full —
+    /// and the next run of the same shape reuses those very arrays.
+    #[test]
+    fn runs_park_clean_buffers_and_reuse_them() {
+        use crate::driver::try_run_on_pool;
+        use crate::options::{Algorithm, CompactionPolicy};
+        let g = gen::erdos_renyi(500, 4000, 3);
+        let pool = LevelPool::new(3);
+        let o = BfsOptions {
+            threads: 3,
+            compaction: Some(CompactionPolicy::forced_on()),
+            record_parents: true,
+            ..Default::default()
+        };
+        let serial = crate::serial::serial_bfs(&g, 0).levels;
+        let r = try_run_on_pool(Algorithm::Bfscl, &g, 0, &o, &pool).unwrap();
+        assert_eq!(r.levels, serial);
+        assert_eq!(r.stats.compacted_levels, r.stats.levels, "every level compacted");
+        let bufs = pool.take_parked::<RunBuffers>().expect("a finished run parks its buffers");
+        for qs in &bufs.queues {
+            for k in 0..qs.len() {
+                let q = qs.queue(k);
+                assert_eq!((q.front(), q.rear()), (0, 0), "queue {k} cursors");
+                assert!((0..=q.capacity()).all(|i| q.slot(i) == EMPTY_SLOT), "queue {k} slots");
+            }
+        }
+        let levels_at = |b: &RunBuffers| b.labels.as_ref().unwrap().levels.row(0, 1).as_ptr();
+        let before = levels_at(&bufs);
+        pool.park(bufs);
+        let r = try_run_on_pool(Algorithm::Bfscl, &g, 0, &o, &pool).unwrap();
+        assert_eq!(r.levels, serial);
+        let bufs = pool.take_parked::<RunBuffers>().unwrap();
+        assert_eq!(levels_at(&bufs), before, "the same shape reuses the arrays");
+    }
+
+    #[test]
+    fn batch_state_leaves_single_source_arrays_idle() {
+        let g = gen::path(40);
+        let o = BfsOptions { threads: 2, record_parents: true, ..Default::default() };
+        let bufs = RunBuffers::new(40, &o, true);
+        let st = RunState::from_buffers(&g, &o, None, bufs, Some(&[0, 5]));
+        assert!(st.levels.is_empty() && st.parents.is_none() && st.compact.is_none());
+        let bufs = st.into_buffers();
+        let labels = bufs.labels.expect("the idle label arrays come back");
+        assert_eq!(labels.levels.len(), 40);
+        assert!(labels.parents.is_some());
     }
 
     #[test]

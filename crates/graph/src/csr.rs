@@ -15,26 +15,40 @@ pub struct CsrGraph {
 }
 
 impl CsrGraph {
-    /// Build from raw CSR arrays. Panics if the arrays are inconsistent.
+    /// Build from raw CSR arrays. Panics if the arrays are inconsistent;
+    /// see [`CsrGraph::try_from_raw`] for the fallible form.
     pub fn from_raw(offsets: Vec<u64>, targets: Vec<VertexId>) -> Self {
-        assert!(!offsets.is_empty(), "offsets must have n+1 entries");
-        assert_eq!(offsets[0], 0, "offsets must start at 0");
-        assert_eq!(
-            *offsets.last().unwrap(),
-            targets.len() as u64,
-            "last offset must equal the edge count"
-        );
-        assert!(
-            offsets.windows(2).all(|w| w[0] <= w[1]),
-            "offsets must be non-decreasing"
-        );
+        Self::try_from_raw(offsets, targets).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Build from raw CSR arrays, or say why they are inconsistent:
+    /// `offsets` must hold `n + 1` non-decreasing entries from 0 to
+    /// `targets.len()`, `n` must fit the `u32` id space, and every target
+    /// must be below `n`.
+    pub fn try_from_raw(offsets: Vec<u64>, targets: Vec<VertexId>) -> Result<Self, String> {
+        let Some((&first, &last)) = offsets.first().zip(offsets.last()) else {
+            return Err("offsets must have n+1 entries".into());
+        };
+        if first != 0 {
+            return Err(format!("offsets must start at 0, got {first}"));
+        }
+        if last != targets.len() as u64 {
+            return Err(format!(
+                "last offset {last} must equal the edge count {}",
+                targets.len()
+            ));
+        }
+        if let Some(i) = offsets.windows(2).position(|w| w[0] > w[1]) {
+            return Err(format!("offsets must be non-decreasing (offset {} > offset {})", i, i + 1));
+        }
         let n = offsets.len() - 1;
-        assert!(n <= VertexId::MAX as usize, "vertex count exceeds u32 id space");
-        assert!(
-            targets.iter().all(|&t| (t as usize) < n),
-            "edge target out of range"
-        );
-        Self { offsets: offsets.into_boxed_slice(), targets: targets.into_boxed_slice() }
+        if n > VertexId::MAX as usize {
+            return Err(format!("vertex count {n} exceeds u32 id space"));
+        }
+        if let Some(&t) = targets.iter().find(|&&t| (t as usize) >= n) {
+            return Err(format!("edge target {t} out of range for n={n}"));
+        }
+        Ok(Self { offsets: offsets.into_boxed_slice(), targets: targets.into_boxed_slice() })
     }
 
     /// Build from an edge list by counting sort (O(n + m), stable).
@@ -267,6 +281,17 @@ mod tests {
     #[should_panic(expected = "edge count")]
     fn from_raw_rejects_bad_total() {
         let _ = CsrGraph::from_raw(vec![0, 1], vec![0, 0]);
+    }
+
+    #[test]
+    fn try_from_raw_reports_each_inconsistency() {
+        let err = |o: Vec<u64>, t: Vec<VertexId>| CsrGraph::try_from_raw(o, t).unwrap_err();
+        assert!(err(vec![], vec![]).contains("n+1 entries"));
+        assert!(err(vec![1, 1], vec![0]).contains("start at 0"));
+        assert!(err(vec![0, 2, 1, 3], vec![0, 1, 2]).contains("non-decreasing"));
+        assert!(err(vec![0, 1], vec![0, 0]).contains("edge count"));
+        assert!(err(vec![0, 1, 1], vec![2]).contains("out of range"));
+        assert!(CsrGraph::try_from_raw(vec![0, 1, 1], vec![1]).is_ok());
     }
 
     #[test]

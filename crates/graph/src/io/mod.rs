@@ -32,30 +32,57 @@ pub fn write_binary_csr<W: Write>(w: &mut W, g: &CsrGraph) -> io::Result<()> {
 }
 
 /// Read a graph previously written with [`write_binary_csr`].
+///
+/// The header is untrusted: `n` and `m` are checked before use, arrays
+/// grow only as their bytes actually arrive (a lying header cannot force
+/// a huge allocation), and any structural inconsistency is an
+/// [`io::ErrorKind::InvalidData`] error rather than a panic. A body
+/// shorter than the header promises is an `UnexpectedEof` error.
 pub fn read_binary_csr<R: Read>(r: &mut R) -> io::Result<CsrGraph> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != BINARY_MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad OBFSCSR1 magic"));
+        return Err(invalid("bad OBFSCSR1 magic".into()));
     }
     let mut buf8 = [0u8; 8];
     r.read_exact(&mut buf8)?;
-    let n = u64::from_le_bytes(buf8) as usize;
+    let n = u64::from_le_bytes(buf8);
     r.read_exact(&mut buf8)?;
-    let m = u64::from_le_bytes(buf8) as usize;
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        r.read_exact(&mut buf8)?;
-        offsets.push(u64::from_le_bytes(buf8));
+    let m = u64::from_le_bytes(buf8);
+    if n > u64::from(crate::VertexId::MAX) {
+        return Err(invalid(format!("vertex count {n} exceeds u32 id space")));
     }
-    let mut targets = Vec::with_capacity(m);
-    let mut buf4 = [0u8; 4];
-    for _ in 0..m {
-        r.read_exact(&mut buf4)?;
-        targets.push(u32::from_le_bytes(buf4));
+    // `n + 1` cannot overflow u64 after the check above.
+    let offset_count =
+        usize::try_from(n + 1).map_err(|_| invalid(format!("vertex count {n} too large")))?;
+    let m = usize::try_from(m).map_err(|_| invalid(format!("edge count {m} too large")))?;
+    let offsets = read_le_words(r, offset_count, u64::from_le_bytes)?;
+    if offsets.last() != Some(&(m as u64)) {
+        return Err(invalid(format!("last offset does not match the edge count {m}")));
     }
-    // from_raw re-validates structure, so corrupt files fail loudly.
-    Ok(CsrGraph::from_raw(offsets, targets))
+    let targets = read_le_words(r, m, u32::from_le_bytes)?;
+    CsrGraph::try_from_raw(offsets, targets).map_err(invalid)
+}
+
+/// Read `count` little-endian `W`-byte words in bounded chunks, so the
+/// output grows with the bytes actually read rather than with `count`.
+fn read_le_words<R: Read, T, const W: usize>(
+    r: &mut R,
+    count: usize,
+    decode: fn([u8; W]) -> T,
+) -> io::Result<Vec<T>> {
+    const CHUNK_WORDS: usize = 8192;
+    let mut out = Vec::new();
+    let mut chunk = vec![0u8; CHUNK_WORDS * W];
+    let mut left = count;
+    while left > 0 {
+        let bytes = &mut chunk[..left.min(CHUNK_WORDS) * W];
+        r.read_exact(bytes)?;
+        out.extend(bytes.chunks_exact(W).map(|w| decode(w.try_into().expect("W-byte chunk"))));
+        left -= bytes.len() / W;
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -86,6 +113,55 @@ mod tests {
         write_binary_csr(&mut buf, &gen::cycle(10)).unwrap();
         buf.truncate(buf.len() - 3);
         assert!(read_binary_csr(&mut buf.as_slice()).is_err());
+    }
+
+    /// A header claiming `n`/`m` with the body that follows.
+    fn with_header(n: u64, m: u64, body: &[u64]) -> Vec<u8> {
+        let mut buf = BINARY_MAGIC.to_vec();
+        for w in [n, m].iter().chain(body) {
+            buf.extend_from_slice(&w.to_le_bytes());
+        }
+        buf
+    }
+
+    #[test]
+    fn binary_rejects_max_vertex_count() {
+        let e = read_binary_csr(&mut with_header(u64::MAX, 0, &[0]).as_slice()).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("vertex count"), "{e}");
+    }
+
+    #[test]
+    fn binary_huge_counts_with_short_body_fail_without_allocating() {
+        // Both headers would need terabytes if trusted; the reader must
+        // run out of input instead.
+        let e = read_binary_csr(&mut with_header(1 << 31, 0, &[0, 0]).as_slice()).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
+        let e = read_binary_csr(&mut with_header(1, 1 << 40, &[0, 1 << 40]).as_slice())
+            .unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn binary_rejects_inconsistent_offsets() {
+        // Last offset disagrees with the header's edge count.
+        let e = read_binary_csr(&mut with_header(1, 2, &[0, 1]).as_slice()).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        // Non-monotone offsets (targets 0, 1, 0 packed as u32 words).
+        let mut buf = with_header(2, 2, &[0, 3, 2]);
+        buf.extend([0u32, 1].iter().flat_map(|t| t.to_le_bytes()));
+        let e = read_binary_csr(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("non-decreasing"), "{e}");
+    }
+
+    #[test]
+    fn binary_rejects_out_of_range_target() {
+        let mut buf = with_header(2, 1, &[0, 1, 1]);
+        buf.extend_from_slice(&7u32.to_le_bytes());
+        let e = read_binary_csr(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("out of range"), "{e}");
     }
 
     #[test]

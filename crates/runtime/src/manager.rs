@@ -88,6 +88,15 @@ mod tests {
     }
 
     #[test]
+    fn rebuilt_pool_starts_with_an_empty_slot() {
+        let mut pm = PoolManager::new(2);
+        pm.pool().park(5u32);
+        let _ = pm.pool().run(|_| panic!("boom"));
+        assert_eq!(pm.pool().take_parked::<u32>(), None);
+        assert_eq!(pm.rebuilds(), 1);
+    }
+
+    #[test]
     fn each_poisoning_counts_once() {
         let mut pm = PoolManager::new(2);
         for round in 1..=3u64 {

@@ -21,9 +21,19 @@
 //! deadlocking. The pool itself is poisoned afterwards — subsequent `run`
 //! calls fail fast with [`PoolError::Poisoned`] — because a half-executed
 //! level loop leaves algorithm state unrecoverable.
+//!
+//! # Parked state
+//!
+//! A pool also owns one type-erased slot ([`LevelPool::park`] /
+//! [`LevelPool::take_parked`]) where a caller can leave state between
+//! runs — the BFS driver parks its n-sized run buffers there, so
+//! repeated traversals on one pool stop allocating them. The slot is
+//! touched once before and once after a run, never by the workers; a
+//! poisoned pool drops whatever is parked, and a new pool starts empty.
 
 use obfs_sync::barrier::POISON_MSG;
 use obfs_sync::SpinBarrier;
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
@@ -76,6 +86,8 @@ struct State {
     panic: Option<(usize, String)>,
     /// Set once any worker panicked; all later runs fail fast.
     poisoned: bool,
+    /// Caller state left between runs (see [`LevelPool::park`]).
+    parked: Option<Box<dyn Any + Send>>,
 }
 
 struct Shared {
@@ -140,6 +152,7 @@ impl LevelPool {
                 shutdown: false,
                 panic: None,
                 poisoned: false,
+                parked: None,
             }),
             work_ready: Condvar::new(),
             work_done: Condvar::new(),
@@ -204,9 +217,34 @@ impl LevelPool {
         }
         st.job = None;
         match st.panic.take() {
-            Some((tid, message)) => Err(PoolError::WorkerPanicked { tid, message }),
+            Some((tid, message)) => {
+                st.parked = None;
+                Err(PoolError::WorkerPanicked { tid, message })
+            }
             None => Ok(()),
         }
+    }
+
+    /// Leave `value` in the pool's one slot until the next
+    /// [`LevelPool::take_parked`], replacing whatever was parked before.
+    /// A poisoned pool drops `value` instead: state from around a failed
+    /// run must not outlive it.
+    pub fn park<T: Any + Send>(&self, value: T) {
+        let mut st = self.shared.lock_state();
+        let old = if st.poisoned { None } else { st.parked.replace(Box::new(value)) };
+        drop(st);
+        // Free the replaced value outside the state lock.
+        drop(old);
+    }
+
+    /// Take the parked value if it is a `T`. `None` when the slot is
+    /// empty or holds another type (which then stays parked).
+    pub fn take_parked<T: Any + Send>(&self) -> Option<T> {
+        let mut st = self.shared.lock_state();
+        if !st.parked.as_ref().is_some_and(|b| b.is::<T>()) {
+            return None;
+        }
+        st.parked.take().and_then(|b| b.downcast::<T>().ok()).map(|b| *b)
     }
 }
 
@@ -411,6 +449,30 @@ mod tests {
         // The pool is dead but must fail fast, not hang or panic.
         assert_eq!(pool.run(|_| {}), Err(PoolError::Poisoned));
         drop(pool); // and Drop must still join cleanly
+    }
+
+    #[test]
+    fn parked_value_round_trips_by_type() {
+        let pool = LevelPool::new(2);
+        assert_eq!(pool.take_parked::<Vec<u32>>(), None, "a new pool starts empty");
+        pool.park(vec![1u32, 2, 3]);
+        assert_eq!(pool.take_parked::<String>(), None, "wrong type gives None");
+        assert_eq!(pool.take_parked::<Vec<u32>>(), Some(vec![1, 2, 3]), "wrong-type take kept it");
+        assert_eq!(pool.take_parked::<Vec<u32>>(), None, "take empties the slot");
+        pool.park(1u64);
+        pool.park(2u64);
+        pool.run(|_| {}).unwrap();
+        assert_eq!(pool.take_parked::<u64>(), Some(2), "park replaces; runs keep the slot");
+    }
+
+    #[test]
+    fn poisoned_pool_drops_parked_state() {
+        let pool = LevelPool::new(2);
+        pool.park(7u64);
+        let _ = pool.run(|_| panic!("boom"));
+        assert_eq!(pool.take_parked::<u64>(), None, "a failed run drops the slot");
+        pool.park(8u64);
+        assert_eq!(pool.take_parked::<u64>(), None, "a poisoned pool parks nothing");
     }
 
     /// Panics on every worker at once (no barrier involved) must also
