@@ -26,6 +26,7 @@ use crate::stats::{Outcome, RunStats, ThreadStats};
 use crate::{BfsResult, UNVISITED};
 use obfs_graph::{CsrGraph, VertexId, INVALID_VERTEX};
 use obfs_runtime::{LevelPool, PoolError, WorkerCtx};
+use obfs_sync::worker::{WorkerDump, WorkerHooks};
 use obfs_sync::{flight, CancelCause};
 use obfs_util::Xoshiro256StarStar;
 
@@ -319,12 +320,9 @@ fn drive_shared<'g, S: Strategy>(
     // snapshots for its cross-thread frontier-edge sums.
     let level_snap = (st.opts.collect_level_stats || st.opts.hybrid.is_some())
         .then(|| PerThread::new(threads, |_| ThreadStats::default()));
-    // Drained flight-recorder rings, filled by each worker on exit.
-    let flight_dumps =
-        PerThread::new(threads, |_| None::<obfs_sync::flight::RingDump>);
-    // Drained latency-histogram sets, same lifecycle as the rings.
-    let hist_dumps =
-        PerThread::new(threads, |_| None::<Box<obfs_sync::metrics::WorkerHists>>);
+    // What each worker's hooks recorded (flight ring, histograms),
+    // filled by the worker on exit.
+    let dumps = PerThread::new(threads, |_| WorkerDump::default());
 
     let t0 = std::time::Instant::now();
     pool.run(|ctx| {
@@ -335,30 +333,28 @@ fn drive_shared<'g, S: Strategy>(
         // SAFETY: own slot only, as above.
         let my_deepest = unsafe { deepest.get_mut(tid) };
         let mut rng = Xoshiro256StarStar::for_stream(st.opts.seed, tid as u64);
-        if let Some(cfg) = &st.opts.chaos {
-            // Seed-reproducible fault plan, one PRNG stream per worker
-            // (no-op unless built with the `chaos` feature).
-            obfs_sync::chaos::install(cfg, tid as u64);
-        }
-        if let Some(tok) = &st.opts.cancel {
-            // Stall-breaker probe: chaos-injected stalls poll this token
-            // so cancellation still lands within one dispatch quantum
-            // while a worker is wedged inside an injected stall.
-            obfs_sync::cancel::install_probe(tok.clone());
-        }
-        if let Some(cap) = st.opts.flight_recorder {
-            // Shared epoch so all workers' timelines line up (no-op
-            // unless built with the `trace` feature).
-            obfs_sync::flight::install(cap, t0);
-        }
-        if st.opts.collect_histograms {
-            obfs_sync::metrics::install();
-        }
-        if let Some(t) = &st.opts.telemetry {
-            // Per-run gauges/counters shared with the embedding engine's
-            // metrics registry (no-op for callers that leave it unset).
-            obfs_telemetry::worker::install(std::sync::Arc::clone(t));
-        }
+        // The run's thread-local hooks, removed by `finish` below or by
+        // the guard's drop if this worker unwinds. The fault plan gets one
+        // PRNG stream per worker and the run's token, so a worker wedged
+        // in an injected stall still sees cancellation; the flight ring
+        // shares the epoch `t0` so all workers' timelines line up. (Chaos
+        // and flight are no-ops unless built with their features.)
+        let hooks = WorkerHooks::install(
+            st.opts.chaos.as_ref(),
+            tid as u64,
+            st.opts.cancel.as_ref(),
+            st.opts.flight_recorder.map(|cap| (cap, t0)),
+            st.opts.collect_histograms,
+        );
+        // Edges already added to the run's telemetry counter, so each
+        // flush adds only the growth since the last one.
+        let mut flushed_edges = 0u64;
+        let mut flush_edges = |scanned: u64| {
+            if let Some(t) = &st.opts.telemetry {
+                t.edges.add(scanned - flushed_edges);
+                flushed_edges = scanned;
+            }
+        };
         flight::record(flight::kind::WORKER_BEGIN, 0, tid as u64, 0);
 
         st.init_chunk(tid);
@@ -538,10 +534,9 @@ fn drive_shared<'g, S: Strategy>(
                 strategy.consume(&env, &ctx, tid, &mut out_rear, &mut rng, ts);
             }
             flight::record(flight::kind::LEVEL_END, level, 0, 0);
-            // Level-granularity edge publication: each worker pushes the
-            // delta of its cumulative scan count into the shared run
-            // counter (one TLS flag check when no telemetry is installed).
-            obfs_telemetry::worker::flush_edges(ts.edges_scanned);
+            // Level-granularity edge publication into the shared run
+            // counter.
+            flush_edges(ts.edges_scanned);
             if st.opts.chaos.is_some() {
                 // Keep injected_faults cumulative at level granularity so
                 // the per-level deltas below stay conservative. (Nothing
@@ -756,37 +751,19 @@ fn drive_shared<'g, S: Strategy>(
             });
         }
         flight::record(flight::kind::WORKER_END, 0, tid as u64, 0);
-        // Credit this worker's faults and drop its plan so a later run on
-        // the same pool starts clean (returns 0 without `chaos`). With
-        // level stats on, keep the last per-level snapshot instead: the
-        // handful of racy ops after the final level barrier would
-        // otherwise break the sum(level deltas) == totals invariant.
-        let injected_total = obfs_sync::chaos::uninstall();
+        // Final flush catches edges scanned after the last level barrier
+        // (degraded sweeps, abort quiesce).
+        flush_edges(ts.edges_scanned);
+        let dump = hooks.finish();
+        // Credit this worker's faults (0 without `chaos`). With level
+        // stats on, keep the last per-level snapshot instead: the handful
+        // of racy ops after the final level barrier would otherwise break
+        // the sum(level deltas) == totals invariant.
         if st.trace.is_none() {
-            ts.injected_faults = injected_total;
+            ts.injected_faults = dump.injected_faults;
         }
-        if st.opts.flight_recorder.is_some() {
-            if let Some(dump) = obfs_sync::flight::uninstall() {
-                // SAFETY: own slot only.
-                unsafe { *flight_dumps.get_mut(tid) = Some(dump) };
-            }
-        }
-        if st.opts.collect_histograms {
-            if let Some(h) = obfs_sync::metrics::uninstall() {
-                // SAFETY: own slot only.
-                unsafe { *hist_dumps.get_mut(tid) = Some(h) };
-            }
-        }
-        if st.opts.cancel.is_some() {
-            obfs_sync::cancel::uninstall_probe();
-        }
-        if st.opts.telemetry.is_some() {
-            // Final flush catches edges scanned after the last level
-            // barrier (degraded sweeps, abort quiesce), then clears the
-            // TLS hook so a later run on the same pool starts clean.
-            obfs_telemetry::worker::flush_edges(ts.edges_scanned);
-            obfs_telemetry::worker::uninstall();
-        }
+        // SAFETY: own slot only.
+        unsafe { *dumps.get_mut(tid) = dump };
     })?;
     let traversal_time = t0.elapsed();
     let _ = src;
@@ -833,22 +810,19 @@ fn drive_shared<'g, S: Strategy>(
         // SAFETY: workers are done, as above.
         stats.level_stats = unsafe { tr.get() }.entries.clone();
     }
-    let dumps = flight_dumps.into_values();
-    if dumps.iter().any(|d| d.is_some()) {
+    let (rings, hists): (Vec<_>, Vec<_>) =
+        dumps.into_values().into_iter().map(|d| (d.ring, d.hists)).unzip();
+    if rings.iter().any(Option::is_some) {
         // Only present when the recorder actually captured something —
         // i.e. requested AND built with the `trace` feature — so callers
         // can distinguish "feature off" from "empty trace".
         stats.flight = Some(crate::flight::FlightRecording {
-            workers: dumps.into_iter().map(Option::unwrap_or_default).collect(),
+            workers: rings.into_iter().map(Option::unwrap_or_default).collect(),
         });
     }
     if st.opts.collect_histograms {
         stats.hists = Some(crate::stats::RunHists {
-            workers: hist_dumps
-                .into_values()
-                .into_iter()
-                .map(|h| *h.unwrap_or_default())
-                .collect(),
+            workers: hists.into_iter().map(|h| *h.unwrap_or_default()).collect(),
         });
     }
     Ok(stats)

@@ -601,7 +601,7 @@ mod tests {
                 skew_max: 1 << 30,
                 ..obfs_sync::ChaosConfig::skew_only(7)
             };
-            obfs_sync::chaos::install(&cfg, 0);
+            obfs_sync::chaos::install(&cfg, 0, None);
             let env = LevelEnv { st: &st, parity: 0, level: 0 };
             let mut ts = ThreadStats::default();
             for _ in 0..64 {

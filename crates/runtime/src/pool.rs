@@ -20,7 +20,9 @@
 //! [`LevelPool::run`] returns [`PoolError::WorkerPanicked`] instead of
 //! deadlocking. The pool itself is poisoned afterwards — subsequent `run`
 //! calls fail fast with [`PoolError::Poisoned`] — because a half-executed
-//! level loop leaves algorithm state unrecoverable.
+//! level loop leaves algorithm state unrecoverable. Thread-local state a
+//! closure installs is the closure's to remove, on unwind too (the BFS
+//! driver's `obfs_sync::worker::WorkerHooks` guard does so on drop).
 //!
 //! # Parked state
 //!
@@ -291,14 +293,6 @@ fn worker_loop(tid: usize, shared: &Shared) {
         let f = unsafe { &*job.0 };
         let outcome = catch_unwind(AssertUnwindSafe(|| f(WorkerCtx { tid, shared })));
         if let Err(payload) = outcome {
-            // A panicking closure never reaches its own instrumentation
-            // teardown; drop any thread-local chaos plan or flight ring it
-            // installed so the next run on this OS thread starts clean.
-            let _ = obfs_sync::chaos::uninstall();
-            let _ = obfs_sync::flight::uninstall();
-            let _ = obfs_sync::metrics::uninstall();
-            let _ = obfs_sync::cancel::uninstall_probe();
-            let _ = obfs_telemetry::worker::uninstall();
             let message = payload_msg(payload.as_ref());
             {
                 let mut st = shared.lock_state();
@@ -508,40 +502,5 @@ mod tests {
             }
             other => panic!("unexpected error: {other:?}"),
         }
-    }
-
-    /// The panic handler must tear down the telemetry TLS hook along with
-    /// the chaos/flight/metrics/cancel ones: a later run on the same OS
-    /// thread must not flush into a dead run's counters. White-box: the
-    /// poisoned flag is cleared directly so the probe job runs on the
-    /// very threads that executed the panic handler (the public API
-    /// rejects a poisoned pool, which would only ever probe fresh
-    /// threads).
-    #[test]
-    fn panic_path_uninstalls_telemetry_hook() {
-        let (clock, _hand) = obfs_sync::Clock::manual();
-        let reg = obfs_telemetry::MetricsRegistry::new(clock);
-        let run = obfs_telemetry::RunTelemetry::register(&reg);
-        let pool = LevelPool::new(4);
-        let err = pool
-            .run(|_| {
-                obfs_telemetry::worker::install(std::sync::Arc::clone(&run));
-                obfs_telemetry::worker::flush_edges(7);
-                panic!("injected failure with telemetry installed");
-            })
-            .expect_err("must fail");
-        assert!(matches!(err, PoolError::WorkerPanicked { .. }));
-        assert_eq!(run.edges.value(), 28, "all 4 workers flushed before panicking");
-        pool.shared.lock_state().poisoned = false; // white-box revival
-        pool.run(|_| {
-            assert!(
-                !obfs_telemetry::worker::is_active(),
-                "telemetry hook leaked across the panic handler"
-            );
-            // A leaked handle would add the stale baseline here.
-            obfs_telemetry::worker::flush_edges(1_000_000);
-        })
-        .unwrap();
-        assert_eq!(run.edges.value(), 28, "no flushes recorded after teardown");
     }
 }

@@ -30,7 +30,6 @@
 //! [`check`]: CancelToken::check
 
 use crate::clock::Clock;
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Duration;
@@ -122,38 +121,6 @@ impl CancelToken {
     }
 }
 
-thread_local! {
-    /// The stall-breaker probe: chaos-injected stalls poll this token
-    /// so "stall until cancelled" faults stay cooperative (see
-    /// `chaos::ChaosConfig::stall_after`).
-    static PROBE: RefCell<Option<CancelToken>> = const { RefCell::new(None) };
-}
-
-/// Install `token` as the current thread's stall-breaker probe
-/// (replacing any previous one). The BFS driver installs the run's
-/// token here so chaos stalls break promptly on cancellation.
-pub fn install_probe(token: CancelToken) {
-    PROBE.with(|p| *p.borrow_mut() = Some(token));
-}
-
-/// Remove the current thread's probe, returning whether one was
-/// installed (soak tests assert the pool leaves no probe behind).
-pub fn uninstall_probe() -> bool {
-    PROBE.with(|p| p.borrow_mut().take().is_some())
-}
-
-/// Whether the current thread has an installed probe.
-pub fn probe_installed() -> bool {
-    PROBE.with(|p| p.borrow().is_some())
-}
-
-/// Whether the installed probe's token asks for cancellation (false
-/// when no probe is installed).
-#[inline]
-pub fn probe_fired() -> bool {
-    PROBE.with(|p| p.borrow().as_ref().is_some_and(|t| t.check().is_some()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,21 +167,5 @@ mod tests {
         let clock = Clock::wall();
         let t = CancelToken::with_deadline(&clock, Duration::ZERO);
         assert_eq!(t.check(), Some(CancelCause::DeadlineExceeded));
-    }
-
-    #[test]
-    fn probe_lifecycle() {
-        assert!(!probe_installed());
-        assert!(!probe_fired(), "no probe: never fires");
-        let clock = Clock::wall();
-        let t = CancelToken::new(&clock);
-        install_probe(t.clone());
-        assert!(probe_installed());
-        assert!(!probe_fired());
-        t.cancel();
-        assert!(probe_fired());
-        assert!(uninstall_probe());
-        assert!(!uninstall_probe(), "second uninstall finds nothing");
-        assert!(!probe_fired());
     }
 }

@@ -46,11 +46,15 @@
 //! flush. Callers that install a plan must therefore quiesce (or
 //! uninstall) before the racy cells the thread wrote can be freed. The
 //! BFS driver satisfies this structurally: every level ends at a barrier
-//! (which quiesces) and the plan is uninstalled before the worker closure
-//! returns, while the queues outlive the whole traversal.
+//! (which quiesces) and its [`WorkerHooks`] guard uninstalls the plan
+//! before the worker closure returns or unwinds, while the queues
+//! outlive the whole traversal.
 //!
 //! [`SpinBarrier`]: crate::SpinBarrier
 //! [`FaultPlan`]: self
+//! [`WorkerHooks`]: crate::worker::WorkerHooks
+
+use crate::cancel::CancelToken;
 
 /// Tuning knobs for a deterministic fault plan. Plain data, always
 /// compiled; only takes effect when the `chaos` feature is enabled and a
@@ -82,16 +86,15 @@ pub struct ChaosConfig {
     /// Inject one long stall when the thread's racy-operation counter
     /// reaches this value (`None` = never). The stall sits *inside* a
     /// dispatch quantum and spins for [`stall_spins`] iterations — but
-    /// polls the thread's cancellation probe
-    /// ([`crate::cancel::probe_fired`]) every iteration, so a stalled
-    /// worker still quiesces promptly when its run is cancelled or
-    /// deadline-expired. This is how cancellation-under-stall is made
-    /// testable.
+    /// polls the cancellation token the plan was [`install`]ed with
+    /// every iteration, so a stalled worker still quiesces promptly when
+    /// its run is cancelled or deadline-expired. This is how
+    /// cancellation-under-stall is made testable.
     ///
     /// [`stall_spins`]: ChaosConfig::stall_spins
     pub stall_after: Option<u64>,
     /// Spin budget of an injected stall. Use a huge value to model a
-    /// stuck worker that only the cancellation probe can release.
+    /// stuck worker that only its run's cancellation token can release.
     pub stall_spins: u32,
     /// Panic the thread when its racy-operation counter reaches this
     /// value (`None` = never) — deterministic worker-death injection
@@ -152,8 +155,8 @@ impl ChaosConfig {
 
     /// A plan whose only fault is one stall of `spins` iterations at
     /// the `after`-th racy operation (per thread). With a huge `spins`
-    /// this models a stuck worker that only the cancellation probe
-    /// releases.
+    /// this models a stuck worker that only its run's cancellation
+    /// token releases.
     pub fn stall(seed: u64, after: u64, spins: u32) -> Self {
         Self {
             seed,
@@ -219,7 +222,7 @@ pub struct ScriptReport {
 
 #[cfg(feature = "chaos")]
 mod active {
-    use super::ChaosConfig;
+    use super::{CancelToken, ChaosConfig};
     use obfs_util::Xoshiro256StarStar;
     use std::cell::RefCell;
     use std::collections::VecDeque;
@@ -271,6 +274,8 @@ mod active {
         /// Racy operations seen so far (the `stall_after`/`panic_after`
         /// trigger counter).
         ops: u64,
+        /// The run's token: an injected stall's only early exit.
+        cancel: Option<CancelToken>,
     }
 
     pub(super) struct Script {
@@ -337,7 +342,7 @@ mod active {
         })
     }
 
-    pub(super) fn install(cfg: &ChaosConfig, stream: u64) {
+    pub(super) fn install(cfg: &ChaosConfig, stream: u64, cancel: Option<&CancelToken>) {
         PLAN.with(|p| {
             *p.borrow_mut() = Some(Plan {
                 rng: Xoshiro256StarStar::for_stream(cfg.seed, stream),
@@ -345,6 +350,7 @@ mod active {
                 pending: VecDeque::new(),
                 injected: 0,
                 ops: 0,
+                cancel: cancel.cloned(),
             });
         });
     }
@@ -393,8 +399,8 @@ mod active {
         plan.ops += 1;
         if plan.cfg.panic_after == Some(plan.ops) {
             plan.injected += 1;
-            // Unwinding releases the RefCell borrow; the pool's panic
-            // handler then uninstalls (and flushes) this plan.
+            // Unwinding releases the RefCell borrow; the worker's
+            // `WorkerHooks` guard then uninstalls (and flushes) this plan.
             panic!("chaos: injected worker panic at racy op {}", plan.ops);
         }
         if plan.cfg.stall_after == Some(plan.ops) {
@@ -407,9 +413,9 @@ mod active {
                 u64::from(spins),
             );
             for i in 0..spins {
-                // The probe is the stall's only early exit: a stalled
+                // The token is the stall's only early exit: a stalled
                 // worker stays cooperative with cancellation.
-                if crate::cancel::probe_fired() {
+                if plan.cancel.as_ref().is_some_and(|t| t.check().is_some()) {
                     break;
                 }
                 if i % 64 == 63 {
@@ -607,15 +613,16 @@ mod active {
 pub(crate) use active::hooks;
 
 /// Install a fault plan on the current thread. `stream` selects an
-/// independent PRNG stream (pass the worker id). No-op without the
+/// independent PRNG stream (pass the worker id); an injected stall polls
+/// `cancel` (the run's token, if any) to end early. No-op without the
 /// `chaos` feature.
 #[inline]
-pub fn install(cfg: &ChaosConfig, stream: u64) {
+pub fn install(cfg: &ChaosConfig, stream: u64, cancel: Option<&CancelToken>) {
     #[cfg(feature = "chaos")]
-    active::install(cfg, stream);
+    active::install(cfg, stream, cancel);
     #[cfg(not(feature = "chaos"))]
     {
-        let _ = (cfg, stream);
+        let _ = (cfg, stream, cancel);
     }
 }
 
@@ -715,10 +722,11 @@ pub fn skew_index(i: usize) -> usize {
 #[cfg(all(test, feature = "chaos"))]
 mod tests {
     use super::*;
+    use crate::clock::Clock;
     use crate::racy::{RacyU32, RacyUsize};
 
     fn with_plan(cfg: ChaosConfig, f: impl FnOnce()) -> u64 {
-        install(&cfg, 0);
+        install(&cfg, 0, None);
         f();
         uninstall()
     }
@@ -757,7 +765,8 @@ mod tests {
     fn u64_cells_forward_and_flush() {
         use crate::racy::RacyU64;
         let c = RacyU64::new(0);
-        install(&ChaosConfig { defer_chance: 1.0, stale_window: 1000, ..Default::default() }, 0);
+        let cfg = ChaosConfig { defer_chance: 1.0, stale_window: 1000, ..Default::default() };
+        install(&cfg, 0, None);
         c.store(1 << 40);
         assert_eq!(c.load(), 1 << 40, "owner must forward its own deferred u64 store");
         // SAFETY: RacyU64 is repr(transparent) over one u64-sized word.
@@ -772,7 +781,8 @@ mod tests {
     #[test]
     fn quiesce_flushes_deferred_stores() {
         let c = RacyU32::new(7);
-        install(&ChaosConfig { defer_chance: 1.0, stale_window: 1000, ..Default::default() }, 0);
+        let cfg = ChaosConfig { defer_chance: 1.0, stale_window: 1000, ..Default::default() };
+        install(&cfg, 0, None);
         c.store(99);
         // Bypass the plan: raw view of memory as another thread would
         // see it. The store is still buffered.
@@ -788,7 +798,7 @@ mod tests {
     #[test]
     fn ttl_expiry_flushes_fifo() {
         let a = RacyU32::new(0);
-        install(&ChaosConfig { defer_chance: 1.0, stale_window: 1, ..Default::default() }, 0);
+        install(&ChaosConfig { defer_chance: 1.0, stale_window: 1, ..Default::default() }, 0, None);
         a.store(5);
         // SAFETY: RacyU32 is repr(transparent) over one u32-sized word.
         let raw = unsafe { &*(&a as *const RacyU32 as *const std::sync::atomic::AtomicU32) };
@@ -806,7 +816,7 @@ mod tests {
     fn newer_store_supersedes_deferred() {
         let c = RacyU32::new(0);
         let cfg = ChaosConfig { defer_chance: 0.5, stale_window: 4, ..Default::default() };
-        install(&cfg, 0);
+        install(&cfg, 0, None);
         for i in 1..1000u32 {
             c.store(i);
         }
@@ -817,7 +827,7 @@ mod tests {
     #[test]
     fn skew_perturbs_and_counts() {
         let cfg = ChaosConfig::skew_only(42);
-        install(&cfg, 0);
+        install(&cfg, 0, None);
         let mut changed = 0;
         for _ in 0..200 {
             if skew_index(1000) != 1000 {
@@ -855,7 +865,7 @@ mod tests {
     #[test]
     fn script_overrides_plan_for_covered_loads() {
         let cfg = ChaosConfig { defer_chance: 1.0, stale_window: 1000, ..Default::default() };
-        install(&cfg, 0);
+        install(&cfg, 0, None);
         let c = RacyU32::new(3);
         c.store(9); // deferred by the plan; forwarding would return 9
         install_script(&ChaosScript { u32_loads: vec![Some(42)], ..Default::default() });
@@ -881,40 +891,29 @@ mod tests {
         assert_eq!(injected, 1, "exactly one stall");
     }
 
-    /// A huge stall breaks promptly once the thread's cancellation
-    /// probe fires — the cancellation-under-stall mechanism.
+    /// A huge stall breaks promptly once the plan's cancellation token
+    /// fires — the cancellation-under-stall mechanism.
     #[test]
-    fn probe_releases_a_stuck_stall() {
-        use crate::cancel::{install_probe, uninstall_probe, CancelToken};
-        use crate::clock::Clock;
+    fn cancelled_token_releases_a_stuck_stall() {
         let token = CancelToken::new(&Clock::wall());
         token.cancel(); // pre-fired: the stall must exit on entry
-        install_probe(token);
-        let cfg = ChaosConfig::stall(1, 1, u32::MAX);
+        install(&ChaosConfig::stall(1, 1, u32::MAX), 0, Some(&token));
         let t0 = std::time::Instant::now();
-        let injected = with_plan(cfg, || {
-            let c = RacyU32::new(0);
-            c.store(1);
-        });
-        assert_eq!(injected, 1);
+        RacyU32::new(0).store(1);
+        assert_eq!(uninstall(), 1);
         assert!(
             t0.elapsed() < std::time::Duration::from_secs(5),
-            "a fired probe must break the stall immediately"
+            "a fired token must break the stall immediately"
         );
-        assert!(uninstall_probe());
     }
 
-    /// An unfired probe leaves a bounded stall to run its spin budget.
+    /// A live token leaves a bounded stall to run its spin budget.
     #[test]
-    fn unfired_probe_does_not_break_the_stall() {
-        use crate::cancel::{install_probe, uninstall_probe, CancelToken};
-        use crate::clock::Clock;
-        install_probe(CancelToken::new(&Clock::wall()));
-        let injected = with_plan(ChaosConfig::stall(1, 1, 100), || {
-            RacyU32::new(0).store(1);
-        });
-        assert_eq!(injected, 1);
-        assert!(uninstall_probe());
+    fn live_token_does_not_break_the_stall() {
+        let token = CancelToken::new(&Clock::wall());
+        install(&ChaosConfig::stall(1, 1, 100), 0, Some(&token));
+        RacyU32::new(0).store(1);
+        assert_eq!(uninstall(), 1);
     }
 
     /// Panic injection fires deterministically at the configured op and
@@ -922,7 +921,7 @@ mod tests {
     #[test]
     fn panic_at_fires_deterministically() {
         let result = std::panic::catch_unwind(|| {
-            install(&ChaosConfig::panic_at(1, 2), 0);
+            install(&ChaosConfig::panic_at(1, 2), 0, None);
             let c = RacyU32::new(0);
             c.store(1); // op 1
             c.store(2); // op 2: panics
@@ -939,7 +938,7 @@ mod tests {
     fn plans_are_seed_reproducible() {
         let cfg = ChaosConfig::aggressive(7);
         let run = || {
-            install(&cfg, 3);
+            install(&cfg, 3, None);
             let c = RacyU32::new(0);
             let mut trace = Vec::new();
             for i in 0..500u32 {

@@ -41,6 +41,7 @@ pub mod padded;
 pub mod racy;
 pub mod spinlock;
 pub mod ticket;
+pub mod worker;
 
 pub use barrier::SpinBarrier;
 pub use cancel::{CancelCause, CancelToken};

@@ -23,9 +23,9 @@
 //!
 //! # Zero cost when off
 //!
-//! Nothing here is process-global: a registry only exists where a
-//! caller constructs one, and the driver-side hooks in [`worker`] are a
-//! thread-local `Cell` check when no run telemetry is installed — no
+//! Nothing here is process-global or thread-local: a registry only
+//! exists where a caller constructs one, and a traversal whose options
+//! carry no [`RunTelemetry`] handle ([`worker`]) never touches one — no
 //! clock reads, no allocation, no atomics.
 //!
 //! [`LogHistogram`]: obfs_util::LogHistogram

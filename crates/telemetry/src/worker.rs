@@ -1,29 +1,20 @@
-//! Driver-side telemetry: per-run gauges plus thread-local worker hooks.
+//! Per-run gauges and counters for the traversal currently on a pool.
 //!
 //! A long-running traversal becomes observable mid-flight through
-//! [`RunTelemetry`]: the barrier leader updates the level/frontier/
-//! direction gauges inside its serial section (already exclusive, so
-//! plain relaxed stores suffice), and each worker flushes its
-//! edge-scan aggregate once per level through a thread-local handle
-//! installed next to the existing chaos/flight/metrics hooks.
+//! [`RunTelemetry`]: the BFS driver holds the handle (it rides in
+//! `BfsOptions::telemetry`), the barrier leader updates the level/
+//! frontier/direction gauges inside its serial section (already
+//! exclusive, so plain relaxed stores suffice), and each worker adds
+//! the growth of its own edge-scan count to [`RunTelemetry::edges`] once
+//! per level.
 //!
 //! # Zero cost when off
 //!
-//! The per-worker hook mirrors `obfs-sync::metrics`: an `ACTIVE`
-//! `Cell<bool>` guards the fast path, so with no telemetry installed
-//! [`flush_edges`] is a thread-local boolean load — no clock reads, no
-//! allocation, no atomics. Installation happens only when a run's
-//! `BfsOptions` carries a telemetry handle.
-//!
-//! # Panic safety
-//!
-//! Like every other thread-local hook, the installed handle must be
-//! torn down on the worker-panic path (`obfs-runtime` calls
-//! [`uninstall`] next to the chaos/flight/metrics uninstalls) so a
-//! rebuilt pool's OS threads never start with a stale run's handle.
+//! There is no thread-local and nothing to install: a run whose options
+//! carry no handle never touches a registry — no clock reads, no
+//! allocation, no atomics.
 
 use crate::registry::{Counter, Gauge, MetricsRegistry};
-use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 /// Gauges and counters describing the traversal currently on the pool,
@@ -65,89 +56,5 @@ impl RunTelemetry {
             direction: reg
                 .gauge("obfs_run_direction", "Traversal direction: 0 top-down, 1 bottom-up."),
         })
-    }
-}
-
-struct WorkerCtx {
-    run: Arc<RunTelemetry>,
-    /// Cumulative edges already flushed by this worker for this run, so
-    /// each per-level flush adds only the delta.
-    flushed_edges: u64,
-}
-
-thread_local! {
-    static ACTIVE: Cell<bool> = const { Cell::new(false) };
-    static CTX: RefCell<Option<WorkerCtx>> = const { RefCell::new(None) };
-}
-
-/// Install a worker-side handle on the current thread. Replaces any
-/// previous handle (a fresh run restarts the flush baseline).
-pub fn install(run: Arc<RunTelemetry>) {
-    CTX.with(|c| *c.borrow_mut() = Some(WorkerCtx { run, flushed_edges: 0 }));
-    ACTIVE.with(|a| a.set(true));
-}
-
-/// Remove the current thread's handle. Returns whether one was
-/// installed — the panic-path test leans on this to prove a rebuilt
-/// pool starts clean.
-pub fn uninstall() -> bool {
-    ACTIVE.with(|a| a.set(false));
-    CTX.with(|c| c.borrow_mut().take()).is_some()
-}
-
-/// Whether the current thread has an installed handle.
-pub fn is_active() -> bool {
-    ACTIVE.with(|a| a.get())
-}
-
-/// Flush this worker's cumulative edge-scan count (called once per
-/// level with the worker's running total; only the delta since the
-/// last flush is added to the shared counter). A thread-local boolean
-/// load when no handle is installed.
-#[inline]
-pub fn flush_edges(cumulative: u64) {
-    if !is_active() {
-        return;
-    }
-    CTX.with(|c| {
-        if let Some(ctx) = c.borrow_mut().as_mut() {
-            let delta = cumulative.saturating_sub(ctx.flushed_edges);
-            ctx.flushed_edges = cumulative;
-            ctx.run.edges.add(delta);
-        }
-    });
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use obfs_sync::Clock;
-
-    #[test]
-    fn flush_is_inert_without_an_installed_handle() {
-        assert!(!is_active());
-        flush_edges(1_000); // must not panic, must not record anywhere
-        assert!(!uninstall(), "nothing to uninstall");
-    }
-
-    #[test]
-    fn flush_adds_deltas_and_uninstall_clears() {
-        let (clock, _hand) = Clock::manual();
-        let reg = MetricsRegistry::new(clock);
-        let run = RunTelemetry::register(&reg);
-        install(Arc::clone(&run));
-        assert!(is_active());
-        flush_edges(100);
-        flush_edges(250);
-        assert_eq!(run.edges.value(), 250, "cumulative flushes add deltas");
-        assert!(uninstall());
-        assert!(!is_active());
-        flush_edges(10_000);
-        assert_eq!(run.edges.value(), 250, "flushes after uninstall are dropped");
-        // Reinstall restarts the baseline.
-        install(Arc::clone(&run));
-        flush_edges(50);
-        assert_eq!(run.edges.value(), 300);
-        assert!(uninstall());
     }
 }

@@ -160,11 +160,11 @@ fn worker_panic_is_followed_by_a_successful_query_on_a_rebuilt_pool() {
     assert!(st.pool_rebuilds >= 1, "the poisoned pool must have been replaced");
 }
 
-/// Thread-local state (chaos plans, flight rings, metrics sinks, cancel
-/// probes) must be provably uninstalled between queries sharing one
-/// pool: after a mix of complete and cancelled runs — with every
-/// feature-gated collector armed — a bare closure on the same workers
-/// sees no leftover TLS installations.
+/// Thread-local state (chaos plans, flight rings, metrics sinks) must
+/// be provably uninstalled between queries sharing one pool: after a
+/// mix of complete and cancelled runs — with every feature-gated
+/// collector armed — a bare closure on the same workers sees no
+/// leftover TLS installations.
 #[test]
 fn tls_state_is_uninstalled_between_queries_on_a_shared_pool() {
     let g = test_graph(8);
@@ -182,7 +182,7 @@ fn tls_state_is_uninstalled_between_queries_on_a_shared_pool() {
         };
         #[cfg(feature = "chaos")]
         {
-            // A bounded stall: exercises the probe path, then finishes.
+            // A bounded stall: exercises the token poll, then finishes.
             opts.chaos = Some(obfs_sync::ChaosConfig::stall(round, 30, 200));
         }
         #[cfg(feature = "trace")]
@@ -200,8 +200,6 @@ fn tls_state_is_uninstalled_between_queries_on_a_shared_pool() {
             assert!(!obfs_sync::chaos::is_active(), "chaos plan leaked");
             assert!(!obfs_sync::flight::is_active(), "flight ring leaked");
             assert!(!obfs_sync::metrics::is_active(), "metrics sink leaked");
-            assert!(!obfs_sync::cancel::probe_installed(), "cancel probe leaked");
-            assert!(!obfs_telemetry::worker::is_active(), "telemetry hook leaked");
         })
         .unwrap();
     }
