@@ -9,17 +9,20 @@
 use obfs_bench::env::HostInfo;
 use obfs_bench::harness::{measure, pick_sources};
 use obfs_bench::table::{ms, Table};
-use obfs_bench::{BenchArgs, Contender, ContenderPool};
+use obfs_bench::{BenchArgs, Contender, ContenderPool, Workload};
 use obfs_core::{Algorithm, BfsOptions, DedupMode, SegmentPolicy};
 use obfs_graph::gen::suite::PaperGraph;
+use obfs_graph::CsrGraph;
 
 fn main() {
     let args = BenchArgs::parse();
     println!("{}", HostInfo::detect().render(args.threads));
-    let wiki = PaperGraph::Wikipedia.generate(args.divisor, args.seed);
-    let dense = PaperGraph::Rmat1B.generate(args.divisor * 4, args.seed);
-    let wiki_sources = pick_sources(&wiki, args.sources, args.seed);
-    let dense_sources = pick_sources(&dense, args.sources, args.seed);
+    let workload = |name: &str, graph: CsrGraph| {
+        let sources = pick_sources(&graph, args.sources, args.seed);
+        Workload::new(name, graph, &sources)
+    };
+    let wiki = workload("wikipedia", PaperGraph::Wikipedia.generate(args.divisor, args.seed));
+    let dense = workload("rmat-dense", PaperGraph::Rmat1B.generate(args.divisor * 4, args.seed));
     let mut pool = ContenderPool::new(args.threads);
     let base = BfsOptions { threads: args.threads, ..Default::default() };
 
@@ -35,20 +38,13 @@ fn main() {
     ];
     for (name, segment) in policies {
         let opts = BfsOptions { segment, ..base.clone() };
-        let m = measure(
-            &mut pool,
-            Contender::Ours(Algorithm::Bfscl),
-            &wiki,
-            "wikipedia",
-            &wiki_sources,
-            &opts,
-        );
+        let m = measure(&mut pool, Contender::Ours(Algorithm::Bfscl), &wiki, &opts);
         t.row(vec![
             name,
-            ms(m.time_ms.mean),
-            m.segments_fetched.to_string(),
-            m.fetch_retries.to_string(),
-            format!("{:.4}", m.duplicate_overhead),
+            ms(m.time_ms().mean),
+            m.totals.segments_fetched.to_string(),
+            m.totals.fetch_retries.to_string(),
+            format!("{:.4}", m.duplicate_overhead()),
         ]);
     }
     println!("{}", t.render());
@@ -59,15 +55,8 @@ fn main() {
     let mut j = 1;
     while j <= args.threads {
         let opts = BfsOptions { pools: j, ..base.clone() };
-        let m = measure(
-            &mut pool,
-            Contender::Ours(Algorithm::Bfsdl),
-            &wiki,
-            "wikipedia",
-            &wiki_sources,
-            &opts,
-        );
-        t.row(vec![j.to_string(), ms(m.time_ms.mean)]);
+        let m = measure(&mut pool, Contender::Ours(Algorithm::Bfsdl), &wiki, &opts);
+        t.row(vec![j.to_string(), ms(m.time_ms().mean)]);
         j *= 2;
     }
     println!("{}", t.render());
@@ -78,20 +67,13 @@ fn main() {
     for algo in [Algorithm::Bfscl, Algorithm::Bfswsl] {
         for dedup in [DedupMode::None, DedupMode::OwnerArray] {
             let opts = BfsOptions { dedup, ..base.clone() };
-            let m = measure(
-                &mut pool,
-                Contender::Ours(algo),
-                &dense,
-                "rmat-dense",
-                &dense_sources,
-                &opts,
-            );
+            let m = measure(&mut pool, Contender::Ours(algo), &dense, &opts);
             t.row(vec![
                 algo.name().to_string(),
                 format!("{dedup:?}"),
-                ms(m.time_ms.mean),
-                format!("{:.4}", m.duplicate_overhead),
-                m.dedup_skips.to_string(),
+                ms(m.time_ms().mean),
+                format!("{:.4}", m.duplicate_overhead()),
+                m.totals.dedup_skips.to_string(),
             ]);
         }
     }
@@ -102,15 +84,8 @@ fn main() {
     let mut t = Table::new(&["phase2", "time(ms)"]);
     for (name, steal) in [("static-chunks", false), ("edge-stealing", true)] {
         let opts = BfsOptions { phase2_steal: steal, ..base.clone() };
-        let m = measure(
-            &mut pool,
-            Contender::Ours(Algorithm::Bfswsl),
-            &wiki,
-            "wikipedia",
-            &wiki_sources,
-            &opts,
-        );
-        t.row(vec![name.to_string(), ms(m.time_ms.mean)]);
+        let m = measure(&mut pool, Contender::Ours(Algorithm::Bfswsl), &wiki, &opts);
+        t.row(vec![name.to_string(), ms(m.time_ms().mean)]);
     }
     println!("{}", t.render());
     println!("(Paper §IV-B.3: the stealing phase-2 variant usually performed worse.)\n");
@@ -120,17 +95,10 @@ fn main() {
     let mut t = Table::new(&["threshold", "time(ms)"]);
     for thr in [16usize, 64, 256, 1024, usize::MAX] {
         let opts = BfsOptions { hub_threshold: Some(thr), ..base.clone() };
-        let m = measure(
-            &mut pool,
-            Contender::Ours(Algorithm::Bfswsl),
-            &wiki,
-            "wikipedia",
-            &wiki_sources,
-            &opts,
-        );
+        let m = measure(&mut pool, Contender::Ours(Algorithm::Bfswsl), &wiki, &opts);
         let label =
             if thr == usize::MAX { "inf (no hubs)".to_string() } else { thr.to_string() };
-        t.row(vec![label, ms(m.time_ms.mean)]);
+        t.row(vec![label, ms(m.time_ms().mean)]);
     }
     println!("{}", t.render());
 
@@ -143,20 +111,14 @@ fn main() {
             ("2-socket", Some(obfs_runtime::Topology::blocked(args.threads, 2))),
         ] {
             let opts = BfsOptions { topology: topo, pools: 2, ..base.clone() };
-            let m = measure(
-                &mut pool,
-                Contender::Ours(algo),
-                &wiki,
-                "wikipedia",
-                &wiki_sources,
-                &opts,
-            );
-            let sr = if m.steal.attempts == 0 {
+            let m = measure(&mut pool, Contender::Ours(algo), &wiki, &opts);
+            let steal = m.totals.steal;
+            let sr = if steal.attempts == 0 {
                 "-".to_string()
             } else {
-                format!("{:.2}", 100.0 * m.steal.success as f64 / m.steal.attempts as f64)
+                format!("{:.2}", 100.0 * steal.success as f64 / steal.attempts as f64)
             };
-            t.row(vec![algo.name().to_string(), name.to_string(), ms(m.time_ms.mean), sr]);
+            t.row(vec![algo.name().to_string(), name.to_string(), ms(m.time_ms().mean), sr]);
         }
     }
     println!("{}", t.render());

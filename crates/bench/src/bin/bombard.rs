@@ -20,22 +20,22 @@
 //! with coalescing disabled (`max_batch = 1`, the baseline the solo
 //! `serve_qps` gate watches) and once with the scheduler folding
 //! queued compatible queries into shared multi-source traversals (up
-//! to `--max-batch` sources per run). The second pass lands in a
-//! schema-v3 `serve.batch` block (occupancy, batched qps, speedup)
+//! to `--max-batch` sources per run). The second pass lands in the
+//! `serve.batch` block (occupancy, batched qps, speedup)
 //! gated by `serve_batch_qps`. Use `--burst`/`--capacity` well above
 //! `--max-batch` so the queue actually fills: coalescing only sees
 //! queries that are *waiting* while a traversal is in flight.
 
+use obfs_bench::args::{fail, parse_num};
 use obfs_bench::env::HostInfo;
-use obfs_bench::json::{self, summary_json, Json};
+use obfs_bench::json::Json;
 use obfs_bench::table::Table;
-use obfs_bench::{BenchArgs, BenchReport};
-use obfs_core::serial::serial_bfs;
-use obfs_core::{Algorithm, StealCounters};
+use obfs_bench::{BenchArgs, BenchReport, Measurement, Reference};
+use obfs_core::Algorithm;
 use obfs_engine::{Engine, EngineConfig, Query, QueryStatus, SubmitError};
 use obfs_graph::gen::{rmat, RmatParams};
 use obfs_graph::stats::sample_sources;
-use obfs_util::{LogHistogram, OnlineStats, Xoshiro256StarStar};
+use obfs_util::{LogHistogram, Xoshiro256StarStar};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -53,7 +53,7 @@ struct BombardArgs {
     deadline_ms: u64,
     /// Batched mode: run each contender twice — coalescing disabled,
     /// then enabled — and report the batched throughput/occupancy next
-    /// to the unbatched baseline (schema-v3 `serve.batch`).
+    /// to the unbatched baseline (the `serve.batch` block).
     batch: bool,
     /// Coalescing width for the batched pass (clamped to [2, 64]).
     max_batch: usize,
@@ -62,7 +62,7 @@ struct BombardArgs {
     metrics_addr: Option<String>,
 }
 
-fn parse_args() -> BombardArgs {
+fn parse_args() -> Result<BombardArgs, String> {
     let mut own = BombardArgs {
         base: BenchArgs::default(),
         capacity: 8,
@@ -73,29 +73,22 @@ fn parse_args() -> BombardArgs {
         max_batch: obfs_core::MAX_BATCH,
         metrics_addr: None,
     };
-    let mut burst_set = false;
+    let mut burst = None;
     let mut rest: Vec<String> = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().unwrap_or_else(|| panic!("flag {name} requires a value"))
-        };
-        let num = |s: String, name: &str| -> u64 {
-            s.parse().unwrap_or_else(|_| panic!("bad value {s:?} for {name}"))
-        };
+        let mut value =
+            |name: &str| it.next().ok_or_else(|| format!("flag {name} requires a value"));
         match flag.as_str() {
-            "--capacity" => own.capacity = num(value("--capacity"), "--capacity") as usize,
-            "--burst" => {
-                own.burst = num(value("--burst"), "--burst") as usize;
-                burst_set = true;
+            "--capacity" => own.capacity = parse_num(&value("--capacity")?, "--capacity")?,
+            "--burst" => burst = Some(parse_num(&value("--burst")?, "--burst")?),
+            "--queries" => own.queries = parse_num(&value("--queries")?, "--queries")?,
+            "--deadline-ms" => {
+                own.deadline_ms = parse_num(&value("--deadline-ms")?, "--deadline-ms")?
             }
-            "--queries" => own.queries = num(value("--queries"), "--queries") as usize,
-            "--deadline-ms" => own.deadline_ms = num(value("--deadline-ms"), "--deadline-ms"),
             "--batch" => own.batch = true,
-            "--max-batch" => {
-                own.max_batch = num(value("--max-batch"), "--max-batch") as usize;
-            }
-            "--metrics-addr" => own.metrics_addr = Some(value("--metrics-addr")),
+            "--max-batch" => own.max_batch = parse_num(&value("--max-batch")?, "--max-batch")?,
+            "--metrics-addr" => own.metrics_addr = Some(value("--metrics-addr")?),
             "--help" | "-h" => {
                 eprintln!(
                     "flags: --capacity <c> --burst <b> --queries <n> --deadline-ms <d> \
@@ -112,36 +105,42 @@ fn parse_args() -> BombardArgs {
                     "--divisor" | "--threads" | "--sources" | "--seed" | "--graph"
                         | "--chaos-seed" | "--watchdog-ms"
                 ) {
-                    rest.push(value(other));
+                    rest.push(value(other)?);
                 }
             }
         }
     }
-    own.base = BenchArgs::parse_from(rest);
-    if !burst_set {
-        own.burst = own.capacity;
+    own.base = BenchArgs::parse_from(rest)?;
+    if let Some(f) = own.base.files.first() {
+        return Err(format!("unexpected argument {f:?} (try --help)"));
     }
-    assert!(own.capacity >= 1, "--capacity must be >= 1");
-    assert!(own.burst >= 1, "--burst must be >= 1");
-    assert!(own.queries >= 1, "--queries must be >= 1");
+    own.burst = burst.unwrap_or(own.capacity);
+    for (name, v) in
+        [("--capacity", own.capacity), ("--burst", own.burst), ("--queries", own.queries)]
+    {
+        if v == 0 {
+            return Err(format!("{name} must be >= 1"));
+        }
+    }
     if own.batch {
         // Deadlined queries never coalesce (the engine keeps their
         // deadline contract by running them solo), so a batched pass
         // with a default deadline would silently measure nothing.
-        assert!(
-            own.deadline_ms == 0,
-            "--batch is incompatible with --deadline-ms (deadlined queries never coalesce)"
-        );
+        if own.deadline_ms != 0 {
+            return Err(
+                "--batch is incompatible with --deadline-ms (deadlined queries never coalesce)"
+                    .into(),
+            );
+        }
         own.max_batch = own.max_batch.clamp(2, obfs_core::MAX_BATCH);
     }
-    #[cfg(not(feature = "serve-http"))]
-    assert!(
-        own.metrics_addr.is_none(),
-        "--metrics-addr needs the `serve-http` feature; rebuild with \
-         `--features obfs-bench/serve-http` (without it the mid-run scrape still \
-         happens, in-process against the same registry)"
-    );
-    own
+    if cfg!(not(feature = "serve-http")) && own.metrics_addr.is_some() {
+        return Err("--metrics-addr needs the `serve-http` feature; rebuild with \
+                    `--features obfs-bench/serve-http` (without it the mid-run scrape still \
+                    happens, in-process against the same registry)"
+            .into());
+    }
+    Ok(own)
 }
 
 /// Everything one contender's closed loop produced.
@@ -159,17 +158,16 @@ struct LoopResult {
     batched_runs: u64,
     /// Queries answered by those coalesced runs.
     coalesced: u64,
+    /// Time spent submitting and draining bursts (result checks and
+    /// the mid-run scrape happen between rounds, off this clock).
     elapsed: Duration,
     /// Submit-to-response latency, microseconds.
     lat_us: LogHistogram,
-    /// Per-completed-query traversal time, milliseconds.
-    traversal_ms: OnlineStats,
-    dup: OnlineStats,
-    steal: StealCounters,
-    /// Harmonic-mean traversal TEPS over completed queries.
-    hmean_teps: f64,
-    /// Schema-v5 `serve.telemetry` block: the engine registry's final
-    /// snapshot plus the mid-run scrape (see `json::validate_report`).
+    /// Every completed query's traversal, checked against its source's
+    /// serial reference.
+    runs: Measurement,
+    /// `serve.telemetry` block: the engine registry's final snapshot
+    /// plus the mid-run scrape (see `json::validate_report`).
     telemetry: Json,
 }
 
@@ -185,7 +183,8 @@ const TERMINALS: [&str; 5] = [
 fn drive(
     algo: Algorithm,
     graph: &Arc<obfs_graph::CsrGraph>,
-    references: &HashMap<u32, (Vec<u32>, u64)>,
+    graph_name: &str,
+    references: &HashMap<u32, Reference>,
     sources: &[u32],
     args: &BombardArgs,
     max_batch: usize,
@@ -206,7 +205,7 @@ fn drive(
             Arc::clone(engine.telemetry().registry()),
             addr,
         )
-        .unwrap_or_else(|e| panic!("--metrics-addr {addr}: {e}"))
+        .unwrap_or_else(|e| fail(format!("--metrics-addr {addr}: {e}")))
     });
     // (mode, submitted, terminal, shed) captured mid-run: over HTTP when
     // a responder is up, in-process against the same registry otherwise.
@@ -226,17 +225,13 @@ fn drive(
         coalesced: 0,
         elapsed: Duration::ZERO,
         lat_us: LogHistogram::new(),
-        traversal_ms: OnlineStats::new(),
-        dup: OnlineStats::new(),
-        steal: StealCounters::default(),
-        hmean_teps: 0.0,
+        runs: Measurement::new(algo.to_string(), graph_name),
         telemetry: Json::Null,
     };
-    let mut inv_teps_sum = 0.0f64;
-    let mut validated = false;
-    let t0 = Instant::now();
     let mut attempts = 0usize;
     while attempts < args.queries {
+        let round = Instant::now();
+        let mut done = Vec::new();
         let want = args.burst.min(args.queries - attempts);
         let mut handles = Vec::with_capacity(want);
         for _ in 0..want {
@@ -261,21 +256,7 @@ fn drive(
                     } else {
                         out.completed += 1;
                     }
-                    let r = resp.result.expect("complete query carries a result");
-                    let (ref_levels, ref_edges) = &references[&src];
-                    if !validated {
-                        assert_eq!(&r.levels, ref_levels, "{algo} validation failed");
-                        validated = true;
-                    }
-                    out.traversal_ms.push(r.stats.traversal_time.as_secs_f64() * 1e3);
-                    inv_teps_sum += 1.0 / r.stats.teps(*ref_edges);
-                    out.dup.push(
-                        (r.stats.totals.vertices_explored as f64
-                            / r.reached().max(1) as f64
-                            - 1.0)
-                            .max(0.0),
-                    );
-                    out.steal.merge(&r.stats.totals.steal);
+                    done.push((resp.result.expect("complete query carries a result"), src));
                 }
                 QueryStatus::Cancelled => out.cancelled += 1,
                 QueryStatus::DeadlineExceeded => out.deadline_exceeded += 1,
@@ -284,6 +265,10 @@ fn drive(
                     out.failed += 1;
                 }
             }
+        }
+        out.elapsed += round.elapsed();
+        for (r, src) in &done {
+            out.runs.record(r, &references[src]);
         }
         if scrape.is_none() && attempts * 2 >= args.queries {
             // Halfway scrape: a cut of monotone counters that the
@@ -328,7 +313,6 @@ fn drive(
             });
         }
     }
-    out.elapsed = t0.elapsed();
     let st = engine.stats();
     assert_eq!(st.submitted, out.admitted, "engine admission count disagrees");
     assert_eq!(st.shed, out.shed, "engine shed count disagrees");
@@ -336,10 +320,6 @@ fn drive(
     out.pool_rebuilds = st.pool_rebuilds;
     out.batched_runs = st.batched_runs;
     out.coalesced = st.queries_coalesced;
-    let done = out.completed + out.degraded;
-    if done > 0 {
-        out.hmean_teps = done as f64 / inv_teps_sum;
-    }
     // Registry latency percentiles must agree with the closed loop's
     // own histogram: both record the same per-query total_ns stream,
     // so they can differ by at most one log-histogram bucket.
@@ -405,7 +385,7 @@ fn qps_of(r: &LoopResult) -> f64 {
     }
 }
 
-/// Schema-v3 `serve.batch` block: the coalescing-enabled pass over the
+/// `serve.batch` block: the coalescing-enabled pass over the
 /// same workload, next to the unbatched baseline it is compared
 /// against (see `json::validate_report` for the invariants).
 fn batch_json(b: &LoopResult, unbatched_qps: f64, args: &BombardArgs) -> Json {
@@ -458,7 +438,7 @@ fn serve_json(r: &LoopResult, batch: Option<Json>, args: &BombardArgs) -> Json {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| fail(e));
     // Same scale mapping as the graph500 bin: --divisor shrinks the
     // graph; the default (128) gives a small dense RMAT that keeps the
     // committed BENCH_serve.json cheap to regenerate.
@@ -476,13 +456,8 @@ fn main() {
     let graph_name = format!("rmat{scale}");
     println!("graph: n={} m={}\n", graph.num_vertices(), graph.num_edges());
     let sources = sample_sources(&graph, args.base.sources.max(4), args.base.seed ^ 0x5EED);
-    let references: HashMap<u32, (Vec<u32>, u64)> = sources
-        .iter()
-        .map(|&src| {
-            let ser = serial_bfs(&graph, src);
-            (src, (ser.levels, ser.stats.totals.edges_scanned))
-        })
-        .collect();
+    let references: HashMap<u32, Reference> =
+        sources.iter().map(|&src| (src, Reference::new(&graph, src))).collect();
 
     let contenders = [Algorithm::Bfscl, Algorithm::Bfswsl];
     let mut report = args.base.json.then(|| BenchReport::new("serve", &args.base));
@@ -503,16 +478,15 @@ fn main() {
         // The baseline pass runs with coalescing disabled so its qps
         // keeps meaning "one traversal per query" even now that the
         // engine coalesces deadline-free queries by default.
-        let r = drive(algo, &graph, &references, &sources, &args, 1);
+        let r = drive(algo, &graph, &graph_name, &references, &sources, &args, 1);
         let unbatched_qps = qps_of(&r);
         // The batched pass replays the same closed loop with
         // coalescing on: queued compatible queries fold into shared
         // multi-source traversals (up to --max-batch sources each).
         let batch = args.batch.then(|| {
-            let b = drive(algo, &graph, &references, &sources, &args, args.max_batch);
-            (batch_json(&b, unbatched_qps, &args), b)
+            let b = drive(algo, &graph, &graph_name, &references, &sources, &args, args.max_batch);
+            batch_json(&b, unbatched_qps, &args)
         });
-        let serve = serve_json(&r, batch.as_ref().map(|(j, _)| j.clone()), &args);
         let mut row = vec![
             algo.to_string(),
             format!("{unbatched_qps:.1}"),
@@ -522,37 +496,22 @@ fn main() {
             r.retries.to_string(),
             r.pool_rebuilds.to_string(),
         ];
-        if let Some((_, b)) = &batch {
-            let occ = if b.batched_runs > 0 {
-                b.coalesced as f64 / b.batched_runs as f64
-            } else {
-                0.0
-            };
-            let bq = qps_of(b);
+        if let Some(b) = &batch {
+            let f = |key: &str| b.get(key).and_then(Json::as_f64).unwrap_or(0.0);
             row.extend([
-                format!("{bq:.1}"),
-                format!("{occ:.1}"),
-                format!("{:.2}x", if unbatched_qps > 0.0 { bq / unbatched_qps } else { 0.0 }),
+                format!("{:.1}", f("qps")),
+                format!("{:.1}", f("occupancy")),
+                format!("{:.2}x", f("speedup")),
             ]);
         }
         t.row(row);
+        let serve = serve_json(&r, batch, &args);
         if let Some(report) = &mut report {
-            report.add_result(Json::Obj(vec![
-                ("contender".into(), Json::Str(algo.to_string())),
-                ("graph".into(), Json::Str(graph_name.clone())),
-                ("time_ms".into(), summary_json(&r.traversal_ms.summary())),
-                ("teps".into(), Json::Num(r.hmean_teps)),
-                ("duplicate_overhead".into(), Json::Num(r.dup.mean())),
-                ("steal".into(), json::steal_json(&r.steal)),
-                ("serve".into(), serve),
-            ]));
+            report.add_served(&r.runs, serve);
         }
     }
     println!("{}", t.render());
-    if let Some(report) = &report {
-        let path = report.write().expect("write BENCH_serve.json");
-        json::validate_report(&Json::parse(&report.render()).unwrap())
-            .expect("emitted report fails its own schema validation");
-        println!("wrote {}", path.display());
+    if let Some(report) = report {
+        report.finish();
     }
 }

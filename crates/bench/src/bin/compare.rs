@@ -8,7 +8,7 @@
 //! Diffs two `BENCH_*.json` reports and exits **1** when the contender
 //! regresses (mean time / TEPS beyond the noise gate, counter blow-ups,
 //! or results missing vs. the baseline), **0** when clean, **2** on
-//! usage or parse errors. `--scale-time 1.5` inflates the contender's
+//! usage or parse errors and on reports of different schema versions. `--scale-time 1.5` inflates the contender's
 //! times synthetically — CI self-tests the gate with an identity
 //! compare that must fail under it.
 

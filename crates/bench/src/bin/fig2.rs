@@ -8,18 +8,14 @@
 use obfs_bench::env::HostInfo;
 use obfs_bench::harness::{measure, pick_sources};
 use obfs_bench::table::{ms, Table};
-use obfs_bench::{BenchArgs, Contender, ContenderPool};
+use obfs_bench::{BenchArgs, Contender, ContenderPool, Workload};
 use obfs_core::{Algorithm, BfsOptions};
 use obfs_graph::gen::suite::PaperGraph;
 
 fn main() {
     let args = BenchArgs::parse();
     println!("{}", HostInfo::detect().render(args.threads));
-    let graph_kind = args
-        .only_graph
-        .as_deref()
-        .map(|n| PaperGraph::from_name(n).expect("unknown graph name"))
-        .unwrap_or(PaperGraph::Wikipedia);
+    let graph_kind = args.only_graph.unwrap_or(PaperGraph::Wikipedia);
     let graph = graph_kind.generate(args.divisor, args.seed);
     println!(
         "== Figure 2: lock-free scalability on {} (divisor {}, {} sources/point) ==\n",
@@ -35,19 +31,16 @@ fn main() {
         .filter(|&p| p <= args.threads)
         .collect();
     let sources = pick_sources(&graph, args.sources, args.seed);
+    let w = Workload::new(graph_kind.name(), graph, &sources);
 
     // Serial reference for speedup.
     let mut serial_pool = ContenderPool::new(1);
     let serial_opts = BfsOptions { threads: 1, ..Default::default() };
-    let base = measure(
-        &mut serial_pool,
-        Contender::Ours(Algorithm::Serial),
-        &graph,
-        graph_kind.name(),
-        &sources,
-        &serial_opts,
-    );
-    println!("serial reference: {} ms\n", ms(base.time_ms.mean));
+    let base =
+        measure(&mut serial_pool, Contender::Ours(Algorithm::Serial), &w, &serial_opts)
+            .time_ms()
+            .mean;
+    println!("serial reference: {} ms\n", ms(base));
 
     let mut header = vec!["threads".to_string()];
     for a in algos {
@@ -64,25 +57,9 @@ fn main() {
         let opts = BfsOptions { threads: p, ..Default::default() };
         let mut row = vec![p.to_string()];
         for a in algos {
-            let m = measure(
-                &mut pool,
-                Contender::Ours(a),
-                &graph,
-                graph_kind.name(),
-                &sources,
-                &opts,
-            );
-            row.push(ms(m.time_ms.mean));
-            row.push(format!("{:.2}x", base.time_ms.mean / m.time_ms.mean));
-            if args.json {
-                println!(
-                    "{{\"algo\":{:?},\"threads\":{},\"mean_ms\":{:.4},\"speedup\":{:.3}}}",
-                    a.name(),
-                    p,
-                    m.time_ms.mean,
-                    base.time_ms.mean / m.time_ms.mean
-                );
-            }
+            let mean = measure(&mut pool, Contender::Ours(a), &w, &opts).time_ms().mean;
+            row.push(ms(mean));
+            row.push(format!("{:.2}x", base / mean));
         }
         t.row(row);
     }

@@ -1,13 +1,13 @@
 //! Regenerates **Figure 3**: performance in traversed edges per second
 //! (TEPS) on the real-world graphs, comparing Baseline1, Baseline2, our
-//! best locked variant and our best lock-free variant.
+//! best locked variant and our best lock-free variant. `--graph` plots
+//! one paper graph instead of the five.
 
 use obfs_baselines::hong::HongVariant;
 use obfs_bench::env::HostInfo;
-use obfs_bench::harness::{measure, measure_with_series, pick_sources, to_json};
-use obfs_bench::json::{self, Json};
+use obfs_bench::harness::{measure, measure_with_series, pick_sources};
 use obfs_bench::table::{teps, Table};
-use obfs_bench::{BenchArgs, BenchReport, Contender, ContenderPool};
+use obfs_bench::{BenchArgs, BenchReport, Contender, ContenderPool, Workload};
 use obfs_core::{Algorithm, BfsOptions};
 use obfs_graph::gen::suite::PaperGraph;
 
@@ -20,13 +20,16 @@ fn main() {
     );
 
     // The five real-world graphs of the figure.
-    let kinds = [
-        PaperGraph::Cage15,
-        PaperGraph::Cage14,
-        PaperGraph::Freescale,
-        PaperGraph::Wikipedia,
-        PaperGraph::KktPower,
-    ];
+    let kinds = match args.only_graph {
+        Some(g) => vec![g],
+        None => vec![
+            PaperGraph::Cage15,
+            PaperGraph::Cage14,
+            PaperGraph::Freescale,
+            PaperGraph::Wikipedia,
+            PaperGraph::KktPower,
+        ],
+    };
     let contenders = [
         Contender::Baseline1,
         Contender::Baseline2(HongVariant::LocalQueueReadBitmap),
@@ -47,37 +50,26 @@ fn main() {
 
     let mut report = args.json.then(|| BenchReport::new("fig3", &args));
     for kind in kinds {
-        if let Some(only) = &args.only_graph {
-            if kind.name() != only {
-                continue;
-            }
-        }
         let graph = kind.generate(args.divisor, args.seed);
         let sources = pick_sources(&graph, args.sources, args.seed);
+        let w = Workload::new(kind.name(), graph, &sources);
         let mut row = vec![kind.name().to_string()];
         for c in contenders {
-            let m = if args.json {
-                measure_with_series(&mut pool, c, &graph, kind.name(), &sources, &opts)
-            } else {
-                measure(&mut pool, c, &graph, kind.name(), &sources, &opts)
+            let m = match &mut report {
+                Some(report) => {
+                    let m = measure_with_series(&mut pool, c, &w, &opts);
+                    report.add(&m);
+                    m
+                }
+                None => measure(&mut pool, c, &w, &opts),
             };
-            if args.json {
-                println!("{}", to_json(&m));
-            }
-            if let Some(report) = &mut report {
-                report.add_measurement(&m);
-            }
-            row.push(teps(m.teps));
+            row.push(teps(m.teps()));
         }
         t.row(row);
     }
-    assert!(!t.is_empty(), "no graph matched --graph {:?}", args.only_graph);
     println!("{}", t.render());
-    if let Some(report) = &report {
-        let path = report.write().expect("write BENCH_fig3.json");
-        json::validate_report(&Json::parse(&report.render()).unwrap())
-            .expect("emitted report fails its own schema validation");
-        println!("wrote {}", path.display());
+    if let Some(report) = report {
+        report.finish();
     }
     println!(
         "Paper expectations (shape): our best implementation reaches the highest TEPS \

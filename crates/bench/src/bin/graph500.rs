@@ -1,91 +1,75 @@
 //! Graph500-style BFS kernel driver.
 //!
+//! ```text
+//! graph500 [GRAPH.mtx ...] [--divisor k] [--threads p] [--sources s]
+//!          [--seed x] [--json]
+//! ```
+//!
 //! The paper motivates BFS partly through the Graph500 supercomputer
 //! ranking (§I, refs. \[3\]\[4\]). This binary runs the Graph500 search
-//! kernel shape: an RMAT graph at a given scale, 64 (configurable via
-//! `--sources`) random search keys, harmonic-mean TEPS per contender —
-//! including the direction-optimizing Beamer baseline, which is not part
-//! of the paper's own tables but is the modern Graph500 reference point.
+//! kernel shape: 64 (configurable via `--sources`) random search keys
+//! per graph, harmonic-mean TEPS per contender — including the
+//! direction-optimizing Beamer baseline, which is not part of the
+//! paper's own tables but is the modern Graph500 reference point.
+//!
+//! Without arguments it runs on an RMAT graph whose scale follows
+//! `--divisor` and writes `BENCH_graph500.json`. Matrix Market files
+//! given as arguments (e.g. the SuiteSparse downloads fetched by
+//! `scripts/realgraph.sh`) replace the RMAT graph, one graph per file,
+//! and the report goes to `BENCH_realgraph.json`.
 
-use obfs_baselines::beamer::beamer_bfs_on_pool;
 use obfs_baselines::hong::HongVariant;
+use obfs_bench::args::fail;
 use obfs_bench::env::HostInfo;
-use obfs_bench::json::{self, Json};
+use obfs_bench::harness::pick_sources;
 use obfs_bench::table::{teps, Table};
-use obfs_bench::{BenchArgs, BenchReport, Contender, ContenderPool};
-use obfs_core::serial::serial_bfs;
-use obfs_core::{Algorithm, BfsOptions, StealCounters};
+use obfs_bench::{measure, BenchArgs, BenchReport, Contender, ContenderPool, Workload};
+use obfs_core::{Algorithm, BfsOptions};
 use obfs_graph::gen::{rmat, RmatParams};
-use obfs_graph::stats::sample_sources;
-use obfs_runtime::LevelPool;
-use obfs_util::OnlineStats;
+use obfs_graph::{io, CsrGraph};
 
-/// Build one `results[]` entry from the per-key accumulators.
-#[allow(clippy::too_many_arguments)]
-fn result_json(
-    name: &str,
-    graph: &str,
-    per_key_ms: &OnlineStats,
-    hmean_teps: f64,
-    dup: f64,
-    steal: &StealCounters,
-    compacted_levels: u64,
-    kernel_backend: Option<&str>,
-) -> Json {
-    let mut members = vec![
-        ("contender".to_string(), Json::Str(name.to_string())),
-        ("graph".to_string(), Json::Str(graph.to_string())),
-        ("time_ms".to_string(), json::summary_json(&per_key_ms.summary())),
-        ("teps".to_string(), Json::Num(hmean_teps)),
-        ("duplicate_overhead".to_string(), Json::Num(dup)),
-        ("steal".to_string(), json::steal_json(steal)),
-        ("compacted_levels".to_string(), Json::Num(compacted_levels as f64)),
-    ];
-    if let Some(b) = kernel_backend {
-        members.push(("kernel_backend".to_string(), Json::Str(b.to_string())));
-    }
-    Json::Obj(members)
+fn load_mtx(path: &str) -> Result<CsrGraph, String> {
+    let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
+    io::read_matrix_market(std::io::BufReader::new(file)).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Graph label: file stem without extension.
+fn stem(path: &str) -> String {
+    std::path::Path::new(path)
+        .file_stem()
+        .map(|s| s.to_string_lossy().into_owned())
+        .unwrap_or_else(|| path.to_string())
 }
 
 fn main() {
-    let args = BenchArgs::parse();
-    // Interpret --divisor as the Graph500 "scale" reduction: scale 26 is
-    // the toy class; we default to what fits the box.
-    let scale = match args.divisor {
-        1 => 20u32, // full local run
-        d => (20u32).saturating_sub(d.ilog2()).max(12),
-    };
-    let edge_factor = 16; // Graph500 constant
+    let args = BenchArgs::parse_with_files();
     println!("{}", HostInfo::detect().render(args.threads));
-    println!(
-        "== Graph500-style kernel: RMAT scale {scale} (2^{scale} vertices, \
-         edge factor {edge_factor}), {} search keys, p={} ==\n",
-        args.sources, args.threads
-    );
-    let graph = rmat(scale, edge_factor, RmatParams::default(), args.seed);
-    let transpose = graph.transpose();
-    println!(
-        "graph: n={} m={} (after dedup/self-loop removal)\n",
-        graph.num_vertices(),
-        graph.num_edges()
-    );
-    let sources = sample_sources(&graph, args.sources, args.seed ^ 0x9500);
-    // Graph500 convention: TEPS counts the *input* edges of the traversed
-    // component, identically for every contender (so algorithms that scan
-    // fewer edges, like bottom-up levels, are credited, not penalized).
-    let references: Vec<(Vec<u32>, u64)> = sources
-        .iter()
-        .map(|&src| {
-            let ser = serial_bfs(&graph, src);
-            let m = ser.stats.totals.edges_scanned;
-            (ser.levels, m)
-        })
-        .collect();
+    let graphs: Vec<(String, CsrGraph)> = if args.files.is_empty() {
+        // Interpret --divisor as the Graph500 "scale" reduction: scale 26
+        // is the toy class; we default to what fits the box.
+        let scale = match args.divisor {
+            1 => 20u32, // full local run
+            d => (20u32).saturating_sub(d.ilog2()).max(12),
+        };
+        let edge_factor = 16; // Graph500 constant
+        println!(
+            "== Graph500-style kernel: RMAT scale {scale} (2^{scale} vertices, \
+             edge factor {edge_factor}), {} search keys, p={} ==\n",
+            args.sources, args.threads
+        );
+        vec![(format!("rmat{scale}"), rmat(scale, edge_factor, RmatParams::default(), args.seed))]
+    } else {
+        println!(
+            "== Graph500-style kernel: {} graph file(s), {} search keys each, p={} ==\n",
+            args.files.len(),
+            args.sources,
+            args.threads
+        );
+        args.files.iter().map(|p| (stem(p), load_mtx(p).unwrap_or_else(|e| fail(e)))).collect()
+    };
 
     let mut pool = ContenderPool::new(args.threads);
-    let beamer_pool = LevelPool::new(args.threads);
     let opts = BfsOptions { threads: args.threads, ..Default::default() };
-
     // The hybrid and compaction rows always run here: dense low-diameter
     // RMAT is exactly the regime direction optimization and prefix-sum
     // frontier compaction target, so this binary is where the top-down
@@ -100,93 +84,42 @@ fn main() {
     contenders.extend(Contender::hybrid_roster());
     contenders.push(Contender::Baseline1);
     contenders.push(Contender::Baseline2(HongVariant::LocalQueueReadBitmap));
+    contenders.push(Contender::Beamer);
 
-    let graph_name = format!("rmat{scale}");
-    let mut report = args.json.then(|| BenchReport::new("graph500", &args));
-    let mut t = Table::new(&["contender", "harmonic-TEPS", "mean ms/key"]);
-    for c in &contenders {
-        let mut inv_teps_sum = 0.0f64;
-        let mut per_key = OnlineStats::new();
-        let mut dup = OnlineStats::new();
-        let mut steal = StealCounters::default();
-        let mut compacted = 0u64;
-        let mut backend: Option<String> = None;
-        for (i, &src) in sources.iter().enumerate() {
-            let r = pool.run_with_transpose(*c, &graph, Some(&transpose), src, &opts);
-            if i == 0 {
-                assert_eq!(r.levels, references[0].0, "{c} validation failed");
-            }
-            let tp = r.stats.teps(references[i].1);
-            inv_teps_sum += 1.0 / tp;
-            per_key.push(r.stats.traversal_time.as_secs_f64() * 1e3);
-            dup.push(
-                (r.stats.totals.vertices_explored as f64 / r.reached().max(1) as f64 - 1.0)
-                    .max(0.0),
-            );
-            steal.merge(&r.stats.totals.steal);
-            compacted += u64::from(r.stats.compacted_levels);
-            if backend.is_none() {
-                backend = r.stats.kernel_backend.map(|b| b.label().to_string());
+    let name = if args.files.is_empty() { "graph500" } else { "realgraph" };
+    let mut report = args.json.then(|| BenchReport::new(name, &args));
+    for (graph_name, graph) in graphs {
+        println!(
+            "graph {graph_name}: n={} m={} (after dedup/self-loop removal)\n",
+            graph.num_vertices(),
+            graph.num_edges()
+        );
+        let sources = pick_sources(&graph, args.sources, args.seed ^ 0x9500);
+        let w = Workload::new(graph_name, graph, &sources);
+        let mut t = Table::new(&["contender", "harmonic-TEPS", "mean ms/key"]);
+        for &c in &contenders {
+            let m = measure(&mut pool, c, &w, &opts);
+            t.row(vec![c.name(), teps(m.teps()), format!("{:.3}", m.time_ms().mean)]);
+            if let Some(report) = &mut report {
+                report.add(&m);
             }
         }
-        let hmean = sources.len() as f64 / inv_teps_sum;
-        if let Some(report) = &mut report {
-            report.add_result(result_json(
-                &c.name(),
-                &graph_name,
-                &per_key,
-                hmean,
-                dup.mean(),
-                &steal,
-                compacted,
-                backend.as_deref(),
-            ));
-        }
-        t.row(vec![c.name(), teps(hmean), format!("{:.3}", per_key.mean())]);
+        println!("{}", t.render());
     }
-    // Beamer runs outside ContenderPool (needs the transpose).
-    {
-        let mut inv_teps_sum = 0.0f64;
-        let mut per_key = OnlineStats::new();
-        for (i, &src) in sources.iter().enumerate() {
-            let r = beamer_bfs_on_pool(&graph, &transpose, src, &beamer_pool);
-            if i == 0 {
-                assert_eq!(r.bfs.levels, references[0].0, "beamer validation failed");
-            }
-            let tp = r.bfs.stats.teps(references[i].1);
-            inv_teps_sum += 1.0 / tp;
-            per_key.push(r.bfs.stats.traversal_time.as_secs_f64() * 1e3);
-        }
-        let hmean = sources.len() as f64 / inv_teps_sum;
-        if let Some(report) = &mut report {
-            report.add_result(result_json(
-                "Beamer[direction-opt]",
-                &graph_name,
-                &per_key,
-                hmean,
-                0.0, // direction-opt never re-explores
-                &StealCounters::default(),
-                0,    // external baseline: no compaction path
-                None, // ...and no dispatched kernels
-            ));
-        }
-        t.row(vec![
-            "Beamer[direction-opt]".to_string(),
-            teps(hmean),
-            format!("{:.3}", per_key.mean()),
-        ]);
-    }
-    println!("{}", t.render());
-    if let Some(report) = &report {
-        let path = report.write().expect("write BENCH_graph500.json");
-        json::validate_report(&Json::parse(&report.render()).unwrap())
-            .expect("emitted report fails its own schema validation");
-        println!("wrote {}", path.display());
+    if let Some(report) = report {
+        report.finish();
     }
     println!(
-        "Note: dense low-diameter RMAT is the regime where the paper concedes the \
-         bitmap-based Baseline2 (and modern direction-optimization, which skips most \
-         edge scans in its bottom-up levels) wins over duplicate-tolerant optimistic \
-         traversal."
+        "TEPS follows Graph500: the input edges of the traversed component over \
+         traversal time, identical for every contender (so algorithms that scan fewer \
+         edges, like bottom-up levels, are credited, not penalized)."
     );
+    if args.files.is_empty() {
+        println!(
+            "Note: dense low-diameter RMAT is the regime where the paper concedes the \
+             bitmap-based Baseline2 (and modern direction-optimization, which skips most \
+             edge scans in its bottom-up levels) wins over duplicate-tolerant optimistic \
+             traversal."
+        );
+    }
 }

@@ -17,11 +17,7 @@ use obfs_graph::stats::sample_sources;
 fn main() {
     let args = BenchArgs::parse();
     println!("{}", HostInfo::detect().render(args.threads));
-    let graph_kind = args
-        .only_graph
-        .as_deref()
-        .map(|n| PaperGraph::from_name(n).expect("unknown graph name"))
-        .unwrap_or(PaperGraph::Wikipedia);
+    let graph_kind = args.only_graph.unwrap_or(PaperGraph::Wikipedia);
     let graph = graph_kind.generate(args.divisor, args.seed);
     let src = sample_sources(&graph, 1, args.seed)[0];
     let opts = BfsOptions {
@@ -56,12 +52,7 @@ fn main() {
         "mean us/level",
         "barrier-bound levels*",
     ]);
-    for kind in ALL {
-        if let Some(only) = &args.only_graph {
-            if kind.name() != only {
-                continue;
-            }
-        }
+    for kind in ALL.into_iter().filter(|g| args.only_graph.is_none_or(|o| o == *g)) {
         let g = kind.generate(args.divisor, args.seed);
         let s = sample_sources(&g, 1, args.seed)[0];
         let r = run_bfs(Algorithm::Bfscl, &g, s, &opts);

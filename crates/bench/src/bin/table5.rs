@@ -5,9 +5,9 @@
 //! `--threads 32` for the Trestles analogue (Table V(b)).
 
 use obfs_bench::env::HostInfo;
-use obfs_bench::harness::{measure, pick_sources, to_json};
+use obfs_bench::harness::{measure, pick_sources};
 use obfs_bench::table::{ms, Table};
-use obfs_bench::{BenchArgs, Contender, ContenderPool};
+use obfs_bench::{BenchArgs, Contender, ContenderPool, Workload};
 use obfs_core::BfsOptions;
 use obfs_graph::gen::suite::ALL;
 
@@ -19,43 +19,43 @@ fn main() {
         args.sources, args.divisor
     );
 
-    let graphs: Vec<_> = ALL
+    let workloads: Vec<Workload> = ALL
         .into_iter()
-        .filter(|g| args.only_graph.as_deref().is_none_or(|o| o == g.name()))
-        .map(|g| (g, g.generate(args.divisor, args.seed)))
+        .filter(|g| args.only_graph.is_none_or(|o| o == *g))
+        .enumerate()
+        .map(|(col, g)| {
+            let graph = g.generate(args.divisor, args.seed);
+            let sources = pick_sources(&graph, args.sources, args.seed ^ col as u64);
+            Workload::new(g.name(), graph, &sources)
+        })
         .collect();
-    assert!(!graphs.is_empty(), "no graph matched --graph {:?}", args.only_graph);
 
     let mut header = vec!["algorithm"];
-    for (g, _) in &graphs {
-        header.push(g.name());
+    for w in &workloads {
+        header.push(&w.name);
     }
     let mut t = Table::new(&header);
 
     let mut pool = ContenderPool::new(args.threads);
     let opts = BfsOptions { threads: args.threads, ..Default::default() };
     // Best-per-column tracking (the paper colors the winner per graph).
-    let mut best: Vec<(f64, String)> = vec![(f64::INFINITY, String::new()); graphs.len()];
+    let mut best: Vec<(f64, String)> = vec![(f64::INFINITY, String::new()); workloads.len()];
 
     for c in Contender::roster() {
         let mut row = vec![c.name()];
-        for (col, (g, graph)) in graphs.iter().enumerate() {
-            let sources = pick_sources(graph, args.sources, args.seed ^ col as u64);
-            let m = measure(&mut pool, c, graph, g.name(), &sources, &opts);
-            if args.json {
-                println!("{}", to_json(&m));
+        for (col, w) in workloads.iter().enumerate() {
+            let mean = measure(&mut pool, c, w, &opts).time_ms().mean;
+            if mean < best[col].0 {
+                best[col] = (mean, c.name());
             }
-            if m.time_ms.mean < best[col].0 {
-                best[col] = (m.time_ms.mean, c.name());
-            }
-            row.push(ms(m.time_ms.mean));
+            row.push(ms(mean));
         }
         t.row(row);
     }
     println!("{}", t.render());
     println!("Fastest per graph:");
-    for (col, (g, _)) in graphs.iter().enumerate() {
-        println!("  {:<12} {} ({} ms)", g.name(), best[col].1, ms(best[col].0));
+    for (col, w) in workloads.iter().enumerate() {
+        println!("  {:<12} {} ({} ms)", w.name, best[col].1, ms(best[col].0));
     }
     println!(
         "\nPaper expectations (shape): each lock-free variant beats its locked \

@@ -13,13 +13,11 @@
 
 use obfs_bench::env::HostInfo;
 use obfs_bench::harness::pick_sources;
-use obfs_bench::json::{self, Json};
 use obfs_bench::table::{count, pct, Table};
-use obfs_bench::{BenchArgs, BenchReport, Contender, ContenderPool};
-use obfs_core::{Algorithm, BfsOptions, StealCounters, ThreadStats, WatchdogPolicy};
+use obfs_bench::{measure_with_series, BenchArgs, BenchReport, Contender, ContenderPool, Workload};
+use obfs_core::{Algorithm, BfsOptions, WatchdogPolicy};
 use obfs_graph::gen::suite::PaperGraph;
 use obfs_sync::ChaosConfig;
-use obfs_util::OnlineStats;
 use std::time::Duration;
 
 const REPS: usize = 5;
@@ -27,11 +25,7 @@ const REPS: usize = 5;
 fn main() {
     let args = BenchArgs::parse();
     println!("{}", HostInfo::detect().render(args.threads));
-    let graph_kind = args
-        .only_graph
-        .as_deref()
-        .map(|n| PaperGraph::from_name(n).expect("unknown graph name"))
-        .unwrap_or(PaperGraph::Wikipedia);
+    let graph_kind = args.only_graph.unwrap_or(PaperGraph::Wikipedia);
     let graph = graph_kind.generate(args.divisor, args.seed);
     println!(
         "== Table VI: steal outcomes on {} ({} reps x {} sources, p={}) ==\n",
@@ -40,6 +34,12 @@ fn main() {
         args.sources,
         args.threads
     );
+    // Every repetition draws its own sources; all REPS x sources runs
+    // of a program accumulate into its one row.
+    let sources: Vec<_> = (0..REPS)
+        .flat_map(|rep| pick_sources(&graph, args.sources, args.seed ^ (rep as u64) << 8))
+        .collect();
+    let w = Workload::new(graph_kind.name(), graph, &sources);
 
     let mut pool = ContenderPool::new(args.threads);
     let opts = BfsOptions {
@@ -73,51 +73,21 @@ fn main() {
     if args.hybrid {
         rows.extend(Contender::hybrid_roster());
     }
-    // Hybrid rows borrow one shared transpose instead of rebuilding it
-    // inside every run.
-    let transpose = args.hybrid.then(|| graph.transpose());
     for c in rows {
         let locked_applies = matches!(c, Contender::Ours(Algorithm::Bfsws));
         let lockfree_steals = matches!(
             c,
             Contender::Ours(Algorithm::Bfswsl) | Contender::OursHybrid(Algorithm::Bfswsl)
         );
-        let mut total = StealCounters::default();
-        let mut recovery = ThreadStats::default();
-        let mut degraded = 0u64;
-        let mut compacted = 0u64;
-        let mut backend: Option<String> = None;
-        let mut time_ms = 0.0f64;
-        let mut per_source = OnlineStats::new();
-        let mut teps = OnlineStats::new();
-        let mut dup = OnlineStats::new();
-        for rep in 0..REPS {
-            let sources = pick_sources(&graph, args.sources, args.seed ^ (rep as u64) << 8);
-            for &src in &sources {
-                let r = pool.run_with_transpose(c, &graph, transpose.as_ref(), src, &opts);
-                total.merge(&r.stats.totals.steal);
-                recovery.merge(&r.stats.totals);
-                degraded += u64::from(r.stats.degraded_levels);
-                compacted += u64::from(r.stats.compacted_levels);
-                if backend.is_none() {
-                    backend = r.stats.kernel_backend.map(|b| b.label().to_string());
-                }
-                let ms = r.stats.traversal_time.as_secs_f64() * 1e3;
-                time_ms += ms;
-                per_source.push(ms);
-                teps.push(r.stats.teps(r.stats.totals.edges_scanned));
-                dup.push(
-                    (r.stats.totals.vertices_explored as f64 / r.reached().max(1) as f64
-                        - 1.0)
-                        .max(0.0),
-                );
-            }
-        }
+        // The series comes from one extra untimed collection run.
+        let m = measure_with_series(&mut pool, c, &w, &opts);
+        let total = m.totals.steal;
         assert!(total.is_consistent(), "{c}: steal counters inconsistent: {total:?}");
         let a = total.attempts;
         t.row(vec![
             c.name(),
-            format!("{:.1}", time_ms / REPS as f64),
+            // Time per repetition: all sources of one rep, back to back.
+            format!("{:.1}", m.time_ms().mean * args.sources as f64),
             format!("{} (100.00%)", count(a)),
             fmt_cell(total.victim_locked, a, locked_applies),
             fmt_cell(total.victim_idle, a, true),
@@ -126,70 +96,18 @@ fn main() {
             fmt_cell(total.invalid, a, lockfree_steals),
             format!("{} ({})", count(total.failed()), pct(total.failed(), a)),
             format!("{} ({})", count(total.success), pct(total.success, a)),
-            count(recovery.fetch_retries),
-            count(recovery.stale_slot_aborts),
-            count(recovery.injected_faults),
-            count(degraded),
+            count(m.totals.fetch_retries),
+            count(m.totals.stale_slot_aborts),
+            count(m.totals.injected_faults),
+            count(m.degraded_levels),
         ]);
-        if args.json {
-            println!(
-                "{{\"program\":{:?},\"attempts\":{},\"success\":{},\"victim_locked\":{},\
-                 \"victim_idle\":{},\"too_small\":{},\"stale\":{},\"invalid\":{},\
-                 \"fetch_retries\":{},\"stale_slot_aborts\":{},\"injected_faults\":{},\
-                 \"degraded_levels\":{}}}",
-                c.name(),
-                a,
-                total.success,
-                total.victim_locked,
-                total.victim_idle,
-                total.too_small,
-                total.stale,
-                total.invalid,
-                recovery.fetch_retries,
-                recovery.stale_slot_aborts,
-                recovery.injected_faults,
-                degraded
-            );
-        }
         if let Some(report) = &mut report {
-            // One extra (untimed) collection run supplies the per-level
-            // series with file-internally checkable conservation sums.
-            let collect = BfsOptions { collect_level_stats: true, ..opts.clone() };
-            let src = pick_sources(&graph, 1, args.seed)[0];
-            let r = pool.run_with_transpose(c, &graph, transpose.as_ref(), src, &collect);
-            let mut members = vec![
-                ("contender".to_string(), Json::Str(c.name())),
-                ("graph".to_string(), Json::Str(graph_kind.name().to_string())),
-                ("time_ms".to_string(), json::summary_json(&per_source.summary())),
-                ("teps".to_string(), Json::Num(teps.mean())),
-                ("duplicate_overhead".to_string(), Json::Num(dup.mean())),
-                ("steal".to_string(), json::steal_json(&total)),
-                ("recovery".to_string(), json::thread_stats_json(&recovery)),
-                ("degraded_levels".to_string(), Json::Num(degraded as f64)),
-                ("compacted_levels".to_string(), Json::Num(compacted as f64)),
-            ];
-            if let Some(b) = &backend {
-                members.push(("kernel_backend".to_string(), Json::Str(b.clone())));
-            }
-            if !r.stats.level_stats.is_empty() {
-                members.push((
-                    "series".to_string(),
-                    json::series_json(
-                        &r.stats.level_stats,
-                        &r.stats.totals,
-                        r.stats.degraded_levels,
-                    ),
-                ));
-            }
-            report.add_result(Json::Obj(members));
+            report.add(&m);
         }
     }
     println!("{}", t.render());
-    if let Some(report) = &report {
-        let path = report.write().expect("write BENCH_table6.json");
-        json::validate_report(&Json::parse(&report.render()).unwrap())
-            .expect("emitted report fails its own schema validation");
-        println!("wrote {}", path.display());
+    if let Some(report) = report {
+        report.finish();
     }
     println!(
         "Paper expectations (shape): BFSWS fails on 'victim locked' (N/A for BFSWSL); \

@@ -1,8 +1,11 @@
-//! Regression gate: diff two schema-v2..v4 `BENCH_*.json` reports.
+//! Regression gate: diff two `BENCH_*.json` reports of one schema
+//! version.
 //!
 //! The bench binaries emit machine-readable reports with per-result
 //! time summaries (mean/stddev over repeated sources) and counter
-//! totals. This module aligns two such reports by `(contender, graph)`
+//! totals. Reports of different schema versions are refused rather than
+//! diffed, since a version bump may redefine a metric (v6 redefined
+//! `teps`). This module aligns two such reports by `(contender, graph)`
 //! and flags *regressions*: mean-time growth or TEPS loss beyond a
 //! noise threshold derived from the **recorded stddev** (so noisy
 //! configurations get proportionally wider gates and quiet ones stay
@@ -67,7 +70,7 @@ pub struct Delta {
 }
 
 /// Informational kernel-backend identity of one matched result pair
-/// (schema-v4 `kernel_backend`). Never gated: the dispatched kernels
+/// (`kernel_backend`). Never gated: the dispatched kernels
 /// are interchangeable by construction, and the probe legitimately
 /// picks differently on different machines — the note exists so a
 /// surprise backend flip is *visible* next to a time regression.
@@ -75,14 +78,14 @@ pub struct Delta {
 pub struct BackendNote {
     /// `contender/graph` pair key.
     pub key: String,
-    /// Baseline backend label (`"-"` if the baseline predates v4).
+    /// Baseline backend label (`"-"` if absent).
     pub base: String,
     /// Contender backend label (`"-"` if absent).
     pub new: String,
 }
 
 /// Informational serve-telemetry shape of one matched result pair
-/// (schema-v5 `serve.telemetry`). Never gated: shed rate and batch
+/// (`serve.telemetry`). Never gated: shed rate and batch
 /// occupancy describe the workload's interaction with the admission
 /// gate and the coalescer, and legitimately move with capacity/burst
 /// settings — the note exists so a shed-rate or occupancy shift is
@@ -91,8 +94,7 @@ pub struct BackendNote {
 pub struct TelemetryNote {
     /// `contender/graph` pair key.
     pub key: String,
-    /// Baseline `(shed_rate, occupancy)`; `None` if the baseline
-    /// predates schema v5.
+    /// Baseline `(shed_rate, occupancy)`; `None` if absent.
     pub base: Option<(f64, f64)>,
     /// Contender `(shed_rate, occupancy)`; `None` if absent.
     pub new: Option<(f64, f64)>,
@@ -113,7 +115,7 @@ pub struct Comparison {
     /// (informational, never a regression).
     pub kernel_backends: Vec<BackendNote>,
     /// Serve-telemetry shape (shed rate, batch occupancy) of matched
-    /// pairs that record a schema-v5 `serve.telemetry` block
+    /// pairs that record a `serve.telemetry` block
     /// (informational, never a regression).
     pub telemetry: Vec<TelemetryNote>,
 }
@@ -314,14 +316,27 @@ const GATED_COUNTERS: &[(&str, &[&str])] = &[
     ("fetch_retries", &["counters", "fetch_retries"]),
     ("stale_slot_aborts", &["counters", "stale_slot_aborts"]),
     ("segments_fetched", &["counters", "segments_fetched"]),
-    ("steal_attempts", &["steal", "attempts"]),
+    ("steal_attempts", &["counters", "steal", "attempts"]),
 ];
 
 /// Diff `base` against `new` (both parsed `BENCH_*.json` documents).
 /// Results are aligned by `(contender, graph)`; see [`CompareOpts`] for
-/// the gate maths. Errors only on malformed documents — a regression is
-/// a *successful* comparison with [`Comparison::failed`] set.
+/// the gate maths. Errors on malformed documents and on differing
+/// `schema_version`s — a regression is a *successful* comparison with
+/// [`Comparison::failed`] set.
 pub fn compare(base: &Json, new: &Json, opts: &CompareOpts) -> Result<Comparison, String> {
+    let version = |doc: &Json, side: &str| {
+        doc.get("schema_version")
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("{side}: missing schema_version"))
+    };
+    let (bv, nv) = (version(base, "baseline")?, version(new, "contender")?);
+    if bv != nv {
+        return Err(format!(
+            "schema_version differs (baseline v{bv}, contender v{nv}); regrow the baseline \
+             with this build instead of diffing across a metric redefinition"
+        ));
+    }
     let base_results =
         base.get("results").and_then(Json::as_arr).ok_or("baseline: missing results[]")?;
     let new_results =
@@ -385,8 +400,7 @@ pub fn compare(base: &Json, new: &Json, opts: &CompareOpts) -> Result<Comparison
             });
         }
 
-        // Schema-v4 kernel identity: recorded but never gated (see
-        // [`BackendNote`]).
+        // Kernel identity: recorded but never gated (see [`BackendNote`]).
         let bk = b.get("kernel_backend").and_then(Json::as_str);
         let nk = n.get("kernel_backend").and_then(Json::as_str);
         if bk.is_some() || nk.is_some() {
@@ -397,8 +411,8 @@ pub fn compare(base: &Json, new: &Json, opts: &CompareOpts) -> Result<Comparison
             });
         }
 
-        // Schema-v5 serve-telemetry shape: recorded but never gated
-        // (see [`TelemetryNote`]).
+        // Serve-telemetry shape: recorded but never gated (see
+        // [`TelemetryNote`]).
         let tele_shape = |r: &Json| -> Option<(f64, f64)> {
             let fin = r.get("serve")?.get("telemetry")?.get("final")?;
             let g = |k: &str| fin.get(k).and_then(Json::as_f64);
@@ -460,8 +474,8 @@ pub fn compare(base: &Json, new: &Json, opts: &CompareOpts) -> Result<Comparison
                 regression: change > allowed,
             });
         }
-        // Batched-serving throughput (schema-v3 `serve.batch`, bombard
-        // `--batch`): queries/sec over coalesced multi-source runs.
+        // Batched-serving throughput (`serve.batch`, bombard `--batch`):
+        // queries/sec over coalesced multi-source runs.
         // Regresses downward like the other throughput metrics and
         // honors the `scale_time` self-test. Guards the whole batching
         // pipeline — a coalescing policy or batch-kernel regression
@@ -551,19 +565,19 @@ mod tests {
                         ("fetch_retries".into(), Json::Num(retries as f64)),
                         ("stale_slot_aborts".into(), Json::Num(10.0)),
                         ("dedup_skips".into(), Json::Num(0.0)),
-                    ]),
-                ),
-                (
-                    "steal".into(),
-                    Json::Obj(vec![
-                        ("attempts".into(), Json::Num(500.0)),
-                        ("success".into(), Json::Num(400.0)),
+                        (
+                            "steal".into(),
+                            Json::Obj(vec![
+                                ("attempts".into(), Json::Num(500.0)),
+                                ("success".into(), Json::Num(400.0)),
+                            ]),
+                        ),
                     ]),
                 ),
             ])
         };
         Json::Obj(vec![
-            ("schema_version".into(), Json::Num(2.0)),
+            ("schema_version".into(), Json::Num(crate::json::SCHEMA_VERSION as f64)),
             ("bench".into(), Json::Str("test".into())),
             (
                 "results".into(),
@@ -605,7 +619,7 @@ mod tests {
         assert!(!c.failed());
     }
 
-    /// Attach schema-v4 compaction/kernel fields to every result.
+    /// Attach compaction/kernel fields to every result.
     fn with_kernel(mut doc: Json, backend: &str, compacted: u64) -> Json {
         if let Json::Obj(members) = &mut doc {
             for (k, v) in members.iter_mut() {
@@ -642,7 +656,8 @@ mod tests {
         assert!(c.kernel_backends.iter().all(|b| b.base == "wordwise" && b.new == "scalar"));
         assert!(c.render_table().contains("changed — informational"));
         assert!(c.to_json().render().contains("kernel_backends"));
-        // A v3 baseline without the key still gets a note (base "-").
+        // A baseline without the key (a serial row) still gets a note
+        // (base "-").
         let c = compare(&report(1.0, 100, 0.05), &base, &CompareOpts::default()).unwrap();
         assert!(!c.failed());
         assert!(c.kernel_backends.iter().all(|b| b.base == "-" && b.new == "wordwise"));
@@ -652,8 +667,8 @@ mod tests {
     fn gate_trips_on_synthetic_regression_in_a_compacted_run() {
         // The CI must-trip self-test in miniature: a compacted-run
         // report (compacted_levels > 0, kernel backend recorded) slowed
-        // 1.5x must fail, proving the gate still has teeth on v4
-        // reports carrying the new informational fields.
+        // 1.5x must fail, proving the gate still has teeth on reports
+        // carrying the informational fields.
         let base = with_kernel(report(1.0, 100, 0.05), "wordwise", 3);
         let slow = with_kernel(report(1.5, 100, 0.05), "wordwise", 3);
         let c = compare(&base, &slow, &CompareOpts::default()).unwrap();
@@ -716,7 +731,7 @@ mod tests {
         assert!(c.regressions().iter().any(|d| d.metric == "serve_p99_ms"));
     }
 
-    /// Attach a schema-v3 `serve.batch` block (batched qps) to every
+    /// Attach a `serve.batch` block (batched qps) to every
     /// result that already carries a serve block.
     fn with_batch(mut doc: Json, batch_qps: f64) -> Json {
         let batch = Json::Obj(vec![("qps".into(), Json::Num(batch_qps))]);
@@ -767,12 +782,12 @@ mod tests {
         let c = compare(&base, &base, &opts).unwrap();
         assert!(c.regressions().iter().any(|d| d.metric == "serve_batch_qps"));
         // A baseline without the batch block simply skips the metric.
-        let v2 = with_serve(report(1.0, 100, 0.05), 200.0, 5.0);
-        let c = compare(&v2, &base, &CompareOpts::default()).unwrap();
+        let solo = with_serve(report(1.0, 100, 0.05), 200.0, 5.0);
+        let c = compare(&solo, &base, &CompareOpts::default()).unwrap();
         assert!(!c.deltas.iter().any(|d| d.metric == "serve_batch_qps"));
     }
 
-    /// Attach a schema-v5 `serve.telemetry` block to every result that
+    /// Attach a `serve.telemetry` block to every result that
     /// already carries a serve block.
     fn with_telemetry(mut doc: Json, shed: u64, submitted: u64, runs: u64, coal: u64) -> Json {
         let int = |x: u64| Json::Num(x as f64);
@@ -823,7 +838,8 @@ mod tests {
         assert!((ns - 0.5).abs() < 1e-9 && (no - 8.0).abs() < 1e-9);
         assert!(c.render_table().contains("serve    "), "{}", c.render_table());
         assert!(c.to_json().render().contains("shed_rate"));
-        // A pre-v5 baseline still gets a note with its side absent.
+        // A baseline without the block still gets a note with its side
+        // absent.
         let c = compare(&with_serve(report(1.0, 100, 0.05), 200.0, 5.0), &base, &CompareOpts::default())
             .unwrap();
         assert!(!c.failed());
@@ -905,5 +921,18 @@ mod tests {
         let good = report(1.0, 100, 0.05);
         assert!(compare(&Json::Obj(vec![]), &good, &CompareOpts::default()).is_err());
         assert!(compare(&good, &Json::Null, &CompareOpts::default()).is_err());
+    }
+
+    #[test]
+    fn mixed_schema_versions_are_refused() {
+        let new = report(1.0, 100, 0.05);
+        let mut old = new.clone();
+        if let Json::Obj(members) = &mut old {
+            members[0].1 = Json::Num(crate::json::SCHEMA_VERSION as f64 - 1.0);
+        }
+        let err = compare(&old, &new, &CompareOpts::default()).unwrap_err();
+        assert!(err.contains("schema_version differs"), "{err}");
+        assert!(compare(&new, &old, &CompareOpts::default()).is_err());
+        assert!(!compare(&old, &old, &CompareOpts::default()).unwrap().failed());
     }
 }

@@ -1,6 +1,8 @@
 //! Uniform interface over everything the paper's tables compare: our
-//! nine algorithms, Baseline1 (bag PBFS) and Baseline2 (Hong variants).
+//! nine algorithms, Baseline1 (bag PBFS) and Baseline2 (Hong variants),
+//! plus the Beamer direction-optimizing reference of the Graph500 bench.
 
+use obfs_baselines::beamer::beamer_bfs_on_pool;
 use obfs_baselines::hong::{hong_bfs_on_pool, HongVariant};
 use obfs_baselines::pbfs::PbfsRunner;
 use obfs_core::{
@@ -27,6 +29,10 @@ pub enum Contender {
     Baseline1,
     /// A Hong et al. multicore variant.
     Baseline2(HongVariant),
+    /// Beamer's direction-optimizing BFS: the modern Graph500 reference
+    /// point, which post-dates the paper and so stays out of
+    /// [`Contender::roster`].
+    Beamer,
 }
 
 impl Contender {
@@ -59,7 +65,14 @@ impl Contender {
             Contender::OursCompact(a) => format!("{}+cmp", a.name()),
             Contender::Baseline1 => "Baseline1[bag]".to_string(),
             Contender::Baseline2(v) => format!("Baseline2/{v}"),
+            Contender::Beamer => "Beamer[direction-opt]".to_string(),
         }
+    }
+
+    /// Whether runs read the in-edge graph (bottom-up levels), so a
+    /// caller holding a transpose should lend it.
+    pub fn uses_transpose(&self) -> bool {
+        matches!(self, Contender::OursHybrid(_) | Contender::Beamer)
     }
 
     /// Whether the contender uses worker threads at all.
@@ -79,7 +92,8 @@ impl std::fmt::Display for Contender {
 pub struct ContenderPool {
     threads: usize,
     ours: BfsRunner,
-    hong_pool: LevelPool,
+    /// Shared by the Hong and Beamer baselines.
+    level_pool: LevelPool,
     pbfs: PbfsRunner,
 }
 
@@ -89,7 +103,7 @@ impl ContenderPool {
         Self {
             threads,
             ours: BfsRunner::new(threads),
-            hong_pool: LevelPool::new(threads),
+            level_pool: LevelPool::new(threads),
             pbfs: PbfsRunner::new(threads),
         }
     }
@@ -111,7 +125,7 @@ impl ContenderPool {
     }
 
     /// Execute one BFS run, lending a precomputed transpose to hybrid
-    /// contenders so the bottom-up kernel does not rebuild it per run.
+    /// and Beamer contenders so they do not rebuild it per run.
     pub fn run_with_transpose(
         &mut self,
         contender: Contender,
@@ -144,7 +158,11 @@ impl ContenderPool {
                 self.ours.run(a, graph, src, &opts)
             }
             Contender::Baseline1 => self.pbfs.run(graph, src),
-            Contender::Baseline2(v) => hong_bfs_on_pool(v, graph, src, &self.hong_pool),
+            Contender::Baseline2(v) => hong_bfs_on_pool(v, graph, src, &self.level_pool),
+            Contender::Beamer => match transpose {
+                Some(t) => beamer_bfs_on_pool(graph, t, src, &self.level_pool).bfs,
+                None => beamer_bfs_on_pool(graph, &graph.transpose(), src, &self.level_pool).bfs,
+            },
         }
     }
 }
@@ -170,7 +188,7 @@ mod tests {
         let ser = serial_bfs(&g, 0);
         let mut pool = ContenderPool::new(4);
         let opts = BfsOptions { threads: 4, ..Default::default() };
-        for c in Contender::roster() {
+        for c in Contender::roster().into_iter().chain([Contender::Beamer]) {
             let r = pool.run(c, &g, 0, &opts);
             assert_eq!(r.levels, ser.levels, "{c} produced wrong levels");
         }

@@ -1,13 +1,67 @@
 //! Multi-source measurement driver: the paper averages each cell over
 //! 1000 random non-zero-degree sources; we do the same with a
-//! configurable (smaller) source count, validating results against
+//! configurable (smaller) source count, validating every run against
 //! serial BFS along the way.
+//!
+//! [`Measurement::record`] is the one per-run accumulator: [`measure`]
+//! and the engine loop of `bombard` both feed runs through it, so every
+//! report's time, TEPS and counters mean the same thing.
 
 use crate::contender::{Contender, ContenderPool};
 use obfs_core::serial::serial_bfs;
-use obfs_core::BfsOptions;
+use obfs_core::{BfsOptions, BfsResult, ThreadStats};
 use obfs_graph::{stats::sample_sources, CsrGraph, VertexId};
-use obfs_util::OnlineStats;
+use obfs_util::{OnlineStats, Summary};
+use std::cell::OnceCell;
+
+/// Serial BFS from one source: the levels every run from that source
+/// must reproduce, and the Graph500 TEPS numerator.
+#[derive(Debug, Clone)]
+pub struct Reference {
+    /// The source vertex.
+    pub src: VertexId,
+    /// Serial BFS levels.
+    pub levels: Vec<u32>,
+    /// Input edges of the traversed component (the out-edges serial BFS
+    /// scans). Graph500 TEPS divides this, not a contender's own scan
+    /// count, by traversal time, so an algorithm that scans fewer edges
+    /// (bottom-up levels) is credited rather than penalized.
+    pub edges: u64,
+}
+
+impl Reference {
+    /// Run serial BFS from `src`.
+    pub fn new(graph: &CsrGraph, src: VertexId) -> Self {
+        let ser = serial_bfs(graph, src);
+        Self { src, levels: ser.levels, edges: ser.stats.totals.edges_scanned }
+    }
+}
+
+/// One graph under measurement with the serial reference of each run's
+/// source, computed once and shared by every contender measured on it.
+pub struct Workload {
+    /// Graph display name.
+    pub name: String,
+    /// The graph.
+    pub graph: CsrGraph,
+    /// One reference per run, in run order.
+    pub refs: Vec<Reference>,
+    transpose: OnceCell<CsrGraph>,
+}
+
+impl Workload {
+    /// Compute the serial reference of every source in `sources`.
+    pub fn new(name: impl Into<String>, graph: CsrGraph, sources: &[VertexId]) -> Self {
+        let refs = sources.iter().map(|&src| Reference::new(&graph, src)).collect();
+        Self { name: name.into(), graph, refs, transpose: OnceCell::new() }
+    }
+
+    /// The in-edge graph, built on first use and lent to every later
+    /// hybrid or Beamer run.
+    pub fn transpose(&self) -> &CsrGraph {
+        self.transpose.get_or_init(|| self.graph.transpose())
+    }
+}
 
 /// Per-level series captured by one dedicated collection run (not the
 /// timed runs, so enabling it cannot perturb the reported times). The
@@ -19,38 +73,30 @@ pub struct SeriesRun {
     /// Per-level counter deltas merged across workers.
     pub levels: Vec<obfs_core::LevelStats>,
     /// The collection run's merged totals.
-    pub totals: obfs_core::ThreadStats,
+    pub totals: ThreadStats,
     /// Levels the watchdog degraded in the collection run.
     pub degraded_levels: u32,
 }
 
-/// Aggregated result of measuring one contender on one graph.
+/// Aggregated runs of one contender on one graph.
 #[derive(Debug, Clone)]
 pub struct Measurement {
     /// Contender display name.
     pub contender: String,
     /// Graph display name.
     pub graph: String,
-    /// Per-source traversal wall time (milliseconds).
-    pub time_ms: obfs_util::Summary,
-    /// Mean traversed-edges-per-second across sources (Figure 3 metric).
-    pub teps: f64,
-    /// Mean duplicate-exploration overhead: explored / reached − 1.
-    pub duplicate_overhead: f64,
-    /// Merged steal counters (work-stealing contenders only).
-    pub steal: obfs_core::StealCounters,
-    /// Mean number of BFS levels.
-    pub levels: f64,
-    /// Total segments fetched from centralized/pool dispatchers.
-    pub segments_fetched: u64,
-    /// Total dispatcher fetch retries (raced/invalid fetches).
-    pub fetch_retries: u64,
-    /// Total segment walks aborted at a cleared slot.
-    pub stale_slot_aborts: u64,
-    /// Total pops skipped by the owner-array dedup.
-    pub dedup_skips: u64,
-    /// Total levels consumed through a prefix-sum-compacted frontier
-    /// (0 unless the contender enables `BfsOptions::compaction`).
+    time_ms: OnlineStats,
+    /// Σ over runs of 1 / TEPS, for the harmonic mean.
+    inv_teps: f64,
+    dup: OnlineStats,
+    levels: OnlineStats,
+    /// Counters merged over every run. `edges_scanned` is the work
+    /// figure, reported beside (never inside) TEPS.
+    pub totals: ThreadStats,
+    /// Levels the watchdog degraded, summed over runs.
+    pub degraded_levels: u64,
+    /// Levels consumed through a prefix-sum-compacted frontier, summed
+    /// over runs (0 unless the contender enables compaction).
     pub compacted_levels: u64,
     /// Bitmap scan kernel the runs dispatched to (`"wordwise"` /
     /// `"scalar"`); `None` for serial and external contenders whose
@@ -61,90 +107,102 @@ pub struct Measurement {
     pub series: Option<SeriesRun>,
 }
 
-/// Measure `contender` on `graph` over `sources` random sources.
-///
-/// The first source's levels are validated against serial BFS — a wrong
-/// parallel result aborts the benchmark rather than producing a bogus
-/// table row.
-pub fn measure(
-    pool: &mut ContenderPool,
-    contender: Contender,
-    graph: &CsrGraph,
-    graph_name: &str,
-    sources: &[VertexId],
-    opts: &BfsOptions,
-) -> Measurement {
-    assert!(!sources.is_empty());
-    let mut time = OnlineStats::new();
-    let mut teps = OnlineStats::new();
-    let mut dup = OnlineStats::new();
-    let mut levels = OnlineStats::new();
-    let mut steal = obfs_core::StealCounters::default();
-    let mut segments_fetched = 0u64;
-    let mut fetch_retries = 0u64;
-    let mut stale_slot_aborts = 0u64;
-    let mut dedup_skips = 0u64;
-    let mut compacted_levels = 0u64;
-    let mut kernel_backend = None;
-    for (i, &src) in sources.iter().enumerate() {
-        let r = pool.run(contender, graph, src, opts);
-        if i == 0 {
-            let ser = serial_bfs(graph, src);
-            obfs_core::validate::check_levels(&r, &ser.levels).unwrap_or_else(|e| {
-                panic!("{contender} on {graph_name} (src={src}) is WRONG: {e}")
-            });
-        }
-        let reached = r.reached().max(1) as f64;
-        let explored = r.stats.totals.vertices_explored as f64;
-        time.push(r.stats.traversal_time.as_secs_f64() * 1e3);
-        // TEPS convention: edges *scanned* during the traversal per
-        // second of traversal time.
-        teps.push(r.stats.teps(r.stats.totals.edges_scanned));
-        dup.push((explored / reached - 1.0).max(0.0));
-        levels.push(r.stats.levels as f64);
-        steal.merge(&r.stats.totals.steal);
-        segments_fetched += r.stats.totals.segments_fetched;
-        fetch_retries += r.stats.totals.fetch_retries;
-        stale_slot_aborts += r.stats.totals.stale_slot_aborts;
-        dedup_skips += r.stats.totals.dedup_skips;
-        compacted_levels += u64::from(r.stats.compacted_levels);
-        // The probe is cached per process, so every parallel run of the
-        // cell reports the same backend; keep the first.
-        if kernel_backend.is_none() {
-            kernel_backend = r.stats.kernel_backend.map(|b| b.label().to_string());
+impl Measurement {
+    /// No runs recorded yet.
+    pub fn new(contender: impl Into<String>, graph: impl Into<String>) -> Self {
+        Self {
+            contender: contender.into(),
+            graph: graph.into(),
+            time_ms: OnlineStats::new(),
+            inv_teps: 0.0,
+            dup: OnlineStats::new(),
+            levels: OnlineStats::new(),
+            totals: ThreadStats::default(),
+            degraded_levels: 0,
+            compacted_levels: 0,
+            kernel_backend: None,
+            series: None,
         }
     }
-    Measurement {
-        contender: contender.name(),
-        graph: graph_name.to_string(),
-        time_ms: time.summary(),
-        teps: teps.mean(),
-        duplicate_overhead: dup.mean(),
-        steal,
-        levels: levels.mean(),
-        segments_fetched,
-        fetch_retries,
-        stale_slot_aborts,
-        dedup_skips,
-        compacted_levels,
-        kernel_backend,
-        series: None,
+
+    /// Check one run against its source's serial reference, then add
+    /// it. A wrong parallel result aborts the benchmark rather than
+    /// producing a bogus table row.
+    pub fn record(&mut self, r: &BfsResult, reference: &Reference) {
+        obfs_core::validate::check_levels(r, &reference.levels).unwrap_or_else(|e| {
+            panic!("{} on {} (src={}) is WRONG: {e}", self.contender, self.graph, reference.src)
+        });
+        let reached = r.reached().max(1) as f64;
+        let explored = r.stats.totals.vertices_explored as f64;
+        self.time_ms.push(r.stats.traversal_time.as_secs_f64() * 1e3);
+        self.inv_teps += 1.0 / r.stats.teps(reference.edges);
+        self.dup.push((explored / reached - 1.0).max(0.0));
+        self.levels.push(f64::from(r.stats.levels));
+        self.totals.merge(&r.stats.totals);
+        self.degraded_levels += u64::from(r.stats.degraded_levels);
+        self.compacted_levels += u64::from(r.stats.compacted_levels);
+        // The probe is cached per process, so every parallel run reports
+        // the same backend; keep the first.
+        if self.kernel_backend.is_none() {
+            self.kernel_backend = r.stats.kernel_backend.map(|b| b.label().to_string());
+        }
+    }
+
+    /// Per-run traversal wall time (milliseconds).
+    pub fn time_ms(&self) -> Summary {
+        self.time_ms.summary()
+    }
+
+    /// Graph500 TEPS: reference component edges over traversal time,
+    /// harmonic mean over runs (0 before any run).
+    pub fn teps(&self) -> f64 {
+        if self.inv_teps > 0.0 {
+            self.time_ms.count() as f64 / self.inv_teps
+        } else {
+            0.0
+        }
+    }
+
+    /// Mean duplicate-exploration overhead: explored / reached − 1.
+    pub fn duplicate_overhead(&self) -> f64 {
+        self.dup.mean()
+    }
+
+    /// Mean number of BFS levels.
+    pub fn levels(&self) -> f64 {
+        self.levels.mean()
     }
 }
 
-/// [`measure`], then one extra (untimed) run with
+/// Run `contender` once from every source of `w` and record each run.
+pub fn measure(
+    pool: &mut ContenderPool,
+    contender: Contender,
+    w: &Workload,
+    opts: &BfsOptions,
+) -> Measurement {
+    assert!(!w.refs.is_empty(), "a workload needs at least one source");
+    let transpose = contender.uses_transpose().then(|| w.transpose());
+    let mut m = Measurement::new(contender.name(), w.name.clone());
+    for reference in &w.refs {
+        let r = pool.run_with_transpose(contender, &w.graph, transpose, reference.src, opts);
+        m.record(&r, reference);
+    }
+    m
+}
+
+/// [`measure`], then one extra (untimed) run from the first source with
 /// [`BfsOptions::collect_level_stats`] to attach the per-level series.
 pub fn measure_with_series(
     pool: &mut ContenderPool,
     contender: Contender,
-    graph: &CsrGraph,
-    graph_name: &str,
-    sources: &[VertexId],
+    w: &Workload,
     opts: &BfsOptions,
 ) -> Measurement {
-    let mut m = measure(pool, contender, graph, graph_name, sources, opts);
+    let mut m = measure(pool, contender, w, opts);
     let collect = BfsOptions { collect_level_stats: true, ..opts.clone() };
-    let r = pool.run(contender, graph, sources[0], &collect);
+    let transpose = contender.uses_transpose().then(|| w.transpose());
+    let r = pool.run_with_transpose(contender, &w.graph, transpose, w.refs[0].src, &collect);
     // Serial runs and external baselines produce no per-level stats;
     // leave the series out rather than attach an empty one whose sums
     // cannot match the totals.
@@ -163,25 +221,6 @@ pub fn pick_sources(graph: &CsrGraph, k: usize, seed: u64) -> Vec<VertexId> {
     sample_sources(graph, k, seed)
 }
 
-/// JSON line for machine-readable output (`--json`).
-pub fn to_json(m: &Measurement) -> String {
-    format!(
-        "{{\"contender\":{:?},\"graph\":{:?},\"mean_ms\":{:.4},\"min_ms\":{:.4},\
-         \"max_ms\":{:.4},\"teps\":{:.1},\"dup_overhead\":{:.5},\"levels\":{:.1},\
-         \"steal_attempts\":{},\"steal_success\":{}}}",
-        m.contender,
-        m.graph,
-        m.time_ms.mean,
-        m.time_ms.min,
-        m.time_ms.max,
-        m.teps,
-        m.duplicate_overhead,
-        m.levels,
-        m.steal.attempts,
-        m.steal.success,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,22 +230,16 @@ mod tests {
     #[test]
     fn measure_produces_sane_numbers() {
         let g = gen::erdos_renyi(500, 3500, 3);
+        let sources = pick_sources(&g, 3, 1);
+        let w = Workload::new("er", g, &sources);
         let mut pool = ContenderPool::new(2);
         let opts = BfsOptions { threads: 2, ..Default::default() };
-        let sources = pick_sources(&g, 3, 1);
-        let m = measure(
-            &mut pool,
-            Contender::Ours(Algorithm::Bfscl),
-            &g,
-            "er",
-            &sources,
-            &opts,
-        );
-        assert_eq!(m.time_ms.count, 3);
-        assert!(m.time_ms.mean > 0.0);
-        assert!(m.teps > 0.0);
-        assert!(m.duplicate_overhead >= 0.0);
-        assert!(m.levels >= 1.0);
+        let m = measure(&mut pool, Contender::Ours(Algorithm::Bfscl), &w, &opts);
+        assert_eq!(m.time_ms().count, 3);
+        assert!(m.time_ms().mean > 0.0);
+        assert!(m.teps() > 0.0);
+        assert!(m.duplicate_overhead() >= 0.0);
+        assert!(m.levels() >= 1.0);
         assert!(
             matches!(m.kernel_backend.as_deref(), Some("wordwise" | "scalar")),
             "parallel runs must report the dispatched kernel"
@@ -214,13 +247,27 @@ mod tests {
     }
 
     #[test]
-    fn json_line_is_valid_shape() {
-        let g = gen::star(100);
+    fn teps_is_reference_edges_over_mean_traversal_time() {
+        // From the hub of a star the hybrid goes bottom-up at once, so
+        // its own scan count differs from the serial reference's; TEPS
+        // must still divide the reference count.
+        let w = Workload::new("star", gen::star(400), &[0, 0, 0]);
         let mut pool = ContenderPool::new(2);
         let opts = BfsOptions { threads: 2, ..Default::default() };
-        let m = measure(&mut pool, Contender::Baseline1, &g, "star", &[0], &opts);
-        let j = to_json(&m);
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"graph\":\"star\""));
+        let m = measure(&mut pool, Contender::OursHybrid(Algorithm::Bfscl), &w, &opts);
+        let edges = w.refs[0].edges;
+        assert_ne!(m.totals.edges_scanned, 3 * edges, "no bottom-up level ran");
+        let expected = edges as f64 / (m.time_ms().mean / 1e3);
+        let got = m.teps();
+        assert!((got - expected).abs() <= expected * 1e-9, "teps {got} != {expected}");
+    }
+
+    #[test]
+    #[should_panic(expected = "is WRONG")]
+    fn record_rejects_a_run_that_disagrees_with_its_reference() {
+        let g = gen::path(10);
+        let other = Reference::new(&g, 9);
+        let r = serial_bfs(&g, 0);
+        Measurement::new("sbfs", "path").record(&r, &Reference { src: 0, ..other });
     }
 }

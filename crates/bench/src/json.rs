@@ -2,11 +2,11 @@
 //!
 //! The generic JSON value/parser/serializer lives in
 //! [`obfs_util::json`] (shared with the trace profiler); this module
-//! re-exports it and adds the report layer: the `BENCH_<name>.json`
-//! emitter used by the bench binaries, and [`validate_report`], which
-//! holds the shared schema + conservation-invariant checks so the
-//! golden tests and the CI smoke check agree on what a well-formed
-//! report is.
+//! re-exports it and adds the report layer: [`BenchReport`], which
+//! writes every bench bin's results in one shape, and
+//! [`validate_report`], which holds the shared schema +
+//! conservation-invariant checks so the emitting bins, the golden tests
+//! and the CI smoke check agree on what a well-formed report is.
 
 use crate::harness::Measurement;
 use crate::BenchArgs;
@@ -19,28 +19,13 @@ pub use obfs_util::json::Json;
 // Report building
 // ---------------------------------------------------------------------
 
-/// Current report schema version (bump on breaking layout changes).
-/// v2: hybrid direction-optimizing support — `frontier_edges` counter,
-/// per-level `direction` ("td"/"bu"), `hybrid` run parameter.
-/// v3: batched multi-source serving — optional `serve.batch` block
-/// (bombard `--batch`) recording coalesced-run occupancy and batched
-/// throughput next to the unbatched baseline.
-/// v4: prefix-sum frontier compaction + dispatched scan kernels —
-/// per-level `compacted` flag (implies direction "td"), per-result
-/// `compacted_levels` count and informational `kernel_backend`
-/// ("wordwise"/"scalar"), `series.compacted_levels` conservation sum.
-/// v5: live telemetry — optional `serve.telemetry` block embedding the
-/// engine metrics registry's final snapshot (which must agree exactly
-/// with the `serve` counters: registry ≡ EngineStats ≡ bombard's own
-/// terminal counts) plus a mid-run scrape whose monotone counters must
-/// be ≤ the final ones.
-pub const SCHEMA_VERSION: u64 = 5;
-
-/// Oldest schema still accepted by [`validate_report`]. v3 and v2
-/// reports differ from v4 only by the absence of optional keys
-/// (`serve.batch`, the compaction/kernel fields), so committed older
-/// artifacts stay valid without regeneration.
-pub const MIN_SCHEMA_VERSION: u64 = 2;
+/// The report schema version; [`validate_report`] accepts no other
+/// (bump on any layout or meaning change). v6: every result has one
+/// shape (see [`BenchReport::add`]) and `teps` is Graph500 TEPS in every
+/// bin — reference component edges over traversal time, harmonic mean
+/// over runs — with edges scanned reported separately as the work
+/// counter `counters.edges_scanned`.
+pub const SCHEMA_VERSION: u64 = 6;
 
 fn num(x: f64) -> Json {
     Json::Num(x)
@@ -57,7 +42,7 @@ fn s(text: &str) -> Json {
 /// `{count, mean, stddev, min, max}` for a time summary. A single
 /// sample has no dispersion (`OnlineStats` reports NaN below two
 /// samples); emit 0 so the field stays a number under the schema.
-pub fn summary_json(x: &Summary) -> Json {
+fn summary_json(x: &Summary) -> Json {
     let stddev = if x.stddev.is_nan() { 0.0 } else { x.stddev };
     Json::Obj(vec![
         ("count".into(), int(x.count)),
@@ -69,7 +54,7 @@ pub fn summary_json(x: &Summary) -> Json {
 }
 
 /// The Table VI outcome buckets.
-pub fn steal_json(x: &StealCounters) -> Json {
+fn steal_json(x: &StealCounters) -> Json {
     Json::Obj(vec![
         ("attempts".into(), int(x.attempts)),
         ("success".into(), int(x.success)),
@@ -82,7 +67,7 @@ pub fn steal_json(x: &StealCounters) -> Json {
 }
 
 /// Every [`ThreadStats`] counter, steal buckets nested.
-pub fn thread_stats_json(x: &ThreadStats) -> Json {
+fn thread_stats_json(x: &ThreadStats) -> Json {
     Json::Obj(vec![
         ("vertices_explored".into(), int(x.vertices_explored)),
         ("edges_scanned".into(), int(x.edges_scanned)),
@@ -100,7 +85,7 @@ pub fn thread_stats_json(x: &ThreadStats) -> Json {
 }
 
 /// One per-level series entry.
-pub fn level_json(e: &LevelStats) -> Json {
+fn level_json(e: &LevelStats) -> Json {
     Json::Obj(vec![
         ("level".into(), int(u64::from(e.level))),
         ("frontier".into(), int(e.frontier as u64)),
@@ -116,7 +101,7 @@ pub fn level_json(e: &LevelStats) -> Json {
 /// The `series` block from one dedicated collection run: per-level
 /// deltas plus the same run's totals so the conservation invariant
 /// (sum over levels == totals) is checkable file-internally.
-pub fn series_json(levels: &[LevelStats], totals: &ThreadStats, degraded_levels: u32) -> Json {
+fn series_json(levels: &[LevelStats], totals: &ThreadStats, degraded_levels: u32) -> Json {
     let compacted = levels.iter().filter(|e| e.compacted).count() as u64;
     Json::Obj(vec![
         ("degraded_levels".into(), int(u64::from(degraded_levels))),
@@ -124,39 +109,6 @@ pub fn series_json(levels: &[LevelStats], totals: &ThreadStats, degraded_levels:
         ("totals".into(), thread_stats_json(totals)),
         ("levels".into(), Json::Arr(levels.iter().map(level_json).collect())),
     ])
-}
-
-/// One `results[]` entry from an aggregated [`Measurement`].
-pub fn measurement_json(m: &Measurement) -> Json {
-    let mut members = vec![
-        ("contender".into(), s(&m.contender)),
-        ("graph".into(), s(&m.graph)),
-        ("time_ms".into(), summary_json(&m.time_ms)),
-        ("teps".into(), num(m.teps)),
-        ("duplicate_overhead".into(), num(m.duplicate_overhead)),
-        ("levels".into(), num(m.levels)),
-        ("steal".into(), steal_json(&m.steal)),
-        (
-            "counters".into(),
-            Json::Obj(vec![
-                ("segments_fetched".into(), int(m.segments_fetched)),
-                ("fetch_retries".into(), int(m.fetch_retries)),
-                ("stale_slot_aborts".into(), int(m.stale_slot_aborts)),
-                ("dedup_skips".into(), int(m.dedup_skips)),
-            ]),
-        ),
-        ("compacted_levels".into(), int(m.compacted_levels)),
-    ];
-    if let Some(backend) = &m.kernel_backend {
-        members.push(("kernel_backend".into(), s(backend)));
-    }
-    if let Some(series) = &m.series {
-        members.push((
-            "series".into(),
-            series_json(&series.levels, &series.totals, series.degraded_levels),
-        ));
-    }
-    Json::Obj(members)
 }
 
 /// Accumulates `results[]` entries and writes `BENCH_<name>.json`.
@@ -182,38 +134,74 @@ impl BenchReport {
         }
     }
 
-    /// Append a prebuilt `results[]` entry.
-    pub fn add_result(&mut self, result: Json) {
-        self.results.push(result);
+    /// Append one result: `contender`, `graph`, the per-run `time_ms`
+    /// summary, Graph500 `teps`, `duplicate_overhead`, mean `levels`,
+    /// summed `degraded_levels` and `compacted_levels`, the merged
+    /// `counters` (steal buckets nested), and when present the
+    /// `kernel_backend` label and the per-level `series`.
+    pub fn add(&mut self, m: &Measurement) {
+        self.results.push(result_json(m, None));
     }
 
-    /// Append a measurement (convenience over [`measurement_json`]).
-    pub fn add_measurement(&mut self, m: &Measurement) {
-        self.results.push(measurement_json(m));
+    /// [`BenchReport::add`] plus the engine `serve` block (`bombard`).
+    pub fn add_served(&mut self, m: &Measurement, serve: Json) {
+        self.results.push(result_json(m, Some(serve)));
     }
 
-    /// The complete report document.
-    pub fn to_json(&self) -> Json {
+    /// Serialize the complete report document.
+    pub fn render(&self) -> String {
         Json::Obj(vec![
             ("schema_version".into(), int(SCHEMA_VERSION)),
             ("bench".into(), s(&self.name)),
             ("params".into(), self.params.clone()),
             ("results".into(), Json::Arr(self.results.clone())),
         ])
+        .render()
     }
 
-    /// Serialize the report.
-    pub fn render(&self) -> String {
-        self.to_json().render()
+    /// Check the serialized report against [`validate_report`], then
+    /// write it to `BENCH_<name>.json` in the current directory and say
+    /// so. A report that fails its own schema is a bug in the emitter
+    /// and panics rather than landing on disk; a failed write is an
+    /// `error:` with exit code 2.
+    pub fn finish(self) {
+        let text = self.render();
+        if let Err(e) = Json::parse(&text).and_then(|doc| validate_report(&doc)) {
+            panic!("emitted {} report fails its own schema validation: {e}", self.name);
+        }
+        let path = format!("BENCH_{}.json", self.name);
+        match std::fs::write(&path, text + "\n") {
+            Ok(()) => println!("wrote {path}"),
+            Err(e) => crate::args::fail(format!("write {path}: {e}")),
+        }
     }
+}
 
-    /// Write `BENCH_<name>.json` into the current directory, returning
-    /// the path written.
-    pub fn write(&self) -> std::io::Result<std::path::PathBuf> {
-        let path = std::path::PathBuf::from(format!("BENCH_{}.json", self.name));
-        std::fs::write(&path, self.render() + "\n")?;
-        Ok(path)
+fn result_json(m: &Measurement, serve: Option<Json>) -> Json {
+    let mut members = vec![
+        ("contender".into(), s(&m.contender)),
+        ("graph".into(), s(&m.graph)),
+        ("time_ms".into(), summary_json(&m.time_ms())),
+        ("teps".into(), num(m.teps())),
+        ("duplicate_overhead".into(), num(m.duplicate_overhead())),
+        ("levels".into(), num(m.levels())),
+        ("degraded_levels".into(), int(m.degraded_levels)),
+        ("compacted_levels".into(), int(m.compacted_levels)),
+        ("counters".into(), thread_stats_json(&m.totals)),
+    ];
+    if let Some(backend) = &m.kernel_backend {
+        members.push(("kernel_backend".into(), s(backend)));
     }
+    if let Some(series) = &m.series {
+        members.push((
+            "series".into(),
+            series_json(&series.levels, &series.totals, series.degraded_levels),
+        ));
+    }
+    if let Some(serve) = serve {
+        members.push(("serve".into(), serve));
+    }
+    Json::Obj(members)
 }
 
 // ---------------------------------------------------------------------
@@ -230,6 +218,14 @@ fn req_u64(v: &Json, key: &str, at: &str) -> Result<u64, String> {
 
 fn req_f64(v: &Json, key: &str, at: &str) -> Result<f64, String> {
     req(v, key, at)?.as_f64().ok_or_else(|| format!("{at}.{key}: not a number"))
+}
+
+fn req_bool(v: &Json, key: &str, at: &str) -> Result<bool, String> {
+    req(v, key, at)?.as_bool().ok_or_else(|| format!("{at}.{key}: not a bool"))
+}
+
+fn req_str<'a>(v: &'a Json, key: &str, at: &str) -> Result<&'a str, String> {
+    req(v, key, at)?.as_str().ok_or_else(|| format!("{at}.{key}: not a string"))
 }
 
 fn steal_of(v: &Json, at: &str) -> Result<StealCounters, String> {
@@ -269,21 +265,42 @@ const STEAL_KEYS: &[&str] = &[
     "invalid",
 ];
 
+/// A `counters` object's values, [`COUNTER_KEYS`] then the nested
+/// [`STEAL_KEYS`], after checking the steal buckets sum to attempts.
+fn counters_of(v: &Json, at: &str) -> Result<Vec<u64>, String> {
+    let steal_at = format!("{at}.steal");
+    let steal_json = req(v, "steal", at)?;
+    let steal = steal_of(steal_json, &steal_at)?;
+    if !steal.is_consistent() {
+        return Err(format!("{steal_at}: buckets do not sum to attempts: {steal:?}"));
+    }
+    let mut out = Vec::with_capacity(COUNTER_KEYS.len() + STEAL_KEYS.len());
+    for key in COUNTER_KEYS {
+        out.push(req_u64(v, key, at)?);
+    }
+    for key in STEAL_KEYS {
+        out.push(req_u64(steal_json, key, &steal_at)?);
+    }
+    Ok(out)
+}
+
 /// Validate a parsed `BENCH_*.json` document: required schema keys plus
 /// the counter conservation invariants (steal buckets sum to attempts;
-/// per-level series counters sum to the series totals; degraded flags
-/// sum to `degraded_levels`).
+/// per-level series counters sum to the series totals; degraded and
+/// compacted flags sum to their counts).
 pub fn validate_report(doc: &Json) -> Result<(), String> {
     let version = req_u64(doc, "schema_version", "report")?;
-    if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&version) {
-        return Err(format!("unsupported schema_version {version}"));
+    if version != SCHEMA_VERSION {
+        return Err(format!(
+            "unsupported schema_version {version} (this build reads {SCHEMA_VERSION})"
+        ));
     }
-    req(doc, "bench", "report")?.as_str().ok_or("report.bench: not a string")?;
+    req_str(doc, "bench", "report")?;
     let params = req(doc, "params", "report")?;
     for key in ["divisor", "threads", "sources", "seed"] {
         req_u64(params, key, "params")?;
     }
-    req(params, "hybrid", "params")?.as_bool().ok_or("params.hybrid: not a bool")?;
+    req_bool(params, "hybrid", "params")?;
     let results =
         req(doc, "results", "report")?.as_arr().ok_or("report.results: not an array")?;
     if results.is_empty() {
@@ -291,12 +308,8 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
     }
     for (i, r) in results.iter().enumerate() {
         let at = format!("results[{i}]");
-        r.get("contender")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{at}.contender: missing or not a string"))?;
-        r.get("graph")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{at}.graph: missing or not a string"))?;
+        req_str(r, "contender", &at)?;
+        req_str(r, "graph", &at)?;
         let time = req(r, "time_ms", &at)?;
         let count = req_u64(time, "count", &format!("{at}.time_ms"))?;
         if count == 0 {
@@ -305,16 +318,13 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
         for key in ["mean", "stddev", "min", "max"] {
             req_f64(time, key, &format!("{at}.time_ms"))?;
         }
-        req_f64(r, "teps", &at)?;
-        req_f64(r, "duplicate_overhead", &at)?;
-        let steal = steal_of(req(r, "steal", &at)?, &format!("{at}.steal"))?;
-        if !steal.is_consistent() {
-            return Err(format!("{at}.steal: buckets do not sum to attempts: {steal:?}"));
+        for key in ["teps", "duplicate_overhead", "levels"] {
+            req_f64(r, key, &at)?;
         }
-        // v4 optional keys: absent in committed v2/v3 artifacts.
-        if let Some(cl) = r.get("compacted_levels") {
-            cl.as_u64().ok_or_else(|| format!("{at}.compacted_levels: not an integer"))?;
+        for key in ["degraded_levels", "compacted_levels"] {
+            req_u64(r, key, &at)?;
         }
+        counters_of(req(r, "counters", &at)?, &format!("{at}.counters"))?;
         if let Some(kb) = r.get("kernel_backend") {
             let label = kb
                 .as_str()
@@ -333,11 +343,10 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Validate an optional `serve` block (emitted by the `bombard` engine
-/// stress driver): all counters present, plus the admission
-/// conservation invariants — every attempted query is either admitted
-/// or shed, and every admitted query ends in exactly one terminal
-/// status.
+/// Validate a `serve` block (emitted by the `bombard` engine stress
+/// driver): all counters present, plus the admission conservation
+/// invariants — every attempted query is either admitted or shed, and
+/// every admitted query ends in exactly one terminal status.
 fn validate_serve(serve: &Json, at: &str) -> Result<(), String> {
     let at = format!("{at}.serve");
     for key in ["capacity", "burst", "retries", "pool_rebuilds"] {
@@ -366,13 +375,10 @@ fn validate_serve(serve: &Json, at: &str) -> Result<(), String> {
     if let Some(batch) = serve.get("batch") {
         validate_serve_batch(batch, &at)?;
     }
-    if let Some(tele) = serve.get("telemetry") {
-        validate_serve_telemetry(tele, &at, serve)?;
-    }
-    Ok(())
+    validate_serve_telemetry(req(serve, "telemetry", &at)?, &at, serve)
 }
 
-/// Validate the optional schema-v5 `serve.telemetry` block (bombard):
+/// Validate the `serve.telemetry` block (bombard):
 /// the engine registry's final snapshot must agree *exactly* with the
 /// `serve` counters — the registry is the source of truth for
 /// `EngineStats`, and bombard counts terminals itself, so any drift
@@ -422,9 +428,7 @@ fn validate_serve_telemetry(tele: &Json, at: &str, serve: &Json) -> Result<(), S
     }
     let scrape = req(tele, "scrape", &at)?;
     let sat = format!("{at}.scrape");
-    let mode = req(scrape, "mode", &sat)?
-        .as_str()
-        .ok_or_else(|| format!("{sat}.mode: not a string"))?;
+    let mode = req_str(scrape, "mode", &sat)?;
     if mode != "http" && mode != "registry" {
         return Err(format!("{sat}.mode: {mode:?} is neither \"http\" nor \"registry\""));
     }
@@ -450,7 +454,7 @@ fn validate_serve_telemetry(tele: &Json, at: &str, serve: &Json) -> Result<(), S
     Ok(())
 }
 
-/// Validate the optional schema-v3 `serve.batch` block (bombard
+/// Validate the optional `serve.batch` block (bombard
 /// `--batch`): a second pass over the same workload with coalescing
 /// enabled. Invariants: every coalesced run carries at least two
 /// queries and at most `max_batch`, so when `runs > 0` the mean
@@ -491,53 +495,37 @@ fn validate_serve_batch(batch: &Json, at: &str) -> Result<(), String> {
 fn validate_series(series: &Json, at: &str) -> Result<(), String> {
     let at = format!("{at}.series");
     let degraded_levels = req_u64(series, "degraded_levels", &at)?;
-    let totals = req(series, "totals", &at)?;
+    let compacted_levels = req_u64(series, "compacted_levels", &at)?;
+    let totals = counters_of(req(series, "totals", &at)?, &format!("{at}.totals"))?;
     let levels = req(series, "levels", &at)?
         .as_arr()
         .ok_or_else(|| format!("{at}.levels: not an array"))?;
     let mut degraded_sum = 0u64;
     let mut compacted_sum = 0u64;
-    let mut counter_sums = vec![0u64; COUNTER_KEYS.len()];
-    let mut steal_sums = vec![0u64; STEAL_KEYS.len()];
+    let mut sums = vec![0u64; totals.len()];
     for (i, e) in levels.iter().enumerate() {
         let lat = format!("{at}.levels[{i}]");
         req_u64(e, "level", &lat)?;
         req_u64(e, "frontier", &lat)?;
         req_u64(e, "discovered", &lat)?;
         req_f64(e, "time_us", &lat)?;
-        let degraded = req(e, "degraded", &lat)?
-            .as_bool()
-            .ok_or_else(|| format!("{lat}.degraded: not a bool"))?;
-        degraded_sum += u64::from(degraded);
-        let direction = req(e, "direction", &lat)?
-            .as_str()
-            .ok_or_else(|| format!("{lat}.direction: not a string"))?;
+        degraded_sum += u64::from(req_bool(e, "degraded", &lat)?);
+        let direction = req_str(e, "direction", &lat)?;
         if direction != "td" && direction != "bu" {
             return Err(format!("{lat}.direction: {direction:?} is not \"td\"/\"bu\""));
         }
-        // v4 optional key: compaction only replaces *top-down* queue
-        // dispatch, so a compacted bottom-up level is a contradiction.
-        if let Some(c) = e.get("compacted") {
-            let compacted =
-                c.as_bool().ok_or_else(|| format!("{lat}.compacted: not a bool"))?;
-            if compacted && direction != "td" {
-                return Err(format!(
-                    "{lat}: compacted level with direction {direction:?} (must be \"td\")"
-                ));
-            }
-            compacted_sum += u64::from(compacted);
+        // Compaction only replaces *top-down* queue dispatch, so a
+        // compacted bottom-up level is a contradiction.
+        let compacted = req_bool(e, "compacted", &lat)?;
+        if compacted && direction != "td" {
+            return Err(format!(
+                "{lat}: compacted level with direction {direction:?} (must be \"td\")"
+            ));
         }
-        let counters = req(e, "counters", &lat)?;
-        for (j, key) in COUNTER_KEYS.iter().enumerate() {
-            counter_sums[j] += req_u64(counters, key, &format!("{lat}.counters"))?;
-        }
-        let steal_at = format!("{lat}.counters.steal");
-        let steal = steal_of(req(counters, "steal", &steal_at)?, &steal_at)?;
-        if !steal.is_consistent() {
-            return Err(format!("{steal_at}: buckets do not sum to attempts: {steal:?}"));
-        }
-        for (j, key) in STEAL_KEYS.iter().enumerate() {
-            steal_sums[j] += req_u64(req(counters, "steal", &steal_at)?, key, &steal_at)?;
+        compacted_sum += u64::from(compacted);
+        let counters = counters_of(req(e, "counters", &lat)?, &format!("{lat}.counters"))?;
+        for (sum, x) in sums.iter_mut().zip(counters) {
+            *sum += x;
         }
     }
     if degraded_sum != degraded_levels {
@@ -545,34 +533,18 @@ fn validate_series(series: &Json, at: &str) -> Result<(), String> {
             "{at}: degraded flags sum to {degraded_sum} but degraded_levels = {degraded_levels}"
         ));
     }
-    // v4 optional key: when present, the count must reproduce the
-    // per-level compacted flags (conservation, like degraded_levels).
-    if let Some(cl) = series.get("compacted_levels") {
-        let compacted_levels =
-            cl.as_u64().ok_or_else(|| format!("{at}.compacted_levels: not an integer"))?;
-        if compacted_sum != compacted_levels {
-            return Err(format!(
-                "{at}: compacted flags sum to {compacted_sum} but compacted_levels = \
-                 {compacted_levels}"
-            ));
-        }
+    if compacted_sum != compacted_levels {
+        return Err(format!(
+            "{at}: compacted flags sum to {compacted_sum} but compacted_levels = \
+             {compacted_levels}"
+        ));
     }
-    for (j, key) in COUNTER_KEYS.iter().enumerate() {
-        let total = req_u64(totals, key, &format!("{at}.totals"))?;
-        if counter_sums[j] != total {
+    let keys = COUNTER_KEYS.iter().map(|k| k.to_string());
+    let keys = keys.chain(STEAL_KEYS.iter().map(|k| format!("steal.{k}")));
+    for ((key, sum), total) in keys.zip(sums).zip(totals) {
+        if sum != total {
             return Err(format!(
-                "{at}: sum of per-level {key} = {} but totals.{key} = {total}",
-                counter_sums[j]
-            ));
-        }
-    }
-    let totals_steal = req(totals, "steal", &format!("{at}.totals"))?;
-    for (j, key) in STEAL_KEYS.iter().enumerate() {
-        let total = req_u64(totals_steal, key, &format!("{at}.totals.steal"))?;
-        if steal_sums[j] != total {
-            return Err(format!(
-                "{at}: sum of per-level steal.{key} = {} but totals.steal.{key} = {total}",
-                steal_sums[j]
+                "{at}: sum of per-level {key} = {sum} but totals.{key} = {total}"
             ));
         }
     }
@@ -583,9 +555,41 @@ fn validate_series(series: &Json, at: &str) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    /// Replace `key`'s value in an object.
+    fn set(obj: &mut Json, key: &str, v: Json) {
+        let Json::Obj(members) = obj else { panic!("not an object") };
+        members.iter_mut().find(|(k, _)| k == key).expect("key present").1 = v;
+    }
+
+    /// Append `key` to an object.
+    fn push(obj: &mut Json, key: &str, v: Json) {
+        let Json::Obj(members) = obj else { panic!("not an object") };
+        members.push((key.into(), v));
+    }
+
+    /// Remove `key` from an object.
+    fn remove(obj: &mut Json, key: &str) {
+        let Json::Obj(members) = obj else { panic!("not an object") };
+        members.retain(|(k, _)| k != key);
+    }
+
+    /// The first `results[]` entry of a report.
+    fn first_result(doc: &mut Json) -> &mut Json {
+        let Json::Obj(members) = doc else { panic!("not an object") };
+        let (_, Json::Arr(results)) = members.iter_mut().find(|(k, _)| k == "results").unwrap()
+        else {
+            panic!("results is not an array")
+        };
+        &mut results[0]
+    }
+
+    /// A series whose `compacted_levels` counts the entries' flags.
     fn tiny_series(levels: Vec<Json>, totals: Json, degraded: u64) -> Json {
+        let compacted =
+            levels.iter().filter(|e| e.get("compacted") == Some(&Json::Bool(true))).count();
         Json::Obj(vec![
             ("degraded_levels".into(), int(degraded)),
+            ("compacted_levels".into(), int(compacted as u64)),
             ("totals".into(), totals),
             ("levels".into(), Json::Arr(levels)),
         ])
@@ -599,12 +603,16 @@ mod tests {
             ("time_us".into(), num(3.5)),
             ("degraded".into(), Json::Bool(degraded)),
             ("direction".into(), s("td")),
+            ("compacted".into(), Json::Bool(false)),
             ("counters".into(), thread_stats_json(counters)),
         ])
     }
 
     fn report_with_series(series: Json) -> Json {
-        let steal = StealCounters { attempts: 3, success: 1, victim_idle: 2, ..Default::default() };
+        let totals = ThreadStats {
+            steal: StealCounters { attempts: 3, success: 1, victim_idle: 2, ..Default::default() },
+            ..Default::default()
+        };
         Json::Obj(vec![
             ("schema_version".into(), int(SCHEMA_VERSION)),
             ("bench".into(), s("test")),
@@ -635,7 +643,10 @@ mod tests {
                     ),
                     ("teps".into(), num(1e6)),
                     ("duplicate_overhead".into(), num(0.01)),
-                    ("steal".into(), steal_json(&steal)),
+                    ("levels".into(), num(5.0)),
+                    ("degraded_levels".into(), int(0)),
+                    ("compacted_levels".into(), int(0)),
+                    ("counters".into(), thread_stats_json(&totals)),
                     ("series".into(), series),
                 ])]),
             ),
@@ -687,36 +698,23 @@ mod tests {
     fn validate_rejects_bad_direction() {
         let a = ThreadStats::default();
         let mut entry = level_entry(&a, false);
-        if let Json::Obj(members) = &mut entry {
-            for (k, v) in members.iter_mut() {
-                if k == "direction" {
-                    *v = s("sideways");
-                }
-            }
-        }
+        set(&mut entry, "direction", s("sideways"));
         let series = tiny_series(vec![entry], thread_stats_json(&a), 0);
         let err = validate_report(&report_with_series(series)).unwrap_err();
         assert!(err.contains("direction"), "{err}");
     }
 
-    fn with_compacted(mut entry: Json, compacted: bool) -> Json {
-        if let Json::Obj(members) = &mut entry {
-            members.push(("compacted".into(), Json::Bool(compacted)));
-        }
+    fn compacted(mut entry: Json) -> Json {
+        set(&mut entry, "compacted", Json::Bool(true));
         entry
     }
 
     #[test]
     fn validate_accepts_compacted_top_down_levels() {
         let a = ThreadStats::default();
-        let mut series = tiny_series(
-            vec![with_compacted(level_entry(&a, false), true)],
-            thread_stats_json(&a),
-            0,
-        );
-        if let Json::Obj(members) = &mut series {
-            members.push(("compacted_levels".into(), int(1)));
-        }
+        let series =
+            tiny_series(vec![compacted(level_entry(&a, false))], thread_stats_json(&a), 0);
+        assert_eq!(series.get("compacted_levels"), Some(&int(1)));
         validate_report(&report_with_series(series)).unwrap();
     }
 
@@ -724,15 +722,8 @@ mod tests {
     fn validate_rejects_compacted_bottom_up_level() {
         let a = ThreadStats::default();
         let mut entry = level_entry(&a, false);
-        if let Json::Obj(members) = &mut entry {
-            for (k, v) in members.iter_mut() {
-                if k == "direction" {
-                    *v = s("bu");
-                }
-            }
-        }
-        let series =
-            tiny_series(vec![with_compacted(entry, true)], thread_stats_json(&a), 0);
+        set(&mut entry, "direction", s("bu"));
+        let series = tiny_series(vec![compacted(entry)], thread_stats_json(&a), 0);
         let err = validate_report(&report_with_series(series)).unwrap_err();
         assert!(err.contains("compacted"), "{err}");
     }
@@ -740,14 +731,9 @@ mod tests {
     #[test]
     fn validate_rejects_compacted_count_mismatch() {
         let a = ThreadStats::default();
-        let mut series = tiny_series(
-            vec![with_compacted(level_entry(&a, false), true)],
-            thread_stats_json(&a),
-            0,
-        );
-        if let Json::Obj(members) = &mut series {
-            members.push(("compacted_levels".into(), int(3)));
-        }
+        let mut series =
+            tiny_series(vec![compacted(level_entry(&a, false))], thread_stats_json(&a), 0);
+        set(&mut series, "compacted_levels", int(3));
         let err = validate_report(&report_with_series(series)).unwrap_err();
         assert!(err.contains("compacted_levels"), "{err}");
     }
@@ -757,21 +743,13 @@ mod tests {
         let a = ThreadStats::default();
         let mut doc =
             report_with_series(tiny_series(vec![], thread_stats_json(&a), 0));
-        if let Json::Obj(members) = &mut doc {
-            for (k, v) in members.iter_mut() {
-                if k == "results" {
-                    if let Json::Arr(rs) = v {
-                        if let Json::Obj(r) = &mut rs[0] {
-                            r.push(("kernel_backend".into(), s("simd512")));
-                        }
-                    }
-                }
-            }
-        }
+        push(first_result(&mut doc), "kernel_backend", s("simd512"));
         let err = validate_report(&doc).unwrap_err();
         assert!(err.contains("kernel_backend"), "{err}");
     }
 
+    /// A `serve` block, with a `telemetry` block that agrees with it
+    /// when called as `serve_block(10, 8, 2, 8)`.
     fn serve_block(queries: u64, submitted: u64, shed: u64, completed: u64) -> Json {
         Json::Obj(vec![
             ("capacity".into(), int(2)),
@@ -790,6 +768,7 @@ mod tests {
             ("p50_ms".into(), num(1.0)),
             ("p90_ms".into(), num(2.0)),
             ("p99_ms".into(), num(3.0)),
+            ("telemetry".into(), telemetry_block(|_, _| {})),
         ])
     }
 
@@ -799,18 +778,9 @@ mod tests {
             thread_stats_json(&ThreadStats::default()),
             0,
         ));
-        if let Json::Obj(members) = &mut doc {
-            for (k, v) in members.iter_mut() {
-                if k == "results" {
-                    if let Json::Arr(rs) = v {
-                        if let Json::Obj(r) = &mut rs[0] {
-                            r.retain(|(k, _)| k != "series");
-                            r.push(("serve".into(), serve.clone()));
-                        }
-                    }
-                }
-            }
-        }
+        let r = first_result(&mut doc);
+        remove(r, "series");
+        push(r, "serve", serve);
         doc
     }
 
@@ -831,11 +801,14 @@ mod tests {
         assert!(err.contains("terminal"), "{err}");
         // Missing percentile key.
         let mut serve = serve_block(10, 8, 2, 8);
-        if let Json::Obj(members) = &mut serve {
-            members.retain(|(k, _)| k != "p99_ms");
-        }
+        remove(&mut serve, "p99_ms");
         let err = validate_report(&report_with_serve(serve)).unwrap_err();
         assert!(err.contains("p99_ms"), "{err}");
+        // Missing telemetry block.
+        let mut serve = serve_block(10, 8, 2, 8);
+        remove(&mut serve, "telemetry");
+        let err = validate_report(&report_with_serve(serve)).unwrap_err();
+        assert!(err.contains("telemetry"), "{err}");
     }
 
     fn batch_block(max_batch: u64, runs: u64, coalesced: u64, occupancy: f64) -> Json {
@@ -853,9 +826,7 @@ mod tests {
 
     fn serve_with_batch(batch: Json) -> Json {
         let mut serve = serve_block(10, 8, 2, 8);
-        if let Json::Obj(members) = &mut serve {
-            members.push(("batch".into(), batch));
-        }
+        push(&mut serve, "batch", batch);
         serve
     }
 
@@ -898,10 +869,10 @@ mod tests {
         assert!(err.contains("0 runs"), "{err}");
     }
 
-    /// A schema-v5 `serve.telemetry` block agreeing with
-    /// `serve_block(10, 8, 2, 8)` unless a closure patches it.
-    fn telemetry_block(patch: impl Fn(&mut Vec<(String, Json)>, &mut Vec<(String, Json)>)) -> Json {
-        let mut fin = vec![
+    /// A `serve.telemetry` block agreeing with `serve_block(10, 8, 2, 8)`
+    /// unless a closure patches its `final` or `scrape` object.
+    fn telemetry_block(patch: impl Fn(&mut Json, &mut Json)) -> Json {
+        let mut fin = Json::Obj(vec![
             ("submitted".into(), int(8)),
             ("shed".into(), int(2)),
             ("completed".into(), int(8)),
@@ -915,30 +886,21 @@ mod tests {
             ("coalesced".into(), int(0)),
             ("p50_us".into(), int(1000)),
             ("p99_us".into(), int(3000)),
-        ];
-        let mut scrape = vec![
+        ]);
+        let mut scrape = Json::Obj(vec![
             ("mode".into(), s("registry")),
             ("submitted".into(), int(4)),
             ("terminal".into(), int(4)),
             ("shed".into(), int(1)),
-        ];
+        ]);
         patch(&mut fin, &mut scrape);
-        Json::Obj(vec![
-            ("final".into(), Json::Obj(fin)),
-            ("scrape".into(), Json::Obj(scrape)),
-        ])
+        Json::Obj(vec![("final".into(), fin), ("scrape".into(), scrape)])
     }
 
     fn serve_with_telemetry(tele: Json) -> Json {
         let mut serve = serve_block(10, 8, 2, 8);
-        if let Json::Obj(members) = &mut serve {
-            members.push(("telemetry".into(), tele));
-        }
+        set(&mut serve, "telemetry", tele);
         serve
-    }
-
-    fn set(members: &mut [(String, Json)], key: &str, v: Json) {
-        members.iter_mut().find(|(k, _)| k == key).unwrap().1 = v;
     }
 
     #[test]
@@ -975,24 +937,18 @@ mod tests {
     }
 
     #[test]
-    fn validate_accepts_previous_schema_version() {
-        // Committed v2 artifacts (no serve.batch anywhere) stay valid.
-        let mut doc = report_with_serve(serve_block(10, 8, 2, 8));
-        if let Json::Obj(members) = &mut doc {
-            for (k, v) in members.iter_mut() {
-                if k == "schema_version" {
-                    *v = int(MIN_SCHEMA_VERSION);
-                }
-            }
-        }
-        validate_report(&doc).unwrap();
-    }
-
-    #[test]
     fn validate_rejects_missing_keys() {
         let doc = Json::parse(r#"{"schema_version":1,"bench":"x"}"#).unwrap();
         assert!(validate_report(&doc).is_err());
         let doc = Json::parse(r#"{"schema_version":99}"#).unwrap();
         assert!(validate_report(&doc).unwrap_err().contains("schema_version"));
+        // An older schema is refused even when its keys happen to match.
+        let mut doc = report_with_serve(serve_block(10, 8, 2, 8));
+        set(&mut doc, "schema_version", int(SCHEMA_VERSION - 1));
+        assert!(validate_report(&doc).unwrap_err().contains("schema_version"));
+        // A result without the merged counters.
+        let mut doc = report_with_serve(serve_block(10, 8, 2, 8));
+        remove(first_result(&mut doc), "counters");
+        assert!(validate_report(&doc).unwrap_err().contains("counters"));
     }
 }

@@ -1,6 +1,7 @@
 //! Benchmark harness for the paper reproduction.
 //!
-//! One binary per table/figure of the evaluation:
+//! One binary per table/figure of the evaluation, plus the service and
+//! regression-gate tools:
 //!
 //! | Binary | Regenerates |
 //! |--------|-------------|
@@ -10,9 +11,14 @@
 //! | `fig2` | Figure 2 — scalability of the lock-free variants |
 //! | `fig3` | Figure 3 — TEPS on the real-world graphs |
 //! | `ablations` | design-choice sweeps (§IV-D etc.) |
+//! | `levels` | per-level profile of one traversal |
+//! | `graph500` | Graph500-style kernel on RMAT, or on `.mtx` files given as arguments |
+//! | `bombard` | closed-loop stress of the query engine |
+//! | `compare` | regression gate over two `BENCH_*.json` reports |
 //!
 //! Shared flags: `--divisor <k>` (graph scale, n = paper_n / k),
-//! `--threads <p>`, `--sources <s>`, `--seed <x>`, `--json`.
+//! `--threads <p>`, `--sources <s>`, `--seed <x>`, `--json` (write
+//! `BENCH_<name>.json`: table6, fig3, graph500 and bombard).
 
 #![warn(missing_docs)]
 
@@ -27,5 +33,5 @@ pub mod table;
 
 pub use args::BenchArgs;
 pub use contender::{Contender, ContenderPool};
-pub use harness::{measure, measure_with_series, Measurement};
+pub use harness::{measure, measure_with_series, Measurement, Reference, Workload};
 pub use json::{BenchReport, Json};

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Regenerate every recorded benchmark artifact: the human-readable tables
-# in results/*.txt and the machine-readable BENCH_*.json reports (table6,
-# fig3, graph500 — the bins wired to the BenchReport emitter). Run from
-# anywhere in the repo; artifacts land in results/ and the repo root.
+# in results/*.txt and the machine-readable BENCH_<name>.json reports of
+# the bins that take --json (table6, fig3, graph500, and bombard, which
+# writes BENCH_serve.json), all in schema v6, where `teps` is Graph500
+# TEPS: the traversed component's input edges over traversal time,
+# harmonic mean over runs. Run from anywhere in the repo; artifacts land
+# in results/ and the repo root.
 #
 # The flag values below are the ones the committed results were recorded
 # with; override via env, e.g.

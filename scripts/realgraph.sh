@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Download a small set of real SuiteSparse graphs and run the
-# Graph500-style BFS kernel over them (`realgraph` bench bin), emitting
-# BENCH_realgraph.json for the `compare` regression gate.
+# Graph500-style BFS kernel over them (the `graph500` bench bin with the
+# .mtx files as arguments), emitting BENCH_realgraph.json for the
+# `compare` regression gate.
 #
 # Everything else in this repo runs offline; this script is the one
 # deliberately-online leg, so it SOFT-FAILS on network trouble: if no
@@ -14,7 +15,8 @@
 #
 # With BASELINE set and present, the fresh report is diffed against it
 # with the regression gate (informational here; the scheduled workflow
-# decides what to do with the exit code).
+# decides what to do with the exit code). A baseline of another schema
+# version makes the gate exit 2 instead of diffing.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -69,7 +71,7 @@ if [[ ${#fetched[@]} -eq 0 ]]; then
 fi
 
 set -e
-cargo run --release -q -p obfs-bench --bin realgraph -- \
+cargo run --release -q -p obfs-bench --bin graph500 -- \
     "${fetched[@]}" --json --threads "$THREADS" --sources "$SOURCES" --seed "$SEED"
 
 if [[ -n "$BASELINE" && -s "$BASELINE" ]]; then

@@ -1,14 +1,14 @@
 //! Golden-schema tests for the machine-readable benchmark pipeline:
 //! the hand-rolled JSON round-trips, live reports built from real runs
-//! satisfy the conservation invariants, the committed `BENCH_*.json`
-//! artifact stays parseable, and the chrome://tracing exporter keeps
-//! its shape. `obfs_bench::json::validate_report` is the single source
+//! satisfy the conservation invariants, every committed `BENCH_*.json`
+//! artifact stays parseable and valid, and the chrome://tracing exporter
+//! keeps its shape. `obfs_bench::json::validate_report` is the single source
 //! of truth shared with the CI smoke check.
 
 use obfs::prelude::*;
-use obfs_bench::harness::{measure_with_series, pick_sources};
+use obfs_bench::harness::pick_sources;
 use obfs_bench::json::{self, Json};
-use obfs_bench::{BenchArgs, BenchReport, Contender, ContenderPool};
+use obfs_bench::{measure_with_series, BenchArgs, BenchReport, Contender, ContenderPool, Workload};
 use obfs_core::flight::{kind, FlightEvent, FlightRecording, RingDump};
 
 fn small_args() -> BenchArgs {
@@ -30,21 +30,15 @@ fn live_report_round_trips_and_conserves_counters() {
     let args = small_args();
     let g = gen::erdos_renyi(800, 6400, args.seed);
     let sources = pick_sources(&g, args.sources, args.seed);
+    let w = Workload::new("er", g, &sources);
     let opts = BfsOptions { threads: args.threads, ..BfsOptions::default() };
     let mut pool = ContenderPool::new(args.threads);
     let mut report = BenchReport::new("schema-test", &args);
     for algo in [Algorithm::Bfscl, Algorithm::Bfswl, Algorithm::Bfswsl] {
-        let m = measure_with_series(
-            &mut pool,
-            Contender::Ours(algo),
-            &g,
-            "er",
-            &sources,
-            &opts,
-        );
+        let m = measure_with_series(&mut pool, Contender::Ours(algo), &w, &opts);
         let series = m.series.as_ref().expect("parallel run must produce a series");
         assert!(!series.levels.is_empty());
-        report.add_measurement(&m);
+        report.add(&m);
     }
     let text = report.render();
     let doc = Json::parse(&text).expect("emitted report must parse");
@@ -60,33 +54,44 @@ fn serial_contender_omits_series_but_validates() {
     let args = small_args();
     let g = gen::binary_tree(511);
     let sources = pick_sources(&g, 1, args.seed);
+    let w = Workload::new("tree", g, &sources);
     let opts = BfsOptions { threads: args.threads, ..BfsOptions::default() };
     let mut pool = ContenderPool::new(args.threads);
-    let m = measure_with_series(
-        &mut pool,
-        Contender::Ours(Algorithm::Serial),
-        &g,
-        "tree",
-        &sources,
-        &opts,
-    );
+    let m = measure_with_series(&mut pool, Contender::Ours(Algorithm::Serial), &w, &opts);
     assert!(m.series.is_none(), "serial runs produce no level stats");
     let mut report = BenchReport::new("schema-test-serial", &args);
-    report.add_measurement(&m);
+    report.add(&m);
     json::validate_report(&Json::parse(&report.render()).unwrap()).unwrap();
 }
 
-/// The committed artifact must stay parseable and internally consistent;
-/// regenerate with `scripts/bench.sh` (or `table6 --json`) if the schema
-/// changes.
+/// Every `BENCH_<name>.json` in the repository root, plus the CI
+/// baseline under `results/`, must stay parseable and internally
+/// consistent, and name its own bench; regenerate with
+/// `scripts/bench.sh` if the schema changes.
 #[test]
 fn committed_bench_artifact_validates() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_table6.json");
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("missing committed artifact {path}: {e}"));
-    let doc = Json::parse(&text).expect("committed BENCH_table6.json must parse");
-    json::validate_report(&doc).expect("committed BENCH_table6.json must validate");
-    assert_eq!(doc.get("bench").and_then(Json::as_str), Some("table6"));
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut checked = Vec::new();
+    for entry in std::fs::read_dir(root).expect("read the repository root") {
+        let name = entry.expect("read a directory entry").file_name();
+        let name = name.to_string_lossy();
+        if let Some(bench) = name.strip_prefix("BENCH_").and_then(|n| n.strip_suffix(".json")) {
+            checked.push((root.join(&*name), bench.to_string()));
+        }
+    }
+    checked.push((root.join("results/BENCH_table6_ci.json"), "table6".to_string()));
+    let names: Vec<&str> = checked.iter().map(|(_, b)| b.as_str()).collect();
+    for required in ["table6", "graph500", "serve"] {
+        assert!(names.contains(&required), "missing committed BENCH_{required}.json");
+    }
+    for (path, bench) in &checked {
+        let shown = path.display();
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("missing committed artifact {shown}: {e}"));
+        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{shown} must parse: {e}"));
+        json::validate_report(&doc).unwrap_or_else(|e| panic!("{shown} must validate: {e}"));
+        assert_eq!(doc.get("bench").and_then(Json::as_str), Some(bench.as_str()), "{shown}");
+    }
 }
 
 /// The chrome://tracing exporter is feature-independent (the event types
