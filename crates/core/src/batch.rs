@@ -42,7 +42,7 @@
 //!
 //! The existing segment-fetch, work-steal, watchdog and cancellation
 //! machinery is reused unchanged: batch mode only swaps the per-vertex
-//! discovery kernel behind [`crate::RunState::explore_vertex`].
+//! discovery kernel behind [`crate::state::RunState::explore_vertex`].
 
 use crate::stats::RunStats;
 use crate::{BfsResult, UNVISITED};
@@ -52,7 +52,7 @@ use obfs_sync::{RacyBuf, RacyBuf64};
 /// Maximum number of sources per batched run (bits in the membership word).
 pub const MAX_BATCH: usize = 64;
 
-/// Shared batch-mode state hanging off [`crate::RunState`].
+/// Shared batch-mode state hanging off [`crate::state::RunState`].
 pub struct BatchState {
     /// Batch size (1..=64).
     pub k: usize,
@@ -110,7 +110,8 @@ pub struct BatchQueryResult {
     pub source: VertexId,
     /// `levels[v]` = BFS distance from `source`, or [`UNVISITED`].
     pub levels: Vec<u32>,
-    /// BFS-tree parents when requested ([`INVALID_VERTEX`] = none).
+    /// BFS-tree parents when requested ([`obfs_graph::INVALID_VERTEX`] =
+    /// none).
     pub parents: Option<Vec<VertexId>>,
 }
 

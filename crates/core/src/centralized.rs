@@ -33,7 +33,6 @@ use crate::frontier::{decode, QueueSet, EMPTY_SLOT};
 use crate::state::RunState;
 use crate::stats::ThreadStats;
 use obfs_runtime::WorkerCtx;
-use obfs_sync::flight;
 use obfs_util::Xoshiro256StarStar;
 
 /// BFSC — centralized dispatch with a global lock.
@@ -83,9 +82,7 @@ impl Strategy for CentralLocked {
                 cur.f = end;
                 (k, f0, end)
             };
-            ts.segments_fetched += 1;
-            obfs_sync::metrics::segment_fetch(fetch_timer);
-            flight::record(flight::kind::SEGMENT_FETCH, env.level, k as u64, (end - f0) as u64);
+            ts.segment_fetched(fetch_timer, None, env.level, k as u64, (end - f0) as u64);
             let queue = qin.queue(k);
             for i in f0..end {
                 // Locked dispatch hands out disjoint ranges of live slots;
@@ -171,9 +168,8 @@ pub(crate) fn consume_pool_lockfree(
             let f = queue.front();
             let r = queue.rear();
             if f >= r {
-                ts.fetch_retries += 1;
+                ts.fetch_retried(level, k, false);
                 retry_burst += 1;
-                flight::record(flight::kind::FETCH_RETRY, level, k as u64, 0);
                 if st.watchdog_retry(&mut wd_retries) {
                     return; // retry budget exhausted: degrade the level
                 }
@@ -190,10 +186,7 @@ pub(crate) fn consume_pool_lockfree(
             queue.set_front(f + s);
             break (k, f, s);
         };
-        ts.segments_fetched += 1;
-        obfs_sync::metrics::segment_fetch(fetch_timer);
-        obfs_sync::metrics::fetch_retry_burst(retry_burst);
-        flight::record(flight::kind::SEGMENT_FETCH, level, k as u64, s as u64);
+        ts.segment_fetched(fetch_timer, Some(retry_burst), level, k as u64, s as u64);
         // --- walk the segment under the zero-on-read protocol ---
         let queue = qin.queue(k);
         let live_end = queue.rear(); // for stale accounting only
@@ -209,8 +202,7 @@ pub(crate) fn consume_pool_lockfree(
                 None => {
                     if i < live_end {
                         // Cleared mid-queue: segment replayed or co-walked.
-                        ts.stale_slot_aborts += 1;
-                        flight::record(flight::kind::STALE_ABORT, level, k as u64, i as u64);
+                        ts.stale_abort(level, k, i);
                     }
                     break;
                 }

@@ -13,7 +13,6 @@ use crate::centralized::consume_pool_lockfree;
 use crate::driver::{LevelEnv, Strategy};
 use crate::stats::ThreadStats;
 use obfs_runtime::WorkerCtx;
-use obfs_sync::flight;
 use obfs_util::Xoshiro256StarStar;
 
 /// BFSDL strategy (pool count from [`crate::BfsOptions::pools`]).
@@ -120,8 +119,7 @@ fn find_nonempty_pool(
             if j != current && pool_has_work(env, j) {
                 return Some(j);
             }
-            ts.fetch_retries += 1;
-            flight::record(flight::kind::FETCH_RETRY, env.level, j as u64, 1);
+            ts.fetch_retried(env.level, j, true);
             if st.watchdog_retry(&mut wd_retries) {
                 return None; // degraded: stop probing
             }
@@ -135,8 +133,7 @@ fn find_nonempty_pool(
         if pool_has_work(env, j) {
             return Some(j);
         }
-        ts.fetch_retries += 1;
-        flight::record(flight::kind::FETCH_RETRY, env.level, j as u64, 1);
+        ts.fetch_retried(env.level, j, true);
         if st.watchdog_retry(&mut wd_retries) {
             return None; // degraded: stop probing
         }

@@ -117,7 +117,8 @@ fn pick_backend(wordwise: std::time::Duration, scalar: std::time::Duration) -> S
 }
 
 /// Probe both backends on a synthetic mixed-density bitmap and return
-/// the faster one (see [`pick_backend`] for the margin). Cached per
+/// the faster one; `Scalar` must take under 90% of `Wordwise`'s time,
+/// so a near-tie within timing noise goes to `Wordwise`. Cached per
 /// process, so every run in one process (and every level of one
 /// recording) reports the same identity.
 pub fn probe() -> ScanBackend {

@@ -1,16 +1,26 @@
 //! The level-synchronous driver shared by every parallel BFS variant.
 //!
+//! Two entry points run an [`Algorithm`] on a caller's pool:
+//! [`try_run_on_pool`] for one source and [`try_run_batch_on_pool`] for
+//! up to [`crate::MAX_BATCH`] sources in one traversal. Both look the
+//! algorithm's [`Strategy`] up in one table (one indirect call per level
+//! per worker, never per vertex) and share one level loop; `run_bfs`,
+//! `run_batch` and `BfsRunner` wrap them and panic on a pool failure.
+//!
 //! Per level, every worker:
 //! 1. runs the strategy's `level_start` hook (reset its segment
 //!    descriptor, pick a pool, ...), then waits at the barrier;
-//! 2. consumes Qin according to the strategy, pushing discoveries into its
-//!    private output queue `Qout[tid]`;
-//! 3. waits at the barrier; the last arriver (leader) runs the serial
-//!    section: sums the new frontier size and lets the strategy build any
-//!    leader-side work lists for the next level;
-//! 4. if the next frontier is empty the run ends; otherwise each worker
-//!    resets its old input queue (which becomes its next output queue)
-//!    and the parity flips.
+//! 2. consumes Qin according to the leader's plan for the level
+//!    (bottom-up, compacted, or the strategy's dispatcher), pushing
+//!    discoveries into its private output queue `Qout[tid]`;
+//! 3. snapshots its counters and waits at the barrier; the last arriver
+//!    (leader) runs the serial section: appends the level to the run's
+//!    level log, sums the new frontier size, and plans the next level
+//!    (direction, compaction);
+//! 4. if the plan says stop the run ends; otherwise each worker resets
+//!    its old input queue (which becomes its next output queue), the
+//!    parity flips, and the leader lets the strategy build any
+//!    leader-side work lists for the next level.
 //!
 //! The barrier at step 1 makes the descriptors and resets of step 4
 //! visible before anyone consumes; the barrier at step 3 publishes all
@@ -21,10 +31,11 @@
 use crate::frontier::decode;
 use crate::options::{Algorithm, BfsOptions, Direction};
 use crate::perthread::PerThread;
-use crate::state::{RunBuffers, RunState};
-use crate::stats::{Outcome, RunStats, ThreadStats};
+use crate::state::{LevelPlan, RunBuffers, RunState};
+use crate::stats::{LevelStats, Outcome, RunStats, ThreadStats};
+use crate::worksteal::WorkStealing;
 use crate::{BfsResult, UNVISITED};
-use obfs_graph::{CsrGraph, VertexId, INVALID_VERTEX};
+use obfs_graph::{CsrGraph, VertexId};
 use obfs_runtime::{LevelPool, PoolError, WorkerCtx};
 use obfs_sync::worker::{WorkerDump, WorkerHooks};
 use obfs_sync::{flight, CancelCause};
@@ -65,51 +76,31 @@ pub trait Strategy: Sync {
     );
 }
 
-/// Dispatch an algorithm onto a pool. `opts.threads` must equal the pool
-/// width.
-pub fn run_on_pool(
-    algo: Algorithm,
-    graph: &CsrGraph,
-    src: VertexId,
-    opts: &BfsOptions,
-    pool: &LevelPool,
-) -> BfsResult {
-    run_on_pool_with_transpose(algo, graph, src, opts, pool, None)
+/// The strategy behind each parallel algorithm; `None` for serial BFS,
+/// which never enters the level loop.
+fn strategy(algo: Algorithm) -> Option<&'static dyn Strategy> {
+    Some(match algo {
+        Algorithm::Serial => return None,
+        Algorithm::Bfsc => &crate::centralized::CentralLocked,
+        Algorithm::Bfscl => &crate::centralized::CentralLockfree,
+        Algorithm::Bfsdl => &crate::decentralized::Decentralized,
+        Algorithm::Bfsw => &WorkStealing { locked: true, scale_free: false },
+        Algorithm::Bfswl => &WorkStealing { locked: false, scale_free: false },
+        Algorithm::Bfsws => &WorkStealing { locked: true, scale_free: true },
+        Algorithm::Bfswsl => &WorkStealing { locked: false, scale_free: true },
+        Algorithm::EdgeCl => &crate::ext::EdgePartitioned,
+    })
 }
 
-/// As [`run_on_pool`], but returning the pool failure (a worker panic)
-/// instead of panicking — what the query engine needs to retry on a
-/// rebuilt pool.
-pub fn try_run_on_pool(
-    algo: Algorithm,
-    graph: &CsrGraph,
-    src: VertexId,
-    opts: &BfsOptions,
-    pool: &LevelPool,
-) -> Result<BfsResult, PoolError> {
-    try_run_on_pool_with_transpose(algo, graph, src, opts, pool, None)
-}
-
-/// As [`run_on_pool`], but probing hybrid bottom-up levels through a
-/// caller-provided in-edge graph (must be `graph.transpose()`, or the
-/// graph itself for symmetric graphs; benchmarks amortize it across
-/// runs). Ignored unless [`BfsOptions::hybrid`] is set; when hybrid is
-/// set and no transpose is given, one is built before the traversal
-/// timer starts.
-pub fn run_on_pool_with_transpose<'g>(
-    algo: Algorithm,
-    graph: &'g CsrGraph,
-    src: VertexId,
-    opts: &BfsOptions,
-    pool: &LevelPool,
-    transpose: Option<&'g CsrGraph>,
-) -> BfsResult {
-    try_run_on_pool_with_transpose(algo, graph, src, opts, pool, transpose)
-        .unwrap_or_else(|e| panic!("BFS worker pool failed: {e}"))
-}
-
-/// As [`run_on_pool_with_transpose`], surfacing pool failures.
-pub fn try_run_on_pool_with_transpose<'g>(
+/// Run `algo` from `src` on `pool`; `opts.threads` must equal the pool
+/// width. Hybrid bottom-up levels probe `transpose`, which must be
+/// `graph.transpose()` (or the graph itself for symmetric graphs;
+/// benchmarks amortize it across runs). It is ignored unless
+/// [`BfsOptions::hybrid`] is set; a hybrid run given none builds one
+/// before the traversal timer starts. A worker panic comes back as `Err`
+/// (the pool is then poisoned), which is what the query engine needs to
+/// retry on a rebuilt pool.
+pub fn try_run_on_pool<'g>(
     algo: Algorithm,
     graph: &'g CsrGraph,
     src: VertexId,
@@ -117,135 +108,12 @@ pub fn try_run_on_pool_with_transpose<'g>(
     pool: &LevelPool,
     transpose: Option<&'g CsrGraph>,
 ) -> Result<BfsResult, PoolError> {
-    assert_eq!(opts.threads, pool.threads(), "options/pool thread mismatch");
-    assert!(
-        (src as usize) < graph.num_vertices(),
-        "source {src} out of range for n={}",
-        graph.num_vertices()
-    );
-    let t = transpose;
-    match algo {
-        Algorithm::Serial => Ok(crate::serial::serial_bfs_with_opts(graph, src, opts)),
-        Algorithm::Bfsc => {
-            try_drive_with_transpose(&crate::centralized::CentralLocked, graph, src, opts, pool, t)
-        }
-        Algorithm::Bfscl => {
-            try_drive_with_transpose(&crate::centralized::CentralLockfree, graph, src, opts, pool, t)
-        }
-        Algorithm::Bfsdl => {
-            try_drive_with_transpose(&crate::decentralized::Decentralized, graph, src, opts, pool, t)
-        }
-        Algorithm::Bfsw => {
-            try_drive_with_transpose(&crate::worksteal::WorkStealing { locked: true, scale_free: false }, graph, src, opts, pool, t)
-        }
-        Algorithm::Bfswl => {
-            try_drive_with_transpose(&crate::worksteal::WorkStealing { locked: false, scale_free: false }, graph, src, opts, pool, t)
-        }
-        Algorithm::Bfsws => {
-            try_drive_with_transpose(&crate::worksteal::WorkStealing { locked: true, scale_free: true }, graph, src, opts, pool, t)
-        }
-        Algorithm::Bfswsl => {
-            try_drive_with_transpose(&crate::worksteal::WorkStealing { locked: false, scale_free: true }, graph, src, opts, pool, t)
-        }
-        Algorithm::EdgeCl => {
-            try_drive_with_transpose(&crate::ext::EdgePartitioned, graph, src, opts, pool, t)
-        }
-    }
-}
-
-/// Batch dispatch: one traversal answers every source in `sources` (see
-/// [`crate::batch`]). `Algorithm::Serial` degrades to a loop of serial
-/// runs; every parallel variant shares the batched driver.
-pub fn try_run_batch_on_pool(
-    algo: Algorithm,
-    graph: &CsrGraph,
-    sources: &[VertexId],
-    opts: &BfsOptions,
-    pool: &LevelPool,
-) -> Result<crate::batch::BatchResult, PoolError> {
-    try_run_batch_on_pool_with_transpose(algo, graph, sources, opts, pool, None)
-}
-
-/// As [`try_run_batch_on_pool`], with a caller-provided in-edge graph for
-/// hybrid bottom-up levels.
-pub fn try_run_batch_on_pool_with_transpose<'g>(
-    algo: Algorithm,
-    graph: &'g CsrGraph,
-    sources: &[VertexId],
-    opts: &BfsOptions,
-    pool: &LevelPool,
-    transpose: Option<&'g CsrGraph>,
-) -> Result<crate::batch::BatchResult, PoolError> {
-    if algo == Algorithm::Serial {
-        return Ok(crate::batch::serial_batch(graph, sources, opts));
-    }
-    assert_eq!(opts.threads, pool.threads(), "options/pool thread mismatch");
-    let t = transpose;
-    match algo {
-        Algorithm::Serial => unreachable!("handled above"),
-        Algorithm::Bfsc => {
-            try_drive_batch_with_transpose(&crate::centralized::CentralLocked, graph, sources, opts, pool, t)
-        }
-        Algorithm::Bfscl => {
-            try_drive_batch_with_transpose(&crate::centralized::CentralLockfree, graph, sources, opts, pool, t)
-        }
-        Algorithm::Bfsdl => {
-            try_drive_batch_with_transpose(&crate::decentralized::Decentralized, graph, sources, opts, pool, t)
-        }
-        Algorithm::Bfsw => {
-            try_drive_batch_with_transpose(&crate::worksteal::WorkStealing { locked: true, scale_free: false }, graph, sources, opts, pool, t)
-        }
-        Algorithm::Bfswl => {
-            try_drive_batch_with_transpose(&crate::worksteal::WorkStealing { locked: false, scale_free: false }, graph, sources, opts, pool, t)
-        }
-        Algorithm::Bfsws => {
-            try_drive_batch_with_transpose(&crate::worksteal::WorkStealing { locked: true, scale_free: true }, graph, sources, opts, pool, t)
-        }
-        Algorithm::Bfswsl => {
-            try_drive_batch_with_transpose(&crate::worksteal::WorkStealing { locked: false, scale_free: true }, graph, sources, opts, pool, t)
-        }
-        Algorithm::EdgeCl => {
-            try_drive_batch_with_transpose(&crate::ext::EdgePartitioned, graph, sources, opts, pool, t)
-        }
-    }
-}
-
-/// The shared driver.
-pub fn drive<S: Strategy>(
-    strategy: &S,
-    graph: &CsrGraph,
-    src: VertexId,
-    opts: &BfsOptions,
-    pool: &LevelPool,
-) -> BfsResult {
-    drive_with_transpose(strategy, graph, src, opts, pool, None)
-}
-
-/// As [`drive`], with an optional caller-provided in-edge graph for
-/// hybrid bottom-up levels (see [`run_on_pool_with_transpose`]).
-pub fn drive_with_transpose<'g, S: Strategy>(
-    strategy: &S,
-    graph: &'g CsrGraph,
-    src: VertexId,
-    opts: &BfsOptions,
-    pool: &LevelPool,
-    transpose: Option<&'g CsrGraph>,
-) -> BfsResult {
-    try_drive_with_transpose(strategy, graph, src, opts, pool, transpose)
-        .unwrap_or_else(|e| panic!("BFS worker pool failed: {e}"))
-}
-
-/// As [`drive_with_transpose`], surfacing pool failures (worker panics)
-/// as `Err` instead of panicking the caller.
-pub fn try_drive_with_transpose<'g, S: Strategy>(
-    strategy: &S,
-    graph: &'g CsrGraph,
-    src: VertexId,
-    opts: &BfsOptions,
-    pool: &LevelPool,
-    transpose: Option<&'g CsrGraph>,
-) -> Result<BfsResult, PoolError> {
+    let Some(strategy) = strategy(algo) else {
+        return Ok(crate::serial::serial_bfs_with_opts(graph, src, opts));
+    };
+    assert_eq!(opts.threads, pool.threads(), "BfsOptions::threads must match the pool size");
     let n = graph.num_vertices();
+    assert!((src as usize) < n, "source {src} out of range for n={n}");
     let bufs = RunBuffers::take(pool, n, opts, true);
     let st = RunState::from_buffers(graph, opts, transpose, bufs, None);
     // A pool failure drops the buffers with `st`: a half-run level loop
@@ -265,24 +133,28 @@ pub fn try_drive_with_transpose<'g, S: Strategy>(
         levels.iter().all(|&l| l == UNVISITED || l < max_label),
         "level exceeds executed level count"
     );
-    let _ = INVALID_VERTEX;
     st.into_buffers().park(pool);
     Ok(BfsResult { levels, parents, stats })
 }
 
-/// Batch counterpart of [`try_drive_with_transpose`]: one traversal over
-/// the union frontier answers every source in `sources` (1..=64, see
-/// [`crate::batch`]). The level loop, dispatchers, watchdog and
-/// cancellation run completely unchanged — only the seed section and the
-/// per-vertex discovery kernel differ.
-pub fn try_drive_batch_with_transpose<'g, S: Strategy>(
-    strategy: &S,
+/// Batch counterpart of [`try_run_on_pool`]: one traversal over the
+/// union frontier answers every source in `sources` (1..=64, see
+/// [`crate::batch`]). `Algorithm::Serial` degrades to a loop of serial
+/// runs; for every parallel variant the level loop, dispatchers,
+/// watchdog and cancellation run unchanged — only the seed section and
+/// the per-vertex discovery kernel differ.
+pub fn try_run_batch_on_pool<'g>(
+    algo: Algorithm,
     graph: &'g CsrGraph,
     sources: &[VertexId],
     opts: &BfsOptions,
     pool: &LevelPool,
     transpose: Option<&'g CsrGraph>,
 ) -> Result<crate::batch::BatchResult, PoolError> {
+    let Some(strategy) = strategy(algo) else {
+        return Ok(crate::batch::serial_batch(graph, sources, opts));
+    };
+    assert_eq!(opts.threads, pool.threads(), "BfsOptions::threads must match the pool size");
     let n = graph.num_vertices();
     let bufs = RunBuffers::take(pool, n, opts, false);
     let st = RunState::from_buffers(graph, opts, transpose, bufs, Some(sources));
@@ -304,22 +176,19 @@ pub fn try_drive_batch_with_transpose<'g, S: Strategy>(
 /// depending on how `st` was constructed), runs the level loop on the
 /// pool, and assembles [`RunStats`]. Label extraction is the caller's
 /// job (`src` is ignored for batch-mode state).
-fn drive_shared<'g, S: Strategy>(
-    strategy: &S,
-    st: &RunState<'g>,
+fn drive_shared(
+    strategy: &dyn Strategy,
+    st: &RunState<'_>,
     src: VertexId,
     pool: &LevelPool,
 ) -> Result<RunStats, PoolError> {
     let threads = st.threads;
-    let stats = PerThread::new(threads, |_| ThreadStats::default());
-    let deepest = PerThread::new(threads, |_| 0u32);
+    let live = PerThread::new(threads, |_| ThreadStats::default());
     // Per-level counter snapshots: each worker copies its cumulative
     // ThreadStats here right before the level-end barrier so the leader
     // can merge a consistent cross-thread view without aliasing the
-    // workers' live `&mut` stats. The hybrid heuristic needs the same
-    // snapshots for its cross-thread frontier-edge sums.
-    let level_snap = (st.opts.collect_level_stats || st.opts.hybrid.is_some())
-        .then(|| PerThread::new(threads, |_| ThreadStats::default()));
+    // workers' live `&mut` stats.
+    let snaps = PerThread::new(threads, |_| ThreadStats::default());
     // What each worker's hooks recorded (flight ring, histograms),
     // filled by the worker on exit.
     let dumps = PerThread::new(threads, |_| WorkerDump::default());
@@ -329,9 +198,7 @@ fn drive_shared<'g, S: Strategy>(
         let tid = ctx.tid();
         // SAFETY: each worker touches only its own slot while the region
         // is active.
-        let ts = unsafe { stats.get_mut(tid) };
-        // SAFETY: own slot only, as above.
-        let my_deepest = unsafe { deepest.get_mut(tid) };
+        let ts = unsafe { live.get_mut(tid) };
         let mut rng = Xoshiro256StarStar::for_stream(st.opts.seed, tid as u64);
         // The run's thread-local hooks, removed by `finish` below or by
         // the guard's drop if this worker unwinds. The fault plan gets one
@@ -346,15 +213,6 @@ fn drive_shared<'g, S: Strategy>(
             st.opts.flight_recorder.map(|cap| (cap, t0)),
             st.opts.collect_histograms,
         );
-        // Edges already added to the run's telemetry counter, so each
-        // flush adds only the growth since the last one.
-        let mut flushed_edges = 0u64;
-        let mut flush_edges = |scanned: u64| {
-            if let Some(t) = &st.opts.telemetry {
-                t.edges.add(scanned - flushed_edges);
-                flushed_edges = scanned;
-            }
-        };
         flight::record(flight::kind::WORKER_BEGIN, 0, tid as u64, 0);
 
         st.init_chunk(tid);
@@ -402,63 +260,8 @@ fn drive_shared<'g, S: Strategy>(
                     (1, st.graph.degree(src) as u64)
                 }
             };
-            st.next_total.store(seeded);
-            let mut dir0 = Direction::TopDown;
-            if let (Some(hyb), Some(pol)) = (&st.hyb, st.opts.hybrid) {
-                // Level-0 direction: Beamer's rule with nf = seed count,
-                // mf = seed degree sum, prev_mf = 0, mu = m (nothing
-                // explored yet).
-                // SAFETY: barrier serial section.
-                let ctl = unsafe { hyb.ctl.get_mut() };
-                dir0 = pol.decide(
-                    Direction::TopDown,
-                    seeded as u64,
-                    seed_edges,
-                    ctl.prev_mf,
-                    ctl.unexplored_edges,
-                    st.graph.num_vertices() as u64,
-                );
-                ctl.prev_mf = seed_edges;
-                ctl.directions.push(dir0);
-                // SAFETY: barrier serial section.
-                unsafe { *hyb.direction.get_mut() = dir0 };
-            }
-            if let (Some(cs), Some(pol)) = (&st.compact, st.opts.compaction) {
-                // Level-0 compaction: same density rule as every other
-                // level, fed the seed count (only a forced-on policy or a
-                // tiny graph compacts a single-seed frontier).
-                let on = dir0 == Direction::TopDown
-                    && pol.decide(seeded as u64, st.graph.num_vertices() as u64);
-                // SAFETY: barrier serial section.
-                unsafe { *cs.enabled.get_mut() = on };
-                if on {
-                    // SAFETY: barrier serial section.
-                    unsafe { *cs.levels_compacted.get_mut() += 1 };
-                    if let Some(t) = &st.opts.telemetry {
-                        t.compacted_levels.inc();
-                    }
-                    flight::record(
-                        flight::kind::COMPACT,
-                        0,
-                        seeded as u64,
-                        st.scan_backend.code(),
-                    );
-                }
-            }
-            if let Some(t) = &st.opts.telemetry {
-                // Leader publishes the run's starting shape so a scrape of
-                // the registry mid-traversal sees level 0 under way.
-                t.traversals.inc();
-                t.level.set(0);
-                t.frontier.set(seeded as i64);
-                t.direction.set(i64::from(dir0 == Direction::BottomUp));
-            }
-            if let Some(tr) = &st.trace {
-                // SAFETY: barrier serial section.
-                let t = unsafe { tr.get_mut() };
-                t.mark = std::time::Instant::now();
-                t.frontier_in = seeded;
-            }
+            // SAFETY: barrier serial section.
+            unsafe { plan_level(st, 0, seeded, seed_edges, true) };
             strategy.serial_prepare(&LevelEnv { st, parity: 0, level: 0 });
             // SAFETY: barrier serial section.
             unsafe { st.watchdog_arm() };
@@ -468,29 +271,16 @@ fn drive_shared<'g, S: Strategy>(
         let mut level = 0u32;
         let mut out_rear = 0usize;
         loop {
-            // Direction the leader picked for this level (always top-down
-            // without hybrid).
-            let dir = match &st.hyb {
-                // SAFETY: written only in the previous barrier's serial
-                // section; read only between barriers.
-                Some(h) => unsafe { *h.direction.get() },
-                None => Direction::TopDown,
-            };
-            // Whether the leader chose prefix-sum compaction for this
-            // (always top-down) level.
-            let compacted = match &st.compact {
-                // SAFETY: written only in the previous barrier's serial
-                // section; read only between barriers.
-                Some(c) => unsafe { *c.enabled.get() },
-                None => false,
-            };
-            if dir == Direction::BottomUp {
+            // SAFETY: written only in the previous barrier's serial
+            // section; read only between barriers.
+            let plan = unsafe { *st.plan.get() };
+            if plan.direction == Direction::BottomUp {
                 // Rebuild this worker's share of the frontier bitmap from
                 // the level[] stores the last barrier published (under
                 // chaos, that barrier also flushed every deferred store —
                 // including the leader's degraded-sweep writes).
                 st.fill_bitmap_chunk(level, tid);
-            } else if compacted {
+            } else if plan.compacted {
                 // Compaction pass 1 (see crate::scan): rebuild the
                 // compaction bitmap and per-chunk popcounts from the same
                 // published level[] stores; the level-start barrier below
@@ -506,7 +296,7 @@ fn drive_shared<'g, S: Strategy>(
                 st.qin(parity).queue(tid).rear() as u64,
                 0,
             );
-            if dir == Direction::BottomUp {
+            if plan.direction == Direction::BottomUp {
                 // All threads take this branch (they read the same cell),
                 // so strategies with internal barriers stay aligned.
                 st.bottom_up_level(
@@ -516,11 +306,11 @@ fn drive_shared<'g, S: Strategy>(
                     &mut out_rear,
                     ts,
                 );
-            } else if compacted {
+            } else if plan.compacted {
                 // Compaction passes 2+3 + consume. Every thread reads the
-                // same `enabled` cell, so all of them cross this internal
-                // barrier together (it publishes the materialized frontier
-                // array before the static-partition consume).
+                // same plan, so all of them cross this internal barrier
+                // together (it publishes the materialized frontier array
+                // before the static-partition consume).
                 st.compact_materialize(tid);
                 ctx.barrier().wait();
                 st.compact_consume(
@@ -534,22 +324,15 @@ fn drive_shared<'g, S: Strategy>(
                 strategy.consume(&env, &ctx, tid, &mut out_rear, &mut rng, ts);
             }
             flight::record(flight::kind::LEVEL_END, level, 0, 0);
-            // Level-granularity edge publication into the shared run
-            // counter.
-            flush_edges(ts.edges_scanned);
             if st.opts.chaos.is_some() {
                 // Keep injected_faults cumulative at level granularity so
-                // the per-level deltas below stay conservative. (Nothing
-                // between here and the barrier injects: quiesce only
-                // flushes.)
+                // the per-level deltas stay conservative. (Nothing between
+                // here and the barrier injects: quiesce only flushes.)
                 ts.injected_faults = obfs_sync::chaos::faults_injected();
             }
-            if let Some(snap) = &level_snap {
-                // SAFETY: own slot only; the borrow ends before the
-                // barrier, where the leader reads the peers' slots.
-                unsafe { *snap.get_mut(tid) = *ts };
-            }
-            let this_level = level;
+            // SAFETY: own slot only; the borrow ends before the barrier,
+            // where the leader reads every slot.
+            unsafe { *snaps.get_mut(tid) = *ts };
             ctx.barrier().wait_then(|| {
                 // The run-abort decision is made HERE, once, by the
                 // leader: workers must agree on which iteration exits the
@@ -562,7 +345,7 @@ fn drive_shared<'g, S: Strategy>(
                     unsafe { *st.run_abort.get_mut() = Some(c) };
                     flight::record(
                         flight::kind::CANCEL,
-                        this_level,
+                        level,
                         match c {
                             CancelCause::Cancelled => flight::kind::CANCEL_EXPLICIT,
                             CancelCause::DeadlineExceeded => flight::kind::CANCEL_DEADLINE,
@@ -575,162 +358,39 @@ fn drive_shared<'g, S: Strategy>(
                     // Degraded level: finish it serially before counting
                     // the next frontier. SAFETY: barrier serial section.
                     unsafe {
-                        *st.wd_degraded.get_mut() += 1;
                         st.serial_finish_level(
                             parity,
-                            this_level,
+                            level,
                             tid,
                             st.qout(parity).queue(tid),
                             &mut out_rear,
                             ts,
                         );
                     }
-                    flight::record(flight::kind::DEGRADED, this_level, 0, 0);
+                    flight::record(flight::kind::DEGRADED, level, 0, 0);
                 }
                 let produced = st.qout(parity).total_entries();
-                st.next_total.store(produced);
                 if st.opts.chaos.is_some() {
-                    // The leader sweep above may have injected; re-snapshot
-                    // its own count so this level's delta includes it.
+                    // The sweep and the count above may have injected;
+                    // re-snapshot the leader's count so this level's delta
+                    // includes it.
                     ts.injected_faults = obfs_sync::chaos::faults_injected();
                 }
-                if let (Some(hyb), Some(pol), true) = (&st.hyb, st.opts.hybrid, cause.is_none()) {
-                    // (Skipped on abort so `directions` keeps exactly one
-                    // entry per *executed* level.)
-                    // SAFETY: barrier serial section.
-                    let ctl = unsafe { hyb.ctl.get_mut() };
-                    // Cross-thread frontier edge volume: the leader's live
-                    // counters (which include any sweep above) plus the
-                    // peers' pre-barrier snapshots.
-                    let mut fe = ts.frontier_edges;
-                    if let Some(snap) = &level_snap {
-                        for k in 0..st.threads {
-                            if k != tid {
-                                // SAFETY: peers are parked at the barrier
-                                // and published their snapshots.
-                                fe += unsafe { snap.get(k) }.frontier_edges;
-                            }
-                        }
-                    }
-                    let mf = fe - ctl.prev_frontier_edges;
-                    ctl.prev_frontier_edges = fe;
-                    // Beamer's bookkeeping order: retire the next
-                    // frontier's edges from mu first, then decide.
-                    ctl.unexplored_edges -= mf.min(ctl.unexplored_edges);
-                    if produced > 0 {
-                        let next_dir = pol.decide(
-                            dir,
-                            produced as u64,
-                            mf,
-                            ctl.prev_mf,
-                            ctl.unexplored_edges,
-                            st.graph.num_vertices() as u64,
-                        );
-                        ctl.prev_mf = mf;
-                        if next_dir != dir {
-                            ctl.switches += 1;
-                            let code = |d: Direction| match d {
-                                Direction::TopDown => flight::kind::DIR_TOP_DOWN,
-                                Direction::BottomUp => flight::kind::DIR_BOTTOM_UP,
-                            };
-                            flight::record(
-                                flight::kind::DIR_SWITCH,
-                                this_level + 1,
-                                code(next_dir),
-                                code(dir),
-                            );
-                        }
-                        ctl.directions.push(next_dir);
-                        // SAFETY: barrier serial section.
-                        unsafe { *hyb.direction.get_mut() = next_dir };
-                    }
-                }
-                if let (Some(cs), Some(pol)) = (&st.compact, st.opts.compaction) {
-                    // Compaction decision for the NEXT level, after the
-                    // hybrid block above settled its direction: compact
-                    // only a top-down level of a run that will actually
-                    // continue, so every decision recorded here is a
-                    // level that runs compacted.
-                    let next_dir = match &st.hyb {
-                        // SAFETY: barrier serial section (written above).
-                        Some(h) => unsafe { *h.direction.get() },
-                        None => Direction::TopDown,
-                    };
-                    let on = cause.is_none()
-                        && produced > 0
-                        && next_dir == Direction::TopDown
-                        && pol.decide(produced as u64, st.graph.num_vertices() as u64);
-                    // SAFETY: barrier serial section.
-                    unsafe { *cs.enabled.get_mut() = on };
-                    if on {
-                        // SAFETY: barrier serial section.
-                        unsafe { *cs.levels_compacted.get_mut() += 1 };
-                        if let Some(t) = &st.opts.telemetry {
-                            t.compacted_levels.inc();
-                        }
-                        flight::record(
-                            flight::kind::COMPACT,
-                            this_level + 1,
-                            produced as u64,
-                            st.scan_backend.code(),
-                        );
-                    }
-                }
-                if let Some(t) = &st.opts.telemetry {
-                    // Leader publishes the level boundary: a mid-run scrape
-                    // sees the frontier size and direction of the level
-                    // about to start.
-                    t.levels.inc();
-                    t.level.set(i64::from(this_level) + 1);
-                    t.frontier.set(produced as i64);
-                    let next_dir = match &st.hyb {
-                        // SAFETY: barrier serial section (written above).
-                        Some(h) => unsafe { *h.direction.get() },
-                        None => Direction::TopDown,
-                    };
-                    t.direction.set(i64::from(next_dir == Direction::BottomUp));
-                }
-                if let (Some(tr), Some(snap)) = (&st.trace, &level_snap) {
-                    // SAFETY: barrier serial section; every peer is parked
-                    // at the barrier and published its snapshot (its own
-                    // `get_mut` borrow ended) before arriving.
-                    let t = unsafe { tr.get_mut() };
-                    let now = std::time::Instant::now();
-                    let mut sum = *ts; // leader's own live counters
-                    for k in 0..st.threads {
-                        if k != tid {
-                            // SAFETY: barrier serial section — every peer
-                            // published its snapshot before arriving.
-                            sum.merge(unsafe { snap.get(k) });
-                        }
-                    }
-                    let counters = sum.diff(&t.prev_totals);
-                    t.prev_totals = sum;
-                    t.entries.push(crate::stats::LevelStats {
-                        level: this_level,
-                        frontier: t.frontier_in,
-                        discovered: produced,
-                        duration: now - t.mark,
-                        degraded,
-                        direction: dir,
-                        compacted,
-                        counters,
-                    });
-                    t.mark = now;
-                    t.frontier_in = produced;
+                // SAFETY: barrier serial section; every peer published its
+                // snapshot before arriving, and the leader refreshes its
+                // own (the sweep above may have added to its counters).
+                unsafe {
+                    *snaps.get_mut(tid) = *ts;
+                    let mf = close_level(st, &snaps, level, plan, produced, degraded);
+                    plan_level(st, level + 1, produced, mf, cause.is_none() && produced > 0);
                 }
             });
             // SAFETY: written only in the serial section of the barrier
-            // every worker just crossed; read-only between barriers. The
-            // guard keeps token-free runs at zero extra cost.
-            if st.opts.cancel.is_some() && unsafe { st.run_abort.get().is_some() } {
-                // Leader-published abort: all workers observe it on the
-                // same iteration and quiesce together.
-                *my_deepest = level;
-                break;
-            }
-            if st.next_total.load() == 0 {
-                *my_deepest = level;
+            // every worker just crossed; read-only until the next one.
+            if unsafe { st.plan.get() }.stop {
+                // Frontier exhausted, or a leader-published abort: all
+                // workers observe it on the same iteration and quiesce
+                // together.
                 break;
             }
             // My old input queue becomes my next output queue.
@@ -738,77 +398,47 @@ fn drive_shared<'g, S: Strategy>(
             out_rear = 0;
             parity ^= 1;
             level += 1;
-            let next_env_parity = parity;
-            let next_level = level;
             ctx.barrier().wait_then(|| {
-                strategy.serial_prepare(&LevelEnv {
-                    st,
-                    parity: next_env_parity,
-                    level: next_level,
-                });
+                strategy.serial_prepare(&LevelEnv { st, parity, level });
                 // SAFETY: barrier serial section.
                 unsafe { st.watchdog_arm() };
             });
         }
         flight::record(flight::kind::WORKER_END, 0, tid as u64, 0);
-        // Final flush catches edges scanned after the last level barrier
-        // (degraded sweeps, abort quiesce).
-        flush_edges(ts.edges_scanned);
+        // This worker's faults stay those of its last level snapshot:
+        // the handful of racy ops after the final level barrier would
+        // otherwise break the sum(level deltas) == totals invariant.
         let dump = hooks.finish();
-        // Credit this worker's faults (0 without `chaos`). With level
-        // stats on, keep the last per-level snapshot instead: the handful
-        // of racy ops after the final level barrier would otherwise break
-        // the sum(level deltas) == totals invariant.
-        if st.trace.is_none() {
-            ts.injected_faults = dump.injected_faults;
-        }
         // SAFETY: own slot only.
         unsafe { *dumps.get_mut(tid) = dump };
     })?;
     let traversal_time = t0.elapsed();
-    let _ = src;
 
-    let levels_run = deepest.into_values().into_iter().max().unwrap_or(0) + 1;
-    let per_thread = stats.into_values();
     // SAFETY: workers are done (pool.run returned); no serial section can
-    // be mutating the cell.
-    let abort_cause = unsafe { *st.run_abort.get() };
-    let mut stats = RunStats::from_threads(per_thread, levels_run, traversal_time);
+    // be touching the cells.
+    let (log, abort_cause) = unsafe { (st.log.get_mut(), *st.run_abort.get()) };
+    let levels = std::mem::take(&mut log.entries);
+    let mut stats = RunStats::from_threads(live.into_values(), levels.len() as u32, traversal_time);
+    debug_assert_eq!(log.prev_totals, stats.totals, "level deltas must sum to the run totals");
     stats.partial = abort_cause.is_some();
+    stats.degraded_levels = levels.iter().filter(|l| l.degraded).count() as u32;
+    stats.compacted_levels = levels.iter().filter(|l| l.compacted).count() as u32;
     stats.outcome = match abort_cause {
         Some(CancelCause::Cancelled) => Outcome::Cancelled,
         Some(CancelCause::DeadlineExceeded) => Outcome::DeadlineExceeded,
-        None => Outcome::Complete, // may become Degraded below
+        None if stats.degraded_levels > 0 => Outcome::Degraded,
+        None => Outcome::Complete,
     };
-    // SAFETY: workers are done (pool.run returned); no serial section can
-    // be mutating the cell.
-    stats.degraded_levels = unsafe { *st.wd_degraded.get() };
-    if stats.outcome == Outcome::Complete && stats.degraded_levels > 0 {
-        stats.outcome = Outcome::Degraded;
-    }
-    if let Some(hyb) = &st.hyb {
-        // SAFETY: workers are done (pool.run returned); no serial section
-        // can be mutating the cell.
-        let ctl = unsafe { hyb.ctl.get() };
-        debug_assert_eq!(
-            ctl.directions.len() as u32,
-            levels_run,
-            "one recorded direction per executed level"
-        );
-        stats.directions = ctl.directions.clone();
-        stats.direction_switches = ctl.switches;
-    }
-    if let Some(cs) = &st.compact {
-        // SAFETY: workers are done (pool.run returned); no serial section
-        // can be mutating the cell.
-        stats.compacted_levels = unsafe { *cs.levels_compacted.get() };
+    if st.hyb.is_some() {
+        stats.directions = levels.iter().map(|l| l.direction).collect();
+        stats.direction_switches =
+            stats.directions.windows(2).filter(|w| w[0] != w[1]).count() as u32;
     }
     // Every parallel run resolves a backend (serial BFS never reaches
     // this driver, so its reports honestly say `None`).
     stats.kernel_backend = Some(st.scan_backend);
-    if let Some(tr) = &st.trace {
-        // SAFETY: workers are done, as above.
-        stats.level_stats = unsafe { tr.get() }.entries.clone();
+    if st.opts.collect_level_stats {
+        stats.level_stats = levels;
     }
     let (rings, hists): (Vec<_>, Vec<_>) =
         dumps.into_values().into_iter().map(|d| (d.ring, d.hists)).unzip();
@@ -826,6 +456,122 @@ fn drive_shared<'g, S: Strategy>(
         });
     }
     Ok(stats)
+}
+
+/// Leader-only, at the end of level `level`: append the level to the
+/// run's log (every worker's counters merged from `snaps`, diffed
+/// against the previous boundary) and publish its edge delta and the
+/// level count to the run's telemetry. Returns the edge volume of the
+/// next frontier (`mf`), the hybrid rule's input.
+///
+/// # Safety
+/// Call only from a barrier serial section, after every worker has
+/// published its snapshot in `snaps`.
+unsafe fn close_level(
+    st: &RunState<'_>,
+    snaps: &PerThread<ThreadStats>,
+    level: u32,
+    plan: LevelPlan,
+    produced: usize,
+    degraded: bool,
+) -> u64 {
+    let log = st.log.get_mut();
+    let mut sum = ThreadStats::default();
+    for k in 0..st.threads {
+        sum.merge(snaps.get(k));
+    }
+    let counters = sum.diff(&log.prev_totals);
+    log.prev_totals = sum;
+    log.entries.push(LevelStats {
+        level,
+        frontier: log.frontier_in,
+        discovered: produced,
+        duration: log.mark.elapsed(),
+        degraded,
+        direction: plan.direction,
+        compacted: plan.compacted,
+        counters,
+    });
+    if let Some(t) = &st.opts.telemetry {
+        t.levels.inc();
+        t.edges.add(counters.edges_scanned);
+    }
+    counters.frontier_edges
+}
+
+/// Leader-only: plan level `level`, whose frontier holds `frontier` queue
+/// entries with edge volume `mf`, and write the plan to the plan cell —
+/// the one place level 0 (from the seed section) and every later level
+/// get their direction and compaction decided. `go_on` is false when no
+/// level follows (empty frontier or a cancelled run): the plan then only
+/// says stop. Publishes the decisions: the `DIR_SWITCH` and `COMPACT`
+/// flight events and the run telemetry's level, frontier and direction
+/// gauges.
+///
+/// # Safety
+/// Call only from a barrier serial section.
+unsafe fn plan_level(st: &RunState<'_>, level: u32, frontier: usize, mf: u64, go_on: bool) {
+    let n = st.graph.num_vertices() as u64;
+    let prev = *st.plan.get();
+    let mut plan = LevelPlan { stop: !go_on, direction: prev.direction, compacted: false };
+    if go_on {
+        if let (Some(hyb), Some(pol)) = (&st.hyb, st.opts.hybrid) {
+            let ctl = hyb.ctl.get_mut();
+            if level > 0 {
+                // Beamer's bookkeeping order: retire the frontier's edges
+                // from mu first, then decide. (Level 0's seeds were never
+                // discovered, so mu = m for its decision.)
+                ctl.unexplored_edges -= mf.min(ctl.unexplored_edges);
+            }
+            let nf = frontier as u64;
+            plan.direction =
+                pol.decide(prev.direction, nf, mf, ctl.prev_mf, ctl.unexplored_edges, n);
+            ctl.prev_mf = mf;
+            if level > 0 && plan.direction != prev.direction {
+                let code = |d: Direction| match d {
+                    Direction::TopDown => flight::kind::DIR_TOP_DOWN,
+                    Direction::BottomUp => flight::kind::DIR_BOTTOM_UP,
+                };
+                flight::record(
+                    flight::kind::DIR_SWITCH,
+                    level,
+                    code(plan.direction),
+                    code(prev.direction),
+                );
+            }
+        }
+        if let (Some(_), Some(pol)) = (&st.compact, st.opts.compaction) {
+            // Compact only a top-down level of a run that continues, so
+            // every level planned compacted runs compacted.
+            plan.compacted =
+                plan.direction == Direction::TopDown && pol.decide(frontier as u64, n);
+            if plan.compacted {
+                if let Some(t) = &st.opts.telemetry {
+                    t.compacted_levels.inc();
+                }
+                flight::record(
+                    flight::kind::COMPACT,
+                    level,
+                    frontier as u64,
+                    st.scan_backend.code(),
+                );
+            }
+        }
+    }
+    *st.plan.get_mut() = plan;
+    let log = st.log.get_mut();
+    log.frontier_in = frontier;
+    log.mark = std::time::Instant::now();
+    if let Some(t) = &st.opts.telemetry {
+        // A mid-run scrape sees the frontier size and direction of the
+        // level about to start.
+        if level == 0 {
+            t.traversals.inc();
+        }
+        t.level.set(i64::from(level));
+        t.frontier.set(frontier as i64);
+        t.direction.set(i64::from(plan.direction == Direction::BottomUp));
+    }
 }
 
 // lint:region hot-path:take-slot
@@ -977,24 +723,37 @@ mod tests {
             collect_level_stats: true,
             ..Default::default()
         };
-        let r = run_bfs(Algorithm::Bfscl, &g, 0, &opts);
-        let tr = &r.stats.level_stats;
-        assert_eq!(tr.len() as u32, r.stats.levels);
-        // Single-parent tree: no duplicate pushes possible, so the trace
-        // frontier sizes are exact powers of two.
-        for (d, e) in tr.iter().enumerate() {
-            assert_eq!(e.level, d as u32);
-            assert_eq!(e.frontier, 1 << d, "level {d} frontier");
-            if d + 1 < tr.len() {
-                assert_eq!(e.discovered, 1 << (d + 1));
-            } else {
-                assert_eq!(e.discovered, 0, "last level discovers nothing");
+        for algo in [Algorithm::Bfsc, Algorithm::Bfscl] {
+            let r = run_bfs(algo, &g, 0, &opts);
+            let tr = &r.stats.level_stats;
+            assert_eq!(tr.len() as u32, r.stats.levels, "{algo}");
+            assert_eq!(r.stats.levels, 7, "{algo}");
+            for (d, e) in tr.iter().enumerate() {
+                assert_eq!(e.level, d as u32, "{algo}");
+                assert!(!e.degraded, "{algo}: no watchdog configured");
+                // An optimistic dispatcher may replay a segment and push
+                // a child twice, so only the lower bound holds for BFS_CL.
+                assert!(e.frontier >= 1 << d, "{algo} level {d} frontier");
             }
-            assert!(!e.degraded, "no watchdog configured");
+            if algo != Algorithm::Bfsc {
+                continue;
+            }
+            // Single-parent tree under locked (disjoint-segment)
+            // dispatch: every vertex is explored once, so no duplicate
+            // pushes are possible and the frontier sizes are exact
+            // powers of two.
+            for (d, e) in tr.iter().enumerate() {
+                assert_eq!(e.frontier, 1 << d, "level {d} frontier");
+                if d + 1 < tr.len() {
+                    assert_eq!(e.discovered, 1 << (d + 1));
+                } else {
+                    assert_eq!(e.discovered, 0, "last level discovers nothing");
+                }
+            }
+            // Consumed totals match: sum of frontiers = reached vertices.
+            let consumed: usize = tr.iter().map(|e| e.frontier).sum();
+            assert_eq!(consumed, 127);
         }
-        // Consumed totals match: sum of frontiers = reached vertices.
-        let consumed: usize = tr.iter().map(|e| e.frontier).sum();
-        assert_eq!(consumed, 127);
     }
 
     #[test]

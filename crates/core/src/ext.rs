@@ -25,7 +25,6 @@ use crate::state::RunState;
 use crate::stats::ThreadStats;
 use obfs_graph::VertexId;
 use obfs_runtime::WorkerCtx;
-use obfs_sync::flight;
 use obfs_util::Xoshiro256StarStar;
 
 /// The `EdgeCL` strategy.
@@ -114,9 +113,7 @@ pub(crate) fn consume_edge_ranges(
         let end = (c + es).min(total);
         // racy-ok: optimistic cursor publish — a dragged-back cursor only replays scanned edges
         st.edge_cursor.store(end as usize);
-        ts.segments_fetched += 1;
-        obfs_sync::metrics::segment_fetch(fetch_timer);
-        flight::record(flight::kind::SEGMENT_FETCH, level, c, end - c);
+        ts.segment_fetched(fetch_timer, None, level, c, end - c);
 
         // Map edge range [c, end) onto (vertex, adjacency slice) pieces.
         let mut vi = prefix.partition_point(|&x| x <= c) - 1;

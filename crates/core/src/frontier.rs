@@ -87,11 +87,6 @@ impl FrontierQueue {
     pub fn rear(&self) -> usize {
         self.rear.load()
     }
-    /// Racy store of the rear cursor.
-    #[inline]
-    pub fn set_rear(&self, v: usize) {
-        self.rear.store(v);
-    }
 
     /// Owner-side push; `local_rear` is the owner's cached cursor (kept
     /// outside the queue so the hot loop does not reload shared memory).

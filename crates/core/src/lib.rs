@@ -23,6 +23,12 @@
 //! paper describes: sanity-check and retry for invalid segments, and a
 //! zero-on-read sentinel protocol that turns overlap into bounded
 //! duplicate work.
+//!
+//! The driver has two entry points on a caller's worker pool:
+//! [`driver::try_run_on_pool`] for one source and
+//! [`driver::try_run_batch_on_pool`] for a batch of them. Both return a
+//! worker panic as `Err`. [`run_bfs`], [`run_batch`] and [`BfsRunner`]
+//! wrap them for callers that want a panic instead.
 
 #![warn(missing_docs)]
 
@@ -93,59 +99,38 @@ impl BfsResult {
 
 /// Run `algo` from `src`, creating a fresh worker pool of
 /// `opts.threads` workers. For repeated runs (benchmarks) use
-/// [`BfsRunner`] to amortize pool creation.
+/// [`BfsRunner`] to amortize pool creation. Panics if a worker panics;
+/// [`driver::try_run_on_pool`] returns the failure instead.
 pub fn run_bfs(algo: Algorithm, graph: &CsrGraph, src: VertexId, opts: &BfsOptions) -> BfsResult {
     if algo == Algorithm::Serial {
         return serial::serial_bfs_with_opts(graph, src, opts);
     }
-    let pool = LevelPool::new(opts.threads);
-    driver::run_on_pool(algo, graph, src, opts, &pool)
-}
-
-/// As [`run_bfs`], but surfacing a worker panic as [`PoolError`] instead
-/// of panicking the caller.
-pub fn try_run_bfs(
-    algo: Algorithm,
-    graph: &CsrGraph,
-    src: VertexId,
-    opts: &BfsOptions,
-) -> Result<BfsResult, PoolError> {
-    if algo == Algorithm::Serial {
-        return Ok(serial::serial_bfs_with_opts(graph, src, opts));
-    }
-    let pool = LevelPool::new(opts.threads);
-    driver::try_run_on_pool(algo, graph, src, opts, &pool)
+    BfsRunner::new(opts.threads).run(algo, graph, src, opts)
 }
 
 /// Run `algo` from every source in `sources` (1..=[`MAX_BATCH`]) in one
 /// batched bit-parallel traversal; result `q` answers `sources[q]`.
-/// Panics on a worker failure; see [`try_run_batch`]. Incompatible with
-/// [`DedupMode::OwnerArray`] (asserted).
+/// Panics on a worker failure; see [`driver::try_run_batch_on_pool`].
+/// Incompatible with [`DedupMode::OwnerArray`] (asserted).
 pub fn run_batch(
     algo: Algorithm,
     graph: &CsrGraph,
     sources: &[VertexId],
     opts: &BfsOptions,
 ) -> BatchResult {
-    try_run_batch(algo, graph, sources, opts)
-        .unwrap_or_else(|e| panic!("BFS worker pool failed: {e}"))
-}
-
-/// As [`run_batch`], surfacing a worker panic as [`PoolError`].
-pub fn try_run_batch(
-    algo: Algorithm,
-    graph: &CsrGraph,
-    sources: &[VertexId],
-    opts: &BfsOptions,
-) -> Result<BatchResult, PoolError> {
     if algo == Algorithm::Serial {
-        return Ok(batch::serial_batch(graph, sources, opts));
+        return batch::serial_batch(graph, sources, opts);
     }
-    let pool = LevelPool::new(opts.threads);
-    driver::try_run_batch_on_pool(algo, graph, sources, opts, &pool)
+    BfsRunner::new(opts.threads).run_batch(algo, graph, sources, opts)
 }
 
-/// A reusable runner owning a worker pool.
+/// Unwrap a driver result, panicking on a worker failure.
+fn expect_pool<T>(r: Result<T, PoolError>) -> T {
+    r.unwrap_or_else(|e| panic!("BFS worker pool failed: {e}"))
+}
+
+/// A reusable runner owning a worker pool. Its methods panic on a worker
+/// failure; the [`driver`] entry points on a caller's pool return it.
 pub struct BfsRunner {
     pool: LevelPool,
 }
@@ -169,70 +154,7 @@ impl BfsRunner {
         src: VertexId,
         opts: &BfsOptions,
     ) -> BfsResult {
-        if algo == Algorithm::Serial {
-            return serial::serial_bfs_with_opts(graph, src, opts);
-        }
-        assert_eq!(
-            opts.threads,
-            self.pool.threads(),
-            "BfsOptions::threads must match the runner's pool size"
-        );
-        driver::run_on_pool(algo, graph, src, opts, &self.pool)
-    }
-
-    /// As [`BfsRunner::run`], surfacing a worker panic as [`PoolError`]
-    /// instead of panicking. On `Err` the pool is poisoned; recover by
-    /// replacing the runner (or let `obfs-runtime`'s `PoolManager`
-    /// rebuild for you).
-    pub fn try_run(
-        &self,
-        algo: Algorithm,
-        graph: &CsrGraph,
-        src: VertexId,
-        opts: &BfsOptions,
-    ) -> Result<BfsResult, PoolError> {
-        if algo == Algorithm::Serial {
-            return Ok(serial::serial_bfs_with_opts(graph, src, opts));
-        }
-        assert_eq!(
-            opts.threads,
-            self.pool.threads(),
-            "BfsOptions::threads must match the runner's pool size"
-        );
-        driver::try_run_on_pool(algo, graph, src, opts, &self.pool)
-    }
-
-    /// As [`run_batch`], on the owned pool: one batched traversal
-    /// answering every source in `sources` (1..=[`MAX_BATCH`]).
-    pub fn run_batch(
-        &self,
-        algo: Algorithm,
-        graph: &CsrGraph,
-        sources: &[VertexId],
-        opts: &BfsOptions,
-    ) -> BatchResult {
-        self.try_run_batch(algo, graph, sources, opts)
-            .unwrap_or_else(|e| panic!("BFS worker pool failed: {e}"))
-    }
-
-    /// As [`BfsRunner::run_batch`], surfacing a worker panic as
-    /// [`PoolError`]. On `Err` the pool is poisoned; replace the runner.
-    pub fn try_run_batch(
-        &self,
-        algo: Algorithm,
-        graph: &CsrGraph,
-        sources: &[VertexId],
-        opts: &BfsOptions,
-    ) -> Result<BatchResult, PoolError> {
-        if algo == Algorithm::Serial {
-            return Ok(batch::serial_batch(graph, sources, opts));
-        }
-        assert_eq!(
-            opts.threads,
-            self.pool.threads(),
-            "BfsOptions::threads must match the runner's pool size"
-        );
-        driver::try_run_batch_on_pool(algo, graph, sources, opts, &self.pool)
+        self.run_with_transpose(algo, graph, None, src, opts)
     }
 
     /// As [`BfsRunner::run`], but probing hybrid bottom-up levels
@@ -248,14 +170,18 @@ impl BfsRunner {
         src: VertexId,
         opts: &BfsOptions,
     ) -> BfsResult {
-        if algo == Algorithm::Serial {
-            return serial::serial_bfs_with_opts(graph, src, opts);
-        }
-        assert_eq!(
-            opts.threads,
-            self.pool.threads(),
-            "BfsOptions::threads must match the runner's pool size"
-        );
-        driver::run_on_pool_with_transpose(algo, graph, src, opts, &self.pool, transpose)
+        expect_pool(driver::try_run_on_pool(algo, graph, src, opts, &self.pool, transpose))
+    }
+
+    /// As [`run_batch`], on the owned pool: one batched traversal
+    /// answering every source in `sources` (1..=[`MAX_BATCH`]).
+    pub fn run_batch(
+        &self,
+        algo: Algorithm,
+        graph: &CsrGraph,
+        sources: &[VertexId],
+        opts: &BfsOptions,
+    ) -> BatchResult {
+        expect_pool(driver::try_run_batch_on_pool(algo, graph, sources, opts, &self.pool, None))
     }
 }

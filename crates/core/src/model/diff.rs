@@ -207,19 +207,24 @@ fn worksteal_counterexample_hits_invalid_steal_in_real_dispatcher() {
     let st = RunState::new(&g, &opts);
     let env = LevelEnv { st: &st, parity: 0, level: 0 };
     let strat = WorkStealing { locked: false, scale_free: false };
-    let mut ts = ThreadStats::default();
 
     install_script(&ChaosScript {
         usize_loads: vec![Some(q), Some(f), Some(r), Some(rear)],
         u32_loads: Vec::new(),
     });
-    let got = strat.try_steal_optimistic(&env, 0, 1, &mut ts);
+    let got = strat.try_steal_optimistic(&env, 0, 1);
     let rep = uninstall_script();
 
-    assert!(got.is_none(), "a torn snapshot must never be stolen");
     assert_eq!(rep.fed_usize, 4, "every model load was replayed");
     assert_eq!(rep.leftover, 0);
+    // Tally the outcome the way the real dispatcher does.
+    let mut ts = ThreadStats::default();
+    match got {
+        Ok(_) => panic!("a torn snapshot must never be stolen"),
+        Err(why) => ts.steal_failed(obfs_sync::metrics::HistTimer::DISARMED, 0, 1, why),
+    }
     assert_eq!(ts.steal.invalid, 1, "the real snapshot sanity check rejected it");
+    assert_eq!(ts.steal.failed(), 1);
     assert_eq!(st.descs[0].snapshot(), (0, 0, 0), "thief published nothing");
     assert_eq!(st.descs[1].snapshot(), (0, 0, 0), "victim untouched");
 }
@@ -253,7 +258,8 @@ fn batch_counterexample_hits_slot_revalidation_in_real_kernel() {
     let g = isolated(8);
     let w: u32 = 4;
     let opts = BfsOptions { threads: 1, ..Default::default() };
-    let st = RunState::new_batch(&g, &opts, None, &[0, 1]);
+    let bufs = crate::state::RunBuffers::new(g.num_vertices(), &opts, false);
+    let st = RunState::from_buffers(&g, &opts, None, bufs, Some(&[0, 1]));
     let b = st.batch.as_ref().expect("batch state armed");
     b.levels.set(w as usize * b.k, slot_level);
     b.visited_by.set(w as usize, u64::from(vis));

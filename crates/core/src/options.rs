@@ -78,14 +78,6 @@ impl Algorithm {
                 | Algorithm::EdgeCl
         )
     }
-
-    /// True for the work-stealing family.
-    pub fn is_work_stealing(&self) -> bool {
-        matches!(
-            self,
-            Algorithm::Bfsw | Algorithm::Bfswl | Algorithm::Bfsws | Algorithm::Bfswsl
-        )
-    }
 }
 
 impl std::fmt::Display for Algorithm {
@@ -288,12 +280,6 @@ impl CompactionPolicy {
         Self { force: Some(true), ..Self::default() }
     }
 
-    /// A policy that never compacts (hybrid-style plumbing active,
-    /// decision always negative — isolates the bookkeeping overhead).
-    pub fn forced_off() -> Self {
-        Self { force: Some(false), ..Self::default() }
-    }
-
     /// The density rule, in one place so the driver and tests replaying
     /// recorded series agree exactly: given the next frontier's vertex
     /// count `nf` and the graph's vertex count `n`, decide whether the
@@ -372,9 +358,15 @@ pub struct BfsOptions {
     pub topology: Option<Topology>,
     /// Seed for victim selection and pool choice randomness.
     pub seed: u64,
-    /// Record per-level frontier sizes, durations and merged counter
-    /// deltas into [`crate::RunStats::level_stats`] (leader-side,
-    /// near-zero cost).
+    /// Return the run's level log — per-level frontier sizes, durations
+    /// and merged counter deltas — in [`crate::RunStats::level_stats`].
+    /// The barrier leader records the log on every run (the direction,
+    /// compaction and degradation figures of [`crate::RunStats`] are
+    /// read off it); this flag only decides whether it is returned. Leave
+    /// it off where results are kept or copied in bulk: the query engine
+    /// clones one batch's `RunStats` into each of up to 64 answers, and a
+    /// returned log (one [`crate::LevelStats`] per level, a few hundred
+    /// on deep graphs) would be copied with every clone.
     pub collect_level_stats: bool,
     /// Record per-worker latency histograms (segment-fetch, steal
     /// attempt, sanity-check retries per fetch, barrier wait) into
@@ -419,10 +411,9 @@ pub struct BfsOptions {
     /// ([`crate::Outcome::Cancelled`] / `DeadlineExceeded`).
     pub cancel: Option<CancelToken>,
     /// Live run telemetry (`obfs_run_*` gauges/counters, DESIGN.md
-    /// §13): the barrier leader updates level/frontier/direction in its
-    /// serial sections and workers flush per-level edge aggregates.
-    /// `None` (default) costs the run nothing — the worker hook is a
-    /// thread-local boolean check that is never installed.
+    /// §13): the barrier leader updates level/frontier/direction and
+    /// adds each level's merged edge delta in its serial sections.
+    /// `None` (default) costs the run one `Option` test per level.
     pub telemetry: Option<std::sync::Arc<obfs_telemetry::RunTelemetry>>,
 }
 
@@ -565,7 +556,8 @@ mod tests {
         // Forced modes override the rule but never an empty frontier.
         assert!(CompactionPolicy::forced_on().decide(1, 1 << 40));
         assert!(!CompactionPolicy::forced_on().decide(0, 16));
-        assert!(!CompactionPolicy::forced_off().decide(1 << 40, 16));
+        let off = CompactionPolicy { force: Some(false), ..Default::default() };
+        assert!(!off.decide(1 << 40, 16));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! `scale_free: true` — phase 1 (low-degree exploration with stealing)
 //! shares all of its machinery with BFSW/BFSWL, and keeping the two-phase
 //! logic in one strategy avoids duplicating the steal protocol. This
-//! module re-exports the configuration and documents the hub handling:
+//! module re-exports the strategy and documents the hub handling:
 //!
 //! * Phase 1 diverts vertices with degree above
 //!   [`crate::BfsOptions::hub_threshold`] into per-thread hub lists
@@ -17,16 +17,6 @@
 //!   usually slower; kept for the ablation benches).
 
 pub use crate::worksteal::WorkStealing;
-
-/// Convenience constructor for BFSWS (locked, scale-free).
-pub fn bfsws() -> WorkStealing {
-    WorkStealing { locked: true, scale_free: true }
-}
-
-/// Convenience constructor for BFSWSL (lock-free, scale-free).
-pub fn bfswsl() -> WorkStealing {
-    WorkStealing { locked: false, scale_free: true }
-}
 
 #[cfg(test)]
 mod tests {
@@ -96,13 +86,5 @@ mod tests {
             let r = run_bfs(algo, &g, 5, &o);
             assert_eq!(r.levels, ser.levels, "{algo}");
         }
-    }
-
-    #[test]
-    fn constructors_expose_expected_flags() {
-        let ws = super::bfsws();
-        assert!(ws.locked && ws.scale_free);
-        let wsl = super::bfswsl();
-        assert!(!wsl.locked && wsl.scale_free);
     }
 }

@@ -50,44 +50,6 @@ pub fn serial_bfs_with_opts(graph: &CsrGraph, src: VertexId, opts: &BfsOptions) 
     BfsResult { levels, parents, stats }
 }
 
-/// Bitmap-assisted serial BFS: identical traversal order, but visited
-/// tracking via a packed bit array (the structure Baseline2 uses). Used
-/// in micro-benchmarks to isolate the cost of bitmap probes.
-pub fn serial_bfs_bitmap(graph: &CsrGraph, src: VertexId) -> BfsResult {
-    let n = graph.num_vertices();
-    assert!((src as usize) < n, "source {src} out of range for n={n}");
-    let t0 = std::time::Instant::now();
-    let mut levels = vec![UNVISITED; n];
-    let mut visited = vec![0u64; n.div_ceil(64)];
-    let mut ts = ThreadStats::default();
-    let mut q = VecDeque::with_capacity(1024);
-    let set = |bits: &mut [u64], v: usize| bits[v / 64] |= 1 << (v % 64);
-    let get = |bits: &[u64], v: usize| bits[v / 64] >> (v % 64) & 1 == 1;
-    levels[src as usize] = 0;
-    set(&mut visited, src as usize);
-    q.push_back(src);
-    let mut deepest = 0u32;
-    while let Some(u) = q.pop_front() {
-        let next = levels[u as usize] + 1;
-        ts.vertices_explored += 1;
-        let neigh = graph.neighbors(u);
-        ts.edges_scanned += neigh.len() as u64;
-        for &w in neigh {
-            if !get(&visited, w as usize) {
-                set(&mut visited, w as usize);
-                levels[w as usize] = next;
-                deepest = deepest.max(next);
-                q.push_back(w);
-                ts.vertices_discovered += 1;
-            }
-        }
-    }
-    let traversal_time = t0.elapsed();
-    let mut stats = RunStats::from_threads(vec![ts], deepest + 1, traversal_time);
-    stats.per_thread.clear();
-    BfsResult { levels, parents: None, stats }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,15 +87,6 @@ mod tests {
             assert_eq!(r.levels[v], r.levels[p] + 1, "parent level mismatch at {v}");
             assert!(g.neighbors(p as u32).contains(&(v as u32)), "parent edge missing");
         }
-    }
-
-    #[test]
-    fn bitmap_variant_agrees() {
-        let g = gen::barabasi_albert(500, 3, 11);
-        let a = serial_bfs(&g, 7);
-        let b = serial_bfs_bitmap(&g, 7);
-        assert_eq!(a.levels, b.levels);
-        assert_eq!(a.stats.totals.edges_scanned, b.stats.totals.edges_scanned);
     }
 
     #[test]

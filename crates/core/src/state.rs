@@ -10,7 +10,7 @@ use crate::frontier::{
 };
 use crate::options::{BfsOptions, DedupMode, Direction};
 use crate::perthread::PerThread;
-use crate::stats::ThreadStats;
+use crate::stats::{LevelStats, ThreadStats};
 use crate::UNVISITED;
 use obfs_graph::{CsrGraph, VertexId, INVALID_VERTEX};
 use obfs_runtime::LevelPool;
@@ -55,29 +55,36 @@ impl<T> SerialCell<T> {
     }
 }
 
-/// Leader-side accumulator for the optional per-level stats series.
+/// The run's level log: one [`LevelStats`] per executed level, appended
+/// by the barrier leader on every run. `RunStats`' direction, compaction
+/// and degradation figures are read off it after the run.
 #[derive(Debug)]
-pub struct TraceState {
-    /// Finished level entries.
-    pub entries: Vec<crate::stats::LevelStats>,
+pub(crate) struct LevelLog {
+    /// Closed levels, in order.
+    pub(crate) entries: Vec<LevelStats>,
     /// Start instant of the level in progress.
-    pub mark: std::time::Instant,
+    pub(crate) mark: std::time::Instant,
     /// Frontier size entering the level in progress.
-    pub frontier_in: usize,
+    pub(crate) frontier_in: usize,
     /// Merged cumulative counters at the previous level boundary; the
     /// per-level delta is the difference against this snapshot.
-    pub prev_totals: ThreadStats,
+    pub(crate) prev_totals: ThreadStats,
 }
 
-impl Default for TraceState {
-    fn default() -> Self {
-        Self {
-            entries: Vec::new(),
-            mark: std::time::Instant::now(),
-            frontier_in: 0,
-            prev_totals: ThreadStats::default(),
-        }
-    }
+/// The leader's decisions for the upcoming level, written in the barrier
+/// serial section that ends the previous level (or seeds level 0) and
+/// read by every worker between barriers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LevelPlan {
+    /// The run ends at this boundary: the frontier is empty or the run
+    /// was cancelled, so no further level executes.
+    pub(crate) stop: bool,
+    /// Direction of the level; always top-down without
+    /// [`BfsOptions::hybrid`].
+    pub(crate) direction: Direction,
+    /// Whether the (top-down) level consumes a prefix-sum-compacted
+    /// frontier; always `false` without [`BfsOptions::compaction`].
+    pub(crate) compacted: bool,
 }
 
 /// The in-edge graph a hybrid run probes during bottom-up levels: either
@@ -114,17 +121,10 @@ pub struct HybridCtl {
     /// at least `n/β` edges to go bottom-up, so a zero `mu` cannot make
     /// a shrinking tail thrash.
     pub unexplored_edges: u64,
-    /// Cumulative cross-thread `frontier_edges` at the previous level
-    /// boundary; the per-level `mf` is the difference against this.
-    pub prev_frontier_edges: u64,
     /// Edge volume of the frontier the level just finished consumed
     /// (`prev_mf` of [`crate::HybridPolicy::decide`]): 0 before level 0,
     /// the seed degree sum after it.
     pub prev_mf: u64,
-    /// Direction of every executed level, in order.
-    pub directions: Vec<Direction>,
-    /// Number of adjacent level pairs that ran in different directions.
-    pub switches: u32,
 }
 
 /// Everything the hybrid mode adds to a run: the in-edge graph, the
@@ -140,9 +140,6 @@ pub struct HybridState<'g> {
     /// wordwise candidate scan of `!word` is automatically masked). Only
     /// the word-at-a-time bottom-up kernel reads it.
     pub visited: FrontierBitmap,
-    /// Direction of the upcoming/current level (leader-written in the
-    /// level-end serial section, worker-read between barriers).
-    pub direction: SerialCell<Direction>,
     /// Heuristic bookkeeping (leader-only).
     pub ctl: SerialCell<HybridCtl>,
 }
@@ -164,12 +161,6 @@ pub struct CompactState {
     /// within each chunk, chunks in order. Each worker writes only the
     /// disjoint range `[block_prefix(tid), block_prefix(tid) + total)`.
     pub frontier: RacyBuf,
-    /// Whether the upcoming/current level consumes the compacted frontier
-    /// (leader-written in the level-end serial section, worker-read at
-    /// the loop top — same protocol as `HybridState::direction`).
-    pub enabled: SerialCell<bool>,
-    /// Leader-side count of levels that ran compacted.
-    pub levels_compacted: SerialCell<u32>,
 }
 
 /// Cursor state of the lock-based centralized dispatcher (BFSC): the
@@ -207,8 +198,6 @@ pub struct RunState<'g> {
     /// Racy global edge cursor (EdgeCL dispatch and the phase-2-steal
     /// hub exploration).
     pub edge_cursor: CachePadded<RacyUsize>,
-    /// Frontier size of the upcoming level; written by the barrier leader.
-    pub next_total: RacyUsize,
     /// Per-thread hub lists for the scale-free variants.
     pub hubs: PerThread<Vec<VertexId>>,
     /// Leader-built flattened work lists (hub phase / EdgeCL): vertices
@@ -217,8 +206,10 @@ pub struct RunState<'g> {
     /// Exclusive degree prefix sums over `flat_vertices` (one extra
     /// trailing total).
     pub flat_prefix: SerialCell<Vec<u64>>,
-    /// Leader-side per-level telemetry (when requested).
-    pub trace: Option<SerialCell<TraceState>>,
+    /// The leader's level log.
+    pub(crate) log: SerialCell<LevelLog>,
+    /// The leader's plan for the upcoming/current level.
+    pub(crate) plan: SerialCell<LevelPlan>,
     /// Direction-optimizing hybrid state; `None` unless
     /// [`BfsOptions::hybrid`] is set.
     pub hyb: Option<HybridState<'g>>,
@@ -251,8 +242,6 @@ pub struct RunState<'g> {
     /// (leader-written in each barrier serial section when a watchdog
     /// deadline is configured).
     pub wd_deadline: SerialCell<Option<u64>>,
-    /// Levels the leader finished with the serial sweep.
-    pub wd_degraded: SerialCell<u32>,
     /// Run-abort decision: the barrier leader publishes the cancel cause
     /// here in the level-end serial section; workers read it after the
     /// barrier and exit the level loop together (keeping the barrier
@@ -392,50 +381,30 @@ impl RunBuffers {
 }
 
 impl<'g> RunState<'g> {
-    /// Allocate all shared state for one BFS run. When
-    /// [`BfsOptions::hybrid`] is set the in-edge graph is computed here
-    /// (before the driver starts its traversal timer); callers that
-    /// already hold a transpose should use
-    /// [`RunState::new_with_transpose`] instead.
+    /// Allocate fresh shared state for one single-source run (the driver
+    /// recycles a pool's arrays instead; tests and the model replay drive
+    /// kernels on this directly). When [`BfsOptions::hybrid`] is set the
+    /// in-edge graph is computed here.
     pub fn new(graph: &'g CsrGraph, opts: &BfsOptions) -> Self {
-        Self::new_with_transpose(graph, opts, None)
-    }
-
-    /// Like [`RunState::new`], but probing bottom-up levels through the
-    /// caller-provided in-edge graph (must be `graph.transpose()`, or
-    /// `graph` itself when the graph is symmetric). Ignored unless
-    /// [`BfsOptions::hybrid`] is set.
-    pub fn new_with_transpose(
-        graph: &'g CsrGraph,
-        opts: &BfsOptions,
-        transpose: Option<&'g CsrGraph>,
-    ) -> Self {
         let bufs = RunBuffers::new(graph.num_vertices(), opts, true);
-        Self::from_buffers(graph, opts, transpose, bufs, None)
-    }
-
-    /// Like [`RunState::new_with_transpose`], but for a batched
-    /// multi-source run over `sources` (1..=64 of them, duplicates
-    /// allowed). The single-source label arrays are replaced by the
-    /// bit-parallel [`BatchState`]; the owner-array dedup is
-    /// incompatible with batching (a vertex legitimately re-enters the
-    /// frontier once per query) and is rejected.
-    pub fn new_batch(
-        graph: &'g CsrGraph,
-        opts: &BfsOptions,
-        transpose: Option<&'g CsrGraph>,
-        sources: &[obfs_graph::VertexId],
-    ) -> Self {
-        let bufs = RunBuffers::new(graph.num_vertices(), opts, false);
-        Self::from_buffers(graph, opts, transpose, bufs, Some(sources))
+        Self::from_buffers(graph, opts, None, bufs, None)
     }
 
     /// The one construction path: every n-sized array comes from `bufs`
-    /// (fresh or recycled), everything else is built per run. With
-    /// `sources` the state is for a batched run over them; it uses only
-    /// the queues of `bufs`, and any single-source arrays in the set sit
-    /// idle until [`RunState::into_buffers`]. Otherwise `bufs` must carry
+    /// (fresh or recycled), everything else is built per run.
+    ///
+    /// With `sources` (1..=64 of them, duplicates allowed) the state is
+    /// for a batched run over them: the bit-parallel [`BatchState`] holds
+    /// the labels, only the queues of `bufs` are used, and any
+    /// single-source arrays in the set sit idle until
+    /// [`RunState::into_buffers`]. The owner-array dedup is incompatible
+    /// with batching (a vertex legitimately re-enters the frontier once
+    /// per query) and is rejected. Without `sources`, `bufs` must carry
     /// exactly the label arrays `opts` needs.
+    ///
+    /// Bottom-up levels probe `transpose` (`graph.transpose()`, or
+    /// `graph` itself when symmetric); a hybrid run given none computes
+    /// it here.
     pub(crate) fn from_buffers(
         graph: &'g CsrGraph,
         opts: &BfsOptions,
@@ -504,14 +473,7 @@ impl<'g> RunState<'g> {
                 },
                 bitmap,
                 visited,
-                direction: SerialCell::new(Direction::TopDown),
-                ctl: SerialCell::new(HybridCtl {
-                    unexplored_edges: graph.num_edges(),
-                    prev_frontier_edges: 0,
-                    prev_mf: 0,
-                    directions: Vec::new(),
-                    switches: 0,
-                }),
+                ctl: SerialCell::new(HybridCtl { unexplored_edges: graph.num_edges(), prev_mf: 0 }),
             }
         });
         let compact = compact.map(|c| CompactState {
@@ -519,8 +481,6 @@ impl<'g> RunState<'g> {
             chunk_counts: c.chunk_counts,
             block_totals: c.block_totals,
             frontier: c.frontier,
-            enabled: SerialCell::new(false),
-            levels_compacted: SerialCell::new(0),
         });
         Self {
             graph,
@@ -533,11 +493,20 @@ impl<'g> RunState<'g> {
             central_lock: SpinLock::new(CentralCursor::default()),
             pool_cursors: (0..pools).map(|_| CachePadded::new(RacyUsize::new(0))).collect(),
             edge_cursor: CachePadded::new(RacyUsize::new(0)),
-            next_total: RacyUsize::new(0),
             hubs: PerThread::new(p, |_| Vec::new()),
             flat_vertices: SerialCell::new(Vec::new()),
             flat_prefix: SerialCell::new(Vec::new()),
-            trace: opts.collect_level_stats.then(|| SerialCell::new(TraceState::default())),
+            log: SerialCell::new(LevelLog {
+                entries: Vec::new(),
+                mark: std::time::Instant::now(),
+                frontier_in: 0,
+                prev_totals: ThreadStats::default(),
+            }),
+            plan: SerialCell::new(LevelPlan {
+                stop: false,
+                direction: Direction::TopDown,
+                compacted: false,
+            }),
             hyb,
             compact,
             scan_backend: opts.kernel.resolve(),
@@ -546,7 +515,6 @@ impl<'g> RunState<'g> {
             count_frontier_edges: opts.hybrid.is_some(),
             wd_abort: AtomicBool::new(false),
             wd_deadline: SerialCell::new(None),
-            wd_degraded: SerialCell::new(0),
             run_abort: SerialCell::new(None),
             abort_armed: opts.watchdog.is_some() || opts.cancel.is_some(),
             threads: p,
@@ -1430,7 +1398,7 @@ mod tests {
             ..Default::default()
         };
         let serial = crate::serial::serial_bfs(&g, 0).levels;
-        let r = try_run_on_pool(Algorithm::Bfscl, &g, 0, &o, &pool).unwrap();
+        let r = try_run_on_pool(Algorithm::Bfscl, &g, 0, &o, &pool, None).unwrap();
         assert_eq!(r.levels, serial);
         assert_eq!(r.stats.compacted_levels, r.stats.levels, "every level compacted");
         let bufs = pool.take_parked::<RunBuffers>().expect("a finished run parks its buffers");
@@ -1444,7 +1412,7 @@ mod tests {
         let levels_at = |b: &RunBuffers| b.labels.as_ref().unwrap().levels.row(0, 1).as_ptr();
         let before = levels_at(&bufs);
         pool.park(bufs);
-        let r = try_run_on_pool(Algorithm::Bfscl, &g, 0, &o, &pool).unwrap();
+        let r = try_run_on_pool(Algorithm::Bfscl, &g, 0, &o, &pool, None).unwrap();
         assert_eq!(r.levels, serial);
         let bufs = pool.take_parked::<RunBuffers>().unwrap();
         assert_eq!(levels_at(&bufs), before, "the same shape reuses the arrays");

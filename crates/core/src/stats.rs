@@ -4,6 +4,15 @@
 //! [`crate::perthread::PerThread`], so counting needs no synchronization);
 //! the driver merges them into a [`RunStats`] after the run. The
 //! [`StealCounters`] categories are exactly those of the paper's Table VI.
+//!
+//! A dispatcher reports each of its five events (segment fetched, fetch
+//! retried, stale-slot abort, steal succeeded, steal failed) through one
+//! [`ThreadStats`] method that bumps the counter, closes the call site's
+//! latency timer and records the flight event, so the counters, the
+//! histograms and the flight rings cannot disagree about what happened.
+
+use obfs_sync::flight::{self, kind};
+use obfs_sync::metrics::{self, HistTimer};
 
 /// Outcome counters for steal attempts (work-stealing variants) — the
 /// columns of Table VI.
@@ -61,6 +70,39 @@ impl StealCounters {
     /// Internal consistency: categorized outcomes must sum to attempts.
     pub fn is_consistent(&self) -> bool {
         self.success + self.failed() == self.attempts
+    }
+}
+
+/// Why a steal attempt failed: one variant per failure column of
+/// [`StealCounters`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StealFail {
+    /// The victim's lock was held (lock-based variants only).
+    Locked,
+    /// The victim had no work (empty or exhausted segment).
+    Idle,
+    /// The victim's remaining segment was below the steal minimum.
+    TooSmall,
+    /// The stolen half was already consumed (lock-free variants only).
+    Stale,
+    /// The snapshot failed the `f' < r' <= Qin[q'].r` sanity check
+    /// (lock-free variants only).
+    Invalid,
+}
+
+impl StealFail {
+    /// Count this failure in its [`StealCounters`] field and return its
+    /// `STEAL_*` flight code: the one place a reason maps to both.
+    fn tally(self, c: &mut StealCounters) -> u64 {
+        let (field, code) = match self {
+            StealFail::Locked => (&mut c.victim_locked, kind::STEAL_LOCKED),
+            StealFail::Idle => (&mut c.victim_idle, kind::STEAL_IDLE),
+            StealFail::TooSmall => (&mut c.too_small, kind::STEAL_TOO_SMALL),
+            StealFail::Stale => (&mut c.stale, kind::STEAL_STALE),
+            StealFail::Invalid => (&mut c.invalid, kind::STEAL_INVALID),
+        };
+        *field += 1;
+        code
     }
 }
 
@@ -135,12 +177,81 @@ impl ThreadStats {
             steal: self.steal.diff(&earlier.steal),
         }
     }
+
+    /// A dispatcher handed this worker a segment of `len` entries: of
+    /// queue `at`, or starting at edge cursor `at` for edge dispatch.
+    /// `retries` is the optimistic fetch's sanity-check retry count,
+    /// `None` for dispatchers that never retry.
+    #[inline]
+    pub(crate) fn segment_fetched(
+        &mut self,
+        timer: HistTimer,
+        retries: Option<u64>,
+        level: u32,
+        at: u64,
+        len: u64,
+    ) {
+        self.segments_fetched += 1;
+        metrics::segment_fetch(timer);
+        if let Some(r) = retries {
+            metrics::fetch_retry_burst(r);
+        }
+        flight::record(kind::SEGMENT_FETCH, level, at, len);
+    }
+
+    /// A fetch from queue or pool `index` came up empty and is retried;
+    /// `probe` marks a failed decentralized pool probe (flight `b` = 1)
+    /// rather than a raced queue cursor (`b` = 0).
+    #[inline]
+    pub(crate) fn fetch_retried(&mut self, level: u32, index: usize, probe: bool) {
+        self.fetch_retries += 1;
+        flight::record(kind::FETCH_RETRY, level, index as u64, u64::from(probe));
+    }
+
+    /// A segment walk stopped at the cleared slot `slot` of `queue`,
+    /// below the queue's rear: the segment was replayed or co-walked.
+    #[inline]
+    pub(crate) fn stale_abort(&mut self, level: u32, queue: usize, slot: usize) {
+        self.stale_slot_aborts += 1;
+        flight::record(kind::STALE_ABORT, level, queue as u64, slot as u64);
+    }
+
+    /// A steal from `victim` took `len` entries.
+    #[inline]
+    pub(crate) fn steal_succeeded(
+        &mut self,
+        timer: HistTimer,
+        level: u32,
+        victim: usize,
+        len: usize,
+    ) {
+        self.steal.attempts += 1;
+        self.steal.success += 1;
+        metrics::steal_attempt(timer);
+        flight::record(kind::STEAL_SUCCESS, level, victim as u64, len as u64);
+    }
+
+    /// A steal from `victim` failed for reason `why`.
+    #[inline]
+    pub(crate) fn steal_failed(
+        &mut self,
+        timer: HistTimer,
+        level: u32,
+        victim: usize,
+        why: StealFail,
+    ) {
+        self.steal.attempts += 1;
+        let code = why.tally(&mut self.steal);
+        metrics::steal_attempt(timer);
+        flight::record(kind::STEAL_FAIL, level, victim as u64, code);
+    }
 }
 
-/// One level's telemetry (collected when
-/// [`crate::BfsOptions::collect_level_stats`] is set): the frontier
-/// profile plus every [`ThreadStats`] counter as a per-level delta
-/// merged across workers.
+/// One level of a run's level log: the frontier profile plus every
+/// [`ThreadStats`] counter as a per-level delta merged across workers.
+/// The barrier leader appends one per executed level on every run;
+/// [`crate::BfsOptions::collect_level_stats`] decides whether the log is
+/// returned in [`RunStats::level_stats`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LevelStats {
     /// BFS depth of the vertices consumed this level.
@@ -227,7 +338,7 @@ pub struct RunStats {
     /// compaction walks); `None` for serial runs, which never touch the
     /// dispatched kernels.
     pub kernel_backend: Option<crate::dispatch::ScanBackend>,
-    /// Per-level telemetry; empty unless
+    /// The run's level log; empty unless
     /// [`crate::BfsOptions::collect_level_stats`] was set (and always
     /// empty for serial runs).
     pub level_stats: Vec<LevelStats>,
@@ -306,21 +417,6 @@ impl RunStats {
             traversed_edges as f64 / s
         }
     }
-
-    /// Imbalance ratio: max worker explored / mean worker explored
-    /// (1.0 = perfectly balanced). NaN for serial runs.
-    pub fn balance_ratio(&self) -> f64 {
-        if self.per_thread.is_empty() {
-            return f64::NAN;
-        }
-        let max = self.per_thread.iter().map(|t| t.vertices_explored).max().unwrap() as f64;
-        let mean = self.totals.vertices_explored as f64 / self.per_thread.len() as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
-    }
 }
 
 #[cfg(test)]
@@ -342,6 +438,41 @@ mod tests {
         assert!(!s.is_consistent());
     }
 
+    /// `StealFail` is the one map from a failure reason to its Table VI
+    /// bucket and its flight code: each reason lands in its own bucket,
+    /// and the one `STEAL_FAIL` event (`trace` builds) carries its code.
+    #[test]
+    fn each_steal_failure_lands_in_its_own_bucket() {
+        type Bucket = fn(&StealCounters) -> u64;
+        let cases: [(StealFail, Bucket, u64); 5] = [
+            (StealFail::Locked, |c| c.victim_locked, kind::STEAL_LOCKED),
+            (StealFail::Idle, |c| c.victim_idle, kind::STEAL_IDLE),
+            (StealFail::TooSmall, |c| c.too_small, kind::STEAL_TOO_SMALL),
+            (StealFail::Stale, |c| c.stale, kind::STEAL_STALE),
+            (StealFail::Invalid, |c| c.invalid, kind::STEAL_INVALID),
+        ];
+        for (victim, (why, bucket, code)) in cases.into_iter().enumerate() {
+            let mut c = StealCounters::default();
+            assert_eq!(why.tally(&mut c), code, "{why:?} flight code");
+            assert_eq!((bucket(&c), c.failed()), (1, 1), "{why:?} bucket");
+
+            flight::install(4, std::time::Instant::now());
+            let mut ts = ThreadStats::default();
+            ts.steal_failed(HistTimer::DISARMED, 3, victim, why);
+            let ring = flight::uninstall();
+            assert_eq!((bucket(&ts.steal), ts.steal.attempts), (1, 1), "{why:?} bucket");
+            assert!(ts.steal.is_consistent());
+            #[cfg(feature = "trace")]
+            {
+                let events = ring.expect("recorder installed").events;
+                let got: Vec<_> = events.iter().map(|e| (e.kind, e.level, e.a, e.b)).collect();
+                assert_eq!(got, [(kind::STEAL_FAIL, 3, victim as u64, code)], "{why:?} event");
+            }
+            #[cfg(not(feature = "trace"))]
+            assert!(ring.is_none());
+        }
+    }
+
     #[test]
     fn merge_adds_fieldwise() {
         let a = ThreadStats { vertices_explored: 5, edges_scanned: 9, ..Default::default() };
@@ -359,20 +490,7 @@ mod tests {
         let rs = RunStats::from_threads(vec![t1, t2], 3, std::time::Duration::from_millis(10));
         assert_eq!(rs.totals.vertices_explored, 40);
         assert_eq!(rs.levels, 3);
-        assert!((rs.balance_ratio() - 1.5).abs() < 1e-12);
         let teps = rs.teps(1000);
         assert!((teps - 100_000.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn balance_ratio_edge_cases() {
-        let rs = RunStats::default();
-        assert!(rs.balance_ratio().is_nan());
-        let rs2 = RunStats::from_threads(
-            vec![ThreadStats::default(); 4],
-            0,
-            std::time::Duration::ZERO,
-        );
-        assert_eq!(rs2.balance_ratio(), 1.0);
     }
 }

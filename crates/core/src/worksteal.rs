@@ -32,10 +32,9 @@
 use crate::driver::{take_slot, LevelEnv, Strategy};
 use crate::frontier::{decode, EMPTY_SLOT};
 use crate::state::RunState;
-use crate::stats::ThreadStats;
+use crate::stats::{StealFail, ThreadStats};
 use obfs_graph::VertexId;
 use obfs_runtime::WorkerCtx;
-use obfs_sync::flight;
 use obfs_util::Xoshiro256StarStar;
 
 /// Strategy covering all four work-stealing variants.
@@ -152,13 +151,7 @@ impl WorkStealing {
                 }
                 None => {
                     if seg.f < queue.rear() {
-                        ts.stale_slot_aborts += 1;
-                        flight::record(
-                            flight::kind::STALE_ABORT,
-                            env.level,
-                            seg.q as u64,
-                            seg.f as u64,
-                        );
+                        ts.stale_abort(env.level, seg.q, seg.f);
                     }
                     return;
                 }
@@ -253,22 +246,17 @@ impl WorkStealing {
                 Some(t) => t.numa_victim(tid, 0.75, rng)?,
                 None => uniform_victim(tid, p, rng),
             };
-            ts.steal.attempts += 1;
             let stolen = if self.locked {
                 self.try_steal_locked(env, tid, victim, ts)
             } else {
-                self.try_steal_optimistic(env, tid, victim, ts)
+                self.try_steal_optimistic(env, tid, victim)
             };
-            obfs_sync::metrics::steal_attempt(attempt_timer);
-            if let Some(seg) = stolen {
-                ts.steal.success += 1;
-                flight::record(
-                    flight::kind::STEAL_SUCCESS,
-                    env.level,
-                    victim as u64,
-                    (seg.r - seg.f) as u64,
-                );
-                return Some(seg);
+            match stolen {
+                Ok(seg) => {
+                    ts.steal_succeeded(attempt_timer, env.level, victim, seg.r - seg.f);
+                    return Some(seg);
+                }
+                Err(why) => ts.steal_failed(attempt_timer, env.level, victim, why),
             }
         }
         None
@@ -282,42 +270,21 @@ impl WorkStealing {
         tid: usize,
         victim: usize,
         ts: &mut ThreadStats,
-    ) -> Option<OwnedSegment> {
+    ) -> Result<OwnedSegment, StealFail> {
         let st = env.st;
         let vd = &st.descs[victim];
         let (q, mid, r) = {
             let Some(_g) = st.desc_locks[victim].try_lock() else {
-                ts.steal.victim_locked += 1;
-                flight::record(
-                    flight::kind::STEAL_FAIL,
-                    env.level,
-                    victim as u64,
-                    flight::kind::STEAL_LOCKED,
-                );
-                return None;
+                return Err(StealFail::Locked);
             };
             ts.lock_acquisitions += 1;
             let f = vd.f.load();
             let r = vd.r.load();
             if f >= r {
-                ts.steal.victim_idle += 1;
-                flight::record(
-                    flight::kind::STEAL_FAIL,
-                    env.level,
-                    victim as u64,
-                    flight::kind::STEAL_IDLE,
-                );
-                return None;
+                return Err(StealFail::Idle);
             }
             if r - f < st.opts.steal_min {
-                ts.steal.too_small += 1;
-                flight::record(
-                    flight::kind::STEAL_FAIL,
-                    env.level,
-                    victim as u64,
-                    flight::kind::STEAL_TOO_SMALL,
-                );
-                return None;
+                return Err(StealFail::TooSmall);
             }
             let mid = f + (r - f) / 2;
             // racy-ok: under the victim's descriptor lock
@@ -332,7 +299,7 @@ impl WorkStealing {
             // racy-ok: under this thread's own descriptor lock
             st.descs[tid].set(q, mid, r);
         }
-        Some(OwnedSegment { q, f: mid, r })
+        Ok(OwnedSegment { q, f: mid, r })
     }
     // lint:endregion
 
@@ -344,43 +311,21 @@ impl WorkStealing {
         env: &LevelEnv<'_, '_>,
         tid: usize,
         victim: usize,
-        ts: &mut ThreadStats,
-    ) -> Option<OwnedSegment> {
+    ) -> Result<OwnedSegment, StealFail> {
         let st = env.st;
         let qin = st.qin(env.parity);
         let (q, f, r) = st.descs[victim].snapshot();
         if f >= r {
-            ts.steal.victim_idle += 1;
-            flight::record(
-                flight::kind::STEAL_FAIL,
-                env.level,
-                victim as u64,
-                flight::kind::STEAL_IDLE,
-            );
-            return None;
+            return Err(StealFail::Idle);
         }
         // Sanity check: f < r (above) and r within the victim queue's
         // immutable level rear. A mixed snapshot (victim moved queues
         // between our three loads) fails here and we retry elsewhere.
         if q >= st.threads || r > qin.queue(q).rear() {
-            ts.steal.invalid += 1;
-            flight::record(
-                flight::kind::STEAL_FAIL,
-                env.level,
-                victim as u64,
-                flight::kind::STEAL_INVALID,
-            );
-            return None;
+            return Err(StealFail::Invalid);
         }
         if r - f < st.opts.steal_min {
-            ts.steal.too_small += 1;
-            flight::record(
-                flight::kind::STEAL_FAIL,
-                env.level,
-                victim as u64,
-                flight::kind::STEAL_TOO_SMALL,
-            );
-            return None;
+            return Err(StealFail::TooSmall);
         }
         let mid = f + (r - f) / 2;
         // Publish: my descriptor first, then shrink the victim. Plain
@@ -392,16 +337,9 @@ impl WorkStealing {
         st.descs[victim].r.store(mid);
         if qin.queue(q).slot(mid) == EMPTY_SLOT {
             // Already consumed: the snapshot was stale.
-            ts.steal.stale += 1;
-            flight::record(
-                flight::kind::STEAL_FAIL,
-                env.level,
-                victim as u64,
-                flight::kind::STEAL_STALE,
-            );
-            return None;
+            return Err(StealFail::Stale);
         }
-        Some(OwnedSegment { q, f: mid, r })
+        Ok(OwnedSegment { q, f: mid, r })
     }
     // lint:endregion
 
@@ -487,7 +425,8 @@ mod tests {
     mod adversarial_steal {
         use super::*;
         use crate::state::RunState;
-        use crate::stats::ThreadStats;
+        use crate::stats::{StealFail, ThreadStats};
+        use obfs_sync::metrics::HistTimer;
 
         fn env_with_frontier(n: usize) -> (obfs_graph::CsrGraph, BfsOptions) {
             let g = gen::path(n);
@@ -507,6 +446,15 @@ mod tests {
             WorkStealing { locked: false, scale_free: false }
         }
 
+        /// Tally a steal that must fail the way the dispatcher does, so
+        /// each case checks the Table VI bucket its reason lands in.
+        fn tally(ts: &mut ThreadStats, got: Result<OwnedSegment, StealFail>) {
+            match got {
+                Ok(seg) => panic!("steal must fail, took {:?}", (seg.q, seg.f, seg.r)),
+                Err(why) => ts.steal_failed(HistTimer::DISARMED, 0, 1, why),
+            }
+        }
+
         #[test]
         fn invalid_rear_beyond_queue_is_rejected() {
             let (g, o) = env_with_frontier(64);
@@ -517,10 +465,9 @@ mod tests {
             st.descs[1].set(1, 2, 50);
             let env = LevelEnv { st: &st, parity: 0, level: 0 };
             let mut ts = ThreadStats::default();
-            ts.steal.attempts += 1;
-            let got = strategy().try_steal_optimistic(&env, 0, 1, &mut ts);
-            assert!(got.is_none());
+            tally(&mut ts, strategy().try_steal_optimistic(&env, 0, 1));
             assert_eq!(ts.steal.invalid, 1);
+            assert_eq!(ts.steal.failed(), 1);
         }
 
         #[test]
@@ -531,12 +478,13 @@ mod tests {
             st.descs[1].set(1, 10, 10); // exhausted
             let env = LevelEnv { st: &st, parity: 0, level: 0 };
             let mut ts = ThreadStats::default();
-            assert!(strategy().try_steal_optimistic(&env, 0, 1, &mut ts).is_none());
+            tally(&mut ts, strategy().try_steal_optimistic(&env, 0, 1));
             assert_eq!(ts.steal.victim_idle, 1);
             // f > r (descriptor dragged backwards) is also idle, not UB.
             st.descs[1].set(1, 9, 4);
-            assert!(strategy().try_steal_optimistic(&env, 0, 1, &mut ts).is_none());
+            tally(&mut ts, strategy().try_steal_optimistic(&env, 0, 1));
             assert_eq!(ts.steal.victim_idle, 2);
+            assert_eq!(ts.steal.failed(), 2);
         }
 
         #[test]
@@ -547,8 +495,9 @@ mod tests {
             st.descs[2].set(2, 8, 9); // one element < steal_min=2
             let env = LevelEnv { st: &st, parity: 0, level: 0 };
             let mut ts = ThreadStats::default();
-            assert!(strategy().try_steal_optimistic(&env, 0, 2, &mut ts).is_none());
+            tally(&mut ts, strategy().try_steal_optimistic(&env, 0, 2));
             assert_eq!(ts.steal.too_small, 1);
+            assert_eq!(ts.steal.failed(), 1);
         }
 
         #[test]
@@ -563,9 +512,9 @@ mod tests {
             st.descs[1].set(1, 0, 10);
             let env = LevelEnv { st: &st, parity: 0, level: 0 };
             let mut ts = ThreadStats::default();
-            let got = strategy().try_steal_optimistic(&env, 0, 1, &mut ts);
-            assert!(got.is_none());
+            tally(&mut ts, strategy().try_steal_optimistic(&env, 0, 1));
             assert_eq!(ts.steal.stale, 1);
+            assert_eq!(ts.steal.failed(), 1);
             // The victim's rear was still shrunk (as in the real race).
             assert_eq!(st.descs[1].r.load(), 5);
         }
@@ -577,8 +526,7 @@ mod tests {
             fill_queue(&st, 3, 12);
             st.descs[3].set(3, 2, 12);
             let env = LevelEnv { st: &st, parity: 0, level: 0 };
-            let mut ts = ThreadStats::default();
-            let seg = strategy().try_steal_optimistic(&env, 0, 3, &mut ts).expect("valid steal");
+            let seg = strategy().try_steal_optimistic(&env, 0, 3).expect("valid steal");
             assert_eq!((seg.q, seg.f, seg.r), (3, 7, 12));
             assert_eq!(st.descs[3].snapshot(), (3, 2, 7), "victim keeps the left half");
             assert_eq!(st.descs[0].snapshot(), (3, 7, 12), "thief published its segment");
@@ -605,9 +553,8 @@ mod tests {
             let env = LevelEnv { st: &st, parity: 0, level: 0 };
             let mut ts = ThreadStats::default();
             for _ in 0..64 {
-                ts.steal.attempts += 1;
-                let got = strategy().try_steal_optimistic(&env, 0, 1, &mut ts);
-                assert!(got.is_none(), "a fabricated snapshot must never be stolen");
+                // A fabricated snapshot must never be stolen.
+                tally(&mut ts, strategy().try_steal_optimistic(&env, 0, 1));
             }
             let injected = obfs_sync::chaos::uninstall();
             assert!(injected >= 64, "every snapshot should have been skewed");
@@ -626,8 +573,10 @@ mod tests {
             let strat = WorkStealing { locked: true, scale_free: false };
             let _held = st.desc_locks[1].lock();
             let mut ts = ThreadStats::default();
-            assert!(strat.try_steal_locked(&env, 0, 1, &mut ts).is_none());
+            let got = strat.try_steal_locked(&env, 0, 1, &mut ts);
+            tally(&mut ts, got);
             assert_eq!(ts.steal.victim_locked, 1);
+            assert_eq!(ts.steal.failed(), 1);
             assert_eq!(st.descs[1].snapshot(), (1, 0, 10), "victim untouched");
         }
     }

@@ -11,7 +11,8 @@
 //! * [`Engine::submit`] is the admission gate: a bounded in-flight count
 //!   (queued + running) with reject-beyond-capacity semantics
 //!   ([`SubmitError::Overloaded`]) — load is shed at the door, never
-//!   queued unboundedly.
+//!   queued unboundedly. A source outside the graph is refused there too
+//!   ([`SubmitError::SourceOutOfRange`]), before it takes a query id.
 //! * One **scheduler thread** owns a [`obfs_runtime::PoolManager`] and
 //!   drains the queue earliest-deadline-first. Pool ownership never
 //!   crosses threads, so the scheduler needs no locking around the pool
@@ -146,6 +147,8 @@ pub enum SubmitError {
     Overloaded,
     /// The engine is shutting down.
     ShuttingDown,
+    /// The query's source is not a vertex of the engine's graph.
+    SourceOutOfRange,
 }
 
 impl std::fmt::Display for SubmitError {
@@ -153,6 +156,7 @@ impl std::fmt::Display for SubmitError {
         match self {
             SubmitError::Overloaded => write!(f, "engine at capacity: query shed"),
             SubmitError::ShuttingDown => write!(f, "engine shutting down"),
+            SubmitError::SourceOutOfRange => write!(f, "query source out of range for the graph"),
         }
     }
 }
@@ -470,8 +474,14 @@ impl Engine {
 
     /// Submit a query. Sheds with [`SubmitError::Overloaded`] when
     /// [`EngineConfig::capacity`] queries are already in flight — the
-    /// queue never grows beyond capacity.
+    /// queue never grows beyond capacity. A source that is not a vertex
+    /// of the graph is refused with [`SubmitError::SourceOutOfRange`]
+    /// before it is assigned an id, so it leaves no trace in the stats or
+    /// the span log.
     pub fn submit(&self, query: Query) -> Result<QueryHandle, SubmitError> {
+        if query.src as usize >= self.graph.num_vertices() {
+            return Err(SubmitError::SourceOutOfRange);
+        }
         let mut st = self.shared.lock();
         if st.shutdown {
             return Err(SubmitError::ShuttingDown);
@@ -762,6 +772,7 @@ fn run_batch_coalesced(
             &distinct,
             &opts,
             pm.pool(),
+            None,
         ) {
             Ok(b) => break Ok(b),
             Err(_) if attempt < cfg.max_retries => {
@@ -840,6 +851,7 @@ fn run_with_retry(
             job.query.src,
             &opts,
             pm.pool(),
+            None,
         );
         match run {
             Ok(r) => match r.stats.outcome {

@@ -12,8 +12,8 @@
 //! scheduler-written, never contended. [`Histogram`] takes a `Mutex`
 //! per record — it is meant for *query*-granularity events (admission
 //! latencies, batch occupancy), never per-edge work; the per-edge path
-//! stays on the thread-owned `obfs-sync::metrics` histograms and only
-//! flushes aggregates here at level granularity (see [`crate::worker`]).
+//! stays on the thread-owned `obfs-sync::metrics` histograms, and the BFS
+//! driver publishes only per-level aggregates here (see [`crate::worker`]).
 //!
 //! Readers (scrapes) see each counter atomically but no consistent cut
 //! across counters: a snapshot taken mid-update can observe, say, a

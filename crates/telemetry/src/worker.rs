@@ -2,11 +2,11 @@
 //!
 //! A long-running traversal becomes observable mid-flight through
 //! [`RunTelemetry`]: the BFS driver holds the handle (it rides in
-//! `BfsOptions::telemetry`), the barrier leader updates the level/
-//! frontier/direction gauges inside its serial section (already
-//! exclusive, so plain relaxed stores suffice), and each worker adds
-//! the growth of its own edge-scan count to [`RunTelemetry::edges`] once
-//! per level.
+//! `BfsOptions::telemetry`), and the barrier leader publishes
+//! everything inside its serial section (already exclusive, so plain
+//! relaxed stores suffice): the level/frontier/direction gauges, and
+//! each finished level's edge-scan delta, merged across the workers, to
+//! [`RunTelemetry::edges`].
 //!
 //! # Zero cost when off
 //!
@@ -25,8 +25,8 @@ pub struct RunTelemetry {
     pub traversals: Counter,
     /// Levels completed across all traversals (counter).
     pub levels: Counter,
-    /// Edges scanned across all traversals (counter, worker-flushed
-    /// once per level).
+    /// Edges scanned across all traversals (counter, leader-published
+    /// once per level from the merged level delta).
     pub edges: Counter,
     /// Levels whose frontier was materialized by prefix-sum compaction
     /// (counter).

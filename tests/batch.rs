@@ -186,7 +186,7 @@ fn disconnected_components_stay_isolated() {
 
 /// Option grid riding along: segment policies and phase-2 stealing must
 /// not perturb batched results (owner-array dedup is excluded — it is
-/// incompatible with batching by design and asserted in `new_batch`).
+/// incompatible with batching by design and asserted in `RunState::from_buffers`).
 #[test]
 fn batch_option_grid() {
     let g = gen::barabasi_albert(700, 3, 61);

@@ -14,7 +14,7 @@
 
 use obfs_core::serial::serial_bfs;
 use obfs_core::{Algorithm, BfsOptions, CancelToken, Clock, Outcome};
-use obfs_engine::{Engine, EngineConfig, Query, QueryStatus};
+use obfs_engine::{Engine, EngineConfig, Query, QueryStatus, SubmitError};
 use obfs_graph::gen;
 use std::sync::Arc;
 use std::time::Duration;
@@ -67,6 +67,28 @@ fn queued_query_past_deadline_never_runs() {
     assert_eq!(e.stats().deadline_exceeded, 1);
 }
 
+/// A source outside the graph is refused at the door, before it takes a
+/// query id, and the engine keeps answering. (Admitted, it would reach
+/// the driver's range assert on the scheduler thread, and every later
+/// query would wait forever.)
+#[test]
+fn out_of_range_source_is_refused_and_the_engine_keeps_answering() {
+    let g = gen::erdos_renyi(500, 3_000, 5);
+    let reference = serial_bfs(&g, 7);
+    let e = Engine::new(Arc::new(g), EngineConfig { threads: 2, ..Default::default() });
+    match e.submit(Query::new(Algorithm::Bfscl, 500)) {
+        Err(SubmitError::SourceOutOfRange) => {}
+        Err(other) => panic!("expected SourceOutOfRange, got {other}"),
+        Ok(_) => panic!("source 500 of a 500-vertex graph was admitted"),
+    }
+    let stats = e.stats();
+    assert_eq!((stats.submitted, stats.shed), (0, 0), "a refused source is not counted");
+    let resp = e.submit(Query::new(Algorithm::Bfscl, 7)).unwrap().wait();
+    assert_eq!(resp.status, QueryStatus::Complete);
+    assert_eq!(resp.result.expect("a complete run has a result").levels, reference.levels);
+    assert_eq!(e.in_flight(), 0);
+}
+
 /// Cancellation must break a worker that is *stalled inside a dispatch
 /// quantum*, not just one that reaches the next level barrier: the
 /// injected stall spins `u32::MAX` times — effectively forever — and
@@ -110,7 +132,6 @@ fn cancellation_breaks_an_injected_worker_stall() {
 #[cfg(feature = "chaos")]
 #[test]
 fn overload_is_shed_while_a_stalled_query_holds_the_slot() {
-    use obfs_engine::SubmitError;
     use obfs_sync::ChaosConfig;
     let e = Engine::new(
         Arc::new(test_graph(6)),
@@ -192,7 +213,8 @@ fn tls_state_is_uninstalled_between_queries_on_a_shared_pool() {
         if round % 2 == 1 {
             token.cancel(); // pre-cancelled: quiesces after one level
         }
-        let r = obfs_core::driver::run_on_pool(Algorithm::Bfswsl, &g, 0, &opts, &pool);
+        let r = obfs_core::driver::try_run_on_pool(Algorithm::Bfswsl, &g, 0, &opts, &pool, None)
+            .expect("a healthy pool completes the run");
         if round % 2 == 1 {
             assert_eq!(r.stats.outcome, Outcome::Cancelled);
         }

@@ -141,12 +141,12 @@ fn worker_panic_then_rebuilt_pool_runs_clean() {
         ..shapes()[0].clone()
     };
     for algo in PARALLEL {
-        let r = try_run_on_pool(algo, &g, 1, &opts, pm.pool()).unwrap();
+        let r = try_run_on_pool(algo, &g, 1, &opts, pm.pool(), None).unwrap();
         check_complete(&g, 1, &r, &format!("{algo} before panic"));
         let doomed = BfsOptions { chaos: Some(ChaosConfig::panic_at(3, 40)), ..opts.clone() };
-        assert!(try_run_on_pool(algo, &g, 2, &doomed, pm.pool()).is_err(), "{algo}");
+        assert!(try_run_on_pool(algo, &g, 2, &doomed, pm.pool(), None).is_err(), "{algo}");
         for src in [3, 4] {
-            let r = try_run_on_pool(algo, &g, src, &opts, pm.pool()).unwrap();
+            let r = try_run_on_pool(algo, &g, src, &opts, pm.pool(), None).unwrap();
             check_complete(&g, src, &r, &format!("{algo} after rebuild, src {src}"));
         }
     }

@@ -12,7 +12,7 @@
 //! always on. `trace` builds additionally check the `SPAN` flight
 //! mirrors in the scheduler's recorder ring.
 
-use obfs_core::{Algorithm, BfsOptions};
+use obfs_core::{Algorithm, BfsOptions, CompactionPolicy, HybridPolicy};
 use obfs_engine::{Engine, EngineConfig, Query, QueryStatus, SubmitError};
 use obfs_graph::gen;
 use obfs_telemetry::span::{self, stage};
@@ -293,4 +293,42 @@ fn run_without_telemetry_leaves_a_registry_untouched() {
         "per-level worker flushes must sum to the run's exact edge total"
     );
     assert_eq!(run.levels.value(), u64::from(r2.stats.levels));
+}
+
+/// With level stats off, the per-level figures of `RunStats` and the
+/// run's telemetry counters still agree, for every parallel algorithm:
+/// the leader derives both from the level log it records on every run.
+/// Dense RMAT with the default hybrid rule and forced-on compaction
+/// makes direction switches and compacted levels both nonzero, so the
+/// agreement is never vacuous.
+#[test]
+fn level_fields_and_run_telemetry_agree_without_level_stats() {
+    let g = gen::rmat(10, 16, gen::RmatParams::default(), 3);
+    let src = (0..g.num_vertices() as u32).find(|&v| g.degree(v) > 0).unwrap();
+    let reference = obfs_core::serial::serial_bfs(&g, src);
+    for algo in Algorithm::ALL.into_iter().filter(|&a| a != Algorithm::Serial) {
+        let (clock, _hand) = obfs_core::Clock::manual();
+        let reg = obfs_telemetry::MetricsRegistry::new(clock);
+        let run = obfs_telemetry::RunTelemetry::register(&reg);
+        let opts = BfsOptions {
+            threads: 4,
+            hybrid: Some(HybridPolicy::default()),
+            compaction: Some(CompactionPolicy::forced_on()),
+            collect_level_stats: false,
+            telemetry: Some(Arc::clone(&run)),
+            ..Default::default()
+        };
+        let r = obfs_core::run_bfs(algo, &g, src, &opts);
+        assert_eq!(r.levels, reference.levels, "{algo}");
+        let s = &r.stats;
+        assert!(s.level_stats.is_empty(), "{algo}: the level log was not asked for");
+        assert_eq!(s.directions.len() as u32, s.levels, "{algo}");
+        let changes = s.directions.windows(2).filter(|w| w[0] != w[1]).count() as u32;
+        assert_eq!(s.direction_switches, changes, "{algo}");
+        assert_eq!(run.levels.value(), u64::from(s.levels), "{algo}");
+        assert_eq!(run.edges.value(), s.totals.edges_scanned, "{algo}");
+        assert_eq!(run.compacted_levels.value(), u64::from(s.compacted_levels), "{algo}");
+        assert!(s.direction_switches > 0, "{algo}: dense RMAT never switched direction");
+        assert!(s.compacted_levels > 0, "{algo}: forced-on compaction never ran");
+    }
 }
