@@ -16,6 +16,11 @@
 //! `--capacity` the overflow is shed at the door every round, which is
 //! exactly the overload behavior CI smoke-tests.
 //!
+//! Every engine query is direction-optimizing, so the report records
+//! `params.hybrid: true`. The shared `--graph`, `--hybrid`,
+//! `--chaos-seed` and `--watchdog-ms` flags have no engine meaning here
+//! and exit 2 rather than being ignored.
+//!
 //! `--batch` runs every contender twice over the same workload — once
 //! with coalescing disabled (`max_batch = 1`, the baseline the solo
 //! `serve_qps` gate watches) and once with the scheduler folding
@@ -93,7 +98,7 @@ fn parse_args() -> Result<BombardArgs, String> {
                 eprintln!(
                     "flags: --capacity <c> --burst <b> --queries <n> --deadline-ms <d> \
                      --batch --max-batch <k> --metrics-addr <host:port> \
-                     plus the shared bench flags (--divisor --threads --seed --json)"
+                     plus the shared bench flags (--divisor --threads --sources --seed --json)"
                 );
                 std::process::exit(0);
             }
@@ -114,6 +119,21 @@ fn parse_args() -> Result<BombardArgs, String> {
     if let Some(f) = own.base.files.first() {
         return Err(format!("unexpected argument {f:?} (try --help)"));
     }
+    // Shared flags the engine cannot honor are refused, not ignored.
+    let base = &own.base;
+    for (set, flag, why) in [
+        (base.only_graph.is_some(), "--graph", "bombard serves its own RMAT graph"),
+        (base.hybrid, "--hybrid", "every engine query is already direction-optimizing"),
+        (base.chaos_seed.is_some(), "--chaos-seed", "the engine runs no fault plan"),
+        (base.watchdog_ms.is_some(), "--watchdog-ms", "the engine runs no watchdog"),
+    ] {
+        if set {
+            return Err(format!("{flag} is not supported: {why}"));
+        }
+    }
+    // Every engine query is direction-optimizing; the report records it
+    // as `params.hybrid`.
+    own.base.hybrid = true;
     own.burst = burst.unwrap_or(own.capacity);
     for (name, v) in
         [("--capacity", own.capacity), ("--burst", own.burst), ("--queries", own.queries)]

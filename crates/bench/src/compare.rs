@@ -9,7 +9,8 @@
 //! and flags *regressions*: mean-time growth or TEPS loss beyond a
 //! noise threshold derived from the **recorded stddev** (so noisy
 //! configurations get proportionally wider gates and quiet ones stay
-//! tight), and counter blow-ups (fetch retries, stale aborts, steal
+//! tight), serve throughput or tail-latency shifts beyond the flat
+//! tolerance, and counter blow-ups (fetch retries, stale aborts, steal
 //! failures) beyond a coarser tolerance. An aggregate harmonic-TEPS
 //! check catches the "every result 3% worse, none individually over
 //! threshold" death-by-a-thousand-cuts case.
@@ -26,10 +27,10 @@ use crate::json::Json;
 #[derive(Debug, Clone)]
 pub struct CompareOpts {
     /// Minimum relative headroom on mean time / TEPS, even for noise-free
-    /// baselines.
+    /// baselines, and the whole headroom of the serve gates.
     pub rel_tol: f64,
-    /// Noise multiplier: the gate widens to `sigma ×` the recorded
-    /// relative stddev when that exceeds `rel_tol`.
+    /// Noise multiplier: the time/TEPS gates widen to `sigma ×` the
+    /// recorded relative stddev when that exceeds `rel_tol`.
     pub sigma: f64,
     /// Relative headroom for work counters (retries, aborts, steal
     /// failures) — wider than time, counters are inherently racier.
@@ -319,6 +320,21 @@ const GATED_COUNTERS: &[(&str, &[&str])] = &[
     ("steal_attempts", &["counters", "steal", "attempts"]),
 ];
 
+/// Serve-layer gates of `bombard` reports: `(metric, path, higher is
+/// better)`. Throughput regresses downward and tail latency upward; both
+/// honor the `scale_time` self-test. `serve_batch_qps` (`--batch`) guards
+/// the batching pipeline, so a coalescing or batch-kernel regression
+/// shows even when solo qps holds. They gate on the flat `rel_tol`: the
+/// recorded stddev is the per-query traversal-time spread, not the spread
+/// of a throughput or a tail latency over the whole run, and a few stalls
+/// over sub-millisecond traversals would widen the gate past any real
+/// regression.
+const SERVE_GATES: &[(&str, &[&str], bool)] = &[
+    ("serve_qps", &["serve", "qps"], true),
+    ("serve_p99_ms", &["serve", "p99_ms"], false),
+    ("serve_batch_qps", &["serve", "batch", "qps"], true),
+];
+
 /// Diff `base` against `new` (both parsed `BENCH_*.json` documents).
 /// Results are aligned by `(contender, graph)`; see [`CompareOpts`] for
 /// the gate maths. Errors on malformed documents and on differing
@@ -443,57 +459,19 @@ pub fn compare(base: &Json, new: &Json, opts: &CompareOpts) -> Result<Comparison
             });
         }
 
-        // Serve-layer metrics (`bombard` reports): query throughput
-        // regresses downward, tail latency upward. Both honor the
-        // `scale_time` self-test like the traversal metrics do.
-        if let (Some(bq), Some(nq)) = (f(b, &["serve", "qps"]), f(n, &["serve", "qps"])) {
-            let nq = nq / opts.scale_time;
-            let change = if bq > 0.0 { (nq - bq) / bq } else { 0.0 };
+        for (label, path, higher_is_better) in SERVE_GATES {
+            let (Some(bv), Some(nv)) = (f(b, path), f(n, path)) else { continue };
+            let nv = if *higher_is_better { nv / opts.scale_time } else { nv * opts.scale_time };
+            let change = if bv > 0.0 { (nv - bv) / bv } else { 0.0 };
             cmp.deltas.push(Delta {
                 contender: contender.clone(),
                 graph: graph.clone(),
-                metric: "serve_qps".into(),
-                base: bq,
-                new: nq,
+                metric: (*label).into(),
+                base: bv,
+                new: nv,
                 change,
-                allowed,
-                regression: -change > allowed,
-            });
-        }
-        if let (Some(bp), Some(np)) = (f(b, &["serve", "p99_ms"]), f(n, &["serve", "p99_ms"])) {
-            let np = np * opts.scale_time;
-            let change = if bp > 0.0 { (np - bp) / bp } else { 0.0 };
-            cmp.deltas.push(Delta {
-                contender: contender.clone(),
-                graph: graph.clone(),
-                metric: "serve_p99_ms".into(),
-                base: bp,
-                new: np,
-                change,
-                allowed,
-                regression: change > allowed,
-            });
-        }
-        // Batched-serving throughput (`serve.batch`, bombard `--batch`):
-        // queries/sec over coalesced multi-source runs.
-        // Regresses downward like the other throughput metrics and
-        // honors the `scale_time` self-test. Guards the whole batching
-        // pipeline — a coalescing policy or batch-kernel regression
-        // shows up here even when solo-query qps is unchanged.
-        if let (Some(bq), Some(nq)) =
-            (f(b, &["serve", "batch", "qps"]), f(n, &["serve", "batch", "qps"]))
-        {
-            let nq = nq / opts.scale_time;
-            let change = if bq > 0.0 { (nq - bq) / bq } else { 0.0 };
-            cmp.deltas.push(Delta {
-                contender: contender.clone(),
-                graph: graph.clone(),
-                metric: "serve_batch_qps".into(),
-                base: bq,
-                new: nq,
-                change,
-                allowed,
-                regression: -change > allowed,
+                allowed: opts.rel_tol,
+                regression: if *higher_is_better { -change } else { change } > opts.rel_tol,
             });
         }
     }
@@ -785,6 +763,30 @@ mod tests {
         let solo = with_serve(report(1.0, 100, 0.05), 200.0, 5.0);
         let c = compare(&solo, &base, &CompareOpts::default()).unwrap();
         assert!(!c.deltas.iter().any(|d| d.metric == "serve_batch_qps"));
+    }
+
+    /// The serve gates use the flat tolerance: a recorded traversal-time
+    /// stddev of 40% of the mean (a few stalls over short traversals)
+    /// must not hide a 1.5x throughput drop or tail-latency rise.
+    #[test]
+    fn serve_gates_ignore_the_traversal_time_spread() {
+        // stddev 1.6 ms: 40% of the 4 ms row's mean, 18% of the 9 ms row's.
+        let noisy = |qps, p99, batch_qps| {
+            with_batch(with_serve(report(1.0, 100, 1.6), qps, p99), batch_qps)
+        };
+        let base = noisy(300.0, 6.0, 900.0);
+        assert!(!compare(&base, &base, &CompareOpts::default()).unwrap().failed());
+        let worse = noisy(200.0, 9.0, 600.0);
+        let scaled = CompareOpts { scale_time: 1.5, ..CompareOpts::default() };
+        for c in [
+            compare(&base, &worse, &CompareOpts::default()).unwrap(),
+            compare(&base, &base, &scaled).unwrap(),
+        ] {
+            for metric in ["serve_qps", "serve_p99_ms", "serve_batch_qps"] {
+                let flagged = c.regressions().iter().filter(|d| d.metric == metric).count();
+                assert_eq!(flagged, 2, "{metric} on both rows: {}", c.render_table());
+            }
+        }
     }
 
     /// Attach a `serve.telemetry` block to every result that

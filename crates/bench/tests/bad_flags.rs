@@ -20,3 +20,12 @@ fn bad_number_exits_2() {
 fn unknown_graph_exits_2() {
     assert_usage_error(env!("CARGO_BIN_EXE_bombard"), &["--graph", "nosuch"], "unknown graph");
 }
+
+#[test]
+fn bombard_refuses_shared_flags_it_cannot_honor() {
+    let bin = env!("CARGO_BIN_EXE_bombard");
+    assert_usage_error(bin, &["--graph", "wikipedia"], "--graph is not supported");
+    assert_usage_error(bin, &["--hybrid"], "--hybrid is not supported");
+    assert_usage_error(bin, &["--chaos-seed", "3"], "--chaos-seed is not supported");
+    assert_usage_error(bin, &["--watchdog-ms", "5"], "--watchdog-ms is not supported");
+}

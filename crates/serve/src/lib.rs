@@ -18,6 +18,13 @@
 //!   crosses threads, so the scheduler needs no locking around the pool
 //!   and a panic-poisoned pool is rebuilt transparently (counted in
 //!   [`EngineStats::pool_rebuilds`]).
+//! * Every query, solo or coalesced, is **direction-optimizing**: it runs
+//!   with the default [`obfs_core::HybridPolicy`], so dense levels go
+//!   bottom-up over the engine's in-edge graph. [`Engine::new`] builds
+//!   that graph once, on the caller's thread: the transpose for a
+//!   directed graph, the graph itself (no second copy) for a symmetric
+//!   one. Sparse levels, and deep graphs whose frontiers never reach the
+//!   rule's `n/β` floor, stay top-down.
 //! * Every query gets a [`obfs_sync::CancelToken`] carrying its absolute
 //!   deadline on the engine's [`Clock`]; the token is polled by the BFS
 //!   workers at dispatch granularity and by the scheduler at pop time
@@ -37,7 +44,7 @@
 
 #![warn(missing_docs)]
 
-use obfs_core::{Algorithm, BfsOptions, BfsResult, Outcome};
+use obfs_core::{Algorithm, BfsOptions, BfsResult, HybridPolicy, Outcome};
 use obfs_graph::{CsrGraph, VertexId};
 use obfs_runtime::PoolManager;
 use obfs_sync::flight::{self, RingDump};
@@ -425,7 +432,7 @@ impl Shared {
 }
 
 /// The multi-query BFS engine: admission gate + EDF scheduler over one
-/// shared graph and one managed worker pool.
+/// shared graph (plus its in-edge graph) and one managed worker pool.
 pub struct Engine {
     shared: Arc<Shared>,
     cfg: EngineConfig,
@@ -434,8 +441,26 @@ pub struct Engine {
     scheduler: Option<std::thread::JoinHandle<()>>,
 }
 
+/// The in-edge graph bottom-up levels probe: `graph` itself when it
+/// equals its transpose, so a symmetric graph keeps no second copy, and
+/// the transpose otherwise.
+fn in_edge_graph(graph: &Arc<CsrGraph>) -> Arc<CsrGraph> {
+    let t = graph.transpose();
+    if t == **graph {
+        Arc::clone(graph)
+    } else {
+        Arc::new(t)
+    }
+}
+
 impl Engine {
     /// Start an engine serving queries over `graph`.
+    ///
+    /// Builds the in-edge graph every query's bottom-up levels probe
+    /// (one transpose and one equality check, O(n + m)) on the calling
+    /// thread, before the scheduler starts: the transpose then reuses
+    /// heap the caller's graph build freed instead of landing in the
+    /// scheduler thread's fresh allocator arena.
     pub fn new(graph: Arc<CsrGraph>, cfg: EngineConfig) -> Self {
         assert!(cfg.threads >= 1, "engine needs at least one worker");
         assert!(cfg.capacity >= 1, "capacity 0 would shed everything");
@@ -449,6 +474,7 @@ impl Engine {
             work: Condvar::new(),
         });
         let tele = EngineTelemetry::new(&cfg.clock, cfg.metrics_window, cfg.span_capacity);
+        let in_edges = in_edge_graph(&graph);
         let scheduler = {
             let shared = Arc::clone(&shared);
             let graph = Arc::clone(&graph);
@@ -456,7 +482,7 @@ impl Engine {
             let tele = Arc::clone(&tele);
             std::thread::Builder::new()
                 .name("obfs-engine-sched".into())
-                .spawn(move || scheduler_loop(&shared, &graph, &cfg, &tele))
+                .spawn(move || scheduler_loop(&shared, &graph, &in_edges, &cfg, &tele))
                 .expect("failed to spawn engine scheduler")
         };
         Self { shared, cfg, graph, tele, scheduler: Some(scheduler) }
@@ -642,7 +668,13 @@ fn sync_rebuilds(tele: &EngineTelemetry, seen: &mut u64, now: u64) {
     *seen = now;
 }
 
-fn scheduler_loop(shared: &Shared, graph: &CsrGraph, cfg: &EngineConfig, tele: &EngineTelemetry) {
+fn scheduler_loop(
+    shared: &Shared,
+    graph: &CsrGraph,
+    in_edges: &CsrGraph,
+    cfg: &EngineConfig,
+    tele: &EngineTelemetry,
+) {
     // In trace builds the scheduler carries its own flight ring so the
     // SPAN mirrors interleave with worker traces; it is parked in the
     // telemetry object at shutdown. No-op (None at exit) otherwise.
@@ -698,7 +730,8 @@ fn scheduler_loop(shared: &Shared, graph: &CsrGraph, cfg: &EngineConfig, tele: &
         if live.is_empty() {
             tele.span(job.id, stage::RUN_START, 1);
             tele.running.set(1);
-            let (status, result, retries) = run_with_retry(&job, graph, cfg, &mut pm, &mut rng, tele);
+            let (status, result, retries) =
+                run_with_retry(&job, graph, in_edges, cfg, &mut pm, &mut rng, tele);
             tele.running.set(0);
             sync_rebuilds(tele, &mut seen_rebuilds, pm.rebuilds());
             respond(shared, cfg, tele, job, status, result, retries, wait_ns);
@@ -706,6 +739,7 @@ fn scheduler_loop(shared: &Shared, graph: &CsrGraph, cfg: &EngineConfig, tele: &
             run_batch_coalesced(
                 shared,
                 graph,
+                in_edges,
                 cfg,
                 &mut pm,
                 &mut rng,
@@ -719,6 +753,20 @@ fn scheduler_loop(shared: &Shared, graph: &CsrGraph, cfg: &EngineConfig, tele: &
     }
 }
 
+/// The options every engine run shares: the pool width, the engine's
+/// clock and run telemetry, and the direction-optimizing policy (dense
+/// levels probe the engine's in-edge graph).
+fn run_opts(cfg: &EngineConfig, tele: &EngineTelemetry, record_parents: bool) -> BfsOptions {
+    BfsOptions {
+        threads: cfg.threads,
+        record_parents,
+        clock: cfg.clock.clone(),
+        telemetry: Some(Arc::clone(&tele.run)),
+        hybrid: Some(HybridPolicy::default()),
+        ..Default::default()
+    }
+}
+
 /// Run the leader plus its adopted members as one batched traversal and
 /// fan the per-query results back out. A coalesced run carries no cancel
 /// token (members are deadline-free by construction; a cancel arriving
@@ -728,6 +776,7 @@ fn scheduler_loop(shared: &Shared, graph: &CsrGraph, cfg: &EngineConfig, tele: &
 fn run_batch_coalesced(
     shared: &Shared,
     graph: &CsrGraph,
+    in_edges: &CsrGraph,
     cfg: &EngineConfig,
     pm: &mut PoolManager,
     rng: &mut Xoshiro256StarStar,
@@ -737,13 +786,7 @@ fn run_batch_coalesced(
     members: Vec<(Job, u64)>,
     leader_wait_ns: u64,
 ) {
-    let opts = BfsOptions {
-        threads: cfg.threads,
-        record_parents: leader.query.record_parents,
-        clock: cfg.clock.clone(),
-        telemetry: Some(Arc::clone(&tele.run)),
-        ..Default::default()
-    };
+    let opts = run_opts(cfg, tele, leader.query.record_parents);
     // Duplicate sources share one kernel column: hot-key workloads
     // (many queries for a few popular sources) collapse to one traversal
     // slot per *distinct* source, while the batch still answers every
@@ -772,7 +815,7 @@ fn run_batch_coalesced(
             &distinct,
             &opts,
             pm.pool(),
-            None,
+            Some(in_edges),
         ) {
             Ok(b) => break Ok(b),
             Err(_) if attempt < cfg.max_retries => {
@@ -829,19 +872,16 @@ fn run_batch_coalesced(
 fn run_with_retry(
     job: &Job,
     graph: &CsrGraph,
+    in_edges: &CsrGraph,
     cfg: &EngineConfig,
     pm: &mut PoolManager,
     rng: &mut Xoshiro256StarStar,
     tele: &EngineTelemetry,
 ) -> (QueryStatus, Option<BfsResult>, u32) {
     let opts = BfsOptions {
-        threads: cfg.threads,
-        record_parents: job.query.record_parents,
         chaos: job.query.chaos,
-        clock: cfg.clock.clone(),
         cancel: Some(job.token.clone()),
-        telemetry: Some(Arc::clone(&tele.run)),
-        ..Default::default()
+        ..run_opts(cfg, tele, job.query.record_parents)
     };
     let mut attempt = 0u32;
     loop {
@@ -851,7 +891,7 @@ fn run_with_retry(
             job.query.src,
             &opts,
             pm.pool(),
-            None,
+            Some(in_edges),
         );
         match run {
             Ok(r) => match r.stats.outcome {
@@ -919,6 +959,18 @@ mod tests {
 
     fn engine(cfg: EngineConfig) -> Engine {
         Engine::new(Arc::new(gen::erdos_renyi(500, 3000, 5)), cfg)
+    }
+
+    /// A symmetric graph is its own in-edge graph (no second copy); a
+    /// directed one gets its transpose.
+    #[test]
+    fn in_edge_graph_is_the_graph_when_symmetric_else_its_transpose() {
+        let sym = Arc::new(gen::erdos_renyi(500, 3000, 5).symmetrized());
+        assert!(Arc::ptr_eq(&in_edge_graph(&sym), &sym));
+        let directed = Arc::new(gen::rmat(9, 8, gen::RmatParams::default(), 3));
+        let t = in_edge_graph(&directed);
+        assert!(!Arc::ptr_eq(&t, &directed));
+        assert_eq!(*t, directed.transpose());
     }
 
     #[test]

@@ -313,6 +313,66 @@ fn engine_soak_full() {
     assert_eq!(e.in_flight(), 0);
 }
 
+/// Every engine query is direction-optimizing. On a directed RMAT graph
+/// (its in-edge graph is a real transpose), deadlined solo queries and a
+/// deadline-free burst that coalesces both run bottom-up levels, and
+/// every answer stays exact: levels equal serial BFS and the parents
+/// form a valid BFS tree.
+#[test]
+fn solo_and_coalesced_queries_run_bottom_up_and_stay_exact() {
+    let g = Arc::new(gen::rmat(10, 16, gen::RmatParams::default(), 11));
+    let sources = obfs_graph::stats::sample_sources(&g, 16, 3);
+    let e = Engine::new(
+        Arc::clone(&g),
+        EngineConfig { threads: 2, capacity: 64, ..Default::default() },
+    );
+    let query = |src| Query { record_parents: true, ..Query::new(Algorithm::Bfscl, src) };
+    // Checks one answer; returns its direction switch count.
+    let check = |src, resp: obfs_engine::QueryResponse| {
+        assert_eq!(resp.status, QueryStatus::Complete, "query {}", resp.id);
+        let r = resp.result.expect("a complete query carries a result");
+        assert_eq!(r.levels, serial_bfs(&g, src).levels, "query {} from {src}", resp.id);
+        obfs_core::validate::check_self_consistent(&g, src, &r)
+            .unwrap_or_else(|err| panic!("query {} from {src}: {err}", resp.id));
+        r.stats.direction_switches
+    };
+
+    // Deadlined queries never coalesce: each runs solo.
+    let solo: Vec<_> = sources
+        .iter()
+        .map(|&s| (s, e.submit(query(s).with_deadline(Duration::from_secs(60))).unwrap()))
+        .collect();
+    let solo_switches: u32 = solo.into_iter().map(|(s, h)| check(s, h.wait())).sum();
+    assert!(solo_switches > 0, "no solo query left top-down");
+    assert_eq!(e.stats().batched_runs, 0);
+
+    // A deadline-free burst queues behind its first query and coalesces
+    // (per-round retries absorb the race with the scheduler's first pop).
+    for _ in 0..5 {
+        let burst: Vec<_> = (0..48)
+            .map(|i| {
+                let s = sources[i % sources.len()];
+                (s, e.submit(query(s)).unwrap())
+            })
+            .collect();
+        let answers: Vec<(u64, u32)> =
+            burst.into_iter().map(|(s, h)| (h.id(), check(s, h.wait()))).collect();
+        if e.stats().batched_runs == 0 {
+            continue;
+        }
+        let lifecycles = obfs_telemetry::span::validate(&e.telemetry().spans().events)
+            .expect("the span log replays");
+        let batched_switches: u32 = answers
+            .iter()
+            .filter(|(id, _)| lifecycles[id].batch_size.is_some_and(|k| k > 1))
+            .map(|&(_, sw)| sw)
+            .sum();
+        assert!(batched_switches > 0, "no coalesced run left top-down");
+        return;
+    }
+    panic!("48-query bursts never coalesced in 5 rounds");
+}
+
 /// The per-query partial-state contract on a batched run: a deadline
 /// that expires mid-traversal aborts the *shared* level loop at one
 /// barrier, and every query's column must then independently satisfy
