@@ -1,12 +1,12 @@
 //! `compare` — the bench regression gate.
 //!
 //! ```text
-//! compare BASELINE.json CONTENDER.json [--rel-tol 0.10] [--sigma 3.0]
+//! compare BASELINE.json CONTENDER.json [--rel-tol 0.10]
 //!         [--counter-tol 0.25] [--scale-time 1.0] [--json]
 //! ```
 //!
 //! Diffs two `BENCH_*.json` reports and exits **1** when the contender
-//! regresses (mean time / TEPS beyond the noise gate, counter blow-ups,
+//! regresses (mean time / TEPS beyond the tolerance, counter blow-ups,
 //! or results missing vs. the baseline), **0** when clean, **2** on
 //! usage or parse errors and on reports of different schema versions. `--scale-time 1.5` inflates the contender's
 //! times synthetically — CI self-tests the gate with an identity
@@ -30,7 +30,6 @@ fn run() -> Result<bool, String> {
         };
         match a.as_str() {
             "--rel-tol" => opts.rel_tol = numflag("rel-tol")?,
-            "--sigma" => opts.sigma = numflag("sigma")?,
             "--counter-tol" => opts.counter_tol = numflag("counter-tol")?,
             "--scale-time" => opts.scale_time = numflag("scale-time")?,
             "--json" => json_out = true,

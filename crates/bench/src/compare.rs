@@ -6,12 +6,10 @@
 //! totals. Reports of different schema versions are refused rather than
 //! diffed, since a version bump may redefine a metric (v6 redefined
 //! `teps`). This module aligns two such reports by `(contender, graph)`
-//! and flags *regressions*: mean-time growth or TEPS loss beyond a
-//! noise threshold derived from the **recorded stddev** (so noisy
-//! configurations get proportionally wider gates and quiet ones stay
-//! tight), serve throughput or tail-latency shifts beyond the flat
-//! tolerance, and counter blow-ups (fetch retries, stale aborts, steal
-//! failures) beyond a coarser tolerance. An aggregate harmonic-TEPS
+//! and flags *regressions*: mean-time growth, TEPS loss and serve
+//! throughput or tail-latency shifts beyond one flat tolerance, and
+//! counter blow-ups (fetch retries, stale aborts, steal failures)
+//! beyond a coarser tolerance. An aggregate harmonic-TEPS
 //! check catches the "every result 3% worse, none individually over
 //! threshold" death-by-a-thousand-cuts case.
 //!
@@ -26,12 +24,11 @@ use crate::json::Json;
 /// Gate thresholds. All relative quantities are fractions (0.10 = 10%).
 #[derive(Debug, Clone)]
 pub struct CompareOpts {
-    /// Minimum relative headroom on mean time / TEPS, even for noise-free
-    /// baselines, and the whole headroom of the serve gates.
+    /// Relative headroom of every time, TEPS and serve gate. The
+    /// recorded stddev never widens it: a gate widened by a noisy row's
+    /// spread could not see a 1.5x slowdown once that spread reached a
+    /// sixth of the mean.
     pub rel_tol: f64,
-    /// Noise multiplier: the time/TEPS gates widen to `sigma ×` the
-    /// recorded relative stddev when that exceeds `rel_tol`.
-    pub sigma: f64,
     /// Relative headroom for work counters (retries, aborts, steal
     /// failures) — wider than time, counters are inherently racier.
     pub counter_tol: f64,
@@ -45,7 +42,7 @@ pub struct CompareOpts {
 
 impl Default for CompareOpts {
     fn default() -> Self {
-        Self { rel_tol: 0.10, sigma: 3.0, counter_tol: 0.25, counter_floor: 64.0, scale_time: 1.0 }
+        Self { rel_tol: 0.10, counter_tol: 0.25, counter_floor: 64.0, scale_time: 1.0 }
     }
 }
 
@@ -68,21 +65,6 @@ pub struct Delta {
     pub allowed: f64,
     /// Whether this delta trips the gate.
     pub regression: bool,
-}
-
-/// Informational kernel-backend identity of one matched result pair
-/// (`kernel_backend`). Never gated: the dispatched kernels
-/// are interchangeable by construction, and the probe legitimately
-/// picks differently on different machines — the note exists so a
-/// surprise backend flip is *visible* next to a time regression.
-#[derive(Debug, Clone)]
-pub struct BackendNote {
-    /// `contender/graph` pair key.
-    pub key: String,
-    /// Baseline backend label (`"-"` if absent).
-    pub base: String,
-    /// Contender backend label (`"-"` if absent).
-    pub new: String,
 }
 
 /// Informational serve-telemetry shape of one matched result pair
@@ -112,9 +94,6 @@ pub struct Comparison {
     pub missing: Vec<String>,
     /// Keys present only in the contender report (informational).
     pub added: Vec<String>,
-    /// Kernel-backend identities of matched pairs that record one
-    /// (informational, never a regression).
-    pub kernel_backends: Vec<BackendNote>,
     /// Serve-telemetry shape (shed rate, batch occupancy) of matched
     /// pairs that record a `serve.telemetry` block
     /// (informational, never a regression).
@@ -147,21 +126,6 @@ impl Comparison {
             (
                 "added".into(),
                 Json::Arr(self.added.iter().map(|m| Json::Str(m.clone())).collect()),
-            ),
-            (
-                "kernel_backends".into(),
-                Json::Arr(
-                    self.kernel_backends
-                        .iter()
-                        .map(|b| {
-                            Json::Obj(vec![
-                                ("key".into(), Json::Str(b.key.clone())),
-                                ("base".into(), Json::Str(b.base.clone())),
-                                ("new".into(), Json::Str(b.new.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
             ),
             (
                 "telemetry".into(),
@@ -217,10 +181,6 @@ impl Comparison {
         }
         for m in &self.added {
             writeln!(out, "added    {m} (new in contender, not gated)").unwrap();
-        }
-        for b in &self.kernel_backends {
-            let flip = if b.base != b.new { "  (changed — informational)" } else { "" };
-            writeln!(out, "backend  {:<26} {} -> {}{flip}", b.key, b.base, b.new).unwrap();
         }
         for t in &self.telemetry {
             let side = |s: &Option<(f64, f64)>| match s {
@@ -278,18 +238,6 @@ fn key_of(r: &Json) -> Option<String> {
     Some(format!("{c}/{g}"))
 }
 
-/// Relative noise of one result: recorded stddev / mean of its time
-/// summary (0 when degenerate).
-fn rel_noise(r: &Json) -> f64 {
-    let mean = f(r, &["time_ms", "mean"]).unwrap_or(0.0);
-    let sd = f(r, &["time_ms", "stddev"]).unwrap_or(0.0);
-    if mean > 0.0 && sd.is_finite() {
-        sd / mean
-    } else {
-        0.0
-    }
-}
-
 /// Harmonic-mean TEPS across a report's results (the graph500-style
 /// aggregate: reciprocal of the mean reciprocal).
 pub fn harmonic_teps(results: &[&Json]) -> f64 {
@@ -324,11 +272,7 @@ const GATED_COUNTERS: &[(&str, &[&str])] = &[
 /// better)`. Throughput regresses downward and tail latency upward; both
 /// honor the `scale_time` self-test. `serve_batch_qps` (`--batch`) guards
 /// the batching pipeline, so a coalescing or batch-kernel regression
-/// shows even when solo qps holds. They gate on the flat `rel_tol`: the
-/// recorded stddev is the per-query traversal-time spread, not the spread
-/// of a throughput or a tail latency over the whole run, and a few stalls
-/// over sub-millisecond traversals would widen the gate past any real
-/// regression.
+/// shows even when solo qps holds.
 const SERVE_GATES: &[(&str, &[&str], bool)] = &[
     ("serve_qps", &["serve", "qps"], true),
     ("serve_p99_ms", &["serve", "p99_ms"], false),
@@ -337,7 +281,7 @@ const SERVE_GATES: &[(&str, &[&str], bool)] = &[
 
 /// Diff `base` against `new` (both parsed `BENCH_*.json` documents).
 /// Results are aligned by `(contender, graph)`; see [`CompareOpts`] for
-/// the gate maths. Errors on malformed documents and on differing
+/// the gate widths. Errors on malformed documents and on differing
 /// `schema_version`s — a regression is a *successful* comparison with
 /// [`Comparison::failed`] set.
 pub fn compare(base: &Json, new: &Json, opts: &CompareOpts) -> Result<Comparison, String> {
@@ -381,11 +325,6 @@ pub fn compare(base: &Json, new: &Json, opts: &CompareOpts) -> Result<Comparison
 
         let contender = b.get("contender").and_then(Json::as_str).unwrap_or("").to_string();
         let graph = b.get("graph").and_then(Json::as_str).unwrap_or("").to_string();
-        // Gate width: the larger of the flat tolerance and sigma× the
-        // noisier side's recorded relative stddev.
-        let noise = rel_noise(b).max(rel_noise(n));
-        let allowed = opts.rel_tol.max(opts.sigma * noise);
-
         let bt = f(b, &["time_ms", "mean"]).ok_or_else(|| format!("{key}: no time_ms.mean"))?;
         let nt = f(n, &["time_ms", "mean"]).ok_or_else(|| format!("{key}: no time_ms.mean"))?
             * opts.scale_time;
@@ -397,8 +336,8 @@ pub fn compare(base: &Json, new: &Json, opts: &CompareOpts) -> Result<Comparison
             base: bt,
             new: nt,
             change,
-            allowed,
-            regression: change > allowed,
+            allowed: opts.rel_tol,
+            regression: change > opts.rel_tol,
         });
 
         if let (Some(bteps), Some(nteps)) = (f(b, &["teps"]), f(n, &["teps"])) {
@@ -411,19 +350,8 @@ pub fn compare(base: &Json, new: &Json, opts: &CompareOpts) -> Result<Comparison
                 base: bteps,
                 new: nteps,
                 change,
-                allowed,
-                regression: -change > allowed, // TEPS regress downward
-            });
-        }
-
-        // Kernel identity: recorded but never gated (see [`BackendNote`]).
-        let bk = b.get("kernel_backend").and_then(Json::as_str);
-        let nk = n.get("kernel_backend").and_then(Json::as_str);
-        if bk.is_some() || nk.is_some() {
-            cmp.kernel_backends.push(BackendNote {
-                key: key.clone(),
-                base: bk.unwrap_or("-").to_string(),
-                new: nk.unwrap_or("-").to_string(),
+                allowed: opts.rel_tol,
+                regression: -change > opts.rel_tol, // TEPS regress downward
             });
         }
 
@@ -488,15 +416,6 @@ pub fn compare(base: &Json, new: &Json, opts: &CompareOpts) -> Result<Comparison
         let bh = harmonic_teps(&base_matched);
         let nh = harmonic_teps(&new_matched) / opts.scale_time;
         if bh > 0.0 && nh > 0.0 {
-            let noise = base_matched
-                .iter()
-                .zip(&new_matched)
-                .map(|(b, n)| rel_noise(b).max(rel_noise(n)))
-                .fold(0.0f64, f64::max);
-            // Means across results average noise down; still use the
-            // max recorded noise to stay conservative, but at half the
-            // per-result sigma.
-            let allowed = opts.rel_tol.max(opts.sigma * 0.5 * noise);
             let change = (nh - bh) / bh;
             cmp.deltas.push(Delta {
                 contender: "*".into(),
@@ -505,8 +424,8 @@ pub fn compare(base: &Json, new: &Json, opts: &CompareOpts) -> Result<Comparison
                 base: bh,
                 new: nh,
                 change,
-                allowed,
-                regression: -change > allowed,
+                allowed: opts.rel_tol,
+                regression: -change > opts.rel_tol,
             });
         }
     }
@@ -597,18 +516,14 @@ mod tests {
         assert!(!c.failed());
     }
 
-    /// Attach compaction/kernel fields to every result.
-    fn with_kernel(mut doc: Json, backend: &str, compacted: u64) -> Json {
+    /// Attach a `compacted_levels` count to every result.
+    fn with_compacted_levels(mut doc: Json, compacted: u64) -> Json {
         if let Json::Obj(members) = &mut doc {
             for (k, v) in members.iter_mut() {
                 if k == "results" {
                     if let Json::Arr(rs) = v {
                         for r in rs {
                             if let Json::Obj(m) = r {
-                                m.push((
-                                    "kernel_backend".into(),
-                                    Json::Str(backend.into()),
-                                ));
                                 m.push((
                                     "compacted_levels".into(),
                                     Json::Num(compacted as f64),
@@ -623,32 +538,11 @@ mod tests {
     }
 
     #[test]
-    fn kernel_backend_is_informational_never_gated() {
-        // A backend flip between reports (different machine, different
-        // probe outcome) is surfaced but must not fail the gate.
-        let base = with_kernel(report(1.0, 100, 0.05), "wordwise", 3);
-        let flipped = with_kernel(report(1.0, 100, 0.05), "scalar", 3);
-        let c = compare(&base, &flipped, &CompareOpts::default()).unwrap();
-        assert!(!c.failed(), "{}", c.render_table());
-        assert_eq!(c.kernel_backends.len(), 2);
-        assert!(c.kernel_backends.iter().all(|b| b.base == "wordwise" && b.new == "scalar"));
-        assert!(c.render_table().contains("changed — informational"));
-        assert!(c.to_json().render().contains("kernel_backends"));
-        // A baseline without the key (a serial row) still gets a note
-        // (base "-").
-        let c = compare(&report(1.0, 100, 0.05), &base, &CompareOpts::default()).unwrap();
-        assert!(!c.failed());
-        assert!(c.kernel_backends.iter().all(|b| b.base == "-" && b.new == "wordwise"));
-    }
-
-    #[test]
     fn gate_trips_on_synthetic_regression_in_a_compacted_run() {
         // The CI must-trip self-test in miniature: a compacted-run
-        // report (compacted_levels > 0, kernel backend recorded) slowed
-        // 1.5x must fail, proving the gate still has teeth on reports
-        // carrying the informational fields.
-        let base = with_kernel(report(1.0, 100, 0.05), "wordwise", 3);
-        let slow = with_kernel(report(1.5, 100, 0.05), "wordwise", 3);
+        // report (compacted_levels > 0) slowed 1.5x must fail.
+        let base = with_compacted_levels(report(1.0, 100, 0.05), 3);
+        let slow = with_compacted_levels(report(1.5, 100, 0.05), 3);
         let c = compare(&base, &slow, &CompareOpts::default()).unwrap();
         assert!(c.failed(), "{}", c.render_table());
         assert!(c.regressions().iter().any(|d| d.metric == "time_ms"));
@@ -849,22 +743,27 @@ mod tests {
         assert!(c.render_table().contains("- -> shed"), "{}", c.render_table());
     }
 
+    /// The time and TEPS gates use the flat tolerance too: a recorded
+    /// stddev of 40% of the mean must not hide a 1.5x slowdown.
     #[test]
-    fn noisy_baseline_widens_the_gate() {
-        // 12% slower: over the flat 10% tolerance...
-        let base = report(1.0, 100, 0.05);
-        let slower = report(1.12, 100, 0.05);
-        assert!(compare(&base, &slower, &CompareOpts::default()).unwrap().failed());
-        // ...but inside 3 sigma when the recorded stddev is large
-        // (stddev 0.4 on a 4ms mean = 10% rel noise; gate = 30%).
-        let noisy_base = report(1.0, 100, 0.4);
-        let noisy_slower = report(1.12, 100, 0.4);
-        let c = compare(&noisy_base, &noisy_slower, &CompareOpts::default()).unwrap();
+    fn noisy_rows_still_flag_a_slowdown() {
+        // stddev 1.6 ms: 40% of the 4 ms row's mean, 18% of the 9 ms row's.
+        let noisy = report(1.0, 100, 1.6);
+        let opts = CompareOpts { scale_time: 1.5, ..CompareOpts::default() };
+        let c = compare(&noisy, &noisy, &opts).unwrap();
+        for metric in ["time_ms", "teps"] {
+            let flagged = c.regressions().iter().filter(|d| d.metric == metric).count();
+            assert_eq!(flagged, 2, "{metric} on both rows: {}", c.render_table());
+        }
         assert!(
-            !c.deltas.iter().any(|d| d.metric == "time_ms" && d.regression),
+            c.regressions().iter().any(|d| d.metric == "harmonic_teps"),
             "{}",
             c.render_table()
         );
+        // 12% slower is over the flat 10% whatever the recorded noise.
+        let slower = report(1.12, 100, 1.6);
+        let c = compare(&noisy, &slower, &CompareOpts::default()).unwrap();
+        assert!(c.regressions().iter().any(|d| d.metric == "time_ms"), "{}", c.render_table());
     }
 
     #[test]

@@ -98,10 +98,6 @@ pub struct Measurement {
     /// Levels consumed through a prefix-sum-compacted frontier, summed
     /// over runs (0 unless the contender enables compaction).
     pub compacted_levels: u64,
-    /// Bitmap scan kernel the runs dispatched to (`"wordwise"` /
-    /// `"scalar"`); `None` for serial and external contenders whose
-    /// runs never touch the dispatched kernels.
-    pub kernel_backend: Option<String>,
     /// Per-level series from one extra collection run; `None` unless
     /// measured via [`measure_with_series`].
     pub series: Option<SeriesRun>,
@@ -120,7 +116,6 @@ impl Measurement {
             totals: ThreadStats::default(),
             degraded_levels: 0,
             compacted_levels: 0,
-            kernel_backend: None,
             series: None,
         }
     }
@@ -141,11 +136,6 @@ impl Measurement {
         self.totals.merge(&r.stats.totals);
         self.degraded_levels += u64::from(r.stats.degraded_levels);
         self.compacted_levels += u64::from(r.stats.compacted_levels);
-        // The probe is cached per process, so every parallel run reports
-        // the same backend; keep the first.
-        if self.kernel_backend.is_none() {
-            self.kernel_backend = r.stats.kernel_backend.map(|b| b.label().to_string());
-        }
     }
 
     /// Per-run traversal wall time (milliseconds).
@@ -240,10 +230,6 @@ mod tests {
         assert!(m.teps() > 0.0);
         assert!(m.duplicate_overhead() >= 0.0);
         assert!(m.levels() >= 1.0);
-        assert!(
-            matches!(m.kernel_backend.as_deref(), Some("wordwise" | "scalar")),
-            "parallel runs must report the dispatched kernel"
-        );
     }
 
     #[test]

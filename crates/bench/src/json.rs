@@ -137,8 +137,8 @@ impl BenchReport {
     /// Append one result: `contender`, `graph`, the per-run `time_ms`
     /// summary, Graph500 `teps`, `duplicate_overhead`, mean `levels`,
     /// summed `degraded_levels` and `compacted_levels`, the merged
-    /// `counters` (steal buckets nested), and when present the
-    /// `kernel_backend` label and the per-level `series`.
+    /// `counters` (steal buckets nested), and when present the per-level
+    /// `series`.
     pub fn add(&mut self, m: &Measurement) {
         self.results.push(result_json(m, None));
     }
@@ -189,9 +189,6 @@ fn result_json(m: &Measurement, serve: Option<Json>) -> Json {
         ("compacted_levels".into(), int(m.compacted_levels)),
         ("counters".into(), thread_stats_json(&m.totals)),
     ];
-    if let Some(backend) = &m.kernel_backend {
-        members.push(("kernel_backend".into(), s(backend)));
-    }
     if let Some(series) = &m.series {
         members.push((
             "series".into(),
@@ -325,14 +322,6 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
             req_u64(r, key, &at)?;
         }
         counters_of(req(r, "counters", &at)?, &format!("{at}.counters"))?;
-        if let Some(kb) = r.get("kernel_backend") {
-            let label = kb
-                .as_str()
-                .ok_or_else(|| format!("{at}.kernel_backend: not a string"))?;
-            if obfs_core::ScanBackend::from_label(label).is_none() {
-                return Err(format!("{at}.kernel_backend: unknown kernel {label:?}"));
-            }
-        }
         if let Some(series) = r.get("series") {
             validate_series(series, &at)?;
         }
@@ -736,16 +725,6 @@ mod tests {
         set(&mut series, "compacted_levels", int(3));
         let err = validate_report(&report_with_series(series)).unwrap_err();
         assert!(err.contains("compacted_levels"), "{err}");
-    }
-
-    #[test]
-    fn validate_rejects_unknown_kernel_backend() {
-        let a = ThreadStats::default();
-        let mut doc =
-            report_with_series(tiny_series(vec![], thread_stats_json(&a), 0));
-        push(first_result(&mut doc), "kernel_backend", s("simd512"));
-        let err = validate_report(&doc).unwrap_err();
-        assert!(err.contains("kernel_backend"), "{err}");
     }
 
     /// A `serve` block, with a `telemetry` block that agrees with it

@@ -434,9 +434,6 @@ fn drive_shared(
         stats.direction_switches =
             stats.directions.windows(2).filter(|w| w[0] != w[1]).count() as u32;
     }
-    // Every parallel run resolves a backend (serial BFS never reaches
-    // this driver, so its reports honestly say `None`).
-    stats.kernel_backend = Some(st.scan_backend);
     if st.opts.collect_level_stats {
         stats.level_stats = levels;
     }
@@ -549,12 +546,7 @@ unsafe fn plan_level(st: &RunState<'_>, level: u32, frontier: usize, mf: u64, go
                 if let Some(t) = &st.opts.telemetry {
                     t.compacted_levels.inc();
                 }
-                flight::record(
-                    flight::kind::COMPACT,
-                    level,
-                    frontier as u64,
-                    st.scan_backend.code(),
-                );
+                flight::record(flight::kind::COMPACT, level, frontier as u64, 0);
             }
         }
     }

@@ -35,7 +35,6 @@
 pub mod batch;
 pub mod centralized;
 pub mod decentralized;
-pub mod dispatch;
 pub mod driver;
 pub mod ext;
 pub mod flight;
@@ -52,11 +51,10 @@ pub mod validate;
 pub mod worksteal;
 
 pub use batch::{BatchQueryResult, BatchResult, MAX_BATCH};
-pub use dispatch::{KernelChoice, ScanBackend};
 pub use flight::FlightRecording;
 pub use options::{
     Algorithm, BfsOptions, CompactionPolicy, DedupMode, Direction, ForcedDirection, HybridPolicy,
-    SegmentPolicy, WatchdogPolicy,
+    KernelChoice, ScanBackend, SegmentPolicy, WatchdogPolicy,
 };
 pub use stats::{LevelStats, Outcome, RunHists, RunStats, StealCounters, ThreadStats};
 

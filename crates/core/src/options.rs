@@ -296,6 +296,23 @@ impl CompactionPolicy {
     }
 }
 
+/// The bitmap scan kernel of the bottom-up and compacted levels. There
+/// is one: the word-at-a-time walk of [`crate::scan`] (skip all-zero
+/// words, iterate set bits by `trailing_zeros`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScanBackend {
+    /// The word-at-a-time walk.
+    Wordwise,
+}
+
+/// The value of [`BfsOptions::kernel`]. Every value runs the one kernel
+/// of [`ScanBackend`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KernelChoice {
+    /// Name the kernel explicitly.
+    Forced(ScanBackend),
+}
+
 /// Per-level watchdog limits for graceful degradation (DESIGN.md §7).
 ///
 /// The optimistic dispatchers recover from racy corruption by retrying;
@@ -334,9 +351,6 @@ pub struct BfsOptions {
     pub threads: usize,
     /// Segment sizing for the centralized/decentralized dispatchers.
     pub segment: SegmentPolicy,
-    /// `c` in the `c·p·log p` steal/pool-search retry budgets (paper
-    /// §IV-A3, §IV-B1; `c > 1`).
-    pub retry_c: usize,
     /// Minimum victim segment length worth stealing (steals of shorter
     /// segments are counted as "segment too small" failures).
     pub steal_min: usize,
@@ -397,10 +411,11 @@ pub struct BfsOptions {
     /// level. Composes with [`BfsOptions::hybrid`]; ignored by batched
     /// multi-source runs (their discovery path is already bit-parallel).
     pub compaction: Option<CompactionPolicy>,
-    /// Scan-kernel selection for the bottom-up and compaction bitmap
-    /// walks; the default probes once per process and picks the fastest
-    /// backend (see [`crate::dispatch`]).
-    pub kernel: crate::dispatch::KernelChoice,
+    /// Scan kernel of the bottom-up and compaction bitmap walks. Every
+    /// value runs the one word-at-a-time kernel of [`crate::scan`], and
+    /// no run reads this field; it stays only so callers that name the
+    /// kernel keep compiling.
+    pub kernel: KernelChoice,
     /// Time source for watchdog and cancellation deadlines. The default
     /// wall clock is right for production; tests inject
     /// [`Clock::manual`] so deadline branches replay deterministically.
@@ -422,7 +437,6 @@ impl Default for BfsOptions {
         Self {
             threads: 4,
             segment: SegmentPolicy::default(),
-            retry_c: 2,
             steal_min: 4,
             hub_threshold: None,
             pools: 1,
@@ -438,7 +452,7 @@ impl Default for BfsOptions {
             watchdog: None,
             hybrid: None,
             compaction: None,
-            kernel: crate::dispatch::KernelChoice::default(),
+            kernel: KernelChoice::Forced(ScanBackend::Wordwise),
             clock: Clock::default(),
             cancel: None,
             telemetry: None,
@@ -458,9 +472,13 @@ impl BfsOptions {
 
     /// Steal / pool-search retry budget for `k` choices.
     pub fn retry_budget(&self, k: usize) -> usize {
-        obfs_util::retry_budget(self.retry_c.max(2), k, 4)
+        obfs_util::retry_budget(RETRY_C, k, 4)
     }
 }
+
+/// `c` in the `c·p·log p` steal/pool-search retry budgets (paper
+/// §IV-A3, §IV-B1; `c > 1`).
+const RETRY_C: usize = 2;
 
 #[cfg(test)]
 mod tests {

@@ -25,15 +25,13 @@
 //! whole pipeline needs no locks and no atomic RMW — the same discipline
 //! as the paper's optimistic dispatchers, minus even the benign races.
 //!
-//! # Scan kernels
+//! # Scan kernel
 //!
-//! The bitmap walks (popcount, set-bit enumeration) come in two
-//! interchangeable kernels selected at startup by [`crate::dispatch`]:
-//! word-at-a-time (skip zero words, `trailing_zeros` iteration) and a
-//! branchy per-bit scalar fallback. Both emit vertices in ascending
-//! order, so the choice never changes results — only speed.
+//! The bitmap walks (popcount, set-bit enumeration) shared with the
+//! bottom-up level go a word at a time: all-zero words are skipped
+//! outright and set bits are walked by `trailing_zeros`, in ascending
+//! order.
 
-use crate::dispatch::ScanBackend;
 use crate::frontier::{FrontierBitmap, BITMAP_WORD_BITS};
 use crate::perthread::PerThread;
 use obfs_runtime::LevelPool;
@@ -75,74 +73,27 @@ pub fn block_prefix(totals: &[u64], tid: usize) -> u64 {
     totals[..tid].iter().sum()
 }
 
-/// Count the set bits of `bm.words[wlo..whi]` with the selected kernel.
-/// Both kernels return the same count; the wordwise one is a straight
-/// `count_ones` per word, the scalar one tests every bit individually.
-pub fn popcount_words(backend: ScanBackend, bm: &FrontierBitmap, wlo: usize, whi: usize) -> u64 {
-    match backend {
-        ScanBackend::Wordwise => {
-            let mut c = 0u64;
-            for wi in wlo..whi {
-                c += u64::from(bm.word(wi).count_ones());
-            }
-            c
-        }
-        ScanBackend::Scalar => {
-            let mut c = 0u64;
-            for wi in wlo..whi {
-                let w = bm.word(wi);
-                for b in 0..BITMAP_WORD_BITS {
-                    c += u64::from(w >> b & 1);
-                }
-            }
-            c
-        }
-    }
+/// Count the set bits of `bm.words[wlo..whi]`.
+pub fn popcount_words(bm: &FrontierBitmap, wlo: usize, whi: usize) -> u64 {
+    (wlo..whi).map(|wi| u64::from(bm.word(wi).count_ones())).sum()
 }
 
 // lint:region hot-path:scan-emit
 /// Call `f(v)` for every set bit of `bm.words[wlo..whi]`, ascending
-/// (`v = word_index * BITMAP_WORD_BITS + bit`). The wordwise kernel
-/// skips zero words outright and walks set bits by `trailing_zeros`;
-/// the scalar kernel tests every bit. Emission order is identical.
-pub fn for_each_set(
-    backend: ScanBackend,
-    bm: &FrontierBitmap,
-    wlo: usize,
-    whi: usize,
-    mut f: impl FnMut(usize),
-) {
-    match backend {
-        ScanBackend::Wordwise => {
-            for wi in wlo..whi {
-                let mut w = bm.word(wi);
-                if w == 0 {
-                    continue;
-                }
-                let base = wi * BITMAP_WORD_BITS;
-                while w != 0 {
-                    f(base + w.trailing_zeros() as usize);
-                    w &= w - 1;
-                }
-            }
-        }
-        ScanBackend::Scalar => {
-            for wi in wlo..whi {
-                let w = bm.word(wi);
-                let base = wi * BITMAP_WORD_BITS;
-                for b in 0..BITMAP_WORD_BITS {
-                    if w >> b & 1 == 1 {
-                        f(base + b);
-                    }
-                }
-            }
+/// (`v = word_index * BITMAP_WORD_BITS + bit`), skipping zero words
+/// outright.
+pub fn for_each_set(bm: &FrontierBitmap, wlo: usize, whi: usize, mut f: impl FnMut(usize)) {
+    for wi in wlo..whi {
+        let w = bm.word(wi);
+        if w != 0 {
+            for_each_set_in_word(w, wi * BITMAP_WORD_BITS, &mut f);
         }
     }
 }
 
 /// Call `f(base + bit)` for every set bit of the single word `w`,
-/// ascending. The inner step of the wordwise kernels (bottom-up
-/// candidate scan, compaction emit) — shared so both agree on order.
+/// ascending. The inner step of the bottom-up candidate scan and the
+/// compaction emit, shared so both agree on order.
 #[inline]
 pub fn for_each_set_in_word(w: u32, base: usize, mut f: impl FnMut(usize)) {
     let mut w = w;
@@ -251,22 +202,19 @@ mod tests {
     }
 
     #[test]
-    fn kernels_agree_on_popcount_and_order() {
+    fn kernel_matches_a_per_bit_walk() {
         let bm = FrontierBitmap::new(200);
         bm.set_word(0, 0xDEAD_BEEF);
         bm.set_word(3, 0x8000_0001);
         bm.set_word(6, 0xFF); // bits 192..=199 only (len 200)
         let words = bm.word_count();
-        assert_eq!(
-            popcount_words(ScanBackend::Wordwise, &bm, 0, words),
-            popcount_words(ScanBackend::Scalar, &bm, 0, words),
-        );
+        // Independent reference: test every bit on its own.
+        let reference: Vec<usize> = (0..bm.len()).filter(|&v| bm.test(v)).collect();
+        assert_eq!(popcount_words(&bm, 0, words), reference.len() as u64);
+        assert_eq!(popcount_words(&bm, 1, 3), 0, "zero words count nothing");
         let mut a = Vec::new();
-        let mut b = Vec::new();
-        for_each_set(ScanBackend::Wordwise, &bm, 0, words, |v| a.push(v));
-        for_each_set(ScanBackend::Scalar, &bm, 0, words, |v| b.push(v));
-        assert_eq!(a, b);
-        assert!(a.windows(2).all(|w| w[0] < w[1]), "ascending emission");
+        for_each_set(&bm, 0, words, |v| a.push(v));
+        assert_eq!(a, reference, "same set bits, ascending");
         let mut c = Vec::new();
         for_each_set_in_word(0xDEAD_BEEF, 0, |v| c.push(v));
         assert_eq!(c, a.iter().copied().take_while(|&v| v < 32).collect::<Vec<_>>());

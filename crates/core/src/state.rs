@@ -136,9 +136,8 @@ pub struct HybridState<'g> {
     /// Frontier-membership bitmap, rebuilt per bottom-up level.
     pub bitmap: FrontierBitmap,
     /// Visited-vertex bitmap rebuilt alongside `bitmap`: bit `v` set iff
-    /// `level[v] != UNVISITED` (out-of-range tail bits are pre-set so a
-    /// wordwise candidate scan of `!word` is automatically masked). Only
-    /// the word-at-a-time bottom-up kernel reads it.
+    /// `level[v] != UNVISITED` (out-of-range tail bits are pre-set so the
+    /// bottom-up candidate scan of `!word` is automatically masked).
     pub visited: FrontierBitmap,
     /// Heuristic bookkeeping (leader-only).
     pub ctl: SerialCell<HybridCtl>,
@@ -217,9 +216,6 @@ pub struct RunState<'g> {
     /// [`BfsOptions::compaction`] is set (and always `None` for batched
     /// runs).
     pub compact: Option<CompactState>,
-    /// The scan-kernel backend this run resolved ([`BfsOptions::kernel`];
-    /// probed once per process for the default `Auto`).
-    pub scan_backend: crate::dispatch::ScanBackend,
     /// Batched multi-source state; `Some` only for runs entered through
     /// the batch driver. When set, the single-source `levels` / `parents`
     /// / `owner` arrays above are empty and every discovery flows through
@@ -288,15 +284,7 @@ struct LabelBuffers {
     owner: Option<RacyBuf>,
     /// Hybrid frontier and visited bitmaps.
     hybrid: Option<[FrontierBitmap; 2]>,
-    compact: Option<CompactBuffers>,
-}
-
-/// The arrays of [`CompactState`].
-struct CompactBuffers {
-    bitmap: FrontierBitmap,
-    chunk_counts: RacyBuf,
-    block_totals: RacyBuf,
-    frontier: RacyBuf,
+    compact: Option<CompactState>,
 }
 
 impl LabelBuffers {
@@ -310,7 +298,7 @@ impl LabelBuffers {
                 let bitmap = FrontierBitmap::new(n);
                 let chunks =
                     obfs_util::div_ceil(bitmap.word_count(), crate::scan::COMPACT_CHUNK_WORDS);
-                CompactBuffers {
+                CompactState {
                     bitmap,
                     chunk_counts: RacyBuf::new(chunks),
                     block_totals: RacyBuf::new(opts.threads),
@@ -476,12 +464,6 @@ impl<'g> RunState<'g> {
                 ctl: SerialCell::new(HybridCtl { unexplored_edges: graph.num_edges(), prev_mf: 0 }),
             }
         });
-        let compact = compact.map(|c| CompactState {
-            bitmap: c.bitmap,
-            chunk_counts: c.chunk_counts,
-            block_totals: c.block_totals,
-            frontier: c.frontier,
-        });
         Self {
             graph,
             levels,
@@ -509,7 +491,6 @@ impl<'g> RunState<'g> {
             }),
             hyb,
             compact,
-            scan_backend: opts.kernel.resolve(),
             batch,
             idle,
             count_frontier_edges: opts.hybrid.is_some(),
@@ -534,12 +515,7 @@ impl<'g> RunState<'g> {
                 parents: self.parents,
                 owner: self.owner,
                 hybrid: self.hyb.map(|h| [h.bitmap, h.visited]),
-                compact: self.compact.map(|c| CompactBuffers {
-                    bitmap: c.bitmap,
-                    chunk_counts: c.chunk_counts,
-                    block_totals: c.block_totals,
-                    frontier: c.frontier,
-                }),
+                compact: self.compact,
             })
         };
         RunBuffers { n: self.graph.num_vertices(), queues: self.queues, labels }
@@ -1000,7 +976,7 @@ impl<'g> RunState<'g> {
                 }
                 cs.bitmap.set_word(wi, bits);
             }
-            let cnt = crate::scan::popcount_words(self.scan_backend, &cs.bitmap, wlo, whi);
+            let cnt = crate::scan::popcount_words(&cs.bitmap, wlo, whi);
             // racy-ok: single-writer — this chunk belongs to `tid` alone
             cs.chunk_counts.set(c, cnt as u32);
             total += cnt;
@@ -1029,7 +1005,7 @@ impl<'g> RunState<'g> {
             let wlo = c * crate::scan::COMPACT_CHUNK_WORDS;
             let whi = ((c + 1) * crate::scan::COMPACT_CHUNK_WORDS).min(words);
             let start = off;
-            crate::scan::for_each_set(self.scan_backend, &cs.bitmap, wlo, whi, |v| {
+            crate::scan::for_each_set(&cs.bitmap, wlo, whi, |v| {
                 // racy-ok: single-writer — disjoint per-thread output range
                 cs.frontier.set(off, v as u32);
                 off += 1;
@@ -1104,94 +1080,52 @@ impl<'g> RunState<'g> {
             return;
         }
         let tg = hyb.transpose.graph();
-        let n = self.graph.num_vertices();
         let words = hyb.bitmap.word_count();
         let per = obfs_util::div_ceil(words, self.threads);
         let wlo = (tid * per).min(words);
         let whi = ((tid + 1) * per).min(words);
         let next = level + 1;
-        match self.scan_backend {
-            crate::dispatch::ScanBackend::Wordwise => {
-                // Candidate scan over the visited bitmap's complement:
-                // fully-visited words are skipped outright, and the
-                // pre-set out-of-range tail bits mask the last word.
-                for wi in wlo..whi {
-                    if wi & 0x7 == 0 && self.watchdog_tripped() {
-                        // Abandon the scan; the leader sweep re-explores
-                        // the (never-consumed) input queues top-down,
-                        // which is idempotent with everything done so far.
-                        return;
-                    }
-                    let cand = !hyb.visited.word(wi);
-                    if cand == 0 {
-                        continue;
-                    }
-                    crate::scan::for_each_set_in_word(cand, wi * BITMAP_WORD_BITS, |v| {
-                        self.bottom_up_probe(hyb, tg, v, next, tid, out, out_rear, ts);
-                    });
-                }
+        // Candidate scan over the visited bitmap's complement:
+        // fully-visited words are skipped outright, and the pre-set
+        // out-of-range tail bits mask the last word.
+        for wi in wlo..whi {
+            if wi & 0x7 == 0 && self.watchdog_tripped() {
+                // Abandon the scan; the leader sweep re-explores the
+                // (never-consumed) input queues top-down, which is
+                // idempotent with everything done so far.
+                return;
             }
-            crate::dispatch::ScanBackend::Scalar => {
-                // Per-vertex walk checking `level[]` directly. Both
-                // checks see the same set: within a bottom-up level each
-                // worker writes only vertices of its own range, and only
-                // when it probes them — so the level-start snapshot in
-                // `visited` and this live read always agree.
-                let lo = wlo * BITMAP_WORD_BITS;
-                let hi = (whi * BITMAP_WORD_BITS).min(n);
-                for v in lo..hi {
-                    if v & 0xFF == 0 && self.watchdog_tripped() {
-                        // Abandon the scan (see the wordwise arm).
-                        return;
-                    }
-                    if self.levels.get(v) != UNVISITED {
-                        continue;
-                    }
-                    self.bottom_up_probe(hyb, tg, v, next, tid, out, out_rear, ts);
-                }
+            let cand = !hyb.visited.word(wi);
+            if cand == 0 {
+                continue;
             }
+            crate::scan::for_each_set_in_word(cand, wi * BITMAP_WORD_BITS, |v| {
+                // Probe `v`'s in-edges for a parent on the frontier.
+                let mut probes = 0u64;
+                for &u in tg.neighbors(v as VertexId) {
+                    probes += 1;
+                    if hyb.bitmap.test(u as usize) {
+                        // racy-ok: single-writer — `v` is in this worker's static word-aligned range
+                        self.levels.set(v, next);
+                        if let Some(p) = &self.parents {
+                            // racy-ok: single-writer — same static vertex partition
+                            p.set(v, u);
+                        }
+                        if let Some(o) = &self.owner {
+                            // racy-ok: single-writer — same static vertex partition
+                            o.set(v, tid as u32 + 1);
+                        }
+                        out.push(out_rear, v as VertexId);
+                        ts.vertices_discovered += 1;
+                        if self.count_frontier_edges {
+                            ts.frontier_edges += self.graph.degree(v as VertexId) as u64;
+                        }
+                        break;
+                    }
+                }
+                ts.edges_scanned += probes;
+            });
         }
-    }
-
-    /// Probe one unvisited vertex's in-edges for a parent on the current
-    /// frontier bitmap — the inner step shared by both bottom-up scan
-    /// kernels (so backend choice can never change what gets discovered).
-    #[inline]
-    #[allow(clippy::too_many_arguments)] // hot path: flat args beat a param struct here
-    fn bottom_up_probe(
-        &self,
-        hyb: &HybridState<'_>,
-        tg: &CsrGraph,
-        v: usize,
-        next: u32,
-        tid: usize,
-        out: &FrontierQueue,
-        out_rear: &mut usize,
-        ts: &mut ThreadStats,
-    ) {
-        let mut probes = 0u64;
-        for &u in tg.neighbors(v as VertexId) {
-            probes += 1;
-            if hyb.bitmap.test(u as usize) {
-                // racy-ok: single-writer — `v` is in this worker's static word-aligned range
-                self.levels.set(v, next);
-                if let Some(p) = &self.parents {
-                    // racy-ok: single-writer — same static vertex partition
-                    p.set(v, u);
-                }
-                if let Some(o) = &self.owner {
-                    // racy-ok: single-writer — same static vertex partition
-                    o.set(v, tid as u32 + 1);
-                }
-                out.push(out_rear, v as VertexId);
-                ts.vertices_discovered += 1;
-                if self.count_frontier_edges {
-                    ts.frontier_edges += self.graph.degree(v as VertexId) as u64;
-                }
-                break;
-            }
-        }
-        ts.edges_scanned += probes;
     }
 
     /// Batch-mode bottom-up level: for every vertex in this worker's

@@ -334,10 +334,6 @@ pub struct RunStats {
     /// Levels that consumed a prefix-sum-compacted frontier (0 unless
     /// [`crate::BfsOptions::compaction`] was set).
     pub compacted_levels: u32,
-    /// The bitmap scan backend the run's kernels used (bottom-up and
-    /// compaction walks); `None` for serial runs, which never touch the
-    /// dispatched kernels.
-    pub kernel_backend: Option<crate::dispatch::ScanBackend>,
     /// The run's level log; empty unless
     /// [`crate::BfsOptions::collect_level_stats`] was set (and always
     /// empty for serial runs).
@@ -398,7 +394,6 @@ impl RunStats {
             directions: Vec::new(),
             direction_switches: 0,
             compacted_levels: 0,
-            kernel_backend: None,
             level_stats: Vec::new(),
             flight: None,
             hists: None,

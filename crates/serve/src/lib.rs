@@ -70,8 +70,9 @@ pub struct EngineConfig {
     /// Retry budget for queries that hit a pool failure (worker panic)
     /// or — with [`EngineConfig::retry_degraded`] — a degraded run.
     pub max_retries: u32,
-    /// Base of the exponential retry backoff; attempt `k` waits
-    /// `backoff_base * 2^k` plus up to 50% seeded jitter.
+    /// Base of the exponential retry backoff: the `k`-th retry of a solo
+    /// or coalesced run waits `backoff_base * 2^(k-1)` plus up to 50%
+    /// seeded jitter.
     pub backoff_base: Duration,
     /// Also retry queries whose run came back [`Outcome::Degraded`]
     /// (the watchdog swept at least one level). Off by default: a
@@ -769,9 +770,11 @@ fn run_opts(cfg: &EngineConfig, tele: &EngineTelemetry, record_parents: bool) ->
 
 /// Run the leader plus its adopted members as one batched traversal and
 /// fan the per-query results back out. A coalesced run carries no cancel
-/// token (members are deadline-free by construction; a cancel arriving
-/// mid-run missed its pop window and is honored only if the pool fails
-/// and the retry loop re-checks). Pool failures retry the whole batch.
+/// token: its members are deadline-free by construction, and a cancel
+/// that arrives after the pop is not honored — the batch runs to the
+/// end and every member gets the batch's outcome. A pool failure retries
+/// the whole batch after the same backoff as a solo query
+/// ([`backoff_delay`]).
 #[allow(clippy::too_many_arguments)]
 fn run_batch_coalesced(
     shared: &Shared,
@@ -821,8 +824,7 @@ fn run_batch_coalesced(
             Err(_) if attempt < cfg.max_retries => {
                 attempt += 1;
                 tele.span(leader.id, stage::RETRY, u64::from(attempt));
-                std::thread::sleep(cfg.backoff_base.saturating_mul(1 << (attempt - 1).min(16)));
-                let _ = rng.next_f64(); // keep the jitter stream aligned
+                std::thread::sleep(backoff_delay(cfg, rng, attempt));
             }
             Err(e) => break Err(e),
         }
@@ -922,28 +924,30 @@ fn run_with_retry(
     }
 }
 
-/// Sleep `backoff_base * 2^(attempt-1)` plus up to 50% seeded jitter, in
-/// small chunks so a cancel/deadline interrupts the wait. Returns the
-/// terminal status if the token fired during the wait.
+/// The wait before retry `attempt` (counting from 1):
+/// `backoff_base * 2^(attempt-1)` plus up to 50% seeded jitter. Solo and
+/// coalesced retries both draw it from the engine's one jitter stream.
+fn backoff_delay(cfg: &EngineConfig, rng: &mut Xoshiro256StarStar, attempt: u32) -> Duration {
+    let base = cfg.backoff_base.saturating_mul(1 << (attempt - 1).min(16));
+    base + base.mul_f64(rng.next_f64() * 0.5)
+}
+
+/// Sleep [`backoff_delay`] in small chunks so a cancel/deadline
+/// interrupts the wait. Returns the terminal status if the token fired
+/// during the wait.
 fn backoff(
     job: &Job,
     cfg: &EngineConfig,
     rng: &mut Xoshiro256StarStar,
     attempt: u32,
 ) -> Option<(QueryStatus, Option<BfsResult>, u32)> {
-    let base = cfg.backoff_base.saturating_mul(1 << (attempt - 1).min(16));
-    let jitter = base.mul_f64(rng.next_f64() * 0.5);
-    let mut left = base + jitter;
+    let mut left = backoff_delay(cfg, rng, attempt);
     let chunk = Duration::from_micros(200);
     while !left.is_zero() {
         if let Some(cause) = job.token.check() {
-            let status = match cause {
-                obfs_sync::CancelCause::Cancelled => QueryStatus::Cancelled,
-                obfs_sync::CancelCause::DeadlineExceeded => QueryStatus::DeadlineExceeded,
-            };
             // The last completed attempt's state was consumed by the
             // retry decision; respond without a result.
-            return Some((status, None, attempt));
+            return Some((pop_status(cause), None, attempt));
         }
         let step = chunk.min(left);
         std::thread::sleep(step);
@@ -971,6 +975,22 @@ mod tests {
         let t = in_edge_graph(&directed);
         assert!(!Arc::ptr_eq(&t, &directed));
         assert_eq!(*t, directed.transpose());
+    }
+
+    /// Retry `k` waits `base * 2^(k-1)` plus up to 50% jitter, and one
+    /// seed gives one sequence of waits.
+    #[test]
+    fn backoff_delay_doubles_with_bounded_seeded_jitter() {
+        let cfg = EngineConfig { backoff_base: Duration::from_millis(2), ..Default::default() };
+        let waits = |seed| {
+            let mut rng = Xoshiro256StarStar::new(seed);
+            (1..=4).map(|k| backoff_delay(&cfg, &mut rng, k)).collect::<Vec<_>>()
+        };
+        for (k, w) in (1..=4u32).zip(waits(7)) {
+            let base = Duration::from_millis(2 << (k - 1));
+            assert!(w >= base && w <= base.mul_f64(1.5), "retry {k}: {w:?}");
+        }
+        assert_eq!(waits(7), waits(7));
     }
 
     #[test]

@@ -86,8 +86,7 @@ pub mod kind {
     /// The driver will materialize the *next* level's frontier by
     /// parallel prefix-sum compaction instead of queue-segment dispatch
     /// (leader-recorded; `level` = the level that will run compacted,
-    /// `a` = that frontier's vertex count, `b` = the scan-kernel backend
-    /// code reported in `RunStats::kernel_backend`).
+    /// `a` = that frontier's vertex count, `b` = 0).
     pub const COMPACT: u16 = 17;
     /// A serve-engine query lifecycle transition (scheduler-recorded;
     /// `a` = query id, `b` = stage code in the low byte with the

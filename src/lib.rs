@@ -27,8 +27,8 @@ pub use obfs_util as util;
 pub mod prelude {
     pub use obfs_core::{
         run_batch, run_bfs, serial::serial_bfs, Algorithm, BatchResult, BfsOptions, BfsResult,
-        CompactionPolicy, DedupMode, Direction, ForcedDirection, HybridPolicy, KernelChoice,
-        ScanBackend, SegmentPolicy, WatchdogPolicy, MAX_BATCH,
+        CompactionPolicy, DedupMode, Direction, ForcedDirection, HybridPolicy, SegmentPolicy,
+        WatchdogPolicy, MAX_BATCH,
     };
     pub use obfs_graph::{gen, CsrGraph, GraphBuilder};
     pub use obfs_sync::ChaosConfig;

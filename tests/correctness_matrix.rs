@@ -301,8 +301,8 @@ fn hybrid_matrix_matches_serial_everywhere() {
 /// non-empty top-down level, so the prefix-sum materialize/consume path
 /// gets the full graph-family sweep rather than only the dense levels
 /// the density rule happens to pick; the forced-on rows must also report
-/// at least one compacted level (and a dispatched kernel backend) on any
-/// multi-level graph, proving the mode was actually exercised.
+/// at least one compacted level on any multi-level graph, proving the
+/// mode was actually exercised.
 #[test]
 fn compaction_matrix_matches_serial_everywhere() {
     let graphs = [
@@ -366,10 +366,6 @@ fn compaction_matrix_matches_serial_everywhere() {
                                 r.stats.compacted_levels > 0,
                                 "{algo} on {name}: forced-on never compacted \
                                  (threads={threads})"
-                            );
-                            assert!(
-                                r.stats.kernel_backend.is_some(),
-                                "{algo} on {name}: compacted run lost its backend"
                             );
                         }
                         _ => {}

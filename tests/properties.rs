@@ -175,10 +175,9 @@ fn parallel_prefix_sum_equals_serial_scan() {
 
 /// Materializing a random bitmap through the compaction pipeline
 /// (per-chunk popcounts → exclusive block prefix → per-chunk set-bit
-/// emission into disjoint ranges) reproduces the plain ascending
-/// enumeration of its set bits exactly — same *set* of vertices and the
-/// same stable per-chunk order — for every thread split and for both
-/// scan kernels.
+/// emission into disjoint ranges) reproduces a per-bit enumeration of its
+/// set bits exactly — same *set* of vertices and the same stable
+/// per-chunk order — for every thread split.
 #[test]
 fn compacted_frontier_equals_queue_derived_frontier() {
     use obfs::core::frontier::{FrontierBitmap, BITMAP_WORD_BITS};
@@ -192,6 +191,9 @@ fn compacted_frontier_equals_queue_derived_frontier() {
         let n = 1 + rng.below_usize(6 * COMPACT_CHUNK_WORDS * BITMAP_WORD_BITS);
         let bm = FrontierBitmap::new(n);
         let words = bm.word_count();
+        // Queue-derived reference: the set bits of each word as written,
+        // tested one bit at a time, ascending.
+        let mut reference = Vec::new();
         for wi in 0..words {
             let w = match rng.below(4) {
                 0 => 0,
@@ -201,50 +203,47 @@ fn compacted_frontier_equals_queue_derived_frontier() {
             // Mask out-of-range tail bits so "set bit" == "vertex".
             let base = wi * BITMAP_WORD_BITS;
             let lim = BITMAP_WORD_BITS.min(n - base.min(n));
-            bm.set_word(wi, if lim == BITMAP_WORD_BITS { w } else { w & !(!0u32 << lim) });
+            let w = if lim == BITMAP_WORD_BITS { w } else { w & !(!0u32 << lim) };
+            bm.set_word(wi, w);
+            reference.extend((0..BITMAP_WORD_BITS).filter(|b| w >> b & 1 == 1).map(|b| base + b));
         }
-        // Queue-derived reference: plain ascending enumeration.
-        let mut reference = Vec::new();
-        for_each_set(ScanBackend::Wordwise, &bm, 0, words, |v| reference.push(v));
         let chunks = words.div_ceil(COMPACT_CHUNK_WORDS);
         for threads in [1usize, 2, 4, 8] {
-            for backend in [ScanBackend::Wordwise, ScanBackend::Scalar] {
-                // Pass 1: per-chunk popcounts and per-block totals.
-                let counts: Vec<u64> = (0..chunks)
-                    .map(|c| {
-                        let wlo = c * COMPACT_CHUNK_WORDS;
-                        let whi = (wlo + COMPACT_CHUNK_WORDS).min(words);
-                        popcount_words(backend, &bm, wlo, whi)
-                    })
-                    .collect();
-                let totals: Vec<u64> = (0..threads)
-                    .map(|tid| {
-                        let (lo, hi) = block_range(chunks, threads, tid);
-                        counts[lo..hi].iter().sum()
-                    })
-                    .collect();
-                // Passes 2+3: every worker emits its chunks into the
-                // disjoint range the block prefix assigns it.
-                let mut out = vec![usize::MAX; reference.len()];
-                for tid in 0..threads {
+            // Pass 1: per-chunk popcounts and per-block totals.
+            let counts: Vec<u64> = (0..chunks)
+                .map(|c| {
+                    let wlo = c * COMPACT_CHUNK_WORDS;
+                    let whi = (wlo + COMPACT_CHUNK_WORDS).min(words);
+                    popcount_words(&bm, wlo, whi)
+                })
+                .collect();
+            let totals: Vec<u64> = (0..threads)
+                .map(|tid| {
                     let (lo, hi) = block_range(chunks, threads, tid);
-                    let mut off = block_prefix(&totals, tid) as usize;
-                    for c in lo..hi {
-                        let wlo = c * COMPACT_CHUNK_WORDS;
-                        let whi = (wlo + COMPACT_CHUNK_WORDS).min(words);
-                        for_each_set(backend, &bm, wlo, whi, |v| {
-                            out[off] = v;
-                            off += 1;
-                        });
-                    }
-                    assert_eq!(
-                        off as u64,
-                        block_prefix(&totals, tid) + totals[tid],
-                        "case {case}: p={threads} tid={tid} {backend}"
-                    );
+                    counts[lo..hi].iter().sum()
+                })
+                .collect();
+            // Passes 2+3: every worker emits its chunks into the
+            // disjoint range the block prefix assigns it.
+            let mut out = vec![usize::MAX; reference.len()];
+            for tid in 0..threads {
+                let (lo, hi) = block_range(chunks, threads, tid);
+                let mut off = block_prefix(&totals, tid) as usize;
+                for c in lo..hi {
+                    let wlo = c * COMPACT_CHUNK_WORDS;
+                    let whi = (wlo + COMPACT_CHUNK_WORDS).min(words);
+                    for_each_set(&bm, wlo, whi, |v| {
+                        out[off] = v;
+                        off += 1;
+                    });
                 }
-                assert_eq!(out, reference, "case {case}: p={threads} {backend}");
+                assert_eq!(
+                    off as u64,
+                    block_prefix(&totals, tid) + totals[tid],
+                    "case {case}: p={threads} tid={tid}"
+                );
             }
+            assert_eq!(out, reference, "case {case}: p={threads}");
         }
     }
 }
