@@ -4,7 +4,7 @@
 
 use obfs_bench::micro::{bench_case, bench_header, DEFAULT_SAMPLES};
 use obfs_core::frontier::FrontierQueue;
-use obfs_sync::{RacyBuf, SpinBarrier, SpinLock, TicketLock};
+use obfs_sync::{RacyBuf, SpinBarrier, SpinLock};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -28,13 +28,6 @@ fn locks() {
             *spin.lock() += 1;
         }
         black_box(*spin.lock())
-    });
-    let ticket = TicketLock::new(0u64);
-    bench_case("locks/ticketlock-uncontended-100k", DEFAULT_SAMPLES, || {
-        for _ in 0..100_000 {
-            *ticket.lock() += 1;
-        }
-        black_box(*ticket.lock())
     });
     // The optimistic alternative: plain load+store (no mutual exclusion —
     // the single-threaded baseline cost).

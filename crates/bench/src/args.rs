@@ -58,9 +58,11 @@ pub fn fail(msg: impl std::fmt::Display) -> ! {
 
 impl BenchArgs {
     /// Parse `std::env::args` for a bin that takes no positional
-    /// arguments; bad input prints `error: …` and exits 2.
-    pub fn parse() -> Self {
-        let args = Self::parse_with_files();
+    /// arguments and honors the optional shared flags in `honors` (see
+    /// [`BenchArgs::refuse_unhonored`]); bad input prints `error: …` and
+    /// exits 2.
+    pub fn parse(honors: &[&str]) -> Self {
+        let args = Self::parse_with_files(honors);
         if let Some(f) = args.files.first() {
             fail(format!("unexpected argument {f:?} (try --help)"));
         }
@@ -69,8 +71,35 @@ impl BenchArgs {
 
     /// [`BenchArgs::parse`] for a bin whose positional arguments are
     /// graph files.
-    pub fn parse_with_files() -> Self {
-        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| fail(e))
+    pub fn parse_with_files(honors: &[&str]) -> Self {
+        Self::parse_from(std::env::args().skip(1))
+            .and_then(|a| a.refuse_unhonored(honors).map(|()| a))
+            .unwrap_or_else(|e| fail(e))
+    }
+
+    /// Refuse the optional shared flags a bin ignores: the first of
+    /// `--graph`, `--hybrid`, `--json`, `--chaos-seed` and
+    /// `--watchdog-ms` that is set but not named in `honors` is an
+    /// `--X is not supported` error, so no bin exits 0 without doing
+    /// what its command line asked.
+    pub fn refuse_unhonored(&self, honors: &[&str]) -> Result<(), String> {
+        let set = [
+            ("--graph", self.only_graph.is_some()),
+            ("--hybrid", self.hybrid),
+            ("--json", self.json),
+            ("--chaos-seed", self.chaos_seed.is_some()),
+            ("--watchdog-ms", self.watchdog_ms.is_some()),
+        ];
+        match set.into_iter().find(|&(flag, on)| on && !honors.contains(&flag)) {
+            None => Ok(()),
+            Some((flag, _)) if honors.is_empty() => Err(format!(
+                "{flag} is not supported: this bin honors none of the optional shared flags"
+            )),
+            Some((flag, _)) => Err(format!(
+                "{flag} is not supported: of the optional shared flags this bin honors only {}",
+                honors.join(" ")
+            )),
+        }
     }
 
     /// Parse from an explicit iterator (testable).
@@ -202,6 +231,23 @@ mod tests {
     fn rejects_bad_number() {
         assert!(parse(&["--threads", "many"]).unwrap_err().contains("bad value"));
         assert!(parse(&["--sources", "0"]).unwrap_err().contains("must be >= 1"));
+    }
+
+    #[test]
+    fn refuses_only_the_optional_flags_a_bin_ignores() {
+        let a = parse(&["--graph", "wikipedia", "--json", "--threads", "2"]).unwrap();
+        assert_eq!(a.refuse_unhonored(&["--graph", "--json"]), Ok(()));
+        let e = a.refuse_unhonored(&["--json"]).unwrap_err();
+        assert!(e.starts_with("--graph is not supported"), "{e}");
+        assert!(e.ends_with("only --json"), "{e}");
+        let e = a.refuse_unhonored(&[]).unwrap_err();
+        assert!(e.contains("honors none"), "{e}");
+        // Flags left at their defaults are never refused.
+        assert_eq!(parse(&["--threads", "2"]).unwrap().refuse_unhonored(&[]), Ok(()));
+        for flag in [&["--hybrid"][..], &["--chaos-seed", "1"], &["--watchdog-ms", "5"]] {
+            let e = parse(flag).unwrap().refuse_unhonored(&["--graph"]).unwrap_err();
+            assert!(e.starts_with(&format!("{} is not supported", flag[0])), "{e}");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use obfs_graph::gen::suite::PaperGraph;
 use obfs_graph::CsrGraph;
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(&[]);
     println!("{}", HostInfo::detect().render(args.threads));
     let workload = |name: &str, graph: CsrGraph| {
         let sources = pick_sources(&graph, args.sources, args.seed);

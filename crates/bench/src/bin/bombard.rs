@@ -119,18 +119,8 @@ fn parse_args() -> Result<BombardArgs, String> {
     if let Some(f) = own.base.files.first() {
         return Err(format!("unexpected argument {f:?} (try --help)"));
     }
-    // Shared flags the engine cannot honor are refused, not ignored.
-    let base = &own.base;
-    for (set, flag, why) in [
-        (base.only_graph.is_some(), "--graph", "bombard serves its own RMAT graph"),
-        (base.hybrid, "--hybrid", "every engine query is already direction-optimizing"),
-        (base.chaos_seed.is_some(), "--chaos-seed", "the engine runs no fault plan"),
-        (base.watchdog_ms.is_some(), "--watchdog-ms", "the engine runs no watchdog"),
-    ] {
-        if set {
-            return Err(format!("{flag} is not supported: {why}"));
-        }
-    }
+    // Of the optional shared flags only `--json` applies (module docs).
+    own.base.refuse_unhonored(&["--json"])?;
     // Every engine query is direction-optimizing; the report records it
     // as `params.hybrid`.
     own.base.hybrid = true;

@@ -13,7 +13,7 @@ use obfs_core::{Algorithm, BfsOptions};
 use obfs_graph::gen::suite::PaperGraph;
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(&["--graph"]);
     println!("{}", HostInfo::detect().render(args.threads));
     let graph_kind = args.only_graph.unwrap_or(PaperGraph::Wikipedia);
     let graph = graph_kind.generate(args.divisor, args.seed);

@@ -12,7 +12,7 @@ use obfs_core::{Algorithm, BfsOptions};
 use obfs_graph::gen::suite::PaperGraph;
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(&["--graph", "--json"]);
     println!("{}", HostInfo::detect().render(args.threads));
     println!(
         "== Figure 3: TEPS on real-world graphs (divisor {}, {} sources, p={}) ==\n",

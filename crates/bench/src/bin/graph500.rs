@@ -42,7 +42,7 @@ fn stem(path: &str) -> String {
 }
 
 fn main() {
-    let args = BenchArgs::parse_with_files();
+    let args = BenchArgs::parse_with_files(&["--json"]);
     println!("{}", HostInfo::detect().render(args.threads));
     let graphs: Vec<(String, CsrGraph)> = if args.files.is_empty() {
         // Interpret --divisor as the Graph500 "scale" reduction: scale 26

@@ -15,7 +15,7 @@ use obfs_graph::gen::suite::{PaperGraph, ALL};
 use obfs_graph::stats::sample_sources;
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(&["--graph"]);
     println!("{}", HostInfo::detect().render(args.threads));
     let graph_kind = args.only_graph.unwrap_or(PaperGraph::Wikipedia);
     let graph = graph_kind.generate(args.divisor, args.seed);

@@ -8,7 +8,7 @@ use obfs_graph::gen::suite::ALL;
 use obfs_graph::stats::summarize;
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(&["--graph"]);
     println!("{}", HostInfo::detect().render(1));
     println!(
         "== Table IV: graph properties (stand-ins at n = paper_n / {}) ==\n",

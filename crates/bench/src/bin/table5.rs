@@ -12,7 +12,7 @@ use obfs_core::BfsOptions;
 use obfs_graph::gen::suite::ALL;
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(&["--graph"]);
     println!("{}", HostInfo::detect().render(args.threads));
     println!(
         "== Table V: mean running time (ms) over {} sources, divisor {} ==\n",

@@ -23,7 +23,8 @@ use std::time::Duration;
 const REPS: usize = 5;
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args =
+        BenchArgs::parse(&["--graph", "--hybrid", "--json", "--chaos-seed", "--watchdog-ms"]);
     println!("{}", HostInfo::detect().render(args.threads));
     let graph_kind = args.only_graph.unwrap_or(PaperGraph::Wikipedia);
     let graph = graph_kind.generate(args.divisor, args.seed);

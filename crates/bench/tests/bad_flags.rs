@@ -21,6 +21,26 @@ fn unknown_graph_exits_2() {
     assert_usage_error(env!("CARGO_BIN_EXE_bombard"), &["--graph", "nosuch"], "unknown graph");
 }
 
+/// Each bin refuses the optional shared flags it would otherwise ignore
+/// (every one of these used to exit 0 without doing what was asked).
+/// The tiny graph keeps a bin that wrongly accepted its flag fast.
+#[test]
+fn bins_refuse_shared_flags_they_ignore() {
+    let tiny = ["--divisor", "4096", "--threads", "2", "--sources", "1"];
+    for (bin, flag) in [
+        (env!("CARGO_BIN_EXE_graph500"), &["--graph", "wikipedia"][..]),
+        (env!("CARGO_BIN_EXE_ablations"), &["--graph", "cage15"]),
+        (env!("CARGO_BIN_EXE_table5"), &["--hybrid"]),
+        (env!("CARGO_BIN_EXE_fig2"), &["--json"]),
+        (env!("CARGO_BIN_EXE_levels"), &["--json"]),
+        (env!("CARGO_BIN_EXE_table4"), &["--chaos-seed", "3"]),
+        (env!("CARGO_BIN_EXE_fig3"), &["--watchdog-ms", "5"]),
+    ] {
+        let args: Vec<&str> = flag.iter().chain(&tiny).copied().collect();
+        assert_usage_error(bin, &args, &format!("{} is not supported", flag[0]));
+    }
+}
+
 #[test]
 fn bombard_refuses_shared_flags_it_cannot_honor() {
     let bin = env!("CARGO_BIN_EXE_bombard");

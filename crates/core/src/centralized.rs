@@ -31,9 +31,8 @@
 use crate::driver::{take_slot, LevelEnv, Strategy};
 use crate::frontier::{decode, QueueSet, EMPTY_SLOT};
 use crate::state::RunState;
-use crate::stats::ThreadStats;
+use crate::worker::Worker;
 use obfs_runtime::WorkerCtx;
-use obfs_util::Xoshiro256StarStar;
 
 /// BFSC — centralized dispatch with a global lock.
 pub struct CentralLocked;
@@ -46,28 +45,19 @@ impl Strategy for CentralLocked {
     }
 
     // lint:region baseline:central-locked
-    fn consume(
-        &self,
-        env: &LevelEnv<'_, '_>,
-        _ctx: &WorkerCtx<'_>,
-        tid: usize,
-        out_rear: &mut usize,
-        _rng: &mut Xoshiro256StarStar,
-        ts: &mut ThreadStats,
-    ) {
+    fn consume(&self, env: &LevelEnv<'_, '_>, _ctx: &WorkerCtx<'_>, wk: &mut Worker<'_>) {
         let st = env.st;
         let qin = st.qin(env.parity);
         let p = st.threads;
-        let out = st.qout(env.parity).queue(tid);
         loop {
             if st.watchdog_tripped() {
                 return; // leader sweep finishes the level
             }
-            let fetch_timer = obfs_sync::metrics::timer();
+            let fetch_timer = wk.timer();
             // --- critical section: advance ⟨q, f⟩ and cut a segment ---
             let (k, f0, end) = {
                 let mut cur = st.central_lock.lock();
-                ts.lock_acquisitions += 1;
+                wk.stats.lock_acquisitions += 1;
                 while cur.q < p && cur.f >= qin.queue(cur.q).rear() {
                     cur.q += 1;
                     cur.f = 0;
@@ -82,17 +72,17 @@ impl Strategy for CentralLocked {
                 cur.f = end;
                 (k, f0, end)
             };
-            ts.segment_fetched(fetch_timer, None, env.level, k as u64, (end - f0) as u64);
+            wk.segment_fetched(fetch_timer, None, env.level, k as u64, (end - f0) as u64);
             let queue = qin.queue(k);
             for i in f0..end {
                 // Locked dispatch hands out disjoint ranges of live slots;
                 // no clearing, no sentinel checks needed.
                 let v = decode(queue.slot(i));
-                if !st.pop_admit(v, k, ts) {
+                if !st.pop_admit(v, k, wk) {
                     continue;
                 }
-                st.note_pop(v, env.level, ts);
-                st.explore_vertex(v, env.level, tid, out, out_rear, ts);
+                st.note_pop(v, env.level, wk);
+                st.explore_vertex(v, env.level, wk);
             }
         }
     }
@@ -107,19 +97,9 @@ impl Strategy for CentralLockfree {
         env.st.pool_cursors[0].store(0);
     }
 
-    fn consume(
-        &self,
-        env: &LevelEnv<'_, '_>,
-        _ctx: &WorkerCtx<'_>,
-        tid: usize,
-        out_rear: &mut usize,
-        _rng: &mut Xoshiro256StarStar,
-        ts: &mut ThreadStats,
-    ) {
+    fn consume(&self, env: &LevelEnv<'_, '_>, _ctx: &WorkerCtx<'_>, wk: &mut Worker<'_>) {
         let st = env.st;
-        let qin = st.qin(env.parity);
-        let out = st.qout(env.parity).queue(tid);
-        consume_pool_lockfree(st, qin, 0, (0, st.threads), env.level, tid, out_rear, out, ts);
+        consume_pool_lockfree(st, st.qin(env.parity), 0, (0, st.threads), env.level, wk);
     }
 }
 
@@ -129,17 +109,13 @@ impl Strategy for CentralLockfree {
 /// over all queues) and BFSDL (several pools).
 ///
 /// Returns when the pool appears exhausted from this thread's view.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn consume_pool_lockfree(
     st: &RunState<'_>,
     qin: &QueueSet,
     pool: usize,
     range: (usize, usize),
     level: u32,
-    out_queue_id: usize,
-    out_rear: &mut usize,
-    out: &crate::frontier::FrontierQueue,
-    ts: &mut ThreadStats,
+    wk: &mut Worker<'_>,
 ) {
     let cursor = &st.pool_cursors[pool];
     let (start, end_q) = range;
@@ -148,7 +124,7 @@ pub(crate) fn consume_pool_lockfree(
         if st.watchdog_tripped() {
             return; // leader sweep finishes the level
         }
-        let fetch_timer = obfs_sync::metrics::timer();
+        let fetch_timer = wk.timer();
         let mut retry_burst = 0u64;
         // --- optimistic fetch (paper §IV-A.2) ---
         let mut k = cursor.load().clamp(start, end_q);
@@ -168,7 +144,7 @@ pub(crate) fn consume_pool_lockfree(
             let f = queue.front();
             let r = queue.rear();
             if f >= r {
-                ts.fetch_retried(level, k, false);
+                wk.fetch_retried(level, k, false);
                 retry_burst += 1;
                 if st.watchdog_retry(&mut wd_retries) {
                     return; // retry budget exhausted: degrade the level
@@ -186,23 +162,23 @@ pub(crate) fn consume_pool_lockfree(
             queue.set_front(f + s);
             break (k, f, s);
         };
-        ts.segment_fetched(fetch_timer, Some(retry_burst), level, k as u64, s as u64);
+        wk.segment_fetched(fetch_timer, Some(retry_burst), level, k as u64, s as u64);
         // --- walk the segment under the zero-on-read protocol ---
         let queue = qin.queue(k);
         let live_end = queue.rear(); // for stale accounting only
         for i in f0..f0 + s {
             match take_slot(queue, i) {
                 Some(v) => {
-                    if !st.pop_admit(v, k, ts) {
+                    if !st.pop_admit(v, k, wk) {
                         continue;
                     }
-                    st.note_pop(v, level, ts);
-                    st.explore_vertex(v, level, out_queue_id, out, out_rear, ts);
+                    st.note_pop(v, level, wk);
+                    st.explore_vertex(v, level, wk);
                 }
                 None => {
                     if i < live_end {
                         // Cleared mid-queue: segment replayed or co-walked.
-                        ts.stale_abort(level, k, i);
+                        wk.stale_abort(level, k, i);
                     }
                     break;
                 }

@@ -11,9 +11,8 @@
 
 use crate::centralized::consume_pool_lockfree;
 use crate::driver::{LevelEnv, Strategy};
-use crate::stats::ThreadStats;
+use crate::worker::Worker;
 use obfs_runtime::WorkerCtx;
-use obfs_util::Xoshiro256StarStar;
 
 /// BFSDL strategy (pool count from [`crate::BfsOptions::pools`]).
 pub struct Decentralized;
@@ -26,45 +25,25 @@ impl Strategy for Decentralized {
         }
     }
 
-    fn consume(
-        &self,
-        env: &LevelEnv<'_, '_>,
-        _ctx: &WorkerCtx<'_>,
-        tid: usize,
-        out_rear: &mut usize,
-        rng: &mut Xoshiro256StarStar,
-        ts: &mut ThreadStats,
-    ) {
+    fn consume(&self, env: &LevelEnv<'_, '_>, _ctx: &WorkerCtx<'_>, wk: &mut Worker<'_>) {
         let st = env.st;
         let qin = st.qin(env.parity);
-        let out = st.qout(env.parity).queue(tid);
-        let pools = st.pools();
         // Each thread starts at a random pool each level (paper §IV-A.3);
         // with a topology, a random pool *on its own socket* (§IV-C).
         let mut pool = match &st.opts.topology {
             Some(topo) => {
-                let local = local_pools(env, topo, tid);
-                local[rng.below_usize(local.len())]
+                let local = local_pools(env, topo, wk.tid);
+                local[wk.rng.below_usize(local.len())]
             }
-            None => rng.below_usize(pools),
+            None => wk.rng.below_usize(st.pools()),
         };
         loop {
-            consume_pool_lockfree(
-                st,
-                qin,
-                pool,
-                st.pool_range(pool),
-                env.level,
-                tid,
-                out_rear,
-                out,
-                ts,
-            );
+            consume_pool_lockfree(st, qin, pool, st.pool_range(pool), env.level, wk);
             if st.watchdog_tripped() {
                 return; // leader sweep finishes the level
             }
             // Our pool looks dry; probe random pools for leftover work.
-            match find_nonempty_pool(env, tid, pool, rng, ts) {
+            match find_nonempty_pool(env, pool, wk) {
                 Some(next) => pool = next,
                 None => return,
             }
@@ -100,10 +79,8 @@ fn local_pools(
 /// scheme: local pools first, remote as fallback).
 fn find_nonempty_pool(
     env: &LevelEnv<'_, '_>,
-    tid: usize,
     current: usize,
-    rng: &mut Xoshiro256StarStar,
-    ts: &mut ThreadStats,
+    wk: &mut Worker<'_>,
 ) -> Option<usize> {
     let st = env.st;
     let pools = st.pools();
@@ -113,27 +90,27 @@ fn find_nonempty_pool(
     let budget = st.opts.retry_budget(pools);
     let mut wd_retries = 0u64;
     if let Some(topo) = &st.opts.topology {
-        let local = local_pools(env, topo, tid);
+        let local = local_pools(env, topo, wk.tid);
         for _ in 0..budget / 2 {
-            let j = local[rng.below_usize(local.len())];
+            let j = local[wk.rng.below_usize(local.len())];
             if j != current && pool_has_work(env, j) {
                 return Some(j);
             }
-            ts.fetch_retried(env.level, j, true);
+            wk.fetch_retried(env.level, j, true);
             if st.watchdog_retry(&mut wd_retries) {
                 return None; // degraded: stop probing
             }
         }
     }
     for _ in 0..budget {
-        let j = rng.below_usize(pools);
+        let j = wk.rng.below_usize(pools);
         if j == current {
             continue;
         }
         if pool_has_work(env, j) {
             return Some(j);
         }
-        ts.fetch_retried(env.level, j, true);
+        wk.fetch_retried(env.level, j, true);
         if st.watchdog_retry(&mut wd_retries) {
             return None; // degraded: stop probing
         }

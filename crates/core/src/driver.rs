@@ -32,14 +32,15 @@ use crate::frontier::decode;
 use crate::options::{Algorithm, BfsOptions, Direction};
 use crate::perthread::PerThread;
 use crate::state::{LevelPlan, RunBuffers, RunState};
-use crate::stats::{LevelStats, Outcome, RunStats, ThreadStats};
+use crate::stats::{LevelStats, Outcome, RunHists, RunStats, ThreadStats};
+use crate::worker::Worker;
 use crate::worksteal::WorkStealing;
 use crate::{BfsResult, UNVISITED};
 use obfs_graph::{CsrGraph, VertexId};
 use obfs_runtime::{LevelPool, PoolError, WorkerCtx};
-use obfs_sync::worker::{WorkerDump, WorkerHooks};
-use obfs_sync::{flight, CancelCause};
-use obfs_util::Xoshiro256StarStar;
+use obfs_sync::flight::{self, RingDump};
+use obfs_sync::worker::WorkerHooks;
+use obfs_sync::CancelCause;
 
 /// Per-thread, per-level working context handed to strategies.
 pub struct LevelEnv<'r, 'g> {
@@ -63,17 +64,11 @@ pub trait Strategy: Sync {
     /// flipped). `env` describes the *upcoming* level.
     fn serial_prepare(&self, _env: &LevelEnv<'_, '_>) {}
 
-    /// Consume the level. May use `ctx.barrier()` for internal phases as
-    /// long as every thread performs the same number of waits.
-    fn consume(
-        &self,
-        env: &LevelEnv<'_, '_>,
-        ctx: &WorkerCtx<'_>,
-        tid: usize,
-        out_rear: &mut usize,
-        rng: &mut Xoshiro256StarStar,
-        ts: &mut ThreadStats,
-    );
+    /// Consume the level, pushing discoveries into the worker's output
+    /// queue. May wait at `ctx.barrier()` (through `Worker::wait`, which
+    /// times the episode) for internal phases as long as every thread
+    /// performs the same number of waits.
+    fn consume(&self, env: &LevelEnv<'_, '_>, ctx: &WorkerCtx<'_>, wk: &mut Worker<'_>);
 }
 
 /// The strategy behind each parallel algorithm; `None` for serial BFS,
@@ -183,23 +178,18 @@ fn drive_shared(
     pool: &LevelPool,
 ) -> Result<RunStats, PoolError> {
     let threads = st.threads;
-    let live = PerThread::new(threads, |_| ThreadStats::default());
     // Per-level counter snapshots: each worker copies its cumulative
     // ThreadStats here right before the level-end barrier so the leader
     // can merge a consistent cross-thread view without aliasing the
     // workers' live `&mut` stats.
     let snaps = PerThread::new(threads, |_| ThreadStats::default());
-    // What each worker's hooks recorded (flight ring, histograms),
-    // filled by the worker on exit.
-    let dumps = PerThread::new(threads, |_| WorkerDump::default());
+    // Each worker's finished record and flight ring, filled on exit.
+    let done = PerThread::new(threads, |_| None::<(Worker<'_>, Option<RingDump>)>);
 
     let t0 = std::time::Instant::now();
     pool.run(|ctx| {
         let tid = ctx.tid();
-        // SAFETY: each worker touches only its own slot while the region
-        // is active.
-        let ts = unsafe { live.get_mut(tid) };
-        let mut rng = Xoshiro256StarStar::for_stream(st.opts.seed, tid as u64);
+        let mut wk = Worker::new(&st.opts, tid, st.qout(0).queue(tid));
         // The run's thread-local hooks, removed by `finish` below or by
         // the guard's drop if this worker unwinds. The fault plan gets one
         // PRNG stream per worker and the run's token, so a worker wedged
@@ -211,12 +201,11 @@ fn drive_shared(
             tid as u64,
             st.opts.cancel.as_ref(),
             st.opts.flight_recorder.map(|cap| (cap, t0)),
-            st.opts.collect_histograms,
         );
         flight::record(flight::kind::WORKER_BEGIN, 0, tid as u64, 0);
 
         st.init_chunk(tid);
-        ctx.barrier().wait_then(|| {
+        wk.wait(ctx.barrier(), |_| {
             // Seed the frontier: each source goes into the queue it hashes
             // to, so the work-stealing variants start at a "random" owner.
             let (seeded, seed_edges) = match &st.batch {
@@ -269,7 +258,6 @@ fn drive_shared(
 
         let mut parity = 0usize;
         let mut level = 0u32;
-        let mut out_rear = 0usize;
         loop {
             // SAFETY: written only in the previous barrier's serial
             // section; read only between barriers.
@@ -289,7 +277,7 @@ fn drive_shared(
             }
             let env = LevelEnv { st, parity, level };
             strategy.level_start(&env, tid);
-            ctx.barrier().wait();
+            wk.wait(ctx.barrier(), |_| {});
             flight::record(
                 flight::kind::LEVEL_START,
                 level,
@@ -299,41 +287,29 @@ fn drive_shared(
             if plan.direction == Direction::BottomUp {
                 // All threads take this branch (they read the same cell),
                 // so strategies with internal barriers stay aligned.
-                st.bottom_up_level(
-                    level,
-                    tid,
-                    st.qout(parity).queue(tid),
-                    &mut out_rear,
-                    ts,
-                );
+                st.bottom_up_level(level, &mut wk);
             } else if plan.compacted {
                 // Compaction passes 2+3 + consume. Every thread reads the
                 // same plan, so all of them cross this internal barrier
                 // together (it publishes the materialized frontier array
                 // before the static-partition consume).
                 st.compact_materialize(tid);
-                ctx.barrier().wait();
-                st.compact_consume(
-                    level,
-                    tid,
-                    st.qout(parity).queue(tid),
-                    &mut out_rear,
-                    ts,
-                );
+                wk.wait(ctx.barrier(), |_| {});
+                st.compact_consume(level, &mut wk);
             } else {
-                strategy.consume(&env, &ctx, tid, &mut out_rear, &mut rng, ts);
+                strategy.consume(&env, &ctx, &mut wk);
             }
             flight::record(flight::kind::LEVEL_END, level, 0, 0);
             if st.opts.chaos.is_some() {
                 // Keep injected_faults cumulative at level granularity so
                 // the per-level deltas stay conservative. (Nothing between
                 // here and the barrier injects: quiesce only flushes.)
-                ts.injected_faults = obfs_sync::chaos::faults_injected();
+                wk.stats.injected_faults = obfs_sync::chaos::faults_injected();
             }
             // SAFETY: own slot only; the borrow ends before the barrier,
             // where the leader reads every slot.
-            unsafe { *snaps.get_mut(tid) = *ts };
-            ctx.barrier().wait_then(|| {
+            unsafe { *snaps.get_mut(tid) = wk.stats };
+            wk.wait(ctx.barrier(), |wk| {
                 // The run-abort decision is made HERE, once, by the
                 // leader: workers must agree on which iteration exits the
                 // level loop or the barrier counts diverge. A cancelled
@@ -357,16 +333,7 @@ fn drive_shared(
                 if degraded {
                     // Degraded level: finish it serially before counting
                     // the next frontier. SAFETY: barrier serial section.
-                    unsafe {
-                        st.serial_finish_level(
-                            parity,
-                            level,
-                            tid,
-                            st.qout(parity).queue(tid),
-                            &mut out_rear,
-                            ts,
-                        );
-                    }
+                    unsafe { st.serial_finish_level(parity, level, wk) };
                     flight::record(flight::kind::DEGRADED, level, 0, 0);
                 }
                 let produced = st.qout(parity).total_entries();
@@ -374,13 +341,13 @@ fn drive_shared(
                     // The sweep and the count above may have injected;
                     // re-snapshot the leader's count so this level's delta
                     // includes it.
-                    ts.injected_faults = obfs_sync::chaos::faults_injected();
+                    wk.stats.injected_faults = obfs_sync::chaos::faults_injected();
                 }
                 // SAFETY: barrier serial section; every peer published its
                 // snapshot before arriving, and the leader refreshes its
                 // own (the sweep above may have added to its counters).
                 unsafe {
-                    *snaps.get_mut(tid) = *ts;
+                    *snaps.get_mut(tid) = wk.stats;
                     let mf = close_level(st, &snaps, level, plan, produced, degraded);
                     plan_level(st, level + 1, produced, mf, cause.is_none() && produced > 0);
                 }
@@ -395,10 +362,11 @@ fn drive_shared(
             }
             // My old input queue becomes my next output queue.
             st.qin(parity).queue(tid).reset();
-            out_rear = 0;
             parity ^= 1;
             level += 1;
-            ctx.barrier().wait_then(|| {
+            wk.out = st.qout(parity).queue(tid);
+            wk.out_rear = 0;
+            wk.wait(ctx.barrier(), |_| {
                 strategy.serial_prepare(&LevelEnv { st, parity, level });
                 // SAFETY: barrier serial section.
                 unsafe { st.watchdog_arm() };
@@ -408,9 +376,9 @@ fn drive_shared(
         // This worker's faults stay those of its last level snapshot:
         // the handful of racy ops after the final level barrier would
         // otherwise break the sum(level deltas) == totals invariant.
-        let dump = hooks.finish();
+        let ring = hooks.finish().ring;
         // SAFETY: own slot only.
-        unsafe { *dumps.get_mut(tid) = dump };
+        unsafe { *done.get_mut(tid) = Some((wk, ring)) };
     })?;
     let traversal_time = t0.elapsed();
 
@@ -418,7 +386,10 @@ fn drive_shared(
     // be touching the cells.
     let (log, abort_cause) = unsafe { (st.log.get_mut(), *st.run_abort.get()) };
     let levels = std::mem::take(&mut log.entries);
-    let mut stats = RunStats::from_threads(live.into_values(), levels.len() as u32, traversal_time);
+    // pool.run returned Ok, so every worker filled its slot.
+    let (workers, rings): (Vec<_>, Vec<_>) = done.into_values().into_iter().flatten().unzip();
+    let per_thread = workers.iter().map(|w| w.stats).collect();
+    let mut stats = RunStats::from_threads(per_thread, levels.len() as u32, traversal_time);
     debug_assert_eq!(log.prev_totals, stats.totals, "level deltas must sum to the run totals");
     stats.partial = abort_cause.is_some();
     stats.degraded_levels = levels.iter().filter(|l| l.degraded).count() as u32;
@@ -437,8 +408,6 @@ fn drive_shared(
     if st.opts.collect_level_stats {
         stats.level_stats = levels;
     }
-    let (rings, hists): (Vec<_>, Vec<_>) =
-        dumps.into_values().into_iter().map(|d| (d.ring, d.hists)).unzip();
     if rings.iter().any(Option::is_some) {
         // Only present when the recorder actually captured something —
         // i.e. requested AND built with the `trace` feature — so callers
@@ -448,8 +417,8 @@ fn drive_shared(
         });
     }
     if st.opts.collect_histograms {
-        stats.hists = Some(crate::stats::RunHists {
-            workers: hists.into_iter().map(|h| *h.unwrap_or_default()).collect(),
+        stats.hists = Some(RunHists {
+            workers: workers.into_iter().map(|w| w.hists.map(|h| *h).unwrap_or_default()).collect(),
         });
     }
     Ok(stats)
@@ -801,31 +770,59 @@ mod tests {
         assert!(r.stats.hists.is_none());
     }
 
+    /// Every barrier episode of a run lands in its worker's record. Per
+    /// worker that is the seed barrier, each level's start and end
+    /// barriers and the prepare barrier between levels (`3·levels`),
+    /// one compaction barrier per compacted level, and — scale-free
+    /// variants only — one phase-2 barrier per level the strategy
+    /// consumed (neither bottom-up nor compacted), all read off the
+    /// level log.
     #[test]
     fn histograms_collected_for_all_parallel_algorithms() {
-        let g = gen::erdos_renyi(500, 3500, 5);
-        for algo in Algorithm::ALL.into_iter().filter(|a| *a != Algorithm::Serial) {
-            let opts = BfsOptions {
-                threads: 4,
-                collect_histograms: true,
-                ..Default::default()
-            };
-            let r = run_bfs(algo, &g, 0, &opts);
-            let hists = r.stats.hists.as_ref().unwrap_or_else(|| panic!("{algo}: no hists"));
-            assert_eq!(hists.workers.len(), 4, "{algo}: one dump per worker");
-            let merged = hists.merged();
-            // Every parallel variant crosses the level barrier at least
-            // once per level on every worker.
-            assert!(
-                merged.barrier_wait_us.count() >= r.stats.levels as u64 * 4,
-                "{algo}: barrier episodes {} < levels {} x 4",
-                merged.barrier_wait_us.count(),
-                r.stats.levels
-            );
-            // The merged count is exactly the sum over workers (merge
-            // loses nothing).
-            let per_worker: u64 = hists.workers.iter().map(|w| w.barrier_wait_us.count()).sum();
-            assert_eq!(merged.barrier_wait_us.count(), per_worker, "{algo}");
+        use crate::options::{CompactionPolicy, Direction, HybridPolicy};
+        let g = gen::erdos_renyi(3000, 24000, 5);
+        let hybrid = Some(HybridPolicy::default());
+        let configs = [
+            ("plain", BfsOptions::default()),
+            ("hybrid", BfsOptions { hybrid, ..Default::default() }),
+            (
+                "hybrid+compaction",
+                BfsOptions {
+                    hybrid,
+                    compaction: Some(CompactionPolicy::forced_on()),
+                    ..Default::default()
+                },
+            ),
+        ];
+        for (name, base) in configs {
+            for algo in Algorithm::ALL.into_iter().filter(|a| *a != Algorithm::Serial) {
+                let opts = BfsOptions {
+                    threads: 3,
+                    collect_histograms: true,
+                    collect_level_stats: true,
+                    ..base.clone()
+                };
+                let r = run_bfs(algo, &g, 0, &opts);
+                let hists = r.stats.hists.as_ref().unwrap_or_else(|| panic!("{algo}: no hists"));
+                assert_eq!(hists.workers.len(), 3, "{name} {algo}: one set per worker");
+                let log = &r.stats.level_stats;
+                let compacted = log.iter().filter(|l| l.compacted).count() as u64;
+                let consumed = log
+                    .iter()
+                    .filter(|l| !l.compacted && l.direction == Direction::TopDown)
+                    .count() as u64;
+                let phase2 = match algo {
+                    Algorithm::Bfsws | Algorithm::Bfswsl => consumed,
+                    _ => 0,
+                };
+                let want = 3 * u64::from(r.stats.levels) + compacted + phase2;
+                for (k, w) in hists.workers.iter().enumerate() {
+                    assert_eq!(w.barrier_wait_us.count(), want, "{name} {algo} worker {k}");
+                }
+                // The merged count is exactly the sum over workers (merge
+                // loses nothing).
+                assert_eq!(hists.merged().barrier_wait_us.count(), 3 * want, "{name} {algo}");
+            }
         }
     }
 

@@ -20,12 +20,11 @@
 // overlapping ranges are replays (duplicate scans), never gaps.
 
 use crate::driver::{LevelEnv, Strategy};
-use crate::frontier::{decode, FrontierQueue, EMPTY_SLOT};
+use crate::frontier::{decode, EMPTY_SLOT};
 use crate::state::RunState;
-use crate::stats::ThreadStats;
+use crate::worker::Worker;
 use obfs_graph::VertexId;
 use obfs_runtime::WorkerCtx;
-use obfs_util::Xoshiro256StarStar;
 
 /// The `EdgeCL` strategy.
 pub struct EdgePartitioned;
@@ -59,22 +58,13 @@ impl Strategy for EdgePartitioned {
         }
     }
 
-    fn consume(
-        &self,
-        env: &LevelEnv<'_, '_>,
-        _ctx: &WorkerCtx<'_>,
-        tid: usize,
-        out_rear: &mut usize,
-        _rng: &mut Xoshiro256StarStar,
-        ts: &mut ThreadStats,
-    ) {
+    fn consume(&self, env: &LevelEnv<'_, '_>, _ctx: &WorkerCtx<'_>, wk: &mut Worker<'_>) {
         let st = env.st;
-        let out = st.qout(env.parity).queue(tid);
         // SAFETY: read-only between barriers.
         let flat = unsafe { st.flat_vertices.get() };
         // SAFETY: read-only between barriers, as above.
         let prefix = unsafe { st.flat_prefix.get() };
-        consume_edge_ranges(st, flat, prefix, env.level, tid, out, out_rear, ts);
+        consume_edge_ranges(st, flat, prefix, env.level, wk);
     }
 }
 
@@ -82,16 +72,12 @@ impl Strategy for EdgePartitioned {
 /// Optimistically dispatch edge ranges of the flattened work list
 /// `(flat, prefix)` via `st.edge_cursor` (plain load/store; duplicates
 /// benign). Shared with the scale-free phase-2 stealing variant.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn consume_edge_ranges(
     st: &RunState<'_>,
     flat: &[VertexId],
     prefix: &[u64],
     level: u32,
-    tid: usize,
-    out: &FrontierQueue,
-    out_rear: &mut usize,
-    ts: &mut ThreadStats,
+    wk: &mut Worker<'_>,
 ) {
     debug_assert_eq!(prefix.len(), flat.len() + 1);
     let total = *prefix.last().unwrap_or(&0);
@@ -103,7 +89,7 @@ pub(crate) fn consume_edge_ranges(
         if st.watchdog_tripped() {
             return; // leader sweep finishes the level
         }
-        let fetch_timer = obfs_sync::metrics::timer();
+        let fetch_timer = wk.timer();
         let c = st.edge_cursor.load() as u64;
         if c >= total {
             return;
@@ -113,7 +99,7 @@ pub(crate) fn consume_edge_ranges(
         let end = (c + es).min(total);
         // racy-ok: optimistic cursor publish — a dragged-back cursor only replays scanned edges
         st.edge_cursor.store(end as usize);
-        ts.segment_fetched(fetch_timer, None, level, c, end - c);
+        wk.segment_fetched(fetch_timer, None, level, c, end - c);
 
         // Map edge range [c, end) onto (vertex, adjacency slice) pieces.
         let mut vi = prefix.partition_point(|&x| x <= c) - 1;
@@ -130,10 +116,10 @@ pub(crate) fn consume_edge_ranges(
             let lo = (e - v_start) as usize;
             let hi = (end.min(v_end) - v_start) as usize;
             let neigh = st.graph.neighbors(h);
-            ts.edges_scanned += (hi - lo) as u64;
+            wk.stats.edges_scanned += (hi - lo) as u64;
             if lo == 0 {
                 // Count each frontier entry once, at its first edge.
-                st.note_pop(h, level, ts);
+                st.note_pop(h, level, wk);
             }
             if st.batch.is_some() {
                 // Frontier bits are level-barrier-published, so every
@@ -141,12 +127,12 @@ pub(crate) fn consume_edge_ranges(
                 let fbits = st.frontier_bits(h, level);
                 if fbits != 0 {
                     for &w in &neigh[lo..hi] {
-                        st.try_discover_batch(w, h, fbits, next, out, out_rear, ts);
+                        st.try_discover_batch(w, h, fbits, next, wk);
                     }
                 }
             } else {
                 for &w in &neigh[lo..hi] {
-                    st.try_discover(w, h, next, tid, out, out_rear, ts);
+                    st.try_discover(w, h, next, wk);
                 }
             }
             e = v_start + hi as u64;

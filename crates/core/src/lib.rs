@@ -48,6 +48,7 @@ pub mod serial;
 pub mod state;
 pub mod stats;
 pub mod validate;
+pub mod worker;
 pub mod worksteal;
 
 pub use batch::{BatchQueryResult, BatchResult, MAX_BATCH};
@@ -56,7 +57,10 @@ pub use options::{
     Algorithm, BfsOptions, CompactionPolicy, DedupMode, Direction, ForcedDirection, HybridPolicy,
     KernelChoice, ScanBackend, SegmentPolicy, WatchdogPolicy,
 };
-pub use stats::{LevelStats, Outcome, RunHists, RunStats, StealCounters, ThreadStats};
+pub use stats::{
+    LevelStats, Outcome, RunHists, RunStats, StealCounters, ThreadStats, WorkerHists,
+};
+pub use worker::Worker;
 
 // Re-exported so engine-layer callers name the cancellation vocabulary
 // through one crate.

@@ -21,7 +21,7 @@ use crate::driver::LevelEnv;
 use crate::frontier::EMPTY_SLOT;
 use crate::options::BfsOptions;
 use crate::state::RunState;
-use crate::stats::ThreadStats;
+use crate::worker::Worker;
 use crate::worksteal::{OwnedSegment, WorkStealing};
 use obfs_sync::chaos::{install_script, uninstall_script, ChaosScript};
 use obfs_sync::model::{replay, Choice, MemOp};
@@ -100,30 +100,19 @@ fn centralized_counterexample_hits_fetch_retry_in_real_dispatcher() {
     let opts = BfsOptions { threads: centralized::P, ..Default::default() };
     let st = RunState::new(&g, &opts);
     st.pool_cursors[0].store(0);
-    let mut ts = ThreadStats::default();
-    let mut out_rear = 0usize;
+    let mut wk = Worker::new(&opts, 0, st.qout(0).queue(0));
 
     install_script(&ChaosScript {
         usize_loads: fetch.iter().map(|&v| Some(v)).collect(),
         u32_loads: Vec::new(),
     });
-    crate::centralized::consume_pool_lockfree(
-        &st,
-        st.qin(0),
-        0,
-        (0, centralized::P),
-        0,
-        0,
-        &mut out_rear,
-        st.qout(0).queue(0),
-        &mut ts,
-    );
+    crate::centralized::consume_pool_lockfree(&st, st.qin(0), 0, (0, centralized::P), 0, &mut wk);
     let rep = uninstall_script();
 
     assert_eq!(rep.fed_usize, fetch.len(), "every model load was replayed");
     assert_eq!(rep.leftover, 0);
-    assert_eq!(ts.fetch_retries, 1, "the real sanity check rejected the invalid segment");
-    assert_eq!(ts.segments_fetched, 0, "no segment was cut from the bad observation");
+    assert_eq!(wk.stats.fetch_retries, 1, "the real sanity check rejected the invalid segment");
+    assert_eq!(wk.stats.segments_fetched, 0, "no segment was cut from the bad observation");
 }
 
 /// Zero-on-read: the weakened model "decodes" the empty-slot sentinel a
@@ -167,19 +156,18 @@ fn zero_on_read_counterexample_hits_stale_abort_in_real_walk() {
     let env = LevelEnv { st: &st, parity: 0, level: 0 };
     let strat = WorkStealing { locked: false, scale_free: false };
     let mut seg = OwnedSegment { q: 0, f: 0, r: zero_on_read::REAR as usize };
-    let mut ts = ThreadStats::default();
-    let mut out_rear = 0usize;
+    let mut wk = Worker::new(&opts, 1, st.qout(0).queue(1));
 
     install_script(&ChaosScript { usize_loads: Vec::new(), u32_loads });
-    strat.walk_sentinel(&env, 1, &mut seg, &mut out_rear, &mut ts);
+    strat.walk_sentinel(&env, &mut seg, &mut wk);
     let rep = uninstall_script();
 
     assert_eq!(rep.fed_u32, slots.len(), "every model slot read was replayed");
     assert_eq!(rep.leftover, 0);
-    assert_eq!(ts.stale_slot_aborts, 1, "the real walk aborted at the co-walker's clear");
+    assert_eq!(wk.stats.stale_slot_aborts, 1, "the real walk aborted at the co-walker's clear");
     assert_eq!(seg.f as u32 + 1, slots.len() as u32, "walk stopped at the model's slot");
     // The walk cleared exactly the slots the model walker took.
-    assert_eq!(ts.vertices_explored as usize, slots.len() - 1);
+    assert_eq!(wk.stats.vertices_explored as usize, slots.len() - 1);
     for i in 0..seg.f {
         assert_eq!(queue.slot(i), EMPTY_SLOT, "taken slot {i} is zeroed");
     }
@@ -218,13 +206,13 @@ fn worksteal_counterexample_hits_invalid_steal_in_real_dispatcher() {
     assert_eq!(rep.fed_usize, 4, "every model load was replayed");
     assert_eq!(rep.leftover, 0);
     // Tally the outcome the way the real dispatcher does.
-    let mut ts = ThreadStats::default();
+    let mut wk = Worker::new(&opts, 0, st.qout(0).queue(0));
     match got {
         Ok(_) => panic!("a torn snapshot must never be stolen"),
-        Err(why) => ts.steal_failed(obfs_sync::metrics::HistTimer::DISARMED, 0, 1, why),
+        Err(why) => wk.steal_failed(None, 0, 1, why),
     }
-    assert_eq!(ts.steal.invalid, 1, "the real snapshot sanity check rejected it");
-    assert_eq!(ts.steal.failed(), 1);
+    assert_eq!(wk.stats.steal.invalid, 1, "the real snapshot sanity check rejected it");
+    assert_eq!(wk.stats.steal.failed(), 1);
     assert_eq!(st.descs[0].snapshot(), (0, 0, 0), "thief published nothing");
     assert_eq!(st.descs[1].snapshot(), (0, 0, 0), "victim untouched");
 }
@@ -263,8 +251,7 @@ fn batch_counterexample_hits_slot_revalidation_in_real_kernel() {
     let b = st.batch.as_ref().expect("batch state armed");
     b.levels.set(w as usize * b.k, slot_level);
     b.visited_by.set(w as usize, u64::from(vis));
-    let mut ts = ThreadStats::default();
-    let mut out_rear = 0usize;
+    let mut wk = Worker::new(&opts, 0, st.qout(0).queue(0));
 
     // One hooked `u32` load on the rejection path: the revalidation
     // read (the membership load is a `u64` and passes through).
@@ -272,13 +259,13 @@ fn batch_counterexample_hits_slot_revalidation_in_real_kernel() {
         usize_loads: Vec::new(),
         u32_loads: vec![Some(slot_level)],
     });
-    st.try_discover_batch(w, 3, 1, 2, st.qout(0).queue(0), &mut out_rear, &mut ts);
+    st.try_discover_batch(w, 3, 1, 2, &mut wk);
     let rep = uninstall_script();
 
     assert_eq!(rep.fed_u32, 1, "the revalidation read was replayed");
     assert_eq!(rep.leftover, 0);
-    assert_eq!(ts.vertices_discovered, 0, "the real revalidation rejected the claim");
-    assert_eq!(out_rear, 0, "a rejected claim pushes nothing");
+    assert_eq!(wk.stats.vertices_discovered, 0, "the real revalidation rejected the claim");
+    assert_eq!(wk.out_rear, 0, "a rejected claim pushes nothing");
     assert_eq!(
         b.levels.get(w as usize * b.k),
         slot_level,

@@ -385,8 +385,9 @@ pub struct BfsOptions {
     /// Record per-worker latency histograms (segment-fetch, steal
     /// attempt, sanity-check retries per fetch, barrier wait) into
     /// [`crate::RunStats::hists`]. Runtime switch (no cargo feature
-    /// needed); when off the only residue is a disarmed thread-local
-    /// flag check at dispatch granularity — see `obfs_sync::metrics`.
+    /// needed) kept in each worker's [`crate::Worker`] record; when off
+    /// the only residue is one `Option` check at dispatch granularity,
+    /// and no clock is read.
     pub collect_histograms: bool,
     /// Install a flight recorder per worker with this many event slots
     /// (see `obfs_sync::flight`); the drained rings land in

@@ -6,11 +6,12 @@
 
 use crate::batch::BatchState;
 use crate::frontier::{
-    decode, FrontierBitmap, FrontierQueue, QueueSet, SegmentDesc, BITMAP_WORD_BITS, EMPTY_SLOT,
+    decode, FrontierBitmap, QueueSet, SegmentDesc, BITMAP_WORD_BITS, EMPTY_SLOT,
 };
 use crate::options::{BfsOptions, DedupMode, Direction};
 use crate::perthread::PerThread;
 use crate::stats::{LevelStats, ThreadStats};
+use crate::worker::Worker;
 use crate::UNVISITED;
 use obfs_graph::{CsrGraph, VertexId, INVALID_VERTEX};
 use obfs_runtime::LevelPool;
@@ -588,18 +589,14 @@ impl<'g> RunState<'g> {
     // lint:region hot-path:discover
     /// The discovery fast path: if `w` looks unvisited, claim it (racy
     /// write — duplicates across threads are possible and benign), record
-    /// parent/owner, and push it to `out`.
+    /// parent/owner, and push it to the worker's output queue.
     #[inline]
-    #[allow(clippy::too_many_arguments)] // hot path: flat args beat a param struct here
     pub fn try_discover(
         &self,
         w: VertexId,
         parent: VertexId,
         next_level: u32,
-        out_queue_id: usize,
-        out: &FrontierQueue,
-        out_rear: &mut usize,
-        ts: &mut ThreadStats,
+        wk: &mut Worker<'_>,
     ) {
         if self.levels.get(w as usize) == UNVISITED {
             self.levels.set(w as usize, next_level);
@@ -609,12 +606,12 @@ impl<'g> RunState<'g> {
             if let Some(o) = &self.owner {
                 // Arbitrary concurrent write: last store wins; pops will
                 // honor whichever queue id survives.
-                o.set(w as usize, out_queue_id as u32 + 1);
+                o.set(w as usize, wk.tid as u32 + 1);
             }
-            out.push(out_rear, w);
-            ts.vertices_discovered += 1;
+            wk.out.push(&mut wk.out_rear, w);
+            wk.stats.vertices_discovered += 1;
             if self.count_frontier_edges {
-                ts.frontier_edges += self.graph.degree(w) as u64;
+                wk.stats.frontier_edges += self.graph.degree(w) as u64;
             }
         }
     }
@@ -646,16 +643,13 @@ impl<'g> RunState<'g> {
     /// `w` at most once per level per worker (see the
     /// [`crate::batch`] module docs for why every race here is benign).
     #[inline]
-    #[allow(clippy::too_many_arguments)] // hot path: flat args beat a param struct here
     pub fn try_discover_batch(
         &self,
         w: VertexId,
         parent: VertexId,
         fbits: u64,
         next_level: u32,
-        out: &FrontierQueue,
-        out_rear: &mut usize,
-        ts: &mut ThreadStats,
+        wk: &mut Worker<'_>,
     ) {
         let b = self.batch.as_ref().expect("batch state not armed");
         let vis = b.visited_by.get(w as usize);
@@ -690,12 +684,12 @@ impl<'g> RunState<'g> {
         // barrier-published, so recording it only skips redundant work.
         b.visited_by.set(w as usize, vis | news);
         if claimed != 0 {
-            ts.vertices_discovered += claimed.count_ones() as u64;
+            wk.stats.vertices_discovered += claimed.count_ones() as u64;
             if b.pushed_at.get(w as usize) != next_level {
                 b.pushed_at.set(w as usize, next_level);
-                out.push(out_rear, w);
+                wk.out.push(&mut wk.out_rear, w);
                 if self.count_frontier_edges {
-                    ts.frontier_edges += self.graph.degree(w) as u64;
+                    wk.stats.frontier_edges += self.graph.degree(w) as u64;
                 }
             }
         }
@@ -705,10 +699,10 @@ impl<'g> RunState<'g> {
     /// Pop-side checks shared by all variants. Returns `false` if the
     /// vertex should be skipped (duplicate under owner-array dedup).
     #[inline]
-    pub fn pop_admit(&self, v: VertexId, from_queue: usize, ts: &mut ThreadStats) -> bool {
+    pub fn pop_admit(&self, v: VertexId, from_queue: usize, wk: &mut Worker<'_>) -> bool {
         if let Some(o) = &self.owner {
             if o.get(v as usize) != from_queue as u32 + 1 {
-                ts.dedup_skips += 1;
+                wk.stats.dedup_skips += 1;
                 return false;
             }
         }
@@ -716,17 +710,10 @@ impl<'g> RunState<'g> {
     }
 
     // lint:region hot-path:explore
-    /// Scan `v`'s full adjacency list, discovering into `out`.
+    /// Scan `v`'s full adjacency list, discovering into the worker's
+    /// output queue.
     #[inline]
-    pub fn explore_vertex(
-        &self,
-        v: VertexId,
-        level: u32,
-        out_queue_id: usize,
-        out: &FrontierQueue,
-        out_rear: &mut usize,
-        ts: &mut ThreadStats,
-    ) {
+    pub fn explore_vertex(&self, v: VertexId, level: u32, wk: &mut Worker<'_>) {
         let next = level + 1;
         let neigh = self.graph.neighbors(v);
         if self.batch.is_some() {
@@ -736,15 +723,15 @@ impl<'g> RunState<'g> {
             if fbits == 0 {
                 return;
             }
-            ts.edges_scanned += neigh.len() as u64;
+            wk.stats.edges_scanned += neigh.len() as u64;
             for &w in neigh {
-                self.try_discover_batch(w, v, fbits, next, out, out_rear, ts);
+                self.try_discover_batch(w, v, fbits, next, wk);
             }
             return;
         }
-        ts.edges_scanned += neigh.len() as u64;
+        wk.stats.edges_scanned += neigh.len() as u64;
         for &w in neigh {
-            self.try_discover(w, v, next, out_queue_id, out, out_rear, ts);
+            self.try_discover(w, v, next, wk);
         }
     }
     // lint:endregion
@@ -839,18 +826,9 @@ impl<'g> RunState<'g> {
     ///
     /// # Safety
     /// Call only from a barrier serial section.
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn serial_finish_level(
-        &self,
-        parity: usize,
-        level: u32,
-        tid: usize,
-        out: &FrontierQueue,
-        out_rear: &mut usize,
-        ts: &mut ThreadStats,
-    ) {
+    pub unsafe fn serial_finish_level(&self, parity: usize, level: u32, wk: &mut Worker<'_>) {
         for &h in self.flat_vertices.get().iter() {
-            self.explore_vertex(h, level, tid, out, out_rear, ts);
+            self.explore_vertex(h, level, wk);
         }
         let qin = self.qin(parity);
         for k in 0..self.threads {
@@ -860,7 +838,7 @@ impl<'g> RunState<'g> {
                 if s == EMPTY_SLOT {
                     continue;
                 }
-                self.explore_vertex(decode(s), level, tid, out, out_rear, ts);
+                self.explore_vertex(decode(s), level, wk);
             }
         }
     }
@@ -869,14 +847,14 @@ impl<'g> RunState<'g> {
     /// (its level was already set by this or another thread this level).
     /// Call after the pop, before exploring.
     #[inline]
-    pub fn note_pop(&self, v: VertexId, level: u32, ts: &mut ThreadStats) {
-        ts.vertices_explored += 1;
+    pub fn note_pop(&self, v: VertexId, level: u32, wk: &mut Worker<'_>) {
+        wk.stats.vertices_explored += 1;
         if let Some(b) = &self.batch {
             // Batch mode has no single level word to compare against; a
             // pushed_at mismatch is the analogous signal that this slot
             // is a duplicate push or a stale segment replay.
             if b.pushed_at.get(v as usize) != level {
-                ts.duplicate_explorations += 1;
+                wk.stats.duplicate_explorations += 1;
             }
             return;
         }
@@ -884,7 +862,7 @@ impl<'g> RunState<'g> {
         // was pushed; observing anything else means another queue also
         // carried v (duplicate push) or a stale segment replay.
         if self.levels.get(v as usize) != level {
-            ts.duplicate_explorations += 1;
+            wk.stats.duplicate_explorations += 1;
         }
     }
 
@@ -1019,7 +997,7 @@ impl<'g> RunState<'g> {
         debug_assert_eq!(off as u64, crate::scan::block_prefix(&totals, tid) + totals[tid]);
     }
 
-    /// Consume a compacted level for thread `tid`: a perfectly balanced
+    /// Consume a compacted level for the worker: a perfectly balanced
     /// static partition of the materialized frontier array, exploring
     /// through the ordinary discovery path (discoveries land in this
     /// worker's own output queue, so queue state after a compacted level
@@ -1027,17 +1005,10 @@ impl<'g> RunState<'g> {
     /// `pop_admit` check: the array lists each frontier vertex exactly
     /// once, so there are no duplicates to dedup. Call after the barrier
     /// that published the materialize pass.
-    pub fn compact_consume(
-        &self,
-        level: u32,
-        tid: usize,
-        out: &FrontierQueue,
-        out_rear: &mut usize,
-        ts: &mut ThreadStats,
-    ) {
+    pub fn compact_consume(&self, level: u32, wk: &mut Worker<'_>) {
         let cs = self.compact.as_ref().expect("compaction state not armed");
         let total: u64 = (0..self.threads).map(|k| u64::from(cs.block_totals.get(k))).sum();
-        let (lo, hi) = crate::scan::block_range(total as usize, self.threads, tid);
+        let (lo, hi) = crate::scan::block_range(total as usize, self.threads, wk.tid);
         for i in lo..hi {
             if i & 0xFF == 0 && self.watchdog_tripped() {
                 // Abandon the partition; the input queues were never
@@ -1046,14 +1017,14 @@ impl<'g> RunState<'g> {
                 return;
             }
             let v = cs.frontier.get(i);
-            self.note_pop(v, level, ts);
-            self.explore_vertex(v, level, tid, out, out_rear, ts);
+            self.note_pop(v, level, wk);
+            self.explore_vertex(v, level, wk);
         }
     }
     // lint:endregion
 
     // lint:region hot-path:bottom-up
-    /// One bottom-up level for thread `tid`: scan this worker's
+    /// One bottom-up level for the worker: scan its
     /// word-aligned share of the vertex range, and for every unvisited
     /// vertex probe its in-edges until a parent on the current frontier
     /// (bitmap bit set) is found.
@@ -1066,24 +1037,17 @@ impl<'g> RunState<'g> {
     /// queue, so queue state after a bottom-up level is exactly what a
     /// top-down level would need (switch-back and the watchdog sweep work
     /// unchanged).
-    pub fn bottom_up_level(
-        &self,
-        level: u32,
-        tid: usize,
-        out: &FrontierQueue,
-        out_rear: &mut usize,
-        ts: &mut ThreadStats,
-    ) {
+    pub fn bottom_up_level(&self, level: u32, wk: &mut Worker<'_>) {
         let hyb = self.hyb.as_ref().expect("hybrid state not armed");
         if self.batch.is_some() {
-            self.bottom_up_level_batch(level, tid, out, out_rear, ts);
+            self.bottom_up_level_batch(level, wk);
             return;
         }
         let tg = hyb.transpose.graph();
         let words = hyb.bitmap.word_count();
         let per = obfs_util::div_ceil(words, self.threads);
-        let wlo = (tid * per).min(words);
-        let whi = ((tid + 1) * per).min(words);
+        let wlo = (wk.tid * per).min(words);
+        let whi = ((wk.tid + 1) * per).min(words);
         let next = level + 1;
         // Candidate scan over the visited bitmap's complement:
         // fully-visited words are skipped outright, and the pre-set
@@ -1113,17 +1077,17 @@ impl<'g> RunState<'g> {
                         }
                         if let Some(o) = &self.owner {
                             // racy-ok: single-writer — same static vertex partition
-                            o.set(v, tid as u32 + 1);
+                            o.set(v, wk.tid as u32 + 1);
                         }
-                        out.push(out_rear, v as VertexId);
-                        ts.vertices_discovered += 1;
+                        wk.out.push(&mut wk.out_rear, v as VertexId);
+                        wk.stats.vertices_discovered += 1;
                         if self.count_frontier_edges {
-                            ts.frontier_edges += self.graph.degree(v as VertexId) as u64;
+                            wk.stats.frontier_edges += self.graph.degree(v as VertexId) as u64;
                         }
                         break;
                     }
                 }
-                ts.edges_scanned += probes;
+                wk.stats.edges_scanned += probes;
             });
         }
     }
@@ -1138,22 +1102,15 @@ impl<'g> RunState<'g> {
     /// vertex's level row, membership word and queue slot, so like the
     /// single-source kernel it has no races at all; `visited_by` reads
     /// are exact here (barrier-published, single writer since).
-    fn bottom_up_level_batch(
-        &self,
-        level: u32,
-        tid: usize,
-        out: &FrontierQueue,
-        out_rear: &mut usize,
-        ts: &mut ThreadStats,
-    ) {
+    fn bottom_up_level_batch(&self, level: u32, wk: &mut Worker<'_>) {
         let hyb = self.hyb.as_ref().expect("hybrid state not armed");
         let b = self.batch.as_ref().expect("batch state not armed");
         let fb = b.front_by.as_ref().expect("hybrid batch state not armed");
         let tg = hyb.transpose.graph();
         let n = self.graph.num_vertices();
         let per = obfs_util::div_ceil(n, self.threads);
-        let lo = (tid * per).min(n);
-        let hi = ((tid + 1) * per).min(n);
+        let lo = (wk.tid * per).min(n);
+        let hi = ((wk.tid + 1) * per).min(n);
         let next = level + 1;
         for v in lo..hi {
             if v & 0xFF == 0 && self.watchdog_tripped() {
@@ -1191,14 +1148,14 @@ impl<'g> RunState<'g> {
                     break;
                 }
             }
-            ts.edges_scanned += probes;
+            wk.stats.edges_scanned += probes;
             if found != 0 {
                 b.visited_by.set(v, vis | found);
                 b.pushed_at.set(v, next);
-                out.push(out_rear, v as VertexId);
-                ts.vertices_discovered += found.count_ones() as u64;
+                wk.out.push(&mut wk.out_rear, v as VertexId);
+                wk.stats.vertices_discovered += found.count_ones() as u64;
                 if self.count_frontier_edges {
-                    ts.frontier_edges += self.graph.degree(v as VertexId) as u64;
+                    wk.stats.frontier_edges += self.graph.degree(v as VertexId) as u64;
                 }
             }
         }
@@ -1258,14 +1215,12 @@ mod tests {
         let g = gen::star(10);
         let st = RunState::new(&g, &opts(1));
         st.init_chunk(0);
-        let out = st.qout(0).queue(0);
-        let mut rear = 0;
-        let mut ts = ThreadStats::default();
-        st.try_discover(3, 0, 1, 0, out, &mut rear, &mut ts);
-        st.try_discover(3, 0, 1, 0, out, &mut rear, &mut ts);
+        let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0));
+        st.try_discover(3, 0, 1, &mut wk);
+        st.try_discover(3, 0, 1, &mut wk);
         assert_eq!(st.levels.get(3), 1);
-        assert_eq!(rear, 1, "second discover must be a no-op");
-        assert_eq!(ts.vertices_discovered, 1);
+        assert_eq!(wk.out_rear, 1, "second discover must be a no-op");
+        assert_eq!(wk.stats.vertices_discovered, 1);
     }
 
     #[test]
@@ -1275,13 +1230,11 @@ mod tests {
         let st = RunState::new(&g, &o);
         st.init_chunk(0);
         st.init_chunk(1);
-        let out = st.qout(0).queue(1);
-        let mut rear = 0;
-        let mut ts = ThreadStats::default();
-        st.try_discover(5, 0, 1, 1, out, &mut rear, &mut ts);
-        assert!(st.pop_admit(5, 1, &mut ts));
-        assert!(!st.pop_admit(5, 0, &mut ts));
-        assert_eq!(ts.dedup_skips, 1);
+        let mut wk = Worker::new(&st.opts, 1, st.qout(0).queue(1));
+        st.try_discover(5, 0, 1, &mut wk);
+        assert!(st.pop_admit(5, 1, &mut wk));
+        assert!(!st.pop_admit(5, 0, &mut wk));
+        assert_eq!(wk.stats.dedup_skips, 1);
     }
 
     #[test]
@@ -1290,12 +1243,10 @@ mod tests {
         let st = RunState::new(&g, &opts(1));
         st.init_chunk(0);
         st.levels.set(0, 0);
-        let out = st.qout(0).queue(0);
-        let mut rear = 0;
-        let mut ts = ThreadStats::default();
-        st.explore_vertex(0, 0, 0, out, &mut rear, &mut ts);
-        assert_eq!(rear, 4);
-        assert_eq!(ts.edges_scanned, 4);
+        let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0));
+        st.explore_vertex(0, 0, &mut wk);
+        assert_eq!(wk.out_rear, 4);
+        assert_eq!(wk.stats.edges_scanned, 4);
         for v in 1..5 {
             assert_eq!(st.levels.get(v), 1);
         }
@@ -1307,12 +1258,12 @@ mod tests {
         let st = RunState::new(&g, &opts(1));
         st.init_chunk(0);
         st.levels.set(1, 1);
-        let mut ts = ThreadStats::default();
-        st.note_pop(1, 1, &mut ts);
-        assert_eq!(ts.duplicate_explorations, 0);
-        st.note_pop(1, 2, &mut ts);
-        assert_eq!(ts.duplicate_explorations, 1);
-        assert_eq!(ts.vertices_explored, 2);
+        let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0));
+        st.note_pop(1, 1, &mut wk);
+        assert_eq!(wk.stats.duplicate_explorations, 0);
+        st.note_pop(1, 2, &mut wk);
+        assert_eq!(wk.stats.duplicate_explorations, 1);
+        assert_eq!(wk.stats.vertices_explored, 2);
     }
 
     /// A finished run parks its buffers clean — every queue slot empty

@@ -1,18 +1,12 @@
 //! Instrumentation counters.
 //!
-//! Every worker owns a [`ThreadStats`] (via
-//! [`crate::perthread::PerThread`], so counting needs no synchronization);
-//! the driver merges them into a [`RunStats`] after the run. The
-//! [`StealCounters`] categories are exactly those of the paper's Table VI.
-//!
-//! A dispatcher reports each of its five events (segment fetched, fetch
-//! retried, stale-slot abort, steal succeeded, steal failed) through one
-//! [`ThreadStats`] method that bumps the counter, closes the call site's
-//! latency timer and records the flight event, so the counters, the
-//! histograms and the flight rings cannot disagree about what happened.
+//! Every worker owns a [`ThreadStats`] inside its [`crate::worker::Worker`]
+//! record, so counting needs no synchronization; the driver merges them
+//! into a [`RunStats`] after the run. The [`StealCounters`] categories
+//! are exactly those of the paper's Table VI.
 
-use obfs_sync::flight::{self, kind};
-use obfs_sync::metrics::{self, HistTimer};
+use obfs_sync::flight::kind;
+use obfs_util::LogHistogram;
 
 /// Outcome counters for steal attempts (work-stealing variants) — the
 /// columns of Table VI.
@@ -93,7 +87,7 @@ pub(crate) enum StealFail {
 impl StealFail {
     /// Count this failure in its [`StealCounters`] field and return its
     /// `STEAL_*` flight code: the one place a reason maps to both.
-    fn tally(self, c: &mut StealCounters) -> u64 {
+    pub(crate) fn tally(self, c: &mut StealCounters) -> u64 {
         let (field, code) = match self {
             StealFail::Locked => (&mut c.victim_locked, kind::STEAL_LOCKED),
             StealFail::Idle => (&mut c.victim_idle, kind::STEAL_IDLE),
@@ -176,74 +170,6 @@ impl ThreadStats {
             frontier_edges: self.frontier_edges - earlier.frontier_edges,
             steal: self.steal.diff(&earlier.steal),
         }
-    }
-
-    /// A dispatcher handed this worker a segment of `len` entries: of
-    /// queue `at`, or starting at edge cursor `at` for edge dispatch.
-    /// `retries` is the optimistic fetch's sanity-check retry count,
-    /// `None` for dispatchers that never retry.
-    #[inline]
-    pub(crate) fn segment_fetched(
-        &mut self,
-        timer: HistTimer,
-        retries: Option<u64>,
-        level: u32,
-        at: u64,
-        len: u64,
-    ) {
-        self.segments_fetched += 1;
-        metrics::segment_fetch(timer);
-        if let Some(r) = retries {
-            metrics::fetch_retry_burst(r);
-        }
-        flight::record(kind::SEGMENT_FETCH, level, at, len);
-    }
-
-    /// A fetch from queue or pool `index` came up empty and is retried;
-    /// `probe` marks a failed decentralized pool probe (flight `b` = 1)
-    /// rather than a raced queue cursor (`b` = 0).
-    #[inline]
-    pub(crate) fn fetch_retried(&mut self, level: u32, index: usize, probe: bool) {
-        self.fetch_retries += 1;
-        flight::record(kind::FETCH_RETRY, level, index as u64, u64::from(probe));
-    }
-
-    /// A segment walk stopped at the cleared slot `slot` of `queue`,
-    /// below the queue's rear: the segment was replayed or co-walked.
-    #[inline]
-    pub(crate) fn stale_abort(&mut self, level: u32, queue: usize, slot: usize) {
-        self.stale_slot_aborts += 1;
-        flight::record(kind::STALE_ABORT, level, queue as u64, slot as u64);
-    }
-
-    /// A steal from `victim` took `len` entries.
-    #[inline]
-    pub(crate) fn steal_succeeded(
-        &mut self,
-        timer: HistTimer,
-        level: u32,
-        victim: usize,
-        len: usize,
-    ) {
-        self.steal.attempts += 1;
-        self.steal.success += 1;
-        metrics::steal_attempt(timer);
-        flight::record(kind::STEAL_SUCCESS, level, victim as u64, len as u64);
-    }
-
-    /// A steal from `victim` failed for reason `why`.
-    #[inline]
-    pub(crate) fn steal_failed(
-        &mut self,
-        timer: HistTimer,
-        level: u32,
-        victim: usize,
-        why: StealFail,
-    ) {
-        self.steal.attempts += 1;
-        let code = why.tally(&mut self.steal);
-        metrics::steal_attempt(timer);
-        flight::record(kind::STEAL_FAIL, level, victim as u64, code);
     }
 }
 
@@ -355,18 +281,57 @@ pub struct RunStats {
     pub partial: bool,
 }
 
-/// The histogram sets drained from every worker of a run
-/// (index = thread id).
+/// One worker's latency histograms (kept in its
+/// [`crate::worker::Worker`] record while
+/// [`crate::BfsOptions::collect_histograms`] is set).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WorkerHists {
+    /// Latency of one dispatcher segment acquisition, in microseconds —
+    /// from entering the fetch path to holding a validated segment
+    /// (lock-based variants: includes lock acquisition; optimistic
+    /// variants: includes sanity-check retries).
+    pub segment_fetch_us: LogHistogram,
+    /// Latency of one steal attempt (victim selection through
+    /// success/failure), in microseconds.
+    pub steal_us: LogHistogram,
+    /// Sanity-check retries observed per successful segment fetch
+    /// (0 = the fetch validated first try).
+    pub fetch_retry_burst: LogHistogram,
+    /// Time spent in one barrier episode, in microseconds (for the
+    /// level leader this includes the serial section it runs before
+    /// releasing the others).
+    pub barrier_wait_us: LogHistogram,
+}
+
+impl WorkerHists {
+    /// Fold another worker's histograms into this one.
+    pub fn merge(&mut self, other: &WorkerHists) {
+        self.segment_fetch_us.merge(&other.segment_fetch_us);
+        self.steal_us.merge(&other.steal_us);
+        self.fetch_retry_burst.merge(&other.fetch_retry_burst);
+        self.barrier_wait_us.merge(&other.barrier_wait_us);
+    }
+
+    /// True when nothing has been recorded in any histogram.
+    pub fn is_empty(&self) -> bool {
+        self.segment_fetch_us.is_empty()
+            && self.steal_us.is_empty()
+            && self.fetch_retry_burst.is_empty()
+            && self.barrier_wait_us.is_empty()
+    }
+}
+
+/// The histogram sets of every worker of a run (index = thread id).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunHists {
     /// One histogram set per worker.
-    pub workers: Vec<obfs_sync::metrics::WorkerHists>,
+    pub workers: Vec<WorkerHists>,
 }
 
 impl RunHists {
     /// All workers' histograms folded together.
-    pub fn merged(&self) -> obfs_sync::metrics::WorkerHists {
-        let mut out = obfs_sync::metrics::WorkerHists::default();
+    pub fn merged(&self) -> WorkerHists {
+        let mut out = WorkerHists::default();
         for w in &self.workers {
             out.merge(w);
         }
@@ -431,41 +396,6 @@ mod tests {
         assert_eq!(s.failed(), 6);
         s.too_small = 1;
         assert!(!s.is_consistent());
-    }
-
-    /// `StealFail` is the one map from a failure reason to its Table VI
-    /// bucket and its flight code: each reason lands in its own bucket,
-    /// and the one `STEAL_FAIL` event (`trace` builds) carries its code.
-    #[test]
-    fn each_steal_failure_lands_in_its_own_bucket() {
-        type Bucket = fn(&StealCounters) -> u64;
-        let cases: [(StealFail, Bucket, u64); 5] = [
-            (StealFail::Locked, |c| c.victim_locked, kind::STEAL_LOCKED),
-            (StealFail::Idle, |c| c.victim_idle, kind::STEAL_IDLE),
-            (StealFail::TooSmall, |c| c.too_small, kind::STEAL_TOO_SMALL),
-            (StealFail::Stale, |c| c.stale, kind::STEAL_STALE),
-            (StealFail::Invalid, |c| c.invalid, kind::STEAL_INVALID),
-        ];
-        for (victim, (why, bucket, code)) in cases.into_iter().enumerate() {
-            let mut c = StealCounters::default();
-            assert_eq!(why.tally(&mut c), code, "{why:?} flight code");
-            assert_eq!((bucket(&c), c.failed()), (1, 1), "{why:?} bucket");
-
-            flight::install(4, std::time::Instant::now());
-            let mut ts = ThreadStats::default();
-            ts.steal_failed(HistTimer::DISARMED, 3, victim, why);
-            let ring = flight::uninstall();
-            assert_eq!((bucket(&ts.steal), ts.steal.attempts), (1, 1), "{why:?} bucket");
-            assert!(ts.steal.is_consistent());
-            #[cfg(feature = "trace")]
-            {
-                let events = ring.expect("recorder installed").events;
-                let got: Vec<_> = events.iter().map(|e| (e.kind, e.level, e.a, e.b)).collect();
-                assert_eq!(got, [(kind::STEAL_FAIL, 3, victim as u64, code)], "{why:?} event");
-            }
-            #[cfg(not(feature = "trace"))]
-            assert!(ring.is_none());
-        }
     }
 
     #[test]

@@ -32,7 +32,8 @@
 use crate::driver::{take_slot, LevelEnv, Strategy};
 use crate::frontier::{decode, EMPTY_SLOT};
 use crate::state::RunState;
-use crate::stats::{StealFail, ThreadStats};
+use crate::stats::StealFail;
+use crate::worker::Worker;
 use obfs_graph::VertexId;
 use obfs_runtime::WorkerCtx;
 use obfs_util::Xoshiro256StarStar;
@@ -53,27 +54,19 @@ impl Strategy for WorkStealing {
         env.st.descs[tid].set(tid, 0, rear);
     }
 
-    fn consume(
-        &self,
-        env: &LevelEnv<'_, '_>,
-        ctx: &WorkerCtx<'_>,
-        tid: usize,
-        out_rear: &mut usize,
-        rng: &mut Xoshiro256StarStar,
-        ts: &mut ThreadStats,
-    ) {
+    fn consume(&self, env: &LevelEnv<'_, '_>, ctx: &WorkerCtx<'_>, wk: &mut Worker<'_>) {
         // ---- phase 1: vertex exploration with stealing ----
-        let mut seg = OwnedSegment { q: tid, f: 0, r: env.st.descs[tid].r.load() };
+        let mut seg = OwnedSegment { q: wk.tid, f: 0, r: env.st.descs[wk.tid].r.load() };
         loop {
             if self.locked {
-                self.walk_locked(env, tid, &mut seg, out_rear, ts);
+                self.walk_locked(env, &mut seg, wk);
             } else {
-                self.walk_sentinel(env, tid, &mut seg, out_rear, ts);
+                self.walk_sentinel(env, &mut seg, wk);
             }
             if env.st.watchdog_tripped() {
                 break; // leader sweep finishes the level
             }
-            match self.steal(env, tid, rng, ts) {
+            match self.steal(env, wk) {
                 Some(stolen) => seg = stolen,
                 None => break, // budget exhausted: quit this level
             }
@@ -81,7 +74,7 @@ impl Strategy for WorkStealing {
         // ---- phase 2 (scale-free only): hub adjacency splitting ----
         if self.scale_free {
             let st = env.st;
-            ctx.barrier().wait_then(|| {
+            wk.wait(ctx.barrier(), |_| {
                 // SAFETY: barrier serial section — exclusive access.
                 unsafe {
                     let flat = st.flat_vertices.get_mut();
@@ -101,11 +94,11 @@ impl Strategy for WorkStealing {
                 }
             });
             // SAFETY: own slot only.
-            unsafe { st.hubs.get_mut(tid) }.clear();
+            unsafe { st.hubs.get_mut(wk.tid) }.clear();
             if st.opts.phase2_steal {
-                self.hub_phase_stealing(env, tid, out_rear, ts);
+                self.hub_phase_stealing(env, wk);
             } else {
-                self.hub_phase_static(env, tid, out_rear, ts);
+                self.hub_phase_static(env, wk);
             }
             // All threads finish hub work before the driver's level-end
             // barrier counts the next frontier (that barrier follows).
@@ -131,27 +124,23 @@ impl WorkStealing {
     pub(crate) fn walk_sentinel(
         &self,
         env: &LevelEnv<'_, '_>,
-        tid: usize,
         seg: &mut OwnedSegment,
-        out_rear: &mut usize,
-        ts: &mut ThreadStats,
+        wk: &mut Worker<'_>,
     ) {
         let st = env.st;
-        let qin = st.qin(env.parity);
-        let queue = qin.queue(seg.q);
-        let out = st.qout(env.parity).queue(tid);
-        let desc = &st.descs[tid];
+        let queue = st.qin(env.parity).queue(seg.q);
+        let desc = &st.descs[wk.tid];
         loop {
             match take_slot(queue, seg.f) {
                 Some(v) => {
                     seg.f += 1;
                     // racy-ok: single-writer — the owner alone advances its `f`
                     desc.f.store(seg.f);
-                    self.process_pop(st, v, env.level, seg.q, tid, out, out_rear, ts);
+                    self.process_pop(st, v, env.level, seg.q, wk);
                 }
                 None => {
                     if seg.f < queue.rear() {
-                        ts.stale_abort(env.level, seg.q, seg.f);
+                        wk.stale_abort(env.level, seg.q, seg.f);
                     }
                     return;
                 }
@@ -163,22 +152,14 @@ impl WorkStealing {
     // lint:region baseline:walk-locked
     /// Locked owner walk: pop indices under the owner's lock so thieves
     /// and owner see a consistent `(f, r)`.
-    fn walk_locked(
-        &self,
-        env: &LevelEnv<'_, '_>,
-        tid: usize,
-        seg: &mut OwnedSegment,
-        out_rear: &mut usize,
-        ts: &mut ThreadStats,
-    ) {
+    fn walk_locked(&self, env: &LevelEnv<'_, '_>, seg: &mut OwnedSegment, wk: &mut Worker<'_>) {
         let st = env.st;
         let qin = st.qin(env.parity);
-        let out = st.qout(env.parity).queue(tid);
-        let desc = &st.descs[tid];
+        let desc = &st.descs[wk.tid];
         loop {
             let (q, idx) = {
-                let _g = st.desc_locks[tid].lock();
-                ts.lock_acquisitions += 1;
+                let _g = st.desc_locks[wk.tid].lock();
+                wk.stats.lock_acquisitions += 1;
                 let f = desc.f.load();
                 let r = desc.r.load();
                 if f >= r {
@@ -190,14 +171,13 @@ impl WorkStealing {
             };
             seg.q = q;
             let v = decode(qin.queue(q).slot(idx));
-            self.process_pop(st, v, env.level, q, tid, out, out_rear, ts);
+            self.process_pop(st, v, env.level, q, wk);
         }
     }
     // lint:endregion
 
     /// Shared pop handling: dedup admit, duplicate accounting, hub
     /// diversion, exploration.
-    #[allow(clippy::too_many_arguments)]
     #[inline]
     fn process_pop(
         &self,
@@ -205,31 +185,22 @@ impl WorkStealing {
         v: VertexId,
         level: u32,
         from_queue: usize,
-        tid: usize,
-        out: &crate::frontier::FrontierQueue,
-        out_rear: &mut usize,
-        ts: &mut ThreadStats,
+        wk: &mut Worker<'_>,
     ) {
-        if !st.pop_admit(v, from_queue, ts) {
+        if !st.pop_admit(v, from_queue, wk) {
             return;
         }
-        st.note_pop(v, level, ts);
+        st.note_pop(v, level, wk);
         if self.scale_free && st.graph.degree(v) > st.hub_threshold {
             // SAFETY: own slot only.
-            unsafe { st.hubs.get_mut(tid) }.push(v);
+            unsafe { st.hubs.get_mut(wk.tid) }.push(v);
             return;
         }
-        st.explore_vertex(v, level, tid, out, out_rear, ts);
+        st.explore_vertex(v, level, wk);
     }
 
     /// Try to steal until success or budget exhaustion.
-    fn steal(
-        &self,
-        env: &LevelEnv<'_, '_>,
-        tid: usize,
-        rng: &mut Xoshiro256StarStar,
-        ts: &mut ThreadStats,
-    ) -> Option<OwnedSegment> {
+    fn steal(&self, env: &LevelEnv<'_, '_>, wk: &mut Worker<'_>) -> Option<OwnedSegment> {
         let st = env.st;
         let p = st.threads;
         if p <= 1 {
@@ -241,22 +212,22 @@ impl WorkStealing {
             if st.watchdog_retry(&mut wd_retries) {
                 return None; // degraded: stop searching for work
             }
-            let attempt_timer = obfs_sync::metrics::timer();
+            let attempt_timer = wk.timer();
             let victim = match &st.opts.topology {
-                Some(t) => t.numa_victim(tid, 0.75, rng)?,
-                None => uniform_victim(tid, p, rng),
+                Some(t) => t.numa_victim(wk.tid, 0.75, &mut wk.rng)?,
+                None => uniform_victim(wk.tid, p, &mut wk.rng),
             };
             let stolen = if self.locked {
-                self.try_steal_locked(env, tid, victim, ts)
+                self.try_steal_locked(env, victim, wk)
             } else {
-                self.try_steal_optimistic(env, tid, victim)
+                self.try_steal_optimistic(env, wk.tid, victim)
             };
             match stolen {
                 Ok(seg) => {
-                    ts.steal_succeeded(attempt_timer, env.level, victim, seg.r - seg.f);
+                    wk.steal_succeeded(attempt_timer, env.level, victim, seg.r - seg.f);
                     return Some(seg);
                 }
-                Err(why) => ts.steal_failed(attempt_timer, env.level, victim, why),
+                Err(why) => wk.steal_failed(attempt_timer, env.level, victim, why),
             }
         }
         None
@@ -267,9 +238,8 @@ impl WorkStealing {
     fn try_steal_locked(
         &self,
         env: &LevelEnv<'_, '_>,
-        tid: usize,
         victim: usize,
-        ts: &mut ThreadStats,
+        wk: &mut Worker<'_>,
     ) -> Result<OwnedSegment, StealFail> {
         let st = env.st;
         let vd = &st.descs[victim];
@@ -277,7 +247,7 @@ impl WorkStealing {
             let Some(_g) = st.desc_locks[victim].try_lock() else {
                 return Err(StealFail::Locked);
             };
-            ts.lock_acquisitions += 1;
+            wk.stats.lock_acquisitions += 1;
             let f = vd.f.load();
             let r = vd.r.load();
             if f >= r {
@@ -294,10 +264,10 @@ impl WorkStealing {
         // Publish my new segment under my own lock (thieves may be
         // reading my descriptor). Never hold two locks at once.
         {
-            let _g = st.desc_locks[tid].lock();
-            ts.lock_acquisitions += 1;
+            let _g = st.desc_locks[wk.tid].lock();
+            wk.stats.lock_acquisitions += 1;
             // racy-ok: under this thread's own descriptor lock
-            st.descs[tid].set(q, mid, r);
+            st.descs[wk.tid].set(q, mid, r);
         }
         Ok(OwnedSegment { q, f: mid, r })
     }
@@ -345,16 +315,9 @@ impl WorkStealing {
 
     /// Phase 2, static split: thread `tid` explores the `tid`-th chunk of
     /// every hub's adjacency list (paper §IV-B.3 first variant).
-    fn hub_phase_static(
-        &self,
-        env: &LevelEnv<'_, '_>,
-        tid: usize,
-        out_rear: &mut usize,
-        ts: &mut ThreadStats,
-    ) {
+    fn hub_phase_static(&self, env: &LevelEnv<'_, '_>, wk: &mut Worker<'_>) {
         let st = env.st;
-        let p = st.threads;
-        let out = st.qout(env.parity).queue(tid);
+        let (tid, p) = (wk.tid, st.threads);
         // SAFETY: read-only between the build barrier and the level-end
         // barrier.
         let flat = unsafe { st.flat_vertices.get() };
@@ -364,19 +327,19 @@ impl WorkStealing {
             let len = neigh.len();
             let lo = len * tid / p;
             let hi = len * (tid + 1) / p;
-            ts.edges_scanned += (hi - lo) as u64;
+            wk.stats.edges_scanned += (hi - lo) as u64;
             if st.batch.is_some() {
                 // Bit-parallel kernel: every chunk of h's adjacency sees
                 // the same barrier-published frontier word.
                 let fbits = st.frontier_bits(h, env.level);
                 if fbits != 0 {
                     for &w in &neigh[lo..hi] {
-                        st.try_discover_batch(w, h, fbits, next, out, out_rear, ts);
+                        st.try_discover_batch(w, h, fbits, next, wk);
                     }
                 }
             } else {
                 for &w in &neigh[lo..hi] {
-                    st.try_discover(w, h, next, tid, out, out_rear, ts);
+                    st.try_discover(w, h, next, wk);
                 }
             }
         }
@@ -385,20 +348,13 @@ impl WorkStealing {
     /// Phase 2, stealing split: optimistic dispatch over the concatenated
     /// hub edge array via the shared racy edge cursor (the paper's second
     /// §IV-B.3 variant, generalized to edge segments).
-    fn hub_phase_stealing(
-        &self,
-        env: &LevelEnv<'_, '_>,
-        tid: usize,
-        out_rear: &mut usize,
-        ts: &mut ThreadStats,
-    ) {
+    fn hub_phase_stealing(&self, env: &LevelEnv<'_, '_>, wk: &mut Worker<'_>) {
         let st = env.st;
-        let out = st.qout(env.parity).queue(tid);
         // SAFETY: read-only between barriers.
         let flat = unsafe { st.flat_vertices.get() };
         // SAFETY: read-only between barriers, as above.
         let prefix = unsafe { st.flat_prefix.get() };
-        crate::ext::consume_edge_ranges(st, flat, prefix, env.level, tid, out, out_rear, ts);
+        crate::ext::consume_edge_ranges(st, flat, prefix, env.level, wk);
     }
 }
 
@@ -425,8 +381,7 @@ mod tests {
     mod adversarial_steal {
         use super::*;
         use crate::state::RunState;
-        use crate::stats::{StealFail, ThreadStats};
-        use obfs_sync::metrics::HistTimer;
+        use crate::stats::StealFail;
 
         fn env_with_frontier(n: usize) -> (obfs_graph::CsrGraph, BfsOptions) {
             let g = gen::path(n);
@@ -448,10 +403,10 @@ mod tests {
 
         /// Tally a steal that must fail the way the dispatcher does, so
         /// each case checks the Table VI bucket its reason lands in.
-        fn tally(ts: &mut ThreadStats, got: Result<OwnedSegment, StealFail>) {
+        fn tally(wk: &mut Worker<'_>, got: Result<OwnedSegment, StealFail>) {
             match got {
                 Ok(seg) => panic!("steal must fail, took {:?}", (seg.q, seg.f, seg.r)),
-                Err(why) => ts.steal_failed(HistTimer::DISARMED, 0, 1, why),
+                Err(why) => wk.steal_failed(None, 0, 1, why),
             }
         }
 
@@ -464,10 +419,10 @@ mod tests {
             // immutable level rear (a mixed snapshot).
             st.descs[1].set(1, 2, 50);
             let env = LevelEnv { st: &st, parity: 0, level: 0 };
-            let mut ts = ThreadStats::default();
-            tally(&mut ts, strategy().try_steal_optimistic(&env, 0, 1));
-            assert_eq!(ts.steal.invalid, 1);
-            assert_eq!(ts.steal.failed(), 1);
+            let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0));
+            tally(&mut wk, strategy().try_steal_optimistic(&env, 0, 1));
+            assert_eq!(wk.stats.steal.invalid, 1);
+            assert_eq!(wk.stats.steal.failed(), 1);
         }
 
         #[test]
@@ -477,14 +432,14 @@ mod tests {
             fill_queue(&st, 1, 10);
             st.descs[1].set(1, 10, 10); // exhausted
             let env = LevelEnv { st: &st, parity: 0, level: 0 };
-            let mut ts = ThreadStats::default();
-            tally(&mut ts, strategy().try_steal_optimistic(&env, 0, 1));
-            assert_eq!(ts.steal.victim_idle, 1);
+            let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0));
+            tally(&mut wk, strategy().try_steal_optimistic(&env, 0, 1));
+            assert_eq!(wk.stats.steal.victim_idle, 1);
             // f > r (descriptor dragged backwards) is also idle, not UB.
             st.descs[1].set(1, 9, 4);
-            tally(&mut ts, strategy().try_steal_optimistic(&env, 0, 1));
-            assert_eq!(ts.steal.victim_idle, 2);
-            assert_eq!(ts.steal.failed(), 2);
+            tally(&mut wk, strategy().try_steal_optimistic(&env, 0, 1));
+            assert_eq!(wk.stats.steal.victim_idle, 2);
+            assert_eq!(wk.stats.steal.failed(), 2);
         }
 
         #[test]
@@ -494,10 +449,10 @@ mod tests {
             fill_queue(&st, 2, 10);
             st.descs[2].set(2, 8, 9); // one element < steal_min=2
             let env = LevelEnv { st: &st, parity: 0, level: 0 };
-            let mut ts = ThreadStats::default();
-            tally(&mut ts, strategy().try_steal_optimistic(&env, 0, 2));
-            assert_eq!(ts.steal.too_small, 1);
-            assert_eq!(ts.steal.failed(), 1);
+            let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0));
+            tally(&mut wk, strategy().try_steal_optimistic(&env, 0, 2));
+            assert_eq!(wk.stats.steal.too_small, 1);
+            assert_eq!(wk.stats.steal.failed(), 1);
         }
 
         #[test]
@@ -511,10 +466,10 @@ mod tests {
             }
             st.descs[1].set(1, 0, 10);
             let env = LevelEnv { st: &st, parity: 0, level: 0 };
-            let mut ts = ThreadStats::default();
-            tally(&mut ts, strategy().try_steal_optimistic(&env, 0, 1));
-            assert_eq!(ts.steal.stale, 1);
-            assert_eq!(ts.steal.failed(), 1);
+            let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0));
+            tally(&mut wk, strategy().try_steal_optimistic(&env, 0, 1));
+            assert_eq!(wk.stats.steal.stale, 1);
+            assert_eq!(wk.stats.steal.failed(), 1);
             // The victim's rear was still shrunk (as in the real race).
             assert_eq!(st.descs[1].r.load(), 5);
         }
@@ -551,16 +506,16 @@ mod tests {
             };
             obfs_sync::chaos::install(&cfg, 0, None);
             let env = LevelEnv { st: &st, parity: 0, level: 0 };
-            let mut ts = ThreadStats::default();
+            let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0));
             for _ in 0..64 {
                 // A fabricated snapshot must never be stolen.
-                tally(&mut ts, strategy().try_steal_optimistic(&env, 0, 1));
+                tally(&mut wk, strategy().try_steal_optimistic(&env, 0, 1));
             }
             let injected = obfs_sync::chaos::uninstall();
             assert!(injected >= 64, "every snapshot should have been skewed");
-            assert_eq!(ts.steal.success, 0);
-            assert!(ts.steal.invalid > 0, "no skew ever hit `f' < r' <= rear`");
-            assert!(ts.steal.is_consistent());
+            assert_eq!(wk.stats.steal.success, 0);
+            assert!(wk.stats.steal.invalid > 0, "no skew ever hit `f' < r' <= rear`");
+            assert!(wk.stats.steal.is_consistent());
         }
 
         #[test]
@@ -572,11 +527,11 @@ mod tests {
             let env = LevelEnv { st: &st, parity: 0, level: 0 };
             let strat = WorkStealing { locked: true, scale_free: false };
             let _held = st.desc_locks[1].lock();
-            let mut ts = ThreadStats::default();
-            let got = strat.try_steal_locked(&env, 0, 1, &mut ts);
-            tally(&mut ts, got);
-            assert_eq!(ts.steal.victim_locked, 1);
-            assert_eq!(ts.steal.failed(), 1);
+            let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0));
+            let got = strat.try_steal_locked(&env, 1, &mut wk);
+            tally(&mut wk, got);
+            assert_eq!(wk.stats.steal.victim_locked, 1);
+            assert_eq!(wk.stats.steal.failed(), 1);
             assert_eq!(st.descs[1].snapshot(), (1, 0, 10), "victim untouched");
         }
     }

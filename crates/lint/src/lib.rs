@@ -30,8 +30,8 @@
 //!   every in-region claim needs a preceding revalidation or an
 //!   explicit `// racy-ok:` waiver (DESIGN.md §11's rule).
 //! * **shim-parity** — in the feature-shim modules (`chaos`,
-//!   `flight`, `metrics`), a cfg-feature-gated top-level `pub fn`
-//!   must exist under both polarities of the feature.
+//!   `flight`), a cfg-feature-gated top-level `pub fn` must exist
+//!   under both polarities of the feature.
 //! * **flight-taxonomy** — the event-kind constants in
 //!   `obfs_sync::flight::kind` and the taxonomy table in DESIGN.md §8
 //!   must list exactly the same kinds, in both directions.
@@ -56,11 +56,7 @@ use std::path::{Path, PathBuf};
 pub const ALLOWLIST: &str = "scripts/lint.allow";
 
 /// The feature-shim modules checked by the shim-parity rule.
-pub const SHIM_FILES: [&str; 3] = [
-    "crates/sync/src/chaos.rs",
-    "crates/sync/src/flight.rs",
-    "crates/sync/src/metrics.rs",
-];
+pub const SHIM_FILES: [&str; 2] = ["crates/sync/src/chaos.rs", "crates/sync/src/flight.rs"];
 
 /// One lint violation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]

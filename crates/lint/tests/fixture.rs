@@ -41,7 +41,6 @@ const SHIM_OK: &str = "pub fn on_or_off() {\n    #[cfg(feature = \"chaos\")]\n  
 fn skeleton(f: &Fixture) {
     f.write("crates/sync/src/flight.rs", FLIGHT)
         .write("crates/sync/src/chaos.rs", SHIM_OK)
-        .write("crates/sync/src/metrics.rs", "pub fn install() {}\n")
         .write("DESIGN.md", DESIGN);
 }
 
@@ -92,8 +91,8 @@ fn one_sided_feature_gate_fails_shim_parity() {
     let f = Fixture::new("shim");
     skeleton(&f);
     f.write(
-        "crates/sync/src/metrics.rs",
-        "#[cfg(feature = \"metrics\")]\npub fn only_with_feature() {}\n",
+        "crates/sync/src/chaos.rs",
+        "#[cfg(feature = \"chaos\")]\npub fn only_with_feature() {}\n",
     );
     let report = obfs_lint::lint_repo(&f.root).unwrap();
     assert_eq!(report.findings.len(), 1);

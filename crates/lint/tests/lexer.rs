@@ -132,7 +132,6 @@ fn strings_and_prose_do_not_trip_any_pass() {
     )
     .unwrap();
     std::fs::write(root.join("crates/sync/src/chaos.rs"), "pub fn noop() {}\n").unwrap();
-    std::fs::write(root.join("crates/sync/src/metrics.rs"), "pub fn install() {}\n").unwrap();
     std::fs::write(
         root.join("DESIGN.md"),
         "# design\n\n| kind | meaning | a | b |\n|---|---|---|---|\n| `LEVEL_START` | level began | — | — |\n",

@@ -67,17 +67,12 @@ pub struct EngineConfig {
     pub capacity: usize,
     /// Deadline applied to queries that do not carry their own.
     pub default_deadline: Option<Duration>,
-    /// Retry budget for queries that hit a pool failure (worker panic)
-    /// or — with [`EngineConfig::retry_degraded`] — a degraded run.
+    /// Retry budget for queries that hit a pool failure (worker panic).
     pub max_retries: u32,
     /// Base of the exponential retry backoff: the `k`-th retry of a solo
     /// or coalesced run waits `backoff_base * 2^(k-1)` plus up to 50%
     /// seeded jitter.
     pub backoff_base: Duration,
-    /// Also retry queries whose run came back [`Outcome::Degraded`]
-    /// (the watchdog swept at least one level). Off by default: a
-    /// degraded result is complete, just slower.
-    pub retry_degraded: bool,
     /// Maximum queries coalesced into one batched traversal (clamped to
     /// [`obfs_core::MAX_BATCH`]; 1 disables coalescing). When the EDF
     /// pop yields a deadline-free, chaos-free query, every compatible
@@ -90,14 +85,11 @@ pub struct EngineConfig {
     /// Time source for deadlines and latency accounting; inject
     /// [`Clock::manual`] to make deadline tests fully deterministic.
     pub clock: Clock,
-    /// Decay window for the telemetry latency histograms: a live p99
-    /// reflects the last one-to-two windows, never the whole process
-    /// (`Duration::ZERO` disables decay; see `obfs-telemetry`).
-    pub metrics_window: Duration,
-    /// Bound on the per-query span log (transitions, not queries; the
-    /// oldest are overwritten and counted once exceeded).
-    pub span_capacity: usize,
 }
+
+/// Bound on the per-query span log (transitions, not queries; the
+/// oldest are overwritten and counted once exceeded).
+const SPAN_CAPACITY: usize = 1 << 16;
 
 impl Default for EngineConfig {
     fn default() -> Self {
@@ -107,12 +99,9 @@ impl Default for EngineConfig {
             default_deadline: None,
             max_retries: 2,
             backoff_base: Duration::from_millis(1),
-            retry_degraded: false,
             max_batch: obfs_core::MAX_BATCH,
             seed: 0x0E46,
             clock: Clock::default(),
-            metrics_window: obfs_telemetry::registry::DEFAULT_WINDOW,
-            span_capacity: 1 << 16,
         }
     }
 }
@@ -316,12 +305,16 @@ pub struct EngineTelemetry {
 }
 
 impl EngineTelemetry {
-    fn new(clock: &Clock, window: Duration, span_capacity: usize) -> Arc<Self> {
-        let registry = MetricsRegistry::with_window(clock.clone(), window);
+    /// Telemetry on `clock`: latency histograms decay over the default
+    /// window (a live p99 reflects the last one-to-two windows, see
+    /// `obfs-telemetry`), and the span log holds [`SPAN_CAPACITY`]
+    /// transitions.
+    fn new(clock: &Clock) -> Arc<Self> {
+        let registry = MetricsRegistry::new(clock.clone());
         let r = &registry;
         let c = |name: &str, help: &str| r.counter(name, help);
         Arc::new(EngineTelemetry {
-            spans: SpanLog::new(clock.clone(), span_capacity),
+            spans: SpanLog::new(clock.clone(), SPAN_CAPACITY),
             sched_trace: Mutex::new(None),
             run: RunTelemetry::register(r),
             submitted: c("obfs_engine_queries_submitted_total", "Queries admitted past the capacity gate."),
@@ -474,7 +467,7 @@ impl Engine {
             }),
             work: Condvar::new(),
         });
-        let tele = EngineTelemetry::new(&cfg.clock, cfg.metrics_window, cfg.span_capacity);
+        let tele = EngineTelemetry::new(&cfg.clock);
         let in_edges = in_edge_graph(&graph);
         let scheduler = {
             let shared = Arc::clone(&shared);
@@ -868,9 +861,9 @@ fn run_batch_coalesced(
     }
 }
 
-/// Run one admitted query, retrying pool failures (and optionally
-/// degraded runs) with seeded-jitter exponential backoff. Returns the
-/// terminal status, the result if any, and the retry count.
+/// Run one admitted query, retrying pool failures with seeded-jitter
+/// exponential backoff. Returns the terminal status, the result if any,
+/// and the retry count.
 fn run_with_retry(
     job: &Job,
     graph: &CsrGraph,
@@ -900,13 +893,6 @@ fn run_with_retry(
                 Outcome::Cancelled => return (QueryStatus::Cancelled, Some(r), attempt),
                 Outcome::DeadlineExceeded => {
                     return (QueryStatus::DeadlineExceeded, Some(r), attempt)
-                }
-                Outcome::Degraded if cfg.retry_degraded && attempt < cfg.max_retries => {
-                    attempt += 1;
-                    tele.span(job.id, stage::RETRY, u64::from(attempt));
-                    if let Some(s) = backoff(job, cfg, rng, attempt) {
-                        return s;
-                    }
                 }
                 Outcome::Degraded => return (QueryStatus::Degraded, Some(r), attempt),
                 Outcome::Complete => return (QueryStatus::Complete, Some(r), attempt),

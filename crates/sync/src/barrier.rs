@@ -83,9 +83,6 @@ impl SpinBarrier {
             panic!("{POISON_MSG}");
         }
         crate::flight::record(crate::flight::kind::BARRIER_ENTER, 0, 0, 0);
-        // Histogram the whole barrier episode (for the leader this
-        // includes the serial section; see `metrics` module docs).
-        let wait_timer = crate::metrics::timer();
         let my_sense = !self.sense.load(Ordering::Relaxed);
         // AcqRel so that arrivals form a total order and the leader
         // observes every pre-barrier write.
@@ -97,7 +94,6 @@ impl SpinBarrier {
             self.arrived.store(0, Ordering::Relaxed);
             self.sense.store(my_sense, Ordering::Release);
             crate::flight::record(crate::flight::kind::BARRIER_EXIT, 0, 1, 0);
-            crate::metrics::barrier_wait(wait_timer);
             true
         } else {
             let mut spins = 0u32;
@@ -114,7 +110,6 @@ impl SpinBarrier {
                 }
             }
             crate::flight::record(crate::flight::kind::BARRIER_EXIT, 0, 0, 0);
-            crate::metrics::barrier_wait(wait_timer);
             false
         }
     }

@@ -3,9 +3,12 @@
 //! The paper's central primitive is a shared integer that many threads read
 //! and write **without locks and without atomic read-modify-write
 //! instructions**. This crate provides that primitive ([`racy`]), the spin
-//! locks used by the paper's lock-based comparison variants ([`spinlock`],
-//! [`ticket`]), the sense-reversing barrier used for BFS level
-//! synchronization ([`barrier`]), and cache-line padding ([`padded`]).
+//! lock used by the paper's lock-based comparison variants ([`spinlock`]),
+//! the sense-reversing barrier used for BFS level synchronization
+//! ([`barrier`]), cache-line padding ([`padded`]), and the two
+//! thread-local hooks a BFS worker may carry — a chaos fault plan
+//! ([`chaos`]) and a flight-recorder ring ([`flight`]) — behind one
+//! teardown guard ([`worker`]).
 //!
 //! # The two racy backends
 //!
@@ -35,12 +38,10 @@ pub mod cancel;
 pub mod chaos;
 pub mod clock;
 pub mod flight;
-pub mod metrics;
 pub mod model;
 pub mod padded;
 pub mod racy;
 pub mod spinlock;
-pub mod ticket;
 pub mod worker;
 
 pub use barrier::SpinBarrier;
@@ -50,4 +51,3 @@ pub use clock::{Clock, ManualClock};
 pub use padded::CachePadded;
 pub use racy::{RacyBuf, RacyBuf64, RacyU32, RacyU64, RacyUsize};
 pub use spinlock::{SpinLock, SpinLockGuard};
-pub use ticket::TicketLock;

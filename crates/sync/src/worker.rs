@@ -1,24 +1,24 @@
 //! One teardown seam for a BFS worker's thread-local hooks.
 //!
-//! A traversal may ask each worker for up to three hooks: a chaos fault
-//! plan ([`crate::chaos`]), a flight-recorder ring ([`crate::flight`])
-//! and a latency-histogram set ([`crate::metrics`]). [`WorkerHooks`]
-//! installs the ones a run asks for and is the one place they come off
-//! again: [`WorkerHooks::finish`] removes all three and returns what
-//! they recorded, and dropping an unfinished guard — a worker unwinding
-//! from a panic — removes them too. So a later run on the same OS
-//! thread always starts clean, and the worker pool's panic handler
-//! needs to know nothing about hooks.
+//! A traversal may ask each worker for up to two hooks: a chaos fault
+//! plan ([`crate::chaos`]) and a flight-recorder ring
+//! ([`crate::flight`]). Both stay thread-local because the code that
+//! records into them — the racy cells and [`crate::SpinBarrier`] — has
+//! no handle to the worker it runs on. [`WorkerHooks`] installs the ones
+//! a run asks for and is the one place they come off again:
+//! [`WorkerHooks::finish`] removes both and returns what they recorded,
+//! and dropping an unfinished guard — a worker unwinding from a panic —
+//! removes them too. So a later run on the same OS thread always starts
+//! clean, and the worker pool's panic handler needs to know nothing
+//! about hooks.
 //!
 //! The guard adds no synchronization: every hook stays thread-owned,
 //! and the [`WorkerDump`] crosses threads only through the caller's
-//! per-thread slot and the pool join, as the rings and histograms
-//! always have.
+//! per-thread slot and the pool join, as the rings always have.
 
 use crate::cancel::CancelToken;
 use crate::chaos::{self, ChaosConfig};
 use crate::flight::{self, RingDump};
-use crate::metrics::{self, WorkerHists};
 use std::marker::PhantomData;
 use std::time::Instant;
 
@@ -31,8 +31,6 @@ pub struct WorkerDump {
     /// The drained flight ring (`None` without a recorder or without
     /// the `trace` feature).
     pub ring: Option<RingDump>,
-    /// The histogram set (`None` when none was installed).
-    pub hists: Option<Box<WorkerHists>>,
 }
 
 /// The current thread's installed worker hooks; see the module docs.
@@ -47,8 +45,7 @@ impl WorkerHooks {
     /// - `chaos`: a fault plan on PRNG stream `stream`, whose injected
     ///   stalls end early once `cancel` fires;
     /// - `flight`: a ring of `capacity` events timed from the run's
-    ///   shared `epoch`;
-    /// - `histograms`: a fresh histogram set.
+    ///   shared `epoch`.
     ///
     /// Each install replaces a hook of the same kind already on the
     /// thread.
@@ -57,7 +54,6 @@ impl WorkerHooks {
         stream: u64,
         cancel: Option<&CancelToken>,
         flight: Option<(usize, Instant)>,
-        histograms: bool,
     ) -> Self {
         // Built first, so a panic between installs still tears down.
         let guard = WorkerHooks { _thread_bound: PhantomData };
@@ -67,13 +63,10 @@ impl WorkerHooks {
         if let Some((capacity, epoch)) = flight {
             flight::install(capacity, epoch);
         }
-        if histograms {
-            metrics::install();
-        }
         guard
     }
 
-    /// Remove all three hooks (flushing the chaos plan's deferred
+    /// Remove both hooks (flushing the chaos plan's deferred
     /// stores) and return what they recorded.
     pub fn finish(self) -> WorkerDump {
         std::mem::forget(self);
@@ -88,11 +81,7 @@ impl Drop for WorkerHooks {
 }
 
 fn uninstall_all() -> WorkerDump {
-    WorkerDump {
-        injected_faults: chaos::uninstall(),
-        ring: flight::uninstall(),
-        hists: metrics::uninstall(),
-    }
+    WorkerDump { injected_faults: chaos::uninstall(), ring: flight::uninstall() }
 }
 
 #[cfg(test)]
@@ -101,10 +90,10 @@ mod tests {
     use crate::racy::RacyU32;
 
     fn all_inactive() -> bool {
-        !chaos::is_active() && !flight::is_active() && !metrics::is_active()
+        !chaos::is_active() && !flight::is_active()
     }
 
-    /// Every hook a run can ask for: store deferral, a ring, histograms.
+    /// Every hook a run can ask for: store deferral and a ring.
     fn install_all() -> WorkerHooks {
         let cfg = ChaosConfig {
             defer_chance: 1.0,
@@ -112,7 +101,7 @@ mod tests {
             delay_chance: 0.0,
             ..Default::default()
         };
-        WorkerHooks::install(Some(&cfg), 0, None, Some((64, Instant::now())), true)
+        WorkerHooks::install(Some(&cfg), 0, None, Some((64, Instant::now())))
     }
 
     #[test]
@@ -121,7 +110,6 @@ mod tests {
         let cell = RacyU32::new(0);
         cell.store(1);
         flight::record(flight::kind::LEVEL_START, 0, 0, 0);
-        metrics::fetch_retry_burst(3);
         let dump = hooks.finish();
         assert!(all_inactive(), "finish must remove every hook");
         assert_eq!(cell.load(), 1, "finish must flush deferred stores");
@@ -134,7 +122,6 @@ mod tests {
             vec![flight::kind::LEVEL_START]
         };
         assert_eq!(ring, cfg!(feature = "trace").then_some(expected));
-        assert_eq!(dump.hists.expect("histograms were installed").fetch_retry_burst.max(), 3);
     }
 
     #[test]
@@ -143,7 +130,6 @@ mod tests {
             let _hooks = install_all();
             assert_eq!(chaos::is_active(), cfg!(feature = "chaos"));
             assert_eq!(flight::is_active(), cfg!(feature = "trace"));
-            assert!(metrics::is_active());
             panic!("injected failure with every hook installed");
         });
         assert!(result.is_err());

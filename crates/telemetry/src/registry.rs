@@ -11,9 +11,10 @@
 //! [`Gauge`] is a single relaxed `AtomicI64`: gauges are leader- or
 //! scheduler-written, never contended. [`Histogram`] takes a `Mutex`
 //! per record — it is meant for *query*-granularity events (admission
-//! latencies, batch occupancy), never per-edge work; the per-edge path
-//! stays on the thread-owned `obfs-sync::metrics` histograms, and the BFS
-//! driver publishes only per-level aggregates here (see [`crate::worker`]).
+//! latencies, batch occupancy), never per-edge work; dispatch-granularity
+//! latencies stay in each BFS worker's own record (`obfs_core::Worker`),
+//! and the BFS driver publishes only per-level aggregates here (see
+//! [`crate::worker`]).
 //!
 //! Readers (scrapes) see each counter atomically but no consistent cut
 //! across counters: a snapshot taken mid-update can observe, say, a
