@@ -44,15 +44,24 @@
 //! machinery is reused unchanged: batch mode only swaps the per-vertex
 //! discovery kernel behind [`crate::state::RunState::explore_vertex`].
 
+use crate::perthread::PerThread;
 use crate::stats::RunStats;
 use crate::{BfsResult, UNVISITED};
 use obfs_graph::{CsrGraph, VertexId};
+use obfs_runtime::{LevelPool, PoolError};
 use obfs_sync::{RacyBuf, RacyBuf64};
+use std::mem::MaybeUninit;
 
 /// Maximum number of sources per batched run (bits in the membership word).
 pub const MAX_BATCH: usize = 64;
 
 /// Shared batch-mode state hanging off [`crate::state::RunState`].
+///
+/// A pool keeps it between batched runs (`crate::state::RunBuffers`):
+/// when it fits the next batch (`BatchState::fits`), `set_sources` arms
+/// it for that batch's sources. `init_chunk` clears every slot a run
+/// reads and `front_by` is rebuilt before each bottom-up level, so
+/// recycled arrays need no reset.
 pub struct BatchState {
     /// Batch size (1..=64).
     pub k: usize,
@@ -62,6 +71,8 @@ pub struct BatchState {
     pub mask: u64,
     /// Per-query level slots, row-major by vertex: `levels[v*k + q]`.
     /// Claimed with idempotent racy stores (same value within a level).
+    /// Recycled arrays may hold more than `n × k` slots; a run uses the
+    /// first `n × k`.
     pub levels: RacyBuf,
     /// Per-query parents, same layout (arbitrary concurrent write; any
     /// surviving value is a valid one-level-shallower BFS parent).
@@ -82,25 +93,49 @@ impl BatchState {
     /// Allocate batch state for `sources` over an `n`-vertex graph.
     pub fn new(n: usize, sources: &[VertexId], record_parents: bool, hybrid: bool) -> Self {
         let k = sources.len();
-        assert!(
-            (1..=MAX_BATCH).contains(&k),
-            "batch size must be 1..={MAX_BATCH}, got {k}"
-        );
-        for &s in sources {
-            assert!((s as usize) < n, "batch source {s} out of range (n = {n})");
-        }
-        let mask = if k == MAX_BATCH { u64::MAX } else { (1u64 << k) - 1 };
-        Self {
-            k,
-            sources: sources.to_vec(),
-            mask,
+        let mut b = Self {
+            k: 0,
+            sources: Vec::new(),
+            mask: 0,
             levels: RacyBuf::new(n * k),
             parents: record_parents.then(|| RacyBuf::new(n * k)),
             visited_by: RacyBuf64::new(n),
             pushed_at: RacyBuf::new(n),
             front_by: hybrid.then(|| RacyBuf64::new(n)),
-        }
+        };
+        b.set_sources(sources);
+        b
     }
+
+    /// Whether a batch of `k` queries over `n` vertices can run on these
+    /// arrays: the same vertex count, parents and hybrid words exactly
+    /// when asked for, and at least `n × k` level slots.
+    pub(crate) fn fits(&self, n: usize, k: usize, record_parents: bool, hybrid: bool) -> bool {
+        self.visited_by.len() == n
+            && self.levels.len() >= n * k
+            && self.parents.is_some() == record_parents
+            && self.front_by.is_some() == hybrid
+    }
+
+    /// Arm the arrays for a batch over `sources` (1..=64 of them,
+    /// duplicates allowed): set `k`, `sources` and `mask`.
+    pub(crate) fn set_sources(&mut self, sources: &[VertexId]) {
+        let n = self.visited_by.len();
+        let k = sources.len();
+        check_batch_size(k);
+        assert!(self.levels.len() >= n * k, "batch arrays hold fewer than {k} queries");
+        for &s in sources {
+            assert!((s as usize) < n, "batch source {s} out of range (n = {n})");
+        }
+        self.k = k;
+        self.mask = if k == MAX_BATCH { u64::MAX } else { (1u64 << k) - 1 };
+        self.sources.clear();
+        self.sources.extend_from_slice(sources);
+    }
+}
+
+fn check_batch_size(k: usize) {
+    assert!((1..=MAX_BATCH).contains(&k), "batch size must be 1..={MAX_BATCH}, got {k}");
 }
 
 /// One query's slice of a [`BatchResult`].
@@ -134,9 +169,9 @@ impl BatchQueryResult {
     }
 
     /// Like [`BatchQueryResult::as_bfs_result`] but consuming: moves the
-    /// label arrays instead of cloning them (the serving layer hands
-    /// each coalesced query exactly one response, so the copy would be
-    /// pure overhead at n × k scale).
+    /// label arrays instead of cloning them (the serving layer wraps each
+    /// column once and shares it among the queries on that source, so a
+    /// copy would be pure overhead at n × k scale).
     pub fn into_bfs_result(self, stats: &RunStats) -> BfsResult {
         BfsResult { levels: self.levels, parents: self.parents, stats: stats.clone() }
     }
@@ -165,41 +200,84 @@ impl BatchResult {
     }
 }
 
+/// Vertices per gather tile. A tile's row-major block of
+/// `GATHER_TILE × k` slots (16 KiB at k = 64) stays in L1 while the
+/// tile's run of each of the k columns is written.
+const GATHER_TILE: usize = 64;
+
 // lint:region control:batch-extract
-/// Extract per-query results from a finished run's batch state.
-pub(crate) fn extract_results(b: &BatchState, n: usize) -> Vec<BatchQueryResult> {
-    // Row-major gather: one sequential pass over the packed label
-    // arrays, scattering each vertex row into the k per-query columns.
-    // The k destination cursors all advance sequentially, so the
-    // transpose costs k + 1 streaming accesses — doing it column-wise
-    // instead (k strided passes over the whole n×k array) is what the
-    // naive per-query `collect` loop amounts to, and it dominated the
-    // whole batched traversal on graphs past the cache sizes.
+/// Gather a finished run's row-major n×k level (and parent) matrix into
+/// k per-query columns, as one phase on `pool`.
+///
+/// A transpose column by column would make k strided passes over the
+/// whole matrix. Instead each worker owns one range of whole tiles of
+/// vertices and, tile by tile, copies the tile's rows into its run of
+/// each column, so every column slot is written exactly once, by one
+/// worker, straight into the column's uninitialized capacity: no zero
+/// fill, and nothing runs on the calling thread. Installs no worker
+/// hook. An `Err` (a worker panicked) drops the unfinished columns.
+pub(crate) fn gather_on_pool(
+    b: &BatchState,
+    n: usize,
+    pool: &LevelPool,
+) -> Result<Vec<BatchQueryResult>, PoolError> {
     let k = b.k;
-    let mut levels: Vec<Vec<u32>> = (0..k).map(|_| Vec::with_capacity(n)).collect();
-    let mut parents: Option<Vec<Vec<VertexId>>> =
-        b.parents.as_ref().map(|_| (0..k).map(|_| Vec::with_capacity(n)).collect());
-    for v in 0..n {
-        let base = v * k;
-        for (q, col) in levels.iter_mut().enumerate() {
-            col.push(b.levels.get(base + q));
-        }
-        if let (Some(cols), Some(p)) = (parents.as_mut(), b.parents.as_ref()) {
-            for (q, col) in cols.iter_mut().enumerate() {
-                col.push(p.get(base + q));
-            }
+    let threads = pool.threads();
+    let per = obfs_util::div_ceil(obfs_util::div_ceil(n, threads), GATHER_TILE) * GATHER_TILE;
+    let columns = || (0..k).map(|_| Vec::with_capacity(n)).collect::<Vec<_>>();
+    let mut levels: Vec<Vec<u32>> = columns();
+    let mut parents: Option<Vec<Vec<VertexId>>> = b.parents.as_ref().map(|_| columns());
+    // Worker t's share: its vertex range of the k level columns, then
+    // of the k parent columns (empty when its range starts past n).
+    let mut shares = PerThread::new(threads, |_| Vec::new());
+    for col in levels.iter_mut().chain(parents.iter_mut().flatten()) {
+        for (share, part) in shares.iter_mut().zip(col.spare_capacity_mut()[..n].chunks_mut(per)) {
+            share.push(part);
         }
     }
+    pool.run(|ctx| {
+        let tid = ctx.tid();
+        // SAFETY: own slot only; no other worker touches share `tid`.
+        let share = unsafe { shares.get_mut(tid) };
+        let split = k.min(share.len());
+        let (level_cols, parent_cols) = share.split_at_mut(split);
+        copy_tiles(&b.levels, k, tid * per, level_cols);
+        if let Some(p) = &b.parents {
+            copy_tiles(p, k, tid * per, parent_cols);
+        }
+    })?;
+    drop(shares);
+    for col in levels.iter_mut().chain(parents.iter_mut().flatten()) {
+        // SAFETY: the shares tile `0..n` of every column, and the phase
+        // returned Ok, so every worker wrote each slot of its share.
+        unsafe { col.set_len(n) };
+    }
     let mut parents = parents.map(Vec::into_iter);
-    levels
+    Ok(levels
         .into_iter()
-        .enumerate()
-        .map(|(q, lv)| BatchQueryResult {
-            source: b.sources[q],
+        .zip(&b.sources)
+        .map(|(lv, &source)| BatchQueryResult {
+            source,
             levels: lv,
             parents: parents.as_mut().map(|it| it.next().expect("k parent columns")),
         })
-        .collect()
+        .collect())
+}
+
+/// Copy rows `lo..lo + len` of the row-major `k`-wide matrix `src` into
+/// `cols` (column `q` of row `lo + i` into `cols[q][i]`), one tile of
+/// rows at a time.
+fn copy_tiles(src: &RacyBuf, k: usize, lo: usize, cols: &mut [&mut [MaybeUninit<u32>]]) {
+    let len = cols.first().map_or(0, |c| c.len());
+    for t in (0..len).step_by(GATHER_TILE) {
+        let end = (t + GATHER_TILE).min(len);
+        let block = src.row((lo + t) * k, (end - t) * k);
+        for (q, col) in cols.iter_mut().enumerate() {
+            for (out, slot) in col[t..end].iter_mut().zip(block[q..].iter().step_by(k)) {
+                out.write(slot.load());
+            }
+        }
+    }
 }
 // lint:endregion
 
@@ -212,10 +290,7 @@ pub(crate) fn serial_batch(
     opts: &crate::BfsOptions,
 ) -> BatchResult {
     let k = sources.len();
-    assert!(
-        (1..=MAX_BATCH).contains(&k),
-        "batch size must be 1..={MAX_BATCH}, got {k}"
-    );
+    check_batch_size(k);
     let mut queries = Vec::with_capacity(k);
     let mut stats: Option<RunStats> = None;
     for &s in sources {
@@ -251,6 +326,44 @@ mod tests {
         assert_eq!(b.parents.as_ref().unwrap().len(), 8 * 64);
     }
 
+    /// The pool gather equals a per-slot read of the row-major arrays,
+    /// also from recycled arrays sized for a larger batch: `n` a multiple
+    /// of neither the tile nor the thread count (and smaller than both),
+    /// k ∈ {1, 7, 64}, 1 and 3 workers, parents on and off.
+    #[test]
+    fn pool_gather_equals_per_slot_reads() {
+        for threads in [1, 3] {
+            let pool = LevelPool::new(threads);
+            for n in [1, 2, 200, 1000] {
+                for k in [1, 7, 64] {
+                    for record_parents in [false, true] {
+                        let sources: Vec<VertexId> = (0..k).map(|q| (q * 5 % n) as u32).collect();
+                        let mut b = BatchState::new(n, &[0; MAX_BATCH], record_parents, false);
+                        b.set_sources(&sources);
+                        for i in 0..n * MAX_BATCH {
+                            b.levels.set(i, (i as u32).wrapping_mul(2_654_435_761));
+                            if let Some(p) = &b.parents {
+                                p.set(i, !(i as u32));
+                            }
+                        }
+                        let got = gather_on_pool(&b, n, &pool).unwrap();
+                        let tag = format!("threads {threads} n {n} k {k} parents {record_parents}");
+                        assert_eq!(got.len(), k, "{tag}");
+                        for (q, col) in got.iter().enumerate() {
+                            assert_eq!(col.source, sources[q], "{tag}");
+                            let want: Vec<u32> = (0..n).map(|v| b.levels.get(v * k + q)).collect();
+                            assert_eq!(col.levels, want, "{tag} query {q} levels");
+                            let want = b.parents.as_ref().map(|p| {
+                                (0..n).map(|v| p.get(v * k + q)).collect::<Vec<VertexId>>()
+                            });
+                            assert_eq!(col.parents, want, "{tag} query {q} parents");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "batch size")]
     fn oversized_batch_rejected() {
@@ -262,5 +375,13 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_source_rejected() {
         let _ = BatchState::new(4, &[9], false, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer than 2 queries")]
+    fn arming_more_queries_than_the_arrays_hold_rejected() {
+        let mut b = BatchState::new(4, &[0], false, false);
+        assert!(!b.fits(4, 2, false, false));
+        b.set_sources(&[0, 1]);
     }
 }

@@ -109,8 +109,8 @@ pub fn try_run_on_pool<'g>(
     assert_eq!(opts.threads, pool.threads(), "BfsOptions::threads must match the pool size");
     let n = graph.num_vertices();
     assert!((src as usize) < n, "source {src} out of range for n={n}");
-    let bufs = RunBuffers::take(pool, n, opts, true);
-    let st = RunState::from_buffers(graph, opts, transpose, bufs, None);
+    let bufs = RunBuffers::take(pool, n, opts, None);
+    let st = RunState::from_buffers(graph, opts, transpose, bufs, false);
     // A pool failure drops the buffers with `st`: a half-run level loop
     // leaves the queues in no known state.
     let stats = drive_shared(strategy, &st, src, pool)?;
@@ -137,7 +137,8 @@ pub fn try_run_on_pool<'g>(
 /// [`crate::batch`]). `Algorithm::Serial` degrades to a loop of serial
 /// runs; for every parallel variant the level loop, dispatchers,
 /// watchdog and cancellation run unchanged — only the seed section and
-/// the per-vertex discovery kernel differ.
+/// the per-vertex discovery kernel differ. A last pool phase gathers the
+/// per-query columns.
 pub fn try_run_batch_on_pool<'g>(
     algo: Algorithm,
     graph: &'g CsrGraph,
@@ -151,11 +152,11 @@ pub fn try_run_batch_on_pool<'g>(
     };
     assert_eq!(opts.threads, pool.threads(), "BfsOptions::threads must match the pool size");
     let n = graph.num_vertices();
-    let bufs = RunBuffers::take(pool, n, opts, false);
-    let st = RunState::from_buffers(graph, opts, transpose, bufs, Some(sources));
+    let bufs = RunBuffers::take(pool, n, opts, Some(sources));
+    let st = RunState::from_buffers(graph, opts, transpose, bufs, true);
     let stats = drive_shared(strategy, &st, 0, pool)?;
     let b = st.batch.as_ref().expect("batch state armed by from_buffers");
-    let queries = crate::batch::extract_results(b, n);
+    let queries = crate::batch::gather_on_pool(b, n, pool)?;
     st.into_buffers().park(pool);
     for qr in &queries {
         debug_assert_eq!(qr.levels[qr.source as usize], 0);
@@ -376,7 +377,7 @@ fn drive_shared(
         // This worker's faults stay those of its last level snapshot:
         // the handful of racy ops after the final level barrier would
         // otherwise break the sum(level deltas) == totals invariant.
-        let ring = hooks.finish().ring;
+        let ring = hooks.finish();
         // SAFETY: own slot only.
         unsafe { *done.get_mut(tid) = Some((wk, ring)) };
     })?;

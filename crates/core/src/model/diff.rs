@@ -246,8 +246,8 @@ fn batch_counterexample_hits_slot_revalidation_in_real_kernel() {
     let g = isolated(8);
     let w: u32 = 4;
     let opts = BfsOptions { threads: 1, ..Default::default() };
-    let bufs = crate::state::RunBuffers::new(g.num_vertices(), &opts, false);
-    let st = RunState::from_buffers(&g, &opts, None, bufs, Some(&[0, 1]));
+    let bufs = crate::state::RunBuffers::new(g.num_vertices(), &opts, Some(&[0, 1]));
+    let st = RunState::from_buffers(&g, &opts, None, bufs, true);
     let b = st.batch.as_ref().expect("batch state armed");
     b.levels.set(w as usize * b.k, slot_level);
     b.visited_by.set(w as usize, u64::from(vis));

@@ -222,9 +222,10 @@ pub struct RunState<'g> {
     /// / `owner` arrays above are empty and every discovery flows through
     /// the bit-parallel kernel in [`RunState::try_discover_batch`].
     pub batch: Option<BatchState>,
-    /// Batch mode only: the single-source arrays of a recycled
-    /// [`RunBuffers`] set, held unused so the set returns whole.
-    idle: Option<LabelBuffers>,
+    /// The recycled [`RunBuffers`] set's arrays of the other run mode —
+    /// the single-source labels during a batched run, the batch state
+    /// during a single-source run — held unused so the set returns whole.
+    idle: (Option<LabelBuffers>, Option<BatchState>),
     /// Cached `opts.hybrid.is_some()` so the `frontier_edges` accounting
     /// in [`RunState::try_discover`] is one predictable branch (and the
     /// paper's top-down hot path pays nothing when hybrid is off).
@@ -258,7 +259,9 @@ pub struct RunState<'g> {
 
 /// Every n-sized array one run needs: both queue sets plus the
 /// single-source label arrays (`level[]`, parents, owner, the hybrid
-/// frontier/visited bitmaps and the compaction buffers).
+/// frontier/visited bitmaps and the compaction buffers) or the
+/// [`BatchState`] (level and parent slots, membership, push and frontier
+/// words).
 ///
 /// A [`RunState`] is always built from one ([`RunState::from_buffers`])
 /// and hands it back when the run is over ([`RunState::into_buffers`]),
@@ -267,15 +270,18 @@ pub struct RunState<'g> {
 /// ([`RunBuffers::take`] / [`RunBuffers::park`]).
 ///
 /// Parked invariant: every queue slot is [`EMPTY_SLOT`] and every queue
-/// cursor is 0. The label arrays need no invariant: `init_chunk` clears
-/// `level[]`/parents/owner at the start of every run, and the bitmaps and
-/// compaction arrays are rebuilt before each level that reads them.
+/// cursor is 0. The label and batch arrays need no invariant:
+/// `init_chunk` clears `level[]`/parents/owner, and every batch slot a
+/// run reads, at the start of every run, and the bitmaps, frontier words
+/// and compaction arrays are rebuilt before each level that reads them.
 pub(crate) struct RunBuffers {
     n: usize,
     queues: [QueueSet; 2],
-    /// `None` in a set first built for a batched run, which never reads
-    /// single-source labels.
+    /// `None` until a single-source run uses the set.
     labels: Option<LabelBuffers>,
+    /// `None` until a batched run uses the set; armed for the sources of
+    /// the last batch that took it.
+    batch: Option<BatchState>,
 }
 
 /// The arrays only single-source runs use.
@@ -321,10 +327,10 @@ impl LabelBuffers {
 
 impl RunBuffers {
     /// Fresh buffers for a run of `opts.threads` workers over `n`
-    /// vertices; `single` adds the single-source label arrays `opts`
-    /// asks for (a batched run keeps its labels in
-    /// [`crate::batch::BatchState`] instead).
-    pub(crate) fn new(n: usize, opts: &BfsOptions, single: bool) -> Self {
+    /// vertices: with `batch = None` the single-source label arrays
+    /// `opts` asks for, with `Some(sources)` the [`BatchState`] of a
+    /// batched run over them.
+    pub(crate) fn new(n: usize, opts: &BfsOptions, batch: Option<&[VertexId]>) -> Self {
         assert!(n >= 1, "BFS needs at least one vertex");
         assert!(n < UNVISITED as usize, "graph too large for u32 level encoding");
         let p = opts.threads;
@@ -332,29 +338,52 @@ impl RunBuffers {
         Self {
             n,
             queues: [QueueSet::new(p, n), QueueSet::new(p, n)],
-            labels: single.then(|| LabelBuffers::new(n, opts)),
+            labels: batch.is_none().then(|| LabelBuffers::new(n, opts)),
+            batch: batch
+                .map(|src| BatchState::new(n, src, opts.record_parents, opts.hybrid.is_some())),
         }
     }
 
-    /// Buffers for a run on `pool`: the set its last run parked when the
-    /// shape matches, fresh arrays otherwise. The queues are reused when
-    /// the vertex and thread counts match. A single-source run also
-    /// reuses the label arrays when they are exactly the ones `opts`
-    /// needs and reallocates them otherwise; a batched run leaves them
-    /// in the set untouched, so it goes back to the pool whole.
-    pub(crate) fn take(pool: &LevelPool, n: usize, opts: &BfsOptions, single: bool) -> Self {
+    /// Buffers for a run on `pool` (`batch` as in [`RunBuffers::new`]):
+    /// the set its last run parked when the shape matches, fresh arrays
+    /// otherwise. The queues are reused when the vertex and thread counts
+    /// match. A single-source run also reuses the label arrays when they
+    /// are exactly the ones `opts` needs; a batched run reuses the batch
+    /// arrays when parents and hybrid match and they hold at least `n × k`
+    /// level slots, and arms them for `sources`. Either reallocates its
+    /// own arrays otherwise and leaves the other mode's in the set
+    /// untouched, so it goes back whole.
+    pub(crate) fn take(
+        pool: &LevelPool,
+        n: usize,
+        opts: &BfsOptions,
+        batch: Option<&[VertexId]>,
+    ) -> Self {
         match pool.take_parked::<Self>() {
             Some(mut b) if b.n == n && b.queues[0].len() == opts.threads => {
-                if single && !b.labels.as_ref().is_some_and(|l| l.fits(opts)) {
-                    // Free the old arrays before allocating their successors.
-                    b.labels = None;
-                    b.labels = Some(LabelBuffers::new(n, opts));
+                // Free the old arrays before allocating their successors.
+                match batch {
+                    None if !b.labels.as_ref().is_some_and(|l| l.fits(opts)) => {
+                        b.labels = None;
+                        b.labels = Some(LabelBuffers::new(n, opts));
+                    }
+                    Some(src) => {
+                        let (parents, hybrid) = (opts.record_parents, opts.hybrid.is_some());
+                        match &mut b.batch {
+                            Some(s) if s.fits(n, src.len(), parents, hybrid) => s.set_sources(src),
+                            _ => {
+                                b.batch = None;
+                                b.batch = Some(BatchState::new(n, src, parents, hybrid));
+                            }
+                        }
+                    }
+                    None => {}
                 }
                 b
             }
             stale => {
                 drop(stale);
-                Self::new(n, opts, single)
+                Self::new(n, opts, batch)
             }
         }
     }
@@ -375,21 +404,20 @@ impl<'g> RunState<'g> {
     /// kernels on this directly). When [`BfsOptions::hybrid`] is set the
     /// in-edge graph is computed here.
     pub fn new(graph: &'g CsrGraph, opts: &BfsOptions) -> Self {
-        let bufs = RunBuffers::new(graph.num_vertices(), opts, true);
-        Self::from_buffers(graph, opts, None, bufs, None)
+        let bufs = RunBuffers::new(graph.num_vertices(), opts, None);
+        Self::from_buffers(graph, opts, None, bufs, false)
     }
 
     /// The one construction path: every n-sized array comes from `bufs`
     /// (fresh or recycled), everything else is built per run.
     ///
-    /// With `sources` (1..=64 of them, duplicates allowed) the state is
-    /// for a batched run over them: the bit-parallel [`BatchState`] holds
-    /// the labels, only the queues of `bufs` are used, and any
-    /// single-source arrays in the set sit idle until
-    /// [`RunState::into_buffers`]. The owner-array dedup is incompatible
-    /// with batching (a vertex legitimately re-enters the frontier once
-    /// per query) and is rejected. Without `sources`, `bufs` must carry
-    /// exactly the label arrays `opts` needs.
+    /// With `batched` the state is for the batched run the [`BatchState`]
+    /// of `bufs` is armed for: it holds the labels, and any single-source
+    /// arrays in the set sit idle until [`RunState::into_buffers`]. The
+    /// owner-array dedup is incompatible with batching (a vertex
+    /// legitimately re-enters the frontier once per query) and is
+    /// rejected. Otherwise `bufs` must carry exactly the label arrays
+    /// `opts` needs, and any batch state sits idle.
     ///
     /// Bottom-up levels probe `transpose` (`graph.transpose()`, or
     /// `graph` itself when symmetric); a hybrid run given none computes
@@ -399,11 +427,11 @@ impl<'g> RunState<'g> {
         opts: &BfsOptions,
         transpose: Option<&'g CsrGraph>,
         bufs: RunBuffers,
-        sources: Option<&[obfs_graph::VertexId]>,
+        batched: bool,
     ) -> Self {
         let n = graph.num_vertices();
         let p = opts.threads;
-        let RunBuffers { n: buf_n, queues, labels } = bufs;
+        let RunBuffers { n: buf_n, queues, labels, batch } = bufs;
         assert_eq!(buf_n, n, "run buffers sized for another graph");
         assert_eq!(queues[0].len(), p, "run buffers sized for another thread count");
         if let Some(t) = &opts.topology {
@@ -419,13 +447,16 @@ impl<'g> RunState<'g> {
         // zero-length stand-ins (so any missed call site is an immediate
         // bounds panic rather than silent corruption) and holds the real
         // ones idle until `into_buffers`.
-        let (batch, labels, idle) = match sources {
-            Some(src) => {
+        let (batch, labels, idle) = match batch {
+            Some(b) if batched => {
                 assert!(
                     opts.dedup == DedupMode::None,
                     "owner-array dedup is incompatible with batched multi-source BFS"
                 );
-                let b = BatchState::new(n, src, opts.record_parents, opts.hybrid.is_some());
+                assert!(
+                    b.fits(n, b.k, opts.record_parents, opts.hybrid.is_some()),
+                    "batch state does not match these options"
+                );
                 let stand_in = LabelBuffers {
                     levels: RacyBuf::new(0),
                     parents: None,
@@ -437,12 +468,13 @@ impl<'g> RunState<'g> {
                     // option is documented as ignored here.
                     compact: None,
                 };
-                (Some(b), stand_in, labels)
+                (Some(b), stand_in, (labels, None))
             }
-            None => {
+            batch => {
+                assert!(!batched, "batched run needs batch state");
                 let l = labels.expect("single-source run needs label buffers");
                 assert!(l.fits(opts), "run buffers do not match these options");
-                (None, l, None)
+                (None, l, (None, batch))
             }
         };
         let LabelBuffers { levels, parents, owner, hybrid, compact } = labels;
@@ -508,18 +540,21 @@ impl<'g> RunState<'g> {
     /// End the run and hand back its n-sized arrays (queues as the run
     /// left them; [`RunBuffers::park`] restores the parked invariant).
     pub(crate) fn into_buffers(self) -> RunBuffers {
-        let labels = if self.batch.is_some() {
-            self.idle
-        } else {
-            Some(LabelBuffers {
-                levels: self.levels,
-                parents: self.parents,
-                owner: self.owner,
-                hybrid: self.hyb.map(|h| [h.bitmap, h.visited]),
-                compact: self.compact,
-            })
+        let (idle_labels, idle_batch) = self.idle;
+        let (labels, batch) = match self.batch {
+            Some(b) => (idle_labels, Some(b)),
+            None => (
+                Some(LabelBuffers {
+                    levels: self.levels,
+                    parents: self.parents,
+                    owner: self.owner,
+                    hybrid: self.hyb.map(|h| [h.bitmap, h.visited]),
+                    compact: self.compact,
+                }),
+                idle_batch,
+            ),
         };
-        RunBuffers { n: self.graph.num_vertices(), queues: self.queues, labels }
+        RunBuffers { n: self.graph.num_vertices(), queues: self.queues, labels, batch }
     }
 
     /// This level's input queue set.
@@ -1303,17 +1338,80 @@ mod tests {
         assert_eq!(levels_at(&bufs), before, "the same shape reuses the arrays");
     }
 
+    /// Batches on one pool: a batch the parked batch state fits (the
+    /// same shape, or fewer queries) reuses its arrays; a single-source
+    /// run in between leaves them parked; a larger batch, a parents flip
+    /// or a hybrid flip re-keys them to exactly what that batch needs.
+    /// Every answer equals serial BFS.
+    #[test]
+    fn batch_arrays_park_and_reuse_across_runs() {
+        use crate::driver::{try_run_batch_on_pool, try_run_on_pool};
+        use crate::options::{Algorithm, HybridPolicy};
+        let g = gen::erdos_renyi(500, 4000, 3);
+        let n = 500;
+        let pool = LevelPool::new(3);
+        let base = BfsOptions { threads: 3, ..Default::default() };
+        let with_parents = BfsOptions { record_parents: true, ..base.clone() };
+        let hybrid =
+            BfsOptions { hybrid: Some(HybridPolicy::default()), ..with_parents.clone() };
+        // (levels pointer, level slots, parents, hybrid words) of the
+        // parked batch arrays.
+        let parked = || {
+            let bufs = pool.take_parked::<RunBuffers>().expect("a run parks its buffers");
+            let a = bufs.batch.as_ref().expect("batch state parked");
+            let key = (
+                a.levels.row(0, 1).as_ptr(),
+                a.levels.len(),
+                a.parents.is_some(),
+                a.front_by.is_some(),
+            );
+            pool.park(bufs);
+            key
+        };
+        let batch = |sources: &[u32], o: &BfsOptions| {
+            let b =
+                try_run_batch_on_pool(Algorithm::Bfscl, &g, sources, o, &pool, None).unwrap();
+            for qr in &b.queries {
+                assert_eq!(qr.levels, crate::serial::serial_bfs(&g, qr.source).levels);
+            }
+        };
+        batch(&[0, 1, 2, 3, 4], &base);
+        let first = parked();
+        assert_eq!((first.1, first.2, first.3), (n * 5, false, false));
+        batch(&[7, 8, 9, 10, 11], &base);
+        assert_eq!(parked(), first, "the same shape reuses the arrays");
+        batch(&[20, 20, 21], &base);
+        assert_eq!(parked(), first, "a smaller batch reuses the arrays");
+        let r = try_run_on_pool(Algorithm::Bfscl, &g, 5, &with_parents, &pool, None).unwrap();
+        assert_eq!(r.levels, crate::serial::serial_bfs(&g, 5).levels);
+        assert_eq!(parked(), first, "a single-source run leaves them parked");
+        batch(&[30, 31, 32, 33, 34, 35, 36, 37, 38], &base);
+        let grown = parked();
+        assert_eq!((grown.1, grown.2, grown.3), (n * 9, false, false), "a larger k re-keys");
+        batch(&[1, 2], &with_parents);
+        let p = parked();
+        assert_eq!((p.1, p.2, p.3), (n * 2, true, false), "a parents flip re-keys");
+        batch(&[3, 4], &hybrid);
+        let h = parked();
+        assert_eq!((h.1, h.2, h.3), (n * 2, true, true), "a hybrid flip re-keys");
+        // The label arrays of the single-source run stayed parked too.
+        let bufs = pool.take_parked::<RunBuffers>().unwrap();
+        assert!(bufs.labels.as_ref().is_some_and(|l| l.parents.is_some()));
+    }
+
     #[test]
     fn batch_state_leaves_single_source_arrays_idle() {
         let g = gen::path(40);
         let o = BfsOptions { threads: 2, record_parents: true, ..Default::default() };
-        let bufs = RunBuffers::new(40, &o, true);
-        let st = RunState::from_buffers(&g, &o, None, bufs, Some(&[0, 5]));
+        let mut bufs = RunBuffers::new(40, &o, None);
+        bufs.batch = Some(BatchState::new(40, &[0, 5], true, false));
+        let st = RunState::from_buffers(&g, &o, None, bufs, true);
         assert!(st.levels.is_empty() && st.parents.is_none() && st.compact.is_none());
         let bufs = st.into_buffers();
         let labels = bufs.labels.expect("the idle label arrays come back");
         assert_eq!(labels.levels.len(), 40);
         assert!(labels.parents.is_some());
+        assert!(bufs.batch.is_some(), "and so does the batch state");
     }
 
     #[test]

@@ -188,7 +188,11 @@ pub struct QueryResponse {
     /// The traversal result; `None` when the query never ran (shed at
     /// pop time, or failed before producing anything). Partial for
     /// `Cancelled` / `DeadlineExceeded` mid-run responses.
-    pub result: Option<BfsResult>,
+    ///
+    /// Shared, not copied: every query a coalesced run answered for the
+    /// same source holds a clone of one `Arc`, whose stats are the
+    /// batched run's. A solo query's answer is its own.
+    pub result: Option<Arc<BfsResult>>,
     /// Times the query was re-run (pool failure / degraded retry).
     pub retries: u32,
     /// Queue wait before the first run attempt, in clock ticks.
@@ -608,45 +612,6 @@ fn extract_members(queue: &mut VecDeque<Job>, leader: &Job, extra: usize) -> Vec
     members
 }
 
-/// Book-keep and send one query's terminal response. Counters and the
-/// terminal span are recorded BEFORE responding: a caller returning
-/// from `wait()` must observe its own query in the stats, and the
-/// channel's send/recv pair is the happens-before edge that makes the
-/// relaxed counter increments visible to it.
-#[allow(clippy::too_many_arguments)]
-fn respond(
-    shared: &Shared,
-    cfg: &EngineConfig,
-    tele: &EngineTelemetry,
-    job: Job,
-    status: QueryStatus,
-    result: Option<BfsResult>,
-    retries: u32,
-    wait_ns: u64,
-) {
-    let total_ns = cfg.clock.now_ns().saturating_sub(job.submitted_ns);
-    let response =
-        QueryResponse { id: job.id, status: status.clone(), result, retries, wait_ns, total_ns };
-    {
-        let mut st = shared.lock();
-        st.in_flight -= 1;
-        tele.in_flight.set(st.in_flight as i64);
-    }
-    tele.retries.add(u64::from(retries));
-    tele.wait_us.record(wait_ns / 1_000);
-    tele.total_us.record(total_ns / 1_000);
-    let (counter, terminal) = match status {
-        QueryStatus::Complete => (&tele.completed, stage::COMPLETE),
-        QueryStatus::Degraded => (&tele.degraded, stage::DEGRADED),
-        QueryStatus::Cancelled => (&tele.cancelled, stage::CANCELLED),
-        QueryStatus::DeadlineExceeded => (&tele.deadline_exceeded, stage::DEADLINE_EXCEEDED),
-        QueryStatus::Failed(_) => (&tele.failed, stage::FAILED),
-    };
-    counter.inc();
-    tele.span(job.id, terminal, u64::from(retries));
-    let _ = job.tx.send(response);
-}
-
 fn pop_status(cause: obfs_sync::CancelCause) -> QueryStatus {
     match cause {
         obfs_sync::CancelCause::Cancelled => QueryStatus::Cancelled,
@@ -654,12 +619,20 @@ fn pop_status(cause: obfs_sync::CancelCause) -> QueryStatus {
     }
 }
 
-/// Fold any pool rebuilds since the last sync into the registry
-/// counter. Called BEFORE the affected responses go out so a waiter
-/// reading `stats()` after `wait()` sees the rebuilds its query caused.
-fn sync_rebuilds(tele: &EngineTelemetry, seen: &mut u64, now: u64) {
-    tele.pool_rebuilds.add(now.saturating_sub(*seen));
-    *seen = now;
+/// The scheduler thread's state: the engine's shared queue, graphs,
+/// configuration and telemetry, plus the worker pool, the backoff jitter
+/// stream and the rebuild count already folded into the telemetry.
+/// Owned by [`scheduler_loop`]; pool ownership never leaves it.
+struct Scheduler<'a> {
+    shared: &'a Shared,
+    graph: &'a CsrGraph,
+    in_edges: &'a CsrGraph,
+    cfg: &'a EngineConfig,
+    tele: &'a EngineTelemetry,
+    pm: PoolManager,
+    rng: Xoshiro256StarStar,
+    /// Pool rebuilds already added to the telemetry counter.
+    seen_rebuilds: u64,
 }
 
 fn scheduler_loop(
@@ -673,9 +646,16 @@ fn scheduler_loop(
     // SPAN mirrors interleave with worker traces; it is parked in the
     // telemetry object at shutdown. No-op (None at exit) otherwise.
     flight::install(4096, std::time::Instant::now());
-    let mut pm = PoolManager::new(cfg.threads);
-    let mut rng = Xoshiro256StarStar::new(cfg.seed);
-    let mut seen_rebuilds = 0u64;
+    let mut sched = Scheduler {
+        shared,
+        graph,
+        in_edges,
+        cfg,
+        tele,
+        pm: PoolManager::new(cfg.threads),
+        rng: Xoshiro256StarStar::new(cfg.seed),
+        seen_rebuilds: 0,
+    };
     let max_batch = cfg.max_batch.clamp(1, obfs_core::MAX_BATCH);
     loop {
         let job = {
@@ -698,7 +678,7 @@ fn scheduler_loop(
         if let Some(cause) = job.token.check() {
             // Resolved at pop time: the query never runs (a cancelled or
             // expired queue slot costs no pool time at all).
-            respond(shared, cfg, tele, job, pop_status(cause), None, 0, wait_ns);
+            sched.respond(job, pop_status(cause), None, 0, wait_ns);
             continue;
         }
         // Coalesce: a deadline-free leader adopts every compatible
@@ -717,32 +697,19 @@ fn scheduler_loop(
             tele.span(m.id, stage::COALESCED, job.id);
             match m.token.check() {
                 // Same pop-time resolution as a solo pop.
-                Some(cause) => respond(shared, cfg, tele, m, pop_status(cause), None, 0, w),
+                Some(cause) => sched.respond(m, pop_status(cause), None, 0, w),
                 None => live.push((m, w)),
             }
         }
         if live.is_empty() {
             tele.span(job.id, stage::RUN_START, 1);
             tele.running.set(1);
-            let (status, result, retries) =
-                run_with_retry(&job, graph, in_edges, cfg, &mut pm, &mut rng, tele);
+            let (status, result, retries) = sched.run_with_retry(&job);
             tele.running.set(0);
-            sync_rebuilds(tele, &mut seen_rebuilds, pm.rebuilds());
-            respond(shared, cfg, tele, job, status, result, retries, wait_ns);
+            sched.sync_rebuilds();
+            sched.respond(job, status, result.map(Arc::new), retries, wait_ns);
         } else {
-            run_batch_coalesced(
-                shared,
-                graph,
-                in_edges,
-                cfg,
-                &mut pm,
-                &mut rng,
-                tele,
-                &mut seen_rebuilds,
-                job,
-                live,
-                wait_ns,
-            );
+            sched.run_batch_coalesced(job, live, wait_ns);
         }
     }
 }
@@ -761,151 +728,177 @@ fn run_opts(cfg: &EngineConfig, tele: &EngineTelemetry, record_parents: bool) ->
     }
 }
 
-/// Run the leader plus its adopted members as one batched traversal and
-/// fan the per-query results back out. A coalesced run carries no cancel
-/// token: its members are deadline-free by construction, and a cancel
-/// that arrives after the pop is not honored — the batch runs to the
-/// end and every member gets the batch's outcome. A pool failure retries
-/// the whole batch after the same backoff as a solo query
-/// ([`backoff_delay`]).
-#[allow(clippy::too_many_arguments)]
-fn run_batch_coalesced(
-    shared: &Shared,
-    graph: &CsrGraph,
-    in_edges: &CsrGraph,
-    cfg: &EngineConfig,
-    pm: &mut PoolManager,
-    rng: &mut Xoshiro256StarStar,
-    tele: &EngineTelemetry,
-    seen_rebuilds: &mut u64,
-    leader: Job,
-    members: Vec<(Job, u64)>,
-    leader_wait_ns: u64,
-) {
-    let opts = run_opts(cfg, tele, leader.query.record_parents);
-    // Duplicate sources share one kernel column: hot-key workloads
-    // (many queries for a few popular sources) collapse to one traversal
-    // slot per *distinct* source, while the batch still answers every
-    // adopted query. `col[i]` maps query `i` to its column in `distinct`.
-    let k = 1 + members.len();
-    let mut distinct: Vec<VertexId> = Vec::with_capacity(k);
-    let col: Vec<usize> = std::iter::once(leader.query.src)
-        .chain(members.iter().map(|(m, _)| m.query.src))
-        .map(|s| {
-            distinct.iter().position(|&d| d == s).unwrap_or_else(|| {
-                distinct.push(s);
-                distinct.len() - 1
-            })
-        })
-        .collect();
-    tele.span(leader.id, stage::RUN_START, k as u64);
-    for (m, _) in &members {
-        tele.span(m.id, stage::RUN_START, k as u64);
+impl Scheduler<'_> {
+    /// Book-keep and send one query's terminal response. Counters and
+    /// the terminal span are recorded BEFORE responding: a caller
+    /// returning from `wait()` must observe its own query in the stats,
+    /// and the channel's send/recv pair is the happens-before edge that
+    /// makes the relaxed counter increments visible to it.
+    fn respond(
+        &self,
+        job: Job,
+        status: QueryStatus,
+        result: Option<Arc<BfsResult>>,
+        retries: u32,
+        wait_ns: u64,
+    ) {
+        let tele = self.tele;
+        let total_ns = self.cfg.clock.now_ns().saturating_sub(job.submitted_ns);
+        let response = QueryResponse {
+            id: job.id,
+            status: status.clone(),
+            result,
+            retries,
+            wait_ns,
+            total_ns,
+        };
+        {
+            let mut st = self.shared.lock();
+            st.in_flight -= 1;
+            tele.in_flight.set(st.in_flight as i64);
+        }
+        tele.retries.add(u64::from(retries));
+        tele.wait_us.record(wait_ns / 1_000);
+        tele.total_us.record(total_ns / 1_000);
+        let (counter, terminal) = match status {
+            QueryStatus::Complete => (&tele.completed, stage::COMPLETE),
+            QueryStatus::Degraded => (&tele.degraded, stage::DEGRADED),
+            QueryStatus::Cancelled => (&tele.cancelled, stage::CANCELLED),
+            QueryStatus::DeadlineExceeded => (&tele.deadline_exceeded, stage::DEADLINE_EXCEEDED),
+            QueryStatus::Failed(_) => (&tele.failed, stage::FAILED),
+        };
+        counter.inc();
+        tele.span(job.id, terminal, u64::from(retries));
+        let _ = job.tx.send(response);
     }
-    tele.running.set(k as i64);
-    let mut attempt = 0u32;
-    let run = loop {
-        match obfs_core::driver::try_run_batch_on_pool(
-            leader.query.algo,
-            graph,
-            &distinct,
-            &opts,
-            pm.pool(),
-            Some(in_edges),
-        ) {
-            Ok(b) => break Ok(b),
-            Err(_) if attempt < cfg.max_retries => {
-                attempt += 1;
-                tele.span(leader.id, stage::RETRY, u64::from(attempt));
-                std::thread::sleep(backoff_delay(cfg, rng, attempt));
-            }
-            Err(e) => break Err(e),
-        }
-    };
-    tele.running.set(0);
-    sync_rebuilds(tele, seen_rebuilds, pm.rebuilds());
-    tele.batched_runs.inc();
-    tele.queries_coalesced.add(k as u64);
-    tele.batch_occupancy.record(k as u64);
-    let jobs = std::iter::once((leader, leader_wait_ns)).chain(members);
-    match run {
-        Ok(b) => {
-            let status = match b.stats.outcome {
-                Outcome::Degraded => QueryStatus::Degraded,
-                _ => QueryStatus::Complete,
-            };
-            // Fan the per-column results back out: the last query on a
-            // column moves the label arrays, earlier duplicates clone.
-            let mut remaining = vec![0usize; distinct.len()];
-            for &c in &col {
-                remaining[c] += 1;
-            }
-            let mut columns: Vec<Option<_>> = b.queries.into_iter().map(Some).collect();
-            for ((j, w), c) in jobs.zip(col) {
-                remaining[c] -= 1;
-                let q = if remaining[c] == 0 {
-                    columns[c].take().expect("column responded early")
-                } else {
-                    columns[c].clone().expect("column responded early")
-                };
-                let result = Some(q.into_bfs_result(&b.stats));
-                respond(shared, cfg, tele, j, status.clone(), result, attempt, w);
-            }
-        }
-        Err(e) => {
-            let msg = e.to_string();
-            for (j, w) in jobs {
-                respond(shared, cfg, tele, j, QueryStatus::Failed(msg.clone()), None, attempt, w);
-            }
-        }
-    }
-}
 
-/// Run one admitted query, retrying pool failures with seeded-jitter
-/// exponential backoff. Returns the terminal status, the result if any,
-/// and the retry count.
-fn run_with_retry(
-    job: &Job,
-    graph: &CsrGraph,
-    in_edges: &CsrGraph,
-    cfg: &EngineConfig,
-    pm: &mut PoolManager,
-    rng: &mut Xoshiro256StarStar,
-    tele: &EngineTelemetry,
-) -> (QueryStatus, Option<BfsResult>, u32) {
-    let opts = BfsOptions {
-        chaos: job.query.chaos,
-        cancel: Some(job.token.clone()),
-        ..run_opts(cfg, tele, job.query.record_parents)
-    };
-    let mut attempt = 0u32;
-    loop {
-        let run = obfs_core::driver::try_run_on_pool(
-            job.query.algo,
-            graph,
-            job.query.src,
-            &opts,
-            pm.pool(),
-            Some(in_edges),
-        );
-        match run {
-            Ok(r) => match r.stats.outcome {
-                Outcome::Cancelled => return (QueryStatus::Cancelled, Some(r), attempt),
-                Outcome::DeadlineExceeded => {
-                    return (QueryStatus::DeadlineExceeded, Some(r), attempt)
+    /// Fold any pool rebuilds since the last sync into the registry
+    /// counter. Called BEFORE the affected responses go out so a waiter
+    /// reading `stats()` after `wait()` sees the rebuilds its query
+    /// caused.
+    fn sync_rebuilds(&mut self) {
+        let now = self.pm.rebuilds();
+        self.tele.pool_rebuilds.add(now.saturating_sub(self.seen_rebuilds));
+        self.seen_rebuilds = now;
+    }
+
+    /// Run the leader plus its adopted members as one batched traversal
+    /// and fan the answers back out: one `Arc` per distinct source,
+    /// cloned into every query on it. A coalesced run carries no cancel
+    /// token: its members are deadline-free by construction, and a cancel
+    /// that arrives after the pop is not honored — the batch runs to the
+    /// end and every member gets the batch's outcome. A pool failure
+    /// retries the whole batch after the same backoff as a solo query
+    /// ([`backoff_delay`]).
+    fn run_batch_coalesced(&mut self, leader: Job, members: Vec<(Job, u64)>, leader_wait_ns: u64) {
+        let (cfg, tele) = (self.cfg, self.tele);
+        let opts = run_opts(cfg, tele, leader.query.record_parents);
+        // Duplicate sources share one kernel column: hot-key workloads
+        // (many queries for a few popular sources) collapse to one
+        // traversal slot per *distinct* source, while the batch still
+        // answers every adopted query. `col[i]` maps query `i` to its
+        // column in `distinct`.
+        let k = 1 + members.len();
+        let mut distinct: Vec<VertexId> = Vec::with_capacity(k);
+        let col: Vec<usize> = std::iter::once(leader.query.src)
+            .chain(members.iter().map(|(m, _)| m.query.src))
+            .map(|s| {
+                distinct.iter().position(|&d| d == s).unwrap_or_else(|| {
+                    distinct.push(s);
+                    distinct.len() - 1
+                })
+            })
+            .collect();
+        tele.span(leader.id, stage::RUN_START, k as u64);
+        for (m, _) in &members {
+            tele.span(m.id, stage::RUN_START, k as u64);
+        }
+        tele.running.set(k as i64);
+        let mut attempt = 0u32;
+        let run = loop {
+            match obfs_core::driver::try_run_batch_on_pool(
+                leader.query.algo,
+                self.graph,
+                &distinct,
+                &opts,
+                self.pm.pool(),
+                Some(self.in_edges),
+            ) {
+                Ok(b) => break Ok(b),
+                Err(_) if attempt < cfg.max_retries => {
+                    attempt += 1;
+                    tele.span(leader.id, stage::RETRY, u64::from(attempt));
+                    std::thread::sleep(backoff_delay(cfg, &mut self.rng, attempt));
                 }
-                Outcome::Degraded => return (QueryStatus::Degraded, Some(r), attempt),
-                Outcome::Complete => return (QueryStatus::Complete, Some(r), attempt),
-            },
-            Err(e) if attempt < cfg.max_retries => {
-                attempt += 1;
-                let _ = e;
-                tele.span(job.id, stage::RETRY, u64::from(attempt));
-                if let Some(s) = backoff(job, cfg, rng, attempt) {
-                    return s;
+                Err(e) => break Err(e),
+            }
+        };
+        tele.running.set(0);
+        self.sync_rebuilds();
+        tele.batched_runs.inc();
+        tele.queries_coalesced.add(k as u64);
+        tele.batch_occupancy.record(k as u64);
+        let jobs = std::iter::once((leader, leader_wait_ns)).chain(members);
+        match run {
+            Ok(b) => {
+                let status = match b.stats.outcome {
+                    Outcome::Degraded => QueryStatus::Degraded,
+                    _ => QueryStatus::Complete,
+                };
+                let answers: Vec<Arc<BfsResult>> =
+                    b.queries.into_iter().map(|q| Arc::new(q.into_bfs_result(&b.stats))).collect();
+                for ((j, w), c) in jobs.zip(col) {
+                    self.respond(j, status.clone(), Some(Arc::clone(&answers[c])), attempt, w);
                 }
             }
-            Err(e) => return (QueryStatus::Failed(e.to_string()), None, attempt),
+            Err(e) => {
+                let msg = e.to_string();
+                for (j, w) in jobs {
+                    self.respond(j, QueryStatus::Failed(msg.clone()), None, attempt, w);
+                }
+            }
+        }
+    }
+
+    /// Run one admitted query, retrying pool failures with seeded-jitter
+    /// exponential backoff. Returns the terminal status, the result if
+    /// any, and the retry count.
+    fn run_with_retry(&mut self, job: &Job) -> (QueryStatus, Option<BfsResult>, u32) {
+        let cfg = self.cfg;
+        let opts = BfsOptions {
+            chaos: job.query.chaos,
+            cancel: Some(job.token.clone()),
+            ..run_opts(cfg, self.tele, job.query.record_parents)
+        };
+        let mut attempt = 0u32;
+        loop {
+            let run = obfs_core::driver::try_run_on_pool(
+                job.query.algo,
+                self.graph,
+                job.query.src,
+                &opts,
+                self.pm.pool(),
+                Some(self.in_edges),
+            );
+            match run {
+                Ok(r) => {
+                    let status = match r.stats.outcome {
+                        Outcome::Cancelled => QueryStatus::Cancelled,
+                        Outcome::DeadlineExceeded => QueryStatus::DeadlineExceeded,
+                        Outcome::Degraded => QueryStatus::Degraded,
+                        Outcome::Complete => QueryStatus::Complete,
+                    };
+                    return (status, Some(r), attempt);
+                }
+                Err(_) if attempt < cfg.max_retries => {
+                    attempt += 1;
+                    self.tele.span(job.id, stage::RETRY, u64::from(attempt));
+                    if let Some(s) = backoff(job, cfg, &mut self.rng, attempt) {
+                        return s;
+                    }
+                }
+                Err(e) => return (QueryStatus::Failed(e.to_string()), None, attempt),
+            }
         }
     }
 }
@@ -1134,6 +1127,67 @@ mod tests {
             }
         }
         panic!("48-query bursts never coalesced in 5 rounds");
+    }
+
+    /// One coalesced run shares answers: queries on the same source get
+    /// clones of one `Arc`, queries on distinct sources distinct ones,
+    /// and each is the exact BFS from its source.
+    #[test]
+    fn coalesced_queries_on_one_source_share_one_answer() {
+        let g = gen::erdos_renyi(500, 3000, 5);
+        let in_edges = g.transpose();
+        let cfg = EngineConfig { threads: 2, ..Default::default() };
+        let tele = EngineTelemetry::new(&cfg.clock);
+        let sources = [7u32, 3, 7, 7, 9];
+        let shared = Shared {
+            state: Mutex::new(EngineState {
+                queue: VecDeque::new(),
+                in_flight: sources.len(),
+                shutdown: false,
+                next_id: sources.len() as u64,
+            }),
+            work: Condvar::new(),
+        };
+        let mut sched = Scheduler {
+            shared: &shared,
+            graph: &g,
+            in_edges: &in_edges,
+            cfg: &cfg,
+            tele: &tele,
+            pm: PoolManager::new(cfg.threads),
+            rng: Xoshiro256StarStar::new(cfg.seed),
+            seen_rebuilds: 0,
+        };
+        let (jobs, replies): (Vec<_>, Vec<_>) = sources
+            .iter()
+            .zip(0..)
+            .map(|(&src, id)| {
+                let (tx, rx) = mpsc::channel();
+                let token = CancelToken::new(&cfg.clock);
+                let query = Query::new(Algorithm::Bfscl, src);
+                (Job { id, query, token, deadline_abs: None, tx, submitted_ns: 0 }, rx)
+            })
+            .unzip();
+        let mut jobs = jobs.into_iter();
+        let leader = jobs.next().expect("five jobs");
+        sched.run_batch_coalesced(leader, jobs.map(|j| (j, 0)).collect(), 0);
+        let answers: Vec<Arc<BfsResult>> = replies
+            .iter()
+            .map(|rx| {
+                let resp = rx.recv().expect("every query gets a response");
+                assert_eq!(resp.status, QueryStatus::Complete);
+                resp.result.expect("a complete query carries a result")
+            })
+            .collect();
+        for (i, a) in answers.iter().enumerate() {
+            assert_eq!(a.levels, obfs_core::serial::serial_bfs(&g, sources[i]).levels, "query {i}");
+            for (j, b) in answers.iter().enumerate() {
+                let same = sources[i] == sources[j];
+                assert_eq!(Arc::ptr_eq(a, b), same, "queries {i} and {j}");
+            }
+        }
+        let st = tele.stats();
+        assert_eq!((st.completed, st.batched_runs, st.queries_coalesced), (5, 1, 5));
     }
 
     /// Deadlined and chaos-carrying queries never join a batch: the

@@ -6,14 +6,15 @@
 //! records into them — the racy cells and [`crate::SpinBarrier`] — has
 //! no handle to the worker it runs on. [`WorkerHooks`] installs the ones
 //! a run asks for and is the one place they come off again:
-//! [`WorkerHooks::finish`] removes both and returns what they recorded,
-//! and dropping an unfinished guard — a worker unwinding from a panic —
-//! removes them too. So a later run on the same OS thread always starts
-//! clean, and the worker pool's panic handler needs to know nothing
-//! about hooks.
+//! [`WorkerHooks::finish`] removes both and returns the flight ring
+//! (a run reads its fault counts from [`crate::chaos::faults_injected`]
+//! at level ends), and dropping an unfinished guard — a worker unwinding
+//! from a panic — removes them too. So a later run on the same OS thread
+//! always starts clean, and the worker pool's panic handler needs to know
+//! nothing about hooks.
 //!
 //! The guard adds no synchronization: every hook stays thread-owned,
-//! and the [`WorkerDump`] crosses threads only through the caller's
+//! and the returned ring crosses threads only through the caller's
 //! per-thread slot and the pool join, as the rings always have.
 
 use crate::cancel::CancelToken;
@@ -21,17 +22,6 @@ use crate::chaos::{self, ChaosConfig};
 use crate::flight::{self, RingDump};
 use std::marker::PhantomData;
 use std::time::Instant;
-
-/// What one worker's hooks recorded, returned by [`WorkerHooks::finish`].
-#[derive(Debug, Default)]
-pub struct WorkerDump {
-    /// Faults the chaos plan injected (0 without a plan or without the
-    /// `chaos` feature).
-    pub injected_faults: u64,
-    /// The drained flight ring (`None` without a recorder or without
-    /// the `trace` feature).
-    pub ring: Option<RingDump>,
-}
 
 /// The current thread's installed worker hooks; see the module docs.
 /// Not `Send`: the hooks live in this thread's thread-locals.
@@ -66,9 +56,10 @@ impl WorkerHooks {
         guard
     }
 
-    /// Remove both hooks (flushing the chaos plan's deferred
-    /// stores) and return what they recorded.
-    pub fn finish(self) -> WorkerDump {
+    /// Remove both hooks (flushing the chaos plan's deferred stores)
+    /// and return the drained flight ring (`None` without a recorder or
+    /// without the `trace` feature).
+    pub fn finish(self) -> Option<RingDump> {
         std::mem::forget(self);
         uninstall_all()
     }
@@ -80,8 +71,9 @@ impl Drop for WorkerHooks {
     }
 }
 
-fn uninstall_all() -> WorkerDump {
-    WorkerDump { injected_faults: chaos::uninstall(), ring: flight::uninstall() }
+fn uninstall_all() -> Option<RingDump> {
+    chaos::uninstall();
+    flight::uninstall()
 }
 
 #[cfg(test)]
@@ -110,12 +102,12 @@ mod tests {
         let cell = RacyU32::new(0);
         cell.store(1);
         flight::record(flight::kind::LEVEL_START, 0, 0, 0);
-        let dump = hooks.finish();
+        assert_eq!(chaos::faults_injected() > 0, cfg!(feature = "chaos"));
+        let ring = hooks.finish();
         assert!(all_inactive(), "finish must remove every hook");
         assert_eq!(cell.load(), 1, "finish must flush deferred stores");
-        assert_eq!(dump.injected_faults > 0, cfg!(feature = "chaos"));
         // With `chaos` the deferral is recorded too, as a FAULT event.
-        let ring = dump.ring.map(|r| r.events.into_iter().map(|e| e.kind).collect::<Vec<_>>());
+        let ring = ring.map(|r| r.events.into_iter().map(|e| e.kind).collect::<Vec<_>>());
         let expected = if cfg!(feature = "chaos") {
             vec![flight::kind::FAULT, flight::kind::LEVEL_START]
         } else {

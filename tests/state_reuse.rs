@@ -1,16 +1,18 @@
 //! Run-state reuse differential test.
 //!
 //! The driver recycles every n-sized array of a run (both queue sets, the
-//! level/parent/owner arrays, the hybrid bitmaps, the compaction buffers)
-//! through its pool: a finished run parks them, and the next run of the
-//! same shape on that pool starts from them instead of fresh allocations.
-//! Anything one run leaves behind that a later run reads would show up
-//! here as a wrong level. So one `BfsRunner`, and then one `Engine`, serve
-//! long mixed sequences — every parallel algorithm, sources, hybrid and
-//! compaction on and off, parents, owner-array dedup, a change of graph
-//! size, batched runs, pre-cancelled partial runs and (under `chaos`) an
-//! injected worker panic — and every complete answer must equal serial
-//! BFS while every partial one must honor `check_partial`.
+//! level/parent/owner arrays, the hybrid bitmaps, the compaction buffers,
+//! the batch level/parent slots and per-vertex words) through its pool: a
+//! finished run parks them, and the next run of the same shape on that
+//! pool starts from them instead of fresh allocations. Anything one run
+//! leaves behind that a later run reads would show up here as a wrong
+//! level. So one `BfsRunner`, and then one `Engine`, serve long mixed
+//! sequences — every parallel algorithm, sources, hybrid and compaction
+//! on and off, parents, owner-array dedup, a change of graph size,
+//! batches that grow and shrink with duplicate sources, pre-cancelled
+//! partial runs and (under `chaos`) an injected worker panic — and every
+//! complete answer must equal serial BFS while every partial one must
+//! honor `check_partial`.
 //!
 //! ```sh
 //! cargo test --test state_reuse --features chaos,trace
@@ -126,6 +128,85 @@ fn runner_sequence_matches_serial() {
     }
 }
 
+/// Sources for a `k`-query batch with duplicates: every third query
+/// repeats the one before it.
+fn batch_sources(k: usize, salt: usize, n: usize) -> Vec<u32> {
+    let mut v: Vec<u32> = Vec::with_capacity(k);
+    for q in 0..k {
+        let src = match v.last() {
+            Some(&prev) if q % 3 == 2 => prev,
+            _ => ((salt * 131 + q * 97) % n) as u32,
+        };
+        v.push(src);
+    }
+    v
+}
+
+fn check_batch(g: &CsrGraph, sources: &[u32], b: &BatchResult, tag: &str) {
+    assert_eq!(b.queries.len(), sources.len(), "{tag}");
+    for (q, qr) in b.queries.iter().enumerate() {
+        assert_eq!(qr.source, sources[q], "{tag} query {q}");
+        check_complete(g, sources[q], &qr.as_bfs_result(&b.stats), &format!("{tag} query {q}"));
+    }
+}
+
+/// The batch arrays are parked and reused too: one runner serves batches
+/// that grow and shrink (5 → 64 → 3 sources, each with duplicates),
+/// flip parents and hybrid between consecutive batches, and alternate
+/// with single-source runs; a pre-cancelled batch then leaves partial
+/// columns, and the complete batch of the same shape after it is exact.
+#[test]
+fn runner_batch_sequence_matches_serial() {
+    let runner = BfsRunner::new(THREADS);
+    let g = gen::erdos_renyi(1_000, 8_000, 15);
+    let n = g.num_vertices();
+    let shapes = shapes();
+    let base = BfsOptions { threads: THREADS, ..Default::default() };
+    // (batch size, parents, hybrid) of consecutive batches.
+    let plan = [
+        (5, false, false),
+        (64, true, false),
+        (3, true, true),
+        (64, false, true),
+        (5, true, false),
+    ];
+    for (ai, algo) in PARALLEL.into_iter().enumerate() {
+        for (i, &(k, record_parents, hybrid)) in plan.iter().enumerate() {
+            let sources = batch_sources(k, ai * 7 + i, n);
+            let opts = BfsOptions {
+                record_parents,
+                hybrid: hybrid.then(HybridPolicy::default),
+                // Deferred stores and stale loads against recycled slots.
+                chaos: (cfg!(feature = "chaos") && i % 2 == 1).then(|| ChaosConfig::aggressive(9)),
+                ..base.clone()
+            };
+            let tag = format!("{algo} batch {i} (k {k})");
+            check_batch(&g, &sources, &runner.run_batch(algo, &g, &sources, &opts), &tag);
+            // A single-source run between batches leaves the batch arrays
+            // parked and brings the label arrays back.
+            let src = ((ai * 53 + i * 29) % n) as u32;
+            let tag = format!("{algo} solo after batch {i}");
+            let r = runner.run(algo, &g, src, &shapes[(ai + i) % shapes.len()]);
+            check_complete(&g, src, &r, &tag);
+        }
+        let sources = batch_sources(64, ai, n);
+        let opts = BfsOptions {
+            record_parents: true,
+            hybrid: Some(HybridPolicy::default()),
+            ..base.clone()
+        };
+        let b = runner.run_batch(algo, &g, &sources, &pre_cancelled(&opts));
+        assert_eq!(b.stats.outcome, Outcome::Cancelled, "{algo}");
+        for (q, qr) in b.queries.iter().enumerate() {
+            let r = qr.as_bfs_result(&b.stats);
+            check_partial(&g, sources[q], &r, &serial_bfs(&g, sources[q]).levels)
+                .unwrap_or_else(|e| panic!("{algo} query {q}: partial state broken: {e}"));
+        }
+        let tag = format!("{algo} batch after cancel");
+        check_batch(&g, &sources, &runner.run_batch(algo, &g, &sources, &opts), &tag);
+    }
+}
+
 /// An injected worker panic poisons the pool mid-run; the run's buffers
 /// are dropped with it, the manager's rebuilt pool starts with an empty
 /// slot, and the next run — and the one after, which reuses — is exact.
@@ -214,4 +295,53 @@ fn engine_sequence_matches_serial() {
         }
         assert!(e.stats().pool_rebuilds >= 1, "the poisoned pool must have been replaced");
     }
+}
+
+/// The engine coalesces bursts into batched runs on one pool: bursts of
+/// 5, 64 and 3 queries with duplicate sources, parents flipped between
+/// bursts, and a solo query plus a cancelled one between them. Every
+/// complete answer equals serial BFS and every partial one honors
+/// `check_partial`.
+#[test]
+fn engine_batch_sequence_matches_serial() {
+    let g = Arc::new(gen::erdos_renyi(1_000, 8_000, 16));
+    let n = g.num_vertices();
+    let cfg = EngineConfig {
+        threads: 2,
+        capacity: 128,
+        max_batch: 64,
+        max_retries: 0,
+        ..Default::default()
+    };
+    let e = Engine::new(Arc::clone(&g), cfg);
+    let expect_complete = |resp: obfs_engine::QueryResponse, src: u32, tag: &str| {
+        assert_eq!(resp.status, QueryStatus::Complete, "{tag}");
+        check_complete(&g, src, resp.result.as_ref().expect("complete carries a result"), tag);
+    };
+    let bursts = [(5, false), (64, true), (3, false), (64, false), (5, true), (3, true)];
+    let minute = std::time::Duration::from_secs(60);
+    for (round, (k, record_parents)) in bursts.into_iter().enumerate() {
+        let handles: Vec<_> = batch_sources(k, round, n)
+            .into_iter()
+            .map(|src| {
+                let q = Query { record_parents, ..Query::new(Algorithm::Bfscl, src) };
+                (src, e.submit(q).unwrap())
+            })
+            .collect();
+        for (i, (src, h)) in handles.into_iter().enumerate() {
+            expect_complete(h.wait(), src, &format!("burst {round} query {i}"));
+        }
+        // A deadlined query never coalesces: it runs solo on the pool the
+        // batches use.
+        let src = ((round * 211) % n) as u32;
+        let solo = Query::new(Algorithm::Bfscl, src).with_deadline(minute);
+        expect_complete(e.submit(solo).unwrap().wait(), src, &format!("solo after burst {round}"));
+        let h = e.submit(Query::new(Algorithm::Bfscl, src).with_deadline(minute)).unwrap();
+        h.cancel();
+        if let Some(r) = &h.wait().result {
+            check_partial(&g, src, r, &serial_bfs(&g, src).levels)
+                .unwrap_or_else(|e| panic!("cancel after burst {round}: partial state: {e}"));
+        }
+    }
+    assert!(e.stats().batched_runs >= 1, "bursts of up to 64 queries never coalesced");
 }
