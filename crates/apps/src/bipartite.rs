@@ -97,10 +97,7 @@ mod tests {
     #[test]
     fn odd_cycle_is_not() {
         let g = gen::cycle(9);
-        assert!(matches!(
-            bipartition(&g, Algorithm::Bfswl, &opts()),
-            Bipartition::OddCycle { .. }
-        ));
+        assert!(matches!(bipartition(&g, Algorithm::Bfswl, &opts()), Bipartition::OddCycle { .. }));
     }
 
     #[test]

@@ -184,7 +184,15 @@ mod tests {
     #[test]
     fn flow_conservation_holds() {
         let mut net = FlowNetwork::new(5);
-        let arcs = [(0u32, 1u32, 10i64), (0, 2, 5), (1, 2, 15), (1, 3, 9), (2, 3, 10), (3, 4, 12), (2, 4, 3)];
+        let arcs = [
+            (0u32, 1u32, 10i64),
+            (0, 2, 5),
+            (1, 2, 15),
+            (1, 3, 9),
+            (2, 3, 10),
+            (3, 4, 12),
+            (2, 4, 3),
+        ];
         for &(u, v, c) in &arcs {
             net.add_edge(u, v, c);
         }

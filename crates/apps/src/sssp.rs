@@ -107,7 +107,7 @@ mod tests {
         let g = gen::grid2d(10, 10);
         let p = shortest_path(&g, 0, 99, Algorithm::Bfswl, &opts()).unwrap();
         assert_eq!(p.hops(), 18); // (9 + 9)
-        // Consecutive vertices must be adjacent.
+                                  // Consecutive vertices must be adjacent.
         for w in p.vertices.windows(2) {
             assert!(g.neighbors(w[0]).contains(&w[1]));
         }
@@ -141,10 +141,8 @@ mod tests {
         let g = gen::erdos_renyi(300, 1500, 5);
         let seeds = [3u32, 77, 200];
         let multi = multi_source_distances(&g, &seeds, Algorithm::Bfscl, &opts());
-        let singles: Vec<Vec<u32>> = seeds
-            .iter()
-            .map(|&s| run_bfs(Algorithm::Serial, &g, s, &opts()).levels)
-            .collect();
+        let singles: Vec<Vec<u32>> =
+            seeds.iter().map(|&s| run_bfs(Algorithm::Serial, &g, s, &opts()).levels).collect();
         for v in 0..300 {
             let expect = singles.iter().map(|l| l[v]).min().unwrap();
             assert_eq!(multi[v], expect, "vertex {v}");

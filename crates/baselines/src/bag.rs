@@ -127,11 +127,7 @@ impl Bag {
 
     /// Number of elements (sum of pennant sizes).
     pub fn len(&self) -> usize {
-        self.spine
-            .iter()
-            .enumerate()
-            .filter_map(|(k, s)| s.as_ref().map(|_| 1usize << k))
-            .sum()
+        self.spine.iter().enumerate().filter_map(|(k, s)| s.as_ref().map(|_| 1usize << k)).sum()
     }
 
     /// True when the bag holds no elements.

@@ -170,8 +170,7 @@ pub fn beamer_bfs_on_pool(
                                 )
                                 .is_ok()
                             {
-                                nxt[w as usize / 64]
-                                    .fetch_or(1 << (w % 64), Ordering::Relaxed);
+                                nxt[w as usize / 64].fetch_or(1 << (w % 64), Ordering::Relaxed);
                                 my_vertices += 1;
                                 my_edges += graph.degree(w) as u64;
                             }
@@ -187,10 +186,8 @@ pub fn beamer_bfs_on_pool(
             ctx.barrier().wait_then(|| {
                 let nf: u64 = next_vertices.iter().map(|x| x.load(Ordering::Relaxed)).sum();
                 let mf: u64 = next_edges.iter().map(|x| x.load(Ordering::Relaxed)).sum();
-                unexplored_edges.fetch_sub(
-                    mf.min(unexplored_edges.load(Ordering::Relaxed)),
-                    Ordering::Relaxed,
-                );
+                unexplored_edges
+                    .fetch_sub(mf.min(unexplored_edges.load(Ordering::Relaxed)), Ordering::Relaxed);
                 frontier_vertices.store(nf, Ordering::Relaxed);
                 frontier_edges.store(mf, Ordering::Relaxed);
                 depth.store(d, Ordering::Relaxed);

@@ -412,12 +412,7 @@ fn local_queue_read_bitmap<'a>(
 /// no queue-tail contention, sequential memory order). The switch point
 /// is `frontier > n / SCAN_DIVISOR`, mirroring the level-size test the
 /// PACT'11 paper describes.
-fn hybrid<'a>(
-    graph: &'a CsrGraph,
-    src: VertexId,
-    pool: &LevelPool,
-    threads: usize,
-) -> HongRun<'a> {
+fn hybrid<'a>(graph: &'a CsrGraph, src: VertexId, pool: &LevelPool, threads: usize) -> HongRun<'a> {
     /// Frontier fraction above which the read-based scan engine runs.
     const SCAN_DIVISOR: usize = 16;
     let n = graph.num_vertices();

@@ -107,8 +107,13 @@ fn parse_args() -> Result<BombardArgs, String> {
                 // Keep `--flag value` pairs together for BenchArgs.
                 if matches!(
                     other,
-                    "--divisor" | "--threads" | "--sources" | "--seed" | "--graph"
-                        | "--chaos-seed" | "--watchdog-ms"
+                    "--divisor"
+                        | "--threads"
+                        | "--sources"
+                        | "--seed"
+                        | "--graph"
+                        | "--chaos-seed"
+                        | "--watchdog-ms"
                 ) {
                     rest.push(value(other)?);
                 }
@@ -202,8 +207,7 @@ fn drive(
     let cfg = EngineConfig {
         threads: args.base.threads,
         capacity: args.capacity,
-        default_deadline: (args.deadline_ms > 0)
-            .then(|| Duration::from_millis(args.deadline_ms)),
+        default_deadline: (args.deadline_ms > 0).then(|| Duration::from_millis(args.deadline_ms)),
         seed: args.base.seed,
         max_batch,
         ..Default::default()
@@ -211,11 +215,8 @@ fn drive(
     let engine = Engine::new(Arc::clone(graph), cfg);
     #[cfg(feature = "serve-http")]
     let metrics_server = args.metrics_addr.as_deref().map(|addr| {
-        obfs_telemetry::MetricsServer::start(
-            Arc::clone(engine.telemetry().registry()),
-            addr,
-        )
-        .unwrap_or_else(|e| fail(format!("--metrics-addr {addr}: {e}")))
+        obfs_telemetry::MetricsServer::start(Arc::clone(engine.telemetry().registry()), addr)
+            .unwrap_or_else(|e| fail(format!("--metrics-addr {addr}: {e}")))
     });
     // (mode, submitted, terminal, shed) captured mid-run: over HTTP when
     // a responder is up, in-process against the same registry otherwise.
@@ -471,15 +472,8 @@ fn main() {
 
     let contenders = [Algorithm::Bfscl, Algorithm::Bfswsl];
     let mut report = args.base.json.then(|| BenchReport::new("serve", &args.base));
-    let mut cols = vec![
-        "contender",
-        "queries/s",
-        "p50 ms",
-        "p99 ms",
-        "shed",
-        "retries",
-        "rebuilds",
-    ];
+    let mut cols =
+        vec!["contender", "queries/s", "p50 ms", "p99 ms", "shed", "retries", "rebuilds"];
     if args.batch {
         cols.extend(["batch q/s", "occupancy", "speedup"]);
     }

@@ -123,10 +123,7 @@ impl Comparison {
                 "missing".into(),
                 Json::Arr(self.missing.iter().map(|m| Json::Str(m.clone())).collect()),
             ),
-            (
-                "added".into(),
-                Json::Arr(self.added.iter().map(|m| Json::Str(m.clone())).collect()),
-            ),
+            ("added".into(), Json::Arr(self.added.iter().map(|m| Json::Str(m.clone())).collect())),
             (
                 "telemetry".into(),
                 Json::Arr(
@@ -511,8 +508,8 @@ mod tests {
         let opts = CompareOpts { scale_time: 2.0, ..CompareOpts::default() };
         let c = compare(&r, &r, &opts).unwrap();
         assert!(c.failed(), "identity compare with 2x scale must fail");
-        let c = compare(&r, &r, &CompareOpts { scale_time: 1.0, ..CompareOpts::default() })
-            .unwrap();
+        let c =
+            compare(&r, &r, &CompareOpts { scale_time: 1.0, ..CompareOpts::default() }).unwrap();
         assert!(!c.failed());
     }
 
@@ -524,10 +521,7 @@ mod tests {
                     if let Json::Arr(rs) = v {
                         for r in rs {
                             if let Json::Obj(m) = r {
-                                m.push((
-                                    "compacted_levels".into(),
-                                    Json::Num(compacted as f64),
-                                ));
+                                m.push(("compacted_levels".into(), Json::Num(compacted as f64)));
                             }
                         }
                     }
@@ -556,10 +550,8 @@ mod tests {
 
     /// Attach a serve block (qps, p99) to every result of a report.
     fn with_serve(mut doc: Json, qps: f64, p99: f64) -> Json {
-        let serve = Json::Obj(vec![
-            ("qps".into(), Json::Num(qps)),
-            ("p99_ms".into(), Json::Num(p99)),
-        ]);
+        let serve =
+            Json::Obj(vec![("qps".into(), Json::Num(qps)), ("p99_ms".into(), Json::Num(p99))]);
         if let Json::Obj(members) = &mut doc {
             for (k, v) in members.iter_mut() {
                 if k == "results" {
@@ -612,9 +604,7 @@ mod tests {
                 if k == "results" {
                     if let Json::Arr(rs) = v {
                         for r in rs {
-                            if let Some(Json::Obj(serve)) =
-                                r.get("serve").cloned().as_ref()
-                            {
+                            if let Some(Json::Obj(serve)) = r.get("serve").cloned().as_ref() {
                                 let mut serve = serve.clone();
                                 serve.push(("batch".into(), batch.clone()));
                                 if let Json::Obj(m) = r {
@@ -722,8 +712,7 @@ mod tests {
         // A big shed-rate and occupancy shift between reports is
         // surfaced but must not fail the gate on its own.
         let base = with_telemetry(with_serve(report(1.0, 100, 0.05), 200.0, 5.0), 0, 64, 2, 4);
-        let shifted =
-            with_telemetry(with_serve(report(1.0, 100, 0.05), 200.0, 5.0), 32, 32, 8, 64);
+        let shifted = with_telemetry(with_serve(report(1.0, 100, 0.05), 200.0, 5.0), 32, 32, 8, 64);
         let c = compare(&base, &shifted, &CompareOpts::default()).unwrap();
         assert!(!c.failed(), "{}", c.render_table());
         assert_eq!(c.telemetry.len(), 2);
@@ -736,8 +725,12 @@ mod tests {
         assert!(c.to_json().render().contains("shed_rate"));
         // A baseline without the block still gets a note with its side
         // absent.
-        let c = compare(&with_serve(report(1.0, 100, 0.05), 200.0, 5.0), &base, &CompareOpts::default())
-            .unwrap();
+        let c = compare(
+            &with_serve(report(1.0, 100, 0.05), 200.0, 5.0),
+            &base,
+            &CompareOpts::default(),
+        )
+        .unwrap();
         assert!(!c.failed());
         assert!(c.telemetry.iter().all(|t| t.base.is_none() && t.new.is_some()));
         assert!(c.render_table().contains("- -> shed"), "{}", c.render_table());

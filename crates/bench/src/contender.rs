@@ -51,10 +51,7 @@ impl Contender {
     /// The direction-optimizing hybrid rows (`--hybrid` benches): the
     /// two headline optimistic algorithms with the α/β heuristic on.
     pub fn hybrid_roster() -> Vec<Contender> {
-        vec![
-            Contender::OursHybrid(Algorithm::Bfscl),
-            Contender::OursHybrid(Algorithm::Bfswsl),
-        ]
+        vec![Contender::OursHybrid(Algorithm::Bfscl), Contender::OursHybrid(Algorithm::Bfswsl)]
     }
 
     /// Display name used as the table row label.
@@ -221,17 +218,13 @@ mod tests {
         let ser = serial_bfs(&g, 0);
         let mut pool = ContenderPool::new(4);
         let opts = BfsOptions { threads: 4, ..Default::default() };
-        for c in [
-            Contender::OursCompact(Algorithm::Bfscl),
-            Contender::OursCompact(Algorithm::Bfswsl),
-        ] {
+        for c in
+            [Contender::OursCompact(Algorithm::Bfscl), Contender::OursCompact(Algorithm::Bfswsl)]
+        {
             assert!(c.name().ends_with("+cmp"), "{c}");
             let r = pool.run(c, &g, 0, &opts);
             assert_eq!(r.levels, ser.levels, "{c} produced wrong levels");
-            assert!(
-                r.stats.compacted_levels > 0,
-                "{c}: dense ER levels should trigger compaction"
-            );
+            assert!(r.stats.compacted_levels > 0, "{c}: dense ER levels should trigger compaction");
         }
         // Hybrid rows carry compaction too (dense top-down levels may
         // switch to bottom-up instead, so only the option is asserted).

@@ -252,15 +252,8 @@ const COUNTER_KEYS: &[&str] = &[
     "frontier_edges",
 ];
 
-const STEAL_KEYS: &[&str] = &[
-    "attempts",
-    "success",
-    "victim_locked",
-    "victim_idle",
-    "too_small",
-    "stale",
-    "invalid",
-];
+const STEAL_KEYS: &[&str] =
+    &["attempts", "success", "victim_locked", "victim_idle", "too_small", "stale", "invalid"];
 
 /// A `counters` object's values, [`COUNTER_KEYS`] then the nested
 /// [`STEAL_KEYS`], after checking the steal buckets sum to attempts.
@@ -298,8 +291,7 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
         req_u64(params, key, "params")?;
     }
     req_bool(params, "hybrid", "params")?;
-    let results =
-        req(doc, "results", "report")?.as_arr().ok_or("report.results: not an array")?;
+    let results = req(doc, "results", "report")?.as_arr().ok_or("report.results: not an array")?;
     if results.is_empty() {
         return Err("report.results: empty".into());
     }
@@ -357,9 +349,7 @@ fn validate_serve(serve: &Json, at: &str) -> Result<(), String> {
         done += req_u64(serve, key, &at)?;
     }
     if done != submitted {
-        return Err(format!(
-            "{at}: terminal statuses sum to {done} but submitted = {submitted}"
-        ));
+        return Err(format!("{at}: terminal statuses sum to {done} but submitted = {submitted}"));
     }
     if let Some(batch) = serve.get("batch") {
         validate_serve_batch(batch, &at)?;
@@ -473,9 +463,7 @@ fn validate_serve_batch(batch: &Json, at: &str) -> Result<(), String> {
         }
         let mean = coalesced as f64 / runs as f64;
         if (occupancy - mean).abs() > 1e-6 {
-            return Err(format!(
-                "{at}: occupancy {occupancy} != coalesced/runs = {mean}"
-            ));
+            return Err(format!("{at}: occupancy {occupancy} != coalesced/runs = {mean}"));
         }
     }
     Ok(())
@@ -486,9 +474,8 @@ fn validate_series(series: &Json, at: &str) -> Result<(), String> {
     let degraded_levels = req_u64(series, "degraded_levels", &at)?;
     let compacted_levels = req_u64(series, "compacted_levels", &at)?;
     let totals = counters_of(req(series, "totals", &at)?, &format!("{at}.totals"))?;
-    let levels = req(series, "levels", &at)?
-        .as_arr()
-        .ok_or_else(|| format!("{at}.levels: not an array"))?;
+    let levels =
+        req(series, "levels", &at)?.as_arr().ok_or_else(|| format!("{at}.levels: not an array"))?;
     let mut degraded_sum = 0u64;
     let mut compacted_sum = 0u64;
     let mut sums = vec![0u64; totals.len()];
@@ -532,9 +519,7 @@ fn validate_series(series: &Json, at: &str) -> Result<(), String> {
     let keys = keys.chain(STEAL_KEYS.iter().map(|k| format!("steal.{k}")));
     for ((key, sum), total) in keys.zip(sums).zip(totals) {
         if sum != total {
-            return Err(format!(
-                "{at}: sum of per-level {key} = {sum} but totals.{key} = {total}"
-            ));
+            return Err(format!("{at}: sum of per-level {key} = {sum} but totals.{key} = {total}"));
         }
     }
     Ok(())
@@ -661,8 +646,7 @@ mod tests {
         let a = ThreadStats { edges_scanned: 10, ..Default::default() };
         let mut wrong = a;
         wrong.edges_scanned += 1; // totals disagree with the level sum
-        let series =
-            tiny_series(vec![level_entry(&a, false)], thread_stats_json(&wrong), 0);
+        let series = tiny_series(vec![level_entry(&a, false)], thread_stats_json(&wrong), 0);
         let err = validate_report(&report_with_series(series)).unwrap_err();
         assert!(err.contains("edges_scanned"), "{err}");
     }
@@ -670,15 +654,13 @@ mod tests {
     #[test]
     fn validate_rejects_degraded_mismatch_and_bad_steal() {
         let a = ThreadStats::default();
-        let series =
-            tiny_series(vec![level_entry(&a, true)], thread_stats_json(&a), 0);
+        let series = tiny_series(vec![level_entry(&a, true)], thread_stats_json(&a), 0);
         let err = validate_report(&report_with_series(series)).unwrap_err();
         assert!(err.contains("degraded"), "{err}");
 
         let mut bad = ThreadStats::default();
         bad.steal.attempts = 5; // no outcomes recorded
-        let series =
-            tiny_series(vec![level_entry(&bad, false)], thread_stats_json(&bad), 0);
+        let series = tiny_series(vec![level_entry(&bad, false)], thread_stats_json(&bad), 0);
         let err = validate_report(&report_with_series(series)).unwrap_err();
         assert!(err.contains("buckets"), "{err}");
     }
@@ -701,8 +683,7 @@ mod tests {
     #[test]
     fn validate_accepts_compacted_top_down_levels() {
         let a = ThreadStats::default();
-        let series =
-            tiny_series(vec![compacted(level_entry(&a, false))], thread_stats_json(&a), 0);
+        let series = tiny_series(vec![compacted(level_entry(&a, false))], thread_stats_json(&a), 0);
         assert_eq!(series.get("compacted_levels"), Some(&int(1)));
         validate_report(&report_with_series(series)).unwrap();
     }
@@ -752,11 +733,8 @@ mod tests {
     }
 
     fn report_with_serve(serve: Json) -> Json {
-        let mut doc = report_with_series(tiny_series(
-            vec![],
-            thread_stats_json(&ThreadStats::default()),
-            0,
-        ));
+        let mut doc =
+            report_with_series(tiny_series(vec![], thread_stats_json(&ThreadStats::default()), 0));
         let r = first_result(&mut doc);
         remove(r, "series");
         push(r, "serve", serve);
@@ -771,12 +749,10 @@ mod tests {
     #[test]
     fn validate_rejects_serve_conservation_breaks() {
         // Admission leak: submitted + shed != queries.
-        let err =
-            validate_report(&report_with_serve(serve_block(10, 8, 1, 8))).unwrap_err();
+        let err = validate_report(&report_with_serve(serve_block(10, 8, 1, 8))).unwrap_err();
         assert!(err.contains("shed"), "{err}");
         // Status leak: a submitted query with no terminal status.
-        let err =
-            validate_report(&report_with_serve(serve_block(10, 8, 2, 7))).unwrap_err();
+        let err = validate_report(&report_with_serve(serve_block(10, 8, 2, 7))).unwrap_err();
         assert!(err.contains("terminal"), "{err}");
         // Missing percentile key.
         let mut serve = serve_block(10, 8, 2, 8);
@@ -824,27 +800,26 @@ mod tests {
         // Occupancy above max_batch: 3 runs cannot carry 200 queries at
         // max_batch 64.
         let err = validate_report(&report_with_serve(serve_with_batch(batch_block(
-            64, 3, 250, 250.0 / 3.0,
+            64,
+            3,
+            250,
+            250.0 / 3.0,
         ))))
         .unwrap_err();
         assert!(err.contains("max_batch"), "{err}");
         // A "batched" run with a single member is not a batch.
-        let err = validate_report(&report_with_serve(serve_with_batch(batch_block(
-            64, 3, 5, 5.0 / 3.0,
-        ))))
-        .unwrap_err();
+        let err =
+            validate_report(&report_with_serve(serve_with_batch(batch_block(64, 3, 5, 5.0 / 3.0))))
+                .unwrap_err();
         assert!(err.contains("coalesced"), "{err}");
         // Recorded occupancy disagreeing with coalesced/runs.
-        let err = validate_report(&report_with_serve(serve_with_batch(batch_block(
-            64, 2, 128, 63.0,
-        ))))
-        .unwrap_err();
+        let err =
+            validate_report(&report_with_serve(serve_with_batch(batch_block(64, 2, 128, 63.0))))
+                .unwrap_err();
         assert!(err.contains("occupancy"), "{err}");
         // Coalesced queries with zero batched runs.
-        let err = validate_report(&report_with_serve(serve_with_batch(batch_block(
-            64, 0, 7, 0.0,
-        ))))
-        .unwrap_err();
+        let err = validate_report(&report_with_serve(serve_with_batch(batch_block(64, 0, 7, 0.0))))
+            .unwrap_err();
         assert!(err.contains("0 runs"), "{err}");
     }
 
@@ -892,26 +867,22 @@ mod tests {
     fn validate_rejects_telemetry_conservation_breaks() {
         // Registry disagreeing with the measured serve counters.
         let t = telemetry_block(|fin, _| set(fin, "completed", int(7)));
-        let err =
-            validate_report(&report_with_serve(serve_with_telemetry(t))).unwrap_err();
+        let err = validate_report(&report_with_serve(serve_with_telemetry(t))).unwrap_err();
         assert!(err.contains("registry says 7"), "{err}");
         // A mid-run scrape exceeding the final count (counter went
         // backwards between scrape and quiescence).
         let t = telemetry_block(|_, scrape| set(scrape, "submitted", int(9)));
-        let err =
-            validate_report(&report_with_serve(serve_with_telemetry(t))).unwrap_err();
+        let err = validate_report(&report_with_serve(serve_with_telemetry(t))).unwrap_err();
         assert!(err.contains("monotone"), "{err}");
         // Registry percentile disagreeing with the measured histogram
         // by more than one log-histogram bucket (p50_ms is 1.0 in the
         // serve block, so 1000us ± 1/8 is the window).
         let t = telemetry_block(|fin, _| set(fin, "p50_us", int(2000)));
-        let err =
-            validate_report(&report_with_serve(serve_with_telemetry(t))).unwrap_err();
+        let err = validate_report(&report_with_serve(serve_with_telemetry(t))).unwrap_err();
         assert!(err.contains("histogram bucket"), "{err}");
         // An unknown scrape mode.
         let t = telemetry_block(|_, scrape| set(scrape, "mode", s("carrier-pigeon")));
-        let err =
-            validate_report(&report_with_serve(serve_with_telemetry(t))).unwrap_err();
+        let err = validate_report(&report_with_serve(serve_with_telemetry(t))).unwrap_err();
         assert!(err.contains("mode"), "{err}");
     }
 

@@ -371,8 +371,7 @@ fn cmd_bfs(flags: &HashMap<String, String>) -> Result<String, String> {
         let ser = serial_bfs(&g, src);
         obfs_core::validate::check_levels(&r, &ser.levels).map_err(|e| e.to_string())?;
         if r.parents.is_some() {
-            obfs_core::validate::check_self_consistent(&g, src, &r)
-                .map_err(|e| e.to_string())?;
+            obfs_core::validate::check_self_consistent(&g, src, &r).map_err(|e| e.to_string())?;
         }
         let _ = writeln!(out, "validated against serial BFS: OK");
     }
@@ -416,13 +415,8 @@ fn cmd_bfs_batch(
         opts.threads
     );
     for q in &b.queries {
-        let _ = writeln!(
-            out,
-            "  src {:>8}: reached {} of {}",
-            q.source,
-            q.reached(),
-            g.num_vertices()
-        );
+        let _ =
+            writeln!(out, "  src {:>8}: reached {} of {}", q.source, q.reached(), g.num_vertices());
     }
     if has(flags, "validate") {
         for q in &b.queries {
@@ -463,8 +457,7 @@ fn cmd_engine(flags: &HashMap<String, String>) -> Result<String, String> {
     let cfg = EngineConfig {
         threads,
         capacity,
-        default_deadline: (deadline_ms > 0)
-            .then(|| std::time::Duration::from_millis(deadline_ms)),
+        default_deadline: (deadline_ms > 0).then(|| std::time::Duration::from_millis(deadline_ms)),
         seed,
         ..Default::default()
     };
@@ -484,12 +477,10 @@ fn cmd_engine(flags: &HashMap<String, String>) -> Result<String, String> {
     };
     #[cfg(not(feature = "serve-http"))]
     if flags.contains_key("metrics-addr") {
-        return Err(
-            "--metrics-addr needs the `serve-http` feature; rebuild with \
+        return Err("--metrics-addr needs the `serve-http` feature; rebuild with \
              `cargo build --release --features serve-http` (the registry itself is always on: \
              --metrics-out FILE.json writes the final snapshot without the feature)"
-                .into(),
-        );
+            .into());
     }
     // Periodic stderr stats lines: a plain channel as the stop signal so
     // the reporter thread needs no atomics.
@@ -717,15 +708,31 @@ mod tests {
     fn gen_stats_bfs_roundtrip() {
         let path = tmp("g.bin");
         let rep = dispatch(&strs(&[
-            "gen", "--model", "er", "--n", "500", "--edge-factor", "6", "--out", &path,
+            "gen",
+            "--model",
+            "er",
+            "--n",
+            "500",
+            "--edge-factor",
+            "6",
+            "--out",
+            &path,
         ]))
         .unwrap();
         assert!(rep.contains("n=500"));
         let rep = dispatch(&strs(&["stats", "--in", &path])).unwrap();
         assert!(rep.contains("vertices        : 500"));
         let rep = dispatch(&strs(&[
-            "bfs", "--in", &path, "--algo", "BFS_WSL", "--threads", "3", "--validate",
-            "--parents", "--trace",
+            "bfs",
+            "--in",
+            &path,
+            "--algo",
+            "BFS_WSL",
+            "--threads",
+            "3",
+            "--validate",
+            "--parents",
+            "--trace",
         ]))
         .unwrap();
         assert!(rep.contains("validated against serial BFS: OK"), "{rep}");
@@ -736,21 +743,37 @@ mod tests {
     fn bfs_sources_flag_runs_a_validated_batch() {
         let path = tmp("batch.bin");
         dispatch(&strs(&[
-            "gen", "--model", "er", "--n", "600", "--edge-factor", "7", "--out", &path,
+            "gen",
+            "--model",
+            "er",
+            "--n",
+            "600",
+            "--edge-factor",
+            "7",
+            "--out",
+            &path,
         ]))
         .unwrap();
         let rep = dispatch(&strs(&[
-            "bfs", "--in", &path, "--algo", "BFS_WSL", "--threads", "3", "--sources",
-            "0,17,99,300", "--parents", "--validate",
+            "bfs",
+            "--in",
+            &path,
+            "--algo",
+            "BFS_WSL",
+            "--threads",
+            "3",
+            "--sources",
+            "0,17,99,300",
+            "--parents",
+            "--validate",
         ]))
         .unwrap();
         assert!(rep.contains("batched x4"), "{rep}");
         assert!(rep.contains("validated 4 queries against serial BFS: OK"), "{rep}");
         // Errors: mixed flags, bad list entries, out-of-range sources.
-        assert!(dispatch(&strs(&[
-            "bfs", "--in", &path, "--src", "1", "--sources", "0,1",
-        ]))
-        .is_err());
+        assert!(
+            dispatch(&strs(&["bfs", "--in", &path, "--src", "1", "--sources", "0,1",])).is_err()
+        );
         assert!(dispatch(&strs(&["bfs", "--in", &path, "--sources", "0,zebra"])).is_err());
         assert!(dispatch(&strs(&["bfs", "--in", &path, "--sources", "999999"])).is_err());
     }
@@ -759,12 +782,29 @@ mod tests {
     fn hybrid_flags_validate_and_report_directions() {
         let path = tmp("hyb.bin");
         dispatch(&strs(&[
-            "gen", "--model", "er", "--n", "400", "--edge-factor", "20", "--out", &path,
+            "gen",
+            "--model",
+            "er",
+            "--n",
+            "400",
+            "--edge-factor",
+            "20",
+            "--out",
+            &path,
         ]))
         .unwrap();
         let rep = dispatch(&strs(&[
-            "bfs", "--in", &path, "--algo", "BFS_CL", "--threads", "2", "--hybrid",
-            "--validate", "--parents", "--trace",
+            "bfs",
+            "--in",
+            &path,
+            "--algo",
+            "BFS_CL",
+            "--threads",
+            "2",
+            "--hybrid",
+            "--validate",
+            "--parents",
+            "--trace",
         ]))
         .unwrap();
         assert!(rep.contains("validated against serial BFS: OK"), "{rep}");
@@ -773,7 +813,14 @@ mod tests {
         assert!(rep.contains("bu"), "no bottom-up level reported: {rep}");
         // --alpha alone implies --hybrid.
         let rep = dispatch(&strs(&[
-            "bfs", "--in", &path, "--threads", "2", "--alpha", "1000000", "--validate",
+            "bfs",
+            "--in",
+            &path,
+            "--threads",
+            "2",
+            "--alpha",
+            "1000000",
+            "--validate",
         ]))
         .unwrap();
         assert!(rep.contains("hybrid directions:"), "{rep}");
@@ -786,12 +833,29 @@ mod tests {
     fn compaction_flags_validate_and_mark_levels() {
         let path = tmp("cmp.bin");
         dispatch(&strs(&[
-            "gen", "--model", "er", "--n", "600", "--edge-factor", "8", "--out", &path,
+            "gen",
+            "--model",
+            "er",
+            "--n",
+            "600",
+            "--edge-factor",
+            "8",
+            "--out",
+            &path,
         ]))
         .unwrap();
         let rep = dispatch(&strs(&[
-            "bfs", "--in", &path, "--algo", "BFS_CL", "--threads", "3", "--compaction",
-            "--validate", "--parents", "--trace",
+            "bfs",
+            "--in",
+            &path,
+            "--algo",
+            "BFS_CL",
+            "--threads",
+            "3",
+            "--compaction",
+            "--validate",
+            "--parents",
+            "--trace",
         ]))
         .unwrap();
         assert!(rep.contains("validated against serial BFS: OK"), "{rep}");
@@ -808,7 +872,13 @@ mod tests {
         // --compact-density alone implies --compaction; an absurdly high
         // divisor compacts every non-empty level.
         let rep = dispatch(&strs(&[
-            "bfs", "--in", &path, "--threads", "2", "--compact-density", "1000000",
+            "bfs",
+            "--in",
+            &path,
+            "--threads",
+            "2",
+            "--compact-density",
+            "1000000",
             "--validate",
         ]))
         .unwrap();
@@ -822,14 +892,20 @@ mod tests {
     fn bfs_trace_flag_with_path_writes_or_explains() {
         let path = tmp("tracegraph.bin");
         dispatch(&strs(&[
-            "gen", "--model", "er", "--n", "300", "--edge-factor", "5", "--out", &path,
+            "gen",
+            "--model",
+            "er",
+            "--n",
+            "300",
+            "--edge-factor",
+            "5",
+            "--out",
+            &path,
         ]))
         .unwrap();
         let trace = tmp("trace.json");
-        let rep = dispatch(&strs(&[
-            "bfs", "--in", &path, "--threads", "2", "--trace", &trace,
-        ]))
-        .unwrap();
+        let rep =
+            dispatch(&strs(&["bfs", "--in", &path, "--threads", "2", "--trace", &trace])).unwrap();
         // The per-level table is printed either way.
         assert!(rep.contains("level  dir  cmp  frontier"), "{rep}");
         #[cfg(feature = "trace")]
@@ -847,11 +923,26 @@ mod tests {
     fn bfs_histograms_flag_prints_summary() {
         let path = tmp("hist.bin");
         dispatch(&strs(&[
-            "gen", "--model", "er", "--n", "400", "--edge-factor", "8", "--out", &path,
+            "gen",
+            "--model",
+            "er",
+            "--n",
+            "400",
+            "--edge-factor",
+            "8",
+            "--out",
+            &path,
         ]))
         .unwrap();
         let rep = dispatch(&strs(&[
-            "bfs", "--in", &path, "--algo", "BFS_WSL", "--threads", "3", "--histograms",
+            "bfs",
+            "--in",
+            &path,
+            "--algo",
+            "BFS_WSL",
+            "--threads",
+            "3",
+            "--histograms",
             "--validate",
         ]))
         .unwrap();
@@ -860,10 +951,8 @@ mod tests {
         assert!(rep.contains("barrier-wait"), "{rep}");
         assert!(rep.contains("validated against serial BFS: OK"), "{rep}");
         // Serial runs have no worker pool, hence no histograms.
-        let rep = dispatch(&strs(&[
-            "bfs", "--in", &path, "--algo", "sbfs", "--histograms",
-        ]))
-        .unwrap();
+        let rep =
+            dispatch(&strs(&["bfs", "--in", &path, "--algo", "sbfs", "--histograms"])).unwrap();
         assert!(rep.contains("no histograms collected"), "{rep}");
     }
 
@@ -917,8 +1006,7 @@ mod tests {
         // A star via the suite path is overkill; write an edge list.
         let g = gen::star(50);
         save_graph(&path, &g).unwrap();
-        let rep = dispatch(&strs(&["bc", "--in", &path, "--samples", "10", "--top", "1"]))
-            .unwrap();
+        let rep = dispatch(&strs(&["bc", "--in", &path, "--samples", "10", "--top", "1"])).unwrap();
         assert!(rep.contains("v0"), "hub must rank first: {rep}");
     }
 
@@ -938,7 +1026,13 @@ mod tests {
     fn suite_model_and_errors() {
         let path = tmp("wiki.bin");
         let rep = dispatch(&strs(&[
-            "gen", "--model", "suite:wikipedia", "--divisor", "512", "--out", &path,
+            "gen",
+            "--model",
+            "suite:wikipedia",
+            "--divisor",
+            "512",
+            "--out",
+            &path,
         ]))
         .unwrap();
         assert!(rep.contains("wrote"));
@@ -955,12 +1049,31 @@ mod tests {
     fn engine_command_runs_a_batch() {
         let path = tmp("engine.bin");
         dispatch(&strs(&[
-            "gen", "--model", "er", "--n", "400", "--edge-factor", "6", "--out", &path,
+            "gen",
+            "--model",
+            "er",
+            "--n",
+            "400",
+            "--edge-factor",
+            "6",
+            "--out",
+            &path,
         ]))
         .unwrap();
         let rep = dispatch(&strs(&[
-            "engine", "--in", &path, "--algo", "BFS_CL", "--threads", "2", "--queries", "6",
-            "--capacity", "4", "--seed", "7",
+            "engine",
+            "--in",
+            &path,
+            "--algo",
+            "BFS_CL",
+            "--threads",
+            "2",
+            "--queries",
+            "6",
+            "--capacity",
+            "4",
+            "--seed",
+            "7",
         ]))
         .unwrap();
         assert!(rep.contains("engine: BFS_CL x6 queries"), "{rep}");
@@ -976,14 +1089,31 @@ mod tests {
     fn engine_command_sheds_bursts_beyond_capacity() {
         let path = tmp("engine-shed.bin");
         dispatch(&strs(&[
-            "gen", "--model", "er", "--n", "300", "--edge-factor", "5", "--out", &path,
+            "gen",
+            "--model",
+            "er",
+            "--n",
+            "300",
+            "--edge-factor",
+            "5",
+            "--out",
+            &path,
         ]))
         .unwrap();
         // Burst 8 into capacity 2: at least 6 of the first burst must be
         // shed at the door (the gate never queues beyond capacity).
         let rep = dispatch(&strs(&[
-            "engine", "--in", &path, "--threads", "2", "--queries", "8", "--capacity", "2",
-            "--burst", "8",
+            "engine",
+            "--in",
+            &path,
+            "--threads",
+            "2",
+            "--queries",
+            "8",
+            "--capacity",
+            "2",
+            "--burst",
+            "8",
         ]))
         .unwrap();
         let shed: u64 = rep

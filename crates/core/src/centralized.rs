@@ -223,11 +223,8 @@ mod tests {
     #[test]
     fn bfscl_tiny_segments_force_contention() {
         // Segment length 1 maximizes cursor races.
-        let opts = BfsOptions {
-            threads: 8,
-            segment: SegmentPolicy::Fixed(1),
-            ..Default::default()
-        };
+        let opts =
+            BfsOptions { threads: 8, segment: SegmentPolicy::Fixed(1), ..Default::default() };
         for seed in 0..5 {
             let g = gen::erdos_renyi(300, 1800, seed);
             check(Algorithm::Bfscl, &g, (seed % 300) as u32, &opts);

@@ -54,11 +54,7 @@ impl Strategy for Decentralized {
 /// Pools whose queue range contains at least one queue owned by a
 /// worker on `tid`'s socket (always non-empty: `tid`'s own pool
 /// qualifies).
-fn local_pools(
-    env: &LevelEnv<'_, '_>,
-    topo: &obfs_runtime::Topology,
-    tid: usize,
-) -> Vec<usize> {
+fn local_pools(env: &LevelEnv<'_, '_>, topo: &obfs_runtime::Topology, tid: usize) -> Vec<usize> {
     let st = env.st;
     let mut out: Vec<usize> = (0..st.pools())
         .filter(|&j| {
@@ -137,8 +133,8 @@ fn pool_has_work(env: &LevelEnv<'_, '_>, j: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use crate::options::{Algorithm, BfsOptions};
-    use crate::serial::serial_bfs;
     use crate::run_bfs;
+    use crate::serial::serial_bfs;
     use obfs_graph::gen;
 
     fn opts(threads: usize, pools: usize) -> BfsOptions {

@@ -115,10 +115,7 @@ pub fn try_run_on_pool<'g>(
     // leaves the queues in no known state.
     let stats = drive_shared(strategy, &st, src, pool)?;
     let levels: Vec<u32> = (0..n).map(|v| st.levels.get(v)).collect();
-    let parents = st
-        .parents
-        .as_ref()
-        .map(|p| (0..n).map(|v| p.get(v)).collect::<Vec<VertexId>>());
+    let parents = st.parents.as_ref().map(|p| (0..n).map(|v| p.get(v)).collect::<Vec<VertexId>>());
     debug_assert!(levels[src as usize] == 0);
     debug_assert!(parents.as_ref().is_none_or(|p| p[src as usize] == src));
     // An aborted run may have partially consumed its last level L,
@@ -160,10 +157,7 @@ pub fn try_run_batch_on_pool<'g>(
     st.into_buffers().park(pool);
     for qr in &queries {
         debug_assert_eq!(qr.levels[qr.source as usize], 0);
-        debug_assert!(qr
-            .parents
-            .as_ref()
-            .is_none_or(|p| p[qr.source as usize] == qr.source));
+        debug_assert!(qr.parents.as_ref().is_none_or(|p| p[qr.source as usize] == qr.source));
     }
     Ok(crate::batch::BatchResult { queries, stats })
 }
@@ -510,8 +504,7 @@ unsafe fn plan_level(st: &RunState<'_>, level: u32, frontier: usize, mf: u64, go
         if let (Some(_), Some(pol)) = (&st.compact, st.opts.compaction) {
             // Compact only a top-down level of a run that continues, so
             // every level planned compacted runs compacted.
-            plan.compacted =
-                plan.direction == Direction::TopDown && pol.decide(frontier as u64, n);
+            plan.compacted = plan.direction == Direction::TopDown && pol.decide(frontier as u64, n);
             if plan.compacted {
                 if let Some(t) = &st.opts.telemetry {
                     t.compacted_levels.inc();
@@ -542,10 +535,7 @@ unsafe fn plan_level(st: &RunState<'_>, level: u32, frontier: usize, mf: u64, go
 /// (Separated out so the optimistic variants share one implementation of
 /// the zero-on-read protocol.)
 #[inline]
-pub(crate) fn take_slot(
-    queue: &crate::frontier::FrontierQueue,
-    i: usize,
-) -> Option<VertexId> {
+pub(crate) fn take_slot(queue: &crate::frontier::FrontierQueue, i: usize) -> Option<VertexId> {
     if i >= queue.capacity() {
         return None;
     }
@@ -618,8 +608,7 @@ mod tests {
         let g = gen::erdos_renyi(400, 2800, 3);
         let (clock, _hand) = Clock::manual(); // frozen at 0: deadline never passes
         let tok = CancelToken::with_deadline_at(&clock, 1);
-        let opts =
-            BfsOptions { threads: 4, clock, cancel: Some(tok), ..Default::default() };
+        let opts = BfsOptions { threads: 4, clock, cancel: Some(tok), ..Default::default() };
         let r = run_bfs(Algorithm::Bfswsl, &g, 0, &opts);
         assert_eq!(r.stats.outcome, Outcome::Complete);
         assert!(!r.stats.partial);
@@ -645,9 +634,7 @@ mod tests {
         assert_eq!(r.stats.degraded_levels, 0, "frozen clock cannot trip");
         assert_eq!(r.stats.outcome, Outcome::Complete);
         let strict = BfsOptions {
-            watchdog: Some(crate::options::WatchdogPolicy::deadline(
-                std::time::Duration::ZERO,
-            )),
+            watchdog: Some(crate::options::WatchdogPolicy::deadline(std::time::Duration::ZERO)),
             ..base
         };
         let r = run_bfs(Algorithm::Bfscl, &g, 0, &strict);
@@ -680,11 +667,7 @@ mod tests {
     #[test]
     fn level_stats_match_frontier_profile() {
         let g = gen::binary_tree(127); // frontiers 1,2,4,...,64
-        let opts = BfsOptions {
-            threads: 3,
-            collect_level_stats: true,
-            ..Default::default()
-        };
+        let opts = BfsOptions { threads: 3, collect_level_stats: true, ..Default::default() };
         for algo in [Algorithm::Bfsc, Algorithm::Bfscl] {
             let r = run_bfs(algo, &g, 0, &opts);
             let tr = &r.stats.level_stats;
@@ -729,11 +712,7 @@ mod tests {
     #[test]
     fn level_stats_work_for_all_parallel_algorithms() {
         let g = gen::erdos_renyi(300, 2100, 4);
-        let opts = BfsOptions {
-            threads: 4,
-            collect_level_stats: true,
-            ..Default::default()
-        };
+        let opts = BfsOptions { threads: 4, collect_level_stats: true, ..Default::default() };
         for algo in Algorithm::ALL.into_iter().filter(|a| *a != Algorithm::Serial) {
             let r = run_bfs(algo, &g, 0, &opts);
             assert_eq!(r.stats.level_stats.len() as u32, r.stats.levels, "{algo}");
@@ -747,11 +726,7 @@ mod tests {
     fn level_stats_counters_conserve_totals() {
         let g = gen::erdos_renyi(400, 3000, 9);
         for algo in Algorithm::ALL.into_iter().filter(|a| *a != Algorithm::Serial) {
-            let opts = BfsOptions {
-                threads: 4,
-                collect_level_stats: true,
-                ..Default::default()
-            };
+            let opts = BfsOptions { threads: 4, collect_level_stats: true, ..Default::default() };
             let r = run_bfs(algo, &g, 0, &opts);
             let mut sum = crate::stats::ThreadStats::default();
             for e in &r.stats.level_stats {

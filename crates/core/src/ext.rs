@@ -145,8 +145,8 @@ pub(crate) fn consume_edge_ranges(
 #[cfg(test)]
 mod tests {
     use crate::options::{Algorithm, BfsOptions, SegmentPolicy};
-    use crate::serial::serial_bfs;
     use crate::run_bfs;
+    use crate::serial::serial_bfs;
     use obfs_graph::gen;
 
     fn check(g: &obfs_graph::CsrGraph, src: u32, o: &BfsOptions) {
@@ -168,11 +168,7 @@ mod tests {
     fn hub_edges_are_split_not_serialized() {
         // A star's hub level is one vertex with 499 edges; edge dispatch
         // must still cover every edge.
-        let o = BfsOptions {
-            threads: 8,
-            segment: SegmentPolicy::Fixed(16),
-            ..Default::default()
-        };
+        let o = BfsOptions { threads: 8, segment: SegmentPolicy::Fixed(16), ..Default::default() };
         check(&gen::star(500), 0, &o);
     }
 

@@ -176,12 +176,10 @@ impl Profile {
                         w.steal_fail += 1;
                         // Distance to the next barrier entry on this
                         // worker, if the window still contains one.
-                        if let Some(enter) = evs[i + 1..]
-                            .iter()
-                            .find(|n| n.kind == kind::BARRIER_ENTER)
+                        if let Some(enter) =
+                            evs[i + 1..].iter().find(|n| n.kind == kind::BARRIER_ENTER)
                         {
-                            steal_fail_distance_us
-                                .record(enter.ts_us.saturating_sub(e.ts_us));
+                            steal_fail_distance_us.record(enter.ts_us.saturating_sub(e.ts_us));
                         }
                     }
                     kind::STALE_ABORT => {
@@ -191,10 +189,9 @@ impl Profile {
                     _ => {}
                 }
                 // Per-level aggregates.
-                let lv = levels.entry(e.level).or_insert_with(|| LevelProfile {
-                    level: e.level,
-                    ..LevelProfile::default()
-                });
+                let lv = levels
+                    .entry(e.level)
+                    .or_insert_with(|| LevelProfile { level: e.level, ..LevelProfile::default() });
                 match e.kind {
                     kind::SEGMENT_FETCH => lv.fetches += 1,
                     kind::FETCH_RETRY => lv.retries += 1,
@@ -231,8 +228,13 @@ impl Profile {
             .into_values()
             .filter(|l| {
                 l.duration_us != 0
-                    || l.fetches + l.retries + l.stale_aborts + l.steal_success + l.steal_fail
-                        + l.faults + l.degraded
+                    || l.fetches
+                        + l.retries
+                        + l.stale_aborts
+                        + l.steal_success
+                        + l.steal_fail
+                        + l.faults
+                        + l.degraded
                         != 0
             })
             .collect();
@@ -292,17 +294,11 @@ impl Profile {
             ("total_dropped".into(), n(self.total_dropped)),
             ("workers".into(), Json::Arr(workers)),
             ("levels".into(), Json::Arr(levels)),
-            (
-                "steal_fail_distance_us".into(),
-                self.steal_fail_distance_us.to_json(),
-            ),
+            ("steal_fail_distance_us".into(), self.steal_fail_distance_us.to_json()),
             (
                 "stale_by_queue".into(),
                 Json::Arr(
-                    self.stale_by_queue
-                        .iter()
-                        .map(|&(q, c)| Json::Arr(vec![n(q), n(c)]))
-                        .collect(),
+                    self.stale_by_queue.iter().map(|&(q, c)| Json::Arr(vec![n(q), n(c)])).collect(),
                 ),
             ),
         ])
@@ -333,8 +329,17 @@ impl Profile {
         writeln!(
             out,
             "{:>4} {:>8} {:>8} {:>10} {:>7} {:>7} {:>7} {:>8} {:>7} {:>7} {:>7}",
-            "tid", "events", "dropped", "span_us", "work%", "steal%", "barr%", "segs",
-            "steal+", "steal-", "stale"
+            "tid",
+            "events",
+            "dropped",
+            "span_us",
+            "work%",
+            "steal%",
+            "barr%",
+            "segs",
+            "steal+",
+            "steal-",
+            "stale"
         )
         .unwrap();
         for w in &self.workers {
@@ -361,8 +366,16 @@ impl Profile {
             writeln!(
                 out,
                 "{:>5} {:>10} {:>8} {:>8} {:>9} {:>7} {:>7} {:>7} {:>6} {:>4}",
-                "level", "span_us", "fetches", "retries", "retry/f", "stale", "steal+",
-                "steal-", "fault", "deg"
+                "level",
+                "span_us",
+                "fetches",
+                "retries",
+                "retry/f",
+                "stale",
+                "steal+",
+                "steal-",
+                "fault",
+                "deg"
             )
             .unwrap();
             for l in &self.levels {

@@ -60,10 +60,7 @@ impl FlightRecording {
 
     /// Number of surviving events of one [`kind`] across all workers.
     pub fn count(&self, kind: u16) -> usize {
-        self.workers
-            .iter()
-            .map(|w| w.events.iter().filter(|e| e.kind == kind).count())
-            .sum()
+        self.workers.iter().map(|w| w.events.iter().filter(|e| e.kind == kind).count()).sum()
     }
 }
 
@@ -145,10 +142,8 @@ fn push_event(out: &mut String, tid: usize, e: &FlightEvent) {
 /// error — this parser exists to re-profile our own recordings offline.
 pub fn parse_chrome_trace(text: &str) -> Result<FlightRecording, String> {
     let doc = Json::parse(text)?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .ok_or("trace: missing traceEvents array")?;
+    let events =
+        doc.get("traceEvents").and_then(Json::as_arr).ok_or("trace: missing traceEvents array")?;
     let mut workers: Vec<RingDump> = Vec::new();
     fn ensure(workers: &mut Vec<RingDump>, tid: usize) {
         if workers.len() <= tid {
@@ -157,10 +152,7 @@ pub fn parse_chrome_trace(text: &str) -> Result<FlightRecording, String> {
     }
     for (i, ev) in events.iter().enumerate() {
         let at = || format!("traceEvents[{i}]");
-        let ph = ev
-            .get("ph")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{}: no ph", at()))?;
+        let ph = ev.get("ph").and_then(Json::as_str).ok_or_else(|| format!("{}: no ph", at()))?;
         match ph {
             "M" => {
                 // thread_name metadata sizes the worker list, so

@@ -208,7 +208,11 @@ impl ModelThread for Discoverer {
                 self.pc = if pushed == self.next {
                     // Another claimant of this level already pushed w;
                     // the late claims ride that push.
-                    if self.late { Pc::Done } else { Pc::StoreFlag }
+                    if self.late {
+                        Pc::Done
+                    } else {
+                        Pc::StoreFlag
+                    }
                 } else {
                     Pc::StorePushed
                 };

@@ -127,8 +127,7 @@ fn zero_on_read_counterexample_hits_stale_abort_in_real_walk() {
 
     // The walker's slot loads (addr >= 1; addr 0 is the rear read). The
     // last one observed the sentinel.
-    let slots: Vec<u32> =
-        loads.iter().filter(|&&(addr, _)| addr >= 1).map(|&(_, v)| v).collect();
+    let slots: Vec<u32> = loads.iter().filter(|&&(addr, _)| addr >= 1).map(|&(_, v)| v).collect();
     assert_eq!(*slots.last().unwrap(), EMPTY_SLOT);
 
     // Real state: queue 0 filled exactly like the model instance
@@ -255,10 +254,7 @@ fn batch_counterexample_hits_slot_revalidation_in_real_kernel() {
 
     // One hooked `u32` load on the rejection path: the revalidation
     // read (the membership load is a `u64` and passes through).
-    install_script(&ChaosScript {
-        usize_loads: Vec::new(),
-        u32_loads: vec![Some(slot_level)],
-    });
+    install_script(&ChaosScript { usize_loads: Vec::new(), u32_loads: vec![Some(slot_level)] });
     st.try_discover_batch(w, 3, 1, 2, &mut wk);
     let rep = uninstall_script();
 
@@ -266,10 +262,6 @@ fn batch_counterexample_hits_slot_revalidation_in_real_kernel() {
     assert_eq!(rep.leftover, 0);
     assert_eq!(wk.stats.vertices_discovered, 0, "the real revalidation rejected the claim");
     assert_eq!(wk.out_rear, 0, "a rejected claim pushes nothing");
-    assert_eq!(
-        b.levels.get(w as usize * b.k),
-        slot_level,
-        "the slot keeps its first-claim level"
-    );
+    assert_eq!(b.levels.get(w as usize * b.k), slot_level, "the slot keeps its first-claim level");
     assert_eq!(b.visited_by.get(w as usize), u64::from(vis) | 1, "the bit was OR'd back");
 }

@@ -35,8 +35,8 @@ pub mod zero_on_read;
 #[cfg(all(test, feature = "chaos"))]
 mod diff;
 
-use obfs_sync::model::Outcome;
 pub use obfs_sync::model::Explorer;
+use obfs_sync::model::Outcome;
 
 /// The bounds `obfs model` (and the golden test) run with: deep enough
 /// that every core clears 10k distinct schedules (zero-on-read's pruned
@@ -137,7 +137,10 @@ impl ModelReport {
         use std::fmt::Write;
         let mut s = String::new();
         let _ = writeln!(s, "== obfs model: bounded interleaving exploration ==");
-        let _ = writeln!(s, "memory model: per-thread TSO store buffers (FIFO flush, store-to-load forwarding)");
+        let _ = writeln!(
+            s,
+            "memory model: per-thread TSO store buffers (FIFO flush, store-to-load forwarding)"
+        );
         let _ = writeln!(
             s,
             "bounds: max {} steps/schedule, max {} schedules/run",
@@ -156,7 +159,9 @@ impl ModelReport {
             };
             let verdict = match (run.variant, &run.outcome.counterexample) {
                 (Variant::Real, None) if run.outcome.truncated == 0 => "pass".to_string(),
-                (Variant::Real, None) => "FAIL (truncated executions: termination unproven)".to_string(),
+                (Variant::Real, None) => {
+                    "FAIL (truncated executions: termination unproven)".to_string()
+                }
                 (Variant::Real, Some(cx)) => format!("FAIL: {}", cx.failure),
                 (Variant::Weakened, Some(_)) => "counterexample found (expected)".to_string(),
                 (Variant::Weakened, None) => "FAIL (seeded bug not found)".to_string(),
@@ -164,7 +169,12 @@ impl ModelReport {
             let _ = writeln!(
                 s,
                 "{:<22} {:<9} {:>10} {:>9} {:>10}  {}",
-                run.core, variant, run.outcome.schedules, run.outcome.truncated, run.outcome.pruned, verdict
+                run.core,
+                variant,
+                run.outcome.schedules,
+                run.outcome.truncated,
+                run.outcome.pruned,
+                verdict
             );
         }
         for run in &self.runs {

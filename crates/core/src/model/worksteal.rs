@@ -165,11 +165,8 @@ impl Agent {
     /// The walk ended (sentinel / capacity): owner re-targets once,
     /// everyone else is done.
     fn walk_end(&mut self) {
-        self.pc = if self.role == Role::Owner && !self.retargeted {
-            Pc::RetargetQ
-        } else {
-            Pc::Done
-        };
+        self.pc =
+            if self.role == Role::Owner && !self.retargeted { Pc::RetargetQ } else { Pc::Done };
     }
 }
 
@@ -349,10 +346,7 @@ pub fn system(weakened: bool) -> System<Agent> {
         }
     }
     mem.init(DESC_OWNER + 2, REARS[0]); // owner descriptor (0, 0, rear0)
-    System::new(
-        mem,
-        vec![Agent::new(Role::Owner, weakened), Agent::new(Role::Thief, weakened)],
-    )
+    System::new(mem, vec![Agent::new(Role::Owner, weakened), Agent::new(Role::Thief, weakened)])
 }
 
 /// Terminal invariants: coverage and bounded duplicates over both queues.

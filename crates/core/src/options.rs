@@ -534,7 +534,7 @@ mod tests {
     fn hybrid_decide_follows_growing_shrinking_rule_with_floor() {
         use Direction::{BottomUp as Bu, TopDown as Td};
         let pol = HybridPolicy::default(); // α = 14, β = 24
-        // (case, was, nf, mf, prev_mf, mu, n, expected)
+                                           // (case, was, nf, mf, prev_mf, mu, n, expected)
         let table = [
             ("edge-sparse frontier", Td, 10, 10, 5, 1000, 100, Td),
             ("growing, mf > mu/α", Td, 10, 200, 50, 1000, 100, Bu),

@@ -71,11 +71,7 @@ impl<T> PerThread<T> {
 
     /// Consume into the inner values.
     pub fn into_values(self) -> Vec<T> {
-        self.slots
-            .into_vec()
-            .into_iter()
-            .map(|c| c.into_inner().into_inner())
-            .collect()
+        self.slots.into_vec().into_iter().map(|c| c.into_inner().into_inner()).collect()
     }
 }
 

@@ -21,8 +21,8 @@ pub use crate::worksteal::WorkStealing;
 #[cfg(test)]
 mod tests {
     use crate::options::{Algorithm, BfsOptions};
-    use crate::serial::serial_bfs;
     use crate::run_bfs;
+    use crate::serial::serial_bfs;
     use obfs_graph::gen;
 
     /// The hub threshold boundary: degree == threshold stays in phase 1,
@@ -57,11 +57,7 @@ mod tests {
     fn nothing_is_a_hub() {
         let g = gen::erdos_renyi(300, 1500, 4);
         let ser = serial_bfs(&g, 7);
-        let o = BfsOptions {
-            threads: 4,
-            hub_threshold: Some(usize::MAX),
-            ..Default::default()
-        };
+        let o = BfsOptions { threads: 4, hub_threshold: Some(usize::MAX), ..Default::default() };
         let r = run_bfs(Algorithm::Bfswsl, &g, 7, &o);
         assert_eq!(r.levels, ser.levels);
     }

@@ -480,11 +480,7 @@ impl<'g> RunState<'g> {
         let LabelBuffers { levels, parents, owner, hybrid, compact } = labels;
         let hyb = opts.hybrid.map(|_| {
             if let Some(t) = transpose {
-                assert_eq!(
-                    t.num_vertices(),
-                    n,
-                    "transpose vertex count must match the graph"
-                );
+                assert_eq!(t.num_vertices(), n, "transpose vertex count must match the graph");
             }
             let [bitmap, visited] = hybrid.expect("hybrid bitmaps for a hybrid run");
             HybridState {
@@ -1352,8 +1348,7 @@ mod tests {
         let pool = LevelPool::new(3);
         let base = BfsOptions { threads: 3, ..Default::default() };
         let with_parents = BfsOptions { record_parents: true, ..base.clone() };
-        let hybrid =
-            BfsOptions { hybrid: Some(HybridPolicy::default()), ..with_parents.clone() };
+        let hybrid = BfsOptions { hybrid: Some(HybridPolicy::default()), ..with_parents.clone() };
         // (levels pointer, level slots, parents, hybrid words) of the
         // parked batch arrays.
         let parked = || {
@@ -1369,8 +1364,7 @@ mod tests {
             key
         };
         let batch = |sources: &[u32], o: &BfsOptions| {
-            let b =
-                try_run_batch_on_pool(Algorithm::Bfscl, &g, sources, o, &pool, None).unwrap();
+            let b = try_run_batch_on_pool(Algorithm::Bfscl, &g, sources, o, &pool, None).unwrap();
             for qr in &b.queries {
                 assert_eq!(qr.levels, crate::serial::serial_bfs(&g, qr.source).levels);
             }

@@ -165,8 +165,8 @@ pub fn check_partial(
 mod tests {
     use super::*;
     use crate::options::{Algorithm, BfsOptions};
-    use crate::serial::serial_bfs;
     use crate::run_bfs;
+    use crate::serial::serial_bfs;
     use obfs_graph::gen;
 
     #[test]
@@ -206,10 +206,7 @@ mod tests {
         let g = gen::path(3);
         let mut r = serial_bfs(&g, 0);
         r.levels[0] = 5;
-        assert!(matches!(
-            check_self_consistent(&g, 0, &r),
-            Err(ValidationError::BadSource { .. })
-        ));
+        assert!(matches!(check_self_consistent(&g, 0, &r), Err(ValidationError::BadSource { .. })));
     }
 
     #[test]

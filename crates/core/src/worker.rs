@@ -80,11 +80,7 @@ impl<'q> Worker<'q> {
     /// selects; nothing without histograms or a start (a timer taken
     /// while histograms were off).
     #[inline]
-    fn close(
-        &mut self,
-        start: Option<Instant>,
-        pick: fn(&mut WorkerHists) -> &mut LogHistogram,
-    ) {
+    fn close(&mut self, start: Option<Instant>, pick: fn(&mut WorkerHists) -> &mut LogHistogram) {
         if let (Some(t), Some(h)) = (start, self.hists.as_deref_mut()) {
             pick(h).record(t.elapsed().as_micros() as u64);
         }

@@ -372,8 +372,8 @@ pub(crate) fn uniform_victim(tid: usize, p: usize, rng: &mut Xoshiro256StarStar)
 mod tests {
     use super::*;
     use crate::options::{Algorithm, BfsOptions};
-    use crate::serial::serial_bfs;
     use crate::run_bfs;
+    use crate::serial::serial_bfs;
     use obfs_graph::gen;
 
     /// Drive the optimistic steal sanity checks directly with adversarial

@@ -33,13 +33,14 @@ impl CsrGraph {
             return Err(format!("offsets must start at 0, got {first}"));
         }
         if last != targets.len() as u64 {
-            return Err(format!(
-                "last offset {last} must equal the edge count {}",
-                targets.len()
-            ));
+            return Err(format!("last offset {last} must equal the edge count {}", targets.len()));
         }
         if let Some(i) = offsets.windows(2).position(|w| w[0] > w[1]) {
-            return Err(format!("offsets must be non-decreasing (offset {} > offset {})", i, i + 1));
+            return Err(format!(
+                "offsets must be non-decreasing (offset {} > offset {})",
+                i,
+                i + 1
+            ));
         }
         let n = offsets.len() - 1;
         if n > VertexId::MAX as usize {

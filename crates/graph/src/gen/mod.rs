@@ -10,8 +10,8 @@ mod classic;
 mod grid;
 mod random;
 mod rmat;
-mod ws;
 pub mod suite;
+mod ws;
 
 pub use ba::barabasi_albert;
 pub use classic::{binary_tree, complete, cycle, path, star};

@@ -21,13 +21,7 @@ pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> CsrGraph {
 /// Sample a power-law degree sequence with exponent `gamma > 1`, minimum
 /// degree `dmin`, maximum degree `dmax`, via inverse-CDF sampling of the
 /// discrete Pareto distribution.
-pub fn power_law_degrees(
-    n: usize,
-    gamma: f64,
-    dmin: usize,
-    dmax: usize,
-    seed: u64,
-) -> Vec<usize> {
+pub fn power_law_degrees(n: usize, gamma: f64, dmin: usize, dmax: usize, seed: u64) -> Vec<usize> {
     assert!(gamma > 1.0, "power-law exponent must exceed 1");
     assert!(dmin >= 1 && dmax >= dmin, "need 1 <= dmin <= dmax");
     let mut rng = Xoshiro256StarStar::new(seed);
@@ -128,10 +122,7 @@ mod tests {
         let t = g.transpose();
         let inout0 = g.degree(0) + t.degree(0);
         let mean: f64 = 2.0 * g.num_edges() as f64 / n as f64;
-        assert!(
-            inout0 as f64 > 10.0 * mean,
-            "hub vertex degree {inout0} vs mean {mean:.1}"
-        );
+        assert!(inout0 as f64 > 10.0 * mean, "hub vertex degree {inout0} vs mean {mean:.1}");
     }
 
     #[test]

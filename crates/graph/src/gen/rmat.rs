@@ -1,6 +1,6 @@
 //! Recursive-matrix (RMAT / Graph500 Kronecker) generator.
 
-use crate::{GraphBuilder, CsrGraph, VertexId};
+use crate::{CsrGraph, GraphBuilder, VertexId};
 use obfs_util::Xoshiro256StarStar;
 
 /// RMAT quadrant probabilities. The paper uses the Graph500 generator with
@@ -133,10 +133,7 @@ mod tests {
         let g = rmat(12, 16, RmatParams::default(), 3);
         let mean = g.num_edges() as f64 / g.num_vertices() as f64;
         let (dmax, _) = g.max_degree();
-        assert!(
-            dmax as f64 > 5.0 * mean,
-            "expected hub formation: dmax={dmax}, mean={mean:.1}"
-        );
+        assert!(dmax as f64 > 5.0 * mean, "expected hub formation: dmax={dmax}, mean={mean:.1}");
     }
 
     #[test]

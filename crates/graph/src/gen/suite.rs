@@ -12,8 +12,8 @@
 //! budget; densities are preserved under scaling. The original matrices
 //! can still be used directly through [`crate::io::matrix_market`].
 
-use crate::{CsrGraph, GraphBuilder, VertexId};
 use crate::gen::{chung_lu, erdos_renyi, power_law_degrees, rmat, torus3d, RmatParams};
+use crate::{CsrGraph, GraphBuilder, VertexId};
 use obfs_util::Xoshiro256StarStar;
 
 /// The seven evaluation graphs of the paper, in Table IV order.
@@ -84,10 +84,7 @@ impl PaperGraph {
 
     /// Whether the paper treats this graph as scale-free (hub-dominated).
     pub fn is_scale_free(&self) -> bool {
-        matches!(
-            self,
-            PaperGraph::Wikipedia | PaperGraph::Rmat100M | PaperGraph::Rmat1B
-        )
+        matches!(self, PaperGraph::Wikipedia | PaperGraph::Rmat100M | PaperGraph::Rmat1B)
     }
 
     /// Generate the stand-in at `n = paper_n / divisor` (density
@@ -147,9 +144,9 @@ pub fn circuit_like(n: usize, density: f64, seed: u64) -> CsrGraph {
     let n = lattice.num_vertices();
     let mut b = GraphBuilder::new(n).symmetrize(true);
     b.extend(lattice.edges().filter(|&(u, v)| u < v)); // symmetrize restores both
-    // One shortcut per ~`spacing` ring vertices bounds the diameter at
-    // roughly `spacing` plus the shortcut-graph diameter: the hundreds-of-
-    // levels class, independent of n.
+                                                       // One shortcut per ~`spacing` ring vertices bounds the diameter at
+                                                       // roughly `spacing` plus the shortcut-graph diameter: the hundreds-of-
+                                                       // levels class, independent of n.
     let spacing = 160.min(n.max(2) - 1).max(1);
     let shortcuts = n / spacing;
     let mut rng = Xoshiro256StarStar::new(seed);

@@ -66,10 +66,7 @@ mod tests {
         let d0 = pseudo_diameter(&lattice, 0, 3);
         let d1 = pseudo_diameter(&small_world, 0, 3);
         assert!(d0 >= 400, "lattice diameter ~ n/2k, got {d0}");
-        assert!(
-            d1 < d0 / 4,
-            "5% rewiring must collapse the diameter: {d0} -> {d1}"
-        );
+        assert!(d1 < d0 / 4, "5% rewiring must collapse the diameter: {d0} -> {d1}");
     }
 
     #[test]

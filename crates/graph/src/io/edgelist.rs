@@ -16,8 +16,16 @@ pub fn read_edge_list<R: BufRead>(r: R, n: Option<usize>) -> io::Result<CsrGraph
             continue;
         }
         let mut it = t.split_whitespace();
-        let u: u64 = it.next().ok_or_else(|| bad("missing source"))?.parse().map_err(|_| bad("bad source id"))?;
-        let v: u64 = it.next().ok_or_else(|| bad("missing target"))?.parse().map_err(|_| bad("bad target id"))?;
+        let u: u64 = it
+            .next()
+            .ok_or_else(|| bad("missing source"))?
+            .parse()
+            .map_err(|_| bad("bad source id"))?;
+        let v: u64 = it
+            .next()
+            .ok_or_else(|| bad("missing target"))?
+            .parse()
+            .map_err(|_| bad("bad target id"))?;
         if it.next().is_some() {
             return Err(bad("more than two columns on an edge line"));
         }
@@ -60,11 +68,8 @@ mod tests {
 
     #[test]
     fn comments_and_blanks_skipped() {
-        let g = read_edge_list(
-            BufReader::new("# header\n\n0 1\n# mid\n1 2\n".as_bytes()),
-            None,
-        )
-        .unwrap();
+        let g = read_edge_list(BufReader::new("# header\n\n0 1\n# mid\n1 2\n".as_bytes()), None)
+            .unwrap();
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_edges(), 2);
     }

@@ -137,8 +137,8 @@ mod tests {
         // run out of input instead.
         let e = read_binary_csr(&mut with_header(1 << 31, 0, &[0, 0]).as_slice()).unwrap_err();
         assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
-        let e = read_binary_csr(&mut with_header(1, 1 << 40, &[0, 1 << 40]).as_slice())
-            .unwrap_err();
+        let e =
+            read_binary_csr(&mut with_header(1, 1 << 40, &[0, 1 << 40]).as_slice()).unwrap_err();
         assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
     }
 

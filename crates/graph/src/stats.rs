@@ -121,9 +121,7 @@ pub fn random_nonzero_source(g: &CsrGraph, rng: &mut Xoshiro256StarStar) -> Opti
 /// Sample `k` sources with non-zero out-degree (with replacement).
 pub fn sample_sources(g: &CsrGraph, k: usize, seed: u64) -> Vec<VertexId> {
     let mut rng = Xoshiro256StarStar::new(seed);
-    (0..k)
-        .map(|_| random_nonzero_source(g, &mut rng).expect("graph has no edges"))
-        .collect()
+    (0..k).map(|_| random_nonzero_source(g, &mut rng).expect("graph has no edges")).collect()
 }
 
 /// Summary row for Table IV.

@@ -95,7 +95,11 @@ pub fn lex(src: &str) -> Vec<Tok> {
                 while i < b.len() && b[i] != '\n' {
                     i += 1;
                 }
-                out.push(Tok { kind: TokKind::LineComment, line: start_line, text: text(start, i) });
+                out.push(Tok {
+                    kind: TokKind::LineComment,
+                    line: start_line,
+                    text: text(start, i),
+                });
             }
             '/' if b.get(i + 1) == Some(&'*') => {
                 i += 2;
@@ -162,11 +166,19 @@ pub fn lex(src: &str) -> Vec<Tok> {
                 match kind {
                     LitStart::RawStr { hashes } => {
                         i = consume_raw_string(&b, body_start, hashes, &mut line);
-                        out.push(Tok { kind: TokKind::Str, line: start_line, text: text(start, i) });
+                        out.push(Tok {
+                            kind: TokKind::Str,
+                            line: start_line,
+                            text: text(start, i),
+                        });
                     }
                     LitStart::PlainStr => {
                         i = consume_string(&b, body_start - 1, &mut line);
-                        out.push(Tok { kind: TokKind::Str, line: start_line, text: text(start, i) });
+                        out.push(Tok {
+                            kind: TokKind::Str,
+                            line: start_line,
+                            text: text(start, i),
+                        });
                     }
                     LitStart::ByteChar => {
                         // Delegate to the char arm's logic by lexing
@@ -395,7 +407,8 @@ mod tests {
 
     #[test]
     fn byte_literals() {
-        let toks = kinds(r##"let a = b"bytes with unsafe"; let c = b'x'; let r = br#"more unsafe"#;"##);
+        let toks =
+            kinds(r##"let a = b"bytes with unsafe"; let c = b'x'; let r = br#"more unsafe"#;"##);
         assert!(toks.iter().all(|(_, t)| t != "unsafe"));
         assert_eq!(toks.iter().filter(|(k, _)| *k == TokKind::Str).count(), 2);
         assert_eq!(toks.iter().filter(|(k, _)| *k == TokKind::Char).count(), 1);
@@ -412,9 +425,6 @@ mod tests {
     fn line_numbers_are_one_based_and_stable() {
         let toks = lex("a\nb\n\nc");
         let lines: Vec<_> = toks.iter().map(|t| (t.text.clone(), t.line)).collect();
-        assert_eq!(
-            lines,
-            vec![("a".into(), 1), ("b".into(), 2), ("c".into(), 4)]
-        );
+        assert_eq!(lines, vec![("a".into(), 1), ("b".into(), 2), ("c".into(), 4)]);
     }
 }

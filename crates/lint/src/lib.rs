@@ -254,8 +254,7 @@ pub fn lint_repo(root: &Path) -> Result<LintReport, String> {
 
     for path in &files {
         let rel = normalize_path(&rel_path(root, path));
-        let text =
-            fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+        let text = fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
         let file = SourceFile {
             rel: rel.clone(),
             lines: text.lines().map(str::to_string).collect(),
@@ -313,8 +312,8 @@ pub fn lint_repo(root: &Path) -> Result<LintReport, String> {
 
     for shim in SHIM_FILES {
         let path = root.join(shim);
-        let text = fs::read_to_string(&path)
-            .map_err(|e| format!("read {}: {e}", path.display()))?;
+        let text =
+            fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
         check_shim_parity(shim, &text, &mut findings);
     }
 
@@ -366,8 +365,7 @@ fn rust_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
     let mut out = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
     while let Some(d) = stack.pop() {
-        let entries =
-            fs::read_dir(&d).map_err(|e| format!("read_dir {}: {e}", d.display()))?;
+        let entries = fs::read_dir(&d).map_err(|e| format!("read_dir {}: {e}", d.display()))?;
         for entry in entries {
             let entry = entry.map_err(|e| format!("read_dir {}: {e}", d.display()))?;
             let p = entry.path();
@@ -467,8 +465,7 @@ impl Allowlist {
                 None => (line, ""),
             };
             let parts: Vec<&str> = entry.split_whitespace().collect();
-            let valid_rule =
-                matches!(parts.first(), Some(&"unsafe" | &"atomics" | &"safety"));
+            let valid_rule = matches!(parts.first(), Some(&"unsafe" | &"atomics" | &"safety"));
             let count = match parts.get(2) {
                 None => Ok(None),
                 Some(c) => c
@@ -520,9 +517,7 @@ impl Allowlist {
     /// `Some(count)` when the (rule, path) pair is allowlisted;
     /// the inner option is the `[n]` cap (None = any count ≥ 1).
     fn permits(&self, rule: &str, path: &str) -> Option<Option<usize>> {
-        self.entries
-            .get(&(rule.to_string(), path.to_string()))
-            .map(|(_, count)| *count)
+        self.entries.get(&(rule.to_string(), path.to_string())).map(|(_, count)| *count)
     }
 
     /// An entry whose occurrence no longer exists must be removed: the
@@ -570,10 +565,7 @@ fn pub_fn_name(line: &str) -> Option<String> {
         .strip_prefix("pub fn ")
         .or_else(|| t.strip_prefix("pub(crate) fn "))
         .or_else(|| t.strip_prefix("pub(super) fn "))?;
-    let name: String = rest
-        .chars()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect();
+    let name: String = rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
     (!name.is_empty()).then_some(name)
 }
 
@@ -658,9 +650,7 @@ fn design_kinds(text: &str) -> Option<(BTreeSet<String>, usize)> {
             let Some(end) = after.find('`') else { break };
             let token = &after[..end];
             if !token.is_empty()
-                && token
-                    .chars()
-                    .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
+                && token.chars().all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
             {
                 kinds.insert(token.to_string());
             }
@@ -724,20 +714,13 @@ mod tests {
         // Raw string + doc comment mentions of `unsafe`: no findings,
         // no occurrence count.
         let f = file("/// unsafe in docs\npub fn f() { let s = r#\"unsafe\"#; }\n");
-        let n = f
-            .toks
-            .iter()
-            .filter(|t| t.kind == TokKind::Ident && t.text == "unsafe")
-            .count();
+        let n = f.toks.iter().filter(|t| t.kind == TokKind::Ident && t.text == "unsafe").count();
         assert_eq!(n, 0);
     }
 
     #[test]
     fn cfg_feature_parsing() {
-        assert_eq!(
-            cfg_feature("  #[cfg(feature = \"chaos\")]"),
-            Some(("chaos".to_string(), true))
-        );
+        assert_eq!(cfg_feature("  #[cfg(feature = \"chaos\")]"), Some(("chaos".to_string(), true)));
         assert_eq!(
             cfg_feature("#[cfg(not(feature = \"trace\"))]"),
             Some(("trace".to_string(), false))
@@ -749,11 +732,7 @@ mod tests {
     #[test]
     fn shim_parity_flags_one_sided_gates() {
         let mut f = Vec::new();
-        check_shim_parity(
-            "x.rs",
-            "#[cfg(feature = \"t\")]\npub fn lonely() {}\n",
-            &mut f,
-        );
+        check_shim_parity("x.rs", "#[cfg(feature = \"t\")]\npub fn lonely() {}\n", &mut f);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "shim-parity");
 

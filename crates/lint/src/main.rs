@@ -29,9 +29,7 @@ fn main() -> ExitCode {
         }
     };
     let Some(root) = obfs_lint::find_repo_root(Path::new(&start)) else {
-        eprintln!(
-            "obfs-lint: no workspace root (crates/ + Cargo.toml) at or above {start}"
-        );
+        eprintln!("obfs-lint: no workspace root (crates/ + Cargo.toml) at or above {start}");
         return ExitCode::from(2);
     };
     match obfs_lint::lint_repo(&root) {

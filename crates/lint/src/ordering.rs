@@ -41,11 +41,7 @@ pub(crate) fn occurrences(file: &SourceFile) -> Vec<Occurrence> {
     while i < toks.len() {
         if let Some(s) = ordering_path(toks, i, toks.len()) {
             if let Some(strength) = strength_field(&toks[s].text) {
-                out.push(Occurrence {
-                    line: toks[s].line,
-                    strength,
-                    name: toks[s].text.clone(),
-                });
+                out.push(Occurrence { line: toks[s].line, strength, name: toks[s].text.clone() });
                 i = s + 1;
                 continue;
             }
@@ -82,11 +78,14 @@ pub(crate) fn check_ordering(
     let ord_lines = marker_lines(file, "ord:");
 
     let needs_justification = |o: &Occurrence| {
-        o.strength == "seqcst" || (!in_sync && matches!(o.strength, "acquire" | "release" | "acqrel"))
+        o.strength == "seqcst"
+            || (!in_sync && matches!(o.strength, "acquire" | "release" | "acqrel"))
     };
 
     for o in &occ {
-        if needs_justification(o) && !ord_lines.contains(&o.line) && !ord_lines.contains(&(o.line - 1))
+        if needs_justification(o)
+            && !ord_lines.contains(&o.line)
+            && !ord_lines.contains(&(o.line - 1))
         {
             let scope = if o.strength == "seqcst" { "" } else { " outside crates/sync" };
             findings.push(Finding::new(

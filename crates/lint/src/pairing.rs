@@ -51,8 +51,7 @@ const CLAIMS: [&str; 2] = ["store", "set"];
 /// Token indices (into `toks`) of `.store(` / `.set(` claims in
 /// `[start, end)`, comment-insensitive.
 fn claims_in(toks: &[Tok], start: usize, end: usize) -> Vec<usize> {
-    let code: Vec<usize> =
-        (start..end).filter(|&i| !toks[i].is_comment()).collect();
+    let code: Vec<usize> = (start..end).filter(|&i| !toks[i].is_comment()).collect();
     let mut out = Vec::new();
     for w in code.windows(3) {
         let (a, b, c) = (&toks[w[0]], &toks[w[1]], &toks[w[2]]);
@@ -75,18 +74,15 @@ fn revalidated_before(toks: &[Tok], start: usize, upto: usize) -> bool {
     let code: Vec<usize> = (start..upto).filter(|&i| !toks[i].is_comment()).collect();
     for (k, &i) in code.iter().enumerate() {
         let t = &toks[i];
-        if t.kind == TokKind::Ident
-            && (t.text.contains("revalidate") || t.text.contains("sanity"))
+        if t.kind == TokKind::Ident && (t.text.contains("revalidate") || t.text.contains("sanity"))
         {
             return true;
         }
         if t.kind == TokKind::Punct && t.text == "=" {
             let eq2 = code.get(k + 1).is_some_and(|&j| toks[j].text == "=");
             if eq2 {
-                let next_unvisited =
-                    code.get(k + 2).is_some_and(|&j| toks[j].text == "UNVISITED");
-                let prev_unvisited =
-                    k > 0 && toks[code[k - 1]].text == "UNVISITED";
+                let next_unvisited = code.get(k + 2).is_some_and(|&j| toks[j].text == "UNVISITED");
+                let prev_unvisited = k > 0 && toks[code[k - 1]].text == "UNVISITED";
                 if next_unvisited || prev_unvisited {
                     return true;
                 }

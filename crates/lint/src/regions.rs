@@ -80,7 +80,12 @@ impl Counts {
     pub fn render(&self) -> String {
         format!(
             "locks={} rmws={} relaxed={} acquire={} release={} acqrel={} seqcst={}",
-            self.locks, self.rmws, self.relaxed, self.acquire, self.release, self.acqrel,
+            self.locks,
+            self.rmws,
+            self.relaxed,
+            self.acquire,
+            self.release,
+            self.acqrel,
             self.seqcst
         )
     }
@@ -181,8 +186,7 @@ pub(crate) fn ordering_path(toks: &[Tok], i: usize, end: usize) -> Option<usize>
     let c1 = next_code(toks, i + 1, end)?;
     let c2 = next_code(toks, c1 + 1, end)?;
     let s = next_code(toks, c2 + 1, end)?;
-    (toks[c1].text == ":" && toks[c2].text == ":" && toks[s].kind == TokKind::Ident)
-        .then_some(s)
+    (toks[c1].text == ":" && toks[c2].text == ":" && toks[s].kind == TokKind::Ident).then_some(s)
 }
 
 /// Count locks/RMWs/ordering strengths over token range `[start, end)`.
@@ -296,10 +300,7 @@ struct BudgetRow {
     counts: Counts,
 }
 
-fn parse_budget(
-    text: &str,
-    findings: &mut Vec<Finding>,
-) -> BTreeMap<(String, String), BudgetRow> {
+fn parse_budget(text: &str, findings: &mut Vec<Finding>) -> BTreeMap<(String, String), BudgetRow> {
     let mut rows = BTreeMap::new();
     for (i, raw) in text.lines().enumerate() {
         let line = raw.trim();
@@ -341,11 +342,13 @@ fn parse_budget(
             continue;
         }
         let key = (crate::normalize_path(parts[0]), parts[1].to_string());
-        if rows
-            .insert(key, BudgetRow { line: i + 1, counts })
-            .is_some()
-        {
-            findings.push(Finding::new(BUDGET, i + 1, "budget-syntax", "duplicate row".to_string()));
+        if rows.insert(key, BudgetRow { line: i + 1, counts }).is_some() {
+            findings.push(Finding::new(
+                BUDGET,
+                i + 1,
+                "budget-syntax",
+                "duplicate row".to_string(),
+            ));
         }
     }
     rows
@@ -376,7 +379,11 @@ pub fn check_budget(root: &Path, regions: &[Region], findings: &mut Vec<Finding>
                 &r.path,
                 r.line,
                 "budget-missing",
-                format!("region `{}` has no baseline row; add to {BUDGET}: `{}`", r.id, r.budget_line()),
+                format!(
+                    "region `{}` has no baseline row; add to {BUDGET}: `{}`",
+                    r.id,
+                    r.budget_line()
+                ),
             )),
             Some(row) => {
                 let mut msg = String::new();
@@ -489,7 +496,8 @@ fn f() { let s = \"lock() fetch_or(2) Ordering::Relaxed\"; }
 
     #[test]
     fn cmp_ordering_is_not_atomics() {
-        let src = "// lint:region control:c\nfn f() { let _ = Ordering::Less; }\n// lint:endregion\n";
+        let src =
+            "// lint:region control:c\nfn f() { let _ = Ordering::Less; }\n// lint:endregion\n";
         let mut f = Vec::new();
         let rs = extract_regions(&file(src), &mut f);
         assert_eq!(rs[0].counts, Counts::default());

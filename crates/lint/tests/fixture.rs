@@ -48,10 +48,7 @@ fn skeleton(f: &Fixture) {
 fn uncommented_unsafe_fails_the_lint() {
     let f = Fixture::new("dirty");
     skeleton(&f);
-    f.write(
-        "crates/app/src/lib.rs",
-        "pub fn f(p: *mut u32) {\n    unsafe { *p = 1 };\n}\n",
-    );
+    f.write("crates/app/src/lib.rs", "pub fn f(p: *mut u32) {\n    unsafe { *p = 1 };\n}\n");
     let report = obfs_lint::lint_repo(&f.root).unwrap();
     assert!(!report.passed());
     let rules: Vec<&str> = report.findings.iter().map(|x| x.rule).collect();
@@ -206,10 +203,7 @@ fn orphan_budget_row_and_missing_row_both_fail() {
     );
     // No budget file at all: the region needs a row.
     let missing = obfs_lint::lint_repo(&f.root).unwrap();
-    assert_eq!(
-        missing.findings.iter().map(|x| x.rule).collect::<Vec<_>>(),
-        vec!["budget-missing"]
-    );
+    assert_eq!(missing.findings.iter().map(|x| x.rule).collect::<Vec<_>>(), vec!["budget-missing"]);
     assert!(
         missing.findings[0].message.contains("locks=0 rmws=0"),
         "budget-missing must suggest the paste-able row: {}",
@@ -346,8 +340,9 @@ fn json_report_parses_and_matches_schema() {
     let regions = json.get("regions").and_then(obfs_util::Json::as_arr).unwrap();
     assert_eq!(regions.len(), 1);
     let r = &regions[0];
-    let keys =
-        ["path", "id", "line", "locks", "rmws", "relaxed", "acquire", "release", "acqrel", "seqcst"];
+    let keys = [
+        "path", "id", "line", "locks", "rmws", "relaxed", "acquire", "release", "acqrel", "seqcst",
+    ];
     for key in keys {
         assert!(r.get(key).is_some(), "region missing `{key}`");
     }

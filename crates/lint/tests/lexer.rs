@@ -16,7 +16,8 @@ fn golden(src: &str) -> String {
 
 #[test]
 fn token_sequence_golden() {
-    let src = "unsafe fn f<'a>(x: &'a u32) -> u32 {\n    // SAFETY: x is valid.\n    *x + 0xFF\n}\n";
+    let src =
+        "unsafe fn f<'a>(x: &'a u32) -> u32 {\n    // SAFETY: x is valid.\n    *x + 0xFF\n}\n";
     assert_eq!(
         golden(src),
         "Ident@1:unsafe\n\
@@ -58,13 +59,13 @@ fn strings_swallow_keywords() {
         "let s = br#\"Ordering::AcqRel\"#;",
     ] {
         let toks = lex(src);
-        assert!(
-            toks.iter().any(|t| t.kind == TokKind::Str),
-            "no Str token in {src:?}: {toks:?}"
-        );
+        assert!(toks.iter().any(|t| t.kind == TokKind::Str), "no Str token in {src:?}: {toks:?}");
         assert!(
             !toks.iter().any(|t| t.kind == TokKind::Ident
-                && matches!(t.text.as_str(), "unsafe" | "Ordering" | "SeqCst" | "fetch_add" | "lock")),
+                && matches!(
+                    t.text.as_str(),
+                    "unsafe" | "Ordering" | "SeqCst" | "fetch_add" | "lock"
+                )),
             "string content leaked as idents in {src:?}: {toks:?}"
         );
     }
@@ -81,9 +82,7 @@ fn comments_swallow_keywords_but_keep_their_text() {
     assert!(toks
         .iter()
         .any(|t| t.kind == TokKind::LineComment && t.text.contains("Ordering::SeqCst")));
-    assert!(toks
-        .iter()
-        .any(|t| t.kind == TokKind::BlockComment && t.text.contains("fetch_add")));
+    assert!(toks.iter().any(|t| t.kind == TokKind::BlockComment && t.text.contains("fetch_add")));
 }
 
 #[test]

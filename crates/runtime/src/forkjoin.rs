@@ -203,8 +203,7 @@ impl ForkJoinPool {
                 std::thread::yield_now();
             }
         }
-        let panicked =
-            self.shared.panic.lock().unwrap_or_else(PoisonError::into_inner).take();
+        let panicked = self.shared.panic.lock().unwrap_or_else(PoisonError::into_inner).take();
         if let Some(message) = panicked {
             panic!("fork-join task panicked: {message}");
         }

@@ -106,9 +106,8 @@ impl Topology {
         local_bias: f64,
         rng: &mut Xoshiro256StarStar,
     ) -> Option<usize> {
-        let locals: Vec<usize> = (0..self.threads())
-            .filter(|&t| t != thief && self.same_socket(thief, t))
-            .collect();
+        let locals: Vec<usize> =
+            (0..self.threads()).filter(|&t| t != thief && self.same_socket(thief, t)).collect();
         if !locals.is_empty() && rng.chance(local_bias) {
             return Some(locals[rng.below_usize(locals.len())]);
         }

@@ -499,15 +499,13 @@ mod active {
                 let addr = cell as *const AtomicU32 as usize;
                 // Store-to-load forwarding: the owner sees its own newest
                 // deferred store (at most one per address survives).
-                plan.pending
-                    .iter()
-                    .rev()
-                    .find(|pend| pend.target.addr() == addr)
-                    .map(|pend| match pend.target {
+                plan.pending.iter().rev().find(|pend| pend.target.addr() == addr).map(|pend| {
+                    match pend.target {
                         Target::U32(_, v) => v,
                         Target::U64(_, v) => v as u32,
                         Target::Usize(_, v) => v as u32,
-                    })
+                    }
+                })
             })
         }
 
@@ -528,15 +526,13 @@ mod active {
                 let plan = plan.as_mut()?;
                 step(plan);
                 let addr = cell as *const AtomicU64 as usize;
-                plan.pending
-                    .iter()
-                    .rev()
-                    .find(|pend| pend.target.addr() == addr)
-                    .map(|pend| match pend.target {
+                plan.pending.iter().rev().find(|pend| pend.target.addr() == addr).map(|pend| {
+                    match pend.target {
                         Target::U32(_, v) => u64::from(v),
                         Target::U64(_, v) => v,
                         Target::Usize(_, v) => v as u64,
-                    })
+                    }
+                })
             })
         }
 
@@ -560,15 +556,13 @@ mod active {
                 let plan = plan.as_mut()?;
                 step(plan);
                 let addr = cell as *const AtomicUsize as usize;
-                plan.pending
-                    .iter()
-                    .rev()
-                    .find(|pend| pend.target.addr() == addr)
-                    .map(|pend| match pend.target {
+                plan.pending.iter().rev().find(|pend| pend.target.addr() == addr).map(|pend| {
+                    match pend.target {
                         Target::U32(_, v) => v as usize,
                         Target::U64(_, v) => v as usize,
                         Target::Usize(_, v) => v,
-                    })
+                    }
+                })
             })
         }
 

@@ -48,13 +48,7 @@ impl LogHistogram {
 
     /// An empty histogram (fixed ~2.4 KiB of buckets).
     pub fn new() -> Self {
-        Self {
-            buckets: vec![0; Self::REGULAR + 1],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
+        Self { buckets: vec![0; Self::REGULAR + 1], count: 0, sum: 0, min: u64::MAX, max: 0 }
     }
 
     /// Bucket index for a value (the overflow bucket for saturating

@@ -46,9 +46,7 @@ impl Json {
     /// The number as a non-negative integer, if it is one exactly.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => {
-                Some(*x as u64)
-            }
+            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => Some(*x as u64),
             _ => None,
         }
     }
@@ -193,15 +191,11 @@ fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     if b.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < b.len()
-        && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
+    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
         *pos += 1;
     }
     let text = std::str::from_utf8(&b[start..*pos]).unwrap();
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("bad number {text:?} at byte {start}"))
+    text.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number {text:?} at byte {start}"))
 }
 
 fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -243,9 +237,7 @@ fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
                         } else {
                             hi
                         };
-                        out.push(
-                            char::from_u32(cp).ok_or_else(|| "bad \\u escape".to_string())?,
-                        );
+                        out.push(char::from_u32(cp).ok_or_else(|| "bad \\u escape".to_string())?);
                     }
                     _ => return Err(format!("bad escape at byte {}", *pos)),
                 }
@@ -351,8 +343,17 @@ mod tests {
     #[test]
     fn parse_rejects_malformed_input() {
         for bad in [
-            "", "{", "[1,", "{\"a\"}", "{\"a\":}", "tru", "1 2", "{\"a\":1,}",
-            "\"unterminated", "{'a':1}", "[1]]",
+            "",
+            "{",
+            "[1,",
+            "{\"a\"}",
+            "{\"a\":}",
+            "tru",
+            "1 2",
+            "{\"a\":1,}",
+            "\"unterminated",
+            "{'a':1}",
+            "[1]]",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted malformed input {bad:?}");
         }

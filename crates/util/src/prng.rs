@@ -66,7 +66,9 @@ impl Xoshiro256StarStar {
     /// Derive an independent stream for worker `index` from a base seed.
     /// Streams for different indices are decorrelated by double-mixing.
     pub fn for_stream(seed: u64, index: u64) -> Self {
-        Self::new(SplitMix64::mix(seed) ^ SplitMix64::mix(index.wrapping_mul(0xA24B_AED4_963E_E407)))
+        Self::new(
+            SplitMix64::mix(seed) ^ SplitMix64::mix(index.wrapping_mul(0xA24B_AED4_963E_E407)),
+        )
     }
 
     /// Next 64 uniformly distributed bits.

@@ -35,9 +35,8 @@ fn main() {
     );
 
     // --- shortest path between two random giant-component members ---
-    let members: Vec<u32> = (0..graph.num_vertices() as u32)
-        .filter(|&v| c.label[v as usize] == 0)
-        .collect();
+    let members: Vec<u32> =
+        (0..graph.num_vertices() as u32).filter(|&v| c.label[v as usize] == 0).collect();
     let (a, z) = (members[0], members[members.len() - 1]);
     match apps::shortest_path(&graph, a, z, Algorithm::Bfswsl, &opts) {
         Some(p) => println!("shortest path {a} -> {z}: {} hops", p.hops()),
@@ -66,8 +65,7 @@ fn main() {
 
     // --- sampled betweenness centrality ---
     let bc = apps::betweenness_centrality(&graph, 24, 3);
-    let mut ranked: Vec<(u32, f64)> =
-        bc.iter().enumerate().map(|(v, &x)| (v as u32, x)).collect();
+    let mut ranked: Vec<(u32, f64)> = bc.iter().enumerate().map(|(v, &x)| (v as u32, x)).collect();
     ranked.sort_by(|x, y| y.1.partial_cmp(&x.1).unwrap());
     println!("\ntop-5 betweenness (24 pivots):");
     for &(v, score) in ranked.iter().take(5) {

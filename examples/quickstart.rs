@@ -18,11 +18,7 @@ fn main() {
         graph.max_degree().0
     );
 
-    let opts = BfsOptions {
-        threads: 8,
-        record_parents: true,
-        ..BfsOptions::default()
-    };
+    let opts = BfsOptions { threads: 8, record_parents: true, ..BfsOptions::default() };
     let src = 0;
 
     // The optimistic lock-free BFS: no locks, no atomic RMW instructions

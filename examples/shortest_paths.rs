@@ -13,23 +13,14 @@ fn main() {
     // A 3-D torus with local chords — the mesh shape of the paper's cage
     // matrices (DNA electrophoresis).
     let graph = gen::suite::cage_like(64_000, 12.0, 5);
-    println!(
-        "mesh: {} vertices, {} edges",
-        graph.num_vertices(),
-        graph.num_edges()
-    );
+    println!("mesh: {} vertices, {} edges", graph.num_vertices(), graph.num_edges());
 
-    let opts = BfsOptions {
-        threads: 8,
-        record_parents: true,
-        ..BfsOptions::default()
-    };
+    let opts = BfsOptions { threads: 8, record_parents: true, ..BfsOptions::default() };
 
     // --- shortest path between two far-apart vertices ---
     let src: u32 = 0;
     let result = run_bfs(Algorithm::Bfscl, &graph, src, &opts);
-    obfs::core::validate::check_self_consistent(&graph, src, &result)
-        .expect("valid BFS tree");
+    obfs::core::validate::check_self_consistent(&graph, src, &result).expect("valid BFS tree");
     let parents = result.parents.as_ref().unwrap();
 
     // Pick the deepest reachable vertex as the destination.
@@ -97,8 +88,5 @@ fn main() {
     }
     sizes.sort_unstable_by(|a, b| b.cmp(a));
     println!("  {} component(s); sizes: {:?}", sizes.len(), &sizes[..sizes.len().min(5)]);
-    assert_eq!(
-        sizes.iter().sum::<usize>(),
-        component.iter().filter(|&&c| c != u32::MAX).count()
-    );
+    assert_eq!(sizes.iter().sum::<usize>(), component.iter().filter(|&&c| c != u32::MAX).count());
 }

@@ -30,12 +30,7 @@ fn main() {
     let sources = stats::sample_sources(&graph, 3, 99);
 
     println!("\nper-algorithm traversal of {} sources:", sources.len());
-    for algo in [
-        Algorithm::Serial,
-        Algorithm::Bfscl,
-        Algorithm::Bfswl,
-        Algorithm::Bfswsl,
-    ] {
+    for algo in [Algorithm::Serial, Algorithm::Bfscl, Algorithm::Bfswl, Algorithm::Bfswsl] {
         let mut total_ms = 0.0;
         let mut max_sep = 0;
         for &src in &sources {
@@ -43,12 +38,7 @@ fn main() {
             total_ms += r.stats.traversal_time.as_secs_f64() * 1e3;
             max_sep = max_sep.max(r.depth());
         }
-        println!(
-            "  {:<8} {:>8.2} ms total, max separation {}",
-            algo.name(),
-            total_ms,
-            max_sep
-        );
+        println!("  {:<8} {:>8.2} ms total, max separation {}", algo.name(), total_ms, max_sep);
     }
 
     // Degrees-of-separation distribution from one user.

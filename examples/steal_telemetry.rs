@@ -6,8 +6,8 @@
 //! cargo run --release --example steal_telemetry
 //! ```
 
-use obfs::prelude::*;
 use obfs::core::StealCounters;
+use obfs::prelude::*;
 
 fn pct(part: u64, whole: u64) -> f64 {
     if whole == 0 {
@@ -30,23 +30,11 @@ fn print_counters(name: &str, s: &StealCounters, locked: bool) {
     } else {
         println!("  victim locked   :      N/A (no locks exist)");
     }
-    println!(
-        "  victim idle     : {:>8} ({:>6.2}%)",
-        s.victim_idle,
-        pct(s.victim_idle, s.attempts)
-    );
-    println!(
-        "  segment too small:{:>8} ({:>6.2}%)",
-        s.too_small,
-        pct(s.too_small, s.attempts)
-    );
+    println!("  victim idle     : {:>8} ({:>6.2}%)", s.victim_idle, pct(s.victim_idle, s.attempts));
+    println!("  segment too small:{:>8} ({:>6.2}%)", s.too_small, pct(s.too_small, s.attempts));
     if !locked {
         println!("  stale segment   : {:>8} ({:>6.2}%)", s.stale, pct(s.stale, s.attempts));
-        println!(
-            "  invalid segment : {:>8} ({:>6.2}%)",
-            s.invalid,
-            pct(s.invalid, s.attempts)
-        );
+        println!("  invalid segment : {:>8} ({:>6.2}%)", s.invalid, pct(s.invalid, s.attempts));
     }
 }
 

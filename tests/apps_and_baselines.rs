@@ -92,12 +92,8 @@ fn betweenness_hub_detection_on_scale_free() {
     let g = gen::barabasi_albert(2000, 3, 11);
     let bc = apps::betweenness_centrality(&g, 32, 5);
     // The highest-BC vertex must be among the highest-degree vertices.
-    let argmax_bc = bc
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-        .unwrap()
-        .0 as u32;
+    let argmax_bc =
+        bc.iter().enumerate().max_by(|a, b| a.1.partial_cmp(b.1).unwrap()).unwrap().0 as u32;
     let mut by_degree: Vec<u32> = (0..2000).collect();
     by_degree.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
     assert!(
@@ -138,11 +134,7 @@ fn multi_source_distance_field_on_mesh() {
     let seeds = [0u32, 100, 400];
     let field = apps::multi_source_distances(&g, &seeds, Algorithm::Bfswsl, &opts);
     for (v, &d) in field.iter().enumerate() {
-        let expect = seeds
-            .iter()
-            .map(|&s| serial_bfs(&g, s).levels[v])
-            .min()
-            .unwrap();
+        let expect = seeds.iter().map(|&s| serial_bfs(&g, s).levels[v]).min().unwrap();
         assert_eq!(d, expect, "vertex {v}");
         assert_ne!(d, UNVISITED, "torus is connected");
     }

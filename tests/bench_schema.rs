@@ -12,13 +12,7 @@ use obfs_bench::{measure_with_series, BenchArgs, BenchReport, Contender, Contend
 use obfs_core::flight::{kind, FlightEvent, FlightRecording, RingDump};
 
 fn small_args() -> BenchArgs {
-    BenchArgs {
-        divisor: 4096,
-        threads: 4,
-        sources: 2,
-        seed: 7,
-        ..BenchArgs::default()
-    }
+    BenchArgs { divisor: 4096, threads: 4, sources: 2, seed: 7, ..BenchArgs::default() }
 }
 
 /// Build a report exactly the way the bench bins do, from real runs, and
@@ -143,10 +137,8 @@ fn chrome_trace_exporter_shape() {
     assert_eq!(phases.iter().filter(|p| **p == "M").count(), 3);
     assert_eq!(phases.iter().filter(|p| **p == "C").count(), 2);
     // Worker index becomes the tid (the process_name record has none).
-    let tids: Vec<u64> = events
-        .iter()
-        .filter_map(|e| e.get("tid").and_then(Json::as_u64))
-        .collect();
+    let tids: Vec<u64> =
+        events.iter().filter_map(|e| e.get("tid").and_then(Json::as_u64)).collect();
     assert!(tids.contains(&0) && tids.contains(&1));
     // The exporter round-trips exactly through the bundled parser.
     let back = obfs_core::flight::parse_chrome_trace(&text).expect("parse own export");

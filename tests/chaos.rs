@@ -35,13 +35,8 @@ const PARALLEL: [Algorithm; 8] = [
 ];
 
 /// The optimistic (lock-free) subset whose recovery paths chaos targets.
-const LOCKFREE: [Algorithm; 5] = [
-    Algorithm::Bfscl,
-    Algorithm::Bfsdl,
-    Algorithm::Bfswl,
-    Algorithm::Bfswsl,
-    Algorithm::EdgeCl,
-];
+const LOCKFREE: [Algorithm; 5] =
+    [Algorithm::Bfscl, Algorithm::Bfsdl, Algorithm::Bfswl, Algorithm::Bfswsl, Algorithm::EdgeCl];
 
 /// Store-buffer staleness on every racy cell: all algorithms stay
 /// correct, their parent trees validate, and the plan demonstrably
@@ -156,11 +151,7 @@ fn skew_drives_invalid_segment_rejections_in_stealing() {
 /// with owners alone draining the frontier.
 #[test]
 fn total_skew_never_reads_out_of_bounds() {
-    let cfg = ChaosConfig {
-        skew_chance: 1.0,
-        skew_max: 1 << 30,
-        ..ChaosConfig::skew_only(99)
-    };
+    let cfg = ChaosConfig { skew_chance: 1.0, skew_max: 1 << 30, ..ChaosConfig::skew_only(99) };
     let g = gen::barabasi_albert(600, 3, 21);
     let reference = serial_bfs(&g, 0);
     let opts = BfsOptions { threads: 4, chaos: Some(cfg), ..Default::default() };
@@ -227,10 +218,7 @@ fn watchdog_retry_budget_trips_under_chaos() {
             threads: 4,
             segment: SegmentPolicy::Fixed(1),
             chaos: Some(ChaosConfig::aggressive(seed)),
-            watchdog: Some(WatchdogPolicy {
-                max_fetch_retries: Some(1),
-                ..Default::default()
-            }),
+            watchdog: Some(WatchdogPolicy { max_fetch_retries: Some(1), ..Default::default() }),
             ..Default::default()
         };
         let r = run_bfs(Algorithm::Bfscl, &g, 0, &opts);
@@ -246,11 +234,8 @@ fn watchdog_retry_budget_trips_under_chaos() {
 #[test]
 fn single_thread_fault_injection_is_deterministic() {
     let g = gen::barabasi_albert(400, 3, 11);
-    let opts = BfsOptions {
-        threads: 1,
-        chaos: Some(ChaosConfig::store_buffer(42)),
-        ..Default::default()
-    };
+    let opts =
+        BfsOptions { threads: 1, chaos: Some(ChaosConfig::store_buffer(42)), ..Default::default() };
     let a = run_bfs(Algorithm::Bfscl, &g, 0, &opts);
     let b = run_bfs(Algorithm::Bfscl, &g, 0, &opts);
     assert!(a.stats.totals.injected_faults > 0, "no faults injected");
@@ -356,10 +341,7 @@ fn hybrid_chaos_recovery_counters_still_fire() {
             segment: SegmentPolicy::Fixed(1),
             hybrid: Some(HybridPolicy::default()),
             chaos: Some(ChaosConfig::aggressive(seed)),
-            watchdog: Some(WatchdogPolicy {
-                max_fetch_retries: Some(1),
-                ..Default::default()
-            }),
+            watchdog: Some(WatchdogPolicy { max_fetch_retries: Some(1), ..Default::default() }),
             ..Default::default()
         };
         for algo in [Algorithm::Bfscl, Algorithm::Bfswsl] {
@@ -518,10 +500,7 @@ fn batch_chaos_recovery_counters_still_fire() {
             threads: 4,
             segment: SegmentPolicy::Fixed(1),
             chaos: Some(ChaosConfig::aggressive(seed)),
-            watchdog: Some(WatchdogPolicy {
-                max_fetch_retries: Some(1),
-                ..Default::default()
-            }),
+            watchdog: Some(WatchdogPolicy { max_fetch_retries: Some(1), ..Default::default() }),
             ..Default::default()
         };
         let b = run_batch(Algorithm::Bfscl, &g, &sources, &opts);

@@ -107,7 +107,8 @@ fn option_grid_does_not_break_correctness() {
                     record_parents: true,
                     ..BfsOptions::default()
                 };
-                for algo in [Algorithm::Bfscl, Algorithm::Bfsdl, Algorithm::Bfswl, Algorithm::Bfswsl]
+                for algo in
+                    [Algorithm::Bfscl, Algorithm::Bfsdl, Algorithm::Bfswl, Algorithm::Bfswsl]
                 {
                     let r = run_bfs(algo, &g, src, &opts);
                     assert_eq!(
@@ -130,10 +131,8 @@ fn option_grid_does_not_break_correctness() {
 /// reaching exactly the source's own component — from each such source.
 #[test]
 fn sources_in_secondary_components_match_serial() {
-    let g = CsrGraph::from_edges(
-        300,
-        &[(0, 1), (1, 2), (2, 0), (100, 101), (101, 102), (200, 201)],
-    );
+    let g =
+        CsrGraph::from_edges(300, &[(0, 1), (1, 2), (2, 0), (100, 101), (101, 102), (200, 201)]);
     // Component reps (100, 200), interior (101), and isolated (50, 299).
     for src in [100u32, 101, 200, 50, 299] {
         let reference = serial_bfs(&g, src);
@@ -161,10 +160,8 @@ fn sources_in_secondary_components_match_serial() {
 /// pools instead of respawning workers for each of the ~500 runs.
 #[test]
 fn deterministic_matrix_sweep() {
-    let graphs = [
-        ("erdos-renyi", gen::erdos_renyi(600, 4200, 29)),
-        ("grid2d", gen::grid2d(24, 25)),
-    ];
+    let graphs =
+        [("erdos-renyi", gen::erdos_renyi(600, 4200, 29)), ("grid2d", gen::grid2d(24, 25))];
     let parallel: Vec<Algorithm> =
         Algorithm::ALL.into_iter().filter(|a| *a != Algorithm::Serial).collect();
     let segments = [SegmentPolicy::Fixed(8), SegmentPolicy::default()];
@@ -188,9 +185,8 @@ fn deterministic_matrix_sweep() {
                         // A generous deadline arms the watchdog machinery
                         // (the per-level deadline checks run) without
                         // actually degrading any level.
-                        watchdog: watchdog_on.then(|| {
-                            WatchdogPolicy::deadline(std::time::Duration::from_secs(60))
-                        }),
+                        watchdog: watchdog_on
+                            .then(|| WatchdogPolicy::deadline(std::time::Duration::from_secs(60))),
                         record_parents: true,
                         seed: 0xC0FFEE ^ (threads as u64) << 8,
                         ..BfsOptions::default()
@@ -202,13 +198,14 @@ fn deterministic_matrix_sweep() {
                             "{algo} wrong on {name}: threads={threads} \
                              watchdog={watchdog_on} segment={segment:?}"
                         );
-                        obfs::core::validate::check_self_consistent(g, src, &r)
-                            .unwrap_or_else(|e| {
+                        obfs::core::validate::check_self_consistent(g, src, &r).unwrap_or_else(
+                            |e| {
                                 panic!(
                                     "{algo} invalid tree on {name}: threads={threads} \
                                      watchdog={watchdog_on} segment={segment:?}: {e}"
                                 )
-                            });
+                            },
+                        );
                         assert_eq!(
                             r.stats.degraded_levels, 0,
                             "{algo} on {name}: generous watchdog must never trip"
@@ -272,14 +269,12 @@ fn hybrid_matrix_matches_serial_everywhere() {
                         r.levels, reference.levels,
                         "{algo} wrong on {name}: threads={threads} hybrid={mode}"
                     );
-                    obfs::core::validate::check_self_consistent(g, src, &r).unwrap_or_else(
-                        |e| {
-                            panic!(
-                                "{algo} invalid tree on {name}: threads={threads} \
+                    obfs::core::validate::check_self_consistent(g, src, &r).unwrap_or_else(|e| {
+                        panic!(
+                            "{algo} invalid tree on {name}: threads={threads} \
                                  hybrid={mode}: {e}"
-                            )
-                        },
-                    );
+                        )
+                    });
                     if hybrid.is_some() {
                         assert_eq!(
                             r.stats.directions.len() as u32,
@@ -348,14 +343,12 @@ fn compaction_matrix_matches_serial_everywhere() {
                         r.levels, reference.levels,
                         "{algo} wrong on {name}: threads={threads} compaction={mode}"
                     );
-                    obfs::core::validate::check_self_consistent(g, src, &r).unwrap_or_else(
-                        |e| {
-                            panic!(
-                                "{algo} invalid tree on {name}: threads={threads} \
+                    obfs::core::validate::check_self_consistent(g, src, &r).unwrap_or_else(|e| {
+                        panic!(
+                            "{algo} invalid tree on {name}: threads={threads} \
                                  compaction={mode}: {e}"
-                            )
-                        },
-                    );
+                        )
+                    });
                     match *mode {
                         "off" => assert_eq!(
                             r.stats.compacted_levels, 0,

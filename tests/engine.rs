@@ -230,8 +230,7 @@ fn tls_state_is_uninstalled_between_queries_on_a_shared_pool() {
 /// queries, one of them cancelled mid-flight, all verified against the
 /// serial reference (full or partial, per status).
 fn soak_round(e: &Engine, reference: &[u32], seed: u64) {
-    let algos =
-        [Algorithm::Bfscl, Algorithm::Bfswl, Algorithm::Bfswsl, Algorithm::EdgeCl];
+    let algos = [Algorithm::Bfscl, Algorithm::Bfswl, Algorithm::Bfswsl, Algorithm::EdgeCl];
     let mut handles = Vec::new();
     for (i, algo) in algos.iter().enumerate() {
         let h = e.submit(Query::new(*algo, 0)).expect("soak stays under capacity");
@@ -265,10 +264,8 @@ fn soak_round(e: &Engine, reference: &[u32], seed: u64) {
 fn engine_soak_smoke() {
     let g = test_graph(9);
     let reference = serial_bfs(&g, 0).levels;
-    let e = Engine::new(
-        Arc::new(g),
-        EngineConfig { threads: 3, capacity: 8, ..Default::default() },
-    );
+    let e =
+        Engine::new(Arc::new(g), EngineConfig { threads: 3, capacity: 8, ..Default::default() });
     for seed in 0..3 {
         soak_round(&e, &reference, seed);
     }
@@ -294,10 +291,8 @@ fn engine_soak_full() {
         .unwrap_or(60);
     let g = test_graph(10);
     let reference = serial_bfs(&g, 0).levels;
-    let e = Engine::new(
-        Arc::new(g),
-        EngineConfig { threads: 4, capacity: 8, ..Default::default() },
-    );
+    let e =
+        Engine::new(Arc::new(g), EngineConfig { threads: 4, capacity: 8, ..Default::default() });
     for seed in 0..rounds {
         soak_round(&e, &reference, seed);
         if seed % 10 == 0 {

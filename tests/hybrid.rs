@@ -49,17 +49,8 @@ fn check_hybrid(g: &CsrGraph, src: u32, opts: &BfsOptions) -> obfs::prelude::Bfs
     let r = run_bfs(Algorithm::Bfscl, g, src, opts);
     assert_eq!(r.levels, reference.levels, "hybrid BFSCL levels diverge from serial");
     check_self_consistent(g, src, &r).expect("hybrid BFS tree must validate");
-    assert_eq!(
-        r.stats.directions.len() as u32,
-        r.stats.levels,
-        "one direction per executed level"
-    );
-    let switches: u32 = r
-        .stats
-        .directions
-        .windows(2)
-        .map(|w| u32::from(w[0] != w[1]))
-        .sum();
+    assert_eq!(r.stats.directions.len() as u32, r.stats.levels, "one direction per executed level");
+    let switches: u32 = r.stats.directions.windows(2).map(|w| u32::from(w[0] != w[1])).sum();
     assert_eq!(switches, r.stats.direction_switches, "switch count mismatch");
     for (e, &d) in r.stats.level_stats.iter().zip(&r.stats.directions) {
         assert_eq!(e.direction, d, "LevelStats.direction disagrees with RunStats.directions");
@@ -172,10 +163,7 @@ fn custom_alpha_beta_change_the_switch_points() {
     );
     // α = 1 demands mf > mu — the most conservative setting can only
     // flip later (or never).
-    let lazy = BfsOptions {
-        hybrid: Some(HybridPolicy::with_constants(1, 24)),
-        ..hybrid_opts(2)
-    };
+    let lazy = BfsOptions { hybrid: Some(HybridPolicy::with_constants(1, 24)), ..hybrid_opts(2) };
     let rl = check_hybrid(&g, 0, &lazy);
     assert!(
         first_bu(&rl).is_none_or(|at| at >= eager_at),
@@ -184,10 +172,8 @@ fn custom_alpha_beta_change_the_switch_points() {
     );
     // β = 1 raises the bottom-up floor to n: top-down may only leave on
     // a frontier of at least n out-edges, however eager α is.
-    let floored = BfsOptions {
-        hybrid: Some(HybridPolicy::with_constants(1_000_000, 1)),
-        ..hybrid_opts(2)
-    };
+    let floored =
+        BfsOptions { hybrid: Some(HybridPolicy::with_constants(1_000_000, 1)), ..hybrid_opts(2) };
     let rf = check_hybrid(&g, 0, &floored);
     let n = g.num_vertices() as u64;
     let dirs = &rf.stats.directions;
@@ -356,12 +342,8 @@ fn hybrid_conserves_level_counters_and_frontier_edges() {
     let sum: u64 = r.stats.level_stats.iter().map(|e| e.counters.frontier_edges).sum();
     assert_eq!(sum, r.stats.totals.frontier_edges);
     assert!(r.stats.totals.frontier_edges > 0);
-    let plain = run_bfs(
-        Algorithm::Bfscl,
-        &g,
-        0,
-        &BfsOptions { threads: 4, ..BfsOptions::default() },
-    );
+    let plain =
+        run_bfs(Algorithm::Bfscl, &g, 0, &BfsOptions { threads: 4, ..BfsOptions::default() });
     assert_eq!(plain.stats.totals.frontier_edges, 0, "counter must be free when hybrid is off");
     assert!(plain.stats.directions.is_empty());
 }
@@ -409,8 +391,7 @@ fn compaction_composes_with_hybrid_direction_switching() {
                         "{algo} on {name}: compacted a bottom-up level"
                     );
                 }
-                let flagged =
-                    r.stats.level_stats.iter().filter(|e| e.compacted).count() as u32;
+                let flagged = r.stats.level_stats.iter().filter(|e| e.compacted).count() as u32;
                 assert_eq!(
                     flagged, r.stats.compacted_levels,
                     "{algo} on {name}: per-level flags disagree with the run total"

@@ -21,9 +21,7 @@ const CASES: u64 = 48;
 fn arb_graph(rng: &mut Xoshiro256StarStar) -> (usize, Vec<(u32, u32)>) {
     let n = 2 + rng.below_usize(118);
     let m = rng.below_usize(n * 6);
-    let edges = (0..m)
-        .map(|_| (rng.below(n as u64) as u32, rng.below(n as u64) as u32))
-        .collect();
+    let edges = (0..m).map(|_| (rng.below(n as u64) as u32, rng.below(n as u64) as u32)).collect();
     (n, edges)
 }
 
@@ -80,11 +78,7 @@ fn any_hub_threshold_is_correct() {
         let g = build(n, &edges);
         let thr = rng.below_usize(32);
         let reference = serial_bfs(&g, 0);
-        let opts = BfsOptions {
-            threads: 4,
-            hub_threshold: Some(thr),
-            ..BfsOptions::default()
-        };
+        let opts = BfsOptions { threads: 4, hub_threshold: Some(thr), ..BfsOptions::default() };
         for algo in [Algorithm::Bfsws, Algorithm::Bfswsl] {
             let r = run_bfs(algo, &g, 0, &opts);
             assert_eq!(r.levels, reference.levels, "case {case}: {algo} thr={thr}");
@@ -159,8 +153,7 @@ fn parallel_prefix_sum_equals_serial_scan() {
     use obfs_runtime::LevelPool;
     for threads in [1usize, 2, 4, 8] {
         let pool = LevelPool::new(threads);
-        let lengths =
-            [0, 1, threads.saturating_sub(1), threads, 4096, 4096 + 37, 4096 + threads];
+        let lengths = [0, 1, threads.saturating_sub(1), threads, 4096, 4096 + 37, 4096 + threads];
         for (case, &len) in lengths.iter().enumerate() {
             let mut rng = Xoshiro256StarStar::for_stream(0x9A17, (threads * 100 + case) as u64);
             let xs: Vec<u64> = (0..len).map(|_| rng.below(1 << 20)).collect();
@@ -257,9 +250,7 @@ fn reachability_monotone() {
         let g1 = build(n, &edges);
         let extra = 1 + rng.below_usize(9);
         let mut all = edges.clone();
-        all.extend(
-            (0..extra).map(|_| (rng.below(n as u64) as u32, rng.below(n as u64) as u32)),
-        );
+        all.extend((0..extra).map(|_| (rng.below(n as u64) as u32, rng.below(n as u64) as u32)));
         let g2 = build(n, &all);
         let r1 = serial_bfs(&g1, 0);
         let r2 = serial_bfs(&g2, 0);

@@ -21,7 +21,12 @@ fn round(seed: u64, runner_cache: &mut Vec<(usize, obfs::core::BfsRunner)>) {
     let g = match rng.below(5) {
         0 => gen::erdos_renyi(200 + rng.below_usize(2000), 4000, seed),
         1 => gen::barabasi_albert(200 + rng.below_usize(1500), 1 + rng.below_usize(4), seed),
-        2 => gen::rmat(9 + rng.below(3) as u32, 4 + rng.below_usize(8), gen::RmatParams::default(), seed),
+        2 => gen::rmat(
+            9 + rng.below(3) as u32,
+            4 + rng.below_usize(8),
+            gen::RmatParams::default(),
+            seed,
+        ),
         3 => gen::grid2d(5 + rng.below_usize(40), 5 + rng.below_usize(40)),
         _ => gen::suite::circuit_like(500 + rng.below_usize(3000), 5.0, seed),
     };

@@ -95,11 +95,8 @@ fn dense_duplicate_pressure() {
     }
     // With owner-array dedup the duplicate explorations must vanish for
     // the centralized lock-free variant.
-    let opts_dedup = BfsOptions {
-        threads: 8,
-        dedup: DedupMode::OwnerArray,
-        ..BfsOptions::default()
-    };
+    let opts_dedup =
+        BfsOptions { threads: 8, dedup: DedupMode::OwnerArray, ..BfsOptions::default() };
     let r = run_bfs(Algorithm::Bfscl, &g, 0, &opts_dedup);
     assert_eq!(r.levels, reference.levels);
 }

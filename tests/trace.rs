@@ -20,11 +20,7 @@ fn recorder_captures_worker_lifecycle_exactly() {
     let g = gen::erdos_renyi(700, 4900, 19);
     let reference = serial_bfs(&g, 0);
     let threads = 4usize;
-    let opts = BfsOptions {
-        threads,
-        flight_recorder: Some(1 << 14),
-        ..Default::default()
-    };
+    let opts = BfsOptions { threads, flight_recorder: Some(1 << 14), ..Default::default() };
     for algo in [Algorithm::Bfscl, Algorithm::Bfswsl, Algorithm::EdgeCl] {
         let r = run_bfs(algo, &g, 0, &opts);
         assert_eq!(r.levels, reference.levels, "{algo}");
@@ -59,11 +55,7 @@ fn recorder_captures_worker_lifecycle_exactly() {
 #[test]
 fn steal_events_match_steal_counters() {
     let g = gen::barabasi_albert(900, 4, 31);
-    let opts = BfsOptions {
-        threads: 4,
-        flight_recorder: Some(1 << 15),
-        ..Default::default()
-    };
+    let opts = BfsOptions { threads: 4, flight_recorder: Some(1 << 15), ..Default::default() };
     for algo in [Algorithm::Bfsws, Algorithm::Bfswsl] {
         let r = run_bfs(algo, &g, 0, &opts);
         let rec = r.stats.flight.as_ref().unwrap();
@@ -103,8 +95,7 @@ fn direction_switch_events_match_recorded_directions() {
     for algo in [Algorithm::Bfscl, Algorithm::Bfswsl] {
         let r = run_bfs(algo, &g, src, &opts);
         assert_eq!(r.levels, reference.levels, "{algo}");
-        let switches: u32 =
-            r.stats.directions.windows(2).map(|w| u32::from(w[0] != w[1])).sum();
+        let switches: u32 = r.stats.directions.windows(2).map(|w| u32::from(w[0] != w[1])).sum();
         assert!(switches > 0, "{algo}: dense RMAT never switched direction");
         assert_eq!(switches, r.stats.direction_switches, "{algo}");
         let rec = r.stats.flight.as_ref().unwrap();
@@ -239,11 +230,7 @@ fn no_recording_unless_requested() {
 #[test]
 fn serial_never_records() {
     let g = gen::path(200);
-    let opts = BfsOptions {
-        threads: 1,
-        flight_recorder: Some(1024),
-        ..Default::default()
-    };
+    let opts = BfsOptions { threads: 1, flight_recorder: Some(1024), ..Default::default() };
     let r = run_bfs(Algorithm::Serial, &g, 0, &opts);
     assert!(r.stats.flight.is_none());
 }
@@ -273,8 +260,7 @@ mod chaos_interaction {
         assert!(total > 0, "plan installed but no faults injected");
         let rec = r.stats.flight.as_ref().unwrap();
         assert!(rec.count(kind::FAULT) > 0, "faults injected but no FAULT events");
-        let series_sum: u64 =
-            r.stats.level_stats.iter().map(|l| l.counters.injected_faults).sum();
+        let series_sum: u64 = r.stats.level_stats.iter().map(|l| l.counters.injected_faults).sum();
         assert_eq!(series_sum, total, "per-level fault deltas must sum to the total");
         // Fault events carry a valid cause code.
         for w in &rec.workers {
