@@ -9,8 +9,8 @@ pub struct Table {
 
 impl Table {
     /// A table with the given column headers.
-    pub fn new(header: &[&str]) -> Self {
-        Self { header: header.iter().map(|s| s.to_string()).collect(), rows: Vec::new() }
+    pub fn new(header: &[impl AsRef<str>]) -> Self {
+        Self { header: header.iter().map(|s| s.as_ref().to_string()).collect(), rows: Vec::new() }
     }
 
     /// Append a row (must match the header width).

@@ -3,6 +3,8 @@
 
 use std::process::Command;
 
+const PAPER: &str = env!("CARGO_BIN_EXE_paper");
+
 fn assert_usage_error(bin: &str, args: &[&str], needle: &str) {
     let out = Command::new(bin).args(args).output().expect("spawn the bench bin");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -13,7 +15,7 @@ fn assert_usage_error(bin: &str, args: &[&str], needle: &str) {
 
 #[test]
 fn bad_number_exits_2() {
-    assert_usage_error(env!("CARGO_BIN_EXE_table6"), &["--threads", "many"], "bad value");
+    assert_usage_error(PAPER, &["table6", "--threads", "many"], "bad value");
 }
 
 #[test]
@@ -21,23 +23,38 @@ fn unknown_graph_exits_2() {
     assert_usage_error(env!("CARGO_BIN_EXE_bombard"), &["--graph", "nosuch"], "unknown graph");
 }
 
-/// Each bin refuses the optional shared flags it would otherwise ignore
-/// (every one of these used to exit 0 without doing what was asked).
-/// The tiny graph keeps a bin that wrongly accepted its flag fast.
+/// `paper` without a mode, with one it does not know, or with a second
+/// positional argument names its modes and exits 2.
+#[test]
+fn missing_or_unknown_mode_exits_2() {
+    assert_usage_error(PAPER, &[], "missing mode");
+    assert_usage_error(PAPER, &["table7"], "unknown mode \"table7\"");
+    assert_usage_error(PAPER, &["table4", "fig2"], "unexpected argument \"fig2\"");
+    assert_usage_error(
+        PAPER,
+        &["--threads", "2"],
+        "table4 table5 table6 fig2 fig3 ablations levels",
+    );
+}
+
+/// Each bin and `paper` mode refuses the optional shared flags it would
+/// otherwise ignore (every one of these used to exit 0 without doing
+/// what was asked). The tiny graph keeps one that wrongly accepted its
+/// flag fast.
 #[test]
 fn bins_refuse_shared_flags_they_ignore() {
     let tiny = ["--divisor", "4096", "--threads", "2", "--sources", "1"];
-    for (bin, flag) in [
-        (env!("CARGO_BIN_EXE_graph500"), &["--graph", "wikipedia"][..]),
-        (env!("CARGO_BIN_EXE_ablations"), &["--graph", "cage15"]),
-        (env!("CARGO_BIN_EXE_table5"), &["--hybrid"]),
-        (env!("CARGO_BIN_EXE_fig2"), &["--json"]),
-        (env!("CARGO_BIN_EXE_levels"), &["--json"]),
-        (env!("CARGO_BIN_EXE_table4"), &["--chaos-seed", "3"]),
-        (env!("CARGO_BIN_EXE_fig3"), &["--watchdog-ms", "5"]),
+    for (cmd, flag) in [
+        (&[env!("CARGO_BIN_EXE_graph500")][..], &["--graph", "wikipedia"][..]),
+        (&[PAPER, "ablations"], &["--graph", "cage15"]),
+        (&[PAPER, "table5"], &["--hybrid"]),
+        (&[PAPER, "fig2"], &["--json"]),
+        (&[PAPER, "levels"], &["--json"]),
+        (&[PAPER, "table4"], &["--chaos-seed", "3"]),
+        (&[PAPER, "fig3"], &["--watchdog-ms", "5"]),
     ] {
-        let args: Vec<&str> = flag.iter().chain(&tiny).copied().collect();
-        assert_usage_error(bin, &args, &format!("{} is not supported", flag[0]));
+        let args: Vec<&str> = cmd[1..].iter().chain(flag).chain(&tiny).copied().collect();
+        assert_usage_error(cmd[0], &args, &format!("{} is not supported", flag[0]));
     }
 }
 

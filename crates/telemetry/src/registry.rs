@@ -3,18 +3,18 @@
 //!
 //! # Hot-path cost and memory model
 //!
-//! [`Counter`] is a fixed array of cache-padded `AtomicU64` shards; an
-//! update is one relaxed `fetch_add` into the shard assigned to the
-//! calling thread, so concurrent writers do not share a cache line in
-//! the common case (more threads than shards degrade gracefully to a
-//! shared shard — still correct, relaxed RMWs never lose increments).
-//! [`Gauge`] is a single relaxed `AtomicI64`: gauges are leader- or
-//! scheduler-written, never contended. [`Histogram`] takes a `Mutex`
-//! per record — it is meant for *query*-granularity events (admission
-//! latencies, batch occupancy), never per-edge work; dispatch-granularity
-//! latencies stay in each BFS worker's own record (`obfs_core::Worker`),
-//! and the BFS driver publishes only per-level aggregates here (see
-//! [`crate::worker`]).
+//! [`Counter`] is one `AtomicU64`; an update is one relaxed `fetch_add`
+//! (relaxed RMWs never lose increments). No counter has concurrent
+//! writers: the engine's are written by the scheduler thread or under
+//! its state lock, the `obfs_run_*` ones by the barrier leader in its
+//! serial sections, so there is no contended line to spread over
+//! shards. [`Gauge`] is a single relaxed `AtomicI64`: gauges are
+//! leader- or scheduler-written, never contended. [`Histogram`] takes a
+//! `Mutex` per record — it is meant for *query*-granularity events
+//! (admission latencies, batch occupancy), never per-edge work;
+//! dispatch-granularity latencies stay in each BFS worker's own record
+//! (`obfs_core::Worker`), and the BFS driver publishes only per-level
+//! aggregates here (see [`crate::worker`]).
 //!
 //! Readers (scrapes) see each counter atomically but no consistent cut
 //! across counters: a snapshot taken mid-update can observe, say, a
@@ -35,39 +35,16 @@
 //! `total` backs Prometheus `_sum`/`_count` (cumulative, as the format
 //! expects) and whole-run percentiles.
 
-use obfs_sync::{CachePadded, Clock};
+use obfs_sync::Clock;
 use obfs_util::{Json, LogHistogram};
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Counter shard count. 16 padded shards cover every pool size the
-/// drivers use; beyond that threads share shards (correct, just closer).
-const SHARDS: usize = 16;
-
 /// Default histogram decay window.
 pub const DEFAULT_WINDOW: Duration = Duration::from_secs(10);
-
-/// The shard a thread's counter increments land in: assigned round-robin
-/// on first use, then cached in a thread-local `Cell` (no atomics on the
-/// fast path after the first increment).
-fn shard_index() -> usize {
-    thread_local! {
-        static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    SHARD.with(|s| {
-        let mut i = s.get();
-        if i == usize::MAX {
-            static NEXT: AtomicUsize = AtomicUsize::new(0);
-            i = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-            s.set(i);
-        }
-        i
-    })
-}
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     // A panicking scraper must not wedge the writers (same recovery
@@ -75,20 +52,14 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-struct CounterCore {
-    shards: [CachePadded<AtomicU64>; SHARDS],
-}
-
 /// A monotone counter. Cloning hands out another handle to the same
-/// underlying shards.
+/// underlying value.
 #[derive(Clone)]
-pub struct Counter(Arc<CounterCore>);
+pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
     fn new() -> Self {
-        Counter(Arc::new(CounterCore {
-            shards: std::array::from_fn(|_| CachePadded::new(AtomicU64::new(0))),
-        }))
+        Counter(Arc::new(AtomicU64::new(0)))
     }
 
     /// Add 1.
@@ -97,17 +68,18 @@ impl Counter {
         self.add(1);
     }
 
-    /// Add `n` (relaxed RMW into this thread's shard).
+    /// Add `n` (relaxed RMW).
     #[inline]
     pub fn add(&self, n: u64) {
         if n > 0 {
-            self.0.shards[shard_index()].fetch_add(n, Ordering::Relaxed);
+            self.0.fetch_add(n, Ordering::Relaxed);
         }
     }
 
-    /// Sum of all shards (relaxed loads; monotone but not a cut).
+    /// Current value (relaxed load; monotone, but no cut across
+    /// counters).
     pub fn value(&self) -> u64 {
-        self.0.shards.iter().map(|s| s.load(Ordering::Relaxed)).sum()
+        self.0.load(Ordering::Relaxed)
     }
 }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Regenerate every recorded benchmark artifact: the human-readable tables
 # in results/*.txt and the machine-readable BENCH_<name>.json reports of
-# the bins that take --json (table6, fig3, graph500, and bombard, which
-# writes BENCH_serve.json), all in schema v6, where `teps` is Graph500
+# the commands that take --json (`paper table6`, `paper fig3`, graph500,
+# and bombard, which writes BENCH_serve.json), all in schema v6, where `teps` is Graph500
 # TEPS: the traversed component's input edges over traversal time,
 # harmonic mean over runs. Run from anywhere in the repo; artifacts land
 # in results/ and the repo root.
@@ -12,6 +12,9 @@
 #
 #   DIVISOR=128 THREADS=4 ./scripts/bench.sh        # quicker smoke pass
 #   ONLY=table6 ./scripts/bench.sh                  # one benchmark
+#
+# ONLY takes a `paper` mode (table4 table5 table6 fig2 fig3 ablations
+# levels) or graph500 or bombard.
 #
 # Every emitted BENCH_*.json is schema-validated by the bin itself before
 # it exits (and again by tests/bench_schema.rs), so a bad report fails
@@ -25,8 +28,9 @@ SOURCES="${SOURCES:-8}"
 SEED="${SEED:-1}"
 ONLY="${ONLY:-}"
 
-# run <bin> <outfile> <flags...> — the tee happens inside so a skipped
-# benchmark (ONLY=...) never truncates another benchmark's recording.
+# run <name> <outfile> <flags...> — <name> is a `paper` mode, or the
+# graph500 or bombard bin. The tee happens inside so a skipped benchmark
+# (ONLY=...) never truncates another benchmark's recording.
 run() {
     local name="$1" out="$2"
     shift 2
@@ -34,7 +38,11 @@ run() {
         return
     fi
     echo "== bench: $name =="
-    cargo run --release -q -p obfs-bench --bin "$name" -- "$@" | tee "$out"
+    case "$name" in
+        graph500 | bombard) set -- --bin "$name" -- "$@" ;;
+        *) set -- --bin paper -- "$name" "$@" ;;
+    esac
+    cargo run --release -q -p obfs-bench "$@" | tee "$out"
 }
 
 mkdir -p results
@@ -47,7 +55,7 @@ run fig2 results/fig2.txt --divisor "$DIVISOR" --sources 5 --seed "$SEED"
 run levels results/levels.txt --divisor "$DIVISOR" --threads "$THREADS" --seed "$SEED"
 run ablations results/ablations.txt --divisor "$DIVISOR" --threads "$THREADS" --sources "$SOURCES" --seed "$SEED"
 
-# The bins with machine-readable reports (BENCH_<name>.json in CWD).
+# The commands with machine-readable reports (BENCH_<name>.json in CWD).
 run table6 results/table6.txt --json --hybrid --divisor "$DIVISOR" --threads "$THREADS" --sources 20 --seed "$SEED"
 run fig3 results/fig3.txt --json --divisor "$DIVISOR" --threads "$THREADS" --sources "$SOURCES" --seed "$SEED"
 run graph500 results/graph500.txt --json --divisor 32 --threads "$THREADS" --sources 16 --seed "$SEED"
