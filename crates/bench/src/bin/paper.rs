@@ -2,8 +2,8 @@
 //! is `table4`, `table5`, `table6`, `fig2`, `fig3`, `ablations` or
 //! `levels`; each mode's function below says what it prints. A mode
 //! refuses the optional shared flags it does not honor (`MODES` lists
-//! the ones each honors); a missing or unknown mode, like any bad flag,
-//! is an `error:` line and exit code 2.
+//! the ones each honors, and `paper --help` prints them); a missing or
+//! unknown mode, like any bad flag, is an `error:` line and exit code 2.
 
 use obfs_baselines::hong::HongVariant;
 use obfs_bench::args::fail;
@@ -31,7 +31,12 @@ const MODES: [Mode; 7] = [
 ];
 
 fn main() {
-    let args = BenchArgs::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| fail(e));
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{}", help());
+        return;
+    }
+    let args = BenchArgs::parse_from(argv).unwrap_or_else(|e| fail(e));
     let usage = || {
         let names: Vec<&str> = MODES.iter().map(|m| m.0).collect();
         format!("usage: paper MODE [flags], MODE one of {}", names.join(" "))
@@ -48,6 +53,19 @@ fn main() {
     // Table IV times no traversal, so its header names one worker.
     println!("{}", HostInfo::detect().render(if name == "table4" { 1 } else { args.threads }));
     run(&args);
+}
+
+/// `paper --help`: every mode with the optional shared flags it honors.
+fn help() -> String {
+    let mut s =
+        String::from("usage: paper MODE [flags]\n\nMODE and the optional flags it honors:\n");
+    for (name, honors, _) in MODES {
+        let honors = if honors.is_empty() { "(none)".to_string() } else { honors.join(" ") };
+        s += &format!("  {name:<10} {honors}\n");
+    }
+    s += "\nflags for every mode: --divisor <k> --threads <p> --sources <s> --seed <x>\n\
+          optional flags: --graph <name> --hybrid --json --chaos-seed <x> --watchdog-ms <ms>\n";
+    s
 }
 
 /// The one graph a single-graph mode runs on: `--graph`, or wikipedia.

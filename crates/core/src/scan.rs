@@ -16,7 +16,8 @@
 //! 2. **Scan** — after the barrier publishes the block totals, every
 //!    worker independently computes the same exclusive prefix over the
 //!    `p` totals ([`block_prefix`]; replicated O(p) work instead of a
-//!    serial section — barrier-free within the pass).
+//!    serial section — barrier-free within the pass). The prefix helpers
+//!    live in [`obfs_util::par`], shared with the graph builder.
 //! 3. **Downsweep / materialize** — each worker emits its chunks' set
 //!    bits into the disjoint output range `[prefix, prefix + total)` the
 //!    scan assigned it (single writer per output slot).
@@ -35,43 +36,13 @@
 use crate::frontier::{FrontierBitmap, BITMAP_WORD_BITS};
 use crate::perthread::PerThread;
 use obfs_runtime::LevelPool;
+use obfs_util::par::{block_prefix, block_range};
 use std::cell::UnsafeCell;
 
 /// Bitmap words per compaction chunk (2048 vertices): fine enough that
 /// per-chunk popcounts load-balance skewed frontiers, coarse enough that
 /// a chunk spans whole cache lines of bitmap words.
 pub const COMPACT_CHUNK_WORDS: usize = 64;
-
-/// Serial exclusive prefix sum: `out[i] = xs[0] + … + xs[i-1]`, with one
-/// extra trailing element holding the total (`out.len() == xs.len() + 1`).
-/// The reference the property tests pin the parallel scan against, and
-/// the leader-side helper for small inputs.
-pub fn exclusive_scan(xs: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(xs.len() + 1);
-    let mut acc = 0u64;
-    for &x in xs {
-        out.push(acc);
-        acc += x;
-    }
-    out.push(acc);
-    out
-}
-
-/// Contiguous block `[lo, hi)` of `len` items owned by `tid` of
-/// `threads` (the last blocks may be empty when `len < threads`).
-#[inline]
-pub fn block_range(len: usize, threads: usize, tid: usize) -> (usize, usize) {
-    let per = obfs_util::div_ceil(len, threads.max(1));
-    ((tid * per).min(len), ((tid + 1) * per).min(len))
-}
-
-/// Exclusive prefix of the published block totals: the sum of
-/// `totals[..tid]`. Every worker computes this independently after the
-/// barrier — replicated O(p) work in place of a serial section.
-#[inline]
-pub fn block_prefix(totals: &[u64], tid: usize) -> u64 {
-    totals[..tid].iter().sum()
-}
 
 /// Count the set bits of `bm.words[wlo..whi]`.
 pub fn popcount_words(bm: &FrontierBitmap, wlo: usize, whi: usize) -> u64 {
@@ -127,10 +98,10 @@ impl ScanSlots {
 /// Run the three-pass parallel exclusive prefix sum of `xs` on `pool`,
 /// returning `out` with `out[i] = xs[0] + … + xs[i-1]` and a trailing
 /// total (`out.len() == xs.len() + 1`) — element-for-element equal to
-/// [`exclusive_scan`]. This is the standalone form of the compaction
-/// scan (same phase structure, same helpers), kept callable on bare
-/// slices so the property tests can pin it against the serial reference
-/// across lengths and thread counts.
+/// [`obfs_util::par::exclusive_scan`]. This is the standalone form of
+/// the compaction scan (same phase structure, same helpers), kept
+/// callable on bare slices so the property tests can pin it against the
+/// serial reference across lengths and thread counts.
 pub fn parallel_exclusive_scan(pool: &LevelPool, xs: &[u64]) -> Vec<u64> {
     let threads = pool.threads();
     let slots = ScanSlots(
@@ -173,31 +144,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn serial_scan_reference() {
-        assert_eq!(exclusive_scan(&[]), vec![0]);
-        assert_eq!(exclusive_scan(&[7]), vec![0, 7]);
-        assert_eq!(exclusive_scan(&[1, 2, 3]), vec![0, 1, 3, 6]);
-    }
-
-    #[test]
-    fn block_ranges_partition() {
-        for (len, threads) in [(0, 4), (1, 4), (3, 4), (4, 4), (17, 4), (4100, 8)] {
-            let mut next = 0;
-            for t in 0..threads {
-                let (lo, hi) = block_range(len, threads, t);
-                assert_eq!(lo, next.min(len), "len={len} t={t}");
-                assert!(hi >= lo);
-                next = hi;
-            }
-            assert_eq!(next, len, "blocks must cover [0, len)");
-        }
-    }
-
-    #[test]
     fn parallel_scan_matches_serial_smoke() {
         let pool = LevelPool::new(3);
         let xs: Vec<u64> = (0..257).map(|i| (i * 37 + 11) % 101).collect();
-        assert_eq!(parallel_exclusive_scan(&pool, &xs), exclusive_scan(&xs));
+        assert_eq!(parallel_exclusive_scan(&pool, &xs), obfs_util::par::exclusive_scan(&xs));
         assert_eq!(parallel_exclusive_scan(&pool, &[]), vec![0]);
     }
 

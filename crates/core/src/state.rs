@@ -969,7 +969,7 @@ impl<'g> RunState<'g> {
         let cs = self.compact.as_ref().expect("compaction state not armed");
         let words = cs.bitmap.word_count();
         let chunks = obfs_util::div_ceil(words, crate::scan::COMPACT_CHUNK_WORDS);
-        let (clo, chi) = crate::scan::block_range(chunks, self.threads, tid);
+        let (clo, chi) = obfs_util::par::block_range(chunks, self.threads, tid);
         let n = self.graph.num_vertices();
         let mut total = 0u64;
         for c in clo..chi {
@@ -1006,10 +1006,10 @@ impl<'g> RunState<'g> {
         let cs = self.compact.as_ref().expect("compaction state not armed");
         let words = cs.bitmap.word_count();
         let chunks = obfs_util::div_ceil(words, crate::scan::COMPACT_CHUNK_WORDS);
-        let (clo, chi) = crate::scan::block_range(chunks, self.threads, tid);
+        let (clo, chi) = obfs_util::par::block_range(chunks, self.threads, tid);
         let totals: Vec<u64> =
             (0..self.threads).map(|k| u64::from(cs.block_totals.get(k))).collect();
-        let mut off = crate::scan::block_prefix(&totals, tid) as usize;
+        let mut off = obfs_util::par::block_prefix(&totals, tid) as usize;
         for c in clo..chi {
             let wlo = c * crate::scan::COMPACT_CHUNK_WORDS;
             let whi = ((c + 1) * crate::scan::COMPACT_CHUNK_WORDS).min(words);
@@ -1025,7 +1025,7 @@ impl<'g> RunState<'g> {
                 "chunk emit must match its pass-1 popcount"
             );
         }
-        debug_assert_eq!(off as u64, crate::scan::block_prefix(&totals, tid) + totals[tid]);
+        debug_assert_eq!(off as u64, obfs_util::par::block_prefix(&totals, tid) + totals[tid]);
     }
 
     /// Consume a compacted level for the worker: a perfectly balanced
@@ -1039,7 +1039,7 @@ impl<'g> RunState<'g> {
     pub fn compact_consume(&self, level: u32, wk: &mut Worker<'_>) {
         let cs = self.compact.as_ref().expect("compaction state not armed");
         let total: u64 = (0..self.threads).map(|k| u64::from(cs.block_totals.get(k))).sum();
-        let (lo, hi) = crate::scan::block_range(total as usize, self.threads, wk.tid);
+        let (lo, hi) = obfs_util::par::block_range(total as usize, self.threads, wk.tid);
         for i in lo..hi {
             if i & 0xFF == 0 && self.watchdog_tripped() {
                 // Abandon the partition; the input queues were never

@@ -1,6 +1,6 @@
 //! Edge-list accumulation and normalization into [`CsrGraph`].
 
-use crate::{CsrGraph, VertexId};
+use crate::{sort, CsrGraph, VertexId};
 
 /// Accumulates edges, applies normalization passes, and finalizes to CSR.
 ///
@@ -42,6 +42,12 @@ impl GraphBuilder {
         self
     }
 
+    /// A builder on `n` vertices that takes `edges` as its raw edge list,
+    /// without a copy.
+    pub(crate) fn with_edges(n: usize, edges: Vec<(VertexId, VertexId)>) -> Self {
+        Self { edges, ..Self::new(n) }
+    }
+
     /// Pre-allocate for `m` edges.
     pub fn reserve(&mut self, m: usize) {
         self.edges.reserve(m);
@@ -69,22 +75,23 @@ impl GraphBuilder {
     }
 
     /// Apply the configured passes and produce the CSR graph with sorted
-    /// adjacency lists.
-    pub fn build(mut self) -> CsrGraph {
-        if self.symmetrize {
-            let rev: Vec<_> = self.edges.iter().map(|&(u, v)| (v, u)).collect();
-            self.edges.extend(rev);
-        }
-        if !self.allow_self_loops {
-            self.edges.retain(|&(u, v)| u != v);
-        }
-        // Sort by (source, target) — yields sorted adjacency lists and
-        // makes dedup a linear pass.
-        self.edges.sort_unstable();
-        if self.dedup {
-            self.edges.dedup();
-        }
-        CsrGraph::from_edges(self.n, &self.edges)
+    /// adjacency lists: one parallel counting sort by source (dropping
+    /// self-loops and adding reverses on the way), then each list sorted
+    /// and deduped in place. The graph does not depend on the thread
+    /// count, which follows from the input.
+    pub fn build(self) -> CsrGraph {
+        let threads = sort::sort_threads(self.n, self.edges.len());
+        self.build_with(threads)
+    }
+
+    /// [`Self::build`] on exactly `threads` threads.
+    pub(crate) fn build_with(self, threads: usize) -> CsrGraph {
+        let Self { n, edges, allow_self_loops, dedup, symmetrize } = self;
+        let input = sort::EdgeList { edges: &edges, n, self_loops: allow_self_loops, symmetrize };
+        let (mut offsets, mut targets) = sort::counting_sort(n, &input, threads);
+        drop(edges);
+        sort::sort_lists(&mut offsets, &mut targets, dedup, threads);
+        CsrGraph::from_sorted(offsets, targets)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Compressed-sparse-row graph storage.
 
-use crate::VertexId;
+use crate::{sort, VertexId};
 
 /// A directed graph in CSR form.
 ///
@@ -52,24 +52,28 @@ impl CsrGraph {
         Ok(Self { offsets: offsets.into_boxed_slice(), targets: targets.into_boxed_slice() })
     }
 
-    /// Build from an edge list by counting sort (O(n + m), stable).
+    /// Build from an edge list by counting sort (O(n + m), stable: each
+    /// source's targets keep their input order). Runs on every core for
+    /// a large input; the graph does not depend on how many.
     pub fn from_edges(n: usize, edges: &[(VertexId, VertexId)]) -> Self {
+        Self::from_edges_with(n, edges, sort::sort_threads(n, edges.len()))
+    }
+
+    /// [`Self::from_edges`] on exactly `threads` threads.
+    pub(crate) fn from_edges_with(
+        n: usize,
+        edges: &[(VertexId, VertexId)],
+        threads: usize,
+    ) -> Self {
         assert!(n <= VertexId::MAX as usize, "vertex count exceeds u32 id space");
-        let mut offsets = vec![0u64; n + 1];
-        for &(u, v) in edges {
-            assert!((u as usize) < n && (v as usize) < n, "edge ({u},{v}) out of range for n={n}");
-            offsets[u as usize + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor: Vec<u64> = offsets[..n].to_vec();
-        let mut targets = vec![0 as VertexId; edges.len()];
-        for &(u, v) in edges {
-            let c = &mut cursor[u as usize];
-            targets[*c as usize] = v;
-            *c += 1;
-        }
+        let input = sort::EdgeList { edges, n, self_loops: true, symmetrize: false };
+        let (offsets, targets) = sort::counting_sort(n, &input, threads);
+        Self::from_sorted(offsets, targets)
+    }
+
+    /// Wrap CSR arrays that a counting sort produced (consistent by
+    /// construction, so unchecked).
+    pub(crate) fn from_sorted(offsets: Vec<u64>, targets: Vec<VertexId>) -> Self {
         Self { offsets: offsets.into_boxed_slice(), targets: targets.into_boxed_slice() }
     }
 
@@ -125,26 +129,17 @@ impl CsrGraph {
             .flat_map(move |u| self.neighbors(u).iter().map(move |&v| (u, v)))
     }
 
-    /// The transpose graph (all edges reversed). O(n + m).
+    /// The transpose graph (all edges reversed), each in-list in
+    /// ascending source order. O(n + m), on every core for a large graph.
     pub fn transpose(&self) -> CsrGraph {
-        let n = self.num_vertices();
-        let mut offsets = vec![0u64; n + 1];
-        for &t in self.targets.iter() {
-            offsets[t as usize + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor: Vec<u64> = offsets[..n].to_vec();
-        let mut targets = vec![0 as VertexId; self.targets.len()];
-        for u in 0..n as VertexId {
-            for &v in self.neighbors(u) {
-                let c = &mut cursor[v as usize];
-                targets[*c as usize] = u;
-                *c += 1;
-            }
-        }
-        CsrGraph { offsets: offsets.into_boxed_slice(), targets: targets.into_boxed_slice() }
+        self.transpose_with(sort::sort_threads(self.num_vertices(), self.targets.len()))
+    }
+
+    /// [`Self::transpose`] on exactly `threads` threads.
+    pub(crate) fn transpose_with(&self, threads: usize) -> CsrGraph {
+        let (offsets, targets) =
+            sort::counting_sort(self.num_vertices(), &sort::Reversed(self), threads);
+        Self::from_sorted(offsets, targets)
     }
 
     /// Maximum out-degree and one vertex attaining it; `(0, 0)` when empty.

@@ -1,7 +1,7 @@
 //! Recursive-matrix (RMAT / Graph500 Kronecker) generator.
 
-use crate::{CsrGraph, GraphBuilder, VertexId};
-use obfs_util::Xoshiro256StarStar;
+use crate::{sort, CsrGraph, GraphBuilder, VertexId};
+use obfs_util::{par, Xoshiro256StarStar};
 
 /// RMAT quadrant probabilities. The paper uses the Graph500 generator with
 /// `a = 0.45, b = 0.15, c = 0.15` (so `d = 0.25`).
@@ -48,19 +48,44 @@ impl RmatParams {
 /// parameters — are removed by the builder, so the final edge count is
 /// slightly below `edge_factor << scale` (exactly as with the Graph500
 /// reference generator).
+///
+/// The edges come from one xoshiro256** stream seeded with `seed`, made
+/// on every core: each thread jumps ahead to its first edge's position in
+/// the stream ([`Xoshiro256StarStar::advance`]), so the graph is the same
+/// at any thread count.
 pub fn rmat(scale: u32, edge_factor: usize, params: RmatParams, seed: u64) -> CsrGraph {
     params.validate();
     assert!(scale < 31, "scale {scale} would overflow u32 vertex ids");
     let n = 1usize << scale;
     let m = edge_factor * n;
-    let mut rng = Xoshiro256StarStar::new(seed);
-    let mut b = GraphBuilder::new(n);
-    b.reserve(m);
-    for _ in 0..m {
-        let (u, v) = rmat_edge(scale, &params, &mut rng);
-        b.add_edge(u, v);
-    }
-    b.build()
+    let edges = rmat_edges(scale, m, &params, seed, par::threads_for(m, sort::GRAIN));
+    GraphBuilder::with_edges(n, edges).build()
+}
+
+/// The first `m` edges of the stream from `seed`, on `threads` threads:
+/// one preallocated list, filled in contiguous per-thread chunks.
+pub(crate) fn rmat_edges(
+    scale: u32,
+    m: usize,
+    params: &RmatParams,
+    seed: u64,
+    threads: usize,
+) -> Vec<(VertexId, VertexId)> {
+    // Every edge takes exactly this many draws: one per level, plus four
+    // noise draws per level when noise is on.
+    let draws = u64::from(if params.noise > 0.0 { 5 * scale } else { scale });
+    let mut edges = vec![(0, 0); m];
+    let per = obfs_util::div_ceil(m, threads.max(1)).max(1);
+    par::map(edges.chunks_mut(per).collect(), |t, chunk: &mut [(VertexId, VertexId)]| {
+        let mut rng = Xoshiro256StarStar::new(seed);
+        rng.advance(
+            ((t * per) as u64).checked_mul(draws).expect("RMAT stream position overflows u64"),
+        );
+        for e in chunk {
+            *e = rmat_edge(scale, params, &mut rng);
+        }
+    });
+    edges
 }
 
 /// Sample one (source, target) pair by recursive quadrant descent.
@@ -71,18 +96,13 @@ fn rmat_edge(scale: u32, p: &RmatParams, rng: &mut Xoshiro256StarStar) -> (Verte
     for level in 0..scale {
         let d = 1.0 - a - b - c;
         let r = rng.next_f64();
-        let bit = 1u32 << (scale - 1 - level);
-        if r < a {
-            // top-left: no bits set
-        } else if r < a + b {
-            v |= bit;
-        } else if r < a + b + c {
-            u |= bit;
-        } else {
-            debug_assert!(d >= 0.0);
-            u |= bit;
-            v |= bit;
-        }
+        let shift = scale - 1 - level;
+        // The quadrant by comparisons instead of a branch chain: top-left
+        // below a, top-right below a+b, bottom-left below (a+b)+c, else
+        // bottom-right — the same sums, so the same quadrants.
+        let (ab, abc) = (a + b, a + b + c);
+        u |= u32::from(r >= ab) << shift;
+        v |= u32::from((r >= a && r < ab) || r >= abc) << shift;
         if p.noise > 0.0 {
             // Multiplicative noise per level, renormalized (Graph500 style).
             let na = a * (1.0 - p.noise + 2.0 * p.noise * rng.next_f64());
@@ -153,6 +173,22 @@ mod tests {
     fn rejects_bad_probabilities() {
         let p = RmatParams { a: 0.6, b: 0.3, c: 0.3, noise: 0.0 };
         let _ = rmat(4, 2, p, 0);
+    }
+
+    #[test]
+    fn edges_do_not_depend_on_threads() {
+        for (scale, params) in
+            [(9, RmatParams::default()), (8, RmatParams { a: 0.57, b: 0.19, c: 0.19, noise: 0.0 })]
+        {
+            let serial = rmat_edges(scale, 8 << scale, &params, 5, 1);
+            for threads in [2, 3, 7] {
+                assert_eq!(rmat_edges(scale, 8 << scale, &params, 5, threads), serial);
+            }
+        }
+        // Fewer edges than threads: the empty chunks draw nothing.
+        let p = RmatParams::default();
+        assert_eq!(rmat_edges(3, 2, &p, 5, 7), rmat_edges(3, 2, &p, 5, 1));
+        assert!(rmat_edges(3, 0, &p, 5, 7).is_empty());
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //!   vertex ids, the representation every BFS algorithm in the workspace
 //!   traverses.
 //! * [`GraphBuilder`] — edge-list accumulation with dedup / self-loop /
-//!   symmetrization options, finalized into CSR by counting sort.
+//!   symmetrization options, finalized into CSR by one parallel counting
+//!   sort (shared with [`CsrGraph::from_edges`] and
+//!   [`CsrGraph::transpose`]) whose output does not depend on the thread
+//!   count.
 //! * [`gen`] — deterministic synthetic generators: RMAT (Graph500
 //!   parameters), Erdős–Rényi, Chung-Lu power law, Barabási–Albert, grids
 //!   and tori, and the paper-graph stand-in suite (`gen::suite`).
@@ -19,6 +22,7 @@ pub mod builder;
 pub mod csr;
 pub mod gen;
 pub mod io;
+mod sort;
 pub mod stats;
 
 pub use builder::GraphBuilder;

@@ -232,6 +232,14 @@ mod backend {
 
 pub use backend::{RacyU32, RacyU64, RacyUsize};
 
+// `RacyBuf::new` and `RacyBuf64::new` reuse zeroed integer allocations
+// as cells, which needs each cell aligned like its integer; a target
+// where they differ fails to build instead.
+const _: () = assert!(
+    std::mem::align_of::<RacyU32>() == std::mem::align_of::<u32>()
+        && std::mem::align_of::<RacyU64>() == std::mem::align_of::<u64>()
+);
+
 /// A shared buffer of racy `u32` slots.
 ///
 /// This is the storage type behind every BFS queue (`Qin[i]` / `Qout[i]`)
@@ -243,11 +251,19 @@ pub struct RacyBuf {
 }
 
 impl RacyBuf {
-    /// A zero-filled buffer of `len` slots.
+    /// A zero-filled buffer of `len` slots, from zeroed memory: no pass
+    /// writes the slots here, so their pages are first touched by
+    /// whoever writes them next (a pool's parallel `init_chunk`).
     pub fn new(len: usize) -> Self {
-        let mut v = Vec::with_capacity(len);
-        v.resize_with(len, || RacyU32::new(0));
-        Self { slots: v.into_boxed_slice() }
+        let zeros = vec![0u32; len].into_boxed_slice();
+        // SAFETY: `RacyU32` is `repr(transparent)` over `AtomicU32` or
+        // `UnsafeCell<u32>` (per backend), each documented to have the
+        // size and bit validity of `u32`, and the const assertion above
+        // checks the alignment; so the zeroed `[u32]` allocation is a valid
+        // `[RacyU32]` of zero cells with the same layout, and ownership
+        // passes from one box to the other.
+        let slots = unsafe { Box::from_raw(Box::into_raw(zeros) as *mut [RacyU32]) };
+        Self { slots }
     }
 
     /// A buffer filled with `value`.
@@ -313,11 +329,18 @@ pub struct RacyBuf64 {
 }
 
 impl RacyBuf64 {
-    /// A zero-filled buffer of `len` slots.
+    /// A zero-filled buffer of `len` slots, from zeroed memory (see
+    /// [`RacyBuf::new`]).
     pub fn new(len: usize) -> Self {
-        let mut v = Vec::with_capacity(len);
-        v.resize_with(len, || RacyU64::new(0));
-        Self { slots: v.into_boxed_slice() }
+        let zeros = vec![0u64; len].into_boxed_slice();
+        // SAFETY: `RacyU64` is `repr(transparent)` over `AtomicU64` or
+        // `UnsafeCell<u64>` (per backend), each with the size and bit
+        // validity of `u64`, and the const assertion above `RacyBuf`
+        // checks the alignment (`AtomicU64` is 8-aligned even where `u64`
+        // is not) — the same
+        // argument as `RacyBuf::new`.
+        let slots = unsafe { Box::from_raw(Box::into_raw(zeros) as *mut [RacyU64]) };
+        Self { slots }
     }
 
     /// Number of slots.
@@ -399,6 +422,21 @@ mod tests {
         assert_eq!(b.snapshot(), vec![3; 4]);
         let f = RacyBuf::filled(3, 11);
         assert_eq!(f.snapshot(), vec![11; 3]);
+    }
+
+    /// A large buffer comes from zeroed memory rather than a fill pass;
+    /// every slot must still read zero, under either backend.
+    #[test]
+    fn large_new_buffers_read_zero() {
+        let len = 1 << 22;
+        let b = RacyBuf::new(len);
+        assert_eq!(b.len(), len);
+        assert!(b.snapshot().iter().all(|&x| x == 0));
+        let b64 = RacyBuf64::new(len);
+        assert_eq!(b64.len(), len);
+        assert!(b64.snapshot().iter().all(|&x| x == 0));
+        b64.set(len - 1, u64::MAX);
+        assert_eq!(b64.get(len - 1), u64::MAX);
     }
 
     #[test]

@@ -2,14 +2,17 @@
 //!
 //! Everything here is deliberately dependency-free so the whole workspace
 //! stays reproducible: the PRNGs are seedable and deterministic, the timers
-//! are thin wrappers over [`std::time::Instant`], and the numeric helpers
+//! are thin wrappers over [`std::time::Instant`], the numeric helpers
 //! are the handful of integer routines the graph generators and the BFS
-//! dispatchers share.
+//! dispatchers share, and [`par`] holds the prefix sums, block splits and
+//! stable scatter that the graph builder and the frontier compaction
+//! share.
 
 #![warn(missing_docs)]
 
 pub mod hist;
 pub mod json;
+pub mod par;
 pub mod prng;
 pub mod stats;
 pub mod timing;

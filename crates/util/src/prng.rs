@@ -50,7 +50,7 @@ impl SplitMix64 {
 ///
 /// Period 2^256 - 1; passes BigCrush. Seeded via SplitMix64 so that any
 /// `u64` seed (including 0) produces a valid, well-mixed state.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Xoshiro256StarStar {
     s: [u64; 4],
 }
@@ -75,14 +75,39 @@ impl Xoshiro256StarStar {
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
+        step(&mut self.s);
         result
+    }
+
+    /// Jump ahead: the state after `k` calls of [`Self::next_u64`], in
+    /// O(log k) time. The state update is linear over GF(2), so `k` steps
+    /// are the `k`-th power of one 256×256 bit matrix, applied here one
+    /// set bit of `k` at a time while the matrix is squared (about 31
+    /// squarings for `k < 2^31`, a few milliseconds). Lets several
+    /// threads each generate their own slice of one stream.
+    pub fn advance(&mut self, mut k: u64) {
+        if k == 0 {
+            return;
+        }
+        // Column j of the step matrix is the step applied to basis state j.
+        let mut power: Vec<[u64; 4]> = (0..256)
+            .map(|j| {
+                let mut e = [0u64; 4];
+                e[j / 64] = 1 << (j % 64);
+                step(&mut e);
+                e
+            })
+            .collect();
+        loop {
+            if k & 1 == 1 {
+                self.s = apply(&power, self.s);
+            }
+            k >>= 1;
+            if k == 0 {
+                return;
+            }
+            power = power.iter().map(|&col| apply(&power, col)).collect();
+        }
     }
 
     /// Next 32 uniformly distributed bits (upper half of `next_u64`).
@@ -153,6 +178,35 @@ impl Xoshiro256StarStar {
         self.shuffle(&mut out);
         out
     }
+}
+
+/// xoshiro256**'s state update, one step.
+#[inline]
+fn step(s: &mut [u64; 4]) {
+    let t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = s[3].rotate_left(45);
+}
+
+/// The bit matrix with columns `matrix` (256 of them) times the state
+/// vector `s`, over GF(2): the XOR of the columns whose bit is set in `s`.
+fn apply(matrix: &[[u64; 4]], s: [u64; 4]) -> [u64; 4] {
+    let mut out = [0u64; 4];
+    for (w, &word) in s.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let col = &matrix[w * 64 + bits.trailing_zeros() as usize];
+            for (o, c) in out.iter_mut().zip(col) {
+                *o ^= c;
+            }
+            bits &= bits - 1;
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -238,6 +292,31 @@ mod tests {
         let a: Vec<u64> = (0..8).map(|_| g0.next_u64()).collect();
         let b: Vec<u64> = (0..8).map(|_| g1.next_u64()).collect();
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn advance_equals_stepping() {
+        for k in [0u64, 1, 63, 64, 65, 12345] {
+            let mut jumped = Xoshiro256StarStar::new(77);
+            jumped.advance(k);
+            let mut stepped = Xoshiro256StarStar::new(77);
+            (0..k).for_each(|_| {
+                stepped.next_u64();
+            });
+            assert_eq!(jumped, stepped, "advance({k})");
+        }
+    }
+
+    #[test]
+    fn advances_compose() {
+        for (a, b) in [(0u64, 5u64), (64, 65), (12345, 1 << 40), (u64::MAX / 3, 99)] {
+            let mut twice = Xoshiro256StarStar::new(3);
+            twice.advance(a);
+            twice.advance(b);
+            let mut once = Xoshiro256StarStar::new(3);
+            once.advance(a + b);
+            assert_eq!(twice, once, "advance({a}) then advance({b})");
+        }
     }
 
     #[test]

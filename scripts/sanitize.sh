@@ -22,7 +22,10 @@
 #   4. ThreadSanitizer over the relaxed-atomic racy backend. That
 #      backend is data-race-free by construction (relaxed atomics are
 #      not data races), so TSan verifies no unintended plain-memory
-#      race snuck into the queues, barrier, worker pool, or driver.
+#      race snuck into the queues, barrier, worker pool, or driver —
+#      nor into the graph builder, whose parallel counting sort makes
+#      plain cross-thread writes to disjoint slots (obfs-util's
+#      stable scatter, obfs-graph's builder, transpose and RMAT).
 #      Requires nightly + rust-src (-Zbuild-std instruments std too);
 #      skipped with a warning when unavailable (e.g. offline sandboxes).
 #
@@ -58,7 +61,8 @@ if [[ -f "$src_lock" ]]; then
     # --lib --tests: doctests don't link against the instrumented std.
     RUSTFLAGS="-Zsanitizer=thread" \
         cargo +nightly test -Zbuild-std --target "$host" \
-        -p obfs-sync -p obfs-runtime -p obfs-core --lib --tests --quiet
+        -p obfs-util -p obfs-graph -p obfs-sync -p obfs-runtime -p obfs-core \
+        --lib --tests --quiet
     race_legs_run=$((race_legs_run + 1))
 else
     echo "warning: nightly rust-src not installed; skipping the TSan leg" >&2

@@ -149,7 +149,8 @@ fn csr_faithful() {
 /// counts — the compaction pipeline's core reduction, pinned exactly.
 #[test]
 fn parallel_prefix_sum_equals_serial_scan() {
-    use obfs::core::scan::{exclusive_scan, parallel_exclusive_scan};
+    use obfs::core::scan::parallel_exclusive_scan;
+    use obfs::util::par::exclusive_scan;
     use obfs_runtime::LevelPool;
     for threads in [1usize, 2, 4, 8] {
         let pool = LevelPool::new(threads);
@@ -174,9 +175,8 @@ fn parallel_prefix_sum_equals_serial_scan() {
 #[test]
 fn compacted_frontier_equals_queue_derived_frontier() {
     use obfs::core::frontier::{FrontierBitmap, BITMAP_WORD_BITS};
-    use obfs::core::scan::{
-        block_prefix, block_range, for_each_set, popcount_words, COMPACT_CHUNK_WORDS,
-    };
+    use obfs::core::scan::{for_each_set, popcount_words, COMPACT_CHUNK_WORDS};
+    use obfs::util::par::{block_prefix, block_range};
     for case in 0..CASES {
         let mut rng = Xoshiro256StarStar::for_stream(0x9A18, case);
         // Up to ~6 chunks of bitmap so every case crosses chunk and
