@@ -63,7 +63,7 @@ struct BombardArgs {
     /// Coalescing width for the batched pass (clamped to [2, 64]).
     max_batch: usize,
     /// Serve the engine registry at this address and take the mid-run
-    /// scrape over HTTP instead of in-process (needs `serve-http`).
+    /// scrape over HTTP instead of in-process.
     metrics_addr: Option<String>,
 }
 
@@ -149,12 +149,6 @@ fn parse_args() -> Result<BombardArgs, String> {
         }
         own.max_batch = own.max_batch.clamp(2, obfs_core::MAX_BATCH);
     }
-    if cfg!(not(feature = "serve-http")) && own.metrics_addr.is_some() {
-        return Err("--metrics-addr needs the `serve-http` feature; rebuild with \
-                    `--features obfs-bench/serve-http` (without it the mid-run scrape still \
-                    happens, in-process against the same registry)"
-            .into());
-    }
     Ok(own)
 }
 
@@ -213,7 +207,6 @@ fn drive(
         ..Default::default()
     };
     let engine = Engine::new(Arc::clone(graph), cfg);
-    #[cfg(feature = "serve-http")]
     let metrics_server = args.metrics_addr.as_deref().map(|addr| {
         obfs_telemetry::MetricsServer::start(Arc::clone(engine.telemetry().registry()), addr)
             .unwrap_or_else(|e| fail(format!("--metrics-addr {addr}: {e}")))
@@ -285,7 +278,6 @@ fn drive(
             // Halfway scrape: a cut of monotone counters that the
             // schema validator later checks against the final snapshot
             // (scrape <= final, per counter).
-            #[cfg(feature = "serve-http")]
             let taken = metrics_server.as_ref().map(|srv| {
                 let text = obfs_telemetry::http::scrape(srv.addr(), "/metrics")
                     .expect("scrape GET /metrics");
@@ -304,10 +296,6 @@ fn drive(
                     c("obfs_engine_queries_shed_total"),
                 )
             });
-            #[cfg(not(feature = "serve-http"))]
-            let taken: Option<(&str, u64, u64, u64)> = None;
-            // In non-http builds `taken` is always None and this match
-            // arm is the only live path (in-process registry snapshot).
             scrape = Some(match taken {
                 Some(cut) => cut,
                 None => {

@@ -25,7 +25,7 @@ pub fn usage() -> String {
        engine     --in FILE [--algo NAME] [--threads p] [--capacity c] [--queries n] \
      [--burst b] [--deadline-ms d] [--seed s] [--metrics-addr HOST:PORT] \
      [--stats-interval SECS] [--metrics-out FILE.json]   (closed-loop resilient query engine; \
-     --metrics-addr serves GET /metrics live and needs the serve-http feature)\n\
+     --metrics-addr serves GET /metrics live)\n\
        analyze    TRACE.json [--json]   (post-mortem profile of a recorded trace)\n\
        model      [--schedules n] [--steps n]   (bounded model check of the racy protocol cores)\n\
        components --in FILE [--threads p] [--algo NAME]\n\
@@ -253,7 +253,7 @@ fn cmd_bfs(flags: &HashMap<String, String>) -> Result<String, String> {
     let mut opts = bfs_opts(flags)?;
     // `--trace` alone prints the per-level table; `--trace OUT.json`
     // additionally arms the flight recorder and writes a
-    // chrome://tracing file (needs the `trace` cargo feature to record).
+    // chrome://tracing file.
     let trace_path = flags.get("trace").filter(|v| v.as_str() != "true");
     if trace_path.is_some() {
         opts.flight_recorder = Some(obfs_core::flight::DEFAULT_FLIGHT_CAPACITY);
@@ -354,16 +354,12 @@ fn cmd_bfs(flags: &HashMap<String, String>) -> Result<String, String> {
                     out,
                     "wrote trace {path}: {} events ({} dropped) across {} workers",
                     rec.total_events(),
-                    rec.total_dropped(),
+                    rec.dropped(),
                     rec.workers.len()
                 );
             }
             None => {
-                let _ = writeln!(
-                    out,
-                    "no trace written: this build lacks the `trace` feature \
-                     (rebuild with --features trace)"
-                );
+                let _ = writeln!(out, "no trace written: serial BFS runs no workers to record");
             }
         }
     }
@@ -462,7 +458,6 @@ fn cmd_engine(flags: &HashMap<String, String>) -> Result<String, String> {
         ..Default::default()
     };
     let engine = Engine::new(std::sync::Arc::new(g), cfg);
-    #[cfg(feature = "serve-http")]
     let metrics_server = match flags.get("metrics-addr") {
         Some(addr) => {
             let srv = obfs_telemetry::MetricsServer::start(
@@ -475,13 +470,6 @@ fn cmd_engine(flags: &HashMap<String, String>) -> Result<String, String> {
         }
         None => None,
     };
-    #[cfg(not(feature = "serve-http"))]
-    if flags.contains_key("metrics-addr") {
-        return Err("--metrics-addr needs the `serve-http` feature; rebuild with \
-             `cargo build --release --features serve-http` (the registry itself is always on: \
-             --metrics-out FILE.json writes the final snapshot without the feature)"
-            .into());
-    }
     // Periodic stderr stats lines: a plain channel as the stop signal so
     // the reporter thread needs no atomics.
     let (stats_stop_tx, stats_stop_rx) = std::sync::mpsc::channel::<()>();
@@ -545,7 +533,6 @@ fn cmd_engine(flags: &HashMap<String, String>) -> Result<String, String> {
         let json = engine.telemetry().registry().to_json().render();
         std::fs::write(path, json + "\n").map_err(|e| format!("write {path}: {e}"))?;
     }
-    #[cfg(feature = "serve-http")]
     drop(metrics_server); // joins the responder thread before reporting
     let st = engine.stats();
     let done = st.completed + st.degraded + st.cancelled + st.deadline_exceeded;
@@ -906,17 +893,11 @@ mod tests {
         let trace = tmp("trace.json");
         let rep =
             dispatch(&strs(&["bfs", "--in", &path, "--threads", "2", "--trace", &trace])).unwrap();
-        // The per-level table is printed either way.
         assert!(rep.contains("level  dir  cmp  frontier"), "{rep}");
-        #[cfg(feature = "trace")]
-        {
-            assert!(rep.contains("wrote trace"), "{rep}");
-            let body = std::fs::read_to_string(&trace).unwrap();
-            assert!(body.starts_with("{\"displayTimeUnit\""), "not a chrome trace: {body:.40}");
-            assert!(body.contains("\"traceEvents\""));
-        }
-        #[cfg(not(feature = "trace"))]
-        assert!(rep.contains("no trace written"), "{rep}");
+        assert!(rep.contains("wrote trace"), "{rep}");
+        let body = std::fs::read_to_string(&trace).unwrap();
+        assert!(body.starts_with("{\"displayTimeUnit\""), "not a chrome trace: {body:.40}");
+        assert!(body.contains("\"traceEvents\""));
     }
 
     #[test]

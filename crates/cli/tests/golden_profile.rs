@@ -10,13 +10,12 @@
 //! ```text
 //! obfs gen --model er --n 2000 --edge-factor 8 --seed 7 --out g.bin
 //! obfs bfs --in g.bin --algo BFS_WSL --threads 4 --src 0 \
-//!     --trace results/trace_bfswsl_t4.json        # --features trace
+//!     --trace results/trace_bfswsl_t4.json
 //! obfs analyze results/trace_bfswsl_t4.json --json \
 //!     > results/profile_bfswsl_t4.json
 //! ```
 //!
-//! Runs in the default (no `trace` feature) build on purpose: the
-//! analyzer only *reads* traces, recording is not involved.
+//! The analyzer only *reads* traces: recording is not involved.
 
 use obfs_cli::dispatch;
 use std::path::PathBuf;

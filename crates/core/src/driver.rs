@@ -38,8 +38,8 @@ use crate::worksteal::WorkStealing;
 use crate::{BfsResult, UNVISITED};
 use obfs_graph::{CsrGraph, VertexId};
 use obfs_runtime::{LevelPool, PoolError, WorkerCtx};
-use obfs_sync::flight::{self, RingDump};
-use obfs_sync::worker::WorkerHooks;
+use obfs_sync::chaos::{self, PlanGuard};
+use obfs_sync::flight::{kind, RingDump};
 use obfs_sync::CancelCause;
 
 /// Per-thread, per-level working context handed to strategies.
@@ -184,23 +184,22 @@ fn drive_shared(
     let t0 = std::time::Instant::now();
     pool.run(|ctx| {
         let tid = ctx.tid();
-        let mut wk = Worker::new(&st.opts, tid, st.qout(0).queue(tid));
-        // The run's thread-local hooks, removed by `finish` below or by
-        // the guard's drop if this worker unwinds. The fault plan gets one
-        // PRNG stream per worker and the run's token, so a worker wedged
-        // in an injected stall still sees cancellation; the flight ring
-        // shares the epoch `t0` so all workers' timelines line up. (Chaos
-        // and flight are no-ops unless built with their features.)
-        let hooks = WorkerHooks::install(
-            st.opts.chaos.as_ref(),
-            tid as u64,
-            st.opts.cancel.as_ref(),
-            st.opts.flight_recorder.map(|cap| (cap, t0)),
-        );
-        flight::record(flight::kind::WORKER_BEGIN, 0, tid as u64, 0);
+        // Every worker's flight ring shares the epoch `t0`, so all
+        // workers' timelines line up.
+        let mut wk = Worker::new(&st.opts, tid, st.qout(0).queue(tid), t0);
+        // The run's fault plan, removed by `finish` below or by the
+        // guard's drop if this worker unwinds. It gets one PRNG stream
+        // per worker and the run's token, so a worker wedged in an
+        // injected stall still sees cancellation, and a FAULT ring like
+        // the worker's. (A no-op unless built with `chaos`.)
+        let chaos_plan = st.opts.chaos.as_ref().map(|cfg| {
+            let flight = st.opts.flight_recorder.map(|cap| (cap, t0));
+            chaos::install(cfg, tid as u64, st.opts.cancel.as_ref(), flight)
+        });
+        wk.record(kind::WORKER_BEGIN, 0, tid as u64, 0);
 
         st.init_chunk(tid);
-        wk.wait(ctx.barrier(), |_| {
+        wk.wait(ctx.barrier(), |wk| {
             // Seed the frontier: each source goes into the queue it hashes
             // to, so the work-stealing variants start at a "random" owner.
             let (seeded, seed_edges) = match &st.batch {
@@ -226,7 +225,7 @@ fn drive_shared(
                             seed_edges += st.graph.degree(s) as u64;
                         }
                     }
-                    flight::record(flight::kind::BATCH, 0, b.k as u64, seeded as u64);
+                    wk.record(kind::BATCH, 0, b.k as u64, seeded as u64);
                     (seeded, seed_edges)
                 }
                 None => {
@@ -245,7 +244,7 @@ fn drive_shared(
                 }
             };
             // SAFETY: barrier serial section.
-            unsafe { plan_level(st, 0, seeded, seed_edges, true) };
+            unsafe { plan_level(st, wk, 0, seeded, seed_edges, true) };
             strategy.serial_prepare(&LevelEnv { st, parity: 0, level: 0 });
             // SAFETY: barrier serial section.
             unsafe { st.watchdog_arm() };
@@ -273,12 +272,7 @@ fn drive_shared(
             let env = LevelEnv { st, parity, level };
             strategy.level_start(&env, tid);
             wk.wait(ctx.barrier(), |_| {});
-            flight::record(
-                flight::kind::LEVEL_START,
-                level,
-                st.qin(parity).queue(tid).rear() as u64,
-                0,
-            );
+            wk.record(kind::LEVEL_START, level, st.qin(parity).queue(tid).rear() as u64, 0);
             if plan.direction == Direction::BottomUp {
                 // All threads take this branch (they read the same cell),
                 // so strategies with internal barriers stay aligned.
@@ -294,7 +288,7 @@ fn drive_shared(
             } else {
                 strategy.consume(&env, &ctx, &mut wk);
             }
-            flight::record(flight::kind::LEVEL_END, level, 0, 0);
+            wk.record(kind::LEVEL_END, level, 0, 0);
             if st.opts.chaos.is_some() {
                 // Keep injected_faults cumulative at level granularity so
                 // the per-level deltas stay conservative. (Nothing between
@@ -314,22 +308,18 @@ fn drive_shared(
                 if let Some(c) = cause {
                     // SAFETY: barrier serial section.
                     unsafe { *st.run_abort.get_mut() = Some(c) };
-                    flight::record(
-                        flight::kind::CANCEL,
-                        level,
-                        match c {
-                            CancelCause::Cancelled => flight::kind::CANCEL_EXPLICIT,
-                            CancelCause::DeadlineExceeded => flight::kind::CANCEL_DEADLINE,
-                        },
-                        0,
-                    );
+                    let code = match c {
+                        CancelCause::Cancelled => kind::CANCEL_EXPLICIT,
+                        CancelCause::DeadlineExceeded => kind::CANCEL_DEADLINE,
+                    };
+                    wk.record(kind::CANCEL, level, code, 0);
                 }
                 let degraded = cause.is_none() && st.watchdog_tripped();
                 if degraded {
                     // Degraded level: finish it serially before counting
                     // the next frontier. SAFETY: barrier serial section.
                     unsafe { st.serial_finish_level(parity, level, wk) };
-                    flight::record(flight::kind::DEGRADED, level, 0, 0);
+                    wk.record(kind::DEGRADED, level, 0, 0);
                 }
                 let produced = st.qout(parity).total_entries();
                 if st.opts.chaos.is_some() {
@@ -344,7 +334,7 @@ fn drive_shared(
                 unsafe {
                     *snaps.get_mut(tid) = wk.stats;
                     let mf = close_level(st, &snaps, level, plan, produced, degraded);
-                    plan_level(st, level + 1, produced, mf, cause.is_none() && produced > 0);
+                    plan_level(st, wk, level + 1, produced, mf, cause.is_none() && produced > 0);
                 }
             });
             // SAFETY: written only in the serial section of the barrier
@@ -367,11 +357,17 @@ fn drive_shared(
                 unsafe { st.watchdog_arm() };
             });
         }
-        flight::record(flight::kind::WORKER_END, 0, tid as u64, 0);
+        wk.record(kind::WORKER_END, 0, tid as u64, 0);
         // This worker's faults stay those of its last level snapshot:
         // the handful of racy ops after the final level barrier would
         // otherwise break the sum(level deltas) == totals invariant.
-        let ring = hooks.finish();
+        let faults = chaos_plan.and_then(PlanGuard::finish).unwrap_or_default();
+        // The plan's FAULT events join the worker's: the merge keeps what
+        // one ring of the same capacity would have kept of both.
+        let ring = wk.flight.take().map(|ring| {
+            let capacity = ring.capacity();
+            ring.into_dump().merge(faults, capacity)
+        });
         // SAFETY: own slot only.
         unsafe { *done.get_mut(tid) = Some((wk, ring)) };
     })?;
@@ -403,13 +399,10 @@ fn drive_shared(
     if st.opts.collect_level_stats {
         stats.level_stats = levels;
     }
-    if rings.iter().any(Option::is_some) {
-        // Only present when the recorder actually captured something —
-        // i.e. requested AND built with the `trace` feature — so callers
-        // can distinguish "feature off" from "empty trace".
-        stats.flight = Some(crate::flight::FlightRecording {
-            workers: rings.into_iter().map(Option::unwrap_or_default).collect(),
-        });
+    if st.opts.flight_recorder.is_some() {
+        // Every worker kept a ring.
+        stats.flight =
+            Some(crate::flight::FlightRecording { workers: rings.into_iter().flatten().collect() });
     }
     if st.opts.collect_histograms {
         stats.hists = Some(RunHists {
@@ -466,12 +459,19 @@ unsafe fn close_level(
 /// get their direction and compaction decided. `go_on` is false when no
 /// level follows (empty frontier or a cancelled run): the plan then only
 /// says stop. Publishes the decisions: the `DIR_SWITCH` and `COMPACT`
-/// flight events and the run telemetry's level, frontier and direction
-/// gauges.
+/// flight events into the leader's record `wk` and the run telemetry's
+/// level, frontier and direction gauges.
 ///
 /// # Safety
 /// Call only from a barrier serial section.
-unsafe fn plan_level(st: &RunState<'_>, level: u32, frontier: usize, mf: u64, go_on: bool) {
+unsafe fn plan_level(
+    st: &RunState<'_>,
+    wk: &mut Worker<'_>,
+    level: u32,
+    frontier: usize,
+    mf: u64,
+    go_on: bool,
+) {
     let n = st.graph.num_vertices() as u64;
     let prev = *st.plan.get();
     let mut plan = LevelPlan { stop: !go_on, direction: prev.direction, compacted: false };
@@ -490,15 +490,10 @@ unsafe fn plan_level(st: &RunState<'_>, level: u32, frontier: usize, mf: u64, go
             ctl.prev_mf = mf;
             if level > 0 && plan.direction != prev.direction {
                 let code = |d: Direction| match d {
-                    Direction::TopDown => flight::kind::DIR_TOP_DOWN,
-                    Direction::BottomUp => flight::kind::DIR_BOTTOM_UP,
+                    Direction::TopDown => kind::DIR_TOP_DOWN,
+                    Direction::BottomUp => kind::DIR_BOTTOM_UP,
                 };
-                flight::record(
-                    flight::kind::DIR_SWITCH,
-                    level,
-                    code(plan.direction),
-                    code(prev.direction),
-                );
+                wk.record(kind::DIR_SWITCH, level, code(plan.direction), code(prev.direction));
             }
         }
         if let (Some(_), Some(pol)) = (&st.compact, st.opts.compaction) {
@@ -509,7 +504,7 @@ unsafe fn plan_level(st: &RunState<'_>, level: u32, frontier: usize, mf: u64, go
                 if let Some(t) = &st.opts.telemetry {
                     t.compacted_levels.inc();
                 }
-                flight::record(flight::kind::COMPACT, level, frontier as u64, 0);
+                wk.record(kind::COMPACT, level, frontier as u64, 0);
             }
         }
     }
@@ -880,7 +875,6 @@ mod tests {
     /// Wrap path: a deliberately tiny flight ring must overwrite oldest
     /// events, report them via `FlightRecording::dropped`, and the
     /// derived profile must surface the wrap.
-    #[cfg(feature = "trace")]
     #[test]
     fn flight_ring_wrap_is_counted_and_profiled() {
         let g = gen::erdos_renyi(500, 3500, 4);
@@ -890,7 +884,7 @@ mod tests {
             ..Default::default()
         };
         let r = run_bfs(Algorithm::Bfswl, &g, 0, &opts);
-        let rec = r.stats.flight.as_ref().expect("trace feature is on");
+        let rec = r.stats.flight.as_ref().expect("a recording was asked for");
         assert!(rec.dropped() > 0, "an 8-event ring must wrap on this run");
         assert!(rec.workers.iter().all(|w| w.events.len() <= 8));
         let profile = crate::flight::analysis::Profile::from_recording(rec);

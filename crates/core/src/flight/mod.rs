@@ -1,7 +1,8 @@
 //! Run-level flight-recorder aggregation, chrome://tracing export, and
 //! post-mortem analysis.
 //!
-//! The per-thread rings themselves live in [`obfs_sync::flight`]; this
+//! The ring type itself lives in [`obfs_sync::flight`]; every worker's
+//! `Worker` record owns one while a run asks for a recording. This
 //! module holds what the driver assembles out of them after a run
 //! ([`FlightRecording`]), a hand-rolled exporter to the Chrome Trace
 //! Event JSON format (which both `chrome://tracing` and Perfetto load
@@ -51,11 +52,6 @@ impl FlightRecording {
     /// part — [`analysis::Profile`] surfaces this per worker.
     pub fn dropped(&self) -> u64 {
         self.workers.iter().map(|w| w.dropped).sum()
-    }
-
-    /// Alias of [`FlightRecording::dropped`] (older name).
-    pub fn total_dropped(&self) -> u64 {
-        self.dropped()
     }
 
     /// Number of surviving events of one [`kind`] across all workers.
@@ -241,7 +237,6 @@ mod tests {
         };
         assert_eq!(rec.total_events(), 3);
         assert_eq!(rec.dropped(), 3);
-        assert_eq!(rec.total_dropped(), 3);
         assert_eq!(rec.count(kind::SEGMENT_FETCH), 2);
         assert_eq!(rec.count(kind::FAULT), 1);
         assert_eq!(rec.count(kind::STEAL_SUCCESS), 0);

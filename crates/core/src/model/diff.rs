@@ -100,7 +100,7 @@ fn centralized_counterexample_hits_fetch_retry_in_real_dispatcher() {
     let opts = BfsOptions { threads: centralized::P, ..Default::default() };
     let st = RunState::new(&g, &opts);
     st.pool_cursors[0].store(0);
-    let mut wk = Worker::new(&opts, 0, st.qout(0).queue(0));
+    let mut wk = Worker::new(&opts, 0, st.qout(0).queue(0), std::time::Instant::now());
 
     install_script(&ChaosScript {
         usize_loads: fetch.iter().map(|&v| Some(v)).collect(),
@@ -155,7 +155,7 @@ fn zero_on_read_counterexample_hits_stale_abort_in_real_walk() {
     let env = LevelEnv { st: &st, parity: 0, level: 0 };
     let strat = WorkStealing { locked: false, scale_free: false };
     let mut seg = OwnedSegment { q: 0, f: 0, r: zero_on_read::REAR as usize };
-    let mut wk = Worker::new(&opts, 1, st.qout(0).queue(1));
+    let mut wk = Worker::new(&opts, 1, st.qout(0).queue(1), std::time::Instant::now());
 
     install_script(&ChaosScript { usize_loads: Vec::new(), u32_loads });
     strat.walk_sentinel(&env, &mut seg, &mut wk);
@@ -205,7 +205,7 @@ fn worksteal_counterexample_hits_invalid_steal_in_real_dispatcher() {
     assert_eq!(rep.fed_usize, 4, "every model load was replayed");
     assert_eq!(rep.leftover, 0);
     // Tally the outcome the way the real dispatcher does.
-    let mut wk = Worker::new(&opts, 0, st.qout(0).queue(0));
+    let mut wk = Worker::new(&opts, 0, st.qout(0).queue(0), std::time::Instant::now());
     match got {
         Ok(_) => panic!("a torn snapshot must never be stolen"),
         Err(why) => wk.steal_failed(None, 0, 1, why),
@@ -250,7 +250,7 @@ fn batch_counterexample_hits_slot_revalidation_in_real_kernel() {
     let b = st.batch.as_ref().expect("batch state armed");
     b.levels.set(w as usize * b.k, slot_level);
     b.visited_by.set(w as usize, u64::from(vis));
-    let mut wk = Worker::new(&opts, 0, st.qout(0).queue(0));
+    let mut wk = Worker::new(&opts, 0, st.qout(0).queue(0), std::time::Instant::now());
 
     // One hooked `u32` load on the rejection path: the revalidation
     // read (the membership load is a `u64` and passes through).

@@ -1246,7 +1246,7 @@ mod tests {
         let g = gen::star(10);
         let st = RunState::new(&g, &opts(1));
         st.init_chunk(0);
-        let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0));
+        let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0), std::time::Instant::now());
         st.try_discover(3, 0, 1, &mut wk);
         st.try_discover(3, 0, 1, &mut wk);
         assert_eq!(st.levels.get(3), 1);
@@ -1261,7 +1261,7 @@ mod tests {
         let st = RunState::new(&g, &o);
         st.init_chunk(0);
         st.init_chunk(1);
-        let mut wk = Worker::new(&st.opts, 1, st.qout(0).queue(1));
+        let mut wk = Worker::new(&st.opts, 1, st.qout(0).queue(1), std::time::Instant::now());
         st.try_discover(5, 0, 1, &mut wk);
         assert!(st.pop_admit(5, 1, &mut wk));
         assert!(!st.pop_admit(5, 0, &mut wk));
@@ -1274,7 +1274,7 @@ mod tests {
         let st = RunState::new(&g, &opts(1));
         st.init_chunk(0);
         st.levels.set(0, 0);
-        let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0));
+        let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0), std::time::Instant::now());
         st.explore_vertex(0, 0, &mut wk);
         assert_eq!(wk.out_rear, 4);
         assert_eq!(wk.stats.edges_scanned, 4);
@@ -1289,7 +1289,7 @@ mod tests {
         let st = RunState::new(&g, &opts(1));
         st.init_chunk(0);
         st.levels.set(1, 1);
-        let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0));
+        let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0), std::time::Instant::now());
         st.note_pop(1, 1, &mut wk);
         assert_eq!(wk.stats.duplicate_explorations, 0);
         st.note_pop(1, 2, &mut wk);

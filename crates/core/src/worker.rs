@@ -3,24 +3,26 @@
 //! The paper gives every thread its own output queue `Qout[tid]` and its
 //! own tallies. A [`Worker`] is that thread-owned state as one value: the
 //! thread id, this level's output queue and its rear, the victim/pool
-//! PRNG, the [`ThreadStats`] counters and, while
-//! [`crate::BfsOptions::collect_histograms`] is set, the latency
-//! histograms. The driver builds one per worker per run and every kernel
-//! takes it as `&mut Worker`; nothing in it is shared, so recording needs
-//! no synchronization, and the pool join publishes it to the driver.
+//! PRNG, the [`ThreadStats`] counters, the latency histograms while
+//! [`crate::BfsOptions::collect_histograms`] is set, and the flight ring
+//! while [`crate::BfsOptions::flight_recorder`] is. The driver builds one
+//! per worker per run and every kernel takes it as `&mut Worker`; nothing
+//! in it is shared, so recording needs no synchronization, and the pool
+//! join publishes it to the driver.
 //!
 //! A dispatcher reports each of its five events (segment fetched, fetch
 //! retried, stale-slot abort, steal succeeded, steal failed) through one
 //! method that bumps the counter, closes the call site's latency timer
 //! and records the flight event, so the counters, the histograms and the
-//! flight rings cannot disagree about what happened. Timers and the
-//! barrier wait sit at dispatch granularity, never in the per-edge loop,
-//! and take no clock reading while histograms are off.
+//! flight ring cannot disagree about what happened. Timers, flight
+//! events and the barrier wait sit at dispatch granularity, never in the
+//! per-edge loop; timers take no clock reading while histograms are off,
+//! and events none while no ring is kept.
 
 use crate::frontier::FrontierQueue;
 use crate::options::BfsOptions;
 use crate::stats::{StealFail, ThreadStats, WorkerHists};
-use obfs_sync::flight::{self, kind};
+use obfs_sync::flight::{kind, FlightRing};
 use obfs_sync::SpinBarrier;
 use obfs_util::{LogHistogram, Xoshiro256StarStar};
 use std::time::Instant;
@@ -41,13 +43,18 @@ pub struct Worker<'q> {
     /// Latency histograms; `None` unless
     /// [`BfsOptions::collect_histograms`] is set.
     pub(crate) hists: Option<Box<WorkerHists>>,
+    /// Flight-event ring; `None` unless [`BfsOptions::flight_recorder`]
+    /// is set.
+    pub(crate) flight: Option<Box<FlightRing>>,
 }
 
 impl<'q> Worker<'q> {
     /// Worker `tid` of a run with `opts`, writing to `out`: its PRNG is
-    /// stream `tid` of `opts.seed`, and it keeps histograms iff
-    /// `opts.collect_histograms`.
-    pub fn new(opts: &BfsOptions, tid: usize, out: &'q FrontierQueue) -> Self {
+    /// stream `tid` of `opts.seed`, it keeps histograms iff
+    /// `opts.collect_histograms`, and a flight ring of
+    /// `opts.flight_recorder` events timed from `epoch`, the run start
+    /// every worker shares.
+    pub fn new(opts: &BfsOptions, tid: usize, out: &'q FrontierQueue, epoch: Instant) -> Self {
         Self {
             tid,
             out,
@@ -55,6 +62,15 @@ impl<'q> Worker<'q> {
             rng: Xoshiro256StarStar::for_stream(opts.seed, tid as u64),
             stats: ThreadStats::default(),
             hists: opts.collect_histograms.then(Box::default),
+            flight: opts.flight_recorder.map(|cap| Box::new(FlightRing::new(cap, epoch))),
+        }
+    }
+
+    /// Record one flight event; nothing while no ring is kept.
+    #[inline]
+    pub(crate) fn record(&mut self, kind: u16, level: u32, a: u64, b: u64) {
+        if let Some(ring) = self.flight.as_deref_mut() {
+            ring.record(kind, level, a, b);
         }
     }
 
@@ -67,12 +83,15 @@ impl<'q> Worker<'q> {
 
     /// Wait at `barrier`; the last arriver runs `serial` with this worker
     /// before releasing the others. The whole episode is timed into the
-    /// barrier-wait histogram, so the leader's includes its serial
-    /// section.
+    /// barrier-wait histogram and bracketed by `BARRIER_ENTER` and
+    /// `BARRIER_EXIT` (`a` = 1 on the leader), so the leader's includes
+    /// its serial section.
     #[inline]
     pub(crate) fn wait(&mut self, barrier: &SpinBarrier, serial: impl FnOnce(&mut Self)) {
         let t = self.timer();
-        barrier.wait_then(|| serial(self));
+        self.record(kind::BARRIER_ENTER, 0, 0, 0);
+        let led = barrier.wait_then(|| serial(self));
+        self.record(kind::BARRIER_EXIT, 0, u64::from(led), 0);
         self.close(t, |h| &mut h.barrier_wait_us);
     }
 
@@ -104,7 +123,7 @@ impl<'q> Worker<'q> {
         if let (Some(r), Some(h)) = (retries, self.hists.as_deref_mut()) {
             h.fetch_retry_burst.record(r);
         }
-        flight::record(kind::SEGMENT_FETCH, level, at, len);
+        self.record(kind::SEGMENT_FETCH, level, at, len);
     }
 
     /// A fetch from queue or pool `index` came up empty and is retried;
@@ -113,7 +132,7 @@ impl<'q> Worker<'q> {
     #[inline]
     pub(crate) fn fetch_retried(&mut self, level: u32, index: usize, probe: bool) {
         self.stats.fetch_retries += 1;
-        flight::record(kind::FETCH_RETRY, level, index as u64, u64::from(probe));
+        self.record(kind::FETCH_RETRY, level, index as u64, u64::from(probe));
     }
 
     /// A segment walk stopped at the cleared slot `slot` of `queue`,
@@ -121,7 +140,7 @@ impl<'q> Worker<'q> {
     #[inline]
     pub(crate) fn stale_abort(&mut self, level: u32, queue: usize, slot: usize) {
         self.stats.stale_slot_aborts += 1;
-        flight::record(kind::STALE_ABORT, level, queue as u64, slot as u64);
+        self.record(kind::STALE_ABORT, level, queue as u64, slot as u64);
     }
 
     /// A steal from `victim` took `len` entries.
@@ -136,7 +155,7 @@ impl<'q> Worker<'q> {
         self.stats.steal.attempts += 1;
         self.stats.steal.success += 1;
         self.close(timer, |h| &mut h.steal_us);
-        flight::record(kind::STEAL_SUCCESS, level, victim as u64, len as u64);
+        self.record(kind::STEAL_SUCCESS, level, victim as u64, len as u64);
     }
 
     /// A steal from `victim` failed for reason `why`.
@@ -151,7 +170,7 @@ impl<'q> Worker<'q> {
         self.stats.steal.attempts += 1;
         let code = why.tally(&mut self.stats.steal);
         self.close(timer, |h| &mut h.steal_us);
-        flight::record(kind::STEAL_FAIL, level, victim as u64, code);
+        self.record(kind::STEAL_FAIL, level, victim as u64, code);
     }
 }
 
@@ -159,16 +178,20 @@ impl<'q> Worker<'q> {
 mod tests {
     use super::*;
 
-    fn worker(out: &FrontierQueue, histograms: bool) -> Worker<'_> {
-        let opts = BfsOptions { collect_histograms: histograms, ..Default::default() };
-        Worker::new(&opts, 0, out)
+    fn worker(out: &FrontierQueue, histograms: bool, flight: Option<usize>) -> Worker<'_> {
+        let opts = BfsOptions {
+            collect_histograms: histograms,
+            flight_recorder: flight,
+            ..Default::default()
+        };
+        Worker::new(&opts, 0, out, Instant::now())
     }
 
     /// Each event and the barrier wait land in their own histogram.
     #[test]
     fn each_event_lands_in_its_histogram() {
         let q = FrontierQueue::new(4);
-        let mut wk = worker(&q, true);
+        let mut wk = worker(&q, true, None);
         let t = wk.timer();
         assert!(t.is_some());
         wk.segment_fetched(t, Some(5), 0, 0, 8);
@@ -197,18 +220,31 @@ mod tests {
     #[test]
     fn no_clock_read_when_histograms_are_off() {
         let q = FrontierQueue::new(4);
-        let mut wk = worker(&q, false);
+        let mut wk = worker(&q, false, None);
         assert!(wk.timer().is_none());
         wk.segment_fetched(wk.timer(), Some(3), 0, 0, 8);
         wk.steal_succeeded(wk.timer(), 0, 1, 4);
         wk.wait(&SpinBarrier::new(1), |_| {});
-        assert!(wk.hists.is_none());
+        assert!(wk.hists.is_none() && wk.flight.is_none());
         assert_eq!((wk.stats.segments_fetched, wk.stats.steal.success), (1, 1));
+    }
+
+    /// A barrier episode is bracketed by BARRIER_ENTER and BARRIER_EXIT,
+    /// and the leader's serial section records between them.
+    #[test]
+    fn barrier_episode_is_bracketed_in_the_ring() {
+        let q = FrontierQueue::new(4);
+        let mut wk = worker(&q, false, Some(16));
+        wk.wait(&SpinBarrier::new(1), |w| w.record(kind::COMPACT, 2, 7, 0));
+        let events = wk.flight.take().expect("ring kept").into_dump().events;
+        let got: Vec<_> = events.iter().map(|e| (e.kind, e.level, e.a)).collect();
+        let want = [(kind::BARRIER_ENTER, 0, 0), (kind::COMPACT, 2, 7), (kind::BARRIER_EXIT, 0, 1)];
+        assert_eq!(got, want, "the only party leads");
     }
 
     /// `StealFail` is the one map from a failure reason to its Table VI
     /// bucket and its flight code: each reason lands in its own bucket,
-    /// and the one `STEAL_FAIL` event (`trace` builds) carries its code.
+    /// and the one `STEAL_FAIL` event carries its code.
     #[test]
     fn each_steal_failure_lands_in_its_own_bucket() {
         type Bucket = fn(&crate::StealCounters) -> u64;
@@ -225,21 +261,14 @@ mod tests {
             assert_eq!(why.tally(&mut c), code, "{why:?} flight code");
             assert_eq!((bucket(&c), c.failed()), (1, 1), "{why:?} bucket");
 
-            flight::install(4, Instant::now());
-            let mut wk = worker(&q, false);
+            let mut wk = worker(&q, false, Some(4));
             wk.steal_failed(None, 3, victim, why);
-            let ring = flight::uninstall();
             let s = wk.stats.steal;
             assert_eq!((bucket(&s), s.attempts), (1, 1), "{why:?} bucket");
             assert!(s.is_consistent());
-            #[cfg(feature = "trace")]
-            {
-                let events = ring.expect("recorder installed").events;
-                let got: Vec<_> = events.iter().map(|e| (e.kind, e.level, e.a, e.b)).collect();
-                assert_eq!(got, [(kind::STEAL_FAIL, 3, victim as u64, code)], "{why:?} event");
-            }
-            #[cfg(not(feature = "trace"))]
-            assert!(ring.is_none());
+            let events = wk.flight.take().expect("ring kept").into_dump().events;
+            let got: Vec<_> = events.iter().map(|e| (e.kind, e.level, e.a, e.b)).collect();
+            assert_eq!(got, [(kind::STEAL_FAIL, 3, victim as u64, code)], "{why:?} event");
         }
     }
 

@@ -419,7 +419,7 @@ mod tests {
             // immutable level rear (a mixed snapshot).
             st.descs[1].set(1, 2, 50);
             let env = LevelEnv { st: &st, parity: 0, level: 0 };
-            let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0));
+            let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0), std::time::Instant::now());
             tally(&mut wk, strategy().try_steal_optimistic(&env, 0, 1));
             assert_eq!(wk.stats.steal.invalid, 1);
             assert_eq!(wk.stats.steal.failed(), 1);
@@ -432,7 +432,7 @@ mod tests {
             fill_queue(&st, 1, 10);
             st.descs[1].set(1, 10, 10); // exhausted
             let env = LevelEnv { st: &st, parity: 0, level: 0 };
-            let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0));
+            let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0), std::time::Instant::now());
             tally(&mut wk, strategy().try_steal_optimistic(&env, 0, 1));
             assert_eq!(wk.stats.steal.victim_idle, 1);
             // f > r (descriptor dragged backwards) is also idle, not UB.
@@ -449,7 +449,7 @@ mod tests {
             fill_queue(&st, 2, 10);
             st.descs[2].set(2, 8, 9); // one element < steal_min=2
             let env = LevelEnv { st: &st, parity: 0, level: 0 };
-            let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0));
+            let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0), std::time::Instant::now());
             tally(&mut wk, strategy().try_steal_optimistic(&env, 0, 2));
             assert_eq!(wk.stats.steal.too_small, 1);
             assert_eq!(wk.stats.steal.failed(), 1);
@@ -466,7 +466,7 @@ mod tests {
             }
             st.descs[1].set(1, 0, 10);
             let env = LevelEnv { st: &st, parity: 0, level: 0 };
-            let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0));
+            let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0), std::time::Instant::now());
             tally(&mut wk, strategy().try_steal_optimistic(&env, 0, 1));
             assert_eq!(wk.stats.steal.stale, 1);
             assert_eq!(wk.stats.steal.failed(), 1);
@@ -504,14 +504,15 @@ mod tests {
                 skew_max: 1 << 30,
                 ..obfs_sync::ChaosConfig::skew_only(7)
             };
-            obfs_sync::chaos::install(&cfg, 0, None);
+            let plan = obfs_sync::chaos::install(&cfg, 0, None, None);
             let env = LevelEnv { st: &st, parity: 0, level: 0 };
-            let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0));
+            let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0), std::time::Instant::now());
             for _ in 0..64 {
                 // A fabricated snapshot must never be stolen.
                 tally(&mut wk, strategy().try_steal_optimistic(&env, 0, 1));
             }
-            let injected = obfs_sync::chaos::uninstall();
+            let injected = obfs_sync::chaos::faults_injected();
+            plan.finish();
             assert!(injected >= 64, "every snapshot should have been skewed");
             assert_eq!(wk.stats.steal.success, 0);
             assert!(wk.stats.steal.invalid > 0, "no skew ever hit `f' < r' <= rear`");
@@ -527,7 +528,7 @@ mod tests {
             let env = LevelEnv { st: &st, parity: 0, level: 0 };
             let strat = WorkStealing { locked: true, scale_free: false };
             let _held = st.desc_locks[1].lock();
-            let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0));
+            let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0), std::time::Instant::now());
             let got = strat.try_steal_locked(&env, 1, &mut wk);
             tally(&mut wk, got);
             assert_eq!(wk.stats.steal.victim_locked, 1);

@@ -29,9 +29,9 @@
 //! * **racy pairing** ([`pairing`]) — in `lint:protocol racy` files,
 //!   every in-region claim needs a preceding revalidation or an
 //!   explicit `// racy-ok:` waiver (DESIGN.md §11's rule).
-//! * **shim-parity** — in the feature-shim modules (`chaos`,
-//!   `flight`), a cfg-feature-gated top-level `pub fn` must exist
-//!   under both polarities of the feature.
+//! * **shim-parity** — in the feature-shim module (`chaos`), a
+//!   cfg-feature-gated top-level `pub fn` must exist under both
+//!   polarities of the feature.
 //! * **flight-taxonomy** — the event-kind constants in
 //!   `obfs_sync::flight::kind` and the taxonomy table in DESIGN.md §8
 //!   must list exactly the same kinds, in both directions.
@@ -56,7 +56,7 @@ use std::path::{Path, PathBuf};
 pub const ALLOWLIST: &str = "scripts/lint.allow";
 
 /// The feature-shim modules checked by the shim-parity rule.
-pub const SHIM_FILES: [&str; 2] = ["crates/sync/src/chaos.rs", "crates/sync/src/flight.rs"];
+pub const SHIM_FILES: [&str; 1] = ["crates/sync/src/chaos.rs"];
 
 /// One lint violation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -722,8 +722,8 @@ mod tests {
     fn cfg_feature_parsing() {
         assert_eq!(cfg_feature("  #[cfg(feature = \"chaos\")]"), Some(("chaos".to_string(), true)));
         assert_eq!(
-            cfg_feature("#[cfg(not(feature = \"trace\"))]"),
-            Some(("trace".to_string(), false))
+            cfg_feature("#[cfg(not(feature = \"volatile-racy\"))]"),
+            Some(("volatile-racy".to_string(), false))
         );
         assert_eq!(cfg_feature("#[inline]"), None);
         assert_eq!(cfg_feature("#[cfg(test)]"), None);

@@ -22,7 +22,8 @@
 //! calls fail fast with [`PoolError::Poisoned`] — because a half-executed
 //! level loop leaves algorithm state unrecoverable. Thread-local state a
 //! closure installs is the closure's to remove, on unwind too (the BFS
-//! driver's `obfs_sync::worker::WorkerHooks` guard does so on drop).
+//! driver's chaos plan comes off when its `obfs_sync::chaos::PlanGuard`
+//! drops).
 //!
 //! # Parked state
 //!

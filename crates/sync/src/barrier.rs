@@ -82,7 +82,6 @@ impl SpinBarrier {
         if self.is_poisoned() {
             panic!("{POISON_MSG}");
         }
-        crate::flight::record(crate::flight::kind::BARRIER_ENTER, 0, 0, 0);
         let my_sense = !self.sense.load(Ordering::Relaxed);
         // AcqRel so that arrivals form a total order and the leader
         // observes every pre-barrier write.
@@ -93,7 +92,6 @@ impl SpinBarrier {
             crate::chaos::quiesce();
             self.arrived.store(0, Ordering::Relaxed);
             self.sense.store(my_sense, Ordering::Release);
-            crate::flight::record(crate::flight::kind::BARRIER_EXIT, 0, 1, 0);
             true
         } else {
             let mut spins = 0u32;
@@ -109,7 +107,6 @@ impl SpinBarrier {
                     spins = 0;
                 }
             }
-            crate::flight::record(crate::flight::kind::BARRIER_EXIT, 0, 0, 0);
             false
         }
     }

@@ -40,21 +40,37 @@
 //! before. [`ChaosConfig`] itself is always compiled so higher layers
 //! (e.g. `BfsOptions`) keep a feature-independent shape.
 //!
+//! # One thread-local hook
+//!
+//! The plan is the one per-worker hook that stays thread-local: the racy
+//! loads and stores it perturbs run below the BFS driver and hold no
+//! handle to the worker they run on. [`install`] returns a [`PlanGuard`]
+//! that is the one place the plan comes off again: [`PlanGuard::finish`]
+//! removes it, and dropping an unfinished guard — a worker unwinding
+//! from a panic — removes it too, so a later run on the same OS thread
+//! always starts clean. When the run asked for a flight recording, the
+//! plan keeps its `FAULT` events in a ring of its own
+//! ([`crate::flight::FlightRing`], same capacity and epoch as the
+//! worker's), which `finish` hands back for the driver to merge into the
+//! worker's ring.
+//!
 //! # Pointer-validity contract
 //!
 //! A deferred store holds a raw pointer to its target cell until the next
 //! flush. Callers that install a plan must therefore quiesce (or
 //! uninstall) before the racy cells the thread wrote can be freed. The
 //! BFS driver satisfies this structurally: every level ends at a barrier
-//! (which quiesces) and its [`WorkerHooks`] guard uninstalls the plan
-//! before the worker closure returns or unwinds, while the queues
-//! outlive the whole traversal.
+//! (which quiesces) and its [`PlanGuard`] uninstalls the plan before the
+//! worker closure returns or unwinds, while the queues outlive the whole
+//! traversal.
 //!
 //! [`SpinBarrier`]: crate::SpinBarrier
 //! [`FaultPlan`]: self
-//! [`WorkerHooks`]: crate::worker::WorkerHooks
 
 use crate::cancel::CancelToken;
+use crate::flight::RingDump;
+use std::marker::PhantomData;
+use std::time::Instant;
 
 /// Tuning knobs for a deterministic fault plan. Plain data, always
 /// compiled; only takes effect when the `chaos` feature is enabled and a
@@ -222,7 +238,8 @@ pub struct ScriptReport {
 
 #[cfg(feature = "chaos")]
 mod active {
-    use super::{CancelToken, ChaosConfig};
+    use super::{CancelToken, ChaosConfig, Instant};
+    use crate::flight::{kind, FlightRing, RingDump};
     use obfs_util::Xoshiro256StarStar;
     use std::cell::RefCell;
     use std::collections::VecDeque;
@@ -276,6 +293,19 @@ mod active {
         ops: u64,
         /// The run's token: an injected stall's only early exit.
         cancel: Option<CancelToken>,
+        /// The `FAULT` events, when the run asked for a recording.
+        flight: Option<FlightRing>,
+    }
+
+    impl Plan {
+        /// Count one injected fault of `cause` (a `kind::FAULT_*` code)
+        /// and record it as a `FAULT` event.
+        fn fault(&mut self, cause: u64, magnitude: u64) {
+            self.injected += 1;
+            if let Some(ring) = &mut self.flight {
+                ring.record(kind::FAULT, 0, cause, magnitude);
+            }
+        }
     }
 
     pub(super) struct Script {
@@ -342,7 +372,12 @@ mod active {
         })
     }
 
-    pub(super) fn install(cfg: &ChaosConfig, stream: u64, cancel: Option<&CancelToken>) {
+    pub(super) fn install(
+        cfg: &ChaosConfig,
+        stream: u64,
+        cancel: Option<&CancelToken>,
+        flight: Option<(usize, Instant)>,
+    ) {
         PLAN.with(|p| {
             *p.borrow_mut() = Some(Plan {
                 rng: Xoshiro256StarStar::for_stream(cfg.seed, stream),
@@ -351,21 +386,15 @@ mod active {
                 injected: 0,
                 ops: 0,
                 cancel: cancel.cloned(),
+                flight: flight.map(|(capacity, epoch)| FlightRing::new(capacity, epoch)),
             });
         });
     }
 
-    pub(super) fn uninstall() -> u64 {
-        PLAN.with(|p| {
-            let mut plan = p.borrow_mut();
-            match plan.take() {
-                Some(mut plan) => {
-                    flush_all(&mut plan);
-                    plan.injected
-                }
-                None => 0,
-            }
-        })
+    pub(super) fn uninstall() -> Option<RingDump> {
+        let mut plan = PLAN.with(|p| p.borrow_mut().take())?;
+        flush_all(&mut plan);
+        plan.flight.map(FlightRing::into_dump)
     }
 
     pub(super) fn is_active() -> bool {
@@ -399,19 +428,13 @@ mod active {
         plan.ops += 1;
         if plan.cfg.panic_after == Some(plan.ops) {
             plan.injected += 1;
-            // Unwinding releases the RefCell borrow; the worker's
-            // `WorkerHooks` guard then uninstalls (and flushes) this plan.
+            // Unwinding releases the RefCell borrow; the plan's guard
+            // then uninstalls (and flushes) it.
             panic!("chaos: injected worker panic at racy op {}", plan.ops);
         }
         if plan.cfg.stall_after == Some(plan.ops) {
-            plan.injected += 1;
             let spins = plan.cfg.stall_spins.max(1);
-            crate::flight::record(
-                crate::flight::kind::FAULT,
-                0,
-                crate::flight::kind::FAULT_STALL,
-                u64::from(spins),
-            );
+            plan.fault(kind::FAULT_STALL, u64::from(spins));
             for i in 0..spins {
                 // The token is the stall's only early exit: a stalled
                 // worker stays cooperative with cancellation.
@@ -434,14 +457,8 @@ mod active {
             unsafe { pend.target.flush() };
         }
         if plan.cfg.delay_chance > 0.0 && plan.rng.chance(plan.cfg.delay_chance) {
-            plan.injected += 1;
             let spins = 1 + plan.rng.next_u32() % plan.cfg.delay_spins.max(1);
-            crate::flight::record(
-                crate::flight::kind::FAULT,
-                0,
-                crate::flight::kind::FAULT_DELAY,
-                u64::from(spins),
-            );
+            plan.fault(kind::FAULT_DELAY, u64::from(spins));
             for i in 0..spins {
                 if i % 32 == 31 {
                     std::thread::yield_now();
@@ -465,13 +482,7 @@ mod active {
             && plan.rng.chance(plan.cfg.defer_chance)
         {
             let ttl = 1 + plan.rng.next_u32() % plan.cfg.stale_window.max(1);
-            plan.injected += 1;
-            crate::flight::record(
-                crate::flight::kind::FAULT,
-                0,
-                crate::flight::kind::FAULT_DEFER,
-                u64::from(ttl),
-            );
+            plan.fault(kind::FAULT_DEFER, u64::from(ttl));
             forget_addr(plan, target.addr());
             plan.pending.push_back(Pending { target, ttl });
             true
@@ -584,14 +595,8 @@ mod active {
             if plan.cfg.skew_chance <= 0.0 || !plan.rng.chance(plan.cfg.skew_chance) {
                 return i;
             }
-            plan.injected += 1;
             let delta = 1 + plan.rng.below_usize(plan.cfg.skew_max.max(1));
-            crate::flight::record(
-                crate::flight::kind::FAULT,
-                0,
-                crate::flight::kind::FAULT_SKEW,
-                delta as u64,
-            );
+            plan.fault(kind::FAULT_SKEW, delta as u64);
             match plan.rng.next_u32() % 3 {
                 0 => i.saturating_add(delta),
                 1 => i.saturating_sub(delta),
@@ -606,32 +611,61 @@ mod active {
 #[cfg(feature = "chaos")]
 pub(crate) use active::hooks;
 
-/// Install a fault plan on the current thread. `stream` selects an
-/// independent PRNG stream (pass the worker id); an injected stall polls
-/// `cancel` (the run's token, if any) to end early. No-op without the
-/// `chaos` feature.
+/// Install a fault plan on the current thread, replacing any plan
+/// already there, and return the guard that removes it. `stream` selects
+/// an independent PRNG stream (pass the worker id); an injected stall
+/// polls `cancel` (the run's token, if any) to end early; `flight`, the
+/// capacity and epoch of the run's flight rings, gives the plan a ring
+/// for its `FAULT` events. No-op without the `chaos` feature.
 #[inline]
-pub fn install(cfg: &ChaosConfig, stream: u64, cancel: Option<&CancelToken>) {
+pub fn install(
+    cfg: &ChaosConfig,
+    stream: u64,
+    cancel: Option<&CancelToken>,
+    flight: Option<(usize, Instant)>,
+) -> PlanGuard {
+    // Built first, so a panic while installing still tears down.
+    let guard = PlanGuard { _thread_bound: PhantomData };
     #[cfg(feature = "chaos")]
-    active::install(cfg, stream, cancel);
+    active::install(cfg, stream, cancel, flight);
     #[cfg(not(feature = "chaos"))]
     {
-        let _ = (cfg, stream, cancel);
+        let _ = (cfg, stream, cancel, flight);
+    }
+    guard
+}
+
+/// The current thread's installed fault plan; see the module docs. Not
+/// `Send`: the plan lives in this thread's thread-local.
+#[must_use = "dropping the guard uninstalls the plan at once"]
+pub struct PlanGuard {
+    _thread_bound: PhantomData<*const ()>,
+}
+
+impl PlanGuard {
+    /// Flush the plan's deferred stores, remove it, and return its
+    /// `FAULT` ring (`None` when the run asked for no recording, and
+    /// always without the `chaos` feature).
+    pub fn finish(self) -> Option<RingDump> {
+        std::mem::forget(self);
+        uninstall()
     }
 }
 
-/// Flush any deferred stores and remove the current thread's plan.
-/// Returns the number of faults the plan injected. No-op returning 0
-/// without the `chaos` feature.
-#[inline]
-pub fn uninstall() -> u64 {
+impl Drop for PlanGuard {
+    fn drop(&mut self) {
+        drop(uninstall());
+    }
+}
+
+fn uninstall() -> Option<RingDump> {
     #[cfg(feature = "chaos")]
     {
         active::uninstall()
     }
     #[cfg(not(feature = "chaos"))]
     {
-        0
+        None
     }
 }
 
@@ -719,10 +753,17 @@ mod tests {
     use crate::clock::Clock;
     use crate::racy::{RacyU32, RacyUsize};
 
+    /// Remove `plan`, returning the faults it injected.
+    fn finish(plan: PlanGuard) -> u64 {
+        let injected = faults_injected();
+        plan.finish();
+        injected
+    }
+
     fn with_plan(cfg: ChaosConfig, f: impl FnOnce()) -> u64 {
-        install(&cfg, 0, None);
+        let plan = install(&cfg, 0, None, None);
         f();
-        uninstall()
+        finish(plan)
     }
 
     #[test]
@@ -760,7 +801,7 @@ mod tests {
         use crate::racy::RacyU64;
         let c = RacyU64::new(0);
         let cfg = ChaosConfig { defer_chance: 1.0, stale_window: 1000, ..Default::default() };
-        install(&cfg, 0, None);
+        let plan = install(&cfg, 0, None, None);
         c.store(1 << 40);
         assert_eq!(c.load(), 1 << 40, "owner must forward its own deferred u64 store");
         // SAFETY: RacyU64 is repr(transparent) over one u64-sized word.
@@ -768,7 +809,7 @@ mod tests {
         assert_eq!(raw.load(std::sync::atomic::Ordering::Relaxed), 0, "store must be deferred");
         quiesce();
         assert_eq!(raw.load(std::sync::atomic::Ordering::Relaxed), 1 << 40, "quiesce must flush");
-        uninstall();
+        plan.finish();
     }
 
     /// Deferred stores become visible after quiesce (the barrier hook).
@@ -776,7 +817,7 @@ mod tests {
     fn quiesce_flushes_deferred_stores() {
         let c = RacyU32::new(7);
         let cfg = ChaosConfig { defer_chance: 1.0, stale_window: 1000, ..Default::default() };
-        install(&cfg, 0, None);
+        let plan = install(&cfg, 0, None, None);
         c.store(99);
         // Bypass the plan: raw view of memory as another thread would
         // see it. The store is still buffered.
@@ -785,14 +826,15 @@ mod tests {
         assert_eq!(raw.load(std::sync::atomic::Ordering::Relaxed), 7, "store must be deferred");
         quiesce();
         assert_eq!(raw.load(std::sync::atomic::Ordering::Relaxed), 99, "quiesce must flush");
-        uninstall();
+        plan.finish();
     }
 
     /// TTL expiry flushes without an explicit quiesce, in FIFO order.
     #[test]
     fn ttl_expiry_flushes_fifo() {
         let a = RacyU32::new(0);
-        install(&ChaosConfig { defer_chance: 1.0, stale_window: 1, ..Default::default() }, 0, None);
+        let cfg = ChaosConfig { defer_chance: 1.0, stale_window: 1, ..Default::default() };
+        let plan = install(&cfg, 0, None, None);
         a.store(5);
         // SAFETY: RacyU32 is repr(transparent) over one u32-sized word.
         let raw = unsafe { &*(&a as *const RacyU32 as *const std::sync::atomic::AtomicU32) };
@@ -801,7 +843,7 @@ mod tests {
         let other = RacyU32::new(0);
         let _ = other.load();
         assert_eq!(raw.load(std::sync::atomic::Ordering::Relaxed), 5);
-        uninstall();
+        plan.finish();
     }
 
     /// A later store to the same cell supersedes the deferred one: the
@@ -810,25 +852,25 @@ mod tests {
     fn newer_store_supersedes_deferred() {
         let c = RacyU32::new(0);
         let cfg = ChaosConfig { defer_chance: 0.5, stale_window: 4, ..Default::default() };
-        install(&cfg, 0, None);
+        let plan = install(&cfg, 0, None, None);
         for i in 1..1000u32 {
             c.store(i);
         }
-        uninstall();
+        plan.finish();
         assert_eq!(c.load(), 999, "final value must be the program-order-last store");
     }
 
     #[test]
     fn skew_perturbs_and_counts() {
         let cfg = ChaosConfig::skew_only(42);
-        install(&cfg, 0, None);
+        let plan = install(&cfg, 0, None, None);
         let mut changed = 0;
         for _ in 0..200 {
             if skew_index(1000) != 1000 {
                 changed += 1;
             }
         }
-        let injected = uninstall();
+        let injected = finish(plan);
         assert!(changed > 0, "skew_chance=0.5 must perturb some reads");
         assert_eq!(injected, changed, "every perturbation must be counted");
     }
@@ -859,7 +901,7 @@ mod tests {
     #[test]
     fn script_overrides_plan_for_covered_loads() {
         let cfg = ChaosConfig { defer_chance: 1.0, stale_window: 1000, ..Default::default() };
-        install(&cfg, 0, None);
+        let plan = install(&cfg, 0, None, None);
         let c = RacyU32::new(3);
         c.store(9); // deferred by the plan; forwarding would return 9
         install_script(&ChaosScript { u32_loads: vec![Some(42)], ..Default::default() });
@@ -867,8 +909,8 @@ mod tests {
         assert_eq!(c.load(), 9, "after the script: plan forwarding again");
         let report = uninstall_script();
         assert_eq!(report.fed_u32, 1);
-        uninstall();
-        assert_eq!(c.load(), 9, "uninstall flushed the deferred store");
+        plan.finish();
+        assert_eq!(c.load(), 9, "finish flushed the deferred store");
     }
 
     /// A bounded stall fires exactly once, at the configured op, and is
@@ -891,10 +933,10 @@ mod tests {
     fn cancelled_token_releases_a_stuck_stall() {
         let token = CancelToken::new(&Clock::wall());
         token.cancel(); // pre-fired: the stall must exit on entry
-        install(&ChaosConfig::stall(1, 1, u32::MAX), 0, Some(&token));
+        let plan = install(&ChaosConfig::stall(1, 1, u32::MAX), 0, Some(&token), None);
         let t0 = std::time::Instant::now();
         RacyU32::new(0).store(1);
-        assert_eq!(uninstall(), 1);
+        assert_eq!(finish(plan), 1);
         assert!(
             t0.elapsed() < std::time::Duration::from_secs(5),
             "a fired token must break the stall immediately"
@@ -905,9 +947,9 @@ mod tests {
     #[test]
     fn live_token_does_not_break_the_stall() {
         let token = CancelToken::new(&Clock::wall());
-        install(&ChaosConfig::stall(1, 1, 100), 0, Some(&token));
+        let plan = install(&ChaosConfig::stall(1, 1, 100), 0, Some(&token), None);
         RacyU32::new(0).store(1);
-        assert_eq!(uninstall(), 1);
+        assert_eq!(finish(plan), 1);
     }
 
     /// Panic injection fires deterministically at the configured op and
@@ -915,7 +957,7 @@ mod tests {
     #[test]
     fn panic_at_fires_deterministically() {
         let result = std::panic::catch_unwind(|| {
-            install(&ChaosConfig::panic_at(1, 2), 0, None);
+            let _plan = install(&ChaosConfig::panic_at(1, 2), 0, None, None);
             let c = RacyU32::new(0);
             c.store(1); // op 1
             c.store(2); // op 2: panics
@@ -923,16 +965,55 @@ mod tests {
         let err = result.expect_err("op 2 must panic");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("injected worker panic"), "{msg}");
-        // The plan survives the unwind; clean it up for later tests.
-        assert!(is_active());
-        let _ = uninstall();
+        assert!(!is_active());
+    }
+
+    /// `finish` removes the plan, flushes its deferred stores and hands
+    /// back its FAULT ring when a recording was asked for.
+    #[test]
+    fn finish_returns_the_fault_ring_and_uninstalls() {
+        let cfg = ChaosConfig {
+            defer_chance: 1.0,
+            stale_window: 1000,
+            delay_chance: 0.0,
+            ..Default::default()
+        };
+        let cell = RacyU32::new(0);
+        let plan = install(&cfg, 0, None, Some((64, Instant::now())));
+        cell.store(1);
+        cell.store(2);
+        let ring = plan.finish().expect("a recording was asked for");
+        assert!(!is_active(), "finish must remove the plan");
+        assert_eq!(cell.load(), 2, "finish must flush deferred stores");
+        let got: Vec<_> = ring.events.iter().map(|e| (e.kind, e.a)).collect();
+        let defer = (crate::flight::kind::FAULT, crate::flight::kind::FAULT_DEFER);
+        assert_eq!(got, [defer, defer]);
+        assert_eq!(install(&cfg, 0, None, None).finish(), None, "no recording, no ring");
+    }
+
+    /// A worker unwinding with its plan installed drops the guard, which
+    /// flushes and removes the plan, so a later run on the same thread
+    /// starts clean.
+    #[test]
+    fn guard_uninstalls_on_unwind() {
+        let cfg = ChaosConfig { defer_chance: 1.0, stale_window: 1000, ..Default::default() };
+        let cell = RacyU32::new(0);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _plan = install(&cfg, 0, None, Some((64, Instant::now())));
+            cell.store(7);
+            assert!(is_active());
+            panic!("injected failure with the plan installed");
+        }));
+        assert!(result.is_err());
+        assert!(!is_active(), "the guard's drop must remove the plan on unwind");
+        assert_eq!(cell.load(), 7, "the guard's drop must flush deferred stores");
     }
 
     #[test]
     fn plans_are_seed_reproducible() {
         let cfg = ChaosConfig::aggressive(7);
         let run = || {
-            install(&cfg, 3, None);
+            let plan = install(&cfg, 3, None, None);
             let c = RacyU32::new(0);
             let mut trace = Vec::new();
             for i in 0..500u32 {
@@ -940,8 +1021,7 @@ mod tests {
                 trace.push(c.load());
                 trace.push(skew_index(i as usize) as u32);
             }
-            let injected = uninstall();
-            (trace, injected)
+            (trace, finish(plan))
         };
         assert_eq!(run(), run(), "same seed + stream must reproduce the same fault plan");
     }

@@ -1,39 +1,36 @@
-//! Flight recorder: per-worker event ring buffers (`--features trace`).
+//! Flight recorder: fixed-capacity event rings for scheduling events.
 //!
 //! The optimistic dispatchers make scheduling decisions (segment fetches,
 //! steals, aborts) thousands of times per level; understanding *where* a
 //! traversal spends its time requires seeing those decisions on a
-//! timeline, not just in aggregate counters. This module records them
-//! into a fixed-capacity per-thread ring buffer that costs nothing when
-//! the `trace` cargo feature is off and almost nothing when it is on.
+//! timeline, not just in aggregate counters. A [`FlightRing`] records
+//! them; a run asks for one per worker through
+//! `BfsOptions::flight_recorder`, and a run that asks for none holds no
+//! ring and records nothing.
 //!
 //! # Memory model: why plain stores are enough
 //!
-//! Each recorder is **thread-local and exclusively owned**: a worker
-//! writes events only into its own ring, and the ring is read only by
-//! [`uninstall`] *on the same thread*. There is no cross-thread access to
-//! a live ring at all, so recording needs no atomics, no locks, and no
-//! fences on the hot path — a plain store into owned memory. Cross-thread
-//! publication happens only after the fact: the worker moves its finished
-//! [`RingDump`] into a per-thread slot before the pool joins, and the
-//! pool join (a lock/condvar handshake) provides the happens-before edge
-//! for whoever aggregates the dumps. This is the same ownership
-//! discipline as `ThreadStats` in `obfs-core`, applied to a time series.
+//! A ring is a plain value with one owner. A BFS worker's ring lives in
+//! its `obfs_core::Worker` record, and the chaos plan's fault ring (see
+//! [`crate::chaos`]) in the plan on the same thread; each is written
+//! only by the thread that owns it. Recording therefore needs no
+//! atomics, no locks and no fences — a plain store into owned memory.
+//! Cross-thread publication happens only after the fact: the finished
+//! [`RingDump`] crosses threads through the driver's per-thread slot,
+//! and the pool join (a lock/condvar handshake) provides the
+//! happens-before edge for whoever aggregates the dumps. This is the
+//! same ownership discipline as `ThreadStats` in `obfs-core`, applied to
+//! a time series.
 //!
 //! # Bounded memory
 //!
-//! The ring has a fixed capacity chosen at [`install`] time; when it is
+//! A ring has a fixed capacity chosen at [`FlightRing::new`]; when it is
 //! full the oldest events are overwritten and counted in
 //! [`RingDump::dropped`]. A traversal can therefore never allocate
 //! unboundedly no matter how long it runs — the recorder keeps the most
 //! recent window, which is what post-mortem debugging wants anyway.
-//!
-//! # Zero cost when off
-//!
-//! Without the `trace` cargo feature every function in this module is an
-//! `#[inline]` no-op, mirroring the [`chaos`](crate::chaos) module: the
-//! event types stay compiled (so higher layers keep a feature-independent
-//! shape) but no thread-local exists and [`record`] compiles to nothing.
+//! [`RingDump::merge`] folds two rings of one capacity into the window
+//! a single ring would have kept of both streams.
 
 use std::time::Instant;
 
@@ -147,11 +144,11 @@ pub mod kind {
 }
 
 /// One recorded event. 32 bytes, `Copy`, written with a plain store into
-/// the thread-owned ring.
+/// its owner's ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightEvent {
-    /// Microseconds since the run epoch passed to [`install`] (shared by
-    /// all workers of a run, so timelines line up across threads).
+    /// Microseconds since the epoch passed to [`FlightRing::new`] (shared
+    /// by every ring of a run, so timelines line up across threads).
     pub ts_us: u64,
     /// Event kind ([`kind`]).
     pub kind: u16,
@@ -173,169 +170,108 @@ pub struct RingDump {
     pub dropped: u64,
 }
 
-#[cfg(feature = "trace")]
-mod active {
-    use super::{FlightEvent, RingDump};
-    use std::cell::RefCell;
-    use std::time::Instant;
+/// One owner's event ring: the newest `capacity` events, timed from a
+/// run's shared epoch. See the module docs.
+#[derive(Debug)]
+pub struct FlightRing {
+    epoch: Instant,
+    buf: Vec<FlightEvent>,
+    /// Next write position once the buffer reached capacity.
+    head: usize,
+    dropped: u64,
+    capacity: usize,
+}
 
-    struct Recorder {
-        epoch: Instant,
-        buf: Vec<FlightEvent>,
-        /// Next write position once the buffer reached capacity.
-        head: usize,
-        /// Whether the ring has wrapped at least once.
-        wrapped: bool,
-        dropped: u64,
-        capacity: usize,
-    }
-
-    thread_local! {
-        static REC: RefCell<Option<Recorder>> = const { RefCell::new(None) };
-    }
-
-    pub(super) fn install(capacity: usize, epoch: Instant) {
+impl FlightRing {
+    /// A ring with room for `capacity` events (0 is clamped to 1), timed
+    /// from `epoch`, the run start every ring of the run shares so their
+    /// timelines line up.
+    pub fn new(capacity: usize, epoch: Instant) -> Self {
         let capacity = capacity.max(1);
-        REC.with(|r| {
-            *r.borrow_mut() = Some(Recorder {
-                epoch,
-                buf: Vec::with_capacity(capacity),
-                head: 0,
-                wrapped: false,
-                dropped: 0,
-                capacity,
-            });
-        });
+        Self { epoch, buf: Vec::with_capacity(capacity), head: 0, dropped: 0, capacity }
     }
 
-    pub(super) fn uninstall() -> Option<RingDump> {
-        REC.with(|r| r.borrow_mut().take()).map(|rec| {
-            let mut events = Vec::with_capacity(rec.buf.len());
-            if rec.wrapped {
-                events.extend_from_slice(&rec.buf[rec.head..]);
-                events.extend_from_slice(&rec.buf[..rec.head]);
-            } else {
-                events.extend_from_slice(&rec.buf);
-            }
-            RingDump { events, dropped: rec.dropped }
-        })
+    /// Events the ring holds before it starts overwriting.
+    pub fn capacity(&self) -> usize {
+        self.capacity
     }
 
-    pub(super) fn is_active() -> bool {
-        REC.with(|r| r.borrow().is_some())
-    }
-
+    /// Record one event, timed now.
     #[inline]
-    pub(super) fn record(kind: u16, level: u32, a: u64, b: u64) {
-        REC.with(|r| {
-            let mut rec = r.borrow_mut();
-            let Some(rec) = rec.as_mut() else { return };
-            let ev =
-                FlightEvent { ts_us: rec.epoch.elapsed().as_micros() as u64, kind, level, a, b };
-            if rec.buf.len() < rec.capacity {
-                rec.buf.push(ev);
-            } else {
-                // Plain store into thread-owned memory (see module docs).
-                rec.buf[rec.head] = ev;
-                rec.head = (rec.head + 1) % rec.capacity;
-                rec.wrapped = true;
-                rec.dropped += 1;
-            }
-        });
+    pub fn record(&mut self, kind: u16, level: u32, a: u64, b: u64) {
+        let ts_us = self.epoch.elapsed().as_micros() as u64;
+        self.push(FlightEvent { ts_us, kind, level, a, b });
+    }
+
+    /// Append `ev` as the newest event, overwriting the oldest once the
+    /// ring is full.
+    fn push(&mut self, ev: FlightEvent) {
+        if self.buf.len() < self.capacity {
+            self.buf.push(ev);
+        } else {
+            self.buf[self.head] = ev;
+            self.head = (self.head + 1) % self.capacity;
+            self.dropped += 1;
+        }
+    }
+
+    /// The surviving events, oldest first, and the overwritten count.
+    pub fn into_dump(mut self) -> RingDump {
+        self.buf.rotate_left(self.head);
+        RingDump { events: self.buf, dropped: self.dropped }
     }
 }
 
-/// Install a flight recorder on the current thread with room for
-/// `capacity` events; `epoch` is the shared run start instant timestamps
-/// are measured from. Replaces any previous recorder. No-op without the
-/// `trace` feature.
-#[inline]
-pub fn install(capacity: usize, epoch: Instant) {
-    #[cfg(feature = "trace")]
-    active::install(capacity, epoch);
-    #[cfg(not(feature = "trace"))]
-    {
-        let _ = (capacity, epoch);
+impl RingDump {
+    /// Fold in `other`, the dump of a second ring of the same
+    /// `capacity` on the same epoch: the result holds the newest
+    /// `capacity` events of both, ordered by timestamp (ties keep this
+    /// dump's event first), and counts every other event as dropped.
+    ///
+    /// That is exactly the dump one ring of `capacity` would hold had it
+    /// recorded both streams: an event among the newest `capacity` of
+    /// the combined stream has fewer than `capacity` newer events in its
+    /// own stream, so its own ring still held it.
+    pub fn merge(mut self, other: RingDump, capacity: usize) -> RingDump {
+        self.events.extend(other.events);
+        self.events.sort_by_key(|e| e.ts_us);
+        let cut = self.events.len().saturating_sub(capacity.max(1));
+        self.events.drain(..cut);
+        RingDump { events: self.events, dropped: self.dropped + other.dropped + cut as u64 }
     }
 }
 
-/// Remove the current thread's recorder and return its drained ring.
-/// Returns `None` when no recorder was installed (always, without the
-/// `trace` feature).
-#[inline]
-pub fn uninstall() -> Option<RingDump> {
-    #[cfg(feature = "trace")]
-    {
-        active::uninstall()
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        None
-    }
-}
-
-/// Whether the current thread has an installed recorder.
-#[inline]
-pub fn is_active() -> bool {
-    #[cfg(feature = "trace")]
-    {
-        active::is_active()
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        false
-    }
-}
-
-/// Record one event on the current thread's recorder, if any. Compiles
-/// to nothing without the `trace` feature.
-#[inline]
-pub fn record(kind: u16, level: u32, a: u64, b: u64) {
-    #[cfg(feature = "trace")]
-    active::record(kind, level, a, b);
-    #[cfg(not(feature = "trace"))]
-    {
-        let _ = (kind, level, a, b);
-    }
-}
-
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn inactive_thread_records_nothing() {
-        assert!(!is_active());
-        record(kind::SEGMENT_FETCH, 0, 1, 2);
-        assert!(uninstall().is_none());
+    fn ev(ts_us: u64, a: u64) -> FlightEvent {
+        FlightEvent { ts_us, kind: kind::SEGMENT_FETCH, level: 0, a, b: 0 }
     }
 
     #[test]
     fn events_come_back_in_order() {
-        install(64, Instant::now());
-        assert!(is_active());
+        let mut ring = FlightRing::new(64, Instant::now());
         for i in 0..10u64 {
-            record(kind::SEGMENT_FETCH, 3, i, i * 2);
+            ring.record(kind::SEGMENT_FETCH, 3, i, i * 2);
         }
-        let dump = uninstall().expect("recorder was installed");
+        let dump = ring.into_dump();
         assert_eq!(dump.events.len(), 10);
         assert_eq!(dump.dropped, 0);
         for (i, e) in dump.events.iter().enumerate() {
-            assert_eq!(e.a, i as u64);
-            assert_eq!(e.level, 3);
+            assert_eq!((e.a, e.b, e.level), (i as u64, i as u64 * 2, 3));
         }
         // Timestamps are monotone (non-decreasing at us resolution).
         assert!(dump.events.windows(2).all(|w| w[0].ts_us <= w[1].ts_us));
-        assert!(!is_active(), "uninstall must remove the recorder");
     }
 
     #[test]
     fn ring_overwrites_oldest_and_counts_drops() {
-        install(4, Instant::now());
+        let mut ring = FlightRing::new(4, Instant::now());
         for i in 0..10u64 {
-            record(kind::FETCH_RETRY, 0, i, 0);
+            ring.record(kind::FETCH_RETRY, 0, i, 0);
         }
-        let dump = uninstall().unwrap();
+        let dump = ring.into_dump();
         assert_eq!(dump.events.len(), 4, "capacity bounds the ring");
         assert_eq!(dump.dropped, 6);
         let kept: Vec<u64> = dump.events.iter().map(|e| e.a).collect();
@@ -343,23 +279,45 @@ mod tests {
     }
 
     #[test]
-    fn reinstall_replaces_previous_ring() {
-        install(8, Instant::now());
-        record(kind::LEVEL_START, 0, 0, 0);
-        install(8, Instant::now());
-        record(kind::LEVEL_END, 1, 0, 0);
-        let dump = uninstall().unwrap();
+    fn zero_capacity_is_clamped() {
+        let mut ring = FlightRing::new(0, Instant::now());
+        assert_eq!(ring.capacity(), 1);
+        ring.record(kind::LEVEL_START, 0, 0, 0);
+        ring.record(kind::LEVEL_END, 0, 0, 0);
+        let dump = ring.into_dump();
         assert_eq!(dump.events.len(), 1);
         assert_eq!(dump.events[0].kind, kind::LEVEL_END);
+        assert_eq!(dump.dropped, 1);
     }
 
+    /// A worker ring and a fault ring of capacity c, each fed its share
+    /// of one stream, merge into the dump one ring of capacity c fed the
+    /// whole stream holds: the same events and the same `dropped`.
     #[test]
-    fn zero_capacity_is_clamped() {
-        install(0, Instant::now());
-        record(kind::LEVEL_START, 0, 0, 0);
-        record(kind::LEVEL_END, 0, 0, 0);
-        let dump = uninstall().unwrap();
-        assert_eq!(dump.events.len(), 1);
-        assert_eq!(dump.dropped, 1);
+    fn merged_rings_equal_one_shared_ring() {
+        let mut rng = obfs_util::Xoshiro256StarStar::new(0x7269_6E67);
+        for c in [1usize, 4, 64] {
+            for len in [0, 1, c - 1, c, c + 1, 3 * c + 2, 200] {
+                let epoch = Instant::now();
+                let (mut worker, mut faults, mut shared) = (
+                    FlightRing::new(c, epoch),
+                    FlightRing::new(c, epoch),
+                    FlightRing::new(c, epoch),
+                );
+                let mut ts = 0u64;
+                for i in 0..len as u64 {
+                    ts += 1 + rng.next_u64() % 5; // distinct, increasing
+                    let e = ev(ts, i);
+                    shared.push(e);
+                    if rng.next_u64().is_multiple_of(3) {
+                        faults.push(e);
+                    } else {
+                        worker.push(e);
+                    }
+                }
+                let merged = worker.into_dump().merge(faults.into_dump(), c);
+                assert_eq!(merged, shared.into_dump(), "capacity {c}, {len} events");
+            }
+        }
     }
 }

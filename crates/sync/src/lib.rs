@@ -5,10 +5,9 @@
 //! instructions**. This crate provides that primitive ([`racy`]), the spin
 //! lock used by the paper's lock-based comparison variants ([`spinlock`]),
 //! the sense-reversing barrier used for BFS level synchronization
-//! ([`barrier`]), cache-line padding ([`padded`]), and the two
-//! thread-local hooks a BFS worker may carry — a chaos fault plan
-//! ([`chaos`]) and a flight-recorder ring ([`flight`]) — behind one
-//! teardown guard ([`worker`]).
+//! ([`barrier`]), cache-line padding ([`padded`]), the chaos fault plan
+//! ([`chaos`]), the one thread-local hook a BFS worker may carry, and the
+//! flight-recorder ring ([`flight`]) a worker's record owns.
 //!
 //! # The two racy backends
 //!
@@ -42,7 +41,6 @@ pub mod model;
 pub mod padded;
 pub mod racy;
 pub mod spinlock;
-pub mod worker;
 
 pub use barrier::SpinBarrier;
 pub use cancel::{CancelCause, CancelToken};

@@ -1,4 +1,4 @@
-//! Minimal std-only `/metrics` HTTP responder (`serve-http` feature).
+//! Minimal std-only `/metrics` HTTP responder.
 //!
 //! One accept-loop thread on a `TcpListener`, speaking just enough
 //! HTTP/1.0 for a scraper: `GET /metrics` returns the Prometheus text

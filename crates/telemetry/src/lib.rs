@@ -29,19 +29,15 @@
 //!
 //! [`LogHistogram`]: obfs_util::LogHistogram
 
+pub mod http;
 pub mod registry;
 pub mod span;
 pub mod worker;
 
-#[cfg(feature = "serve-http")]
-pub mod http;
-
+pub use http::MetricsServer;
 pub use registry::{Counter, Gauge, Histogram, MetricsRegistry, Snapshot};
 pub use span::{stage, SpanDump, SpanEvent, SpanLog};
 pub use worker::RunTelemetry;
-
-#[cfg(feature = "serve-http")]
-pub use http::MetricsServer;
 
 /// Parse a Prometheus text exposition back into `name{labels} -> value`
 /// pairs, preserving document order. This is the "curl-equivalent" used

@@ -49,9 +49,13 @@ sys.exit(0 if sys.argv[1] in names else 1)' "$WORKLOAD" || {
 RUN_SECONDS=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
 
 # Fresh copies; extraction keeps file times, so the persistent target
-# directories see unchanged files as unchanged.
+# directories see unchanged files as unchanged. The result file is
+# emptied first, so nothing read from it during the builds can be a
+# previous call's rows.
+OUT="$AB/$WORKLOAD.jsonl"
 rm -rf "$AB/parent" "$AB/change"
 mkdir -p "$AB/parent" "$AB/change"
+: >"$OUT"
 git archive "$PARENT_REV" | tar -x -C "$AB/parent"
 git ls-files -z --cached --others --exclude-standard \
     | tar --null --ignore-failed-read -T - -cf - 2>/dev/null \
@@ -63,8 +67,6 @@ for side in parent change; do
         --manifest-path "$AB/$side/benchmark/Cargo.toml" --target-dir "$AB/$side.target" >&2
 done
 
-OUT="$AB/$WORKLOAD.jsonl"
-: >"$OUT"
 run() { # run SIDE PAIR SEED
     local line
     line=$(cd "$AB/$1" && "../$1.target/release/obfs-benchmark" \

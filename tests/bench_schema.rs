@@ -117,7 +117,7 @@ fn chrome_trace_exporter_shape() {
         ],
     };
     assert_eq!(rec.total_events(), 6);
-    assert_eq!(rec.total_dropped(), 2);
+    assert_eq!(rec.dropped(), 2);
     assert_eq!(rec.count(kind::SEGMENT_FETCH), 1);
     let text = obfs_core::flight::to_chrome_trace(&rec);
     let doc = Json::parse(&text).expect("chrome trace must be valid JSON");

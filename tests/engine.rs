@@ -9,7 +9,7 @@
 //! The stall/panic tests need the `chaos` feature:
 //!
 //! ```sh
-//! cargo test --test engine --features chaos,trace
+//! cargo test --test engine --features chaos
 //! ```
 
 use obfs_core::serial::serial_bfs;
@@ -181,11 +181,12 @@ fn worker_panic_is_followed_by_a_successful_query_on_a_rebuilt_pool() {
     assert!(st.pool_rebuilds >= 1, "the poisoned pool must have been replaced");
 }
 
-/// Thread-local state (chaos plans, flight rings) must
-/// be provably uninstalled between queries sharing one pool: after a
-/// mix of complete and cancelled runs — with every feature-gated
-/// collector armed — a bare closure on the same workers sees no
-/// leftover TLS installations.
+/// The chaos plan, the one thread-local hook, must be provably
+/// uninstalled between queries sharing one pool: after a mix of
+/// complete and cancelled runs — with every collector armed — a bare
+/// closure on the same workers sees no leftover plan. (The flight ring
+/// and the histograms live in each run's `Worker` record, so nothing of
+/// them outlives the run.)
 #[test]
 fn tls_state_is_uninstalled_between_queries_on_a_shared_pool() {
     let g = test_graph(8);
@@ -199,16 +200,13 @@ fn tls_state_is_uninstalled_between_queries_on_a_shared_pool() {
             clock: clock.clone(),
             cancel: Some(token.clone()),
             collect_histograms: true,
+            flight_recorder: Some(obfs_core::flight::DEFAULT_FLIGHT_CAPACITY),
             ..Default::default()
         };
         #[cfg(feature = "chaos")]
         {
             // A bounded stall: exercises the token poll, then finishes.
             opts.chaos = Some(obfs_sync::ChaosConfig::stall(round, 30, 200));
-        }
-        #[cfg(feature = "trace")]
-        {
-            opts.flight_recorder = Some(obfs_core::flight::DEFAULT_FLIGHT_CAPACITY);
         }
         if round % 2 == 1 {
             token.cancel(); // pre-cancelled: quiesces after one level
@@ -220,7 +218,6 @@ fn tls_state_is_uninstalled_between_queries_on_a_shared_pool() {
         }
         pool.run(|_| {
             assert!(!obfs_sync::chaos::is_active(), "chaos plan leaked");
-            assert!(!obfs_sync::flight::is_active(), "flight ring leaked");
         })
         .unwrap();
     }

@@ -263,7 +263,7 @@ fn bottom_up_level_produces_real_queue_state() {
     st.init_chunk(0);
     st.levels.set(0, 0); // hub is the frontier
     st.fill_bitmap_chunk(0, 0);
-    let mut wk = obfs_core::Worker::new(&opts, 0, st.qout(0).queue(0));
+    let mut wk = obfs_core::Worker::new(&opts, 0, st.qout(0).queue(0), std::time::Instant::now());
     st.bottom_up_level(0, &mut wk);
     assert_eq!(wk.out_rear, 63, "every leaf discovered exactly once");
     assert_eq!(wk.stats.vertices_discovered, 63);

@@ -15,7 +15,7 @@
 //! honor `check_partial`.
 //!
 //! ```sh
-//! cargo test --test state_reuse --features chaos,trace
+//! cargo test --test state_reuse --features chaos
 //! ```
 
 use obfs::prelude::*;

@@ -1,4 +1,4 @@
-//! Flight-recorder integration tests (`--features trace`).
+//! Flight-recorder integration tests.
 //!
 //! The recorder must (1) capture the worker lifecycle with exact event
 //! counts, (2) stay off unless requested, and (3) — together with the
@@ -6,7 +6,6 @@
 //! events that agree with the aggregate counters and the per-level
 //! series, so the three observability surfaces (RunStats, LevelStats,
 //! flight events) can never silently diverge.
-#![cfg(feature = "trace")]
 
 use obfs::core::flight::{kind, to_chrome_trace};
 use obfs::prelude::*;
@@ -26,7 +25,7 @@ fn recorder_captures_worker_lifecycle_exactly() {
         assert_eq!(r.levels, reference.levels, "{algo}");
         let rec = r.stats.flight.as_ref().unwrap_or_else(|| panic!("{algo}: no recording"));
         assert_eq!(rec.workers.len(), threads, "{algo}: one ring per worker");
-        assert_eq!(rec.total_dropped(), 0, "{algo}: ring wrapped on a small graph");
+        assert_eq!(rec.dropped(), 0, "{algo}: ring wrapped on a small graph");
         assert_eq!(rec.count(kind::WORKER_BEGIN), threads, "{algo}");
         assert_eq!(rec.count(kind::WORKER_END), threads, "{algo}");
         let levels_run = r.stats.levels as usize;
@@ -59,7 +58,7 @@ fn steal_events_match_steal_counters() {
     for algo in [Algorithm::Bfsws, Algorithm::Bfswsl] {
         let r = run_bfs(algo, &g, 0, &opts);
         let rec = r.stats.flight.as_ref().unwrap();
-        assert_eq!(rec.total_dropped(), 0, "{algo}: ring too small for exact counts");
+        assert_eq!(rec.dropped(), 0, "{algo}: ring too small for exact counts");
         let steal = &r.stats.totals.steal;
         assert_eq!(
             rec.count(kind::STEAL_SUCCESS) as u64,
@@ -99,7 +98,7 @@ fn direction_switch_events_match_recorded_directions() {
         assert!(switches > 0, "{algo}: dense RMAT never switched direction");
         assert_eq!(switches, r.stats.direction_switches, "{algo}");
         let rec = r.stats.flight.as_ref().unwrap();
-        assert_eq!(rec.total_dropped(), 0, "{algo}: ring too small for exact counts");
+        assert_eq!(rec.dropped(), 0, "{algo}: ring too small for exact counts");
         assert_eq!(
             rec.count(kind::DIR_SWITCH) as u32,
             r.stats.direction_switches,
@@ -166,7 +165,7 @@ fn compact_events_match_compacted_level_count() {
         assert_eq!(r.levels, reference.levels, "{algo}");
         assert!(r.stats.compacted_levels > 0, "{algo}: forced-on never compacted");
         let rec = r.stats.flight.as_ref().unwrap();
-        assert_eq!(rec.total_dropped(), 0, "{algo}: ring too small for exact counts");
+        assert_eq!(rec.dropped(), 0, "{algo}: ring too small for exact counts");
         assert_eq!(
             rec.count(kind::COMPACT) as u32,
             r.stats.compacted_levels,
