@@ -4,7 +4,7 @@
 #![warn(missing_docs)]
 
 use obfs_core::{
-    run_bfs, serial::serial_bfs, Algorithm, BfsOptions, CompactionPolicy, HybridPolicy,
+    run_bfs, serial::serial_bfs, Algorithm, BfsOptions, CompactionPolicy, HybridPolicy, RunStats,
 };
 use obfs_graph::{gen, io, stats, CsrGraph};
 use std::collections::HashMap;
@@ -237,26 +237,30 @@ fn algo_flag(flags: &HashMap<String, String>, default: Algorithm) -> Result<Algo
     }
 }
 
+/// The file `--trace OUT.json` names; `--trace` alone names none.
+fn trace_path(flags: &HashMap<String, String>) -> Option<&str> {
+    flags.get("trace").map(String::as_str).filter(|v| *v != "true")
+}
+
 fn cmd_bfs(flags: &HashMap<String, String>) -> Result<String, String> {
     let g = load_graph(get(flags, "in")?)?;
     let algo = algo_flag(flags, Algorithm::Bfswsl)?;
-    if let Some(list) = flags.get("sources") {
-        if has(flags, "src") {
-            return Err("--src and --sources are mutually exclusive".into());
-        }
-        return cmd_bfs_batch(&g, algo, list, flags);
-    }
-    let src: u32 = get_num(flags, "src", 0)?;
-    if src as usize >= g.num_vertices() {
-        return Err(format!("--src {src} out of range (n={})", g.num_vertices()));
+    if has(flags, "sources") && has(flags, "src") {
+        return Err("--src and --sources are mutually exclusive".into());
     }
     let mut opts = bfs_opts(flags)?;
     // `--trace` alone prints the per-level table; `--trace OUT.json`
     // additionally arms the flight recorder and writes a
     // chrome://tracing file.
-    let trace_path = flags.get("trace").filter(|v| v.as_str() != "true");
-    if trace_path.is_some() {
+    if trace_path(flags).is_some() {
         opts.flight_recorder = Some(obfs_core::flight::DEFAULT_FLIGHT_CAPACITY);
+    }
+    if let Some(list) = flags.get("sources") {
+        return cmd_bfs_batch(&g, algo, list, &opts, flags);
+    }
+    let src: u32 = get_num(flags, "src", 0)?;
+    if src as usize >= g.num_vertices() {
+        return Err(format!("--src {src} out of range (n={})", g.num_vertices()));
     }
     let r = run_bfs(algo, &g, src, &opts);
     let mut out = String::new();
@@ -281,21 +285,44 @@ fn cmd_bfs(flags: &HashMap<String, String>) -> Result<String, String> {
         t.steal.success,
         t.steal.attempts
     );
+    report_run(&mut out, &r.stats, &opts, flags)?;
+    if has(flags, "validate") {
+        let ser = serial_bfs(&g, src);
+        obfs_core::validate::check_levels(&r, &ser.levels).map_err(|e| e.to_string())?;
+        if r.parents.is_some() {
+            obfs_core::validate::check_self_consistent(&g, src, &r).map_err(|e| e.to_string())?;
+        }
+        let _ = writeln!(out, "validated against serial BFS: OK");
+    }
+    Ok(out)
+}
+
+/// The report lines a single-source and a batched `bfs` run share, read
+/// off the run's stats: hybrid directions, compacted levels, the
+/// per-level table (`--trace`), the latency histogram summary
+/// (`--histograms`) and the chrome://tracing file (`--trace OUT.json`).
+/// A batched run's levels are those of its union frontier.
+fn report_run(
+    out: &mut String,
+    stats: &RunStats,
+    opts: &BfsOptions,
+    flags: &HashMap<String, String>,
+) -> Result<(), String> {
     if opts.hybrid.is_some() {
-        let dirs: Vec<&str> = r.stats.directions.iter().map(|d| d.label()).collect();
+        let dirs: Vec<&str> = stats.directions.iter().map(|d| d.label()).collect();
         let _ = writeln!(
             out,
             "hybrid directions: {} ({} switch(es))",
             dirs.join(","),
-            r.stats.direction_switches
+            stats.direction_switches
         );
     }
     if opts.compaction.is_some() {
-        let _ = writeln!(out, "compacted levels: {}", r.stats.compacted_levels);
+        let _ = writeln!(out, "compacted levels: {}", stats.compacted_levels);
     }
     if has(flags, "trace") {
         let _ = writeln!(out, "level  dir  cmp  frontier  discovered   time(us)");
-        for e in &r.stats.level_stats {
+        for e in &stats.level_stats {
             let _ = writeln!(
                 out,
                 "{:>5}  {:>3}  {:>3}  {:>8}  {:>10}  {:>9.1}",
@@ -309,7 +336,7 @@ fn cmd_bfs(flags: &HashMap<String, String>) -> Result<String, String> {
         }
     }
     if has(flags, "histograms") {
-        match &r.stats.hists {
+        match &stats.hists {
             Some(h) => {
                 let m = h.merged();
                 let _ = writeln!(
@@ -345,8 +372,8 @@ fn cmd_bfs(flags: &HashMap<String, String>) -> Result<String, String> {
             }
         }
     }
-    if let Some(path) = trace_path {
-        match &r.stats.flight {
+    if let Some(path) = trace_path(flags) {
+        match &stats.flight {
             Some(rec) => {
                 let json = obfs_core::flight::to_chrome_trace(rec);
                 std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
@@ -363,24 +390,18 @@ fn cmd_bfs(flags: &HashMap<String, String>) -> Result<String, String> {
             }
         }
     }
-    if has(flags, "validate") {
-        let ser = serial_bfs(&g, src);
-        obfs_core::validate::check_levels(&r, &ser.levels).map_err(|e| e.to_string())?;
-        if r.parents.is_some() {
-            obfs_core::validate::check_self_consistent(&g, src, &r).map_err(|e| e.to_string())?;
-        }
-        let _ = writeln!(out, "validated against serial BFS: OK");
-    }
-    Ok(out)
+    Ok(())
 }
 
 /// `bfs --sources a,b,c`: one batched bit-parallel traversal answering
 /// every listed source (up to 64; see `obfs_core::batch`), with the
-/// same validation contract per query as a single-source run.
+/// same report and the same validation contract per query as a
+/// single-source run.
 fn cmd_bfs_batch(
     g: &CsrGraph,
     algo: Algorithm,
     list: &str,
+    opts: &BfsOptions,
     flags: &HashMap<String, String>,
 ) -> Result<String, String> {
     let sources: Vec<u32> = list
@@ -399,8 +420,7 @@ fn cmd_bfs_batch(
             return Err(format!("source {s} out of range (n={})", g.num_vertices()));
         }
     }
-    let opts = bfs_opts(flags)?;
-    let b = obfs_core::run_batch(algo, g, &sources, &opts);
+    let b = obfs_core::run_batch(algo, g, &sources, opts);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -414,6 +434,7 @@ fn cmd_bfs_batch(
         let _ =
             writeln!(out, "  src {:>8}: reached {} of {}", q.source, q.reached(), g.num_vertices());
     }
+    report_run(&mut out, &b.stats, opts, flags)?;
     if has(flags, "validate") {
         for q in &b.queries {
             let ser = serial_bfs(g, q.source);
@@ -763,6 +784,51 @@ mod tests {
         );
         assert!(dispatch(&strs(&["bfs", "--in", &path, "--sources", "0,zebra"])).is_err());
         assert!(dispatch(&strs(&["bfs", "--in", &path, "--sources", "999999"])).is_err());
+    }
+
+    /// A batched run honors the report flags of a single-source one:
+    /// directions, the union-level table, histograms and the trace file.
+    #[test]
+    fn bfs_sources_flag_reports_trace_and_histograms() {
+        let path = tmp("batchtrace.bin");
+        dispatch(&strs(&[
+            "gen",
+            "--model",
+            "er",
+            "--n",
+            "400",
+            "--edge-factor",
+            "20",
+            "--out",
+            &path,
+        ]))
+        .unwrap();
+        let trace = tmp("batchtrace.json");
+        let rep = dispatch(&strs(&[
+            "bfs",
+            "--in",
+            &path,
+            "--algo",
+            "BFS_CL",
+            "--threads",
+            "2",
+            "--sources",
+            "0,17,99",
+            "--hybrid",
+            "--trace",
+            &trace,
+            "--histograms",
+            "--validate",
+        ]))
+        .unwrap();
+        assert!(rep.contains("validated 3 queries against serial BFS: OK"), "{rep}");
+        assert!(rep.contains("hybrid directions:"), "{rep}");
+        assert!(rep.contains("level  dir  cmp  frontier"), "level table missing: {rep}");
+        assert!(rep.lines().any(|l| l.contains("  bu  ")), "no bottom-up union level: {rep}");
+        assert!(rep.contains("latency histograms"), "{rep}");
+        assert!(rep.contains("wrote trace"), "{rep}");
+        let body = std::fs::read_to_string(&trace).unwrap();
+        assert!(body.starts_with("{\"displayTimeUnit\""), "not a chrome trace: {body:.40}");
     }
 
     #[test]

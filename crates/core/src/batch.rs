@@ -60,8 +60,8 @@ pub const MAX_BATCH: usize = 64;
 /// A pool keeps it between batched runs (`crate::state::RunBuffers`):
 /// when it fits the next batch (`BatchState::fits`), `set_sources` arms
 /// it for that batch's sources. `init_chunk` clears every slot a run
-/// reads and `front_by` is rebuilt before each bottom-up level, so
-/// recycled arrays need no reset.
+/// reads and a bottom-up level's `front_by` words are written before it
+/// starts, so recycled arrays need no reset.
 pub struct BatchState {
     /// Batch size (1..=64).
     pub k: usize,
@@ -83,10 +83,14 @@ pub struct BatchState {
     /// Level at which the vertex was last pushed to an output queue
     /// (`UNVISITED` = never). The batch push-dedup word.
     pub pushed_at: RacyBuf,
-    /// Bottom-up frontier words, rebuilt per bottom-up level: bit `q` set
-    /// iff the vertex is on query `q`'s current frontier. Single-writer
-    /// per word (vertex-partitioned), allocated only for hybrid runs.
-    pub front_by: Option<RacyBuf64>,
+    /// Bottom-up frontier words by level parity: bit `q` of
+    /// `front_by[l & 1][v]` is set iff `v` is on query `q`'s level-`l`
+    /// frontier. Bottom-up level `l` reads `front_by[l & 1]` and writes
+    /// `front_by[(l + 1) & 1]`; a bottom-up level after a top-down or
+    /// degraded one rebuilds its words from the level rows first.
+    /// Single-writer per word (vertex-partitioned), allocated only for
+    /// hybrid runs.
+    pub front_by: Option<[RacyBuf64; 2]>,
 }
 
 impl BatchState {
@@ -101,7 +105,7 @@ impl BatchState {
             parents: record_parents.then(|| RacyBuf::new(n * k)),
             visited_by: RacyBuf64::new(n),
             pushed_at: RacyBuf::new(n),
-            front_by: hybrid.then(|| RacyBuf64::new(n)),
+            front_by: hybrid.then(|| [RacyBuf64::new(n), RacyBuf64::new(n)]),
         };
         b.set_sources(sources);
         b

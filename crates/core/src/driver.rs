@@ -244,7 +244,7 @@ fn drive_shared(
                 }
             };
             // SAFETY: barrier serial section.
-            unsafe { plan_level(st, wk, 0, seeded, seed_edges, true) };
+            unsafe { plan_level(st, wk, 0, seeded, seed_edges, true, false) };
             strategy.serial_prepare(&LevelEnv { st, parity: 0, level: 0 });
             // SAFETY: barrier serial section.
             unsafe { st.watchdog_arm() };
@@ -256,11 +256,13 @@ fn drive_shared(
             // SAFETY: written only in the previous barrier's serial
             // section; read only between barriers.
             let plan = unsafe { *st.plan.get() };
-            if plan.direction == Direction::BottomUp {
-                // Rebuild this worker's share of the frontier bitmap from
-                // the level[] stores the last barrier published (under
-                // chaos, that barrier also flushed every deferred store —
-                // including the leader's degraded-sweep writes).
+            if plan.refill {
+                // Rebuild this worker's share of the frontier and visited
+                // bitmaps from the level[] stores the last barrier
+                // published (under chaos, that barrier also flushed every
+                // deferred store — including the leader's degraded-sweep
+                // writes). After a completed bottom-up level there is
+                // nothing to rebuild: that level wrote both.
                 st.fill_bitmap_chunk(level, tid);
             } else if plan.compacted {
                 // Compaction pass 1 (see crate::scan): rebuild the
@@ -334,7 +336,8 @@ fn drive_shared(
                 unsafe {
                     *snaps.get_mut(tid) = wk.stats;
                     let mf = close_level(st, &snaps, level, plan, produced, degraded);
-                    plan_level(st, wk, level + 1, produced, mf, cause.is_none() && produced > 0);
+                    let go_on = cause.is_none() && produced > 0;
+                    plan_level(st, wk, level + 1, produced, mf, go_on, degraded);
                 }
             });
             // SAFETY: written only in the serial section of the barrier
@@ -456,9 +459,10 @@ unsafe fn close_level(
 /// Leader-only: plan level `level`, whose frontier holds `frontier` queue
 /// entries with edge volume `mf`, and write the plan to the plan cell —
 /// the one place level 0 (from the seed section) and every later level
-/// get their direction and compaction decided. `go_on` is false when no
-/// level follows (empty frontier or a cancelled run): the plan then only
-/// says stop. Publishes the decisions: the `DIR_SWITCH` and `COMPACT`
+/// get their direction, compaction and bitmap refill decided. `go_on` is
+/// false when no level follows (empty frontier or a cancelled run): the
+/// plan then only says stop. `degraded` says the watchdog cut the level
+/// before short. Publishes the decisions: the `DIR_SWITCH` and `COMPACT`
 /// flight events into the leader's record `wk` and the run telemetry's
 /// level, frontier and direction gauges.
 ///
@@ -471,10 +475,12 @@ unsafe fn plan_level(
     frontier: usize,
     mf: u64,
     go_on: bool,
+    degraded: bool,
 ) {
     let n = st.graph.num_vertices() as u64;
     let prev = *st.plan.get();
-    let mut plan = LevelPlan { stop: !go_on, direction: prev.direction, compacted: false };
+    let mut plan =
+        LevelPlan { stop: !go_on, direction: prev.direction, compacted: false, refill: false };
     if go_on {
         if let (Some(hyb), Some(pol)) = (&st.hyb, st.opts.hybrid) {
             let ctl = hyb.ctl.get_mut();
@@ -488,6 +494,11 @@ unsafe fn plan_level(
             plan.direction =
                 pol.decide(prev.direction, nf, mf, ctl.prev_mf, ctl.unexplored_edges, n);
             ctl.prev_mf = mf;
+            // A completed bottom-up level wrote this level's frontier
+            // and visited bitmaps; anything else left them stale. (Level
+            // 0 follows the initial top-down plan, so it refills.)
+            plan.refill = plan.direction == Direction::BottomUp
+                && (prev.direction == Direction::TopDown || degraded);
             if level > 0 && plan.direction != prev.direction {
                 let code = |d: Direction| match d {
                     Direction::TopDown => kind::DIR_TOP_DOWN,

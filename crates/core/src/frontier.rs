@@ -128,10 +128,12 @@ impl FrontierQueue {
 /// (and chaos interception) as every other shared structure.
 ///
 /// Ownership protocol per bottom-up level: the driver statically
-/// partitions the word range across workers, each worker **rebuilds only
-/// its own words** from the shared `level[]` array (single writer per
-/// word, no read-modify-write needed), and a level barrier separates the
-/// fill from the probes — so reads during the bottom-up scan race with
+/// partitions the word range across workers, and each worker **writes
+/// only its own words**, whole (single writer per word, no
+/// read-modify-write needed): it rebuilds them from the shared `level[]`
+/// array ([`level_words`]) or stores the bits it discovered into the
+/// next level's bitmap. A level barrier separates every write from the
+/// probes that read it, so reads during the bottom-up scan race with
 /// nothing.
 pub struct FrontierBitmap {
     words: RacyBuf,
@@ -187,6 +189,32 @@ impl FrontierBitmap {
     pub fn snapshot_ones(&self) -> Vec<usize> {
         (0..self.len).filter(|&v| self.test(v)).collect()
     }
+}
+
+/// Word `wi` of the frontier and visited bitmaps of `levels` (one
+/// `level[]` slot per vertex), as `(front, visited)`: bit `b` of `front`
+/// is set iff slot `wi * BITMAP_WORD_BITS + b` holds `level`, and of
+/// `visited` iff it is not [`UNVISITED`]. Bits past the last vertex are
+/// clear in `front` and set in `visited`, so a candidate scan of
+/// `!visited` never yields a vertex `>= n`.
+///
+/// Each bit is ORed in from a comparison, never behind an `if`: on a
+/// dense level a per-bit branch mispredicts about as often as it is
+/// taken. The one refill of the hybrid's bitmaps and of the compaction
+/// bitmap.
+#[inline]
+pub fn level_words(levels: &RacyBuf, wi: usize, level: u32) -> (u32, u32) {
+    let n = levels.len();
+    let base = wi * BITMAP_WORD_BITS;
+    let lim = BITMAP_WORD_BITS.min(n - base.min(n));
+    let mut front = 0u32;
+    let mut visited = if lim == BITMAP_WORD_BITS { 0 } else { !0u32 << lim };
+    for (b, slot) in levels.row(base, lim).iter().enumerate() {
+        let l = slot.load();
+        front |= u32::from(l == level) << b;
+        visited |= u32::from(l != UNVISITED) << b;
+    }
+    (front, visited)
 }
 
 /// The `Qin[p]` / `Qout[p]` array of queues.

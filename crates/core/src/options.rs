@@ -210,8 +210,10 @@ impl HybridPolicy {
     /// Beamer's SC'12 rule with its growing/shrinking conditions, plus a
     /// cost floor:
     /// - top-down → bottom-up iff `mf > mu/α`, the frontier is growing
-    ///   (`mf > prev_mf`), and `mf ≥ n/β`. A bottom-up level pays an O(n)
-    ///   bitmap fill and candidate scan whatever the frontier, so it
+    ///   (`mf > prev_mf`), and `mf ≥ n/β`. A switch pays an O(n) refill
+    ///   of the frontier and visited bitmaps from `level[]`, and every
+    ///   bottom-up level a scan of all n/32 visited words and as many
+    ///   next-frontier word stores, whatever the frontier, so a switch
     ///   cannot beat top-down work smaller than that. The floor also
     ///   keeps a shrinking tail, where `mu` collapses toward 0 and
     ///   `mu/α` fires on any frontier, top-down.

@@ -11,7 +11,8 @@
 //!
 //! 1. **Fill / reduce** — each worker rebuilds its chunk-aligned share of
 //!    a frontier bitmap from the `level[]` array (single writer per word,
-//!    like `bottom_up_level`), records a popcount per
+//!    like `bottom_up_level`; through the hybrid refill's branch-free
+//!    [`crate::frontier::level_words`]), records a popcount per
 //!    [`COMPACT_CHUNK_WORDS`]-word chunk, and publishes its block total.
 //! 2. **Scan** — after the barrier publishes the block totals, every
 //!    worker independently computes the same exclusive prefix over the

@@ -6,7 +6,7 @@
 
 use crate::batch::BatchState;
 use crate::frontier::{
-    decode, FrontierBitmap, QueueSet, SegmentDesc, BITMAP_WORD_BITS, EMPTY_SLOT,
+    decode, level_words, FrontierBitmap, QueueSet, SegmentDesc, BITMAP_WORD_BITS, EMPTY_SLOT,
 };
 use crate::options::{BfsOptions, DedupMode, Direction};
 use crate::perthread::PerThread;
@@ -86,6 +86,12 @@ pub(crate) struct LevelPlan {
     /// Whether the (top-down) level consumes a prefix-sum-compacted
     /// frontier; always `false` without [`BfsOptions::compaction`].
     pub(crate) compacted: bool,
+    /// Whether the (bottom-up) level first rebuilds its frontier bitmap
+    /// and the visited bitmap from `level[]` (batched: its frontier
+    /// words from the level rows), [`RunState::fill_bitmap_chunk`]. Set
+    /// when the level before it was top-down or a bottom-up level the
+    /// watchdog cut short; otherwise that bottom-up level wrote them.
+    pub(crate) refill: bool,
 }
 
 /// The in-edge graph a hybrid run probes during bottom-up levels: either
@@ -129,16 +135,21 @@ pub struct HybridCtl {
 }
 
 /// Everything the hybrid mode adds to a run: the in-edge graph, the
-/// frontier bitmap for bottom-up levels, and the leader's heuristic
+/// frontier bitmaps for bottom-up levels, and the leader's heuristic
 /// state. Present iff [`BfsOptions::hybrid`] is set.
 pub struct HybridState<'g> {
     /// In-edge graph probed by the bottom-up kernel.
     pub transpose: TransposeRef<'g>,
-    /// Frontier-membership bitmap, rebuilt per bottom-up level.
-    pub bitmap: FrontierBitmap,
-    /// Visited-vertex bitmap rebuilt alongside `bitmap`: bit `v` set iff
+    /// Frontier-membership bitmaps by level parity: bottom-up level `l`
+    /// probes `fronts[l & 1]` and writes its discoveries, word by word
+    /// of its own range, into `fronts[(l + 1) & 1]`. Refilled from
+    /// `level[]` only when a bottom-up level follows a top-down or a
+    /// degraded one.
+    pub fronts: [FrontierBitmap; 2],
+    /// Visited-vertex bitmap, refilled with the frontier: bit `v` set iff
     /// `level[v] != UNVISITED` (out-of-range tail bits are pre-set so the
-    /// bottom-up candidate scan of `!word` is automatically masked).
+    /// bottom-up candidate scan of `!word` is automatically masked). Each
+    /// bottom-up level ORs its discoveries into its own words.
     pub visited: FrontierBitmap,
     /// Heuristic bookkeeping (leader-only).
     pub ctl: SerialCell<HybridCtl>,
@@ -259,9 +270,9 @@ pub struct RunState<'g> {
 
 /// Every n-sized array one run needs: both queue sets plus the
 /// single-source label arrays (`level[]`, parents, owner, the hybrid
-/// frontier/visited bitmaps and the compaction buffers) or the
-/// [`BatchState`] (level and parent slots, membership, push and frontier
-/// words).
+/// frontier pair and visited bitmap, and the compaction buffers) or the
+/// [`BatchState`] (level and parent slots, membership, push and the
+/// frontier word pair).
 ///
 /// A [`RunState`] is always built from one ([`RunState::from_buffers`])
 /// and hands it back when the run is over ([`RunState::into_buffers`]),
@@ -273,7 +284,7 @@ pub struct RunState<'g> {
 /// cursor is 0. The label and batch arrays need no invariant:
 /// `init_chunk` clears `level[]`/parents/owner, and every batch slot a
 /// run reads, at the start of every run, and the bitmaps, frontier words
-/// and compaction arrays are rebuilt before each level that reads them.
+/// and compaction arrays are written before each level that reads them.
 pub(crate) struct RunBuffers {
     n: usize,
     queues: [QueueSet; 2],
@@ -289,8 +300,8 @@ struct LabelBuffers {
     levels: RacyBuf,
     parents: Option<RacyBuf>,
     owner: Option<RacyBuf>,
-    /// Hybrid frontier and visited bitmaps.
-    hybrid: Option<[FrontierBitmap; 2]>,
+    /// Hybrid frontier pair, then the visited bitmap.
+    hybrid: Option<[FrontierBitmap; 3]>,
     compact: Option<CompactState>,
 }
 
@@ -300,7 +311,7 @@ impl LabelBuffers {
             levels: RacyBuf::new(n),
             parents: opts.record_parents.then(|| RacyBuf::new(n)),
             owner: (opts.dedup == DedupMode::OwnerArray).then(|| RacyBuf::new(n)),
-            hybrid: opts.hybrid.map(|_| [FrontierBitmap::new(n), FrontierBitmap::new(n)]),
+            hybrid: opts.hybrid.map(|_| std::array::from_fn(|_| FrontierBitmap::new(n))),
             compact: opts.compaction.map(|_| {
                 let bitmap = FrontierBitmap::new(n);
                 let chunks =
@@ -462,7 +473,7 @@ impl<'g> RunState<'g> {
                     parents: None,
                     owner: None,
                     // Batched bottom-up levels read `front_by` words.
-                    hybrid: opts.hybrid.map(|_| [FrontierBitmap::new(0), FrontierBitmap::new(0)]),
+                    hybrid: opts.hybrid.map(|_| std::array::from_fn(|_| FrontierBitmap::new(0))),
                     // Compaction reads the single-source `level[]` array;
                     // batched discovery is already bit-parallel, so the
                     // option is documented as ignored here.
@@ -482,13 +493,13 @@ impl<'g> RunState<'g> {
             if let Some(t) = transpose {
                 assert_eq!(t.num_vertices(), n, "transpose vertex count must match the graph");
             }
-            let [bitmap, visited] = hybrid.expect("hybrid bitmaps for a hybrid run");
+            let [front0, front1, visited] = hybrid.expect("hybrid bitmaps for a hybrid run");
             HybridState {
                 transpose: match transpose {
                     Some(t) => TransposeRef::Borrowed(t),
                     None => TransposeRef::Owned(Box::new(graph.transpose())),
                 },
-                bitmap,
+                fronts: [front0, front1],
                 visited,
                 ctl: SerialCell::new(HybridCtl { unexplored_edges: graph.num_edges(), prev_mf: 0 }),
             }
@@ -517,6 +528,7 @@ impl<'g> RunState<'g> {
                 stop: false,
                 direction: Direction::TopDown,
                 compacted: false,
+                refill: false,
             }),
             hyb,
             compact,
@@ -544,7 +556,10 @@ impl<'g> RunState<'g> {
                     levels: self.levels,
                     parents: self.parents,
                     owner: self.owner,
-                    hybrid: self.hyb.map(|h| [h.bitmap, h.visited]),
+                    hybrid: self.hyb.map(|h| {
+                        let [front0, front1] = h.fronts;
+                        [front0, front1, h.visited]
+                    }),
                     compact: self.compact,
                 }),
                 idle_batch,
@@ -897,20 +912,25 @@ impl<'g> RunState<'g> {
         }
     }
 
-    /// Rebuild thread `tid`'s share of the frontier bitmap from the
-    /// `level[]` array: bit `v` is set iff `level[v] == level`.
+    /// Rebuild thread `tid`'s share of level `level`'s frontier bitmap
+    /// (`fronts[level & 1]`) and of the visited bitmap from the `level[]`
+    /// array: frontier bit `v` is set iff `level[v] == level`, visited
+    /// bit `v` iff `level[v] != UNVISITED` ([`level_words`]).
     ///
-    /// The bitmap is partitioned by *word*, so each worker is the only
+    /// The bitmaps are partitioned by *word*, so each worker is the only
     /// writer of its words — no races at all. Call between the barrier
     /// that published this level's `level[]` stores and the barrier that
-    /// starts the bottom-up probes.
+    /// starts the bottom-up probes. The driver calls it only when the
+    /// level before was not a completed bottom-up level, which wrote
+    /// both bitmaps itself.
     pub fn fill_bitmap_chunk(&self, level: u32, tid: usize) {
         let hyb = self.hyb.as_ref().expect("hybrid state not armed");
         if let Some(b) = &self.batch {
             // Batch mode: rebuild per-vertex frontier *words* instead of
             // the single-source bitmap. One whole u64 per vertex, so the
             // vertex partition itself makes each word single-writer.
-            let fb = b.front_by.as_ref().expect("hybrid batch state not armed");
+            let fb =
+                &b.front_by.as_ref().expect("hybrid batch state not armed")[level as usize & 1];
             let n = self.graph.num_vertices();
             let per = obfs_util::div_ceil(n, self.threads);
             let lo = (tid * per).min(n);
@@ -930,31 +950,21 @@ impl<'g> RunState<'g> {
             }
             return;
         }
-        let words = hyb.bitmap.word_count();
-        let per = obfs_util::div_ceil(words, self.threads);
-        let wlo = (tid * per).min(words);
-        let whi = ((tid + 1) * per).min(words);
-        let n = self.graph.num_vertices();
-        for wi in wlo..whi {
-            let base = wi * BITMAP_WORD_BITS;
-            let lim = BITMAP_WORD_BITS.min(n - base.min(n));
-            let mut bits: u32 = 0;
-            // Out-of-range tail bits start *set* in the visited word, so
-            // the wordwise kernel's candidate scan (`!visited`) never
-            // yields a vertex >= n.
-            let mut vis: u32 = if lim == BITMAP_WORD_BITS { 0 } else { !0u32 << lim };
-            for b in 0..lim {
-                let l = self.levels.get(base + b);
-                if l == level {
-                    bits |= 1 << b;
-                }
-                if l != UNVISITED {
-                    vis |= 1 << b;
-                }
-            }
-            hyb.bitmap.set_word(wi, bits);
+        let front = &hyb.fronts[level as usize & 1];
+        for wi in self.bitmap_words(tid) {
+            let (bits, vis) = level_words(&self.levels, wi, level);
+            front.set_word(wi, bits);
             hyb.visited.set_word(wi, vis);
         }
+    }
+
+    /// Worker `tid`'s static share of the hybrid bitmap words, and so of
+    /// the vertex range: the words its refill writes and its bottom-up
+    /// levels scan.
+    fn bitmap_words(&self, tid: usize) -> std::ops::Range<usize> {
+        let words = self.hyb.as_ref().expect("hybrid state not armed").visited.word_count();
+        let per = obfs_util::div_ceil(words, self.threads);
+        (tid * per).min(words)..((tid + 1) * per).min(words)
     }
 
     // lint:region hot-path:compact
@@ -970,20 +980,12 @@ impl<'g> RunState<'g> {
         let words = cs.bitmap.word_count();
         let chunks = obfs_util::div_ceil(words, crate::scan::COMPACT_CHUNK_WORDS);
         let (clo, chi) = obfs_util::par::block_range(chunks, self.threads, tid);
-        let n = self.graph.num_vertices();
         let mut total = 0u64;
         for c in clo..chi {
             let wlo = c * crate::scan::COMPACT_CHUNK_WORDS;
             let whi = ((c + 1) * crate::scan::COMPACT_CHUNK_WORDS).min(words);
             for wi in wlo..whi {
-                let base = wi * BITMAP_WORD_BITS;
-                let mut bits: u32 = 0;
-                for b in 0..BITMAP_WORD_BITS.min(n - base.min(n)) {
-                    if self.levels.get(base + b) == level {
-                        bits |= 1 << b;
-                    }
-                }
-                cs.bitmap.set_word(wi, bits);
+                cs.bitmap.set_word(wi, level_words(&self.levels, wi, level).0);
             }
             let cnt = crate::scan::popcount_words(&cs.bitmap, wlo, whi);
             // racy-ok: single-writer — this chunk belongs to `tid` alone
@@ -1058,16 +1060,21 @@ impl<'g> RunState<'g> {
     /// One bottom-up level for the worker: scan its
     /// word-aligned share of the vertex range, and for every unvisited
     /// vertex probe its in-edges until a parent on the current frontier
-    /// (bitmap bit set) is found.
+    /// (bit set in `fronts[level & 1]`) is found. For every word of its
+    /// range it writes the next level's frontier word, the bits it
+    /// discovered (0 when none), and ORs them into its visited word, so
+    /// a bottom-up level that follows needs no refill.
     ///
     /// The vertex partition is word-aligned and static, so each vertex —
-    /// and each `level[]`/`parents[]`/queue slot it writes — has exactly
-    /// one writer: the kernel needs no atomics *and* has no races to be
-    /// optimistic about. Discoveries go through the same plain stores as
-    /// [`RunState::try_discover`] and land in this worker's own output
-    /// queue, so queue state after a bottom-up level is exactly what a
-    /// top-down level would need (switch-back and the watchdog sweep work
-    /// unchanged).
+    /// and each `level[]`/`parents[]`/queue slot and bitmap word it
+    /// writes — has exactly one writer: the kernel needs no atomics
+    /// *and* has no races to be optimistic about. No worker reads the
+    /// next frontier bitmap before the level-end barrier, and only the
+    /// owner reads its visited words. Discoveries go through the same
+    /// plain stores as [`RunState::try_discover`] and land in this
+    /// worker's own output queue, so queue state after a bottom-up level
+    /// is exactly what a top-down level would need (switch-back and the
+    /// watchdog sweep work unchanged).
     pub fn bottom_up_level(&self, level: u32, wk: &mut Worker<'_>) {
         let hyb = self.hyb.as_ref().expect("hybrid state not armed");
         if self.batch.is_some() {
@@ -1075,31 +1082,29 @@ impl<'g> RunState<'g> {
             return;
         }
         let tg = hyb.transpose.graph();
-        let words = hyb.bitmap.word_count();
-        let per = obfs_util::div_ceil(words, self.threads);
-        let wlo = (wk.tid * per).min(words);
-        let whi = ((wk.tid + 1) * per).min(words);
+        let front = &hyb.fronts[level as usize & 1];
+        let next_front = &hyb.fronts[(level as usize + 1) & 1];
         let next = level + 1;
         // Candidate scan over the visited bitmap's complement:
-        // fully-visited words are skipped outright, and the pre-set
+        // fully-visited words probe nothing, and the pre-set
         // out-of-range tail bits mask the last word.
-        for wi in wlo..whi {
+        for wi in self.bitmap_words(wk.tid) {
             if wi & 0x7 == 0 && self.watchdog_tripped() {
                 // Abandon the scan; the leader sweep re-explores the
                 // (never-consumed) input queues top-down, which is
-                // idempotent with everything done so far.
+                // idempotent with everything done so far. The next
+                // bottom-up level refills the bitmaps.
                 return;
             }
-            let cand = !hyb.visited.word(wi);
-            if cand == 0 {
-                continue;
-            }
-            crate::scan::for_each_set_in_word(cand, wi * BITMAP_WORD_BITS, |v| {
+            let vis = hyb.visited.word(wi);
+            let base = wi * BITMAP_WORD_BITS;
+            let mut found = 0u32;
+            crate::scan::for_each_set_in_word(!vis, base, |v| {
                 // Probe `v`'s in-edges for a parent on the frontier.
                 let mut probes = 0u64;
                 for &u in tg.neighbors(v as VertexId) {
                     probes += 1;
-                    if hyb.bitmap.test(u as usize) {
+                    if front.test(u as usize) {
                         // racy-ok: single-writer — `v` is in this worker's static word-aligned range
                         self.levels.set(v, next);
                         if let Some(p) = &self.parents {
@@ -1115,28 +1120,40 @@ impl<'g> RunState<'g> {
                         if self.count_frontier_edges {
                             wk.stats.frontier_edges += self.graph.degree(v as VertexId) as u64;
                         }
+                        found |= 1 << (v - base);
                         break;
                     }
                 }
                 wk.stats.edges_scanned += probes;
             });
+            // racy-ok: single-writer — word `wi` is in this worker's static range
+            next_front.set_word(wi, found);
+            if found != 0 {
+                // racy-ok: single-writer — same static word range
+                hyb.visited.set_word(wi, vis | found);
+            }
         }
     }
 
     /// Batch-mode bottom-up level: for every vertex in this worker's
     /// static chunk, probe in-edges for parents on *any* missing query's
-    /// frontier, accumulating found bits until all missing queries are
-    /// satisfied or the in-edge list is exhausted (no early break on the
-    /// first hit — different queries may need different parents).
+    /// frontier (`front_by[level & 1]`), accumulating found bits until
+    /// all missing queries are satisfied or the in-edge list is exhausted
+    /// (no early break on the first hit — different queries may need
+    /// different parents). Every vertex's next frontier word
+    /// (`front_by[(level + 1) & 1]`) becomes the query bits claimed for
+    /// it here, 0 when none.
     ///
     /// The vertex partition makes this worker the only writer of the
-    /// vertex's level row, membership word and queue slot, so like the
-    /// single-source kernel it has no races at all; `visited_by` reads
-    /// are exact here (barrier-published, single writer since).
+    /// vertex's level row, membership word, frontier words and queue
+    /// slot, so like the single-source kernel it has no races at all;
+    /// `visited_by` reads are exact here (barrier-published, single
+    /// writer since).
     fn bottom_up_level_batch(&self, level: u32, wk: &mut Worker<'_>) {
         let hyb = self.hyb.as_ref().expect("hybrid state not armed");
         let b = self.batch.as_ref().expect("batch state not armed");
         let fb = b.front_by.as_ref().expect("hybrid batch state not armed");
+        let (front, next_front) = (&fb[level as usize & 1], &fb[(level as usize + 1) & 1]);
         let tg = hyb.transpose.graph();
         let n = self.graph.num_vertices();
         let per = obfs_util::div_ceil(n, self.threads);
@@ -1152,34 +1169,36 @@ impl<'g> RunState<'g> {
             }
             let vis = b.visited_by.get(v);
             let miss = b.mask & !vis;
-            if miss == 0 {
-                continue;
-            }
-            let base = v * b.k;
             let mut found = 0u64;
-            let mut probes = 0u64;
-            for &u in tg.neighbors(v as VertexId) {
-                probes += 1;
-                let mut hits = fb.get(u as usize) & miss & !found;
-                while hits != 0 {
-                    let q = hits.trailing_zeros() as usize;
-                    hits &= hits - 1;
-                    // visited_by may under-approximate: a bit claimed in
-                    // an earlier level can be missing from `vis`, so the
-                    // slot check is still required before claiming.
-                    if b.levels.get(base + q) == UNVISITED {
-                        b.levels.set(base + q, next);
-                        if let Some(p) = &b.parents {
-                            p.set(base + q, u);
+            if miss != 0 {
+                let base = v * b.k;
+                let mut probes = 0u64;
+                for &u in tg.neighbors(v as VertexId) {
+                    probes += 1;
+                    let mut hits = front.get(u as usize) & miss & !found;
+                    while hits != 0 {
+                        let q = hits.trailing_zeros() as usize;
+                        hits &= hits - 1;
+                        // visited_by may under-approximate: a bit claimed
+                        // in an earlier level can be missing from `vis`,
+                        // so the slot check is still required before
+                        // claiming.
+                        if b.levels.get(base + q) == UNVISITED {
+                            b.levels.set(base + q, next);
+                            if let Some(p) = &b.parents {
+                                p.set(base + q, u);
+                            }
+                            found |= 1 << q;
                         }
-                        found |= 1 << q;
+                    }
+                    if (miss & !found) == 0 {
+                        break;
                     }
                 }
-                if (miss & !found) == 0 {
-                    break;
-                }
+                wk.stats.edges_scanned += probes;
             }
-            wk.stats.edges_scanned += probes;
+            // racy-ok: single-writer — `v` is in this worker's static range
+            next_front.set(v, found);
             if found != 0 {
                 b.visited_by.set(v, vis | found);
                 b.pushed_at.set(v, next);
@@ -1406,6 +1425,87 @@ mod tests {
         assert_eq!(labels.levels.len(), 40);
         assert!(labels.parents.is_some());
         assert!(bufs.batch.is_some(), "and so does the batch state");
+    }
+
+    /// The batched handoff between bottom-up levels: after one batched
+    /// bottom-up level, every vertex's next `front_by` word equals
+    /// `frontier_bits(v, level + 1)`, and every query's labels are its
+    /// serial BFS's through `level + 1`. Each chain starts from the
+    /// serial labels up to some depth, with membership words that miss
+    /// bits as racy ORs can, and one refill, then runs bottom-up to the
+    /// end without another; each level runs every worker's range in
+    /// turn, as the level's workers would.
+    #[test]
+    fn batched_bottom_up_level_writes_the_next_frontier_words() {
+        use crate::options::HybridPolicy;
+        let graphs = [
+            ("star", gen::star(300)),
+            ("grid2d", gen::grid2d(17, 19)),
+            ("erdos-renyi", gen::erdos_renyi(700, 5000, 5)),
+            ("rmat", gen::suite::rmat_like(1000, 8, 3)),
+        ];
+        for (name, g) in &graphs {
+            let n = g.num_vertices();
+            let sources: Vec<VertexId> = vec![1, 0, (n / 2) as u32, 1, (n - 1) as u32];
+            let k = sources.len();
+            let serial: Vec<Vec<u32>> =
+                sources.iter().map(|&s| crate::serial::serial_bfs(g, s).levels).collect();
+            let depth = serial.iter().flatten().copied().filter(|&l| l != UNVISITED).max().unwrap();
+            let upto = |q: usize, v: usize, d: u32| match serial[q][v] {
+                l if l <= d => l,
+                _ => UNVISITED,
+            };
+            for threads in [1usize, 2, 3] {
+                let o = BfsOptions {
+                    threads,
+                    hybrid: Some(HybridPolicy::default()),
+                    ..Default::default()
+                };
+                let bufs = RunBuffers::new(n, &o, Some(&sources));
+                let st = RunState::from_buffers(g, &o, None, bufs, true);
+                let b = st.batch.as_ref().unwrap();
+                let fb = b.front_by.as_ref().unwrap();
+                for start in 0..=depth {
+                    for v in 0..n {
+                        let mut vis = 0u64;
+                        for q in 0..k {
+                            let l = upto(q, v, start);
+                            b.levels.set(v * k + q, l);
+                            vis |= u64::from(l != UNVISITED) << q;
+                        }
+                        // Keep only the lowest bit of every third word: an
+                        // under-approximation, never zero for a claimed
+                        // vertex.
+                        b.visited_by
+                            .set(v, if v % 3 == 0 { vis & vis.wrapping_neg() } else { vis });
+                    }
+                    for t in 0..threads {
+                        st.fill_bitmap_chunk(start, t);
+                    }
+                    for level in start..=depth {
+                        let tag = format!("{name} p={threads} from {start}, level {level}");
+                        for t in 0..threads {
+                            let mut wk = Worker::new(
+                                &st.opts,
+                                t,
+                                st.qout(0).queue(t),
+                                std::time::Instant::now(),
+                            );
+                            st.bottom_up_level(level, &mut wk);
+                        }
+                        let next = &fb[(level as usize + 1) & 1];
+                        for v in 0..n {
+                            for q in 0..k {
+                                let want = upto(q, v, level + 1);
+                                assert_eq!(b.levels.get(v * k + q), want, "{tag}: v {v} q {q}");
+                            }
+                            let want = st.frontier_bits(v as VertexId, level + 1);
+                            assert_eq!(next.get(v), want, "{tag}: frontier word of {v}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

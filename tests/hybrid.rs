@@ -3,9 +3,11 @@
 //! recorded per-level directions and an offline replay of the heuristic.
 
 use obfs::prelude::*;
+use obfs_core::frontier::{level_words, BITMAP_WORD_BITS};
 use obfs_core::serial::serial_bfs;
 use obfs_core::state::RunState;
 use obfs_core::validate::check_self_consistent;
+use obfs_core::UNVISITED;
 
 fn hybrid_opts(threads: usize) -> BfsOptions {
     BfsOptions {
@@ -235,20 +237,119 @@ fn bitmap_round_trips_the_queue_frontier() {
     for &v in &frontier {
         st.levels.set(v, 5);
     }
-    st.levels.set(13, 4); // wrong level: must stay out of the bitmap
+    st.levels.set(13, 3); // wrong level: must stay out of the bitmap
     for t in 0..4 {
         st.fill_bitmap_chunk(5, t);
     }
-    let bm = &st.hyb.as_ref().unwrap().bitmap;
+    // Level 5 reads the odd-parity bitmap of the pair.
+    let bm = &st.hyb.as_ref().unwrap().fronts[1];
     assert_eq!(bm.snapshot_ones(), frontier);
     for v in 0..777 {
         assert_eq!(bm.test(v), st.levels.get(v) == 5, "bit {v}");
     }
-    // Refill at another level: stale bits must be rebuilt, not OR-ed.
+    // Refill the same bitmap at another odd level: stale bits must be
+    // rebuilt, not OR-ed.
     for t in 0..4 {
-        st.fill_bitmap_chunk(4, t);
+        st.fill_bitmap_chunk(3, t);
     }
     assert_eq!(bm.snapshot_ones(), vec![13]);
+}
+
+/// The one refill helper equals the per-bit definition on random
+/// `level[]` contents: frontier bit iff the slot holds the level,
+/// visited bit iff it is labelled, and past the last vertex of a partial
+/// word no frontier bit and every visited bit.
+#[test]
+fn refill_words_match_the_per_bit_definition() {
+    let mut rng = Xoshiro256StarStar::new(29);
+    for n in [1usize, 31, 32, 33, 777, 1024] {
+        let levels = obfs::sync::RacyBuf::new(n);
+        for _ in 0..8 {
+            for v in 0..n {
+                // Mostly a few small levels, a quarter unvisited.
+                let l = if rng.chance(0.25) { UNVISITED } else { rng.below(4) as u32 };
+                levels.set(v, l);
+            }
+            let level = rng.below(4) as u32;
+            for wi in 0..n.div_ceil(BITMAP_WORD_BITS) {
+                let (front, visited) = level_words(&levels, wi, level);
+                for b in 0..BITMAP_WORD_BITS {
+                    let v = wi * BITMAP_WORD_BITS + b;
+                    let (want_front, want_visited) = if v < n {
+                        (levels.get(v) == level, levels.get(v) != UNVISITED)
+                    } else {
+                        (false, true)
+                    };
+                    assert_eq!(
+                        front >> b & 1 == 1,
+                        want_front,
+                        "n {n} level {level} front bit {v}"
+                    );
+                    assert_eq!(visited >> b & 1 == 1, want_visited, "n {n} visited bit {v}");
+                }
+            }
+        }
+    }
+}
+
+/// The handoff between bottom-up levels: after one bottom-up level, the
+/// next frontier bitmap and the visited bitmap hold, word for word, what
+/// a refill at `level + 1` would build, and the labels are serial BFS's
+/// through `level + 1`. Each chain starts from serial BFS's labels up to
+/// some depth and one refill, as after a top-down level, then runs
+/// bottom-up to the end without another; each level runs every worker's
+/// range in turn, as the level's workers would.
+#[test]
+fn bottom_up_level_writes_what_a_refill_would_build() {
+    let graphs = [
+        ("star", gen::star(300)),
+        ("grid2d", gen::grid2d(17, 19)),
+        ("erdos-renyi", gen::erdos_renyi(700, 5000, 5)),
+        ("rmat", gen::suite::rmat_like(1000, 8, 3)),
+    ];
+    for (name, g) in &graphs {
+        let n = g.num_vertices();
+        let src = (0..n as u32).find(|&v| g.degree(v) > 0).unwrap();
+        let serial = serial_bfs(g, src).levels;
+        let serial = &serial;
+        let upto = |d: u32| serial.iter().map(move |&l| if l <= d { l } else { UNVISITED });
+        let depth = serial.iter().copied().filter(|&l| l != UNVISITED).max().unwrap();
+        for threads in [1usize, 2, 3] {
+            let opts = hybrid_opts(threads);
+            let st = RunState::new(g, &opts);
+            let hyb = st.hyb.as_ref().unwrap();
+            for start in 0..=depth {
+                for (v, l) in upto(start).enumerate() {
+                    st.levels.set(v, l);
+                }
+                for t in 0..threads {
+                    st.fill_bitmap_chunk(start, t);
+                }
+                for level in start..=depth {
+                    let tag = format!("{name} p={threads} from {start}, level {level}");
+                    for t in 0..threads {
+                        let mut wk = obfs_core::Worker::new(
+                            &opts,
+                            t,
+                            st.qout(0).queue(t),
+                            std::time::Instant::now(),
+                        );
+                        st.bottom_up_level(level, &mut wk);
+                    }
+                    assert!(
+                        upto(level + 1).enumerate().all(|(v, l)| st.levels.get(v) == l),
+                        "{tag}"
+                    );
+                    let next = &hyb.fronts[(level as usize + 1) & 1];
+                    for wi in 0..hyb.visited.word_count() {
+                        let (front, visited) = level_words(&st.levels, wi, level + 1);
+                        assert_eq!(next.word(wi), front, "{tag}: frontier word {wi}");
+                        assert_eq!(hyb.visited.word(wi), visited, "{tag}: visited word {wi}");
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]
