@@ -6,7 +6,6 @@
 //! `obfs_util`. Bench targets are plain `main()` binaries
 //! (`harness = false`) and print one line per case.
 
-use obfs_util::timing::as_millis_f64;
 use obfs_util::OnlineStats;
 use std::time::Instant;
 
@@ -22,7 +21,7 @@ pub fn bench_case<R>(name: &str, samples: usize, mut f: impl FnMut() -> R) -> f6
     for _ in 0..samples.max(1) {
         let t = Instant::now();
         std::hint::black_box(f());
-        stats.push(as_millis_f64(t.elapsed()));
+        stats.push(t.elapsed().as_secs_f64() * 1e3);
     }
     println!(
         "{name:<44} {:>9.3} ± {:>7.3} ms/iter  [{:.3} … {:.3}]  (n={})",

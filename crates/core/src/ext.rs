@@ -84,7 +84,6 @@ pub(crate) fn consume_edge_ranges(
     if total == 0 {
         return;
     }
-    let next = level + 1;
     loop {
         if st.watchdog_tripped() {
             return; // leader sweep finishes the level
@@ -115,26 +114,11 @@ pub(crate) fn consume_edge_ranges(
             let h = flat[vi];
             let lo = (e - v_start) as usize;
             let hi = (end.min(v_end) - v_start) as usize;
-            let neigh = st.graph.neighbors(h);
-            wk.stats.edges_scanned += (hi - lo) as u64;
             if lo == 0 {
                 // Count each frontier entry once, at its first edge.
                 st.note_pop(h, level, wk);
             }
-            if st.batch.is_some() {
-                // Frontier bits are level-barrier-published, so every
-                // piece of h's adjacency derives the same word.
-                let fbits = st.frontier_bits(h, level);
-                if fbits != 0 {
-                    for &w in &neigh[lo..hi] {
-                        st.try_discover_batch(w, h, fbits, next, wk);
-                    }
-                }
-            } else {
-                for &w in &neigh[lo..hi] {
-                    st.try_discover(w, h, next, wk);
-                }
-            }
+            st.explore_edges(h, &st.graph.neighbors(h)[lo..hi], level, wk);
             e = v_start + hi as u64;
             vi += 1;
         }

@@ -378,11 +378,11 @@ pub struct BfsOptions {
     /// and merged counter deltas — in [`crate::RunStats::level_stats`].
     /// The barrier leader records the log on every run (the direction,
     /// compaction and degradation figures of [`crate::RunStats`] are
-    /// read off it); this flag only decides whether it is returned. Leave
-    /// it off where results are kept or copied in bulk: the query engine
-    /// clones one batch's `RunStats` into each of up to 64 answers, and a
-    /// returned log (one [`crate::LevelStats`] per level, a few hundred
-    /// on deep graphs) would be copied with every clone.
+    /// read off it); this flag only decides whether it is returned, and
+    /// so whether the result keeps one [`crate::LevelStats`] per level
+    /// (a few hundred on deep graphs). The query engine leaves it off:
+    /// every distinct source of a coalesced batch gets its own copy of
+    /// the batch's `RunStats`.
     pub collect_level_stats: bool,
     /// Record per-worker latency histograms (segment-fetch, steal
     /// attempt, sanity-check retries per fetch, barrier wait) into
@@ -391,11 +391,10 @@ pub struct BfsOptions {
     /// the only residue is one `Option` check at dispatch granularity,
     /// and no clock is read.
     pub collect_histograms: bool,
-    /// Install a flight recorder per worker with this many event slots
-    /// (see `obfs_sync::flight`); the drained rings land in
-    /// [`crate::RunStats::flight`]. Only effective on builds with the
-    /// `trace` feature — without it the option is carried but the run
-    /// records nothing and `flight` stays `None`.
+    /// Give each worker's record a flight ring with this many event
+    /// slots (see `obfs_sync::flight`); the drained rings land in
+    /// [`crate::RunStats::flight`]. Every build can record; `None`
+    /// (default) records nothing.
     pub flight_recorder: Option<usize>,
     /// Deterministic fault-injection plan installed per worker (stream =
     /// thread id). Only honoured when the crate is built with the `chaos`

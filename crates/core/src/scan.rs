@@ -16,9 +16,10 @@
 //!    [`COMPACT_CHUNK_WORDS`]-word chunk, and publishes its block total.
 //! 2. **Scan** — after the barrier publishes the block totals, every
 //!    worker independently computes the same exclusive prefix over the
-//!    `p` totals ([`block_prefix`]; replicated O(p) work instead of a
-//!    serial section — barrier-free within the pass). The prefix helpers
-//!    live in [`obfs_util::par`], shared with the graph builder.
+//!    `p` totals ([`obfs_util::par::block_prefix`]; replicated O(p) work
+//!    instead of a serial section — barrier-free within the pass). The
+//!    prefix helpers live in [`obfs_util::par`], shared with the graph
+//!    builder.
 //! 3. **Downsweep / materialize** — each worker emits its chunks' set
 //!    bits into the disjoint output range `[prefix, prefix + total)` the
 //!    scan assigned it (single writer per output slot).
@@ -35,10 +36,6 @@
 //! order.
 
 use crate::frontier::{FrontierBitmap, BITMAP_WORD_BITS};
-use crate::perthread::PerThread;
-use obfs_runtime::LevelPool;
-use obfs_util::par::{block_prefix, block_range};
-use std::cell::UnsafeCell;
 
 /// Bitmap words per compaction chunk (2048 vertices): fine enough that
 /// per-chunk popcounts load-balance skewed frontiers, coarse enough that
@@ -76,81 +73,9 @@ pub fn for_each_set_in_word(w: u32, base: usize, mut f: impl FnMut(usize)) {
 }
 // lint:endregion
 
-/// Shared output slots for [`parallel_exclusive_scan`]: each worker
-/// writes only the disjoint index range the scan assigned it, and the
-/// pool join publishes everything before the buffer is read back.
-struct ScanSlots(Box<[UnsafeCell<u64>]>);
-
-// SAFETY: workers write disjoint index ranges (enforced by
-// `block_range`) and the pool join orders all writes before the
-// single-threaded read-back — the same discipline as `PerThread`.
-unsafe impl Sync for ScanSlots {}
-
-impl ScanSlots {
-    /// # Safety
-    /// Call only for an index in the caller's own disjoint range while
-    /// the pool region is active (no other writer of slot `i`).
-    unsafe fn write(&self, i: usize, v: u64) {
-        *self.0[i].get() = v;
-    }
-}
-
-// lint:region hot-path:parallel-scan
-/// Run the three-pass parallel exclusive prefix sum of `xs` on `pool`,
-/// returning `out` with `out[i] = xs[0] + … + xs[i-1]` and a trailing
-/// total (`out.len() == xs.len() + 1`) — element-for-element equal to
-/// [`obfs_util::par::exclusive_scan`]. This is the standalone form of
-/// the compaction scan (same phase structure, same helpers), kept
-/// callable on bare slices so the property tests can pin it against the
-/// serial reference across lengths and thread counts.
-pub fn parallel_exclusive_scan(pool: &LevelPool, xs: &[u64]) -> Vec<u64> {
-    let threads = pool.threads();
-    let slots = ScanSlots(
-        (0..xs.len() + 1).map(|_| UnsafeCell::new(0u64)).collect::<Vec<_>>().into_boxed_slice(),
-    );
-    // Pass 1 results: one published block total per worker.
-    let totals = PerThread::new(threads, |_| 0u64);
-    pool.run(|ctx| {
-        let tid = ctx.tid();
-        let (lo, hi) = block_range(xs.len(), threads, tid);
-        // Pass 1: reduce my block.
-        // SAFETY: own slot only while the region is active.
-        unsafe { *totals.get_mut(tid) = xs[lo..hi].iter().sum() };
-        ctx.barrier().wait();
-        // Pass 2 (replicated): exclusive prefix over the block totals.
-        // SAFETY: every peer published its slot before the barrier and
-        // none writes again — read-only from here on.
-        let all: Vec<u64> = (0..threads).map(|k| unsafe { *totals.get(k) }).collect();
-        let mut acc = block_prefix(&all, tid);
-        // Pass 3: downsweep my block into my disjoint output range.
-        for (i, &x) in xs.iter().enumerate().take(hi).skip(lo) {
-            // SAFETY: index ranges are disjoint per worker (block_range).
-            unsafe { slots.write(i, acc) };
-            acc += x;
-        }
-        if tid == threads - 1 {
-            // The last block's owner also writes the trailing total.
-            // SAFETY: index xs.len() belongs to no block; only this
-            // worker touches it.
-            unsafe { slots.write(xs.len(), acc) };
-        }
-    })
-    .expect("scan worker panicked");
-    slots.0.into_vec().into_iter().map(UnsafeCell::into_inner).collect()
-}
-// lint:endregion
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_scan_matches_serial_smoke() {
-        let pool = LevelPool::new(3);
-        let xs: Vec<u64> = (0..257).map(|i| (i * 37 + 11) % 101).collect();
-        assert_eq!(parallel_exclusive_scan(&pool, &xs), obfs_util::par::exclusive_scan(&xs));
-        assert_eq!(parallel_exclusive_scan(&pool, &[]), vec![0]);
-    }
 
     #[test]
     fn kernel_matches_a_per_bit_walk() {

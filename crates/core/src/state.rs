@@ -760,23 +760,33 @@ impl<'g> RunState<'g> {
     /// output queue.
     #[inline]
     pub fn explore_vertex(&self, v: VertexId, level: u32, wk: &mut Worker<'_>) {
+        self.explore_edges(v, self.graph.neighbors(v), level, wk);
+    }
+
+    /// Scan `edges`, a piece of `v`'s adjacency list (all of it, or the
+    /// share a hub phase or an edge range hands this worker), discovering
+    /// into the worker's output queue. `edges_scanned` counts only the
+    /// edges scanned: a batch vertex with no frontier bits is skipped.
+    #[inline]
+    pub fn explore_edges(&self, v: VertexId, edges: &[VertexId], level: u32, wk: &mut Worker<'_>) {
         let next = level + 1;
-        let neigh = self.graph.neighbors(v);
         if self.batch.is_some() {
-            // A replayed duplicate pop re-derives the same frontier bits,
-            // so re-exploration (e.g. the watchdog sweep) stays idempotent.
+            // Frontier bits are level-barrier-published, so every piece of
+            // `v`'s list and every replayed duplicate pop derives the same
+            // word, and re-exploration (e.g. the watchdog sweep) stays
+            // idempotent.
             let fbits = self.frontier_bits(v, level);
             if fbits == 0 {
                 return;
             }
-            wk.stats.edges_scanned += neigh.len() as u64;
-            for &w in neigh {
+            wk.stats.edges_scanned += edges.len() as u64;
+            for &w in edges {
                 self.try_discover_batch(w, v, fbits, next, wk);
             }
             return;
         }
-        wk.stats.edges_scanned += neigh.len() as u64;
-        for &w in neigh {
+        wk.stats.edges_scanned += edges.len() as u64;
+        for &w in edges {
             self.try_discover(w, v, next, wk);
         }
     }

@@ -265,8 +265,7 @@ pub struct RunStats {
     /// empty for serial runs).
     pub level_stats: Vec<LevelStats>,
     /// Flight-recorder event rings, one per worker; `None` unless
-    /// [`crate::BfsOptions::flight_recorder`] was set on a build with
-    /// the `trace` feature.
+    /// [`crate::BfsOptions::flight_recorder`] was set.
     pub flight: Option<crate::flight::FlightRecording>,
     /// Per-worker latency histograms; `None` unless
     /// [`crate::BfsOptions::collect_histograms`] was set.

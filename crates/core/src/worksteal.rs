@@ -321,27 +321,10 @@ impl WorkStealing {
         // SAFETY: read-only between the build barrier and the level-end
         // barrier.
         let flat = unsafe { st.flat_vertices.get() };
-        let next = env.level + 1;
         for &h in flat {
             let neigh = st.graph.neighbors(h);
             let len = neigh.len();
-            let lo = len * tid / p;
-            let hi = len * (tid + 1) / p;
-            wk.stats.edges_scanned += (hi - lo) as u64;
-            if st.batch.is_some() {
-                // Bit-parallel kernel: every chunk of h's adjacency sees
-                // the same barrier-published frontier word.
-                let fbits = st.frontier_bits(h, env.level);
-                if fbits != 0 {
-                    for &w in &neigh[lo..hi] {
-                        st.try_discover_batch(w, h, fbits, next, wk);
-                    }
-                }
-            } else {
-                for &w in &neigh[lo..hi] {
-                    st.try_discover(w, h, next, wk);
-                }
-            }
+            st.explore_edges(h, &neigh[len * tid / p..len * (tid + 1) / p], env.level, wk);
         }
     }
 

@@ -103,14 +103,6 @@ impl CsrGraph {
         &self.targets[lo..hi]
     }
 
-    /// Start offset of `v`'s adjacency list in [`Self::targets_raw`].
-    /// The scale-free BFS variants use this to split a hub's adjacency
-    /// list into per-thread chunks.
-    #[inline]
-    pub fn adjacency_start(&self, v: VertexId) -> u64 {
-        self.offsets[v as usize]
-    }
-
     /// The raw target array (shared read-only by all BFS workers).
     #[inline]
     pub fn targets_raw(&self) -> &[VertexId] {

@@ -722,8 +722,8 @@ mod tests {
     fn cfg_feature_parsing() {
         assert_eq!(cfg_feature("  #[cfg(feature = \"chaos\")]"), Some(("chaos".to_string(), true)));
         assert_eq!(
-            cfg_feature("#[cfg(not(feature = \"volatile-racy\"))]"),
-            Some(("volatile-racy".to_string(), false))
+            cfg_feature("#[cfg(not(feature = \"chaos\"))]"),
+            Some(("chaos".to_string(), false))
         );
         assert_eq!(cfg_feature("#[inline]"), None);
         assert_eq!(cfg_feature("#[cfg(test)]"), None);

@@ -62,28 +62,6 @@ impl Topology {
         self.socket_of[a] == self.socket_of[b]
     }
 
-    /// Victim preference order for a steal attempt by `thief`: all
-    /// same-socket peers in random order, then all remote peers in random
-    /// order. `thief` itself is excluded.
-    pub fn steal_order(&self, thief: usize, rng: &mut Xoshiro256StarStar) -> Vec<usize> {
-        let mut local: Vec<usize> = Vec::new();
-        let mut remote: Vec<usize> = Vec::new();
-        for t in 0..self.threads() {
-            if t == thief {
-                continue;
-            }
-            if self.same_socket(thief, t) {
-                local.push(t);
-            } else {
-                remote.push(t);
-            }
-        }
-        rng.shuffle(&mut local);
-        rng.shuffle(&mut remote);
-        local.extend(remote);
-        local
-    }
-
     /// A uniformly random victim != thief (the paper's non-NUMA policy).
     /// Returns `None` for a single-worker topology.
     pub fn random_victim(&self, thief: usize, rng: &mut Xoshiro256StarStar) -> Option<usize> {
@@ -143,22 +121,6 @@ mod tests {
         assert_eq!(t.sockets(), 2);
         assert_eq!(t.socket_of(2), 0);
         assert_eq!(t.socket_of(3), 1);
-    }
-
-    #[test]
-    fn steal_order_prefers_local() {
-        let t = Topology::blocked(8, 2);
-        let mut rng = Xoshiro256StarStar::new(1);
-        let order = t.steal_order(1, &mut rng);
-        assert_eq!(order.len(), 7);
-        assert!(!order.contains(&1));
-        // First 3 victims must be socket-0 peers (0, 2, 3 in some order).
-        for &v in &order[..3] {
-            assert!(t.same_socket(1, v), "victim {v} not local");
-        }
-        for &v in &order[3..] {
-            assert!(!t.same_socket(1, v), "victim {v} unexpectedly local");
-        }
     }
 
     #[test]

@@ -381,12 +381,6 @@ impl EngineTelemetry {
     pub fn spans(&self) -> SpanDump {
         self.spans.snapshot()
     }
-
-    /// The per-run driver telemetry threaded into every query's
-    /// `BfsOptions` (level/frontier/direction gauges, `obfs_run_*`).
-    pub fn run_telemetry(&self) -> &Arc<RunTelemetry> {
-        &self.run
-    }
 }
 
 impl std::fmt::Debug for EngineTelemetry {

@@ -492,9 +492,8 @@ mod active {
         }
     }
 
-    /// Hooks called from the racy-cell fast paths (relaxed-atomic backend
-    /// only). Each returns quickly when no plan is installed.
-    #[cfg_attr(feature = "volatile-racy", allow(dead_code))]
+    /// Hooks called from the racy-cell fast paths. Each returns quickly
+    /// when no plan is installed.
     pub(crate) mod hooks {
         use super::*;
 

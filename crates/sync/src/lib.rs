@@ -9,26 +9,20 @@
 //! ([`chaos`]), the one thread-local hook a BFS worker may carry, and the
 //! flight-recorder ring ([`flight`]) a worker's record owns.
 //!
-//! # The two racy backends
+//! # Racy cells are relaxed atomics
 //!
 //! The original C++ code performs plain, unguarded loads and stores on
-//! shared `int` queue indices. Rust offers two ways to express that:
+//! shared `int` queue indices. Here they are `AtomicU32::{load,store}`
+//! with `Ordering::Relaxed`. On every mainstream ISA these compile to
+//! the *same machine instructions* as plain loads/stores — no `lock`
+//! prefix, no fence, no RMW — while remaining defined behaviour in the
+//! Rust memory model. This is the faithful reproduction of "no locks and
+//! no atomic instructions" as the paper means it (the paper's "atomic
+//! instructions" are `lock cmpxchg` / `lock xadd` style RMW ops).
 //!
-//! * **Relaxed atomics** (default): `AtomicU32::{load,store}(Relaxed)`.
-//!   On every mainstream ISA these compile to the *same machine
-//!   instructions* as plain loads/stores — no `lock` prefix, no fence, no
-//!   RMW — while remaining defined behaviour in the Rust memory model.
-//!   This is the faithful reproduction of "no locks and no atomic
-//!   instructions" as the paper means it (the paper's "atomic
-//!   instructions" are `lock cmpxchg` / `lock xadd` style RMW ops).
-//! * **Volatile** (`--features volatile-racy`): `UnsafeCell` +
-//!   `ptr::read_volatile` / `ptr::write_volatile`. This is bit-level
-//!   identical to the C++ source but is formally a data race (UB) in the
-//!   Rust abstract machine. It is provided for fidelity experiments only
-//!   and is off by default.
-//!
-//! Every consumer goes through the same [`racy::RacyU32`] /
-//! [`racy::RacyUsize`] API so the backend is a pure compile-time switch.
+//! Every consumer goes through the [`racy::RacyU32`] /
+//! [`racy::RacyUsize`] API, which is also where the `chaos` feature
+//! hooks its fault plan into each load and store.
 
 #![warn(missing_docs)]
 

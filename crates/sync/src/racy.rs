@@ -1,236 +1,118 @@
 //! Racy shared cells: plain unsynchronized loads and stores.
 //!
-//! These types model the paper's unprotected shared queue indices. Neither
-//! backend ever emits a lock-prefixed or read-modify-write instruction;
-//! there is deliberately **no** `fetch_add`, `compare_exchange`, or any
-//! other RMW in this module. A thread that wants "increment" must do
+//! These types model the paper's unprotected shared queue indices. Every
+//! cell is a relaxed atomic, whose loads and stores compile to plain
+//! `mov`s: no lock prefix, no read-modify-write, no fence. There is
+//! deliberately **no** `fetch_add`, `compare_exchange`, or any other RMW
+//! in this module. A thread that wants "increment" must do
 //! `load; store(x + s)` and live with the race — that *is* the algorithm.
+//! The crate docs say why relaxed atomics are the paper's plain accesses.
 //!
-//! See the crate docs for the relaxed-atomic vs. volatile backend
-//! discussion.
-//!
-//! With `--features chaos` the relaxed-atomic backend additionally routes
-//! every load/store through the thread's [`crate::chaos`] fault plan (a
-//! cheap thread-local check when no plan is installed; compiled out
-//! entirely without the feature). The volatile backend is never
-//! intercepted — it exists for bit-level fidelity, not fault injection.
+//! With `--features chaos` every load/store also goes through the
+//! thread's [`crate::chaos`] fault plan (a cheap thread-local check when
+//! no plan is installed; compiled out entirely without the feature).
 
-#[cfg(not(feature = "volatile-racy"))]
-mod backend {
-    use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering::Relaxed};
 
-    /// A shared 64-bit cell accessed with plain (relaxed) loads/stores.
-    ///
-    /// The storage type behind per-vertex query-membership words in the
-    /// batched multi-source BFS: a "visited-by" word is OR-updated with
-    /// `load; store(v | bits)` — deliberately no `fetch_or`, so racing
-    /// updates can lose bits. Consumers treat the word as an
-    /// under-approximation and revalidate against the per-query level
-    /// rows, the same optimistic discipline as the queue cursors.
-    #[repr(transparent)]
-    #[derive(Debug, Default)]
-    pub struct RacyU64(AtomicU64);
+/// A shared 64-bit cell accessed with plain (relaxed) loads/stores.
+///
+/// The storage type behind per-vertex query-membership words in the
+/// batched multi-source BFS: a "visited-by" word is OR-updated with
+/// `load; store(v | bits)` — deliberately no `fetch_or`, so racing
+/// updates can lose bits. Consumers treat the word as an
+/// under-approximation and revalidate against the per-query level
+/// rows, the same optimistic discipline as the queue cursors.
+#[repr(transparent)]
+#[derive(Debug, Default)]
+pub struct RacyU64(AtomicU64);
 
-    impl RacyU64 {
-        /// A cell holding `v`.
-        #[inline]
-        pub const fn new(v: u64) -> Self {
-            Self(AtomicU64::new(v))
-        }
-        /// Plain racy load.
-        #[inline]
-        pub fn load(&self) -> u64 {
-            #[cfg(feature = "chaos")]
-            if let Some(v) = crate::chaos::hooks::load_u64(&self.0) {
-                return v;
-            }
-            self.0.load(Relaxed)
-        }
-        /// Plain racy store.
-        #[inline]
-        pub fn store(&self, v: u64) {
-            #[cfg(feature = "chaos")]
-            if crate::chaos::hooks::store_u64(&self.0, v) {
-                return;
-            }
-            self.0.store(v, Relaxed)
-        }
+impl RacyU64 {
+    /// A cell holding `v`.
+    #[inline]
+    pub const fn new(v: u64) -> Self {
+        Self(AtomicU64::new(v))
     }
-
-    /// A shared 32-bit cell accessed with plain (relaxed) loads/stores.
-    #[repr(transparent)]
-    #[derive(Debug, Default)]
-    pub struct RacyU32(AtomicU32);
-
-    impl RacyU32 {
-        /// A cell holding `v`.
-        #[inline]
-        pub const fn new(v: u32) -> Self {
-            Self(AtomicU32::new(v))
+    /// Plain racy load.
+    #[inline]
+    pub fn load(&self) -> u64 {
+        #[cfg(feature = "chaos")]
+        if let Some(v) = crate::chaos::hooks::load_u64(&self.0) {
+            return v;
         }
-        /// Plain racy load.
-        #[inline]
-        pub fn load(&self) -> u32 {
-            #[cfg(feature = "chaos")]
-            if let Some(v) = crate::chaos::hooks::load_u32(&self.0) {
-                return v;
-            }
-            self.0.load(Relaxed)
-        }
-        /// Plain racy store.
-        #[inline]
-        pub fn store(&self, v: u32) {
-            #[cfg(feature = "chaos")]
-            if crate::chaos::hooks::store_u32(&self.0, v) {
-                return;
-            }
-            self.0.store(v, Relaxed)
-        }
+        self.0.load(Relaxed)
     }
-
-    /// A shared word-size cell accessed with plain (relaxed) loads/stores.
-    #[repr(transparent)]
-    #[derive(Debug, Default)]
-    pub struct RacyUsize(AtomicUsize);
-
-    impl RacyUsize {
-        /// A cell holding `v`.
-        #[inline]
-        pub const fn new(v: usize) -> Self {
-            Self(AtomicUsize::new(v))
+    /// Plain racy store.
+    #[inline]
+    pub fn store(&self, v: u64) {
+        #[cfg(feature = "chaos")]
+        if crate::chaos::hooks::store_u64(&self.0, v) {
+            return;
         }
-        /// Plain racy load.
-        #[inline]
-        pub fn load(&self) -> usize {
-            #[cfg(feature = "chaos")]
-            if let Some(v) = crate::chaos::hooks::load_usize(&self.0) {
-                return v;
-            }
-            self.0.load(Relaxed)
-        }
-        /// Plain racy store.
-        #[inline]
-        pub fn store(&self, v: usize) {
-            #[cfg(feature = "chaos")]
-            if crate::chaos::hooks::store_usize(&self.0, v) {
-                return;
-            }
-            self.0.store(v, Relaxed)
-        }
+        self.0.store(v, Relaxed)
     }
 }
 
-#[cfg(feature = "volatile-racy")]
-mod backend {
-    use std::cell::UnsafeCell;
+/// A shared 32-bit cell accessed with plain (relaxed) loads/stores.
+#[repr(transparent)]
+#[derive(Debug, Default)]
+pub struct RacyU32(AtomicU32);
 
-    /// A shared 64-bit cell accessed with volatile loads/stores.
-    ///
-    /// See [`RacyU32`] for the fidelity/safety discussion; the 64-bit cell
-    /// backs the batched-BFS query-membership words.
-    #[repr(transparent)]
-    #[derive(Debug, Default)]
-    pub struct RacyU64(UnsafeCell<u64>);
-
-    // SAFETY (by construction, not by the abstract machine): all accesses go
-    // through volatile single-word loads/stores on naturally aligned u64,
-    // which no mainstream 64-bit ISA tears, and every algorithmic consumer
-    // treats the value as an under-approximation to be revalidated
-    // (optimistic parallelization).
-    unsafe impl Sync for RacyU64 {}
-    // SAFETY: plain owned data — same argument as above.
-    unsafe impl Send for RacyU64 {}
-
-    impl RacyU64 {
-        /// A cell holding `v`.
-        #[inline]
-        pub const fn new(v: u64) -> Self {
-            Self(UnsafeCell::new(v))
-        }
-        /// Plain (volatile) racy load.
-        #[inline]
-        pub fn load(&self) -> u64 {
-            // SAFETY: aligned, live, word-sized — see the Sync impl.
-            unsafe { std::ptr::read_volatile(self.0.get()) }
-        }
-        /// Plain (volatile) racy store.
-        #[inline]
-        pub fn store(&self, v: u64) {
-            // SAFETY: aligned, live, word-sized — see the Sync impl.
-            unsafe { std::ptr::write_volatile(self.0.get(), v) }
-        }
+impl RacyU32 {
+    /// A cell holding `v`.
+    #[inline]
+    pub const fn new(v: u32) -> Self {
+        Self(AtomicU32::new(v))
     }
-
-    /// A shared 32-bit cell accessed with volatile loads/stores.
-    ///
-    /// Bit-level faithful to the original C++ (plain `int` accesses), but a
-    /// formal data race in the Rust abstract machine; enabled only by the
-    /// `volatile-racy` feature for fidelity experiments.
-    #[repr(transparent)]
-    #[derive(Debug, Default)]
-    pub struct RacyU32(UnsafeCell<u32>);
-
-    // SAFETY (by construction, not by the abstract machine): all accesses go
-    // through volatile single-word loads/stores on naturally aligned u32,
-    // which no mainstream ISA tears, and every algorithmic consumer
-    // tolerates stale values by design (optimistic parallelization).
-    unsafe impl Sync for RacyU32 {}
-    // SAFETY: plain owned data — same argument as above.
-    unsafe impl Send for RacyU32 {}
-
-    impl RacyU32 {
-        /// A cell holding `v`.
-        #[inline]
-        pub const fn new(v: u32) -> Self {
-            Self(UnsafeCell::new(v))
+    /// Plain racy load.
+    #[inline]
+    pub fn load(&self) -> u32 {
+        #[cfg(feature = "chaos")]
+        if let Some(v) = crate::chaos::hooks::load_u32(&self.0) {
+            return v;
         }
-        /// Plain (volatile) racy load.
-        #[inline]
-        pub fn load(&self) -> u32 {
-            // SAFETY: aligned, live, word-sized — see the Sync impl.
-            unsafe { std::ptr::read_volatile(self.0.get()) }
-        }
-        /// Plain (volatile) racy store.
-        #[inline]
-        pub fn store(&self, v: u32) {
-            // SAFETY: aligned, live, word-sized — see the Sync impl.
-            unsafe { std::ptr::write_volatile(self.0.get(), v) }
-        }
+        self.0.load(Relaxed)
     }
-
-    /// A shared word-size cell accessed with volatile loads/stores.
-    #[repr(transparent)]
-    #[derive(Debug, Default)]
-    pub struct RacyUsize(UnsafeCell<usize>);
-
-    // SAFETY: volatile single-word accesses on an aligned usize — the
-    // same by-construction argument as RacyU32 above.
-    unsafe impl Sync for RacyUsize {}
-    // SAFETY: plain owned data — same argument as above.
-    unsafe impl Send for RacyUsize {}
-
-    impl RacyUsize {
-        /// A cell holding `v`.
-        #[inline]
-        pub const fn new(v: usize) -> Self {
-            Self(UnsafeCell::new(v))
+    /// Plain racy store.
+    #[inline]
+    pub fn store(&self, v: u32) {
+        #[cfg(feature = "chaos")]
+        if crate::chaos::hooks::store_u32(&self.0, v) {
+            return;
         }
-        /// Plain (volatile) racy load.
-        #[inline]
-        pub fn load(&self) -> usize {
-            // SAFETY: aligned, live, word-sized — see the Sync impl.
-            unsafe { std::ptr::read_volatile(self.0.get()) }
-        }
-        /// Plain (volatile) racy store.
-        #[inline]
-        pub fn store(&self, v: usize) {
-            // SAFETY: aligned, live, word-sized — see the Sync impl.
-            unsafe { std::ptr::write_volatile(self.0.get(), v) }
-        }
+        self.0.store(v, Relaxed)
     }
 }
 
-pub use backend::{RacyU32, RacyU64, RacyUsize};
+/// A shared word-size cell accessed with plain (relaxed) loads/stores.
+#[repr(transparent)]
+#[derive(Debug, Default)]
+pub struct RacyUsize(AtomicUsize);
+
+impl RacyUsize {
+    /// A cell holding `v`.
+    #[inline]
+    pub const fn new(v: usize) -> Self {
+        Self(AtomicUsize::new(v))
+    }
+    /// Plain racy load.
+    #[inline]
+    pub fn load(&self) -> usize {
+        #[cfg(feature = "chaos")]
+        if let Some(v) = crate::chaos::hooks::load_usize(&self.0) {
+            return v;
+        }
+        self.0.load(Relaxed)
+    }
+    /// Plain racy store.
+    #[inline]
+    pub fn store(&self, v: usize) {
+        #[cfg(feature = "chaos")]
+        if crate::chaos::hooks::store_usize(&self.0, v) {
+            return;
+        }
+        self.0.store(v, Relaxed)
+    }
+}
 
 // `RacyBuf::new` and `RacyBuf64::new` reuse zeroed integer allocations
 // as cells, which needs each cell aligned like its integer; a target
@@ -256,12 +138,11 @@ impl RacyBuf {
     /// whoever writes them next (a pool's parallel `init_chunk`).
     pub fn new(len: usize) -> Self {
         let zeros = vec![0u32; len].into_boxed_slice();
-        // SAFETY: `RacyU32` is `repr(transparent)` over `AtomicU32` or
-        // `UnsafeCell<u32>` (per backend), each documented to have the
-        // size and bit validity of `u32`, and the const assertion above
-        // checks the alignment; so the zeroed `[u32]` allocation is a valid
-        // `[RacyU32]` of zero cells with the same layout, and ownership
-        // passes from one box to the other.
+        // SAFETY: `RacyU32` is `repr(transparent)` over `AtomicU32`,
+        // documented to have the size and bit validity of `u32`, and the
+        // const assertion above checks the alignment; so the zeroed `[u32]`
+        // allocation is a valid `[RacyU32]` of zero cells with the same
+        // layout, and ownership passes from one box to the other.
         let slots = unsafe { Box::from_raw(Box::into_raw(zeros) as *mut [RacyU32]) };
         Self { slots }
     }
@@ -333,12 +214,10 @@ impl RacyBuf64 {
     /// [`RacyBuf::new`]).
     pub fn new(len: usize) -> Self {
         let zeros = vec![0u64; len].into_boxed_slice();
-        // SAFETY: `RacyU64` is `repr(transparent)` over `AtomicU64` or
-        // `UnsafeCell<u64>` (per backend), each with the size and bit
-        // validity of `u64`, and the const assertion above `RacyBuf`
-        // checks the alignment (`AtomicU64` is 8-aligned even where `u64`
-        // is not) — the same
-        // argument as `RacyBuf::new`.
+        // SAFETY: `RacyU64` is `repr(transparent)` over `AtomicU64`, with
+        // the size and bit validity of `u64`, and the const assertion above
+        // `RacyBuf` checks the alignment (`AtomicU64` is 8-aligned even
+        // where `u64` is not) — the same argument as `RacyBuf::new`.
         let slots = unsafe { Box::from_raw(Box::into_raw(zeros) as *mut [RacyU64]) };
         Self { slots }
     }
@@ -425,7 +304,7 @@ mod tests {
     }
 
     /// A large buffer comes from zeroed memory rather than a fill pass;
-    /// every slot must still read zero, under either backend.
+    /// every slot must still read zero.
     #[test]
     fn large_new_buffers_read_zero() {
         let len = 1 << 22;

@@ -1,12 +1,11 @@
 //! Shared utilities for the `obfs` workspace.
 //!
 //! Everything here is deliberately dependency-free so the whole workspace
-//! stays reproducible: the PRNGs are seedable and deterministic, the timers
-//! are thin wrappers over [`std::time::Instant`], the numeric helpers
-//! are the handful of integer routines the graph generators and the BFS
-//! dispatchers share, and [`par`] holds the prefix sums, block splits and
-//! stable scatter that the graph builder and the frontier compaction
-//! share.
+//! stays reproducible: the PRNGs are seedable and deterministic, the
+//! numeric helpers are the handful of integer routines the graph
+//! generators and the BFS dispatchers share, and [`par`] holds the prefix
+//! sums, block splits and stable scatter that the graph builder and the
+//! frontier compaction share.
 
 #![warn(missing_docs)]
 
@@ -15,13 +14,11 @@ pub mod json;
 pub mod par;
 pub mod prng;
 pub mod stats;
-pub mod timing;
 
 pub use hist::LogHistogram;
 pub use json::Json;
 pub use prng::{SplitMix64, Xoshiro256StarStar};
 pub use stats::{OnlineStats, Summary};
-pub use timing::Stopwatch;
 
 /// Integer ceiling division `ceil(a / b)` for `b > 0`.
 ///

@@ -27,8 +27,7 @@ use std::sync::OnceLock;
 
 /// Serial exclusive prefix sum: `out[i] = xs[0] + … + xs[i-1]`, with one
 /// extra trailing element holding the total (`out.len() == xs.len() + 1`).
-/// The reference the property tests pin the parallel scan against, and
-/// the leader-side helper for small inputs.
+/// The graph builder's sort lays out its parts' output ranges with it.
 pub fn exclusive_scan(xs: &[u64]) -> Vec<u64> {
     let mut out = Vec::with_capacity(xs.len() + 1);
     let mut acc = 0u64;

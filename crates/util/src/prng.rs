@@ -154,30 +154,6 @@ impl Xoshiro256StarStar {
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.below_usize(i + 1);
-            slice.swap(i, j);
-        }
-    }
-
-    /// Sample `k` distinct indices from `[0, n)` (k <= n), in random order.
-    /// Uses Floyd's algorithm: O(k) expected work, no O(n) allocation.
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        assert!(k <= n, "cannot sample {k} distinct values from a universe of {n}");
-        let mut chosen = std::collections::HashSet::with_capacity(k);
-        let mut out = Vec::with_capacity(k);
-        for j in (n - k)..n {
-            let t = self.below_usize(j + 1);
-            let v = if chosen.contains(&t) { j } else { t };
-            chosen.insert(v);
-            out.push(v);
-        }
-        self.shuffle(&mut out);
-        out
-    }
 }
 
 /// xoshiro256**'s state update, one step.
@@ -260,28 +236,6 @@ mod tests {
         for _ in 0..10_000 {
             let x = g.next_f64();
             assert!((0.0..1.0).contains(&x));
-        }
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut g = Xoshiro256StarStar::new(5);
-        let mut v: Vec<u32> = (0..100).collect();
-        g.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn sample_indices_distinct_and_in_range() {
-        let mut g = Xoshiro256StarStar::new(11);
-        for &(n, k) in &[(10usize, 10usize), (100, 7), (1, 1), (5, 0)] {
-            let s = g.sample_indices(n, k);
-            assert_eq!(s.len(), k);
-            let set: std::collections::HashSet<_> = s.iter().collect();
-            assert_eq!(set.len(), k, "samples must be distinct");
-            assert!(s.iter().all(|&i| i < n));
         }
     }
 

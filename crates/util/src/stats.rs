@@ -133,15 +133,6 @@ impl std::fmt::Display for Summary {
     }
 }
 
-/// Geometric mean of a slice of positive values; NaN if empty.
-pub fn geomean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return f64::NAN;
-    }
-    let log_sum: f64 = values.iter().map(|v| v.ln()).sum();
-    (log_sum / values.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,12 +194,5 @@ mod tests {
         assert!(s.mean().is_nan());
         assert!(s.variance().is_nan());
         assert!(s.min().is_nan());
-    }
-
-    #[test]
-    fn geomean_basic() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert!((geomean(&[8.0]) - 8.0).abs() < 1e-12);
-        assert!(geomean(&[]).is_nan());
     }
 }

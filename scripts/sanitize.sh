@@ -19,12 +19,11 @@
 #   3. The chaos suite: every parallel algorithm under deterministic
 #      fault plans, asserting exact results AND that each recovery
 #      counter fires (tests/chaos.rs + the chaos-gated unit tests).
-#   4. ThreadSanitizer over the relaxed-atomic racy backend. That
-#      backend is data-race-free by construction (relaxed atomics are
-#      not data races), so TSan verifies no unintended plain-memory
-#      race snuck into the queues, barrier, worker pool, or driver —
-#      nor into the graph builder, whose parallel counting sort makes
-#      plain cross-thread writes to disjoint slots (obfs-util's
+#   4. ThreadSanitizer over the racy cells. They are relaxed atomics,
+#      which are not data races, so TSan verifies no unintended
+#      plain-memory race snuck into the queues, barrier, worker pool, or
+#      driver — nor into the graph builder, whose parallel counting sort
+#      makes plain cross-thread writes to disjoint slots (obfs-util's
 #      stable scatter, obfs-graph's builder, transpose and RMAT).
 #      Requires nightly + rust-src (-Zbuild-std instruments std too);
 #      skipped with a warning when unavailable (e.g. offline sandboxes).
@@ -33,10 +32,6 @@
 # and unconditional, so the gate still exercises the racy protocols
 # even where TSan cannot run. If every dynamic AND model-based race leg
 # were skipped the gate would be vacuous, so that exits non-zero.
-#
-# The volatile backend is intentionally NOT run under TSan: its whole
-# point is bit-level fidelity to the paper's deliberate C++ data races,
-# which TSan would (correctly) report.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,11 +45,11 @@ echo "== leg 2: obfs-lint (race-surface audit + mutation self-test) =="
 cargo run --release --quiet -p obfs-lint -- .
 ./scripts/lint_selftest.sh
 
-echo "== leg 3: chaos fault-injection suite (default backend) =="
+echo "== leg 3: chaos fault-injection suite =="
 cargo test --features chaos --quiet
 race_legs_run=$((race_legs_run + 1))
 
-echo "== leg 4: ThreadSanitizer on the relaxed-atomic backend =="
+echo "== leg 4: ThreadSanitizer on the racy cells =="
 host="$(rustc -vV | sed -n 's/^host: //p')"
 src_lock="$(rustc +nightly --print sysroot 2>/dev/null)/lib/rustlib/src/rust/library/Cargo.lock"
 if [[ -f "$src_lock" ]]; then

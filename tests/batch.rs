@@ -11,7 +11,7 @@
 
 use obfs::prelude::*;
 use obfs_core::validate::check_self_consistent;
-use obfs_core::{BfsRunner, UNVISITED};
+use obfs_core::{BfsRunner, RunStats, ThreadStats, UNVISITED};
 
 /// Parallel algorithms under test (all of them; Serial is the oracle and
 /// also has its own batch entry, exercised in `serial_batch_entry`).
@@ -209,6 +209,65 @@ fn batch_option_grid() {
             }
         }
     }
+}
+
+/// Every frontier edge is counted once, on every exploration path:
+/// whole adjacency lists, the scale-free hub phase (static split and,
+/// with `phase2_steal`, edge-range stealing) and EdgeCL's edge ranges.
+/// At one thread no worker races another, so a batch explores `v` once
+/// per distinct depth at which any query reaches it (the push dedup
+/// keeps one entry per level), a single-source run explores each
+/// reached vertex once, and the level log's deltas sum to the totals.
+#[test]
+fn each_frontier_edge_is_counted_once() {
+    let graphs = [
+        ("erdos-renyi", gen::erdos_renyi(1200, 9000, 41)),
+        ("barabasi-albert", gen::barabasi_albert(800, 3, 43)),
+        ("star", gen::star(300)),
+        ("grid2d", gen::grid2d(25, 31)),
+    ];
+    for (name, g) in &graphs {
+        let n = g.num_vertices();
+        let sources = pick_sources(n, 17, n / 17 + 3, false);
+        let serial: Vec<Vec<u32>> = sources.iter().map(|&s| serial_bfs(g, s).levels).collect();
+        let degree = |v: usize| g.degree(v as u32) as u64;
+        let batch_edges: u64 = (0..n)
+            .map(|v| {
+                let mut depths: Vec<u32> =
+                    serial.iter().map(|l| l[v]).filter(|&d| d != UNVISITED).collect();
+                depths.sort_unstable();
+                depths.dedup();
+                degree(v) * depths.len() as u64
+            })
+            .sum();
+        let single_edges: u64 = (0..n).filter(|&v| serial[0][v] != UNVISITED).map(degree).sum();
+        for phase2_steal in [false, true] {
+            let opts = BfsOptions {
+                threads: 1,
+                hub_threshold: Some(4),
+                phase2_steal,
+                collect_level_stats: true,
+                ..BfsOptions::default()
+            };
+            for &algo in &PARALLEL {
+                let tag = format!("{name}/{algo}/p2s={phase2_steal}");
+                let b = run_batch(algo, g, &sources, &opts);
+                assert_eq!(b.stats.totals.edges_scanned, batch_edges, "{tag}: batch");
+                assert_level_log_sums_to_totals(&b.stats, &tag);
+                let r = run_bfs(algo, g, sources[0], &opts);
+                assert_eq!(r.stats.totals.edges_scanned, single_edges, "{tag}: single source");
+                assert_level_log_sums_to_totals(&r.stats, &tag);
+            }
+        }
+    }
+}
+
+fn assert_level_log_sums_to_totals(stats: &RunStats, tag: &str) {
+    let mut sum = ThreadStats::default();
+    for l in &stats.level_stats {
+        sum.merge(&l.counters);
+    }
+    assert_eq!(sum, stats.totals, "{tag}: level deltas do not sum to the totals");
 }
 
 /// Owner-array dedup is rejected for batches (the owner word is

@@ -143,30 +143,6 @@ fn csr_faithful() {
     }
 }
 
-/// The parallel three-pass exclusive prefix sum is element-for-element
-/// equal to the serial scan across the edge-case lengths (empty, one,
-/// around the thread count, block-boundary + ragged tail) and thread
-/// counts — the compaction pipeline's core reduction, pinned exactly.
-#[test]
-fn parallel_prefix_sum_equals_serial_scan() {
-    use obfs::core::scan::parallel_exclusive_scan;
-    use obfs::util::par::exclusive_scan;
-    use obfs_runtime::LevelPool;
-    for threads in [1usize, 2, 4, 8] {
-        let pool = LevelPool::new(threads);
-        let lengths = [0, 1, threads.saturating_sub(1), threads, 4096, 4096 + 37, 4096 + threads];
-        for (case, &len) in lengths.iter().enumerate() {
-            let mut rng = Xoshiro256StarStar::for_stream(0x9A17, (threads * 100 + case) as u64);
-            let xs: Vec<u64> = (0..len).map(|_| rng.below(1 << 20)).collect();
-            assert_eq!(
-                parallel_exclusive_scan(&pool, &xs),
-                exclusive_scan(&xs),
-                "p={threads} len={len}"
-            );
-        }
-    }
-}
-
 /// Materializing a random bitmap through the compaction pipeline
 /// (per-chunk popcounts → exclusive block prefix → per-chunk set-bit
 /// emission into disjoint ranges) reproduces a per-bit enumeration of its
