@@ -162,7 +162,6 @@ struct LoopResult {
     deadline_exceeded: u64,
     failed: u64,
     retries: u64,
-    pool_rebuilds: u64,
     /// Coalesced multi-source traversals (k >= 2) the engine ran.
     batched_runs: u64,
     /// Queries answered by those coalesced runs.
@@ -202,7 +201,6 @@ fn drive(
         threads: args.base.threads,
         capacity: args.capacity,
         default_deadline: (args.deadline_ms > 0).then(|| Duration::from_millis(args.deadline_ms)),
-        seed: args.base.seed,
         max_batch,
         ..Default::default()
     };
@@ -224,7 +222,6 @@ fn drive(
         deadline_exceeded: 0,
         failed: 0,
         retries: 0,
-        pool_rebuilds: 0,
         batched_runs: 0,
         coalesced: 0,
         elapsed: Duration::ZERO,
@@ -316,7 +313,6 @@ fn drive(
     assert_eq!(st.submitted, out.admitted, "engine admission count disagrees");
     assert_eq!(st.shed, out.shed, "engine shed count disagrees");
     out.retries = st.retries;
-    out.pool_rebuilds = st.pool_rebuilds;
     out.batched_runs = st.batched_runs;
     out.coalesced = st.queries_coalesced;
     // Registry latency percentiles must agree with the closed loop's
@@ -354,7 +350,6 @@ fn drive(
                 ("deadline_exceeded".into(), int(st.deadline_exceeded)),
                 ("failed".into(), int(st.failed)),
                 ("retries".into(), int(st.retries)),
-                ("pool_rebuilds".into(), int(st.pool_rebuilds)),
                 ("batched_runs".into(), int(st.batched_runs)),
                 ("coalesced".into(), int(st.queries_coalesced)),
                 ("p50_us".into(), int(p50_us)),
@@ -423,7 +418,6 @@ fn serve_json(r: &LoopResult, batch: Option<Json>, args: &BombardArgs) -> Json {
         ("deadline_exceeded".into(), int(r.deadline_exceeded)),
         ("failed".into(), int(r.failed)),
         ("retries".into(), int(r.retries)),
-        ("pool_rebuilds".into(), int(r.pool_rebuilds)),
         ("qps".into(), Json::Num(qps)),
         ("p50_ms".into(), pct(0.50)),
         ("p90_ms".into(), pct(0.90)),
@@ -460,8 +454,7 @@ fn main() {
 
     let contenders = [Algorithm::Bfscl, Algorithm::Bfswsl];
     let mut report = args.base.json.then(|| BenchReport::new("serve", &args.base));
-    let mut cols =
-        vec!["contender", "queries/s", "p50 ms", "p99 ms", "shed", "retries", "rebuilds"];
+    let mut cols = vec!["contender", "queries/s", "p50 ms", "p99 ms", "shed", "retries"];
     if args.batch {
         cols.extend(["batch q/s", "occupancy", "speedup"]);
     }
@@ -486,7 +479,6 @@ fn main() {
             format!("{:.3}", r.lat_us.percentile(0.99) as f64 / 1e3),
             r.shed.to_string(),
             r.retries.to_string(),
-            r.pool_rebuilds.to_string(),
         ];
         if let Some(b) = &batch {
             let f = |key: &str| b.get(key).and_then(Json::as_f64).unwrap_or(0.0);

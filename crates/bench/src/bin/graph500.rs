@@ -21,12 +21,11 @@
 use obfs_baselines::hong::HongVariant;
 use obfs_bench::args::fail;
 use obfs_bench::env::HostInfo;
-use obfs_bench::harness::pick_sources;
 use obfs_bench::table::{teps, Table};
 use obfs_bench::{measure, BenchArgs, BenchReport, Contender, ContenderPool, Workload};
 use obfs_core::{Algorithm, BfsOptions};
 use obfs_graph::gen::{rmat, RmatParams};
-use obfs_graph::{io, CsrGraph};
+use obfs_graph::{io, stats::sample_sources, CsrGraph};
 
 fn load_mtx(path: &str) -> Result<CsrGraph, String> {
     let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
@@ -94,7 +93,7 @@ fn main() {
             graph.num_vertices(),
             graph.num_edges()
         );
-        let sources = pick_sources(&graph, args.sources, args.seed ^ 0x9500);
+        let sources = sample_sources(&graph, args.sources, args.seed ^ 0x9500);
         let w = Workload::new(graph_name, graph, &sources);
         let mut t = Table::new(&["contender", "harmonic-TEPS", "mean ms/key"]);
         for &c in &contenders {

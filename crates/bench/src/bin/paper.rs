@@ -8,7 +8,7 @@
 use obfs_baselines::hong::HongVariant;
 use obfs_bench::args::fail;
 use obfs_bench::env::HostInfo;
-use obfs_bench::harness::{measure, measure_with_series, pick_sources};
+use obfs_bench::harness::{measure, measure_with_series};
 use obfs_bench::table::{count, ms, pct, teps, Table};
 use obfs_bench::{BenchArgs, BenchReport, Contender, ContenderPool, Workload};
 use obfs_core::{run_bfs, Algorithm, BfsOptions, DedupMode, SegmentPolicy, WatchdogPolicy};
@@ -82,7 +82,7 @@ fn suite(args: &BenchArgs) -> impl Iterator<Item = PaperGraph> + '_ {
 /// with `seed`.
 fn workload(args: &BenchArgs, kind: PaperGraph, divisor: u64, seed: u64) -> Workload {
     let graph = kind.generate(divisor, args.seed);
-    let sources = pick_sources(&graph, args.sources, seed);
+    let sources = sample_sources(&graph, args.sources, seed);
     Workload::new(kind.name(), graph, &sources)
 }
 
@@ -190,7 +190,7 @@ fn table6(args: &BenchArgs) {
     // Every repetition draws its own sources; all REPS x sources runs
     // of a program accumulate into its one row.
     let sources: Vec<_> = (0..REPS)
-        .flat_map(|rep| pick_sources(&graph, args.sources, args.seed ^ (rep as u64) << 8))
+        .flat_map(|rep| sample_sources(&graph, args.sources, args.seed ^ (rep as u64) << 8))
         .collect();
     let w = Workload::new(kind.name(), graph, &sources);
 

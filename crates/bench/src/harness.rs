@@ -10,7 +10,7 @@
 use crate::contender::{Contender, ContenderPool};
 use obfs_core::serial::serial_bfs;
 use obfs_core::{BfsOptions, BfsResult, ThreadStats};
-use obfs_graph::{stats::sample_sources, CsrGraph, VertexId};
+use obfs_graph::{CsrGraph, VertexId};
 use obfs_util::{OnlineStats, Summary};
 use std::cell::OnceCell;
 
@@ -206,21 +206,16 @@ pub fn measure_with_series(
     m
 }
 
-/// Sample `k` non-zero-degree sources deterministically.
-pub fn pick_sources(graph: &CsrGraph, k: usize, seed: u64) -> Vec<VertexId> {
-    sample_sources(graph, k, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use obfs_core::Algorithm;
-    use obfs_graph::gen;
+    use obfs_graph::{gen, stats::sample_sources};
 
     #[test]
     fn measure_produces_sane_numbers() {
         let g = gen::erdos_renyi(500, 3500, 3);
-        let sources = pick_sources(&g, 3, 1);
+        let sources = sample_sources(&g, 3, 1);
         let w = Workload::new("er", g, &sources);
         let mut pool = ContenderPool::new(2);
         let opts = BfsOptions { threads: 2, ..Default::default() };

@@ -330,7 +330,7 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
 /// every admitted query ends in exactly one terminal status.
 fn validate_serve(serve: &Json, at: &str) -> Result<(), String> {
     let at = format!("{at}.serve");
-    for key in ["capacity", "burst", "retries", "pool_rebuilds"] {
+    for key in ["capacity", "burst", "retries"] {
         req_u64(serve, key, &at)?;
     }
     for key in ["qps", "p50_ms", "p90_ms", "p99_ms"] {
@@ -380,7 +380,6 @@ fn validate_serve_telemetry(tele: &Json, at: &str, serve: &Json) -> Result<(), S
         "deadline_exceeded",
         "failed",
         "retries",
-        "pool_rebuilds",
     ] {
         let reg = req_u64(fin, key, &fat)?;
         let measured = req_u64(serve, key, &at)?;
@@ -723,7 +722,6 @@ mod tests {
             ("deadline_exceeded".into(), int(0)),
             ("failed".into(), int(0)),
             ("retries".into(), int(0)),
-            ("pool_rebuilds".into(), int(0)),
             ("qps".into(), num(123.4)),
             ("p50_ms".into(), num(1.0)),
             ("p90_ms".into(), num(2.0)),
@@ -835,7 +833,6 @@ mod tests {
             ("deadline_exceeded".into(), int(0)),
             ("failed".into(), int(0)),
             ("retries".into(), int(0)),
-            ("pool_rebuilds".into(), int(0)),
             ("batched_runs".into(), int(0)),
             ("coalesced".into(), int(0)),
             ("p50_us".into(), int(1000)),

@@ -475,7 +475,6 @@ fn cmd_engine(flags: &HashMap<String, String>) -> Result<String, String> {
         threads,
         capacity,
         default_deadline: (deadline_ms > 0).then(|| std::time::Duration::from_millis(deadline_ms)),
-        seed,
         ..Default::default()
     };
     let engine = Engine::new(std::sync::Arc::new(g), cfg);
@@ -505,15 +504,14 @@ fn cmd_engine(flags: &HashMap<String, String>) -> Result<String, String> {
                     let snap = tele.registry().snapshot();
                     eprintln!(
                         "engine-stats: submitted={} completed={} degraded={} shed={} \
-                         in-flight={} queue-depth={} retries={} rebuilds={}",
+                         in-flight={} queue-depth={} retries={}",
                         st.submitted,
                         st.completed,
                         st.degraded,
                         st.shed,
                         snap.gauge("obfs_engine_in_flight").unwrap_or(0),
                         snap.gauge("obfs_engine_queue_depth").unwrap_or(0),
-                        st.retries,
-                        st.pool_rebuilds
+                        st.retries
                     );
                 }
             }
@@ -566,14 +564,13 @@ fn cmd_engine(flags: &HashMap<String, String>) -> Result<String, String> {
     let _ = writeln!(
         out,
         "completed={} degraded={} cancelled={} deadline-exceeded={} shed={} retries={} \
-         pool-rebuilds={} batched-runs={} coalesced={}",
+         batched-runs={} coalesced={}",
         st.completed,
         st.degraded,
         st.cancelled,
         st.deadline_exceeded,
         shed,
         st.retries,
-        st.pool_rebuilds,
         st.batched_runs,
         st.queries_coalesced
     );

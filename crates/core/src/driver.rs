@@ -93,8 +93,8 @@ fn strategy(algo: Algorithm) -> Option<&'static dyn Strategy> {
 /// benchmarks amortize it across runs). It is ignored unless
 /// [`BfsOptions::hybrid`] is set; a hybrid run given none builds one
 /// before the traversal timer starts. A worker panic comes back as `Err`
-/// (the pool is then poisoned), which is what the query engine needs to
-/// retry on a rebuilt pool.
+/// and drops the run's buffers; the pool stays usable, which is what the
+/// query engine needs to retry on it.
 pub fn try_run_on_pool<'g>(
     algo: Algorithm,
     graph: &'g CsrGraph,
@@ -120,7 +120,7 @@ pub fn try_run_on_pool<'g>(
     debug_assert!(parents.as_ref().is_none_or(|p| p[src as usize] == src));
     // An aborted run may have partially consumed its last level L,
     // labeling some vertices L+1 == stats.levels before quiescing.
-    let max_label = stats.levels + u32::from(stats.partial);
+    let max_label = stats.levels + u32::from(!stats.outcome.is_complete());
     debug_assert!(
         levels.iter().all(|&l| l == UNVISITED || l < max_label),
         "level exceeds executed level count"
@@ -385,7 +385,6 @@ fn drive_shared(
     let per_thread = workers.iter().map(|w| w.stats).collect();
     let mut stats = RunStats::from_threads(per_thread, levels.len() as u32, traversal_time);
     debug_assert_eq!(log.prev_totals, stats.totals, "level deltas must sum to the run totals");
-    stats.partial = abort_cause.is_some();
     stats.degraded_levels = levels.iter().filter(|l| l.degraded).count() as u32;
     stats.compacted_levels = levels.iter().filter(|l| l.compacted).count() as u32;
     stats.outcome = match abort_cause {
@@ -579,7 +578,6 @@ mod tests {
             };
             let r = run_bfs(algo, &g, 0, &opts);
             assert_eq!(r.stats.outcome, Outcome::Cancelled, "{algo}");
-            assert!(r.stats.partial, "{algo}");
             // The leader publishes the abort at the first level-end
             // barrier: exactly one level runs.
             assert_eq!(r.stats.levels, 1, "{algo}: quiesce within one level");
@@ -604,7 +602,6 @@ mod tests {
         };
         let r = run_bfs(Algorithm::Bfscl, &g, 0, &opts);
         assert_eq!(r.stats.outcome, Outcome::DeadlineExceeded);
-        assert!(r.stats.partial);
         assert_eq!(r.stats.levels, 1);
         crate::validate::check_partial(&g, 0, &r, &serial.levels).unwrap();
     }
@@ -617,7 +614,6 @@ mod tests {
         let opts = BfsOptions { threads: 4, clock, cancel: Some(tok), ..Default::default() };
         let r = run_bfs(Algorithm::Bfswsl, &g, 0, &opts);
         assert_eq!(r.stats.outcome, Outcome::Complete);
-        assert!(!r.stats.partial);
         assert_eq!(r.levels, crate::serial::serial_bfs(&g, 0).levels);
     }
 
@@ -646,7 +642,7 @@ mod tests {
         let r = run_bfs(Algorithm::Bfscl, &g, 0, &strict);
         assert_eq!(r.stats.degraded_levels, r.stats.levels, "every level degrades");
         assert_eq!(r.stats.outcome, Outcome::Degraded);
-        assert!(!r.stats.partial, "degraded is a full traversal");
+        assert!(r.stats.outcome.is_complete(), "degraded is a full traversal");
         assert_eq!(r.levels, crate::serial::serial_bfs(&g, 0).levels);
     }
 

@@ -24,8 +24,9 @@
 //! committed variants. The **weakened** variant deletes the
 //! `r' <= rear[q']` check: the model flags the moment a torn snapshot is
 //! *accepted* — the invariant "every invalid segment is rejected by a
-//! sanity check". (The model's `steal_min` is 1, so the too-small check
-//! never fires and every race window stays open.)
+//! sanity check". (The model steals a segment of any length, where the
+//! driver's `STEAL_MIN` is 4, so the too-small check never fires and
+//! every race window stays open.)
 //!
 //! Instance: queue 0 with rear 1, queue 1 with rear 3; thief gives up
 //! after [`MAX_TRIES`] failed attempts and stops after one successful

@@ -353,9 +353,6 @@ pub struct BfsOptions {
     pub threads: usize,
     /// Segment sizing for the centralized/decentralized dispatchers.
     pub segment: SegmentPolicy,
-    /// Minimum victim segment length worth stealing (steals of shorter
-    /// segments are counted as "segment too small" failures).
-    pub steal_min: usize,
     /// Degree above which a vertex is treated as a hub by the scale-free
     /// variants; `None` derives `max(64, 8 * avg_degree)` from the graph.
     pub hub_threshold: Option<usize>,
@@ -439,7 +436,6 @@ impl Default for BfsOptions {
         Self {
             threads: 4,
             segment: SegmentPolicy::default(),
-            steal_min: 4,
             hub_threshold: None,
             pools: 1,
             dedup: DedupMode::None,

@@ -272,12 +272,10 @@ pub struct RunStats {
     pub hists: Option<RunHists>,
     /// How the run ended; anything but the default
     /// [`Outcome::Complete`] needs [`crate::BfsOptions::watchdog`] or
-    /// [`crate::BfsOptions::cancel`].
+    /// [`crate::BfsOptions::cancel`]. The labeling is partial exactly
+    /// when [`Outcome::is_complete`] is false, and partial state still
+    /// satisfies [`crate::validate::check_partial`].
     pub outcome: Outcome,
-    /// Whether the labeling is partial (`outcome` is `Cancelled` or
-    /// `DeadlineExceeded`); partial state still satisfies
-    /// [`crate::validate::check_partial`].
-    pub partial: bool,
 }
 
 /// One worker's latency histograms (kept in its
@@ -362,7 +360,6 @@ impl RunStats {
             flight: None,
             hists: None,
             outcome: Outcome::default(),
-            partial: false,
         }
     }
 

@@ -128,8 +128,8 @@ pub fn check_self_consistent(
 }
 
 /// Validate a *partial* result (a cancelled or deadline-exceeded run,
-/// `stats.partial == true`) against reference levels — the partial-state
-/// contract of DESIGN.md §10:
+/// whose `stats.outcome` is not [`crate::Outcome::is_complete`]) against
+/// reference levels — the partial-state contract of DESIGN.md §10:
 ///
 /// * every labeled vertex carries its **exact** BFS distance (level-`d`
 ///   labels are only ever written while consuming level `d-1`, whose
@@ -167,6 +167,7 @@ mod tests {
     use crate::options::{Algorithm, BfsOptions};
     use crate::run_bfs;
     use crate::serial::serial_bfs;
+    use crate::Outcome;
     use obfs_graph::gen;
 
     #[test]
@@ -217,7 +218,7 @@ mod tests {
         // Simulate an abort at the end of level 3: distances 0..=3 fully
         // labeled, the partially-consumed level may have labeled 4 too.
         r.stats.levels = 4;
-        r.stats.partial = true;
+        r.stats.outcome = Outcome::Cancelled;
         r.levels[5] = UNVISITED; // beyond the completed prefix: fine
         assert!(check_partial(&g, 0, &r, &reference).is_ok());
         // A labeled vertex must carry its exact distance...

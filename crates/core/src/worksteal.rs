@@ -38,6 +38,10 @@ use obfs_graph::VertexId;
 use obfs_runtime::WorkerCtx;
 use obfs_util::Xoshiro256StarStar;
 
+/// Minimum victim segment length worth stealing: a steal of a shorter
+/// segment fails as "segment too small" (a Table VI bucket).
+const STEAL_MIN: usize = 4;
+
 /// Strategy covering all four work-stealing variants.
 pub struct WorkStealing {
     /// Use per-victim locks (BFSW/BFSWS) instead of optimistic stealing.
@@ -253,7 +257,7 @@ impl WorkStealing {
             if f >= r {
                 return Err(StealFail::Idle);
             }
-            if r - f < st.opts.steal_min {
+            if r - f < STEAL_MIN {
                 return Err(StealFail::TooSmall);
             }
             let mid = f + (r - f) / 2;
@@ -294,7 +298,7 @@ impl WorkStealing {
         if q >= st.threads || r > qin.queue(q).rear() {
             return Err(StealFail::Invalid);
         }
-        if r - f < st.opts.steal_min {
+        if r - f < STEAL_MIN {
             return Err(StealFail::TooSmall);
         }
         let mid = f + (r - f) / 2;
@@ -368,7 +372,7 @@ mod tests {
 
         fn env_with_frontier(n: usize) -> (obfs_graph::CsrGraph, BfsOptions) {
             let g = gen::path(n);
-            let o = BfsOptions { threads: 4, steal_min: 2, ..Default::default() };
+            let o = BfsOptions { threads: 4, ..Default::default() };
             (g, o)
         }
 
@@ -430,7 +434,7 @@ mod tests {
             let (g, o) = env_with_frontier(64);
             let st = RunState::new(&g, &o);
             fill_queue(&st, 2, 10);
-            st.descs[2].set(2, 8, 9); // one element < steal_min=2
+            st.descs[2].set(2, 8, 9); // one element < STEAL_MIN
             let env = LevelEnv { st: &st, parity: 0, level: 0 };
             let mut wk = Worker::new(&st.opts, 0, st.qout(0).queue(0), std::time::Instant::now());
             tally(&mut wk, strategy().try_steal_optimistic(&env, 0, 2));

@@ -9,18 +9,17 @@
 //!   baseline, which *does* rely on a dynamic task scheduler.
 //! * [`topology::Topology`] — a socket layout description driving the
 //!   NUMA-aware victim-selection policy of paper §IV-C.
-//! * [`manager::PoolManager`] — pool lifecycle management for the query
-//!   engine: rebuilds a panic-poisoned [`LevelPool`] automatically and
-//!   counts the rebuilds.
+//!
+//! Both pools survive a panic in a job. [`LevelPool::run`] returns it as
+//! a [`PoolError`] and `ForkJoinPool::scope` re-raises it on the caller;
+//! either way the next job runs on the same workers.
 
 #![warn(missing_docs)]
 
 pub mod forkjoin;
-pub mod manager;
 pub mod pool;
 pub mod topology;
 
 pub use forkjoin::{ForkJoinPool, TaskCtx};
-pub use manager::PoolManager;
 pub use pool::{LevelPool, PoolError, WorkerCtx};
 pub use topology::Topology;

@@ -13,17 +13,18 @@
 //!
 //! # Panic safety
 //!
-//! A panic in one worker used to strand its peers at the sense-reversing
-//! barrier forever. Now every worker invocation runs under
+//! A panic costs one run, not the pool, as in
+//! [`crate::forkjoin::ForkJoinPool`]. Every worker invocation runs under
 //! `catch_unwind`; the first panic poisons the pool's barrier (releasing
 //! any spinning peers, which unwind in turn and are also caught) and
 //! [`LevelPool::run`] returns [`PoolError::WorkerPanicked`] instead of
-//! deadlocking. The pool itself is poisoned afterwards — subsequent `run`
-//! calls fail fast with [`PoolError::Poisoned`] — because a half-executed
-//! level loop leaves algorithm state unrecoverable. Thread-local state a
-//! closure installs is the closure's to remove, on unwind too (the BFS
-//! driver's chaos plan comes off when its `obfs_sync::chaos::PlanGuard`
-//! drops).
+//! deadlocking. Once every worker is back, `run` re-arms the barrier
+//! ([`SpinBarrier::reset`]), so the next job runs on the same `p` threads.
+//! What the failed job left behind is the caller's: a half-executed level
+//! loop leaves its algorithm state in no known condition, so the BFS
+//! driver drops the run's buffers on error. Thread-local state a closure
+//! installs is the closure's to remove, on unwind too (the BFS driver's
+//! chaos plan comes off when its `obfs_sync::chaos::PlanGuard` drops).
 //!
 //! # Parked state
 //!
@@ -31,10 +32,10 @@
 //! [`LevelPool::take_parked`]) where a caller can leave state between
 //! runs — the BFS driver parks its n-sized run buffers there, so
 //! repeated traversals on one pool stop allocating them. The slot is
-//! touched once before and once after a run, never by the workers; a
-//! poisoned pool drops whatever is parked, and a new pool starts empty.
+//! touched once before and once after a run, never by the workers. A run
+//! in which a worker panicked empties it, so state from around a failed
+//! run never outlives it; the next `park` fills it again.
 
-use obfs_sync::barrier::POISON_MSG;
 use obfs_sync::SpinBarrier;
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -51,8 +52,6 @@ pub enum PoolError {
         /// Stringified panic payload.
         message: String,
     },
-    /// The pool was poisoned by a panic in an earlier run.
-    Poisoned,
 }
 
 impl std::fmt::Display for PoolError {
@@ -61,7 +60,6 @@ impl std::fmt::Display for PoolError {
             PoolError::WorkerPanicked { tid, message } => {
                 write!(f, "worker {tid} panicked: {message}")
             }
-            PoolError::Poisoned => write!(f, "pool poisoned by an earlier worker panic"),
         }
     }
 }
@@ -85,10 +83,8 @@ struct State {
     /// Workers still executing the current job.
     active: usize,
     shutdown: bool,
-    /// First worker panic observed (tid, stringified payload).
+    /// First worker panic of the current run (tid, stringified payload).
     panic: Option<(usize, String)>,
-    /// Set once any worker panicked; all later runs fail fast.
-    poisoned: bool,
     /// Caller state left between runs (see [`LevelPool::park`]).
     parked: Option<Box<dyn Any + Send>>,
 }
@@ -154,7 +150,6 @@ impl LevelPool {
                 active: 0,
                 shutdown: false,
                 panic: None,
-                poisoned: false,
                 parked: None,
             }),
             work_ready: Condvar::new(),
@@ -179,19 +174,14 @@ impl LevelPool {
         self.shared.threads
     }
 
-    /// Whether an earlier run's worker panic has poisoned this pool.
-    pub fn is_poisoned(&self) -> bool {
-        self.shared.lock_state().poisoned
-    }
-
     /// Run `f` once on every worker (as `f(ctx)` with distinct
     /// `ctx.tid()`), blocking until all invocations return.
     ///
     /// If any worker closure panics, the pool's barrier is poisoned so
     /// peers cannot be stranded, every worker unwinds and is caught, and
     /// this returns [`PoolError::WorkerPanicked`] carrying the first
-    /// panic's payload. The pool is unusable afterwards (subsequent calls
-    /// return [`PoolError::Poisoned`]).
+    /// panic's payload. The parked slot is emptied and the barrier
+    /// re-armed, so the next call runs on the same workers.
     pub fn run<F>(&self, f: F) -> Result<(), PoolError>
     where
         F: Fn(WorkerCtx<'_>) + Sync,
@@ -207,9 +197,6 @@ impl LevelPool {
             >(local)
         });
         let mut st = self.shared.lock_state();
-        if st.poisoned {
-            return Err(PoolError::Poisoned);
-        }
         debug_assert!(st.active == 0 && st.job.is_none(), "run() is not reentrant");
         st.job = Some(job);
         st.generation += 1;
@@ -222,6 +209,9 @@ impl LevelPool {
         match st.panic.take() {
             Some((tid, message)) => {
                 st.parked = None;
+                // No worker is inside the barrier (`active` is 0), so the
+                // poisoned round can be re-armed for the next run.
+                self.shared.barrier.reset();
                 Err(PoolError::WorkerPanicked { tid, message })
             }
             None => Ok(()),
@@ -230,11 +220,9 @@ impl LevelPool {
 
     /// Leave `value` in the pool's one slot until the next
     /// [`LevelPool::take_parked`], replacing whatever was parked before.
-    /// A poisoned pool drops `value` instead: state from around a failed
-    /// run must not outlive it.
     pub fn park<T: Any + Send>(&self, value: T) {
         let mut st = self.shared.lock_state();
-        let old = if st.poisoned { None } else { st.parked.replace(Box::new(value)) };
+        let old = st.parked.replace(Box::new(value));
         drop(st);
         // Free the replaced value outside the state lock.
         drop(old);
@@ -297,15 +285,15 @@ fn worker_loop(tid: usize, shared: &Shared) {
             let message = payload_msg(payload.as_ref());
             {
                 let mut st = shared.lock_state();
-                st.poisoned = true;
-                // Record only the originating panic, not the cascade of
-                // poisoned-barrier panics it induces in peers.
-                if st.panic.is_none() && message != POISON_MSG {
+                // Keep the first panic. It is the originating one: a
+                // worker records before it poisons the barrier, and the
+                // cascade it induces in peers comes after.
+                if st.panic.is_none() {
                     st.panic = Some((tid, message));
                 }
             }
             // Release peers spinning at the barrier; they unwind with
-            // POISON_MSG and land in this same handler.
+            // `POISON_MSG` and land in this same handler.
             shared.barrier.poison();
         }
         let mut st = shared.lock_state();
@@ -320,6 +308,7 @@ fn worker_loop(tid: usize, shared: &Shared) {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::thread::ThreadId;
 
     #[test]
     fn every_worker_runs_once_with_distinct_tid() {
@@ -417,33 +406,88 @@ mod tests {
         assert_eq!(counter.load(Ordering::Relaxed), 32 * 33 / 2);
     }
 
-    /// Regression test for the former deadlock: a panic in one worker
-    /// while the rest spin at the barrier must surface as an error, not
-    /// strand the pool (`cargo test` would time out if it hung).
-    #[test]
-    fn panicking_worker_returns_error_instead_of_hanging() {
-        let pool = LevelPool::new(4);
-        let err = pool
-            .run(|ctx| {
-                if ctx.tid() == 2 {
-                    panic!("injected worker failure");
+    /// Each worker's OS thread id, by tid.
+    fn worker_ids(pool: &LevelPool) -> Vec<ThreadId> {
+        let ids = Mutex::new(vec![None; pool.threads()]);
+        pool.run(|ctx| ids.lock().unwrap()[ctx.tid()] = Some(std::thread::current().id())).unwrap();
+        ids.into_inner().unwrap().into_iter().map(|id| id.expect("every worker ran")).collect()
+    }
+
+    /// Run `job`, which must panic, on a fresh pool of `p` workers, and
+    /// return the error. Then the same pool, on the same OS threads,
+    /// must run 50 barrier rounds, each with one leader and with every
+    /// worker's pre-barrier write visible to all of them after it.
+    fn panic_then_recover<F>(p: usize, job: F) -> PoolError
+    where
+        F: Fn(WorkerCtx<'_>) + Sync,
+    {
+        const ROUNDS: usize = 50;
+        let pool = LevelPool::new(p);
+        let before = worker_ids(&pool);
+        let err = pool.run(job).expect_err("a worker panic must surface as PoolError");
+        let board: Vec<AtomicUsize> = (0..ROUNDS).map(|_| AtomicUsize::new(0)).collect();
+        let leaders = AtomicUsize::new(0);
+        pool.run(|ctx| {
+            for (r, slot) in board.iter().enumerate() {
+                slot.fetch_add(1, Ordering::Relaxed);
+                if ctx.barrier().wait() {
+                    leaders.fetch_add(1, Ordering::Relaxed);
                 }
-                // Peers head to the barrier and would spin forever
-                // without poisoning.
-                ctx.barrier().wait();
-            })
-            .expect_err("a worker panic must surface as PoolError");
-        match err {
-            PoolError::WorkerPanicked { tid, message } => {
-                assert_eq!(tid, 2);
-                assert!(message.contains("injected worker failure"), "got: {message:?}");
+                assert_eq!(slot.load(Ordering::Relaxed), p, "round {r} desynchronized");
             }
-            other => panic!("unexpected error: {other:?}"),
-        }
-        assert!(pool.is_poisoned());
-        // The pool is dead but must fail fast, not hang or panic.
-        assert_eq!(pool.run(|_| {}), Err(PoolError::Poisoned));
-        drop(pool); // and Drop must still join cleanly
+        })
+        .expect("the pool runs the next job after a panic");
+        assert_eq!(leaders.load(Ordering::Relaxed), ROUNDS, "one leader per round");
+        assert_eq!(worker_ids(&pool), before, "the same threads run the next job");
+        err
+    }
+
+    /// A panic in one worker while its peers spin at the barrier must
+    /// surface as an error, not strand them (`cargo test` would time
+    /// out if it hung).
+    #[test]
+    fn panic_while_peers_spin_at_the_barrier_recovers() {
+        let PoolError::WorkerPanicked { tid, message } = panic_then_recover(4, |ctx| {
+            if ctx.tid() == 2 {
+                panic!("injected worker failure");
+            }
+            ctx.barrier().wait();
+        });
+        assert_eq!(tid, 2);
+        assert!(message.contains("injected worker failure"), "got: {message:?}");
+    }
+
+    /// Every party has arrived and the leader's serial section panics
+    /// before it releases the round.
+    #[test]
+    fn panic_in_the_leaders_serial_section_recovers() {
+        let PoolError::WorkerPanicked { message, .. } = panic_then_recover(4, |ctx| {
+            ctx.barrier().wait_then(|| panic!("leader failure"));
+        });
+        assert!(message.contains("leader failure"), "got: {message:?}");
+    }
+
+    /// Panics on every worker at once (no barrier involved) drain
+    /// cleanly and report one of them.
+    #[test]
+    fn panic_on_every_worker_recovers() {
+        let PoolError::WorkerPanicked { message, .. } = panic_then_recover(8, |_| panic!("boom"));
+        assert!(message.contains("boom"), "got: {message:?}");
+    }
+
+    /// A panic after completed barrier rounds.
+    #[test]
+    fn panic_after_two_barrier_rounds_recovers() {
+        let PoolError::WorkerPanicked { tid, message } = panic_then_recover(4, |ctx| {
+            ctx.barrier().wait();
+            ctx.barrier().wait();
+            if ctx.tid() == 0 {
+                panic!("late failure");
+            }
+            ctx.barrier().wait();
+        });
+        assert_eq!(tid, 0);
+        assert!(message.contains("late failure"), "got: {message:?}");
     }
 
     #[test]
@@ -461,47 +505,13 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_pool_drops_parked_state() {
+    fn failed_run_empties_the_parked_slot() {
         let pool = LevelPool::new(2);
         pool.park(7u64);
         let _ = pool.run(|_| panic!("boom"));
         assert_eq!(pool.take_parked::<u64>(), None, "a failed run drops the slot");
         pool.park(8u64);
-        assert_eq!(pool.take_parked::<u64>(), None, "a poisoned pool parks nothing");
-    }
-
-    /// Panics on every worker at once (no barrier involved) must also
-    /// drain cleanly and report one originating panic.
-    #[test]
-    fn all_workers_panicking_reports_first() {
-        let pool = LevelPool::new(8);
-        let err = pool.run(|_| panic!("boom")).expect_err("must fail");
-        match err {
-            PoolError::WorkerPanicked { message, .. } => assert!(message.contains("boom")),
-            other => panic!("unexpected error: {other:?}"),
-        }
-    }
-
-    /// A panic *after* barrier rounds completes past waits already done.
-    #[test]
-    fn panic_after_barrier_rounds_still_reports() {
-        let pool = LevelPool::new(4);
-        let err = pool
-            .run(|ctx| {
-                ctx.barrier().wait();
-                ctx.barrier().wait();
-                if ctx.tid() == 0 {
-                    panic!("late failure");
-                }
-                ctx.barrier().wait();
-            })
-            .expect_err("must fail");
-        match err {
-            PoolError::WorkerPanicked { tid, message } => {
-                assert_eq!(tid, 0);
-                assert!(message.contains("late failure"));
-            }
-            other => panic!("unexpected error: {other:?}"),
-        }
+        pool.run(|_| {}).unwrap();
+        assert_eq!(pool.take_parked::<u64>(), Some(8), "park works after a failed run");
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The paper's algorithms run one traversal and exit; a service-shaped
 //! deployment needs queries that can be **cancelled**, **deadlined**,
-//! **shed** under overload, and **retried** when a worker panic poisons
-//! the pool. This crate is that layer — admission control and scheduling
+//! **shed** under overload, and **retried** when a worker panic fails
+//! their run. This crate is that layer — admission control and scheduling
 //! only, no sockets (a future wire protocol plugs into [`Engine`]).
 //!
 //! Architecture (DESIGN.md §10):
@@ -13,11 +13,11 @@
 //!   ([`SubmitError::Overloaded`]) — load is shed at the door, never
 //!   queued unboundedly. A source outside the graph is refused there too
 //!   ([`SubmitError::SourceOutOfRange`]), before it takes a query id.
-//! * One **scheduler thread** owns a [`obfs_runtime::PoolManager`] and
+//! * One **scheduler thread** owns a [`obfs_runtime::LevelPool`] and
 //!   drains the queue earliest-deadline-first. Pool ownership never
-//!   crosses threads, so the scheduler needs no locking around the pool
-//!   and a panic-poisoned pool is rebuilt transparently (counted in
-//!   [`EngineStats::pool_rebuilds`]).
+//!   crosses threads, so the scheduler needs no locking around the pool.
+//!   A worker panic fails one run; the pool runs the next one on the
+//!   same threads.
 //! * Every query, solo or coalesced, is **direction-optimizing**: it runs
 //!   with the default [`obfs_core::HybridPolicy`], so dense levels go
 //!   bottom-up over the engine's in-edge graph. [`Engine::new`] builds
@@ -30,9 +30,11 @@
 //!   workers at dispatch granularity and by the scheduler at pop time
 //!   (an expired or cancelled query that never started is resolved
 //!   without running at all).
-//! * Queries that lose their slot to a pool rebuild (and optionally to a
-//!   degraded level) are retried with seeded-jitter exponential backoff,
-//!   bounded by [`EngineConfig::max_retries`] and the query's deadline.
+//! * A run that fails with a worker panic is re-run at once, up to
+//!   [`EngineConfig::max_retries`] times. A solo query's token is checked
+//!   before each re-run, as at pop time, so a cancelled or expired query
+//!   is not re-run. A degraded run is an answer, not a failure: it is
+//!   never retried.
 //! * Every engine carries an always-on [`EngineTelemetry`]: an
 //!   `obfs-telemetry` [`MetricsRegistry`] of lifetime counters, live
 //!   gauges, and windowed latency histograms, plus a bounded per-query
@@ -46,11 +48,10 @@
 
 use obfs_core::{Algorithm, BfsOptions, BfsResult, HybridPolicy, Outcome};
 use obfs_graph::{CsrGraph, VertexId};
-use obfs_runtime::PoolManager;
+use obfs_runtime::LevelPool;
 use obfs_sync::{CancelToken, ChaosConfig, Clock};
 use obfs_telemetry::span::stage;
 use obfs_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, RunTelemetry, SpanDump, SpanLog};
-use obfs_util::Xoshiro256StarStar;
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -59,19 +60,16 @@ use std::time::Duration;
 /// Engine-wide configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads per traversal (the managed pool's width).
+    /// Worker threads per traversal (the pool's width).
     pub threads: usize,
     /// Maximum in-flight queries (queued + running); submits beyond this
     /// are shed with [`SubmitError::Overloaded`].
     pub capacity: usize,
     /// Deadline applied to queries that do not carry their own.
     pub default_deadline: Option<Duration>,
-    /// Retry budget for queries that hit a pool failure (worker panic).
+    /// Retry budget for queries that hit a pool failure (worker panic);
+    /// a failed run is re-run at once.
     pub max_retries: u32,
-    /// Base of the exponential retry backoff: the `k`-th retry of a solo
-    /// or coalesced run waits `backoff_base * 2^(k-1)` plus up to 50%
-    /// seeded jitter.
-    pub backoff_base: Duration,
     /// Maximum queries coalesced into one batched traversal (clamped to
     /// [`obfs_core::MAX_BATCH`]; 1 disables coalescing). When the EDF
     /// pop yields a deadline-free, chaos-free query, every compatible
@@ -79,8 +77,6 @@ pub struct EngineConfig {
     /// deadline- and chaos-free) joins it in a single batched run — one
     /// traversal answers the whole set (see `obfs_core::batch`).
     pub max_batch: usize,
-    /// Seed for the backoff jitter (deterministic across reruns).
-    pub seed: u64,
     /// Time source for deadlines and latency accounting; inject
     /// [`Clock::manual`] to make deadline tests fully deterministic.
     pub clock: Clock,
@@ -97,9 +93,7 @@ impl Default for EngineConfig {
             capacity: 16,
             default_deadline: None,
             max_retries: 2,
-            backoff_base: Duration::from_millis(1),
             max_batch: obfs_core::MAX_BATCH,
-            seed: 0x0E46,
             clock: Clock::default(),
         }
     }
@@ -192,7 +186,8 @@ pub struct QueryResponse {
     /// same source holds a clone of one `Arc`, whose stats are the
     /// batched run's. A solo query's answer is its own.
     pub result: Option<Arc<BfsResult>>,
-    /// Times the query was re-run (pool failure / degraded retry).
+    /// Failed runs (worker panics) within the retry budget. Each is
+    /// re-run at once, unless the query's token fired first.
     pub retries: u32,
     /// Queue wait before the first run attempt, in clock ticks.
     pub wait_ns: u64,
@@ -255,11 +250,8 @@ pub struct EngineStats {
     pub degraded: u64,
     /// Queries that ended [`QueryStatus::Failed`].
     pub failed: u64,
-    /// Total re-run attempts across all queries.
+    /// [`QueryResponse::retries`] summed over all queries.
     pub retries: u64,
-    /// Panic-poisoned pools replaced by the scheduler's
-    /// [`PoolManager`].
-    pub pool_rebuilds: u64,
     /// Batched traversals executed (each answered ≥ 2 queries).
     pub batched_runs: u64,
     /// Queries answered by batched traversals (sum of batch sizes over
@@ -291,7 +283,6 @@ pub struct EngineTelemetry {
     degraded: Counter,
     failed: Counter,
     retries: Counter,
-    pool_rebuilds: Counter,
     batched_runs: Counter,
     queries_coalesced: Counter,
     queue_depth: Gauge,
@@ -328,10 +319,6 @@ impl EngineTelemetry {
             degraded: c("obfs_engine_queries_degraded_total", "Queries that ended Degraded."),
             failed: c("obfs_engine_queries_failed_total", "Queries that ended Failed."),
             retries: c("obfs_engine_retries_total", "Re-run attempts across all queries."),
-            pool_rebuilds: c(
-                "obfs_engine_pool_rebuilds_total",
-                "Panic-poisoned pools replaced by the scheduler.",
-            ),
             batched_runs: c("obfs_engine_batched_runs_total", "Batched traversals executed."),
             queries_coalesced: c(
                 "obfs_engine_queries_coalesced_total",
@@ -370,7 +357,6 @@ impl EngineTelemetry {
             degraded: self.degraded.value(),
             failed: self.failed.value(),
             retries: self.retries.value(),
-            pool_rebuilds: self.pool_rebuilds.value(),
             batched_runs: self.batched_runs.value(),
             queries_coalesced: self.queries_coalesced.value(),
         }
@@ -609,19 +595,15 @@ fn pop_status(cause: obfs_sync::CancelCause) -> QueryStatus {
 }
 
 /// The scheduler thread's state: the engine's shared queue, graphs,
-/// configuration and telemetry, plus the worker pool, the backoff jitter
-/// stream and the rebuild count already folded into the telemetry.
-/// Owned by [`scheduler_loop`]; pool ownership never leaves it.
+/// configuration and telemetry, plus the worker pool. Owned by
+/// [`scheduler_loop`]; pool ownership never leaves it.
 struct Scheduler<'a> {
     shared: &'a Shared,
     graph: &'a CsrGraph,
     in_edges: &'a CsrGraph,
     cfg: &'a EngineConfig,
     tele: &'a EngineTelemetry,
-    pm: PoolManager,
-    rng: Xoshiro256StarStar,
-    /// Pool rebuilds already added to the telemetry counter.
-    seen_rebuilds: u64,
+    pool: LevelPool,
 }
 
 fn scheduler_loop(
@@ -631,16 +613,7 @@ fn scheduler_loop(
     cfg: &EngineConfig,
     tele: &EngineTelemetry,
 ) {
-    let mut sched = Scheduler {
-        shared,
-        graph,
-        in_edges,
-        cfg,
-        tele,
-        pm: PoolManager::new(cfg.threads),
-        rng: Xoshiro256StarStar::new(cfg.seed),
-        seen_rebuilds: 0,
-    };
+    let sched = Scheduler { shared, graph, in_edges, cfg, tele, pool: LevelPool::new(cfg.threads) };
     let max_batch = cfg.max_batch.clamp(1, obfs_core::MAX_BATCH);
     loop {
         let job = {
@@ -689,7 +662,6 @@ fn scheduler_loop(
             tele.running.set(1);
             let (status, result, retries) = sched.run_with_retry(&job);
             tele.running.set(0);
-            sched.sync_rebuilds();
             sched.respond(job, status, result.map(Arc::new), retries, wait_ns);
         } else {
             sched.run_batch_coalesced(job, live, wait_ns);
@@ -755,25 +727,15 @@ impl Scheduler<'_> {
         let _ = job.tx.send(response);
     }
 
-    /// Fold any pool rebuilds since the last sync into the registry
-    /// counter. Called BEFORE the affected responses go out so a waiter
-    /// reading `stats()` after `wait()` sees the rebuilds its query
-    /// caused.
-    fn sync_rebuilds(&mut self) {
-        let now = self.pm.rebuilds();
-        self.tele.pool_rebuilds.add(now.saturating_sub(self.seen_rebuilds));
-        self.seen_rebuilds = now;
-    }
-
     /// Run the leader plus its adopted members as one batched traversal
     /// and fan the answers back out: one `Arc` per distinct source,
     /// cloned into every query on it. A coalesced run carries no cancel
     /// token: its members are deadline-free by construction, and a cancel
     /// that arrives after the pop is not honored — the batch runs to the
     /// end and every member gets the batch's outcome. A pool failure
-    /// retries the whole batch after the same backoff as a solo query
-    /// ([`backoff_delay`]).
-    fn run_batch_coalesced(&mut self, leader: Job, members: Vec<(Job, u64)>, leader_wait_ns: u64) {
+    /// re-runs the whole batch at once, within the same retry budget as a
+    /// solo query.
+    fn run_batch_coalesced(&self, leader: Job, members: Vec<(Job, u64)>, leader_wait_ns: u64) {
         let (cfg, tele) = (self.cfg, self.tele);
         let opts = run_opts(cfg, tele, leader.query.record_parents);
         // Duplicate sources share one kernel column: hot-key workloads
@@ -804,20 +766,18 @@ impl Scheduler<'_> {
                 self.graph,
                 &distinct,
                 &opts,
-                self.pm.pool(),
+                &self.pool,
                 Some(self.in_edges),
             ) {
                 Ok(b) => break Ok(b),
                 Err(_) if attempt < cfg.max_retries => {
                     attempt += 1;
                     tele.spans.record(leader.id, stage::RETRY, u64::from(attempt));
-                    std::thread::sleep(backoff_delay(cfg, &mut self.rng, attempt));
                 }
                 Err(e) => break Err(e),
             }
         };
         tele.running.set(0);
-        self.sync_rebuilds();
         tele.batched_runs.inc();
         tele.queries_coalesced.add(k as u64);
         tele.batch_occupancy.record(k as u64);
@@ -843,10 +803,12 @@ impl Scheduler<'_> {
         }
     }
 
-    /// Run one admitted query, retrying pool failures with seeded-jitter
-    /// exponential backoff. Returns the terminal status, the result if
-    /// any, and the retry count.
-    fn run_with_retry(&mut self, job: &Job) -> (QueryStatus, Option<BfsResult>, u32) {
+    /// Run one admitted query, re-running it at once after a pool
+    /// failure. Before each re-run the query's token is checked, as at
+    /// pop time: a fired token resolves the query without a result.
+    /// Returns the terminal status, the result if any, and the retry
+    /// count.
+    fn run_with_retry(&self, job: &Job) -> (QueryStatus, Option<BfsResult>, u32) {
         let cfg = self.cfg;
         let opts = BfsOptions {
             chaos: job.query.chaos,
@@ -860,7 +822,7 @@ impl Scheduler<'_> {
                 self.graph,
                 job.query.src,
                 &opts,
-                self.pm.pool(),
+                &self.pool,
                 Some(self.in_edges),
             );
             match run {
@@ -876,46 +838,16 @@ impl Scheduler<'_> {
                 Err(_) if attempt < cfg.max_retries => {
                     attempt += 1;
                     self.tele.spans.record(job.id, stage::RETRY, u64::from(attempt));
-                    if let Some(s) = backoff(job, cfg, &mut self.rng, attempt) {
-                        return s;
+                    // As at pop time: a cancelled or expired query is not
+                    // re-run, and the failed attempt left no result.
+                    if let Some(cause) = job.token.check() {
+                        return (pop_status(cause), None, attempt);
                     }
                 }
                 Err(e) => return (QueryStatus::Failed(e.to_string()), None, attempt),
             }
         }
     }
-}
-
-/// The wait before retry `attempt` (counting from 1):
-/// `backoff_base * 2^(attempt-1)` plus up to 50% seeded jitter. Solo and
-/// coalesced retries both draw it from the engine's one jitter stream.
-fn backoff_delay(cfg: &EngineConfig, rng: &mut Xoshiro256StarStar, attempt: u32) -> Duration {
-    let base = cfg.backoff_base.saturating_mul(1 << (attempt - 1).min(16));
-    base + base.mul_f64(rng.next_f64() * 0.5)
-}
-
-/// Sleep [`backoff_delay`] in small chunks so a cancel/deadline
-/// interrupts the wait. Returns the terminal status if the token fired
-/// during the wait.
-fn backoff(
-    job: &Job,
-    cfg: &EngineConfig,
-    rng: &mut Xoshiro256StarStar,
-    attempt: u32,
-) -> Option<(QueryStatus, Option<BfsResult>, u32)> {
-    let mut left = backoff_delay(cfg, rng, attempt);
-    let chunk = Duration::from_micros(200);
-    while !left.is_zero() {
-        if let Some(cause) = job.token.check() {
-            // The last completed attempt's state was consumed by the
-            // retry decision; respond without a result.
-            return Some((pop_status(cause), None, attempt));
-        }
-        let step = chunk.min(left);
-        std::thread::sleep(step);
-        left -= step;
-    }
-    None
 }
 
 #[cfg(test)]
@@ -939,22 +871,6 @@ mod tests {
         assert_eq!(*t, directed.transpose());
     }
 
-    /// Retry `k` waits `base * 2^(k-1)` plus up to 50% jitter, and one
-    /// seed gives one sequence of waits.
-    #[test]
-    fn backoff_delay_doubles_with_bounded_seeded_jitter() {
-        let cfg = EngineConfig { backoff_base: Duration::from_millis(2), ..Default::default() };
-        let waits = |seed| {
-            let mut rng = Xoshiro256StarStar::new(seed);
-            (1..=4).map(|k| backoff_delay(&cfg, &mut rng, k)).collect::<Vec<_>>()
-        };
-        for (k, w) in (1..=4u32).zip(waits(7)) {
-            let base = Duration::from_millis(2 << (k - 1));
-            assert!(w >= base && w <= base.mul_f64(1.5), "retry {k}: {w:?}");
-        }
-        assert_eq!(waits(7), waits(7));
-    }
-
     #[test]
     fn query_runs_to_completion() {
         let e = engine(EngineConfig { threads: 2, ..Default::default() });
@@ -962,7 +878,7 @@ mod tests {
         let resp = h.wait();
         assert_eq!(resp.status, QueryStatus::Complete);
         let r = resp.result.expect("complete query carries a result");
-        assert!(!r.stats.partial);
+        assert_eq!(r.stats.outcome, Outcome::Complete);
         assert!(r.reached() > 1);
         let st = e.stats();
         assert_eq!((st.submitted, st.completed, st.shed), (1, 1, 0));
@@ -979,7 +895,6 @@ mod tests {
             assert_eq!(*reached.get_or_insert(got), got, "{algo}: reach must agree");
         }
         assert_eq!(e.stats().completed, 4);
-        assert_eq!(e.stats().pool_rebuilds, 0);
     }
 
     #[test]
@@ -1092,7 +1007,7 @@ mod tests {
                 let resp = h.wait();
                 assert_eq!(resp.status, QueryStatus::Complete, "query {i}");
                 let r = resp.result.expect("complete query carries a result");
-                assert!(!r.stats.partial, "query {i}");
+                assert_eq!(r.stats.outcome, Outcome::Complete, "query {i}");
                 if i == 0 {
                     assert_eq!(r.reached(), serial0, "query 0 reach differs from serial");
                 }
@@ -1110,65 +1025,73 @@ mod tests {
         panic!("48-query bursts never coalesced in 5 rounds");
     }
 
+    /// A scheduler over `g` outside any engine, with `in_flight` queries
+    /// booked, so a test can call its run paths directly.
+    fn with_scheduler(
+        g: &CsrGraph,
+        cfg: &EngineConfig,
+        in_flight: usize,
+        f: impl FnOnce(&Scheduler<'_>),
+    ) {
+        let in_edges = g.transpose();
+        let tele = EngineTelemetry::new(&cfg.clock);
+        let shared = Shared {
+            state: Mutex::new(EngineState {
+                queue: VecDeque::new(),
+                in_flight,
+                shutdown: false,
+                next_id: in_flight as u64,
+            }),
+            work: Condvar::new(),
+        };
+        let pool = LevelPool::new(cfg.threads);
+        f(&Scheduler { shared: &shared, graph: g, in_edges: &in_edges, cfg, tele: &tele, pool });
+    }
+
     /// One coalesced run shares answers: queries on the same source get
     /// clones of one `Arc`, queries on distinct sources distinct ones,
     /// and each is the exact BFS from its source.
     #[test]
     fn coalesced_queries_on_one_source_share_one_answer() {
         let g = gen::erdos_renyi(500, 3000, 5);
-        let in_edges = g.transpose();
         let cfg = EngineConfig { threads: 2, ..Default::default() };
-        let tele = EngineTelemetry::new(&cfg.clock);
         let sources = [7u32, 3, 7, 7, 9];
-        let shared = Shared {
-            state: Mutex::new(EngineState {
-                queue: VecDeque::new(),
-                in_flight: sources.len(),
-                shutdown: false,
-                next_id: sources.len() as u64,
-            }),
-            work: Condvar::new(),
-        };
-        let mut sched = Scheduler {
-            shared: &shared,
-            graph: &g,
-            in_edges: &in_edges,
-            cfg: &cfg,
-            tele: &tele,
-            pm: PoolManager::new(cfg.threads),
-            rng: Xoshiro256StarStar::new(cfg.seed),
-            seen_rebuilds: 0,
-        };
-        let (jobs, replies): (Vec<_>, Vec<_>) = sources
-            .iter()
-            .zip(0..)
-            .map(|(&src, id)| {
-                let (tx, rx) = mpsc::channel();
-                let token = CancelToken::new(&cfg.clock);
-                let query = Query::new(Algorithm::Bfscl, src);
-                (Job { id, query, token, deadline_abs: None, tx, submitted_ns: 0 }, rx)
-            })
-            .unzip();
-        let mut jobs = jobs.into_iter();
-        let leader = jobs.next().expect("five jobs");
-        sched.run_batch_coalesced(leader, jobs.map(|j| (j, 0)).collect(), 0);
-        let answers: Vec<Arc<BfsResult>> = replies
-            .iter()
-            .map(|rx| {
-                let resp = rx.recv().expect("every query gets a response");
-                assert_eq!(resp.status, QueryStatus::Complete);
-                resp.result.expect("a complete query carries a result")
-            })
-            .collect();
-        for (i, a) in answers.iter().enumerate() {
-            assert_eq!(a.levels, obfs_core::serial::serial_bfs(&g, sources[i]).levels, "query {i}");
-            for (j, b) in answers.iter().enumerate() {
-                let same = sources[i] == sources[j];
-                assert_eq!(Arc::ptr_eq(a, b), same, "queries {i} and {j}");
+        with_scheduler(&g, &cfg, sources.len(), |sched| {
+            let (jobs, replies): (Vec<_>, Vec<_>) = sources
+                .iter()
+                .zip(0..)
+                .map(|(&src, id)| {
+                    let (tx, rx) = mpsc::channel();
+                    let token = CancelToken::new(&cfg.clock);
+                    let query = Query::new(Algorithm::Bfscl, src);
+                    (Job { id, query, token, deadline_abs: None, tx, submitted_ns: 0 }, rx)
+                })
+                .unzip();
+            let mut jobs = jobs.into_iter();
+            let leader = jobs.next().expect("five jobs");
+            sched.run_batch_coalesced(leader, jobs.map(|j| (j, 0)).collect(), 0);
+            let answers: Vec<Arc<BfsResult>> = replies
+                .iter()
+                .map(|rx| {
+                    let resp = rx.recv().expect("every query gets a response");
+                    assert_eq!(resp.status, QueryStatus::Complete);
+                    resp.result.expect("a complete query carries a result")
+                })
+                .collect();
+            for (i, a) in answers.iter().enumerate() {
+                assert_eq!(
+                    a.levels,
+                    obfs_core::serial::serial_bfs(&g, sources[i]).levels,
+                    "query {i}"
+                );
+                for (j, b) in answers.iter().enumerate() {
+                    let same = sources[i] == sources[j];
+                    assert_eq!(Arc::ptr_eq(a, b), same, "queries {i} and {j}");
+                }
             }
-        }
-        let st = tele.stats();
-        assert_eq!((st.completed, st.batched_runs, st.queries_coalesced), (5, 1, 5));
+            let st = sched.tele.stats();
+            assert_eq!((st.completed, st.batched_runs, st.queries_coalesced), (5, 1, 5));
+        });
     }
 
     /// Deadlined and chaos-carrying queries never join a batch: the
@@ -1197,27 +1120,62 @@ mod tests {
         assert!(coalescible(&mk(6, None, None)));
     }
 
-    /// Worker panic mid-query: the query retries on a rebuilt pool and
-    /// succeeds; `pool_rebuilds` surfaces the replacement. (The panic
-    /// plan only fires with the `chaos` feature, so gate the test.)
+    /// Worker panic mid-query: every attempt panics, the query exhausts
+    /// its retries and fails, and the same pool then answers a clean
+    /// query. (The panic plan only fires with the `chaos` feature, so
+    /// gate the test.)
     #[cfg(feature = "chaos")]
     #[test]
-    fn worker_panic_retries_on_rebuilt_pool() {
+    fn worker_panic_retries_then_the_pool_serves_on() {
         let e = engine(EngineConfig { threads: 3, max_retries: 2, ..Default::default() });
         let mut q = Query::new(Algorithm::Bfscl, 0);
         q.chaos = Some(ChaosConfig::panic_at(11, 40));
         let resp = e.submit(q).unwrap().wait();
         // The chaos plan is reinstalled on every attempt, so every
-        // retry panics again: the query exhausts its budget and fails —
-        // but each attempt consumed (and rebuilt) one pool.
+        // retry panics again: the query exhausts its budget and fails.
         assert!(matches!(resp.status, QueryStatus::Failed(ref m) if m.contains("panic")));
         assert_eq!(resp.retries, 2);
         let st = e.stats();
         assert_eq!(st.failed, 1);
         assert_eq!(st.retries, 2);
-        assert!(st.pool_rebuilds >= 2, "each panicked attempt poisons a pool");
         // And the engine still serves clean queries afterwards.
         let ok = e.submit(Query::new(Algorithm::Bfscl, 0)).unwrap().wait();
         assert_eq!(ok.status, QueryStatus::Complete);
+    }
+
+    /// A solo query whose run failed is not re-run once its token has
+    /// fired: it resolves as the token says, without a result, and the
+    /// same pool then answers a clean query. (The panic plan only fires
+    /// with the `chaos` feature, so gate the test.)
+    #[cfg(feature = "chaos")]
+    #[test]
+    fn fired_token_resolves_a_failed_query_instead_of_a_retry() {
+        let g = gen::erdos_renyi(500, 3000, 5);
+        let cfg = EngineConfig { threads: 2, max_retries: 2, ..Default::default() };
+        with_scheduler(&g, &cfg, 1, |sched| {
+            let token = CancelToken::new(&cfg.clock);
+            token.cancel();
+            // Every worker panics at its first racy store, long before
+            // the level-end barrier that would honor the cancel.
+            let query = Query {
+                chaos: Some(ChaosConfig::panic_at(3, 1)),
+                ..Query::new(Algorithm::Bfscl, 0)
+            };
+            let tx = mpsc::channel().0;
+            let job = Job { id: 0, query, token, deadline_abs: None, tx, submitted_ns: 0 };
+            let (status, result, retries) = sched.run_with_retry(&job);
+            assert_eq!(status, QueryStatus::Cancelled);
+            assert!(result.is_none(), "a failed attempt leaves no result");
+            assert_eq!(retries, 1, "the failed attempt is counted; no retry ran");
+            let clean = Job {
+                query: Query::new(Algorithm::Bfscl, 0),
+                token: CancelToken::new(&cfg.clock),
+                ..job
+            };
+            let (status, result, _) = sched.run_with_retry(&clean);
+            assert_eq!(status, QueryStatus::Complete);
+            let levels = result.expect("a complete query carries a result").levels;
+            assert_eq!(levels, obfs_core::serial::serial_bfs(&g, 0).levels);
+        });
     }
 }

@@ -45,14 +45,24 @@ impl SpinBarrier {
     /// Poison the barrier: every current and future waiter panics with
     /// [`POISON_MSG`] instead of spinning forever on a participant that
     /// will never arrive. Used by the worker pool when a job panics; the
-    /// barrier is unusable afterwards.
+    /// barrier stays poisoned until [`SpinBarrier::reset`].
     pub fn poison(&self) {
         self.poisoned.store(true, Ordering::Release);
     }
 
-    /// Whether [`SpinBarrier::poison`] has been called.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
+    /// Re-arm the barrier after a poisoned round: no one has arrived and
+    /// it is no longer poisoned. `sense` is left as it is, because each
+    /// waiter derives its round from the current `sense`.
+    ///
+    /// Legal only while no thread is inside [`SpinBarrier::wait_then`]:
+    /// the worker pool calls it once every worker has returned from the
+    /// failed job. A poisoned round may have stopped anywhere (before
+    /// some parties arrived, or with all of them arrived and the leader's
+    /// serial section unwinding before it flipped `sense`), and either
+    /// way the next round starts from zero arrivals.
+    pub fn reset(&self) {
+        self.arrived.store(0, Ordering::Relaxed);
+        self.poisoned.store(false, Ordering::Release);
     }
 
     /// Wait for all parties. Returns `true` on exactly one thread per
@@ -79,7 +89,7 @@ impl SpinBarrier {
         // barrier publishes this thread's writes (no-op without the
         // `chaos` feature or an installed plan).
         crate::chaos::quiesce();
-        if self.is_poisoned() {
+        if self.poisoned.load(Ordering::Acquire) {
             panic!("{POISON_MSG}");
         }
         let my_sense = !self.sense.load(Ordering::Relaxed);
@@ -96,7 +106,7 @@ impl SpinBarrier {
         } else {
             let mut spins = 0u32;
             while self.sense.load(Ordering::Acquire) != my_sense {
-                if self.is_poisoned() {
+                if self.poisoned.load(Ordering::Acquire) {
                     panic!("{POISON_MSG}");
                 }
                 spins += 1;
@@ -126,29 +136,30 @@ mod tests {
         }
     }
 
-    #[test]
-    fn rounds_are_separated() {
-        // Each thread increments a per-round counter; after the barrier the
-        // counter must equal the party count — for many consecutive rounds.
-        const P: usize = 4;
+    /// Every party of `barrier` runs 200 rounds of two waits. Each thread
+    /// increments a per-round counter; after the barrier the counter must
+    /// equal the party count, and every wait must have exactly one leader.
+    fn rounds_are_separated_on(barrier: &Arc<SpinBarrier>) {
         const ROUNDS: usize = 200;
-        let barrier = Arc::new(SpinBarrier::new(P));
+        let p = barrier.parties();
         let counters: Arc<Vec<AtomicU64>> =
             Arc::new((0..ROUNDS).map(|_| AtomicU64::new(0)).collect());
-        let handles: Vec<_> = (0..P)
+        let leaders = Arc::new(AtomicU64::new(0));
+        let handles: Vec<_> = (0..p)
             .map(|_| {
-                let barrier = Arc::clone(&barrier);
-                let counters = Arc::clone(&counters);
+                let (barrier, counters) = (Arc::clone(barrier), Arc::clone(&counters));
+                let leaders = Arc::clone(&leaders);
                 std::thread::spawn(move || {
-                    for r in 0..ROUNDS {
-                        counters[r].fetch_add(1, Ordering::Relaxed);
-                        barrier.wait();
+                    for (r, c) in counters.iter().enumerate() {
+                        c.fetch_add(1, Ordering::Relaxed);
+                        let first = barrier.wait();
                         assert_eq!(
-                            counters[r].load(Ordering::Relaxed),
-                            P as u64,
+                            c.load(Ordering::Relaxed),
+                            p as u64,
                             "round {r} not fully synchronized"
                         );
-                        barrier.wait();
+                        let second = barrier.wait();
+                        leaders.fetch_add(u64::from(first) + u64::from(second), Ordering::Relaxed);
                     }
                 })
             })
@@ -156,31 +167,12 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+        assert_eq!(leaders.load(Ordering::Relaxed), 2 * ROUNDS as u64, "one leader per wait");
     }
 
     #[test]
-    fn exactly_one_leader_per_round() {
-        const P: usize = 4;
-        const ROUNDS: usize = 100;
-        let barrier = Arc::new(SpinBarrier::new(P));
-        let leaders = Arc::new(AtomicU64::new(0));
-        let handles: Vec<_> = (0..P)
-            .map(|_| {
-                let barrier = Arc::clone(&barrier);
-                let leaders = Arc::clone(&leaders);
-                std::thread::spawn(move || {
-                    for _ in 0..ROUNDS {
-                        if barrier.wait() {
-                            leaders.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(leaders.load(Ordering::Relaxed), ROUNDS as u64);
+    fn rounds_are_separated() {
+        rounds_are_separated_on(&Arc::new(SpinBarrier::new(4)));
     }
 
     #[test]
@@ -234,7 +226,52 @@ mod tests {
         let err = waiter.join().expect_err("waiter must panic out of a poisoned barrier");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("poisoned"), "unexpected panic payload: {msg:?}");
-        assert!(barrier.is_poisoned());
+    }
+
+    /// A reset barrier works again after either way a round can be
+    /// poisoned: with some parties still to arrive, and with every party
+    /// arrived but the leader's serial section panicking before it
+    /// released the round.
+    #[test]
+    fn reset_rearms_a_poisoned_barrier() {
+        const P: usize = 4;
+        let barrier = Arc::new(SpinBarrier::new(P));
+        // Three of four arrive; the fourth "panics" instead.
+        let waiters: Vec<_> = (0..P - 1)
+            .map(|_| {
+                let b = Arc::clone(&barrier);
+                std::thread::spawn(move || b.wait())
+            })
+            .collect();
+        while barrier.arrived.load(Ordering::Acquire) < P - 1 {
+            std::thread::yield_now();
+        }
+        barrier.poison();
+        for w in waiters {
+            assert!(w.join().is_err(), "a waiter must panic out of the poisoned round");
+        }
+        barrier.reset();
+        rounds_are_separated_on(&barrier);
+        // Every party arrives; the leader's serial section panics.
+        let arrivals: Vec<_> = (0..P)
+            .map(|_| {
+                let b = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    let leader_panic =
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            b.wait_then(|| panic!("leader failure"))
+                        }));
+                    if leader_panic.is_err() {
+                        b.poison();
+                    }
+                    leader_panic.is_err()
+                })
+            })
+            .collect();
+        let panicked = arrivals.into_iter().map(|h| h.join().unwrap()).filter(|&p| p).count();
+        assert_eq!(panicked, P, "the leader panics and its peers unwind out of the round");
+        barrier.reset();
+        rounds_are_separated_on(&barrier);
     }
 
     #[test]

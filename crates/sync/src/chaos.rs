@@ -114,7 +114,7 @@ pub struct ChaosConfig {
     pub stall_spins: u32,
     /// Panic the thread when its racy-operation counter reaches this
     /// value (`None` = never) — deterministic worker-death injection
-    /// for pool-rebuild and engine-retry tests.
+    /// for pool-recovery and engine-retry tests.
     pub panic_after: Option<u64>,
 }
 

@@ -6,10 +6,10 @@
 //! of truth shared with the CI smoke check.
 
 use obfs::prelude::*;
-use obfs_bench::harness::pick_sources;
 use obfs_bench::json::{self, Json};
 use obfs_bench::{measure_with_series, BenchArgs, BenchReport, Contender, ContenderPool, Workload};
 use obfs_core::flight::{kind, FlightEvent, FlightRecording, RingDump};
+use obfs_graph::stats::sample_sources;
 
 fn small_args() -> BenchArgs {
     BenchArgs { divisor: 4096, threads: 4, sources: 2, seed: 7, ..BenchArgs::default() }
@@ -23,7 +23,7 @@ fn small_args() -> BenchArgs {
 fn live_report_round_trips_and_conserves_counters() {
     let args = small_args();
     let g = gen::erdos_renyi(800, 6400, args.seed);
-    let sources = pick_sources(&g, args.sources, args.seed);
+    let sources = sample_sources(&g, args.sources, args.seed);
     let w = Workload::new("er", g, &sources);
     let opts = BfsOptions { threads: args.threads, ..BfsOptions::default() };
     let mut pool = ContenderPool::new(args.threads);
@@ -47,7 +47,7 @@ fn live_report_round_trips_and_conserves_counters() {
 fn serial_contender_omits_series_but_validates() {
     let args = small_args();
     let g = gen::binary_tree(511);
-    let sources = pick_sources(&g, 1, args.seed);
+    let sources = sample_sources(&g, 1, args.seed);
     let w = Workload::new("tree", g, &sources);
     let opts = BfsOptions { threads: args.threads, ..BfsOptions::default() };
     let mut pool = ContenderPool::new(args.threads);

@@ -2,9 +2,9 @@
 //! (DESIGN.md §10): cooperative cancellation that breaks injected
 //! worker stalls, deterministic deadlines on a manual clock with a
 //! consistent partial-state contract, bounded admission that sheds
-//! overload instead of queueing it, pool auto-rebuild after worker
-//! panics, and a persistent-engine soak proving sequential queries
-//! leak no thread-local state.
+//! overload instead of queueing it, the same pool answering the next
+//! query after a worker panic, and a persistent-engine soak proving
+//! sequential queries leak no thread-local state.
 //!
 //! The stall/panic tests need the `chaos` feature:
 //!
@@ -44,7 +44,6 @@ fn expired_deadline_yields_consistent_partial_state() {
         };
         let r = obfs_core::run_bfs(algo, &g, 0, &opts);
         assert_eq!(r.stats.outcome, Outcome::DeadlineExceeded, "{algo}");
-        assert!(r.stats.partial, "{algo}: aborted run must be tagged partial");
         obfs_core::validate::check_partial(&g, 0, &r, &reference.levels)
             .unwrap_or_else(|e| panic!("{algo}: partial-state contract broken: {e}"));
     }
@@ -122,7 +121,6 @@ fn cancellation_breaks_an_injected_worker_stall() {
     // quiesce at the next barrier, so the abort is leader-published and
     // the partial state is consistent.
     assert_eq!(r.stats.outcome, Outcome::Cancelled);
-    assert!(r.stats.partial);
     obfs_core::validate::check_partial(&g, 0, &r, &reference.levels).unwrap();
 }
 
@@ -155,12 +153,11 @@ fn overload_is_shed_while_a_stalled_query_holds_the_slot() {
     assert_eq!(resp.status, QueryStatus::Complete);
 }
 
-/// A worker panic mid-query poisons the pool; the scheduler's
-/// `PoolManager` must rebuild it so the *next* query succeeds, and the
-/// rebuild must be surfaced in `EngineStats::pool_rebuilds`.
+/// A worker panic fails its query's run, not the pool: the *next*
+/// query on the same engine, and so on the same pool, succeeds.
 #[cfg(feature = "chaos")]
 #[test]
-fn worker_panic_is_followed_by_a_successful_query_on_a_rebuilt_pool() {
+fn worker_panic_is_followed_by_a_successful_query_on_the_same_pool() {
     use obfs_sync::ChaosConfig;
     let e = Engine::new(
         Arc::new(test_graph(7)),
@@ -178,7 +175,6 @@ fn worker_panic_is_followed_by_a_successful_query_on_a_rebuilt_pool() {
     assert_eq!(resp.status, QueryStatus::Complete, "engine must recover after a panic");
     let st = e.stats();
     assert_eq!((st.failed, st.completed), (1, 1));
-    assert!(st.pool_rebuilds >= 1, "the poisoned pool must have been replaced");
 }
 
 /// The chaos plan, the one thread-local hook, must be provably
@@ -386,7 +382,6 @@ fn expired_deadline_batch_yields_consistent_per_query_partial_state() {
         };
         let b = obfs_core::run_batch(algo, &g, &sources, &opts);
         assert_eq!(b.stats.outcome, Outcome::DeadlineExceeded, "{algo}");
-        assert!(b.stats.partial, "{algo}: aborted batch must be tagged partial");
         for (q, qr) in b.queries.iter().enumerate() {
             let reference = serial_bfs(&g, sources[q]);
             let r = qr.as_bfs_result(&b.stats);
@@ -426,7 +421,6 @@ fn cancellation_breaks_a_stalled_batch_run() {
     let b = obfs_core::run_batch(Algorithm::Bfscl, &g, &sources, &opts);
     canceller.join().unwrap();
     assert_eq!(b.stats.outcome, Outcome::Cancelled);
-    assert!(b.stats.partial);
     for (q, qr) in b.queries.iter().enumerate() {
         let reference = serial_bfs(&g, sources[q]);
         let r = qr.as_bfs_result(&b.stats);

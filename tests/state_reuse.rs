@@ -215,31 +215,30 @@ fn runner_batch_sequence_matches_serial() {
     }
 }
 
-/// An injected worker panic poisons the pool mid-run; the run's buffers
-/// are dropped with it, the manager's rebuilt pool starts with an empty
-/// slot, and the next run — and the one after, which reuses — is exact.
+/// An injected worker panic fails one run mid-level; the run's buffers
+/// are dropped with it and the pool's slot is emptied, and the next run
+/// on the same pool — and the one after, which reuses — is exact.
 #[cfg(feature = "chaos")]
 #[test]
-fn worker_panic_then_rebuilt_pool_runs_clean() {
+fn worker_panic_then_the_same_pool_runs_clean() {
     use obfs_core::driver::try_run_on_pool;
     let g = gen::erdos_renyi(800, 6_400, 13);
-    let mut pm = obfs_runtime::PoolManager::new(THREADS);
+    let pool = obfs_runtime::LevelPool::new(THREADS);
     let opts = BfsOptions {
         hybrid: Some(HybridPolicy::default()),
         record_parents: true,
         ..shapes()[0].clone()
     };
     for algo in PARALLEL {
-        let r = try_run_on_pool(algo, &g, 1, &opts, pm.pool(), None).unwrap();
+        let r = try_run_on_pool(algo, &g, 1, &opts, &pool, None).unwrap();
         check_complete(&g, 1, &r, &format!("{algo} before panic"));
         let doomed = BfsOptions { chaos: Some(ChaosConfig::panic_at(3, 40)), ..opts.clone() };
-        assert!(try_run_on_pool(algo, &g, 2, &doomed, pm.pool(), None).is_err(), "{algo}");
+        assert!(try_run_on_pool(algo, &g, 2, &doomed, &pool, None).is_err(), "{algo}");
         for src in [3, 4] {
-            let r = try_run_on_pool(algo, &g, src, &opts, pm.pool(), None).unwrap();
-            check_complete(&g, src, &r, &format!("{algo} after rebuild, src {src}"));
+            let r = try_run_on_pool(algo, &g, src, &opts, &pool, None).unwrap();
+            check_complete(&g, src, &r, &format!("{algo} after panic, src {src}"));
         }
     }
-    assert_eq!(pm.rebuilds(), PARALLEL.len() as u64);
 }
 
 #[test]
@@ -302,7 +301,6 @@ fn engine_sequence_matches_serial() {
             let resp = e.submit(Query::new(Algorithm::Bfscl, src)).unwrap().wait();
             expect_complete(resp, src, "after panic");
         }
-        assert!(e.stats().pool_rebuilds >= 1, "the poisoned pool must have been replaced");
     }
 }
 

@@ -25,12 +25,7 @@ fn oversubscribed_threads() {
 fn maximal_contention_segments() {
     let g = gen::barabasi_albert(2000, 4, 9);
     let reference = serial_bfs(&g, 0);
-    let opts = BfsOptions {
-        threads: 8,
-        segment: SegmentPolicy::Fixed(1),
-        steal_min: 2,
-        ..BfsOptions::default()
-    };
+    let opts = BfsOptions { threads: 8, segment: SegmentPolicy::Fixed(1), ..BfsOptions::default() };
     for algo in [Algorithm::Bfscl, Algorithm::Bfsdl, Algorithm::EdgeCl] {
         for rep in 0..5 {
             let r = run_bfs(algo, &g, 0, &opts);
