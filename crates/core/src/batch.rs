@@ -19,16 +19,24 @@
 //!   popped frontier vertex are only read after the level barrier that
 //!   published them, so frontier-bit derivation never sees a torn or
 //!   in-flight row.
-//! * **Membership words** (`visited_by[v]`) are OR-updated with
-//!   `load; store(old | bits)` — no `fetch_or`. A racing OR can *lose*
-//!   bits, so the word is treated strictly as an **under-approximation**
-//!   used to skip work: every bit a worker acts on is revalidated
-//!   against the per-query level slot before claiming. A lost OR merely
-//!   means a later worker re-checks and re-claims the same (vertex,
-//!   query) with the same value. At every level barrier the invariant
+//! * **Membership words** (`visited_by[v]`) are OR-updated by top-down
+//!   levels with `load; store(old | bits)` — no `fetch_or`. A racing OR
+//!   can *lose* bits, so through top-down levels the word is treated
+//!   strictly as an **under-approximation** used to skip work: every bit
+//!   a top-down worker acts on is revalidated against the per-query level
+//!   slot before claiming. A lost OR merely means a later worker
+//!   re-checks and re-claims the same (vertex, query) with the same
+//!   value. At every level barrier the invariant
 //!   `visited_by[v] ⊆ {q : levels[v*k+q] != UNVISITED}` holds, because a
 //!   worker ORs a bit only after (in its program order) the bit's level
 //!   slot was claimed by someone, and barriers quiesce store buffers.
+//! * **Bottom-up levels** (hybrid runs) partition the vertices
+//!   statically, so each vertex's level row, membership word and
+//!   frontier words have exactly one writer. The refill before the first
+//!   bottom-up level after a top-down or degraded one re-derives every
+//!   membership word exactly from its level row, and a bottom-up level
+//!   keeps it exact: a missing bit is then an unclaimed slot, and a
+//!   bottom-up claim is a plain single-writer store with no revalidation.
 //! * **Push dedup** (`pushed_at[v]`) stores the level at which `v` was
 //!   last enqueued. A worker pushes `v` for level `l+1` only when it
 //!   reads `pushed_at[v] != l+1` — stale reads cause bounded duplicate
@@ -41,8 +49,10 @@
 //!   sweep correct without extra bookkeeping.
 //!
 //! The existing segment-fetch, work-steal, watchdog and cancellation
-//! machinery is reused unchanged: batch mode only swaps the per-vertex
-//! discovery kernel behind [`crate::state::RunState::explore_vertex`].
+//! machinery is reused unchanged. Batch mode swaps in its own kernels:
+//! the per-vertex discovery behind
+//! [`crate::state::RunState::explore_vertex`] for top-down levels, and
+//! a bottom-up kernel and refill over per-vertex words.
 
 use crate::perthread::PerThread;
 use crate::stats::RunStats;
@@ -78,7 +88,9 @@ pub struct BatchState {
     /// surviving value is a valid one-level-shallower BFS parent).
     pub parents: Option<RacyBuf>,
     /// Membership words: bit `q` set once query `q` claimed the vertex.
-    /// Racy OR-updates; strictly an under-approximation (see module docs).
+    /// Racy OR-updates make it an under-approximation through top-down
+    /// levels; the bottom-up refill re-derives it exactly from the level
+    /// row, and bottom-up levels keep it exact (see module docs).
     pub visited_by: RacyBuf64,
     /// Level at which the vertex was last pushed to an output queue
     /// (`UNVISITED` = never). The batch push-dedup word.

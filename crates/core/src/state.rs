@@ -925,20 +925,22 @@ impl<'g> RunState<'g> {
     /// Rebuild thread `tid`'s share of level `level`'s frontier bitmap
     /// (`fronts[level & 1]`) and of the visited bitmap from the `level[]`
     /// array: frontier bit `v` is set iff `level[v] == level`, visited
-    /// bit `v` iff `level[v] != UNVISITED` ([`level_words`]).
+    /// bit `v` iff `level[v] != UNVISITED` ([`level_words`]). A batched
+    /// run rebuilds, per vertex, its frontier word
+    /// (`front_by[level & 1][v]`) and its membership word
+    /// (`visited_by[v]`) from its level row in the same way, so the
+    /// membership word, an under-approximation after top-down levels,
+    /// is exact again when the bottom-up probes start.
     ///
-    /// The bitmaps are partitioned by *word*, so each worker is the only
-    /// writer of its words — no races at all. Call between the barrier
-    /// that published this level's `level[]` stores and the barrier that
-    /// starts the bottom-up probes. The driver calls it only when the
-    /// level before was not a completed bottom-up level, which wrote
-    /// both bitmaps itself.
+    /// The bitmaps are partitioned by *word* and the batch words by
+    /// vertex, so each worker is the only writer of its words — no races
+    /// at all. Call between the barrier that published this level's
+    /// `level[]` stores and the barrier that starts the bottom-up probes.
+    /// The driver calls it only when the level before was not a
+    /// completed bottom-up level, which wrote all of them itself.
     pub fn fill_bitmap_chunk(&self, level: u32, tid: usize) {
         let hyb = self.hyb.as_ref().expect("hybrid state not armed");
         if let Some(b) = &self.batch {
-            // Batch mode: rebuild per-vertex frontier *words* instead of
-            // the single-source bitmap. One whole u64 per vertex, so the
-            // vertex partition itself makes each word single-writer.
             let fb =
                 &b.front_by.as_ref().expect("hybrid batch state not armed")[level as usize & 1];
             let n = self.graph.num_vertices();
@@ -946,17 +948,22 @@ impl<'g> RunState<'g> {
             let lo = (tid * per).min(n);
             let hi = ((tid + 1) * per).min(n);
             for v in lo..hi {
-                // visited_by is an under-approximation, but at a level
-                // barrier it can only *miss* claimed bits — a vertex with
-                // any claimed slot has a nonzero word (every OR writes a
-                // nonzero value), so zero words are exactly never-claimed
-                // vertices and the k slot loads can be skipped.
-                let w = if b.visited_by.get(v) == 0 {
-                    0
-                } else {
-                    self.frontier_bits(v as VertexId, level)
-                };
-                fb.set(v, w);
+                // visited_by can only *miss* claimed bits here, and every
+                // OR stores a nonzero value, so a zero word is a vertex no
+                // query ever claimed: both its words stay 0, and the k
+                // slot loads are skipped.
+                if b.visited_by.get(v) == 0 {
+                    fb.set(v, 0);
+                    continue;
+                }
+                let (mut front, mut vis) = (0u64, 0u64);
+                for (q, slot) in b.levels.row(v * b.k, b.k).iter().enumerate() {
+                    let l = slot.load();
+                    front |= u64::from(l == level) << q;
+                    vis |= u64::from(l != UNVISITED) << q;
+                }
+                fb.set(v, front);
+                b.visited_by.set(v, vis);
             }
             return;
         }
@@ -1146,19 +1153,20 @@ impl<'g> RunState<'g> {
     }
 
     /// Batch-mode bottom-up level: for every vertex in this worker's
-    /// static chunk, probe in-edges for parents on *any* missing query's
-    /// frontier (`front_by[level & 1]`), accumulating found bits until
-    /// all missing queries are satisfied or the in-edge list is exhausted
-    /// (no early break on the first hit — different queries may need
-    /// different parents). Every vertex's next frontier word
-    /// (`front_by[(level + 1) & 1]`) becomes the query bits claimed for
-    /// it here, 0 when none.
+    /// static chunk, OR the frontier words (`front_by[level & 1]`) of its
+    /// in-neighbours until they cover every query still missing it or
+    /// the in-edge list is exhausted (no early break on the first hit —
+    /// different queries may need different parents). The found bits are
+    /// claimed with plain stores; every vertex's next frontier word
+    /// (`front_by[(level + 1) & 1]`) becomes them, 0 when none.
     ///
     /// The vertex partition makes this worker the only writer of the
     /// vertex's level row, membership word, frontier words and queue
-    /// slot, so like the single-source kernel it has no races at all;
-    /// `visited_by` reads are exact here (barrier-published, single
-    /// writer since).
+    /// slot, so like the single-source kernel it has no races at all. It
+    /// relies on the membership word being exact — the refill makes it
+    /// so after a top-down or degraded level, and a bottom-up level keeps
+    /// it so — hence a missing bit is an unclaimed slot and no claim
+    /// reads its slot back.
     fn bottom_up_level_batch(&self, level: u32, wk: &mut Worker<'_>) {
         let hyb = self.hyb.as_ref().expect("hybrid state not armed");
         let b = self.batch.as_ref().expect("batch state not armed");
@@ -1181,36 +1189,53 @@ impl<'g> RunState<'g> {
             let miss = b.mask & !vis;
             let mut found = 0u64;
             if miss != 0 {
-                let base = v * b.k;
-                let mut probes = 0u64;
-                for &u in tg.neighbors(v as VertexId) {
+                // OR first, claim after: claiming inside this walk cost
+                // serve-batch a quarter of its speedup (EXPERIMENTS.md).
+                let ins = tg.neighbors(v as VertexId);
+                let mut acc = 0u64;
+                let mut probes = 0;
+                for &u in ins {
                     probes += 1;
-                    let mut hits = front.get(u as usize) & miss & !found;
-                    while hits != 0 {
-                        let q = hits.trailing_zeros() as usize;
-                        hits &= hits - 1;
-                        // visited_by may under-approximate: a bit claimed
-                        // in an earlier level can be missing from `vis`,
-                        // so the slot check is still required before
-                        // claiming.
-                        if b.levels.get(base + q) == UNVISITED {
-                            b.levels.set(base + q, next);
-                            if let Some(p) = &b.parents {
-                                p.set(base + q, u);
-                            }
-                            found |= 1 << q;
-                        }
-                    }
-                    if (miss & !found) == 0 {
+                    acc |= front.get(u as usize);
+                    if acc & miss == miss {
                         break;
                     }
                 }
-                wk.stats.edges_scanned += probes;
+                wk.stats.edges_scanned += probes as u64;
+                found = acc & miss;
+                let base = v * b.k;
+                let mut rem = found;
+                while rem != 0 {
+                    let q = rem.trailing_zeros() as usize;
+                    rem &= rem - 1;
+                    // racy-ok: single-writer — `v` is in this worker's static range
+                    b.levels.set(base + q, next);
+                }
+                if let Some(p) = &b.parents {
+                    // Each found query's parent is the first probed
+                    // in-neighbour on its frontier.
+                    let mut rem = found;
+                    for &u in &ins[..probes] {
+                        if rem == 0 {
+                            break;
+                        }
+                        let mut hits = front.get(u as usize) & rem;
+                        rem &= !hits;
+                        while hits != 0 {
+                            let q = hits.trailing_zeros() as usize;
+                            hits &= hits - 1;
+                            // racy-ok: single-writer — same static vertex partition
+                            p.set(base + q, u);
+                        }
+                    }
+                }
             }
             // racy-ok: single-writer — `v` is in this worker's static range
             next_front.set(v, found);
             if found != 0 {
+                // racy-ok: single-writer — keeps the membership word exact
                 b.visited_by.set(v, vis | found);
+                // racy-ok: single-writer — same static vertex partition
                 b.pushed_at.set(v, next);
                 wk.out.push(&mut wk.out_rear, v as VertexId);
                 wk.stats.vertices_discovered += found.count_ones() as u64;
@@ -1440,11 +1465,14 @@ mod tests {
     /// The batched handoff between bottom-up levels: after one batched
     /// bottom-up level, every vertex's next `front_by` word equals
     /// `frontier_bits(v, level + 1)`, and every query's labels are its
-    /// serial BFS's through `level + 1`. Each chain starts from the
+    /// serial BFS's through `level + 1`, with a parent one level up
+    /// among the vertex's in-neighbours. Each chain starts from the
     /// serial labels up to some depth, with membership words that miss
     /// bits as racy ORs can, and one refill, then runs bottom-up to the
     /// end without another; each level runs every worker's range in
-    /// turn, as the level's workers would.
+    /// turn, as the level's workers would. The kernel claims without
+    /// reading a slot back, so it needs exact membership words: the
+    /// refill must derive them, and every bottom-up level keep them.
     #[test]
     fn batched_bottom_up_level_writes_the_next_frontier_words() {
         use crate::options::HybridPolicy;
@@ -1456,6 +1484,7 @@ mod tests {
         ];
         for (name, g) in &graphs {
             let n = g.num_vertices();
+            let gt = g.transpose();
             let sources: Vec<VertexId> = vec![1, 0, (n / 2) as u32, 1, (n - 1) as u32];
             let k = sources.len();
             let serial: Vec<Vec<u32>> =
@@ -1465,16 +1494,27 @@ mod tests {
                 l if l <= d => l,
                 _ => UNVISITED,
             };
-            for threads in [1usize, 2, 3] {
+            for (threads, record_parents) in [(1usize, false), (2, true), (3, false)] {
                 let o = BfsOptions {
                     threads,
+                    record_parents,
                     hybrid: Some(HybridPolicy::default()),
                     ..Default::default()
                 };
                 let bufs = RunBuffers::new(n, &o, Some(&sources));
-                let st = RunState::from_buffers(g, &o, None, bufs, true);
+                let st = RunState::from_buffers(g, &o, Some(&gt), bufs, true);
                 let b = st.batch.as_ref().unwrap();
                 let fb = b.front_by.as_ref().unwrap();
+                // Every membership word is the set of queries whose slot
+                // at the vertex is claimed.
+                let exact_words = |tag: &str| {
+                    for v in 0..n {
+                        let claimed = (0..k)
+                            .filter(|&q| b.levels.get(v * k + q) != UNVISITED)
+                            .fold(0u64, |w, q| w | 1 << q);
+                        assert_eq!(b.visited_by.get(v), claimed, "{tag}: membership word of {v}");
+                    }
+                };
                 for start in 0..=depth {
                     for v in 0..n {
                         let mut vis = 0u64;
@@ -1492,6 +1532,7 @@ mod tests {
                     for t in 0..threads {
                         st.fill_bitmap_chunk(start, t);
                     }
+                    exact_words(&format!("{name} p={threads} refill at {start}"));
                     for level in start..=depth {
                         let tag = format!("{name} p={threads} from {start}, level {level}");
                         for t in 0..threads {
@@ -1503,11 +1544,17 @@ mod tests {
                             );
                             st.bottom_up_level(level, &mut wk);
                         }
+                        exact_words(&tag);
                         let next = &fb[(level as usize + 1) & 1];
                         for v in 0..n {
                             for q in 0..k {
                                 let want = upto(q, v, level + 1);
                                 assert_eq!(b.levels.get(v * k + q), want, "{tag}: v {v} q {q}");
+                                if let (Some(p), true) = (&b.parents, want == level + 1) {
+                                    let u = p.get(v * k + q);
+                                    assert!(gt.neighbors(v as VertexId).contains(&u), "{tag}");
+                                    assert_eq!(upto(q, u as usize, level), level, "{tag}: parent");
+                                }
                             }
                             let want = st.frontier_bits(v as VertexId, level + 1);
                             assert_eq!(next.get(v), want, "{tag}: frontier word of {v}");

@@ -1050,48 +1050,51 @@ mod tests {
 
     /// One coalesced run shares answers: queries on the same source get
     /// clones of one `Arc`, queries on distinct sources distinct ones,
-    /// and each is the exact BFS from its source.
+    /// and each is the exact BFS from its source — also when every query
+    /// asks for one source (a hot key), which runs a one-column batch.
     #[test]
     fn coalesced_queries_on_one_source_share_one_answer() {
         let g = gen::erdos_renyi(500, 3000, 5);
         let cfg = EngineConfig { threads: 2, ..Default::default() };
-        let sources = [7u32, 3, 7, 7, 9];
-        with_scheduler(&g, &cfg, sources.len(), |sched| {
-            let (jobs, replies): (Vec<_>, Vec<_>) = sources
-                .iter()
-                .zip(0..)
-                .map(|(&src, id)| {
-                    let (tx, rx) = mpsc::channel();
-                    let token = CancelToken::new(&cfg.clock);
-                    let query = Query::new(Algorithm::Bfscl, src);
-                    (Job { id, query, token, deadline_abs: None, tx, submitted_ns: 0 }, rx)
-                })
-                .unzip();
-            let mut jobs = jobs.into_iter();
-            let leader = jobs.next().expect("five jobs");
-            sched.run_batch_coalesced(leader, jobs.map(|j| (j, 0)).collect(), 0);
-            let answers: Vec<Arc<BfsResult>> = replies
-                .iter()
-                .map(|rx| {
-                    let resp = rx.recv().expect("every query gets a response");
-                    assert_eq!(resp.status, QueryStatus::Complete);
-                    resp.result.expect("a complete query carries a result")
-                })
-                .collect();
-            for (i, a) in answers.iter().enumerate() {
-                assert_eq!(
-                    a.levels,
-                    obfs_core::serial::serial_bfs(&g, sources[i]).levels,
-                    "query {i}"
-                );
-                for (j, b) in answers.iter().enumerate() {
-                    let same = sources[i] == sources[j];
-                    assert_eq!(Arc::ptr_eq(a, b), same, "queries {i} and {j}");
+        for sources in [&[7u32, 3, 7, 7, 9][..], &[7, 7, 7, 7]] {
+            with_scheduler(&g, &cfg, sources.len(), |sched| {
+                let (jobs, replies): (Vec<_>, Vec<_>) = sources
+                    .iter()
+                    .zip(0..)
+                    .map(|(&src, id)| {
+                        let (tx, rx) = mpsc::channel();
+                        let token = CancelToken::new(&cfg.clock);
+                        let query = Query::new(Algorithm::Bfscl, src);
+                        (Job { id, query, token, deadline_abs: None, tx, submitted_ns: 0 }, rx)
+                    })
+                    .unzip();
+                let mut jobs = jobs.into_iter();
+                let leader = jobs.next().expect("a leader");
+                sched.run_batch_coalesced(leader, jobs.map(|j| (j, 0)).collect(), 0);
+                let answers: Vec<Arc<BfsResult>> = replies
+                    .iter()
+                    .map(|rx| {
+                        let resp = rx.recv().expect("every query gets a response");
+                        assert_eq!(resp.status, QueryStatus::Complete);
+                        resp.result.expect("a complete query carries a result")
+                    })
+                    .collect();
+                for (i, a) in answers.iter().enumerate() {
+                    assert_eq!(
+                        a.levels,
+                        obfs_core::serial::serial_bfs(&g, sources[i]).levels,
+                        "query {i}"
+                    );
+                    for (j, b) in answers.iter().enumerate() {
+                        let same = sources[i] == sources[j];
+                        assert_eq!(Arc::ptr_eq(a, b), same, "queries {i} and {j}");
+                    }
                 }
-            }
-            let st = sched.tele.stats();
-            assert_eq!((st.completed, st.batched_runs, st.queries_coalesced), (5, 1, 5));
-        });
+                let st = sched.tele.stats();
+                let k = sources.len() as u64;
+                assert_eq!((st.completed, st.batched_runs, st.queries_coalesced), (k, 1, k));
+            });
+        }
     }
 
     /// Deadlined and chaos-carrying queries never join a batch: the

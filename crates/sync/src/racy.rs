@@ -19,9 +19,10 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering::Relaxed};
 /// The storage type behind per-vertex query-membership words in the
 /// batched multi-source BFS: a "visited-by" word is OR-updated with
 /// `load; store(v | bits)` — deliberately no `fetch_or`, so racing
-/// updates can lose bits. Consumers treat the word as an
+/// updates can lose bits. Racing consumers treat the word as an
 /// under-approximation and revalidate against the per-query level
-/// rows, the same optimistic discipline as the queue cursors.
+/// rows, the same optimistic discipline as the queue cursors; phases
+/// with one writer per word re-derive it exactly and keep it so.
 #[repr(transparent)]
 #[derive(Debug, Default)]
 pub struct RacyU64(AtomicU64);

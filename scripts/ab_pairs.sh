@@ -9,9 +9,13 @@
 # untracked, not ignored, files) are copied afresh to target/ab/parent and
 # target/ab/change, and the benchmark is built in each copy with
 # `--offline`, into target/ab/parent.target and target/ab/change.target,
-# which persist between calls so an unchanged side rebuilds nothing. A
-# benchmark build rewrites benchmark/Cargo.lock, so it only ever runs in
-# the copies; the checkout's own lock file is never touched.
+# which persist between calls so an unchanged side rebuilds nothing.
+# `git archive` dates every file by its commit, so when PARENT_REV names
+# another commit than the one last built, the parent's files are touched
+# first: an older commit's files would look older than the last build, and
+# cargo would reuse it. A benchmark build rewrites benchmark/Cargo.lock,
+# so it only ever runs in the copies; the checkout's own lock file is
+# never touched.
 #
 # Pair i (0-based) runs both sides with `--trace 0` for the `run_seconds`
 # BENCHMARK.json sets (10) on seed SEED+i (default SEED=1), parent first on
@@ -36,7 +40,7 @@ PAIRS="${3:-10}"
 SEED="${SEED:-1}"
 AB=target/ab
 
-git rev-parse --verify --quiet "$PARENT_REV^{commit}" >/dev/null || {
+PARENT_SHA=$(git rev-parse --verify --quiet "$PARENT_REV^{commit}") || {
     echo "error: unknown revision $PARENT_REV" >&2
     exit 2
 }
@@ -57,6 +61,11 @@ rm -rf "$AB/parent" "$AB/change"
 mkdir -p "$AB/parent" "$AB/change"
 : >"$OUT"
 git archive "$PARENT_REV" | tar -x -C "$AB/parent"
+BUILT_REV="$AB/parent.target/ab-parent-rev"
+if [ "$(cat "$BUILT_REV" 2>/dev/null)" != "$PARENT_SHA" ]; then
+    rm -f "$BUILT_REV"
+    find "$AB/parent" -type f -exec touch {} +
+fi
 git ls-files -z --cached --others --exclude-standard \
     | tar --null --ignore-failed-read -T - -cf - 2>/dev/null \
     | tar -x -C "$AB/change"
@@ -66,6 +75,7 @@ for side in parent change; do
     cargo build --release --quiet --offline \
         --manifest-path "$AB/$side/benchmark/Cargo.toml" --target-dir "$AB/$side.target" >&2
 done
+echo "$PARENT_SHA" >"$BUILT_REV"
 
 run() { # run SIDE PAIR SEED
     local line

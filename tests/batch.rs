@@ -119,28 +119,48 @@ fn duplicate_sources_yield_identical_columns() {
 
 /// Hybrid direction-switching batch runs: bottom-up levels rebuild the
 /// frontier words (`front_by`) and claim via in-edge probes; results must
-/// still match serial, including when the direction is forced.
+/// still match serial, including when the direction is forced, for
+/// distinct and for duplicated sources. Parents off is the engine's
+/// configuration; the directed RMAT graph's in-edges differ from its
+/// out-edges, so bottom-up must probe its transpose.
 #[test]
 fn hybrid_batches_match_serial() {
-    let g = gen::barabasi_albert(1000, 4, 53); // dense core → real switches
-    let gt = g.transpose();
-    let sources = pick_sources(g.num_vertices(), 17, 59, false);
-    for &threads in &[1usize, 4] {
-        let runner = BfsRunner::new(threads);
-        for policy in [
-            HybridPolicy::default(),
-            HybridPolicy::forced(ForcedDirection::AlwaysBottomUp),
-            HybridPolicy::forced(ForcedDirection::AlwaysTopDown),
-        ] {
-            let opts = BfsOptions {
-                threads,
-                record_parents: true,
-                hybrid: Some(policy),
-                ..BfsOptions::default()
-            };
-            for algo in [Algorithm::Bfscl, Algorithm::Bfswl, Algorithm::Bfswsl] {
-                let b = runner.run_batch(algo, &g, Some(&gt), &sources, &opts);
-                check_batch(&g, &b, &sources, &format!("hybrid/{algo}/p{threads}"));
+    let graphs = [
+        ("barabasi-albert", gen::barabasi_albert(1000, 4, 53)), // dense core → real switches
+        ("rmat", gen::rmat(10, 8, gen::RmatParams::default(), 59)),
+    ];
+    for (name, g) in &graphs {
+        let gt = g.transpose();
+        let n = g.num_vertices();
+        for &threads in &[1usize, 4] {
+            let runner = BfsRunner::new(threads);
+            for policy in [
+                HybridPolicy::default(),
+                HybridPolicy::forced(ForcedDirection::AlwaysBottomUp),
+                HybridPolicy::forced(ForcedDirection::AlwaysTopDown),
+            ] {
+                for record_parents in [false, true] {
+                    let opts = BfsOptions {
+                        threads,
+                        record_parents,
+                        hybrid: Some(policy),
+                        ..BfsOptions::default()
+                    };
+                    // Distinct sources, then pairs of duplicates (so k = 2
+                    // is one source twice).
+                    let grid =
+                        [(2, false), (17, false), (64, false), (2, true), (17, true), (64, true)];
+                    for (k, dup) in grid {
+                        let sources = pick_sources(n, k, 59, dup);
+                        for algo in [Algorithm::Bfscl, Algorithm::Bfswl, Algorithm::Bfswsl] {
+                            let b = runner.run_batch(algo, g, Some(&gt), &sources, &opts);
+                            let tag = format!(
+                                "hybrid/{name}/{algo}/p{threads}/k{k}/dup={dup}/parents={record_parents}"
+                            );
+                            check_batch(g, &b, &sources, &tag);
+                        }
+                    }
+                }
             }
         }
     }
